@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,19 +56,43 @@ class CacheEntry:
 
 
 class DetCache:
-    """Read-through, append-on-miss determinant cache."""
+    """Read-through, append-on-miss determinant cache.
+
+    A final line that does not parse is what a crash during ``put`` leaves
+    behind: it is skipped with a warning, and the next ``put`` truncates it
+    away before appending.  A bad line anywhere else is corruption and
+    raises ``ValueError`` naming its line number.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self.entries: dict[tuple[str, int, str], CacheEntry] = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = CacheEntry.from_json(line)
-                    self.entries[entry.key] = entry
+        self._truncate_at: Optional[int] = None
+        if not os.path.exists(path):
+            return
+        bad = None  # (line number, byte offset, error) of an unparsed line
+        offset = 0
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                start, offset = offset, offset + len(raw)
+                if not raw.strip():
+                    continue
+                if bad is not None:
+                    raise ValueError(
+                        f"{path}:{bad[0]}: corrupt cache line: {bad[2]}"
+                    )
+                try:
+                    entry = CacheEntry.from_json(raw.decode("utf-8"))
+                except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+                    bad = (lineno, start, exc)
+                    continue
+                self.entries[entry.key] = entry
+        if bad is not None:
+            print(
+                f"warning: {path}:{bad[0]}: skipping truncated final cache line",
+                file=sys.stderr,
+            )
+            self._truncate_at = bad[1]
 
     def get(self, family: str, n: int, variant: str) -> Optional[Poly]:
         entry = self.entries.get((family, n, variant))
@@ -77,6 +102,9 @@ class DetCache:
         entry = CacheEntry(family, n, variant, value)
         self.entries[entry.key] = entry
         with open(self.path, "a", encoding="utf-8") as fh:
+            if self._truncate_at is not None:
+                fh.truncate(self._truncate_at)
+                self._truncate_at = None
             fh.write(entry.to_json() + "\n")
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,7 +24,7 @@ from .closed_forms import (
     product_eval,
 )
 from .factor import factor_smooth, primality_label
-from .hankel import hankel_det_at, quartet, quartet_at
+from .hankel import VARIANTS, hankel_det_at, variant_det, variant_det_at
 from .poly import Poly
 from .rat import format_rat, parse_rat
 from .report import (
@@ -103,8 +103,8 @@ def cmd_det(args) -> int:
         raise UsageError("n must be >= 0")
     x = _parse_x(args.x)
     variant = args.variant.upper()
-    if variant not in ("H", "K", "M", "N"):
-        raise UsageError("variant must be one of H, K, M, N")
+    if variant not in VARIANTS:
+        raise UsageError(f"variant must be one of {', '.join(VARIANTS)}")
     if variant in ("M", "N") and args.n == 0:
         raise UsageError(f"{variant}_0 is undefined (layout needs n >= 1)")
 
@@ -118,7 +118,7 @@ def cmd_det(args) -> int:
             from_cache = True
     if x is not None and value is None and cache is None:
         # point query with no cache in play: substitute before eliminating
-        val = quartet_at(family, args.n, x)[variant]
+        val = variant_det_at(family, args.n, variant, x)
         rendered = format_rat(val)
         if args.format == "json":
             print(
@@ -138,8 +138,7 @@ def cmd_det(args) -> int:
             print(rendered)
         return 0
     if value is None or args.recheck:
-        q = quartet(family, args.n)
-        fresh = getattr(q, variant)
+        fresh = variant_det(family, args.n, variant)
         if from_cache and args.recheck and fresh != value:
             print(
                 f"cache mismatch for {family.name} n={args.n} {variant}",
@@ -259,20 +258,37 @@ def _run_task(task):
     return run_check(name, family, range(lo, hi + 1))
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def pool_size(jobs: int, tasks: int, cpus: int) -> int:
+    """Worker count for ``--jobs``: never more than the tasks or the CPUs."""
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, tasks, cpus))
+
+
 def _run_suite(items, jobs: int) -> list[Row]:
     tasks = [
         (name, fam.name if fam is not None else None, lo, hi)
         for name, fam, lo, hi in items
     ]
+    # fan out per-(check, n); ordering is restored by sorting on emission
+    per_n = [
+        (name, fam_name, n, n)
+        for name, fam_name, lo, hi in tasks
+        for n in range(lo, hi + 1)
+    ]
+    workers = pool_size(jobs, len(per_n), _available_cpus())
     rows: list[Row] = []
-    if jobs > 1:
-        # fan out per-(check, n); ordering is restored by sorting on emission
-        per_n = [
-            (name, fam_name, n, n)
-            for name, fam_name, lo, hi in tasks
-            for n in range(lo, hi + 1)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_task, per_n):
                 rows.extend(chunk)
     else:

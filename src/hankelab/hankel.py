@@ -1,19 +1,32 @@
 """Hankel matrices over Poly and their exact determinant machinery.
 
-The workhorse is fraction-free (Bareiss) elimination: interior divisions
-are exact in the polynomial ring, and any nonzero remainder aborts loudly,
-which doubles as a correctness tripwire.  A cofactor-expansion oracle is
-kept for small sizes and cross-checked in the tests.
+The workhorse is fraction-free (Bareiss) elimination, one loop over any
+integral domain.  Determinants scale each row to integers and eliminate
+over Z[x] (symbolic) or Z (at a point): interior divisions are exact, and
+any nonzero remainder aborts loudly, which doubles as a correctness
+tripwire.  Bareiss over Poly and Fraction and a cofactor-expansion oracle
+are kept as references and cross-checked in the tests.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .poly import Poly
+from .poly import (
+    InexactDivision,
+    Poly,
+    denominator_lcm,
+    from_int_scaled,
+    int_poly_exact_div,
+    int_poly_mul,
+    int_poly_neg,
+    int_poly_sub,
+    to_int_scaled,
+)
 from .rat import Rat, binom, rat
 from .sequences import FamilyId, a_poly
 
@@ -23,10 +36,37 @@ from .sequences import FamilyId, a_poly
 # ---------------------------------------------------------------------------
 
 
-def det_bareiss(rows: Sequence[Sequence], divide: Callable) -> object:
+@dataclass(frozen=True)
+class Ring:
+    """The operations Bareiss elimination needs from an integral domain.
+
+    ``exact_div`` performs the interior divisions, which are exact in the
+    ring; an implementation raises on a remainder.
+    """
+
+    mul: Callable
+    sub: Callable
+    neg: Callable
+    exact_div: Callable
+
+
+def _int_exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivision(f"inexact integer division of {a} by {b}")
+    return q
+
+
+INT = Ring(operator.mul, operator.sub, operator.neg, _int_exact_div)
+INT_POLY = Ring(int_poly_mul, int_poly_sub, int_poly_neg, int_poly_exact_div)
+# Over Poly and Fraction: the reference elimination the tests compare against.
+POLY = Ring(operator.mul, operator.sub, operator.neg, lambda a, b: a.exact_div(b))
+RATIONAL = Ring(operator.mul, operator.sub, operator.neg, operator.truediv)
+
+
+def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:
     """Fraction-free two-term elimination over any integral domain.
 
-    ``divide(a, b)`` must perform the (guaranteed exact) interior division.
     A zero pivot swaps in the first lower row with a nonzero entry and flips
     the sign; if none exists the determinant is zero.
     """
@@ -38,6 +78,7 @@ def det_bareiss(rows: Sequence[Sequence], divide: Callable) -> object:
             raise ValueError("matrix is not square")
     if n == 1:
         return rows[0][0]
+    mul, sub, div = ring.mul, ring.sub, ring.exact_div
     m = [list(row) for row in rows]
     sign = 1
     prev = None
@@ -51,26 +92,49 @@ def det_bareiss(rows: Sequence[Sequence], divide: Callable) -> object:
             else:
                 zero = m[k][k]
                 return zero
-        pivot = m[k][k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                elt = pivot * m[i][j] - m[i][k] * m[k][j]
+                elt = sub(mul(pivot, row[j]), mul(lead, pivot_row[j]))
                 if prev is not None:
-                    elt = divide(elt, prev)
-                m[i][j] = elt
+                    elt = div(elt, prev)
+                row[j] = elt
         prev = pivot
     det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else ring.neg(det)
 
 
 def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Exact determinant of a square Poly matrix."""
-    return det_bareiss(rows, lambda a, b: a.exact_div(b))
+    """Exact determinant of a square Poly matrix.
+
+    Each row is scaled to integer coefficients by the lcm of its
+    denominators, elimination runs over Z[x], and the result is divided by
+    the product of the row scales once.
+    """
+    int_rows = []
+    scale = 1
+    for row in rows:
+        int_row, row_scale = to_int_scaled(row)
+        int_rows.append(int_row)
+        scale *= row_scale
+    return from_int_scaled(det_bareiss(int_rows, INT_POLY), scale)
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Rat:
-    """Exact determinant of a square matrix of rationals."""
-    return det_bareiss(rows, lambda a, b: a / b)
+    """Exact determinant of a square matrix of rationals, eliminated over Z.
+
+    Rows are scaled to integers as in ``det_fraction_free``.
+    """
+    int_rows = []
+    scale = 1
+    for row in rows:
+        row_scale = denominator_lcm(row)
+        int_rows.append([c.numerator * (row_scale // c.denominator) for c in row])
+        scale *= row_scale
+    return Rat(det_bareiss(int_rows, INT), scale)
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> object:
@@ -136,6 +200,9 @@ def hankel_columns(family: FamilyId, n: int, cols: Sequence[int]) -> list[list[P
     return [[a_poly(family, c + i) for c in cols] for i in range(n + 1)]
 
 
+VARIANTS = ("H", "K", "M", "N")
+
+
 def _quartet_columns(n: int) -> dict[str, list[int]]:
     base = list(range(n))
     return {
@@ -144,6 +211,16 @@ def _quartet_columns(n: int) -> dict[str, list[int]]:
         "M": base[:-1] + [n + 1, n] if n >= 1 else None,
         "N": base + [n + 2],
     }
+
+
+def _variant_columns(n: int, variant: str) -> list[int]:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {', '.join(VARIANTS)}")
+    if variant in ("M", "N") and n == 0:
+        raise ValueError(f"{variant}_0 is undefined (layout needs n >= 1)")
+    return _quartet_columns(n)[variant]
 
 
 @dataclass(frozen=True)
@@ -175,6 +252,14 @@ def hankel_det(family: FamilyId, n: int) -> Poly:
     return h
 
 
+def variant_det(family: FamilyId, n: int, variant: str) -> Poly:
+    """One of H_n, K_n, M_n, N_n alone; H comes from ``hankel_det``."""
+    cols = _variant_columns(n, variant)
+    if variant == "H":
+        return hankel_det(family, n)
+    return det_fraction_free(hankel_columns(family, n, cols))
+
+
 def quartet(family: FamilyId, n: int) -> HankelQuartet:
     """All four determinants; M and N are None at n = 0.
 
@@ -186,37 +271,63 @@ def quartet(family: FamilyId, n: int) -> HankelQuartet:
     hit = _quartet_memo.get(key)
     if hit is not None:
         return hit
-    layout = _quartet_columns(n)
     h = hankel_det(family, n)
-    k = det_fraction_free(hankel_columns(family, n, layout["K"]))
+    k = variant_det(family, n, "K")
     m = nn = None
     if n >= 1:
-        m = det_fraction_free(hankel_columns(family, n, layout["M"]))
-        nn = det_fraction_free(hankel_columns(family, n, layout["N"]))
+        m = variant_det(family, n, "M")
+        nn = variant_det(family, n, "N")
     q = HankelQuartet(family, n, h, k, m, nn)
     with _memo_lock:
         _quartet_memo.setdefault(key, q)
     return q
 
 
+def _values_at(family: FamilyId, count: int, x0: Rat) -> list[Rat]:
+    """a_0(x0), ..., a_{count-1}(x0), each by integer homogeneous Horner.
+
+    With x0 = p/q and d the lcm of a_k's denominators, a_k(x0) is the
+    integer sum_m (d c_m) p^m q^(deg - m) over d q^deg.
+    """
+    p, q = x0.numerator, x0.denominator
+    out = []
+    for k in range(count):
+        (coeffs,), scale = to_int_scaled([a_poly(family, k)])
+        acc, qpow = 0, 1
+        for c in reversed(coeffs):
+            acc = acc * p + c * qpow
+            qpow *= q
+        out.append(Rat(acc, scale * q ** max(len(coeffs) - 1, 0)))
+    return out
+
+
+def _point_det(values: Sequence[Rat], n: int, cols: Sequence[int]) -> Rat:
+    """det of the matrix whose j-th column is values[c_j .. c_j + n]."""
+    return det_rational([[values[c + i] for c in cols] for i in range(n + 1)])
+
+
+def variant_det_at(family: FamilyId, n: int, variant: str, x0) -> Rat:
+    """One of H_n, K_n, M_n, N_n at a rational point, substituting first."""
+    cols = _variant_columns(n, variant)
+    return _point_det(_values_at(family, max(cols) + n + 1, rat(x0)), n, cols)
+
+
 def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:
     """H_n evaluated at a rational point, substituting before elimination."""
-    x0 = rat(x0)
-    rows = [
-        [a_poly(family, i + j)(x0) for j in range(n + 1)] for i in range(n + 1)
-    ]
-    return det_rational(rows)
+    return variant_det_at(family, n, "H", x0)
 
 
 def quartet_at(family: FamilyId, n: int, x0) -> dict[str, Optional[Rat]]:
-    """Point-evaluated quartet {H, K, M, N}; M, N are None at n = 0."""
-    x0 = rat(x0)
-    layout = _quartet_columns(n)
+    """Point-evaluated quartet {H, K, M, N}; M, N are None at n = 0.
+
+    The 2n + 3 distinct entries are evaluated once and shared by all four.
+    """
+    names = VARIANTS if n >= 1 else ("H", "K")
+    layout = {name: _variant_columns(n, name) for name in names}
+    values = _values_at(family, max(map(max, layout.values())) + n + 1, rat(x0))
     out: dict[str, Optional[Rat]] = {"M": None, "N": None}
-    for name in ("H", "K") + (("M", "N") if n >= 1 else ()):
-        cols = layout[name]
-        rows = [[a_poly(family, c + i)(x0) for c in cols] for i in range(n + 1)]
-        out[name] = det_rational(rows)
+    for name, cols in layout.items():
+        out[name] = _point_det(values, n, cols)
     return out
 
 
@@ -283,15 +394,6 @@ def degree_bound(inst: DegreeInstance) -> int:
 
 def general_degree_det(inst: DegreeInstance) -> Poly:
     return det_fraction_free(inst.matrix())
-
-
-def matrix_to_json(rows: Sequence[Sequence[Poly]]) -> list[list[list[str]]]:
-    """Debug dump: JSON array of rows of Poly (each an array of rationals)."""
-    return [[entry.to_json() for entry in row] for row in rows]
-
-
-def matrix_from_json(data) -> list[list[Poly]]:
-    return [[Poly.from_json(entry) for entry in row] for row in data]
 
 
 def make_degree_instance(p, q, alphas, betas, gamma) -> DegreeInstance:

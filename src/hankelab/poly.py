@@ -8,6 +8,8 @@ coefficient tuple and degree ``-inf``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .rat import Rat, format_rat, parse_rat, rat
@@ -260,6 +262,96 @@ class Poly:
 
 class InexactDivision(ArithmeticError):
     """An interior division that should have been exact was not."""
+
+
+# -- integer coefficient lists ------------------------------------------------
+#
+# Elimination runs over Z[x] on plain lists of ints, ascending by degree with
+# no trailing zeros ([] is zero).  These are the ring operations the Bareiss
+# kernel in hankel.py is handed; ``Poly`` results are built once at the end.
+
+
+def int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product in Z[x]."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+def int_poly_sub(a: list[int], b: list[int]) -> list[int]:
+    """Difference in Z[x], with trailing zeros stripped."""
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def int_poly_neg(a: list[int]) -> list[int]:
+    return [-c for c in a]
+
+
+def int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """Quotient in Z[x] of a division that must be exact; raises otherwise.
+
+    A leading coefficient that does not divide, or a nonzero remainder,
+    raises ``InexactDivision``: the same tripwire as ``Poly.exact_div``.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    db = len(b) - 1
+    shift = len(a) - 1 - db
+    if shift < 0:
+        raise _inexact(a, b)
+    lead, low = b[-1], b[:-1]
+    rem = list(a)
+    quot = [0] * (shift + 1)
+    for i in range(shift, -1, -1):
+        q, r = divmod(rem[i + db], lead)
+        if r:
+            raise _inexact(a, b)
+        if q:
+            quot[i] = q
+            for j, c in enumerate(low, i):
+                rem[j] -= q * c
+    if any(rem[:db]):
+        raise _inexact(a, b)
+    return quot
+
+
+def _inexact(a: list[int], b: list[int]) -> InexactDivision:
+    return InexactDivision(f"inexact integer polynomial division of {a} by {b}")
+
+
+def denominator_lcm(values: Iterable[Rat]) -> int:
+    """The least common multiple of the values' denominators."""
+    scale = 1
+    for c in values:
+        d = c.denominator
+        if d != 1 and scale % d:
+            scale = lcm(scale, d)
+    return scale
+
+
+def to_int_scaled(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
+    """Integer coefficient lists of ``scale * p`` for each p, and ``scale``.
+
+    ``scale`` is the lcm of every coefficient denominator, the least
+    common scale that clears them all.
+    """
+    scale = denominator_lcm(c for p in polys for c in p.coeffs)
+    return [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys], scale
+
+
+def from_int_scaled(coeffs: Sequence[int], scale: int) -> Poly:
+    """The Poly with coefficients ``c / scale``."""
+    return Poly([Rat(c, scale) for c in coeffs])
 
 
 def _coerce(value) -> Poly:

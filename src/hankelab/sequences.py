@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .poly import Poly
+from .poly import Poly, from_int_scaled, int_poly_mul, to_int_scaled
 from .rat import Rat, binom, factorial, rat
 from .series import SeriesYX
 
@@ -121,9 +121,16 @@ def conv_poly(family: FamilyId, k: int) -> Poly:
     hit = _conv_memo.get(key)
     if hit is not None:
         return hit
-    acc = Poly.zero()
-    for m in range(k + 1):
-        acc = acc + a_poly(family, m) * a_poly(family, k - m)
+    # Over Z with one common scale; the sum is symmetric in m <-> k - m.
+    ints, scale = to_int_scaled([a_poly(family, m) for m in range(k + 1)])
+    total: list[int] = []
+    for m in range(k // 2 + 1):
+        term = int_poly_mul(ints[m], ints[k - m])
+        weight = 1 if 2 * m == k else 2
+        total.extend([0] * (len(term) - len(total)))
+        for i, c in enumerate(term):
+            total[i] += weight * c
+    acc = from_int_scaled(total, scale * scale)
     with _memo_lock:
         _conv_memo.setdefault(key, acc)
     return acc

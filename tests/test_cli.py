@@ -1,9 +1,14 @@
 import json
 
+import pytest
+
+from hankelab import hankel
 from hankelab.checks import REGISTRY, CheckDef
-from hankelab.cli import main
+from hankelab.cli import UsageError, main, pool_size
 from hankelab.poly import Poly
+from hankelab.rat import format_rat
 from hankelab.report import fail_row, finding_row, ok_row
+from hankelab.sequences import F21, F31
 
 
 def run(capsys, *argv):
@@ -205,3 +210,99 @@ def test_checks_listing(capsys):
     code, out, _ = run(capsys, "checks")
     assert code == 0
     assert "de1" in out and "dodgson" in out
+
+
+def count_dets(monkeypatch):
+    """Count the determinants formed, by kind, through the hankel module."""
+    counts = {"symbolic": 0, "point": 0}
+
+    def counting(kind, fn):
+        def wrapped(rows):
+            counts[kind] += 1
+            return fn(rows)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        hankel, "det_fraction_free", counting("symbolic", hankel.det_fraction_free)
+    )
+    monkeypatch.setattr(hankel, "det_rational", counting("point", hankel.det_rational))
+    return counts
+
+
+def test_det_forms_only_the_requested_determinant(capsys, monkeypatch, tmp_path):
+    want = format_rat(hankel.quartet_at(F31, 3, "1/2")["K"])
+    want_n = str(hankel.quartet(F21, 4).N)
+    counts = count_dets(monkeypatch)
+    code, out, _ = run(
+        capsys, "det", "--family", "3,1", "--n", "3", "--x", "1/2", "--variant", "K"
+    )
+    assert code == 0 and counts == {"symbolic": 0, "point": 1}
+    assert out.strip() == want
+
+    cache_path = str(tmp_path / "dets.jsonl")
+    for argv, symbolic in (
+        ((), 1),  # miss: one determinant, then cached
+        ((), 1),  # hit: nothing new
+        (("--recheck",), 2),  # hit rechecked: one fresh determinant
+    ):
+        code, out, _ = run(
+            capsys, "det", "--family", "2,1", "--n", "4", "--variant", "N",
+            "--cache", cache_path, *argv,
+        )
+        assert code == 0 and counts["symbolic"] == symbolic
+        assert out.strip() == want_n
+
+
+def write_two_entries(capsys, cache_path):
+    for n in ("2", "3"):
+        run(capsys, "det", "--family", "3,1", "--n", n, "--cache", str(cache_path))
+    return cache_path.read_text().splitlines(keepends=True)
+
+
+def test_cache_truncated_final_line_is_a_miss(capsys, tmp_path):
+    cache_path = tmp_path / "dets.jsonl"
+    lines = write_two_entries(capsys, cache_path)
+    cache_path.write_text(lines[0] + lines[1][:40])  # a put cut short
+    code, out, err = run(
+        capsys, "det", "--family", "3,1", "--n", "3", "--format", "json",
+        "--cache", str(cache_path),
+    )
+    assert code == 0 and json.loads(out)["cached"] is False
+    assert "dets.jsonl:2" in err and "truncated" in err
+    # the recomputed entry replaced the partial line: the file is whole again
+    assert cache_path.read_text() == "".join(lines)
+    code, out, err = run(
+        capsys, "det", "--family", "3,1", "--n", "3", "--format", "json",
+        "--cache", str(cache_path),
+    )
+    assert code == 0 and json.loads(out)["cached"] is True and err == ""
+
+
+def test_cache_corrupt_middle_line_is_an_error(capsys, tmp_path):
+    cache_path = tmp_path / "dets.jsonl"
+    lines = write_two_entries(capsys, cache_path)
+    cache_path.write_text(lines[0][:40] + "\n" + lines[1])
+    code, _, err = run(
+        capsys, "det", "--family", "3,1", "--n", "2", "--cache", str(cache_path)
+    )
+    assert code == 2 and "dets.jsonl:1" in err and "corrupt" in err
+
+
+def test_jobs_must_be_positive(capsys, tmp_path):
+    for argv in (
+        ("verify", "--check", "p32", "--n", "0..1", "--jobs", "0"),
+        ("sweep", "--suite", "fast", "--jobs", "-1"),
+        ("report", "--suite", "fast", "--jobs", "0", "--output", str(tmp_path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "--jobs" in err and out == ""
+
+
+def test_pool_size_clamps_to_tasks_and_cpus():
+    assert pool_size(4, 10, 2) == 2
+    assert pool_size(8, 3, 16) == 3
+    assert pool_size(1, 100, 8) == 1
+    assert pool_size(2, 0, 2) == 1
+    with pytest.raises(UsageError):
+        pool_size(0, 10, 2)

@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.poly import Poly
+from hankelab.poly import InexactDivision, Poly
 from hankelab.rat import Rat
 from hankelab.hankel import (
+    INT,
+    POLY,
+    RATIONAL,
+    VARIANTS,
     degree_bound,
+    det_bareiss,
     det_cofactor,
     det_fraction_free,
     det_rational,
@@ -20,6 +25,8 @@ from hankelab.hankel import (
     quartet,
     quartet_at,
     trace_adjugate_product,
+    variant_det,
+    variant_det_at,
 )
 from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX, a_poly
 
@@ -47,14 +54,26 @@ def test_det_on_hankel_examples():
     assert hankel_det(F21, 1) == Poly([1, -2])
 
 
-def random_poly_matrix(rng, size, max_deg=3):
+def random_poly_matrix(rng, size, max_deg=3, max_den=1):
     return [
         [
-            Poly([Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, max_deg + 1))])
+            Poly(
+                [
+                    Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
+                    for _ in range(rng.randint(1, max_deg + 1))
+                ]
+            )
             for _ in range(size)
         ]
         for _ in range(size)
     ]
+
+
+def vanish_leading_minor(rng, m):
+    # row 1 := c * row 0 on the first two columns, so the 2x2 leading minor
+    # is zero and elimination must swap rows at its second pivot
+    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    m[1][0], m[1][1] = c * m[0][0], c * m[0][1]
 
 
 def test_bareiss_agrees_with_cofactor_oracle():
@@ -63,11 +82,42 @@ def test_bareiss_agrees_with_cofactor_oracle():
         size = rng.randint(1, 5)
         m = random_poly_matrix(rng, size)
         assert det_fraction_free(m) == det_cofactor(m)
+    # rational coefficients, with forced zero leading pivots, against both
+    # the cofactor expansion and Fraction Bareiss over Poly
+    rng = random.Random(48)
+    for trial in range(200):
+        size = rng.randint(1, 5)
+        m = random_poly_matrix(rng, size, max_den=6)
+        if trial % 2 and size >= 2:
+            vanish_leading_minor(rng, m)
+        if trial % 3 == 0:
+            m[0][0] = Poly.zero()
+        want = det_cofactor(m)
+        assert det_bareiss(m, POLY) == want
+        assert det_fraction_free(m) == want
 
 
 def test_det_rational():
     rows = [[Rat(1), Rat(1, 2)], [Rat(1, 3), Rat(1, 4)]]
     assert det_rational(rows) == Rat(1, 12)
+    rng = random.Random(49)
+    for trial in range(200):
+        size = rng.randint(1, 6)
+        m = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(size)]
+            for _ in range(size)
+        ]
+        if trial % 2 and size >= 2:
+            vanish_leading_minor(rng, m)
+        want = det_cofactor(m)
+        assert det_bareiss(m, RATIONAL) == want
+        assert det_rational(m) == want
+
+
+def test_integer_kernel_tripwire():
+    assert INT.exact_div(-12, 4) == -3
+    with pytest.raises(InexactDivision):
+        INT.exact_div(7, 2)
 
 
 def test_quartet_examples():
@@ -108,14 +158,48 @@ def test_dodgson_all_families():
 
 
 def test_point_evaluation_consistency():
-    for fam in (F31, FAEX):
+    # H_1 of (3,1) is 5 - 2x and H_1 of (2,1) is 1 - 2x: at 5/2 and 1/2 the
+    # second leading pivot of every n >= 2 matrix of those families vanishes
+    assert hankel_det(F31, 1)(Rat(5, 2)) == 0
+    assert hankel_det(F21, 1)(Rat(1, 2)) == 0
+    points = [Rat(0), Rat(3, 7), Rat(-2), Rat(5, 2), Rat(1, 2), Rat(-11, 5)]
+    for fam in ALL_FAMILIES:
         for n in range(0, 6):
-            x0 = Rat(3, 7)
-            assert hankel_det_at(fam, n, x0) == hankel_det(fam, n)(x0)
-    vals = quartet_at(F31, 3, Rat(1, 2))
-    q = quartet(F31, 3)
-    assert vals["H"] == q.H(Rat(1, 2))
-    assert vals["N"] == q.N(Rat(1, 2))
+            q = quartet(fam, n)
+            names = [name for name in VARIANTS if getattr(q, name) is not None]
+            for name in names:
+                assert variant_det(fam, n, name) == getattr(q, name)
+            for x0 in points:
+                vals = quartet_at(fam, n, x0)
+                assert hankel_det_at(fam, n, x0) == q.H(x0), (fam, n, x0)
+                assert {k for k, v in vals.items() if v is not None} == set(names)
+                for name in names:
+                    want = getattr(q, name)(x0)
+                    assert vals[name] == want, (fam, n, name, x0)
+                    assert variant_det_at(fam, n, name, x0) == want
+
+
+def test_point_values_with_rational_coefficients(monkeypatch):
+    # every family's a_k has integer coefficients, so substitute a sequence
+    # with denominators to exercise the row scales of both paths
+    import hankelab.hankel as hankel_mod
+
+    def seq(_family, k):
+        return Poly([Fraction(k + 1, 3), Fraction(-1, k + 2), Fraction(k, 5)])
+
+    monkeypatch.setattr(hankel_mod, "a_poly", seq)
+    monkeypatch.setattr(hankel_mod, "_h_memo", {})
+    monkeypatch.setattr(hankel_mod, "_quartet_memo", {})
+    for n in range(0, 5):
+        q = quartet(F31, n)
+        rows = [[seq(F31, i + j) for j in range(n + 1)] for i in range(n + 1)]
+        assert q.H == det_cofactor(rows)
+        for x0 in (Rat(0), Rat(2, 3), Rat(-7, 4)):
+            vals = quartet_at(F31, n, x0)
+            for name in VARIANTS:
+                sym = getattr(q, name)
+                if sym is not None:
+                    assert vals[name] == sym(x0), (n, name, x0)
 
 
 def test_zero_pivot_swap():
@@ -195,10 +279,3 @@ def test_det_with_replaced_column():
     a = hankel_matrix(F31, 1)
     col = [a_poly(F31, 2), a_poly(F31, 3)]
     assert det_with_replaced_column(a, 1, col) == quartet(F31, 1).K
-
-
-def test_matrix_json_roundtrip():
-    from hankelab.hankel import matrix_from_json, matrix_to_json
-
-    m = hankel_matrix(F31, 2)
-    assert matrix_from_json(matrix_to_json(m)) == m

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.poly import InexactDivision, Poly
+from hankelab.poly import (
+    InexactDivision,
+    Poly,
+    from_int_scaled,
+    int_poly_exact_div,
+    int_poly_mul,
+    int_poly_neg,
+    int_poly_sub,
+    to_int_scaled,
+)
 
 
 def random_poly(rng, max_deg=12):
@@ -108,3 +117,34 @@ def test_immutability():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = (Fraction(0),)
+
+
+def test_integer_ops_match_poly():
+    rng = random.Random(19)
+    for _ in range(200):
+        p, q = random_poly(rng), random_poly(rng)
+        (a, b), scale = to_int_scaled([p, q])
+        assert from_int_scaled(a, scale) == p and from_int_scaled(b, scale) == q
+        assert from_int_scaled(int_poly_mul(a, b), scale * scale) == p * q
+        assert from_int_scaled(int_poly_sub(a, b), scale) == p - q
+        assert from_int_scaled(int_poly_neg(a), scale) == -p
+        if b:
+            assert int_poly_exact_div(int_poly_mul(a, b), b) == a
+
+
+def test_integer_exact_div_tripwire():
+    # (x^2 + 1) / (x + 1) leaves a remainder
+    with pytest.raises(InexactDivision):
+        int_poly_exact_div([1, 0, 1], [1, 1])
+    # (3x + 1) / (2x + 1): the leading coefficient does not divide
+    with pytest.raises(InexactDivision):
+        int_poly_exact_div([1, 3], [1, 2])
+    # a constant divisor that does not divide every coefficient
+    with pytest.raises(InexactDivision):
+        int_poly_exact_div([4, 3], [2])
+    # the divisor's degree exceeds the dividend's
+    with pytest.raises(InexactDivision):
+        int_poly_exact_div([5], [1, 1])
+    with pytest.raises(ZeroDivisionError):
+        int_poly_exact_div([1], [])
+    assert int_poly_exact_div([], [1, 1]) == []

@@ -82,8 +82,8 @@ def test_conv_examples():
 
 
 def test_conv_symmetric_order():
-    for fam in (F31, FAEX):
-        for k in range(0, 9):
+    for fam in ALL_FAMILIES:
+        for k in range(0, 13):
             forward = conv_poly(fam, k)
             reverse = Poly.zero()
             for m in range(k, -1, -1):
