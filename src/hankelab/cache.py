@@ -1,7 +1,8 @@
 """Append-only JSON-lines cache for computed determinants.
 
 One entry per line, last writer wins on duplicate keys; crash-safe and
-diffable.  Keys are (family, n, variant in {H, K, M, N}).
+diffable.  Keys are (family, n, variant in {H, K, M, N}).  An entry written
+by another tool version is a miss: it is recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .poly import Poly
 TOOL_VERSION = "hankelab-0.1.0"
 
 ENV_CACHE_PATH = "HANKELAB_CACHE"
+
+
+class CacheError(ValueError):
+    """A cache file line that does not parse, other than the final one."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class DetCache:
     A final line that does not parse is what a crash during ``put`` leaves
     behind: it is skipped with a warning, and the next ``put`` truncates it
     away before appending.  A bad line anywhere else is corruption and
-    raises ``ValueError`` naming its line number.
+    raises ``CacheError`` naming its line number.
     """
 
     def __init__(self, path: str):
@@ -78,9 +83,7 @@ class DetCache:
                 if not raw.strip():
                     continue
                 if bad is not None:
-                    raise ValueError(
-                        f"{path}:{bad[0]}: corrupt cache line: {bad[2]}"
-                    )
+                    raise CacheError(f"{path}:{bad[0]}: corrupt cache line: {bad[2]}")
                 try:
                     entry = CacheEntry.from_json(raw.decode("utf-8"))
                 except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -96,7 +99,9 @@ class DetCache:
 
     def get(self, family: str, n: int, variant: str) -> Optional[Poly]:
         entry = self.entries.get((family, n, variant))
-        return entry.value if entry is not None else None
+        if entry is None or entry.version != TOOL_VERSION:
+            return None
+        return entry.value
 
     def put(self, family: str, n: int, variant: str, value: Poly) -> None:
         entry = CacheEntry(family, n, variant, value)

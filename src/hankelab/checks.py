@@ -166,10 +166,7 @@ def _table1(family, n):
 
 
 def _weights(family, n):
-    try:
-        sol = weight_nullspace(family, n)
-    except Exception as exc:  # WeightError and friends are hard failures
-        return [fail_row("weights", family=family.name, n=n, detail=str(exc))]
+    sol = weight_nullspace(family, n)
     return [
         ok_row("weights", family=family.name, n=n, detail=f"scale {sol.scale}")
     ]
@@ -395,7 +392,11 @@ def run_check(
     for n in ns:
         if n < defn.min_n:
             continue
-        rows.extend(defn.run(fam, n))
+        try:
+            rows.extend(defn.run(fam, n))
+        except Exception as exc:  # one bad (check, n) is one fail row
+            detail = f"{type(exc).__name__}: {exc}"
+            rows.append(fail_row(name, family=fam and fam.name, n=n, detail=detail))
     return rows
 
 

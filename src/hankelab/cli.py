@@ -1,7 +1,8 @@
 """Command-line surface: determinant evaluation, factorization displays,
 verification sweeps, series printing, and report emission.
 
-Exit codes: 0 ok, 1 at least one asserting check failed, 2 usage error.
+Exit codes: 0 ok, 1 at least one asserting check failed or a corrupt
+cache, 2 usage error (argparse or ``UsageError``) and nothing else.
 Finding rows never affect the exit status.
 """
 
@@ -15,9 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cache import cache_from_config
+from .cache import CacheError, cache_from_config
 from .checks import REGISTRY, acceptance_suite, fast_suite, run_check
 from .closed_forms import (
+    AP_FAMILY,
     AlmostProductId,
     ProductFormulaId,
     almost_product_eval,
@@ -53,13 +55,15 @@ class UsageError(Exception):
 def _parse_range(text: str) -> list[int]:
     """"a..b" (inclusive) or a single integer."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise UsageError(f"bad range {text!r}")
+    if hi < lo:
+        raise UsageError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_x(text: str) -> Optional[Fraction]:
@@ -177,6 +181,10 @@ def cmd_det(args) -> int:
 
 def cmd_factor(args) -> int:
     family = _family(args.family)
+    if args.n < 0:
+        raise UsageError("n must be >= 0")
+    if args.bound < 2:
+        raise UsageError("--bound must be >= 2")
     x = _parse_x(args.x)
     if x is None:
         raise UsageError("factor needs a rational x (default 0)")
@@ -205,18 +213,23 @@ def cmd_factor(args) -> int:
 def cmd_formula(args) -> int:
     fid = args.id.lower()
     ns = _parse_range(args.n)
+    if ns[0] < 0:
+        raise UsageError("n must be >= 0")
     product_ids = {p.value: p for p in ProductFormulaId}
     almost_ids = {a.value: a for a in AlmostProductId}
+    if fid in almost_ids:
+        x = _parse_x(args.x) if args.x is not None else None
+        if x is not None and almost_ids[fid] not in AP_FAMILY:
+            raise UsageError(f"{fid} takes no --x")
+    elif fid not in product_ids:
+        raise UsageError(f"unknown formula id {fid!r}")
     for n in ns:
         if fid in product_ids:
             print(f"n={n}: {format_rat(product_eval(product_ids[fid], n))}")
-        elif fid in almost_ids:
-            x = _parse_x(args.x) if args.x is not None else None
+        else:
             val = almost_product_eval(almost_ids[fid], n, x)
             out = str(val) if isinstance(val, Poly) else format_rat(val)
             print(f"n={n}: {out}")
-        else:
-            raise UsageError(f"unknown formula id {fid!r}")
     return 0
 
 
@@ -229,8 +242,8 @@ def cmd_series(args) -> int:
     if order < 0 or order > 500:
         raise UsageError("order out of range (0..500)")
     if kind == "t":
-        if args.beta is None:
-            raise UsageError("--t needs --beta")
+        if args.beta is None or args.beta < 1:
+            raise UsageError("--t needs --beta >= 1")
         s = t_series(args.beta, order)
         print(", ".join(format_rat(c.coefficient(0)) for c in s.coeffs))
         return 0
@@ -243,6 +256,8 @@ def cmd_series(args) -> int:
     family = _family(args.family)
     if args.form == "direct":
         form = GfForm.DIRECT
+        if family.kind == "binom" and family.alpha < -1:
+            raise UsageError("the direct form needs alpha >= -1")
     else:
         form = closed_form_for(family)
         if form is None:
@@ -308,6 +323,8 @@ def cmd_verify(args) -> int:
     items = []
     for name in names:
         defn = REGISTRY[name]
+        if defn.needs_family and family is None and defn.default_family is None:
+            raise UsageError(f"check {name!r} needs --family")
         if args.n is not None:
             ns = _parse_range(args.n)
             lo, hi = ns[0], ns[-1]
@@ -440,9 +457,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except CacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

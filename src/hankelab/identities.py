@@ -536,38 +536,37 @@ _jet_quartet_memo: dict[tuple[FamilyId, int, Rat], tuple] = {}
 def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     """(H, K, M, N, d_xH, d_x^2 H) at x0, all scaled by one common factor.
 
-    Computed by Bareiss over integer length-3 jets: denominators of x0 are
-    cleared once per entry, so every returned value carries the identical
-    q-power factor, which is harmless to the linear homogeneous relations
-    screened against these values.
+    Computed over integer length-3 jets: each distinct entry a_k is expanded
+    at x0 = p/q once, times q^k, so a determinant on columns c_0..c_n
+    carries q^(n(n+1)/2 + sum c_j).  Each value is then lifted to the
+    identical factor q^((2n+2)(n+1)), which is harmless to the linear
+    homogeneous relations screened against these values.  One bordered
+    elimination gives all four determinants; where one of its pivots
+    vanishes at x0, each is eliminated on its own with row pivoting.
     """
-    from .jet import int_jet_det, int_jet_of_poly
-    from .hankel import _quartet_columns
+    from .jet import int_jet_det, int_jets, quartet_ladder
+    from .hankel import VARIANTS, _quartet_columns
 
     x0 = rat(x0)
     key = (family, n, x0)
     hit = _jet_quartet_memo.get(key)
     if hit is not None:
         return hit
-    scale = x0.denominator ** (2 * n + 2)
-
-    def jdet(cols):
-        rows = [
-            [int_jet_of_poly(a_poly(family, c + i), x0, scale) for c in cols]
-            for i in range(n + 1)
-        ]
-        return int_jet_det(rows)
-
+    jets = int_jets([a_poly(family, k) for k in range(2 * n + 3)], x0)
     layout = _quartet_columns(n)
-    jh = jdet(layout["H"])
-    out = (
-        Rat(jh[0]),
-        Rat(jdet(layout["K"])[0]),
-        Rat(jdet(layout["M"])[0]),
-        Rat(jdet(layout["N"])[0]),
-        Rat(jh[1]),
-        Rat(2 * jh[2]),
+    dets = quartet_ladder(jets, n)
+    if dets is None:
+        dets = [
+            int_jet_det([[jets[c + i] for c in layout[name]] for i in range(n + 1)])
+            for name in VARIANTS
+        ]
+    # entry (i, j) carries q^i q^j: lift each value to q^((2n+2)(n+1))
+    q, rows = x0.denominator, n * (n + 1) // 2
+    jh, jk, jm, jn = (
+        [v * q ** ((2 * n + 2) * (n + 1) - rows - sum(layout[name])) for v in jet]
+        for name, jet in zip(VARIANTS, dets)
     )
+    out = (Rat(jh[0]), Rat(jk[0]), Rat(jm[0]), Rat(jn[0]), Rat(jh[1]), Rat(2 * jh[2]))
     _jet_quartet_memo[key] = out
     return out
 

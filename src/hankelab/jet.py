@@ -1,128 +1,27 @@
-"""Truncated Taylor jets: cheap exact derivatives of determinants at a point.
+"""Integer Taylor jets: exact derivatives of determinants at a rational point.
 
-A Jet of length L holds (p(x0), p'(x0), p''(x0)/2!, ...) and multiplies by
-truncated convolution.  Running fraction-free elimination over jets yields
-the value and first L-1 derivatives of a determinant at x0 without ever
-forming the symbolic determinant.  Interior divisions require the divisor
-to be a unit (nonzero value at x0); callers resample the point otherwise.
+At x0 = p/q every entry a_k of a Hankel matrix becomes the integer 3-jet
+q^k (a_k(x0), a_k'(x0), a_k''(x0)/2).  Entry (i, j) then carries q^i q^j,
+a scale per row and per column, so fraction-free elimination over these
+jets yields the value and the first two derivatives of a determinant at
+x0 times a known power of q, without forming the symbolic determinant and
+without any gcd.  Interior divisions are exact (the intermediates are
+minors of an integer matrix) but require the divisor to be a unit, a jet
+with nonzero value; callers resample the point otherwise.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import comb
+from typing import Optional, Sequence
 
-from .poly import Poly
-from .rat import Rat, rat
+from .poly import Poly, to_int_scaled
+from .rat import rat
 
 
 class JetNotInvertible(ArithmeticError):
     """Jet division hit a divisor vanishing at the expansion point."""
 
-
-class Jet:
-    __slots__ = ("vals",)
-
-    def __init__(self, vals: Sequence[Fraction]):
-        object.__setattr__(self, "vals", tuple(vals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
-
-    @property
-    def length(self) -> int:
-        return len(self.vals)
-
-    def __bool__(self) -> bool:
-        return any(self.vals)
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet([a + b for a, b in zip(self.vals, other.vals)])
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet([a - b for a, b in zip(self.vals, other.vals)])
-
-    def __neg__(self) -> "Jet":
-        return Jet([-a for a in self.vals])
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        n = len(self.vals)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.vals):
-            if a:
-                for j in range(n - i):
-                    b = other.vals[j]
-                    if b:
-                        out[i + j] += a * b
-        return Jet(out)
-
-    def divide(self, other: "Jet") -> "Jet":
-        if not other.vals[0]:
-            raise JetNotInvertible("divisor jet vanishes at the base point")
-        inv0 = 1 / other.vals[0]
-        n = len(self.vals)
-        out = []
-        for k in range(n):
-            acc = self.vals[k]
-            for j in range(1, k + 1):
-                acc -= other.vals[j] * out[k - j]
-            out.append(acc * inv0)
-        return Jet(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self.vals == other.vals
-
-    def __repr__(self) -> str:
-        return f"Jet{self.vals}"
-
-    def derivative_value(self, order: int) -> Rat:
-        """The order-th derivative at the base point (Taylor coeff * order!)."""
-        if order >= len(self.vals):
-            raise IndexError("jet too short for requested derivative")
-        fact = 1
-        for i in range(2, order + 1):
-            fact *= i
-        return self.vals[order] * fact
-
-
-def jet_of_poly(p: Poly, x0, length: int) -> Jet:
-    """Taylor coefficients of p around x0, exactly, via synthetic division."""
-    x0 = rat(x0)
-    coeffs = list(p.coeffs)
-    out = []
-    for _ in range(length):
-        if not coeffs:
-            out.append(Fraction(0))
-            continue
-        # Divide by (x - x0): remainder is the next Taylor coefficient.
-        rem = Fraction(0)
-        for i in range(len(coeffs) - 1, -1, -1):
-            rem = coeffs[i] + rem * x0
-        new = []
-        carry = Fraction(0)
-        for i in range(len(coeffs) - 1, 0, -1):
-            carry = coeffs[i] + carry * x0
-            new.append(carry)
-        coeffs = list(reversed(new))
-        out.append(rem)
-    return Jet(out)
-
-
-def jet_const(value, length: int) -> Jet:
-    vals = [rat(value)] + [Fraction(0)] * (length - 1)
-    return Jet(vals)
-
-
-# -- integer jets -----------------------------------------------------------
-#
-# For screening determinant relations at a rational point p/q it is far
-# cheaper to clear denominators once (every jet scales by the same q-power,
-# and the relations are linear homogeneous in the determinant values) and
-# run Bareiss over plain int 3-tuples: no gcd normalization at all, and the
-# interior divisions stay exact because the intermediates are minors of an
-# integer matrix.
 
 IntJet = tuple  # length-3 tuples of int
 
@@ -150,6 +49,71 @@ def int_jet_div(a: IntJet, b: IntJet) -> IntJet:
     return (q0, q1, q2)
 
 
+def _taylor_coeff(coeffs: list[int], i: int, p: int, q: int, s: int) -> int:
+    """sum_j C(j, i) c_j p^(j-i) q^(s-j+i), the i-th Taylor coefficient of
+    sum_j c_j x^j at p/q times q^s, by homogeneous Horner over Z."""
+    top = len(coeffs) - 1
+    acc, qpow = 0, 1
+    for j in range(top, i - 1, -1):
+        acc = acc * p + comb(j, i) * coeffs[j] * qpow
+        qpow *= q
+    # acc carries q^(top - j) per term; shift it to q^(s - j + i)
+    shift = s - top + i
+    return acc * q**shift if shift >= 0 else _exact(acc, q**-shift, s)
+
+
+def _exact(num: int, den: int, s: int) -> int:
+    out, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"q^{s} does not clear a Taylor coefficient")
+    return out
+
+
+def int_jets(polys: Sequence[Poly], x0) -> list[IntJet]:
+    """The k-th f at x0 = p/q as the integer 3-jet q^k (f(x0), f'(x0), f''(x0)/2).
+
+    f is taken as d * f with integer coefficients, and the jet is divided
+    by the row scale d at the end.  Raises ``ArithmeticError`` where q^k
+    does not clear a coefficient (a degree above k, or a row scale that
+    does not divide).
+    """
+    x0 = rat(x0)
+    p, q = x0.numerator, x0.denominator
+    out = []
+    for k, f in enumerate(polys):
+        (coeffs,), d = to_int_scaled([f])
+        out.append(tuple(_exact(_taylor_coeff(coeffs, i, p, q, k), d, k) for i in range(3)))
+    return out
+
+
+def _eliminate(m: list[list[IntJet]], k: int, prev: Optional[IntJet]) -> None:
+    """One Bareiss step on jet rows: every row below k, columns after k.
+
+    Each entry becomes (pivot * entry - lead * pivot-row entry) / prev, with
+    the jet products and the exact division written out inline: this loop
+    is where the relation screen spends its time.
+    """
+    pivot_row = m[k]
+    p0, p1, p2 = pivot_row[k]
+    d0, d1, d2 = prev if prev is not None else (1, 0, 0)
+    cols = range(k + 1, len(pivot_row))
+    for row in m[k + 1 :]:
+        l0, l1, l2 = row[k]
+        for j in cols:
+            r0, r1, r2 = row[j]
+            u0, u1, u2 = pivot_row[j]
+            e0 = p0 * r0 - l0 * u0
+            e1 = p0 * r1 + p1 * r0 - l0 * u1 - l1 * u0
+            e2 = p0 * r2 + p1 * r1 + p2 * r0 - l0 * u2 - l1 * u1 - l2 * u0
+            if prev is not None:
+                e0, s0 = divmod(e0, d0)
+                e1, s1 = divmod(e1 - e0 * d1, d0)
+                e2, s2 = divmod(e2 - e0 * d2 - e1 * d1, d0)
+                if s0 or s1 or s2:
+                    raise ArithmeticError("inexact integer jet division")
+            row[j] = (e0, e1, e2)
+
+
 def int_jet_det(rows: list[list[IntJet]]) -> IntJet:
     """Bareiss over integer jets; pivots must be units (resample otherwise)."""
     n = len(rows)
@@ -167,33 +131,43 @@ def int_jet_det(rows: list[list[IntJet]]) -> IntJet:
                     break
             else:
                 raise JetNotInvertible("pivot vanishes at the base point")
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a = int_jet_mul(pivot, m[i][j])
-                b = int_jet_mul(m[i][k], m[k][j])
-                elt = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-                if prev is not None:
-                    elt = int_jet_div(elt, prev)
-                m[i][j] = elt
-        prev = pivot
+        _eliminate(m, k, prev)
+        prev = m[k][k]
     out = m[n - 1][n - 1]
     return out if sign == 1 else (-out[0], -out[1], -out[2])
 
 
-def int_jet_of_poly(p: Poly, x0, scale: int) -> IntJet:
-    """Length-3 jet of p at x0, multiplied by scale; must come out integral.
+def quartet_ladder(jets: list[IntJet], n: int) -> Optional[tuple[IntJet, ...]]:
+    """(H_n, K_n, M_n, N_n) from one bordered elimination of [a_{i+j}].
 
-    Callers choose one scale (a power of the denominator of x0 covering the
-    largest degree in play) for every entry of a matrix so that all the
-    derived determinant values share a single harmless factor.
+    ``jets`` holds a_0 .. a_{2n+2}, as from ``int_jets``.  Eliminating the
+    (n+1) x (n+3) matrix for n steps leaves H_n, K_n and N_n in row n,
+    columns n, n+1 and n+2 (Sylvester's identity: after k steps, entry
+    (i, j) is the minor on rows 0..k-1, i and columns 0..k-1, j).  M_n, on
+    columns 0..n-2, n+1, n, is one 2 x 2 Sylvester step on the state after
+    n - 1 steps.
+
+    Returns None where ``int_jet_det`` would pivot or give up on one of the
+    four matrices: a leading pivot H_0..H_{n-1} vanishing at x0, or both
+    candidates for M's last pivot (column n+1) vanishing.
     """
-    jet = jet_of_poly(p, x0, 3)
-    out = []
-    for v in jet.vals:
-        scaled = v * scale
-        if scaled.denominator != 1:
-            raise ArithmeticError(f"scale {scale} does not clear {v}")
-        out.append(scaled.numerator)
-    return tuple(out)
-
+    if n < 1:
+        raise ValueError("the quartet ladder needs n >= 1")
+    m = [[jets[i + j] for j in range(n + 3)] for i in range(n + 1)]
+    prev = None
+    for k in range(n):
+        if m[k][k][0] == 0:
+            return None
+        if k == n - 1:
+            # M_n from rows n-1 and n before the last step rewrites row n
+            (up_n, up_n1), (lo_n, lo_n1) = m[k][n : n + 2], m[n][n : n + 2]
+            if up_n1[0] == 0 and lo_n1[0] == 0:
+                return None
+            a, b = int_jet_mul(up_n1, lo_n), int_jet_mul(lo_n1, up_n)
+            jm = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+            if prev is not None:
+                jm = int_jet_div(jm, prev)
+        _eliminate(m, k, prev)
+        prev = m[k][k]
+    jh, jk, jn = m[n][n : n + 3]
+    return jh, jk, jm, jn

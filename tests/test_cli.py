@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from hankelab import hankel
+from hankelab import cli, hankel
+from hankelab.cache import TOOL_VERSION, CacheEntry
 from hankelab.checks import REGISTRY, CheckDef
 from hankelab.cli import UsageError, main, pool_size
-from hankelab.poly import Poly
+from hankelab.poly import InexactDivision, Poly
 from hankelab.rat import format_rat
 from hankelab.report import fail_row, finding_row, ok_row
 from hankelab.sequences import F21, F31
@@ -283,10 +284,73 @@ def test_cache_corrupt_middle_line_is_an_error(capsys, tmp_path):
     cache_path = tmp_path / "dets.jsonl"
     lines = write_two_entries(capsys, cache_path)
     cache_path.write_text(lines[0][:40] + "\n" + lines[1])
-    code, _, err = run(
+    code, out, err = run(
         capsys, "det", "--family", "3,1", "--n", "2", "--cache", str(cache_path)
     )
-    assert code == 2 and "dets.jsonl:1" in err and "corrupt" in err
+    # a damaged file is not a usage error: exit 1, naming the line
+    assert code == 1 and out == ""
+    assert "error:" in err and "dets.jsonl:1: corrupt cache line" in err
+    code, _, err = run(
+        capsys, "det", "--family", "9x", "--n", "2", "--cache", str(cache_path)
+    )
+    assert code == 2 and "unknown family" in err
+
+
+def test_stale_cache_version_is_a_miss(capsys, tmp_path):
+    cache_path = tmp_path / "dets.jsonl"
+    stale = CacheEntry("3,1", 2, "H", Poly([999]), version="hankelab-0.0.1")
+    cache_path.write_text(stale.to_json() + "\n")
+    argv = ("det", "--family", "3,1", "--n", "2", "--format", "json",
+            "--cache", str(cache_path))
+    code, out, _ = run(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and data["cached"] is False
+    assert Poly.from_json(data["value"]) == Poly([74, -60, 12])
+    # recomputed and rewritten: the current entry is the last writer
+    lines = cache_path.read_text().splitlines()
+    assert len(lines) == 2 and json.loads(lines[1])["version"] == TOOL_VERSION
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["cached"] is True
+
+
+def test_usage_errors_exit_2(capsys):
+    for argv in (
+        ("verify", "--check", "p32", "--n", "one..two"),
+        ("formula", "--id", "p32", "--n=-1..2"),
+        ("formula", "--id", "ap31at0", "--n", "2", "--x", "3"),
+        ("formula", "--id", "nope", "--n", "2"),
+        ("factor", "--family", "3,1", "--n=-1"),
+        ("factor", "--family", "3,1", "--n", "3", "--bound", "1"),
+        ("series", "--t", "--beta", "0", "--order", "2"),
+        ("series", "--f", "--family", "3,-2", "--order", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*_args):
+        raise InexactDivision("tripwire")
+
+    monkeypatch.setattr(cli, "variant_det", broken)
+    with pytest.raises(InexactDivision):
+        main(["det", "--family", "3,1", "--n", "2"])
+
+
+def test_one_bad_n_is_one_fail_row(capsys, monkeypatch):
+    def run_check(fam, n):
+        if n == 2:
+            raise InexactDivision(f"inexact at n={n}")
+        return [ok_row("selfraise", n=n)]
+
+    monkeypatch.setitem(REGISTRY, "selfraise", CheckDef("selfraise", run_check))
+    code, out, _ = run(capsys, "verify", "--check", "selfraise", "--n", "1..3")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS selfraise n=1",
+        "FAIL selfraise n=2 (InexactDivision: inexact at n=2)",
+        "PASS selfraise n=3",
+    ]
 
 
 def test_jobs_must_be_positive(capsys, tmp_path):

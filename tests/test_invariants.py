@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from hankelab.closed_forms import ProductFormulaId, product_eval
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.identities import (
@@ -53,11 +51,10 @@ def test_relation_screen_small_n():
                 try:
                     vals = relation_residuals_at(rid, n, x0)
                 except JetNotInvertible:
-                    continue  # unlucky point; the slow screen covers volume
+                    continue  # unlucky point; the full-range screen covers volume
                 assert all(v == 0 for v in vals), (rid, n, x0)
 
 
-@pytest.mark.slow
 def test_relation_screen_full_range():
     # five random rational points per n, n = 2..20, all eight relations
     rng = random.Random(61)
