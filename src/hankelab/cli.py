@@ -14,29 +14,15 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+# Only the layers `det` runs are imported here. Every other subcommand
+# imports its own layers when it runs, so a one-shot query does not load
+# the check registry and the modules behind it.
 from .cache import CacheError, cache_from_config
-from .checks import REGISTRY, acceptance_suite, fast_suite, run_check
-from .closed_forms import (
-    AP_FAMILY,
-    AlmostProductId,
-    ProductFormulaId,
-    almost_product_eval,
-    product_eval,
-)
-from .factor import factor_smooth, primality_label
 from .hankel import VARIANTS, hankel_det_at, variant_det, variant_det_at
 from .poly import Poly
 from .rat import format_rat, parse_rat
-from .report import (
-    Row,
-    any_failure,
-    sort_rows,
-    to_csv,
-    to_json_lines,
-    to_text,
-)
 from .sequences import (
     FamilyId,
     GfForm,
@@ -46,6 +32,9 @@ from .sequences import (
     t_series,
     tau_series,
 )
+
+if TYPE_CHECKING:
+    from .report import Row
 
 
 class UsageError(Exception):
@@ -83,6 +72,8 @@ def _family(text: str) -> FamilyId:
 
 
 def _emit_rows(rows: list[Row], fmt: str, output: Optional[str]) -> None:
+    from .report import sort_rows, to_csv, to_json_lines, to_text
+
     rows = sort_rows(rows)
     if fmt == "json":
         payload = to_json_lines(rows)
@@ -180,6 +171,8 @@ def cmd_det(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from .factor import factor_smooth, primality_label
+
     family = _family(args.family)
     if args.n < 0:
         raise UsageError("n must be >= 0")
@@ -211,18 +204,26 @@ def cmd_factor(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    from .closed_forms import (
+        AP_FAMILY,
+        AlmostProductId,
+        ProductFormulaId,
+        almost_product_eval,
+        product_eval,
+    )
+
     fid = args.id.lower()
     ns = _parse_range(args.n)
     if ns[0] < 0:
         raise UsageError("n must be >= 0")
     product_ids = {p.value: p for p in ProductFormulaId}
     almost_ids = {a.value: a for a in AlmostProductId}
-    if fid in almost_ids:
-        x = _parse_x(args.x) if args.x is not None else None
-        if x is not None and almost_ids[fid] not in AP_FAMILY:
-            raise UsageError(f"{fid} takes no --x")
-    elif fid not in product_ids:
+    if fid not in product_ids and fid not in almost_ids:
         raise UsageError(f"unknown formula id {fid!r}")
+    x = _parse_x(args.x) if args.x is not None else None
+    # only the polynomial almost products take a point; products never do
+    if x is not None and almost_ids.get(fid) not in AP_FAMILY:
+        raise UsageError(f"{fid} takes no --x")
     for n in ns:
         if fid in product_ids:
             print(f"n={n}: {format_rat(product_eval(product_ids[fid], n))}")
@@ -268,6 +269,8 @@ def cmd_series(args) -> int:
 
 
 def _run_task(task):
+    from .checks import run_check
+
     name, family_name, lo, hi = task
     family = family_from_name(family_name) if family_name else None
     return run_check(name, family, range(lo, hi + 1))
@@ -313,6 +316,9 @@ def _run_suite(items, jobs: int) -> list[Row]:
 
 
 def cmd_verify(args) -> int:
+    from .checks import REGISTRY
+    from .report import any_failure
+
     names = [c.strip() for c in args.check.split(",") if c.strip()]
     if not names:
         raise UsageError("no check ids given")
@@ -336,7 +342,18 @@ def cmd_verify(args) -> int:
     return 1 if any_failure(rows) else 0
 
 
+def acceptance_suite():
+    """The acceptance suite's items; a module-level name, so it can be
+    replaced before `sweep`/`report` run."""
+    from . import checks
+
+    return checks.acceptance_suite()
+
+
 def cmd_sweep(args) -> int:
+    from .checks import fast_suite
+    from .report import any_failure
+
     if args.suite == "acceptance":
         items = acceptance_suite()
     elif args.suite == "fast":
@@ -349,6 +366,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .checks import fast_suite
+    from .report import sort_rows, to_csv, to_json_lines
+
     items = acceptance_suite() if args.suite == "acceptance" else fast_suite()
     rows = sort_rows(_run_suite(items, args.jobs))
     outdir = Path(args.output)
@@ -363,6 +383,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_checks(_args) -> int:
+    from .checks import REGISTRY
+
     for name in sorted(REGISTRY):
         defn = REGISTRY[name]
         fam = f" [family, default {defn.default_family}]" if defn.needs_family else ""

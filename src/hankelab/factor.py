@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 # Witnesses proving primality for every n < 3,317,044,064,679,887,385,961,981
 # (Sorenson & Webster).
@@ -66,7 +67,7 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         i += 1
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(bound + 1), sieve))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +322,7 @@ def test_usage_errors_exit_2(capsys):
         ("verify", "--check", "p32", "--n", "one..two"),
         ("formula", "--id", "p32", "--n=-1..2"),
         ("formula", "--id", "ap31at0", "--n", "2", "--x", "3"),
+        ("formula", "--id", "p32", "--n", "1", "--x", "3"),
         ("formula", "--id", "nope", "--n", "2"),
         ("factor", "--family", "3,1", "--n=-1"),
         ("factor", "--family", "3,1", "--n", "3", "--bound", "1"),
@@ -370,3 +375,50 @@ def test_pool_size_clamps_to_tasks_and_cpus():
     assert pool_size(2, 0, 2) == 1
     with pytest.raises(UsageError):
         pool_size(0, 10, 2)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def modules_loaded_by(*argv):
+    """The hankelab modules a fresh interpreter holds after `main(argv)`."""
+    script = (
+        "import json, sys\n"
+        "from hankelab import cli\n"
+        f"code = cli.main({list(argv)!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hankelab'))),"
+        " file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_det_loads_only_the_layers_it_runs():
+    loaded = modules_loaded_by("det", "--family", "3,1", "--n", "3", "--x", "2")
+    assert "hankelab.hankel" in loaded
+    unused = ("checks", "identities", "closed_forms", "sturm", "jet", "factor", "report")
+    assert loaded.isdisjoint(f"hankelab.{m}" for m in unused)
+
+
+def test_factor_loads_factor_but_not_the_checks():
+    loaded = modules_loaded_by("factor", "--family", "3,1", "--n", "10")
+    assert "hankelab.factor" in loaded
+    assert loaded.isdisjoint({"hankelab.checks", "hankelab.identities"})
+
+
+def test_sweep_and_report_look_up_the_acceptance_suite_when_run(
+    capsys, monkeypatch, tmp_path
+):
+    # the benchmark runs a slice of the suite by replacing this name
+    monkeypatch.setattr(cli, "acceptance_suite", lambda: [("p32", None, 1, 2)])
+    code, out, _ = run(capsys, "sweep", "--suite", "acceptance")
+    assert code == 0
+    assert out.splitlines() == ["PASS p32 n=1", "PASS p32 n=2"]
+    code, out, _ = run(capsys, "report", "--output", str(tmp_path))
+    assert code == 0 and out.startswith("2 pass, 0 fail, 0 findings")

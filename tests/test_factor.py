@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -65,3 +66,9 @@ def test_primality():
 def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
+
+
+def test_primes_up_to_matches_trial_division():
+    primes = [p for p in range(2, 3000) if all(p % d for d in range(2, isqrt(p) + 1))]
+    for bound in range(3000):
+        assert primes_up_to(bound) == [p for p in primes if p <= bound], bound
