@@ -21,7 +21,8 @@ ENV_CACHE_PATH = "HANKELAB_CACHE"
 
 
 class CacheError(ValueError):
-    """A cache file line that does not parse, other than the final one."""
+    """A cache file that cannot be opened or written, or a line of it that
+    does not parse, other than the final one."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ class DetCache:
     A final line that does not parse is what a crash during ``put`` leaves
     behind: it is skipped with a warning, and the next ``put`` truncates it
     away before appending.  A bad line anywhere else is corruption and
-    raises ``CacheError`` naming its line number.
+    raises ``CacheError`` naming its line number; so does a path that
+    cannot be opened or written, naming the system's reason.
     """
 
     def __init__(self, path: str):
@@ -77,7 +79,7 @@ class DetCache:
             return
         bad = None  # (line number, byte offset, error) of an unparsed line
         offset = 0
-        with open(path, "rb") as fh:
+        with _open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
                 start, offset = offset, offset + len(raw)
                 if not raw.strip():
@@ -106,11 +108,21 @@ class DetCache:
     def put(self, family: str, n: int, variant: str, value: Poly) -> None:
         entry = CacheEntry(family, n, variant, value)
         self.entries[entry.key] = entry
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if self._truncate_at is not None:
-                fh.truncate(self._truncate_at)
-                self._truncate_at = None
-            fh.write(entry.to_json() + "\n")
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                if self._truncate_at is not None:
+                    fh.truncate(self._truncate_at)
+                    self._truncate_at = None
+                fh.write(entry.to_json() + "\n")
+        except OSError as exc:
+            raise CacheError(f"{self.path}: {exc.strerror}") from exc
+
+
+def _open(path: str, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise CacheError(f"{path}: {exc.strerror}") from exc
 
 
 def cache_from_config(path: Optional[str]) -> Optional[DetCache]:

@@ -1,8 +1,9 @@
 """Command-line surface: determinant evaluation, factorization displays,
 verification sweeps, series printing, and report emission.
 
-Exit codes: 0 ok, 1 at least one asserting check failed or a corrupt
-cache, 2 usage error (argparse or ``UsageError``) and nothing else.
+Exit codes: 0 ok, 1 at least one asserting check failed or a cache that
+is corrupt or cannot be opened or written, 2 usage error (argparse or
+``UsageError``) and nothing else.
 Finding rows never affect the exit status.
 """
 
@@ -336,6 +337,8 @@ def cmd_verify(args) -> int:
             lo, hi = ns[0], ns[-1]
         else:
             lo, hi = defn.default_range
+        if hi < defn.min_n:
+            raise UsageError(f"check {name!r} needs n >= {defn.min_n}")
         items.append((name, family, lo, hi))
     rows = _run_suite(items, args.jobs)
     _emit_rows(rows, args.format, args.output)

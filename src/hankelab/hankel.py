@@ -284,21 +284,8 @@ def quartet(family: FamilyId, n: int) -> HankelQuartet:
 
 
 def _values_at(family: FamilyId, count: int, x0: Rat) -> list[Rat]:
-    """a_0(x0), ..., a_{count-1}(x0), each by integer homogeneous Horner.
-
-    With x0 = p/q and d the lcm of a_k's denominators, a_k(x0) is the
-    integer sum_m (d c_m) p^m q^(deg - m) over d q^deg.
-    """
-    p, q = x0.numerator, x0.denominator
-    out = []
-    for k in range(count):
-        (coeffs,), scale = to_int_scaled([a_poly(family, k)])
-        acc, qpow = 0, 1
-        for c in reversed(coeffs):
-            acc = acc * p + c * qpow
-            qpow *= q
-        out.append(Rat(acc, scale * q ** max(len(coeffs) - 1, 0)))
-    return out
+    """a_0(x0), ..., a_{count-1}(x0), each by integer homogeneous Horner."""
+    return [a_poly(family, k)(x0) for k in range(count)]
 
 
 def _point_det(values: Sequence[Rat], n: int, cols: Sequence[int]) -> Rat:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from .poly import Poly, to_int_scaled
+from .poly import Poly
 from .rat import rat
 
 
@@ -49,7 +49,7 @@ def int_jet_div(a: IntJet, b: IntJet) -> IntJet:
     return (q0, q1, q2)
 
 
-def _taylor_coeff(coeffs: list[int], i: int, p: int, q: int, s: int) -> int:
+def _taylor_coeff(coeffs: Sequence[int], i: int, p: int, q: int, s: int) -> int:
     """sum_j C(j, i) c_j p^(j-i) q^(s-j+i), the i-th Taylor coefficient of
     sum_j c_j x^j at p/q times q^s, by homogeneous Horner over Z."""
     top = len(coeffs) - 1
@@ -72,18 +72,17 @@ def _exact(num: int, den: int, s: int) -> int:
 def int_jets(polys: Sequence[Poly], x0) -> list[IntJet]:
     """The k-th f at x0 = p/q as the integer 3-jet q^k (f(x0), f'(x0), f''(x0)/2).
 
-    f is taken as d * f with integer coefficients, and the jet is divided
-    by the row scale d at the end.  Raises ``ArithmeticError`` where q^k
-    does not clear a coefficient (a degree above k, or a row scale that
+    The sums run on f's integer numerators, and the jet is divided by
+    f's denominator at the end.  Raises ``ArithmeticError`` where q^k
+    does not clear a coefficient (a degree above k, or a denominator that
     does not divide).
     """
     x0 = rat(x0)
     p, q = x0.numerator, x0.denominator
-    out = []
-    for k, f in enumerate(polys):
-        (coeffs,), d = to_int_scaled([f])
-        out.append(tuple(_exact(_taylor_coeff(coeffs, i, p, q, k), d, k) for i in range(3)))
-    return out
+    return [
+        tuple(_exact(_taylor_coeff(f.num, i, p, q, k), f.den, k) for i in range(3))
+        for k, f in enumerate(polys)
+    ]
 
 
 def _eliminate(m: list[list[IntJet]], k: int, prev: Optional[IntJet]) -> None:

@@ -1,34 +1,44 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, stored over the integers.
 
-The variable is always called x.  Coefficients are stored ascending by
-degree with no trailing zeros; the zero polynomial has an empty
-coefficient tuple and degree ``-inf``.
+The variable is always called x.  A ``Poly`` is the integer polynomial
+``num`` over the positive integer ``den``: ``num`` holds the numerators
+ascending by degree with no trailing zeros, and gcd(den, *num) == 1, so
+every rational polynomial has exactly one (num, den) and equality is
+equality of the pair.  The zero polynomial is ((), 1), with degree
+``-inf``.  Arithmetic runs over Z on the integer coefficient lists below,
+with one gcd normalisation per result; ``coeffs`` gives the Fraction
+coefficients on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .rat import Rat, format_rat, parse_rat, rat
 
 NEG_INF = float("-inf")
 
-Scalar = Union[int, Fraction]
-
 
 class Poly:
-    """Immutable dense polynomial in Q[x]."""
+    """Immutable dense polynomial in Q[x], held as ``num / den`` over Z."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        """The polynomial with the given ints, Fractions or rational strings
+        as coefficients, ascending by degree."""
+        cs = [c if isinstance(c, int) else rat(c) for c in coeffs]
+        den = denominator_lcm(cs)
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        # den is the lcm of the reduced denominators (1 for a zero), so
+        # gcd(den, *num) == 1 and the zero polynomial gets den 1
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -49,147 +59,190 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([rat(c)])
+        return Poly([c])
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
-        return Poly([0] * k + [rat(c)])
+        return Poly([0] * k + [c])
 
     # -- basic structure ----------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients as Fractions, ascending by degree (built per call)."""
+        den = self.den
+        return tuple(Rat(c, den) for c in self.num)
+
+    @property
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def coefficient(self, k: int) -> Rat:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Rat(self.num[k], self.den)
         return Rat(0)
 
     @property
     def leading(self) -> Rat:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Rat(self.num[-1], self.den)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        if not isinstance(other, (Poly, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
+        a, b, den = _common_scale(self, other)
+        return _make(int_poly_add(a, b), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly(tuple(int_poly_neg(self.num)), self.den)
 
     def __sub__(self, other) -> "Poly":
-        if not isinstance(other, (Poly, int, Fraction)):
-            return NotImplemented
-        return self + (-_coerce(other))
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
+        a, b, den = _common_scale(self, other)
+        return _make(int_poly_sub(a, b), den)
 
     def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _ZERO
-            q = rat(other)
-            return Poly([c * q for c in self.coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _ZERO
-        out = [Rat(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        if isinstance(other, Poly):
+            return _make(int_poly_mul(self.num, other.num), self.den * other.den)
+        if isinstance(other, int):
+            return _make([c * other for c in self.num], self.den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _make([c * n for c in self.num], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result, base = _ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # content(f^n) = content(f)^n stays prime to den^n: nothing to reduce
+        result, base = [1], list(self.num)
+        k = n
+        while k:
+            if k & 1:
+                result = int_poly_mul(result, base)
+            k >>= 1
+            if k:
+                base = int_poly_mul(base, base)
+        return _poly(tuple(result), self.den**n)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            return self.den == other.denominator and self.num == (
+                (other.numerator,) if other else ()
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        num = self.num
+        if len(num) > 1:
+            return hash((num, self.den))
+        # a constant hashes like the scalar it equals
+        return hash(Rat(num[0], self.den)) if num else 0
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self, order: int = 1) -> "Poly":
-        p = self
+        num = list(self.num)
         for _ in range(order):
-            p = Poly([m * c for m, c in enumerate(p.coeffs)][1:])
-        return p
+            num = [m * c for m, c in enumerate(num)][1:]
+        return _make(num, self.den)
 
     def __call__(self, point) -> Rat:
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation at p/q by homogeneous Horner over Z.
+
+        The value is sum_i num_i p^i q^(deg - i) over den q^deg.
+        """
         point = rat(point)
-        acc = Rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if not self.num:
+            return Rat(0)
+        p, q = point.numerator, point.denominator
+        acc, qpow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Rat(acc, self.den * (qpow // q))
 
     def compose_affine(self, a, b) -> "Poly":
-        """Return p(a*x + b), exactly."""
-        arg = Poly([rat(b), rat(a)])
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.const(c)
-        return acc
+        """Return p(a*x + b), exactly.
+
+        With a = an/ad and b = bn/bd, (ad bd)(a x + b) is the integer
+        linear form an bd x + bn ad, and homogeneous Horner in it gives
+        p(a x + b) times den (ad bd)^deg.
+        """
+        a, b = rat(a), rat(b)
+        scale = a.denominator * b.denominator
+        lin = int_poly_add([b.numerator * a.denominator], [0, a.numerator * b.denominator])
+        acc: list[int] = []
+        spow = 1
+        for c in reversed(self.num):
+            acc = int_poly_add(int_poly_mul(acc, lin), [c * spow])
+            spow *= scale
+        return _make(acc, self.den * (spow // scale))
 
     # -- division ------------------------------------------------------
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder over Q, by pseudo-division over Z.
+
+        Each step scales the running remainder only by the part of the
+        divisor's leading coefficient that the eliminated term lacks, so
+        s * num = quot * other.num + rem for one positive integer s.
+        """
         other = _coerce(other)
-        if other.is_zero():
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
+        db = len(b) - 1
+        rem = list(self.num)
+        shift = len(rem) - 1 - db
+        if shift < 0:
             return _ZERO, self
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        quot = [Rat(0)] * (len(rem) - d)
-        for i in range(len(rem) - d - 1, -1, -1):
-            c = rem[i + d] / lead
-            if c:
-                quot[i] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] -= c * oc
-        return Poly(quot), Poly(rem)
+        lead = b[-1]
+        size = abs(lead)
+        quot = [0] * (shift + 1)
+        s = 1
+        for i in range(shift, -1, -1):
+            t = rem[i + db]
+            if not t:
+                continue
+            g = gcd(t, lead)
+            m = size // g
+            if m != 1:
+                rem = [c * m for c in rem]
+                quot = [c * m for c in quot]
+                s *= m
+                t *= m
+            u = t // lead
+            quot[i] = u
+            for j, c in enumerate(b, i):
+                rem[j] -= u * c
+        # self = (quot * b.den / (s * self.den)) * other + rem / (s * self.den)
+        den = s * self.den
+        return _make([c * other.den for c in quot], den), _make(rem[:db], den)
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Division that must be remainder-free; raises otherwise.
@@ -212,7 +265,8 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         if a.is_zero():
             return a
-        return a * (1 / a.leading)
+        # a / leading(a) is num over its leading numerator
+        return _make(list(a.num), a.num[-1])
 
     def squarefree_part(self) -> "Poly":
         if self.is_zero():
@@ -233,7 +287,7 @@ class Poly:
         return Poly([parse_rat(s) for s in data])
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -260,18 +314,57 @@ class Poly:
         return f"Poly({self})"
 
 
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
+
+
+def _poly(num: tuple, den: int) -> Poly:
+    """A Poly from a pair already in canonical form."""
+    p = object.__new__(Poly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _make(num: list[int], den: int) -> Poly:
+    """The Poly num / den for any int list and nonzero int: strips the
+    trailing zeros and divides out gcd(den, *num)."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ZERO
+    if den != 1:
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _poly(tuple(num), den)
+
+
+def _common_scale(a: Poly, b: Poly) -> tuple[Sequence[int], Sequence[int], int]:
+    """The numerators of a and b over their common denominator, and it."""
+    da, db = a.den, b.den
+    if da == db:
+        return a.num, b.num, da
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return [c * sa for c in a.num], [c * sb for c in b.num], da * sa
+
+
 class InexactDivision(ArithmeticError):
     """An interior division that should have been exact was not."""
 
 
 # -- integer coefficient lists ------------------------------------------------
 #
-# Elimination runs over Z[x] on plain lists of ints, ascending by degree with
-# no trailing zeros ([] is zero).  These are the ring operations the Bareiss
-# kernel in hankel.py is handed; ``Poly`` results are built once at the end.
+# Z[x] on plain sequences of ints, ascending by degree with no trailing zeros
+# ([] is zero).  ``Poly`` arithmetic runs on these, and they are the ring
+# operations the Bareiss kernel in hankel.py is handed directly.
 
 
-def int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product in Z[x]."""
     if not a or not b:
         return []
@@ -283,7 +376,15 @@ def int_poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def int_poly_sub(a: list[int], b: list[int]) -> list[int]:
+def int_poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum in Z[x], with trailing zeros stripped."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def int_poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Difference in Z[x], with trailing zeros stripped."""
     out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
     while out and not out[-1]:
@@ -291,11 +392,11 @@ def int_poly_sub(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def int_poly_neg(a: list[int]) -> list[int]:
+def int_poly_neg(a: Sequence[int]) -> list[int]:
     return [-c for c in a]
 
 
-def int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
+def int_poly_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Quotient in Z[x] of a division that must be exact; raises otherwise.
 
     A leading coefficient that does not divide, or a nonzero remainder,
@@ -325,7 +426,7 @@ def int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _inexact(a: list[int], b: list[int]) -> InexactDivision:
+def _inexact(a: Sequence[int], b: Sequence[int]) -> InexactDivision:
     return InexactDivision(f"inexact integer polynomial division of {a} by {b}")
 
 
@@ -342,16 +443,19 @@ def denominator_lcm(values: Iterable[Rat]) -> int:
 def to_int_scaled(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
     """Integer coefficient lists of ``scale * p`` for each p, and ``scale``.
 
-    ``scale`` is the lcm of every coefficient denominator, the least
-    common scale that clears them all.
+    ``scale`` is the lcm of the polynomials' denominators, the least
+    common scale that clears every coefficient.
     """
-    scale = denominator_lcm(c for p in polys for c in p.coeffs)
-    return [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys], scale
+    scale = lcm(*(p.den for p in polys))
+    return [
+        list(p.num) if p.den == scale else [c * (scale // p.den) for c in p.num]
+        for p in polys
+    ], scale
 
 
 def from_int_scaled(coeffs: Sequence[int], scale: int) -> Poly:
     """The Poly with coefficients ``c / scale``."""
-    return Poly([Rat(c, scale) for c in coeffs])
+    return _make(list(coeffs), scale)
 
 
 def _coerce(value) -> Poly:
@@ -362,6 +466,6 @@ def _coerce(value) -> Poly:
     raise TypeError(f"cannot coerce {value!r} to Poly")
 
 
-_ZERO = Poly()
-_ONE = Poly([1])
-_X = Poly([0, 1])
+_ZERO = _poly((), 1)
+_ONE = _poly((1,), 1)
+_X = _poly((0, 1), 1)

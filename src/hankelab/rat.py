@@ -1,7 +1,8 @@
 """Exact rational scalars and the combinatorial primitives built on them.
 
-Every number in this package is a ``fractions.Fraction`` (aliased ``Rat``),
-kept in lowest terms with a positive denominator by the stdlib class itself.
+Rational scalars are ``fractions.Fraction`` (aliased ``Rat``), kept in
+lowest terms with a positive denominator by the stdlib class itself;
+polynomials hold integer numerators over one denominator (``poly.Poly``).
 No floating point appears anywhere.
 """
 

@@ -1,7 +1,9 @@
 """Sturm-sequence real-root counting and exact rational root isolation.
 
-Everything runs over Fractions; intervals are half-open (a, b] so counts
-add up exactly under bisection and no tolerance parameter exists.
+Everything is exact: the chain comes from polynomial division over Q, signs
+are read from exact values at rational points, and intervals are half-open
+(a, b] so counts add up exactly under bisection and no tolerance parameter
+exists.
 """
 
 from __future__ import annotations

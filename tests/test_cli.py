@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -300,6 +301,20 @@ def test_cache_corrupt_middle_line_is_an_error(capsys, tmp_path):
     assert code == 2 and "unknown family" in err
 
 
+def test_cache_path_that_cannot_be_opened_is_an_error(capsys, tmp_path):
+    # not a usage error: exit 1 with the path and the system's reason
+    for path, errno_ in (
+        (tmp_path / "missing" / "dets.jsonl", errno.ENOENT),  # written on the miss
+        (tmp_path, errno.EISDIR),  # read when the cache is loaded
+    ):
+        code, out, err = run(
+            capsys, "det", "--family", "3,1", "--n", "2", "--cache", str(path)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: {os.strerror(errno_)}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_stale_cache_version_is_a_miss(capsys, tmp_path):
     cache_path = tmp_path / "dets.jsonl"
     stale = CacheEntry("3,1", 2, "H", Poly([999]), version="hankelab-0.0.1")
@@ -328,9 +343,13 @@ def test_usage_errors_exit_2(capsys):
         ("factor", "--family", "3,1", "--n", "3", "--bound", "1"),
         ("series", "--t", "--beta", "0", "--order", "2"),
         ("series", "--f", "--family", "3,-2", "--order", "2"),
+        ("verify", "--check", "dodgson", "--family", "3,1", "--n", "0"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
+    # a range wholly below the check's min_n would run nothing and read as a pass
+    _, _, err = run(capsys, "verify", "--check", "dodgson", "--family", "3,1", "--n", "0")
+    assert err == "error: check 'dodgson' needs n >= 1\n"
 
 
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):

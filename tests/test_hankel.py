@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_poly import ref
 
 from hankelab.poly import InexactDivision, Poly
 from hankelab.rat import Rat
@@ -76,12 +77,19 @@ def vanish_leading_minor(rng, m):
     m[1][0], m[1][1] = c * m[0][0], c * m[0][1]
 
 
+def cofactor_over_fractions(m):
+    """The cofactor expansion over the Fraction-tuple reference polynomials,
+    which share no arithmetic with Poly."""
+    return det_cofactor([[ref(e) for e in row] for row in m])
+
+
 def test_bareiss_agrees_with_cofactor_oracle():
     rng = random.Random(47)
     for _ in range(200):
         size = rng.randint(1, 5)
         m = random_poly_matrix(rng, size)
         assert det_fraction_free(m) == det_cofactor(m)
+        assert ref(det_fraction_free(m)) == cofactor_over_fractions(m)
     # rational coefficients, with forced zero leading pivots, against both
     # the cofactor expansion and Fraction Bareiss over Poly
     rng = random.Random(48)
@@ -95,6 +103,7 @@ def test_bareiss_agrees_with_cofactor_oracle():
         want = det_cofactor(m)
         assert det_bareiss(m, POLY) == want
         assert det_fraction_free(m) == want
+        assert ref(want) == cofactor_over_fractions(m)
 
 
 def test_det_rational():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from fraction_poly import FractionPoly, ref
 
 from hankelab.poly import (
     InexactDivision,
@@ -148,3 +150,147 @@ def test_integer_exact_div_tripwire():
     with pytest.raises(ZeroDivisionError):
         int_poly_exact_div([1], [])
     assert int_poly_exact_div([], [1, 1]) == []
+
+
+# -- differential tests against the Fraction-tuple reference -------------------
+
+
+def random_rational_poly(rng):
+    """Zero, constants and polynomials up to degree 8 whose coefficients mix
+    signs, zeros and denominators up to 10^12 (a third of them share one)."""
+    shape = rng.random()
+    if shape < 0.08:
+        return Poly.zero(), FractionPoly()
+    deg = 0 if shape < 0.2 else rng.randint(1, 8)
+    common = rng.choice([1, 2, 6, 35, rng.randint(1, 10**12)])
+    coeffs = []
+    for _ in range(deg + 1):
+        roll = rng.random()
+        if roll < 0.15:
+            coeffs.append(0)
+        elif roll < 0.3:
+            coeffs.append(rng.randint(-(10**15), 10**15))
+        elif roll < 0.6:
+            coeffs.append(Fraction(rng.randint(-99, 99), common))
+        else:
+            coeffs.append(Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**12)))
+    if rng.random() < 0.2:
+        coeffs += [0] * rng.randint(1, 2)  # trailing zeros are stripped
+    return Poly(coeffs), FractionPoly(coeffs)
+
+
+def random_scalar(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return 0
+    if roll < 0.4:
+        return rng.randint(-(10**6), 10**6)
+    return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**8))
+
+
+def assert_canonical(p):
+    assert type(p) is Poly
+    assert type(p.num) is tuple and all(type(c) is int for c in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert not p.num or p.num[-1] != 0
+    assert gcd(p.den, *p.num) == 1
+    if not p.num:
+        assert p.den == 1
+
+
+def assert_agrees(p, want):
+    """p is canonical and equals the reference polynomial want."""
+    assert_canonical(p)
+    assert ref(p) == want, (p, want)
+
+
+def test_poly_ops_match_fraction_reference():
+    rng = random.Random(20261018)
+    for trial in range(2000):
+        p, rp = random_rational_poly(rng)
+        q, rq = random_rational_poly(rng)
+        assert_agrees(p, rp)
+        assert_agrees(q, rq)
+        assert p.coeffs == rp.coeffs
+        assert_agrees(p + q, rp + rq)
+        assert_agrees(p - q, rp - rq)
+        assert_agrees(-p, -rp)
+        assert_agrees(p * q, rp * rq)
+        s = random_scalar(rng)
+        for got in (p * s, s * p):
+            assert_agrees(got, rp * s)
+        for got, want in ((p + s, rp + s), (s + p, rp + s), (p - s, rp - s), (s - p, s - rp)):
+            assert_agrees(got, want)
+        order = rng.randint(0, 3)
+        assert_agrees(p.derivative(order), rp.derivative(order))
+        x0 = random_scalar(rng)
+        assert p(x0) == rp(Fraction(x0))
+        if trial % 5 == 0:
+            e = rng.randint(0, 3)
+            assert_agrees(p**e, rp**e)
+            a = random_scalar(rng)
+            b = random_scalar(rng)
+            assert_agrees(p.compose_affine(a, b), rp.compose_affine(Fraction(a), Fraction(b)))
+        assert (p == q) == (rp == rq)
+        if rq:
+            quot, rem = p.divmod(q)
+            want_q, want_r = rp.divmod(rq)
+            assert_agrees(quot, want_q)
+            assert_agrees(rem, want_r)
+            assert_agrees((p * q).exact_div(q), rp)
+            if rem and trial % 4 == 0:
+                with pytest.raises(InexactDivision):
+                    p.exact_div(q)
+            if trial % 5 == 0:
+                assert_agrees(p.gcd(q), rp.gcd(rq))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                p.divmod(q)
+
+
+def test_int_scaled_round_trip_matches_reference():
+    rng = random.Random(20261019)
+    for _ in range(500):
+        pairs = [random_rational_poly(rng) for _ in range(rng.randint(1, 4))]
+        ints, scale = to_int_scaled([p for p, _ in pairs])
+        want_scale = lcm(*(c.denominator for _, rp in pairs for c in rp.coeffs))
+        assert scale == want_scale
+        for row, (p, rp) in zip(ints, pairs):
+            assert row == [int(c * scale) for c in rp.coeffs]
+            assert from_int_scaled(row, scale) == p
+            assert_agrees(from_int_scaled(row, -scale), -rp)
+            assert_agrees(from_int_scaled([6 * c for c in row] + [0], 6 * scale), rp)
+
+
+def test_canonical_and_immutable():
+    p = Poly([Fraction(2, 6), Fraction(-4, 3), 0, 0])
+    assert (p.num, p.den) == ((1, -4), 3)
+    assert (Poly.zero().num, Poly.zero().den) == ((), 1)
+    z = Poly([0, Fraction(0, 5)])
+    assert (z.num, z.den) == ((), 1)
+    # equality is (num, den) equality: the same polynomial built two ways
+    assert Poly([Fraction(1, 2), Fraction(1, 3)]) == Poly([3, 2]) * Fraction(1, 6)
+    assert (Poly([3, 2]) * Fraction(1, 6)).num == (3, 2)
+    for attr, value in (("num", (1,)), ("den", 2), ("coeffs", (Fraction(1),)), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, value)
+    assert (p.num, p.den) == ((1, -4), 3)
+
+
+def test_hash_agrees_with_eq():
+    assert Poly.const(3) == 3 and hash(Poly.const(3)) == hash(3)
+    assert len({Poly.const(3), 3}) == 1
+    assert Poly.const(Fraction(6, 4)) == Fraction(3, 2)
+    assert hash(Poly.const(Fraction(6, 4))) == hash(Fraction(3, 2))
+    assert Poly.zero() == 0 and hash(Poly.zero()) == hash(0) == hash(Fraction(0))
+    assert len({Poly.zero(), 0, Fraction(0), Poly([0, 0])}) == 1
+    assert Poly.const(-1) == -1 and hash(Poly.const(-1)) == hash(-1)
+    assert Poly([1, 2]) != 1
+    rng = random.Random(20261020)
+    for _ in range(300):
+        p, rp = random_rational_poly(rng)
+        twin = Poly(rp.coeffs)
+        assert twin == p and hash(twin) == hash(p)
+        if p.degree <= 0:
+            value = p.coefficient(0)
+            assert p == value and hash(p) == hash(value)
