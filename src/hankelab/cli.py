@@ -114,44 +114,24 @@ def cmd_det(args) -> int:
             from_cache = True
     if x is not None and value is None and cache is None:
         # point query with no cache in play: substitute before eliminating
-        val = variant_det_at(family, args.n, variant, x)
-        rendered = format_rat(val)
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "family": family.name,
-                        "n": args.n,
-                        "variant": variant,
-                        "x": args.x,
-                        "value": rendered,
-                        "cached": False,
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(rendered)
-        return 0
-    if value is None or args.recheck:
-        fresh = variant_det(family, args.n, variant)
-        if from_cache and args.recheck and fresh != value:
-            print(
-                f"cache mismatch for {family.name} n={args.n} {variant}",
-                file=sys.stderr,
-            )
-            return 1
-        value = fresh
-        if cache is not None and not from_cache:
-            cache.put(family.name, args.n, variant, value)
-
-    if x is None:
-        rendered = str(value)
-        raw = value.to_json()
+        rendered = raw = format_rat(variant_det_at(family, args.n, variant, x))
     else:
-        val = value(x)
-        rendered = format_rat(val)
-        raw = rendered
+        if value is None or args.recheck:
+            fresh = variant_det(family, args.n, variant)
+            if from_cache and args.recheck and fresh != value:
+                print(
+                    f"cache mismatch for {family.name} n={args.n} {variant}",
+                    file=sys.stderr,
+                )
+                return 1
+            value = fresh
+            if cache is not None and not from_cache:
+                cache.put(family.name, args.n, variant, value)
+        if x is None:
+            rendered = str(value)
+            raw = value.to_json()
+        else:
+            rendered = raw = format_rat(value(x))
     if args.format == "json":
         print(
             json.dumps(

@@ -1,25 +1,26 @@
 """Hankel matrices over Poly and their exact determinant machinery.
 
-The workhorse is fraction-free (Bareiss) elimination, one loop over any
-integral domain.  Determinants scale each row to integers and eliminate
-over Z[x] (symbolic) or Z (at a point): interior divisions are exact, and
-any nonzero remainder aborts loudly, which doubles as a correctness
-tripwire.  Bareiss over Poly and Fraction and a cofactor-expansion oracle
-are kept as references and cross-checked in the tests.
+Everything is fraction-free (Bareiss) elimination over an integral domain:
+Z[x] for symbolic determinants, Z at a rational point, and integer Taylor
+jets (``jet.py``).  Interior divisions are exact, and any nonzero remainder
+aborts loudly, which doubles as a correctness tripwire.  ``det_bareiss``
+eliminates one square matrix; ``ladder`` eliminates [a_{i+j}] once for
+H_n, K_n, M_n and N_n at every n, and a per-process cache grows each
+family's ladder as larger n are asked for.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .poly import (
     InexactDivision,
     Poly,
-    denominator_lcm,
     from_int_scaled,
     int_poly_exact_div,
     int_poly_mul,
@@ -40,35 +41,42 @@ from .sequences import FamilyId, a_poly
 class Ring:
     """The operations Bareiss elimination needs from an integral domain.
 
-    ``exact_div`` performs the interior divisions, which are exact in the
-    ring; an implementation raises on a remainder.
+    ``cross(p, r, l, u, d)`` is the fused step (p*r - l*u) / d, where d is
+    None for 1; the division is exact in the ring, and an implementation
+    raises on a remainder.  ``unit(v)`` tells whether v can be a divisor.
     """
 
-    mul: Callable
-    sub: Callable
+    cross: Callable
     neg: Callable
-    exact_div: Callable
+    unit: Callable
 
 
-def _int_exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise InexactDivision(f"inexact integer division of {a} by {b}")
+def _int_cross(p: int, r: int, l: int, u: int, d: Optional[int]) -> int:
+    v = p * r - l * u
+    if d is None:
+        return v
+    q, rem = divmod(v, d)
+    if rem:
+        raise InexactDivision(f"inexact integer division of {v} by {d}")
     return q
 
 
-INT = Ring(operator.mul, operator.sub, operator.neg, _int_exact_div)
-INT_POLY = Ring(int_poly_mul, int_poly_sub, int_poly_neg, int_poly_exact_div)
-# Over Poly and Fraction: the reference elimination the tests compare against.
-POLY = Ring(operator.mul, operator.sub, operator.neg, lambda a, b: a.exact_div(b))
-RATIONAL = Ring(operator.mul, operator.sub, operator.neg, operator.truediv)
+def _int_poly_cross(p, r, l, u, d) -> list[int]:
+    v = int_poly_sub(int_poly_mul(p, r), int_poly_mul(l, u))
+    return v if d is None else int_poly_exact_div(v, d)
+
+
+INT = Ring(_int_cross, operator.neg, bool)
+INT_POLY = Ring(_int_poly_cross, int_poly_neg, bool)
 
 
 def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:
-    """Fraction-free two-term elimination over any integral domain.
+    """Fraction-free two-term elimination of one square matrix.
 
-    A zero pivot swaps in the first lower row with a nonzero entry and flips
-    the sign; if none exists the determinant is zero.
+    A pivot the ring cannot divide by is swapped for the first lower row
+    whose entry it can, flipping the sign.  If there is none, a zero pivot
+    makes the determinant zero; any other (a jet vanishing at its point) is
+    kept, and the jet ring raises if a later step must divide by it.
     """
     n = len(rows)
     if n == 0:
@@ -78,30 +86,26 @@ def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:
             raise ValueError("matrix is not square")
     if n == 1:
         return rows[0][0]
-    mul, sub, div = ring.mul, ring.sub, ring.exact_div
+    cross, unit = ring.cross, ring.unit
     m = [list(row) for row in rows]
     sign = 1
     prev = None
     for k in range(n - 1):
-        if not m[k][k]:
+        if not unit(m[k][k]):
             for i in range(k + 1, n):
-                if m[i][k]:
+                if unit(m[i][k]):
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                zero = m[k][k]
-                return zero
+                if not m[k][k]:
+                    return m[k][k]
         pivot_row = m[k]
         pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
+        for row in m[k + 1 :]:
             lead = row[k]
             for j in range(k + 1, n):
-                elt = sub(mul(pivot, row[j]), mul(lead, pivot_row[j]))
-                if prev is not None:
-                    elt = div(elt, prev)
-                row[j] = elt
+                row[j] = cross(pivot, row[j], lead, pivot_row[j], prev)
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else ring.neg(det)
@@ -121,42 +125,6 @@ def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
         int_rows.append(int_row)
         scale *= row_scale
     return from_int_scaled(det_bareiss(int_rows, INT_POLY), scale)
-
-
-def det_rational(rows: Sequence[Sequence[Fraction]]) -> Rat:
-    """Exact determinant of a square matrix of rationals, eliminated over Z.
-
-    Rows are scaled to integers as in ``det_fraction_free``.
-    """
-    int_rows = []
-    scale = 1
-    for row in rows:
-        row_scale = denominator_lcm(row)
-        int_rows.append([c.numerator * (row_scale // c.denominator) for c in row])
-        scale *= row_scale
-    return Rat(det_bareiss(int_rows, INT), scale)
-
-
-def det_cofactor(rows: Sequence[Sequence]) -> object:
-    """Cofactor-expansion oracle; exponential, for cross-checks only."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [
-            [rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)
-        ]
-        term = entry * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = rows[0][0] - rows[0][0]
-    return acc
 
 
 def det_with_replaced_column(
@@ -195,32 +163,138 @@ def hankel_matrix(family: FamilyId, n: int) -> list[list[Poly]]:
     return [[a_poly(family, i + j) for j in range(n + 1)] for i in range(n + 1)]
 
 
-def hankel_columns(family: FamilyId, n: int, cols: Sequence[int]) -> list[list[Poly]]:
-    """Matrix whose j-th column is (a_{c_j}, a_{c_j+1}, ..., a_{c_j+n})."""
-    return [[a_poly(family, c + i) for c in cols] for i in range(n + 1)]
-
-
 VARIANTS = ("H", "K", "M", "N")
 
 
-def _quartet_columns(n: int) -> dict[str, list[int]]:
-    base = list(range(n))
-    return {
-        "H": base + [n],
-        "K": base + [n + 1],
-        "M": base[:-1] + [n + 1, n] if n >= 1 else None,
-        "N": base + [n + 2],
-    }
-
-
 def _variant_columns(n: int, variant: str) -> list[int]:
+    """The columns of [a_{i+j}] whose determinant is the variant at n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {', '.join(VARIANTS)}")
     if variant in ("M", "N") and n == 0:
         raise ValueError(f"{variant}_0 is undefined (layout needs n >= 1)")
-    return _quartet_columns(n)[variant]
+    base = list(range(n))
+    if variant == "M":
+        return base[:-1] + [n + 1, n]
+    return base + [n + "HKN".index(variant)]
+
+
+@dataclass
+class Ladder:
+    """One fraction-free elimination of the Hankel matrix [e_{i+j}].
+
+    ``entries`` holds e_0 .. e_{2N+2} and ``rows[i]`` is row i of the
+    (N+1) x (N+3) matrix after i Bareiss steps.  By Sylvester's identity
+    its entry j >= i is then the minor on rows 0..i and columns 0..i-1, j,
+    so row n holds H_n, K_n and N_n at columns n, n+1 and n+2.  Its
+    entries left of the diagonal are the leads its steps used, kept so that
+    new columns can replay the steps.  ``m[n]`` is M_n (None at n = 0).
+    Rows end at the first pivot H_k the ring cannot divide by, at n = k.
+    """
+
+    ring: Ring
+    entries: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+    m: list = field(default_factory=list)
+
+    def det(self, n: int, variant: str) -> object:
+        """The variant's determinant at n, read off the rows where they
+        reach n and otherwise eliminated on its own with row pivoting."""
+        if n < len(self.rows):
+            return self.m[n] if variant == "M" else self.rows[n][n + "HKN".index(variant)]
+        e = self.entries
+        cols = _variant_columns(n, variant)
+        return det_bareiss([[e[c + i] for c in cols] for i in range(n + 1)], self.ring)
+
+
+def ladder(entries: Sequence, ring: Ring, lad: Optional[Ladder] = None) -> Ladder:
+    """Eliminate [e_{i+j}] once for every n <= N = (len(entries) - 3) // 2.
+
+    ``lad``, the ladder of a prefix of ``entries``, grows in place: new
+    columns of its rows replay their stored pivots and leads, and new rows
+    run every step.  M_n is one 2 x 2 Sylvester step on rows n-1 and n
+    just before row n's last step, over columns n and n+1.
+    """
+    if lad is None:
+        lad = Ladder(ring)
+    e, rows = lad.entries, lad.rows
+    e.extend(entries[len(e) :])
+    width = (len(e) - 3) // 2 + 3
+    cross = ring.cross
+    # piv[k + 1] is the pivot H_k of step k, and piv[k] the step's divisor
+    piv = [None] + [row[k] for k, row in enumerate(rows)]
+    for i, row in enumerate(rows):
+        for j in range(len(row), width):
+            v = e[i + j]
+            for k in range(i):
+                v = cross(piv[k + 1], v, row[k], rows[k][j], piv[k])
+            row.append(v)
+    for i in range(len(rows), width - 2):
+        if i and not ring.unit(piv[i]):
+            break
+        row = e[i : i + width]
+        m = None
+        for k in range(i):
+            up = rows[k]
+            if k == i - 1:
+                m = cross(up[i + 1], row[i], row[i + 1], up[i], piv[k])
+            p, d, lead = piv[k + 1], piv[k], row[k]
+            for j in range(k + 1, width):
+                row[j] = cross(p, row[j], lead, up[j], d)
+        rows.append(row)
+        lad.m.append(m)
+        piv.append(row[i])
+    return lad
+
+
+# (family, point or None, ring) -> (D, ladder): entry k of the ladder is
+# D q^k a_k(x0) for x0 = p/q, with q = 1 symbolically.  Point ladders are
+# many and are mostly read at one n, so only the latest few are kept.
+_ladders: dict[tuple, tuple[int, Ladder]] = {}
+_ladders_lock = threading.Lock()
+_POINT_LADDERS_KEPT = 4
+
+
+def cached_ladder(family: FamilyId, x0: Optional[Rat], ring: Ring, n: int):
+    """(D, ladder): the family's ladder at x0 over the ring, grown to hold
+    n, whose entries are D q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its
+    determinant on columns c_0..c_n is D^(n+1) q^(n(n+1)/2 + sum c_j) times
+    the one of [a_{i+c_j}(x0)].  An extension that needs a larger D
+    rebuilds the ladder."""
+    key = (family, x0, ring)
+    count = 2 * n + 3
+    with _ladders_lock:
+        scale, lad = _ladders.get(key, (1, None))
+        if lad is not None and len(lad.entries) >= count:
+            return scale, lad
+        q = 1 if x0 is None else x0.denominator
+        polys = [a_poly(family, k) for k in range(count)]
+        # the least D with D q^k a_k integral over Z[q x] for every k: then
+        # every entry, and every Taylor coefficient of it at p/q, is an integer
+        need = 1
+        for k, f in enumerate(polys):
+            need = lcm(need, f.den * q ** max(len(f.num) - 1 - k, 0))
+        if need != scale:
+            scale, lad = need, None
+        if scale != 1:
+            polys = [scale * f for f in polys]
+        old = lad.entries if lad is not None else []
+        start = len(old)
+        if ring is INT_POLY:
+            new = [list(f.num) for f in polys[start:]]
+        elif ring is INT:
+            new = [(f(x0) * q**k).numerator for k, f in enumerate(polys[start:], start)]
+        else:
+            from .jet import int_jets
+
+            new = int_jets(polys, x0)[start:]
+        if key not in _ladders and x0 is not None:
+            points = [k for k in _ladders if k[1] is not None]
+            if len(points) >= _POINT_LADDERS_KEPT:
+                del _ladders[points[0]]
+        _ladders[key] = scale, ladder(old + new, ring, lad)
+        return _ladders[key]
 
 
 @dataclass(frozen=True)
@@ -235,29 +309,16 @@ class HankelQuartet:
     N: Optional[Poly]
 
 
-_quartet_memo: dict[tuple[FamilyId, int], HankelQuartet] = {}
-_h_memo: dict[tuple[FamilyId, int], Poly] = {}
-_memo_lock = threading.Lock()
+def variant_det(family: FamilyId, n: int, variant: str) -> Poly:
+    """One of H_n, K_n, M_n, N_n as a polynomial, from the family's ladder."""
+    _variant_columns(n, variant)
+    scale, lad = cached_ladder(family, None, INT_POLY, n)
+    return from_int_scaled(lad.det(n, variant), scale ** (n + 1))
 
 
 def hankel_det(family: FamilyId, n: int) -> Poly:
-    """H_n(x) alone, memoized."""
-    key = (family, n)
-    hit = _h_memo.get(key)
-    if hit is not None:
-        return hit
-    h = det_fraction_free(hankel_matrix(family, n))
-    with _memo_lock:
-        _h_memo.setdefault(key, h)
-    return h
-
-
-def variant_det(family: FamilyId, n: int, variant: str) -> Poly:
-    """One of H_n, K_n, M_n, N_n alone; H comes from ``hankel_det``."""
-    cols = _variant_columns(n, variant)
-    if variant == "H":
-        return hankel_det(family, n)
-    return det_fraction_free(hankel_columns(family, n, cols))
+    """H_n(x)."""
+    return variant_det(family, n, "H")
 
 
 def quartet(family: FamilyId, n: int) -> HankelQuartet:
@@ -265,38 +326,18 @@ def quartet(family: FamilyId, n: int) -> HankelQuartet:
 
     K_0 degenerates to det[[a_1]] = a_1 per the defining column layout.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    key = (family, n)
-    hit = _quartet_memo.get(key)
-    if hit is not None:
-        return hit
-    h = hankel_det(family, n)
-    k = variant_det(family, n, "K")
-    m = nn = None
-    if n >= 1:
-        m = variant_det(family, n, "M")
-        nn = variant_det(family, n, "N")
-    q = HankelQuartet(family, n, h, k, m, nn)
-    with _memo_lock:
-        _quartet_memo.setdefault(key, q)
-    return q
-
-
-def _values_at(family: FamilyId, count: int, x0: Rat) -> list[Rat]:
-    """a_0(x0), ..., a_{count-1}(x0), each by integer homogeneous Horner."""
-    return [a_poly(family, k)(x0) for k in range(count)]
-
-
-def _point_det(values: Sequence[Rat], n: int, cols: Sequence[int]) -> Rat:
-    """det of the matrix whose j-th column is values[c_j .. c_j + n]."""
-    return det_rational([[values[c + i] for c in cols] for i in range(n + 1)])
+    m, nn = (variant_det(family, n, v) for v in "MN") if n else (None, None)
+    h, k = variant_det(family, n, "H"), variant_det(family, n, "K")
+    return HankelQuartet(family, n, h, k, m, nn)
 
 
 def variant_det_at(family: FamilyId, n: int, variant: str, x0) -> Rat:
-    """One of H_n, K_n, M_n, N_n at a rational point, substituting first."""
-    cols = _variant_columns(n, variant)
-    return _point_det(_values_at(family, max(cols) + n + 1, rat(x0)), n, cols)
+    """One of H_n, K_n, M_n, N_n at a rational point, from the point's
+    ladder over Z: the entries are substituted before elimination."""
+    shift = n * (n + 1) // 2 + sum(_variant_columns(n, variant))
+    x0 = rat(x0)
+    scale, lad = cached_ladder(family, x0, INT, n)
+    return Rat(lad.det(n, variant), scale ** (n + 1) * x0.denominator**shift)
 
 
 def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:
@@ -304,28 +345,22 @@ def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:
     return variant_det_at(family, n, "H", x0)
 
 
-def quartet_at(family: FamilyId, n: int, x0) -> dict[str, Optional[Rat]]:
-    """Point-evaluated quartet {H, K, M, N}; M, N are None at n = 0.
-
-    The 2n + 3 distinct entries are evaluated once and shared by all four.
-    """
-    names = VARIANTS if n >= 1 else ("H", "K")
-    layout = {name: _variant_columns(n, name) for name in names}
-    values = _values_at(family, max(map(max, layout.values())) + n + 1, rat(x0))
-    out: dict[str, Optional[Rat]] = {"M": None, "N": None}
-    for name, cols in layout.items():
-        out[name] = _point_det(values, n, cols)
-    return out
-
-
 def dodgson_check(family: FamilyId, n: int) -> bool:
-    """H_{n-1} H_{n+1} = H_n N_n - H_n M_n - K_n^2 as a Poly identity."""
+    """H_{n-1} H_{n+1} = H_n N_n - H_n M_n - K_n^2 as a Poly identity.
+
+    The ladder's step from H_n to H_{n+1} is this identity (Desnanot-Jacobi),
+    so M_n, H_{n-1} and H_{n+1} each come from an elimination of their own;
+    only H_n, K_n and N_n are read off the ladder.
+    """
     if n < 1:
         raise ValueError("the Dodgson-like identity needs n >= 1")
-    q = quartet(family, n)
-    lhs = hankel_det(family, n - 1) * hankel_det(family, n + 1)
-    rhs = q.H * q.N - q.H * q.M - q.K * q.K
-    return lhs == rhs
+    h, k, nn = (variant_det(family, n, v) for v in "HKN")
+    cols = _variant_columns(n, "M")
+    m = det_fraction_free([[a_poly(family, c + i) for c in cols] for i in range(n + 1)])
+    lhs = det_fraction_free(hankel_matrix(family, n - 1)) * det_fraction_free(
+        hankel_matrix(family, n + 1)
+    )
+    return lhs == h * nn - h * m - k * k
 
 
 # ---------------------------------------------------------------------------

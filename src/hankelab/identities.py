@@ -15,6 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .jet import JET
 from .poly import Poly
 from .rat import Rat, binom0, double_factorial, factorial, rat
 from .sequences import (
@@ -29,11 +30,13 @@ from .sequences import (
     t_series,
 )
 from .hankel import (
+    cached_ladder,
     hankel_det,
+    hankel_det_at,
     hankel_matrix,
     quartet,
-    quartet_at,
     trace_adjugate_product,
+    variant_det_at,
 )
 
 
@@ -247,8 +250,7 @@ def pnqnrn_21(n: int) -> tuple[Poly, Poly, Poly]:
 def relation_residuals(rid: RelationId, n: int) -> list[Poly]:
     """Symbolic relations: list of Poly residuals, all zero iff it holds."""
     R = RelationId
-    if rid in POINT_RELATIONS:
-        raise ValueError(f"{rid.value} is a point relation; use relation_point_ok")
+    _symbolic_relation(rid, n)
     if rid in (R.R_DET01, R.R_LINEAR, R.R_SECONDDER, R.R_RHS):
         q = quartet(F31, n)
         h, k, m, nn = q.H, q.K, q.M, q.N
@@ -389,9 +391,10 @@ def relation_residuals(rid: RelationId, n: int) -> list[Poly]:
     raise ValueError(f"unknown symbolic relation {rid!r}")
 
 
-# (rid, x0) -> list of (name, K/N/M multiplier as a function of n), asserting
-# V(x0) = mult(n) * H(x0) for V in K, N, M.
+# rid -> (family, x0, {name: K/N/M multiplier as a function of n}), asserting
+# V(x0) = mult(n) * H(x0) for each V named; R_CREC asserts only its recursion.
 _POINT_SPECS = {
+    RelationId.R_CREC: (F31, Rat(3), {}),
     RelationId.R_X3: (
         F31,
         Rat(3),
@@ -462,53 +465,32 @@ _POINT_SPECS = {
 # Squared-ratio recursions H_{n-1} H_{n+1} = ratio * H_n^2 at the three
 # special points of the (3,1) family.
 _RECURSION_RATIOS = {
-    RelationId.R_CREC: (
-        Rat(3),
-        lambda n: Rat(
-            9 * (3 * n + 4) * (3 * n + 5) * (6 * n - 1) * (6 * n + 1),
-            4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
-        ),
+    RelationId.R_CREC: lambda n: Rat(
+        9 * (3 * n + 4) * (3 * n + 5) * (6 * n - 1) * (6 * n + 1),
+        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
-    RelationId.R_X3HALF: (
-        Rat(3, 2),
-        lambda n: Rat(
-            9 * (3 * n + 2) * (3 * n + 4) * (6 * n + 1) * (6 * n + 5),
-            4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
-        ),
+    RelationId.R_X3HALF: lambda n: Rat(
+        9 * (3 * n + 2) * (3 * n + 4) * (6 * n + 1) * (6 * n + 5),
+        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
-    RelationId.R_X3QUARTER: (
-        Rat(3, 4),
-        lambda n: Rat(
-            9 * (3 * n + 1) * (3 * n + 2) * (6 * n + 5) * (6 * n + 7),
-            4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
-        ),
+    RelationId.R_X3QUARTER: lambda n: Rat(
+        9 * (3 * n + 1) * (3 * n + 2) * (6 * n + 5) * (6 * n + 7),
+        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
 }
 
 
 def relation_point_ok(rid: RelationId, n: int) -> bool:
     """Point relations: K/N/M multiples of H, and the squared recursions."""
-    if rid is RelationId.R_CREC:
-        x0, ratio = _RECURSION_RATIOS[rid]
-        from .hankel import hankel_det_at
-
-        hm = hankel_det_at(F31, n - 1, x0)
-        hp = hankel_det_at(F31, n + 1, x0)
-        h = hankel_det_at(F31, n, x0)
-        return hm * hp == ratio(n) * h * h
     fam, x0, mults = _POINT_SPECS[rid]
-    vals = quartet_at(fam, n, x0)
-    h = vals["H"]
+    h = hankel_det_at(fam, n, x0)
     for name, mult in mults.items():
-        if vals[name] != mult(n) * h:
+        if variant_det_at(fam, n, name, x0) != mult(n) * h:
             return False
     if rid in _RECURSION_RATIOS:
-        from .hankel import hankel_det_at
-
-        _, ratio = _RECURSION_RATIOS[rid]
         hm = hankel_det_at(fam, n - 1, x0)
         hp = hankel_det_at(fam, n + 1, x0)
-        if hm * hp != ratio(n) * h * h:
+        if hm * hp != _RECURSION_RATIOS[rid](n) * h * h:
             return False
     return True
 
@@ -530,45 +512,39 @@ _RELATION_SCREEN_FAMILY = {
     RelationId.R_21_THIRD: F21,
 }
 
-_jet_quartet_memo: dict[tuple[FamilyId, int, Rat], tuple] = {}
-
 
 def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     """(H, K, M, N, d_xH, d_x^2 H) at x0, all scaled by one common factor.
 
-    Computed over integer length-3 jets: each distinct entry a_k is expanded
-    at x0 = p/q once, times q^k, so a determinant on columns c_0..c_n
-    carries q^(n(n+1)/2 + sum c_j).  Each value is then lifted to the
-    identical factor q^((2n+2)(n+1)), which is harmless to the linear
-    homogeneous relations screened against these values.  One bordered
-    elimination gives all four determinants; where one of its pivots
-    vanishes at x0, each is eliminated on its own with row pivoting.
+    Read off the family's ladder over integer length-3 jets: each distinct
+    entry a_k is expanded at x0 = p/q once, times q^k, so a determinant on
+    columns c_0..c_n carries q^(n(n+1)/2 + sum c_j).  Each value is then
+    lifted to the identical factor q^((2n+2)(n+1)), which is harmless to
+    the linear homogeneous relations screened against these values, and
+    the ladder's entry scale D is divided out.  Where a pivot of the ladder
+    vanishes at x0, each determinant is eliminated on its own with row
+    pivoting, which raises ``JetNotInvertible`` when a pivot it must divide
+    by is not a unit.
     """
-    from .jet import int_jet_det, int_jets, quartet_ladder
-    from .hankel import VARIANTS, _quartet_columns
-
+    if n < 1:
+        raise ValueError("the jet quartet needs n >= 1: M_0 and N_0 are undefined")
     x0 = rat(x0)
-    key = (family, n, x0)
-    hit = _jet_quartet_memo.get(key)
-    if hit is not None:
-        return hit
-    jets = int_jets([a_poly(family, k) for k in range(2 * n + 3)], x0)
-    layout = _quartet_columns(n)
-    dets = quartet_ladder(jets, n)
-    if dets is None:
-        dets = [
-            int_jet_det([[jets[c + i] for c in layout[name]] for i in range(n + 1)])
-            for name in VARIANTS
-        ]
-    # entry (i, j) carries q^i q^j: lift each value to q^((2n+2)(n+1))
-    q, rows = x0.denominator, n * (n + 1) // 2
-    jh, jk, jm, jn = (
-        [v * q ** ((2 * n + 2) * (n + 1) - rows - sum(layout[name])) for v in jet]
-        for name, jet in zip(VARIANTS, dets)
-    )
-    out = (Rat(jh[0]), Rat(jk[0]), Rat(jm[0]), Rat(jn[0]), Rat(jh[1]), Rat(2 * jh[2]))
-    _jet_quartet_memo[key] = out
-    return out
+    q = x0.denominator
+    scale, lad = cached_ladder(family, x0, JET, n)
+    h, k, m, nn = (lad.det(n, name) for name in "HKMN")
+    # the columns of K sum to one more than H's, and M's and N's to two more
+    lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
+    den = scale ** (n + 1)
+    values = (h[0] * q * q, k[0] * q, m[0], nn[0], h[1] * q * q, 2 * h[2] * q * q)
+    return tuple(Rat(v * lift, den) for v in values)
+
+
+def _symbolic_relation(rid: RelationId, n: int) -> None:
+    """Reject what neither relation entry point can evaluate."""
+    if rid in POINT_RELATIONS:
+        raise ValueError(f"{rid.value} is a point relation; use relation_point_ok")
+    if n < 1:
+        raise ValueError(f"{rid.value} needs n >= 1: M_0 and N_0 are undefined")
 
 
 def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
@@ -578,10 +554,10 @@ def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
     integer-jet elimination; no symbolic determinant is formed.  The values
     share one x0-denominator power, which the relations are homogeneous in.
     """
+    _symbolic_relation(rid, n)
     fam = _RELATION_SCREEN_FAMILY[rid]
-    x0 = rat(x0)
-    h, k, m, nn, dh, d2h = jet_quartet(fam, n, x0)
-    x = x0
+    x = rat(x0)
+    h, k, m, nn, dh, d2h = jet_quartet(fam, n, x)
 
     if rid is RelationId.R_DET01:
         lhs = (x - 3) * (2 * x - 3) * (4 * x - 3) * dh

@@ -219,25 +219,25 @@ def test_checks_listing(capsys):
 
 
 def count_dets(monkeypatch):
-    """Count the determinants formed, by kind, through the hankel module."""
+    """Count the eliminations formed through the hankel module, by kind,
+    starting from an empty ladder cache."""
     counts = {"symbolic": 0, "point": 0}
 
-    def counting(kind, fn):
-        def wrapped(rows):
-            counts[kind] += 1
-            return fn(rows)
+    def counting(fn):
+        def wrapped(rows, ring, *rest):
+            counts["symbolic" if ring is hankel.INT_POLY else "point"] += 1
+            return fn(rows, ring, *rest)
 
         return wrapped
 
-    monkeypatch.setattr(
-        hankel, "det_fraction_free", counting("symbolic", hankel.det_fraction_free)
-    )
-    monkeypatch.setattr(hankel, "det_rational", counting("point", hankel.det_rational))
+    monkeypatch.setattr(hankel, "ladder", counting(hankel.ladder))
+    monkeypatch.setattr(hankel, "det_bareiss", counting(hankel.det_bareiss))
+    monkeypatch.setattr(hankel, "_ladders", {})
     return counts
 
 
 def test_det_forms_only_the_requested_determinant(capsys, monkeypatch, tmp_path):
-    want = format_rat(hankel.quartet_at(F31, 3, "1/2")["K"])
+    want = format_rat(hankel.variant_det_at(F31, 3, "K", "1/2"))
     want_n = str(hankel.quartet(F21, 4).N)
     counts = count_dets(monkeypatch)
     code, out, _ = run(
@@ -248,10 +248,11 @@ def test_det_forms_only_the_requested_determinant(capsys, monkeypatch, tmp_path)
 
     cache_path = str(tmp_path / "dets.jsonl")
     for argv, symbolic in (
-        ((), 1),  # miss: one determinant, then cached
+        ((), 1),  # miss: one elimination, then cached
         ((), 1),  # hit: nothing new
-        (("--recheck",), 2),  # hit rechecked: one fresh determinant
+        (("--recheck",), 2),  # hit rechecked: one fresh elimination
     ):
+        hankel._ladders.clear()  # each run is a fresh process
         code, out, _ = run(
             capsys, "det", "--family", "2,1", "--n", "4", "--variant", "N",
             "--cache", cache_path, *argv,

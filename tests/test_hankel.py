@@ -1,21 +1,22 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from fraction_poly import ref
+from reference_det import POLY, RATIONAL, det_cofactor
 
-from hankelab.poly import InexactDivision, Poly
+from hankelab.poly import InexactDivision, Poly, denominator_lcm
 from hankelab.rat import Rat
+import hankelab.hankel as hankel_mod
 from hankelab.hankel import (
     INT,
-    POLY,
-    RATIONAL,
+    INT_POLY,
     VARIANTS,
+    _variant_columns,
     degree_bound,
     det_bareiss,
-    det_cofactor,
     det_fraction_free,
-    det_rational,
     det_with_replaced_column,
     dodgson_check,
     general_degree_det,
@@ -24,11 +25,11 @@ from hankelab.hankel import (
     hankel_matrix,
     make_degree_instance,
     quartet,
-    quartet_at,
     trace_adjugate_product,
     variant_det,
     variant_det_at,
 )
+from hankelab.jet import JET, JetNotInvertible, int_jets
 from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX, a_poly
 
 
@@ -107,8 +108,11 @@ def test_bareiss_agrees_with_cofactor_oracle():
 
 
 def test_det_rational():
+    # a matrix of rationals: Bareiss over Fraction, and over Z on rows
+    # scaled to integers, against the cofactor expansion
     rows = [[Rat(1), Rat(1, 2)], [Rat(1, 3), Rat(1, 4)]]
-    assert det_rational(rows) == Rat(1, 12)
+    assert det_bareiss(rows, RATIONAL) == Rat(1, 12)
+    assert det_bareiss([[2, 1], [4, 3]], INT) == 2  # rows scaled by 2 and 12
     rng = random.Random(49)
     for trial in range(200):
         size = rng.randint(1, 6)
@@ -120,13 +124,16 @@ def test_det_rational():
             vanish_leading_minor(rng, m)
         want = det_cofactor(m)
         assert det_bareiss(m, RATIONAL) == want
-        assert det_rational(m) == want
+        scales = [denominator_lcm(row) for row in m]
+        int_rows = [[int(c * s) for c in row] for row, s in zip(m, scales)]
+        assert Rat(det_bareiss(int_rows, INT), prod(scales)) == want
 
 
 def test_integer_kernel_tripwire():
-    assert INT.exact_div(-12, 4) == -3
+    assert INT.cross(-12, 1, 0, 0, 4) == -3
+    assert INT.cross(3, 5, 2, 4, None) == 7
     with pytest.raises(InexactDivision):
-        INT.exact_div(7, 2)
+        INT.cross(7, 1, 0, 0, 2)
 
 
 def test_quartet_examples():
@@ -176,39 +183,101 @@ def test_point_evaluation_consistency():
         for n in range(0, 6):
             q = quartet(fam, n)
             names = [name for name in VARIANTS if getattr(q, name) is not None]
-            for name in names:
-                assert variant_det(fam, n, name) == getattr(q, name)
+            assert names == list(VARIANTS if n else ("H", "K"))
             for x0 in points:
-                vals = quartet_at(fam, n, x0)
                 assert hankel_det_at(fam, n, x0) == q.H(x0), (fam, n, x0)
-                assert {k for k, v in vals.items() if v is not None} == set(names)
                 for name in names:
                     want = getattr(q, name)(x0)
-                    assert vals[name] == want, (fam, n, name, x0)
-                    assert variant_det_at(fam, n, name, x0) == want
+                    assert variant_det_at(fam, n, name, x0) == want, (fam, n, name, x0)
 
 
 def test_point_values_with_rational_coefficients(monkeypatch):
-    # every family's a_k has integer coefficients, so substitute a sequence
-    # with denominators to exercise the row scales of both paths
-    import hankelab.hankel as hankel_mod
-
+    # every family's a_k has integer coefficients and degree <= k, so
+    # substitute a sequence with growing denominators and degree 2: the
+    # entry scale D grows with n and the cached ladders are rebuilt
     def seq(_family, k):
         return Poly([Fraction(k + 1, 3), Fraction(-1, k + 2), Fraction(k, 5)])
 
     monkeypatch.setattr(hankel_mod, "a_poly", seq)
-    monkeypatch.setattr(hankel_mod, "_h_memo", {})
-    monkeypatch.setattr(hankel_mod, "_quartet_memo", {})
+    monkeypatch.setattr(hankel_mod, "_ladders", {})
     for n in range(0, 5):
         q = quartet(F31, n)
         rows = [[seq(F31, i + j) for j in range(n + 1)] for i in range(n + 1)]
         assert q.H == det_cofactor(rows)
         for x0 in (Rat(0), Rat(2, 3), Rat(-7, 4)):
-            vals = quartet_at(F31, n, x0)
             for name in VARIANTS:
                 sym = getattr(q, name)
                 if sym is not None:
-                    assert vals[name] == sym(x0), (n, name, x0)
+                    assert variant_det_at(F31, n, name, x0) == sym(x0), (n, name, x0)
+    # n = 0 needs D = 60; the 7 and 11 of a_5 and a_9 came later and
+    # rebuilt the ladders, at 2/3 also with the powers of 3 that a_0 and
+    # a_1, of degree above k, need
+    scales = {key[1]: scale for key, (scale, _) in hankel_mod._ladders.items()}
+    assert scales[None] % (7 * 11) == 0 and scales[Rat(2, 3)] % (9 * 7 * 11) == 0
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except JetNotInvertible:
+        return JetNotInvertible
+
+
+def test_ladder_extension_matches_single_eliminations(monkeypatch):
+    # n asked out of order, so each cached ladder grows in place and is read
+    # below its top; every H/K/M/N equals det_bareiss on its single matrix
+    from test_jet import POINTS
+
+    monkeypatch.setattr(hankel_mod, "_ladders", {})
+    cases = [(None, INT_POLY)]
+    cases += [(x0, INT) for x0 in (Rat(0), Rat(3, 7), Rat(5, 2), Rat(1, 2))]
+    cases += [(x0, JET) for x0 in POINTS]
+    vanishing = ((F31, Rat(5, 2)), (F21, Rat(1, 2)))  # where H_1 is zero
+    for fam in ALL_FAMILIES:
+        a = [a_poly(fam, k) for k in range(19)]
+        for x0, ring in cases:
+            for n in (5, 2, 8, 3, 0):
+                names = VARIANTS if n else ("H", "K")
+                for name in names:
+                    cols = _variant_columns(n, name)
+                    if ring is INT_POLY:
+                        want = det_fraction_free([[a[c + i] for c in cols] for i in range(n + 1)])
+                        assert variant_det(fam, n, name) == want, (fam, n, name)
+                    elif ring is INT:
+                        rows = [[a[c + i](x0) for c in cols] for i in range(n + 1)]
+                        want = det_bareiss(rows, RATIONAL)
+                        assert variant_det_at(fam, n, name, x0) == want, (fam, n, name, x0)
+                    else:
+                        jets = int_jets(a, x0)
+                        rows = [[jets[c + i] for c in cols] for i in range(n + 1)]
+                        want = outcome(lambda: det_bareiss(rows, JET))
+                        got = outcome(
+                            lambda: hankel_mod.cached_ladder(fam, x0, JET, n)[1].det(n, name)
+                        )
+                        assert got == want, (fam, n, name, x0)
+            if (fam, x0) in vanishing and ring is not INT_POLY:
+                # the ladder holds n <= 1, and the larger n came from the
+                # single eliminations
+                assert len(hankel_mod._ladders[fam, x0, ring][1].rows) == 2
+
+
+def test_dodgson_fails_where_the_ladder_is_wrong(monkeypatch):
+    # dodgson takes M_n and H_{n-1}, H_{n+1} from eliminations of their own,
+    # so a K_n off by one in the ladder fails that n and no other
+    from hankelab.checks import run_check
+
+    read = hankel_mod.Ladder.det
+
+    def off_by_one(lad, n, variant):
+        value = read(lad, n, variant)
+        if lad.ring is INT_POLY and n == 3 and variant == "K":
+            return [value[0] + 1] + value[1:]
+        return value
+
+    monkeypatch.setattr(hankel_mod.Ladder, "det", off_by_one)
+    rows = run_check("dodgson", F31, range(1, 8))
+    assert [(r.n, r.status) for r in rows if r.status != "pass"] == [(3, "fail")]
+    assert len(rows) == 7
 
 
 def test_zero_pivot_swap():

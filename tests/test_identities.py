@@ -19,6 +19,7 @@ from hankelab.identities import (
     explicit_weights_match,
     f_matrix,
     identity_residual,
+    jet_quartet,
     pnqnrn_21,
     pnqnrn_31,
     rational_nullspace,
@@ -77,6 +78,17 @@ def test_relation_screen_jets():
         for x0 in (Rat(7, 5), Rat(-2, 3)):
             vals = relation_residuals_at(rid, 11, x0)
             assert all(v == 0 for v in vals), (rid, x0)
+
+
+def test_relation_entry_points_reject_the_same_input():
+    # a point relation, and n = 0 where M_0 and N_0 are undefined
+    for args in ((RelationId.R_X3, 3), (RelationId.R_LINEAR, 0), (RelationId.R_DET01, -1)):
+        with pytest.raises(ValueError, match="point relation|needs n >= 1"):
+            relation_residuals(*args)
+        with pytest.raises(ValueError, match="point relation|needs n >= 1"):
+            relation_residuals_at(*args, Rat(7, 5))
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        jet_quartet(F31, 0, Rat(7, 5))
 
 
 def test_e_f_matrix_shapes():

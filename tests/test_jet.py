@@ -3,16 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.hankel import _quartet_columns, quartet
+from hankelab.hankel import VARIANTS, _variant_columns, det_bareiss, ladder, quartet
 from hankelab.identities import jet_quartet
-from hankelab.jet import (
-    JetNotInvertible,
-    int_jet_det,
-    int_jet_div,
-    int_jet_mul,
-    int_jets,
-    quartet_ladder,
-)
+from hankelab.jet import JET, JetNotInvertible, int_jets
 from hankelab.poly import Poly
 from hankelab.rat import Rat
 from hankelab.sequences import ALL_FAMILIES, F21, F31, a_poly
@@ -53,37 +46,48 @@ def test_int_jets_integrality_guard():
     assert jet_at(Poly([0, 0, 0, 1]), Fraction(3), 2) == (27, 27, 9)
 
 
+ZERO, ONE = (0, 0, 0), (1, 0, 0)
+
+
+def jet_mul(a, b):
+    return JET.cross(a, b, ZERO, ZERO, None)
+
+
+def jet_div(a, b):
+    return JET.cross(a, ONE, ZERO, ZERO, b)
+
+
 def test_jet_ring_ops():
-    assert int_jet_mul((2, 1, 0), (3, 0, 1)) == (6, 3, 2)
+    assert jet_mul((2, 1, 0), (3, 0, 1)) == (6, 3, 2)
+    assert JET.cross((2, 1, 0), (3, 0, 1), (1, 1, 1), (1, 0, 0), None) == (5, 2, 1)
     # the product of jets is the jet of the product, at the summed grade
     rng = random.Random(71)
     for _ in range(30):
         f = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))])
         g = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))])
         x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        assert int_jet_mul(jet_at(f, x0, 4), jet_at(g, x0, 4)) == jet_at(f * g, x0, 8)
+        assert jet_mul(jet_at(f, x0, 4), jet_at(g, x0, 4)) == jet_at(f * g, x0, 8)
 
 
 def test_jet_division_roundtrip():
     a = (5, -2, 7)
     b = (3, 1, 2)
-    assert int_jet_div(int_jet_mul(a, b), b) == a
+    assert jet_div(jet_mul(a, b), b) == a
     with pytest.raises(ArithmeticError):
-        int_jet_div((5, 0, 0), (3, 0, 0))
+        jet_div((5, 0, 0), (3, 0, 0))
 
 
 def test_jet_division_requires_unit():
     with pytest.raises(JetNotInvertible):
-        int_jet_div((1, 0, 0), (0, 1, 0))
+        jet_div((1, 0, 0), (0, 1, 0))
 
 
 def four_eliminations(jets, n):
     """H, K, M, N each by its own pivoting elimination, or None if one raises."""
-    layout = _quartet_columns(n)
     try:
         return tuple(
-            int_jet_det([[jets[c + i] for c in layout[name]] for i in range(n + 1)])
-            for name in ("H", "K", "M", "N")
+            det_bareiss([[jets[c + i] for c in _variant_columns(n, name)] for i in range(n + 1)], JET)
+            for name in VARIANTS
         )
     except JetNotInvertible:
         return None
@@ -106,20 +110,22 @@ def test_ladder_agrees_with_four_eliminations():
         for n in range(1, 7):
             for x0 in POINTS:
                 jets = int_jets([a_poly(fam, k) for k in range(2 * n + 3)], x0)
-                ladder = quartet_ladder(jets, n)
-                if ladder is None:
+                lad = ladder(jets, JET)
+                if len(lad.rows) <= n:
                     fallbacks += 1
                 else:
-                    assert ladder == four_eliminations(jets, n), (fam, n, x0)
+                    got = tuple(lad.det(n, name) for name in VARIANTS)
+                    assert got == four_eliminations(jets, n), (fam, n, x0)
     assert fallbacks >= 2 * 5  # (3,1) at 5/2 and (2,1) at 1/2, n = 2..6
     for fam, x0 in ((F31, Rat(5, 2)), (F21, Rat(1, 2))):
-        assert quartet_ladder(int_jets([a_poly(fam, k) for k in range(7)], x0), 2) is None
+        lad = ladder(int_jets([a_poly(fam, k) for k in range(7)], x0), JET)
+        assert len(lad.rows) == 2  # stopped at H_1, which vanishes at x0
 
 
 def test_ladder_on_vanishing_jets():
-    # Random integer jets with many zero values: wherever the ladder answers,
-    # the four pivoting eliminations answer the same and none of them raises;
-    # where it declines, jet_quartet's fallback is those four eliminations.
+    # Random integer jets with many zero values: wherever the ladder reaches
+    # n, the four pivoting eliminations answer the same and none of them
+    # raises; where it stops short, reading n is those four eliminations.
     rng = random.Random(83)
     declined = raised = 0
     for _ in range(600):
@@ -128,11 +134,13 @@ def test_ladder_on_vanishing_jets():
             (rng.choice([0, 0, 1, -1, 2, 3]), rng.randint(-3, 3), rng.randint(-3, 3))
             for _ in range(2 * n + 3)
         ]
-        ladder = quartet_ladder(jets, n)
+        lad = ladder(jets, JET)
         four = four_eliminations(jets, n)
-        if ladder is None:
+        if len(lad.rows) <= n:
             declined += 1
             raised += four is None
+            if four is not None:
+                assert tuple(lad.det(n, name) for name in VARIANTS) == four
         else:
-            assert ladder == four, (n, jets)
+            assert tuple(lad.det(n, name) for name in VARIANTS) == four, (n, jets)
     assert declined > 0 and raised > 0
