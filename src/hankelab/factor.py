@@ -86,13 +86,6 @@ class FactorReport:
             acc *= p**e
         return acc * self.cofactor
 
-    @property
-    def smooth_part(self) -> int:
-        acc = 1
-        for p, e in self.small_factors:
-            acc *= p**e
-        return acc
-
     def render(self) -> str:
         """Display form: ascending primes, then the cofactor."""
         parts = []

@@ -6,7 +6,8 @@ jets (``jet.py``).  Interior divisions are exact, and any nonzero remainder
 aborts loudly, which doubles as a correctness tripwire.  ``det_bareiss``
 eliminates one square matrix; ``ladder`` eliminates [a_{i+j}] once for
 H_n, K_n, M_n and N_n at every n, and a per-process cache grows each
-family's ladder as larger n are asked for.
+family's ladder as larger n are asked for.  ``gauss_jordan`` applies the
+same step above the pivot too, for adjugates and integer nullspaces.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .poly import (
@@ -118,37 +118,56 @@ def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
     denominators, elimination runs over Z[x], and the result is divided by
     the product of the row scales once.
     """
-    int_rows = []
-    scale = 1
-    for row in rows:
-        int_row, row_scale = to_int_scaled(row)
-        int_rows.append(int_row)
-        scale *= row_scale
-    return from_int_scaled(det_bareiss(int_rows, INT_POLY), scale)
+    scaled = [to_int_scaled(row) for row in rows]
+    det = det_bareiss([int_row for int_row, _ in scaled], INT_POLY)
+    return from_int_scaled(det, prod(scale for _, scale in scaled))
 
 
-def det_with_replaced_column(
-    rows: Sequence[Sequence[Poly]], col: int, column: Sequence[Poly]
-) -> Poly:
-    replaced = [list(row) for row in rows]
-    for i, v in enumerate(column):
-        replaced[i][col] = v
-    return det_fraction_free(replaced)
+def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination: (reduced rows, pivot columns, sign).
 
-
-def trace_adjugate_product(
-    a: Sequence[Sequence[Poly]], x: Sequence[Sequence[Poly]]
-) -> Poly:
-    """Tr(A^{-1} X) * det(A), computed without leaving the polynomial ring.
-
-    By Cramer's rule the i-th diagonal entry of A^{-1} X times det(A) is the
-    determinant of A with column i replaced by the i-th column of X.
+    Each column's pivot is the first row at or below the next pivot position
+    whose entry the ring can divide by, swapped up; a column with none is
+    skipped.  The Bareiss step updates every other row, those above too, so
+    each pivot ends equal to the last, d: [A | S] with A invertible reduces
+    to [d I | d A^{-1} S], where d = sign * det A.
     """
-    n = len(a)
-    acc = Poly.zero()
-    for i in range(n):
-        acc = acc + det_with_replaced_column(a, i, [x[r][i] for r in range(n)])
-    return acc
+    m = [list(row) for row in rows]
+    cross, unit = ring.cross, ring.unit
+    pivots: list[int] = []
+    sign, prev = 1, None
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if unit(m[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr], sign = m[pr], m[r], -sign
+        pivot_row, p = m[r], m[r][c]
+        for row in m:
+            if row is not pivot_row:
+                lead = row[c]
+                for j, u in enumerate(pivot_row):
+                    row[j] = cross(p, row[j], lead, u, prev)
+        pivots.append(c)
+        prev = p
+    return m, pivots, sign
+
+
+def adjugate(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
+    """adj(A) of an invertible square Poly matrix; ValueError if singular.
+
+    With D the row scales that make D A integral, Gauss-Jordan over Z[x]
+    reduces [D A | D] to [d I | d A^{-1}], d = sign * det(D) * det(A).
+    """
+    n = len(rows)
+    scaled = [to_int_scaled(row) for row in rows]
+    aug = [r + [[s] if j == i else [] for j in range(n)] for i, (r, s) in enumerate(scaled)]
+    reduced, pivots, sign = gauss_jordan(aug, INT_POLY)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    scale = sign * prod(s for _, s in scaled)
+    return [[from_int_scaled(v, scale) for v in row[n:]] for row in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +398,9 @@ class DegreeInstance:
 
     p: tuple[int, ...]
     q: tuple[int, ...]
-    alphas: tuple[Fraction, ...]
-    betas: tuple[Fraction, ...]
-    gamma: Fraction
+    alphas: tuple[Rat, ...]
+    betas: tuple[Rat, ...]
+    gamma: Rat
 
     def __post_init__(self):
         if not (

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd
+from typing import Callable, Optional, Sequence
 
 from .jet import JET
-from .poly import Poly
+from .poly import Poly, denominator_lcm
 from .rat import Rat, binom0, double_factorial, factorial, rat
 from .sequences import (
     F21,
@@ -30,12 +30,14 @@ from .sequences import (
     t_series,
 )
 from .hankel import (
+    INT,
+    adjugate,
     cached_ladder,
+    gauss_jordan,
     hankel_det,
     hankel_det_at,
     hankel_matrix,
     quartet,
-    trace_adjugate_product,
     variant_det_at,
 )
 
@@ -690,7 +692,7 @@ def _eval_relation_pointwise(rid, n, x, h, k, m, nn, dh, d2h) -> list[Rat]:
 
 def e_matrix(family: FamilyId, n: int) -> list[list[Poly]]:
     """Lower-triangular E_n with its first column halved."""
-    half = Fraction(1, 2)
+    half = Rat(1, 2)
     out = []
     for i in range(n + 1):
         row = []
@@ -727,65 +729,60 @@ def _mat_mul(a, b):
     ]
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_t(a):
-    n = len(a)
-    return [[a[j][i] for j in range(n)] for i in range(n)]
-
-
 def check_matrix_convolution_identities(family: FamilyId, n: int) -> bool:
-    """[c_{i+j}] = E A + A E^T and [c_{i+j-1}] = F A + A F^T, entrywise."""
+    """[c_{i+j}] = E A + A E^T and [c_{i+j-1}] = F A + A F^T, entrywise.
+
+    A is symmetric, so A L^T is the transpose of L A for L = E, F.
+    """
     a = hankel_matrix(family, n)
-    e = e_matrix(family, n)
-    f = f_matrix(family, n)
-    c0 = [[conv_poly(family, i + j) for j in range(n + 1)] for i in range(n + 1)]
-    c1 = [[conv_poly(family, i + j - 1) for j in range(n + 1)] for i in range(n + 1)]
-    lhs_e = _mat_add(_mat_mul(e, a), _mat_mul(a, _mat_t(e)))
-    if c0 != lhs_e:
-        return False
-    lhs_f = _mat_add(_mat_mul(f, a), _mat_mul(a, _mat_t(f)))
-    return c1 == lhs_f
+    for lower, shift in ((e_matrix(family, n), 0), (f_matrix(family, n), -1)):
+        la = _mat_mul(lower, a)
+        for i, row in enumerate(la):
+            for j, v in enumerate(row):
+                if v + la[j][i] != conv_poly(family, i + j + shift):
+                    return False
+    return True
+
+
+def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Poly], Poly]]:
+    """(name, x, value) for Tr(A^{-1} X) H_n = value, X = [x(i + j)]."""
+    if n < 1:
+        raise ValueError("trace rules need n >= 1 (M, N enter)")
+    q = quartet(family, n)
+    h, k, m, nn = q.H, q.K, q.M, q.N
+    a0 = a_poly(family, 0)
+    a1 = a_poly(family, 1)
+    return [
+        ("dx_an", lambda s: a_poly(family, s).derivative(), h.derivative()),
+        ("n_an_minus1", lambda s: s * a_poly(family, s - 1) if s else Poly.zero(), Poly.zero()),
+        ("an", lambda s: a_poly(family, s), (n + 1) * h),
+        ("n_an", lambda s: s * a_poly(family, s), n * (n + 1) * h),
+        ("c_nminus1", lambda s: conv_poly(family, s - 1), Poly.zero()),
+        ("cn", lambda s: conv_poly(family, s), (2 * n + 1) * a0 * h),
+        ("a_nplus1", lambda s: a_poly(family, s + 1), k),
+        ("n_a_nplus1", lambda s: s * a_poly(family, s + 1), 2 * n * k),
+        ("c_nplus1", lambda s: conv_poly(family, s + 1), 2 * a0 * k + 2 * n * a1 * h),
+        ("a_nplus2", lambda s: a_poly(family, s + 2), m + nn),
+        ("n_a_nplus2", lambda s: s * a_poly(family, s + 2), 2 * (n - 1) * m + 2 * n * nn),
+    ]
 
 
 def transform_rules(family: FamilyId, n: int) -> list[tuple[str, bool]]:
     """Table-1 rules as trace identities Tr(A^{-1} X) H_n = stated value.
 
-    Matrix inverses are never materialized: each trace times H_n is a sum of
-    column-replacement determinants (exact Cramer solves).
+    The left side is Tr(adj(A) X), the sum over s of x(s) times the s-th
+    anti-diagonal sum of adj(A), one Gauss-Jordan elimination of A's own.
     """
-    if n < 1:
-        raise ValueError("trace rules need n >= 1 (M, N enter)")
-    a = hankel_matrix(family, n)
-    q = quartet(family, n)
-    h, k, m, nn = q.H, q.K, q.M, q.N
-    a0 = a_poly(family, 0)
-    a1 = a_poly(family, 1)
-    size = n + 1
-
-    def grid(fn) -> list[list[Poly]]:
-        return [[fn(i + j) for j in range(size)] for i in range(size)]
-
-    rules: list[tuple[str, list[list[Poly]], Poly]] = [
-        ("dx_an", grid(lambda s: a_poly(family, s).derivative()), h.derivative()),
-        ("n_an_minus1", grid(lambda s: s * a_poly(family, s - 1) if s else Poly.zero()), Poly.zero()),
-        ("an", grid(lambda s: a_poly(family, s)), (n + 1) * h),
-        ("n_an", grid(lambda s: s * a_poly(family, s)), n * (n + 1) * h),
-        ("c_nminus1", grid(lambda s: conv_poly(family, s - 1)), Poly.zero()),
-        ("cn", grid(lambda s: conv_poly(family, s)), (2 * n + 1) * a0 * h),
-        ("a_nplus1", grid(lambda s: a_poly(family, s + 1)), k),
-        ("n_a_nplus1", grid(lambda s: s * a_poly(family, s + 1)), 2 * n * k),
-        ("c_nplus1", grid(lambda s: conv_poly(family, s + 1)), 2 * a0 * k + 2 * n * a1 * h),
-        ("a_nplus2", grid(lambda s: a_poly(family, s + 2)), m + nn),
-        ("n_a_nplus2", grid(lambda s: s * a_poly(family, s + 2)), 2 * (n - 1) * m + 2 * n * nn),
+    rules = table1_rules(family, n)
+    adj = adjugate(hankel_matrix(family, n))
+    sums = [
+        sum((adj[i][s - i] for i in range(max(0, s - n), min(s, n) + 1)), Poly.zero())
+        for s in range(2 * n + 1)
     ]
-    out = []
-    for name, x, expected in rules:
-        got = trace_adjugate_product(a, x)
-        out.append((name, got == expected))
-    return out
+    return [
+        (name, sum((t * x(s) for s, t in enumerate(sums)), Poly.zero()) == expected)
+        for name, x, expected in rules
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -801,50 +798,43 @@ class WeightError(AssertionError):
 class WeightSolution:
     family: FamilyId
     n: int
-    q0: tuple[Fraction, ...]        # y-coefficients, degree n+1
-    q1: tuple[Fraction, ...]        # y-coefficients, degree n+1
+    q0: tuple[Rat, ...]             # y-coefficients, degree n+1
+    q1: tuple[Rat, ...]             # y-coefficients, degree n+1
     q2: tuple[Poly, ...]            # Poly-in-x coefficients by power of y
     weights: tuple[Poly, ...]       # w_{n,0} .. w_{n,n+2}
     scale: Rat                      # (w_{n,n+2}, w_{n,n+1}, w_{n,n}) = scale*(p,q,r)
 
 
-def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of a rational matrix, exact Gauss-Jordan."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+def rational_nullspace(rows: Sequence[Sequence[Rat]], ncols: int) -> list[list[int]]:
+    """Primitive integer nullspace basis of a rational matrix, one vector per
+    free column f, positive at f: Gauss-Jordan over Z of the integer-scaled
+    rows leaves every pivot d, so d at f and minus each pivot row's entry at
+    f in its pivot column annihilate the rows."""
+    int_rows = []
+    for row in rows:
+        scale = denominator_lcm(row)
+        int_rows.append([int(v * scale) for v in row])
+    reduced, pivots, _ = gauss_jordan(int_rows, INT)
+    d = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][free]
-        basis.append(vec)
+        vec = [0] * ncols
+        vec[free] = d
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append([v // g for v in vec])
     return basis
 
 
-def _weight_base_series(family: FamilyId, order: int) -> list[Fraction]:
+def _weight_base_series(family: FamilyId, order: int) -> list[Rat]:
     """eta = 2t - 3 for the (3,1) construction; t itself for (2,1)."""
     if family == F31:
-        t = t_series(3, order)
-        vals = [2 * c.coefficient(0) for c in t.coeffs]
+        vals = [2 * c.coefficient(0) for c in t_series(3, order).coeffs]
         vals[0] -= 3
-        return [Fraction(v) for v in vals]
+        return vals
     if family == F21:
-        return [Fraction(c.coefficient(0)) for c in t_series(2, order).coeffs]
+        return [c.coefficient(0) for c in t_series(2, order).coeffs]
     raise ValueError("weights are constructed for the (3,1) and (2,1) families")
 
 
@@ -861,7 +851,7 @@ def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
     s = _weight_base_series(family, order)
     ncols = n + 2
     rows = [
-        [s[r - i] if 0 <= r - i <= order else Fraction(0) for i in range(ncols)]
+        [s[r - i] if 0 <= r - i <= order else Rat(0) for i in range(ncols)]
         for r in range(n + 2, 2 * n + 3)
     ]
     basis = rational_nullspace(rows, ncols)
@@ -869,13 +859,12 @@ def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
         raise WeightError(
             f"nullspace dimension {len(basis)} != 1 for family {family} n={n}"
         )
-    q0 = basis[0]
-    lead = next(v for v in q0 if v != 0)
-    q0 = [v / lead for v in q0]
+    lead = next(v for v in basis[0] if v != 0)
+    q0 = [Rat(v, lead) for v in basis[0]]
     prod = [
         sum(
             (q0[i] * s[k - i] for i in range(ncols) if 0 <= k - i <= order),
-            Fraction(0),
+            Rat(0),
         )
         for k in range(order + 1)
     ]
@@ -885,7 +874,7 @@ def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
     q1 = prod[: n + 2]
 
     def at(seq, idx):
-        return seq[idx] if 0 <= idx < len(seq) else Fraction(0)
+        return seq[idx] if 0 <= idx < len(seq) else Rat(0)
 
     q2: list[Poly] = []
     if family == F31:
@@ -972,7 +961,7 @@ def _check_coefficient_system(sol: WeightSolution) -> None:
         if q2[2] != p1 * q1[1] - 27 * pm * q0[1] + 4 * pm * q0[2]:
             raise WeightError("C_2(Q2) mismatch")
         # Parametric solution with alpha fixed by C_0(Q0) = 8(4n+3)(4n+5) alpha.
-        alpha = q0[0] / Fraction(8 * (4 * n + 3) * (4 * n + 5))
+        alpha = q0[0] / Rat(8 * (4 * n + 3) * (4 * n + 5))
         if q0[1] != -12 * (1 + n) * (30 + 67 * n + 36 * n * n) * alpha:
             raise WeightError("C_1(Q0) parametric form mismatch")
         if q0[2] != 3 * (50 * n + 343 * n**2 + 540 * n**3 + 243 * n**4) * alpha:

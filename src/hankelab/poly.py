@@ -61,10 +61,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly([c])
 
-    @staticmethod
-    def monomial(k: int, c=1) -> "Poly":
-        return Poly([0] * k + [c])
-
     # -- basic structure ----------------------------------------------
 
     @property

@@ -4,7 +4,14 @@ from math import prod
 
 import pytest
 from fraction_poly import ref
-from reference_det import POLY, RATIONAL, det_cofactor
+from reference_det import (
+    POLY,
+    RATIONAL,
+    cofactor_adjugate,
+    cramer_trace,
+    det_cofactor,
+    fraction_nullspace,
+)
 
 from hankelab.poly import InexactDivision, Poly, denominator_lcm
 from hankelab.rat import Rat
@@ -14,18 +21,18 @@ from hankelab.hankel import (
     INT_POLY,
     VARIANTS,
     _variant_columns,
+    adjugate,
     degree_bound,
     det_bareiss,
     det_fraction_free,
-    det_with_replaced_column,
     dodgson_check,
+    gauss_jordan,
     general_degree_det,
     hankel_det,
     hankel_det_at,
     hankel_matrix,
     make_degree_instance,
     quartet,
-    trace_adjugate_product,
     variant_det,
     variant_det_at,
 )
@@ -294,10 +301,95 @@ def test_singular_matrix_gives_zero():
     assert det_fraction_free(rows).is_zero()
 
 
+def _trace(adj, x):
+    size = len(adj)
+    return sum((adj[i][j] * x[j][i] for i in range(size) for j in range(size)), Poly.zero())
+
+
 def test_trace_adjugate_product_identity_matrix():
     a = hankel_matrix(F31, 3)
     # Tr(A^{-1} A) * det A = (n+1) det A
-    assert trace_adjugate_product(a, a) == 4 * hankel_det(F31, 3)
+    got = _trace(adjugate(a), a)
+    assert got == 4 * hankel_det(F31, 3)
+    assert got == cramer_trace(a, a)
+
+
+def test_adjugate_zero_leading_pivot():
+    # the leading entry vanishes: the elimination swaps rows, and the sign
+    # it returns must undo the swap
+    rows = [
+        [Poly.zero(), Poly([1]), Poly([2, 1])],
+        [Poly([1]), Poly([1]), Poly([0, 3])],
+        [Poly([0, 1]), Poly([5]), Poly([1])],
+    ]
+    assert adjugate(rows) == cofactor_adjugate(rows)
+    ints = [[0, 1, 2], [1, 1, 3], [4, 5, 1]]
+    reduced, pivots, sign = gauss_jordan(ints, INT)
+    assert sign == -1 and pivots == [0, 1, 2]
+    d = sign * det_cofactor(ints)
+    assert reduced == [
+        [d if i == j else 0 for j in range(3)] for i in range(3)
+    ]
+
+
+def test_adjugate_rows_with_different_denominators():
+    # each row is scaled to Z[x] by its own lcm; the adjugate divides the
+    # product of the scales back out once
+    rng = random.Random(71)
+    for _ in range(30):
+        size = rng.randint(1, 4)
+        rows = [
+            [
+                Poly([Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(rng.randint(0, 3))])
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+        if det_cofactor(rows).is_zero():
+            with pytest.raises(ValueError, match="singular matrix"):
+                adjugate(rows)
+            continue
+        assert adjugate(rows) == cofactor_adjugate(rows)
+
+
+def test_adjugate_of_a_singular_matrix_raises():
+    with pytest.raises(ValueError, match="singular matrix"):
+        adjugate([[Poly([1]), Poly([2])], [Poly([2]), Poly([4])]])
+    with pytest.raises(ValueError, match="singular matrix"):
+        adjugate([[Poly.zero(), Poly([0, 1])], [Poly.zero(), Poly([1])]])
+
+
+def test_gauss_jordan_integer_invariants():
+    # every pivot ends equal to the last, d = sign * det on the leading
+    # square, and the reduced rows span the same row space: as many pivots
+    # as the rank, each reduced row orthogonal to the Fraction nullspace
+    rng = random.Random(29)
+    for _ in range(200):
+        size = rng.randint(1, 5)
+        width = size + rng.randint(0, 3)
+        rank = rng.randint(0, size)
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(size)]
+        right = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rank)]
+        rows = [
+            [sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(width)]
+            for i in range(size)
+        ]
+        reduced, pivots, sign = gauss_jordan(rows, INT)
+        null = fraction_nullspace(rows, width)
+        assert len(pivots) == width - len(null)
+        assert all(sum(u * v for u, v in zip(row, vec)) == 0 for row in reduced for vec in null)
+        if not pivots:
+            assert all(v == 0 for row in reduced for v in row)
+            continue
+        d = reduced[len(pivots) - 1][pivots[-1]]
+        for r, pc in enumerate(pivots):
+            assert [row[pc] for row in reduced] == [d if i == r else 0 for i in range(size)]
+        assert all(v == 0 for row in reduced[len(pivots) :] for v in row)
+        square = [row[:size] for row in rows]
+        if pivots[:size] == list(range(size)):
+            assert d == sign * det_cofactor(square)
+        else:
+            assert det_cofactor(square) == 0
 
 
 def test_degree_instance_examples():
@@ -354,6 +446,11 @@ def test_degree_at_most_n_families():
 
 
 def test_det_with_replaced_column():
+    # Cramer: det A with column 1 replaced by b is entry 1 of adj(A) b, and
+    # for the column (a_2, a_3) of F31 that is K_1
     a = hankel_matrix(F31, 1)
     col = [a_poly(F31, 2), a_poly(F31, 3)]
-    assert det_with_replaced_column(a, 1, col) == quartet(F31, 1).K
+    adj = adjugate(a)
+    got = adj[1][0] * col[0] + adj[1][1] * col[1]
+    assert got == quartet(F31, 1).K
+    assert got == det_cofactor([[a[0][0], col[0]], [a[1][0], col[1]]])

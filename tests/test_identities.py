@@ -1,15 +1,21 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from reference_det import cofactor_adjugate, cramer_trace, fraction_nullspace
 
+import hankelab.identities as identities_mod
+from hankelab.checks import run_check
 from hankelab.poly import Poly
 from hankelab.rat import Rat
-from hankelab.hankel import quartet
+from hankelab.hankel import adjugate, hankel_matrix, quartet
 from hankelab.identities import (
     IdentityId,
     RelationId,
     POINT_RELATIONS,
     SYMBOLIC_RELATIONS,
+    _weight_base_series,
     check_identity,
     check_matrix_convolution_identities,
     check_relation,
@@ -25,10 +31,11 @@ from hankelab.identities import (
     rational_nullspace,
     relation_residuals,
     relation_residuals_at,
+    table1_rules,
     transform_rules,
     weight_nullspace,
 )
-from hankelab.sequences import F21, F30, F31, a_poly
+from hankelab.sequences import ALL_FAMILIES, F21, F30, F31, a_poly
 
 
 def test_identity_boundary_uses_c_minus1():
@@ -121,12 +128,93 @@ def test_transform_rules():
             assert all(ok for _, ok in results), (fam, n, results)
 
 
+def test_transform_rules_match_the_cramer_oracle():
+    # every Table-1 grid: the adjugate trace against n+1 column-replaced
+    # determinants, and the adjugate itself against cofactors at small n
+    for fam in ALL_FAMILIES:
+        for n in range(1, 7):
+            a = hankel_matrix(fam, n)
+            adj = adjugate(a)
+            size = n + 1
+            if n <= 2:
+                assert adj == cofactor_adjugate(a), (fam, n)
+            for name, x, expected in table1_rules(fam, n):
+                grid = [[x(i + j) for j in range(size)] for i in range(size)]
+                got = sum((adj[i][j] * grid[j][i] for i in range(size) for j in range(size)), Poly.zero())
+                assert got == cramer_trace(a, grid) == expected, (fam, n, name)
+            assert all(ok for _, ok in transform_rules(fam, n)), (fam, n)
+
+
+def test_table1_singular_matrix_is_one_fail_row(monkeypatch):
+    real = identities_mod.hankel_matrix
+
+    def singular_at_2(family, n):
+        rows = real(family, n)
+        return [rows[0]] + rows[:-1] if n == 2 else rows
+
+    monkeypatch.setattr(identities_mod, "hankel_matrix", singular_at_2)
+    with pytest.raises(ValueError, match="singular matrix"):
+        transform_rules(F31, 2)
+    rows = run_check("table1", F31, [1, 2, 3])
+    assert [r.status for r in rows] == ["pass", "fail", "pass"]
+    assert rows[1].detail == "ValueError: singular matrix"
+
+
+def _same_nullspace(rows, ncols):
+    """rational_nullspace against the Fraction oracle: one primitive integer
+    vector per free column, proportional to the oracle's, annihilated."""
+    basis = rational_nullspace(rows, ncols)
+    want = fraction_nullspace(rows, ncols)
+    assert len(basis) == len(want)
+    for vec, ref in zip(basis, want):
+        assert all(isinstance(v, int) for v in vec)
+        assert gcd(*vec) == 1
+        free = next(c for c, v in enumerate(ref) if v == 1 and vec[c])
+        assert vec[free] > 0
+        assert [Fraction(v, vec[free]) for v in vec] == ref
+        for row in rows:
+            assert sum(c * v for c, v in zip(row, vec)) == 0
+    return basis
+
+
 def test_rational_nullspace():
     rows = [[Fraction(1), Fraction(2), Fraction(3)]]
-    basis = rational_nullspace(rows, 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert sum(c * v for c, v in zip(rows[0], vec)) == 0
+    assert _same_nullspace(rows, 3) == [[-2, 1, 0], [-3, 0, 1]]
+    assert rational_nullspace([[0, 0]], 2) == [[1, 0], [0, 1]]
+    assert rational_nullspace([[Fraction(1, 2), Fraction(-1, 3)]], 2) == [[2, 3]]
+
+
+def test_rational_nullspace_rank_deficient():
+    rng = random.Random(4099)
+    for trial in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rank = rng.randint(0, min(nrows, ncols))
+        if trial % 2:
+            draw = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        else:
+            draw = lambda: rng.randint(-4, 4)
+        left = [[draw() for _ in range(rank)] for _ in range(nrows)]
+        right = [[draw() for _ in range(ncols)] for _ in range(rank)]
+        rows = [
+            [sum((left[i][k] * right[k][j] for k in range(rank)), 0) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+        _same_nullspace(rows, ncols)
+
+
+def test_weight_nullspace_matches_the_fraction_oracle():
+    for fam in (F21, F31):
+        for n in range(1, 13):
+            order = 2 * n + 2
+            s = _weight_base_series(fam, order)
+            rows = [
+                [s[r - i] if 0 <= r - i <= order else 0 for i in range(n + 2)]
+                for r in range(n + 2, 2 * n + 3)
+            ]
+            (vec,) = _same_nullspace(rows, n + 2)
+            q0 = weight_nullspace(fam, n).q0
+            lead = next(v for v in vec if v)
+            assert list(q0) == [Fraction(v, lead) for v in vec], (fam, n)
 
 
 def test_weight_nullspace_21():
