@@ -1,0 +1,3 @@
+from .cli import main
+
+raise SystemExit(main())

@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .poly import Poly
 
@@ -25,13 +24,13 @@ class CacheError(ValueError):
     does not parse, other than the final one."""
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    family: str
-    n: int
-    variant: str
-    value: Poly
-    version: str = TOOL_VERSION
+class CacheEntry(
+    namedtuple("CacheEntry", "family n variant value version", defaults=(TOOL_VERSION,))
+):
+    """One cached determinant: family name, n, variant, Poly value, and the
+    tool version that wrote it."""
+
+    __slots__ = ()
 
     @property
     def key(self) -> tuple[str, int, str]:
@@ -74,7 +73,7 @@ class DetCache:
     def __init__(self, path: str):
         self.path = path
         self.entries: dict[tuple[str, int, str], CacheEntry] = {}
-        self._truncate_at: Optional[int] = None
+        self._truncate_at: int | None = None
         if not os.path.exists(path):
             return
         bad = None  # (line number, byte offset, error) of an unparsed line
@@ -99,7 +98,7 @@ class DetCache:
             )
             self._truncate_at = bad[1]
 
-    def get(self, family: str, n: int, variant: str) -> Optional[Poly]:
+    def get(self, family: str, n: int, variant: str) -> Poly | None:
         entry = self.entries.get((family, n, variant))
         if entry is None or entry.version != TOOL_VERSION:
             return None
@@ -125,7 +124,7 @@ def _open(path: str, mode: str):
         raise CacheError(f"{path}: {exc.strerror}") from exc
 
 
-def cache_from_config(path: Optional[str]) -> Optional[DetCache]:
+def cache_from_config(path: str | None) -> DetCache | None:
     """Explicit path wins; otherwise the environment override, else None."""
     if path is None:
         path = os.environ.get(ENV_CACHE_PATH)

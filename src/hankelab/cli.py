@@ -13,27 +13,19 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from collections.abc import Sequence
 
-# Only the layers `det` runs are imported here. Every other subcommand
-# imports its own layers when it runs, so a one-shot query does not load
-# the check registry and the modules behind it.
+# Only what a `det` cache hit runs is imported here: parsing, the cache and
+# the family names.  `det` imports `hankel` when it eliminates (a miss, a
+# recheck or a point query), and every other subcommand imports its own
+# layers when it runs, so a one-shot query loads neither the check registry
+# nor typing, dataclasses or pathlib.
 from .cache import CacheError, cache_from_config
-from .hankel import VARIANTS, hankel_det_at, variant_det, variant_det_at
 from .poly import Poly
-from .rat import format_rat, parse_rat
-from .sequences import (
-    FamilyId,
-    GfForm,
-    closed_form_for,
-    f_series,
-    family_from_name,
-    t_series,
-    tau_series,
-)
+from .rat import Rat, format_rat, parse_rat
+from .sequences import VARIANTS, FamilyId, family_from_name
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .report import Row
 
@@ -56,7 +48,7 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_x(text: str) -> Optional[Fraction]:
+def _parse_x(text: str) -> Rat | None:
     if text == "symbolic":
         return None
     try:
@@ -72,7 +64,7 @@ def _family(text: str) -> FamilyId:
         raise UsageError(str(exc))
 
 
-def _emit_rows(rows: list[Row], fmt: str, output: Optional[str]) -> None:
+def _emit_rows(rows: list[Row], fmt: str, output: str | None) -> None:
     from .report import sort_rows, to_csv, to_json_lines, to_text
 
     rows = sort_rows(rows)
@@ -83,7 +75,8 @@ def _emit_rows(rows: list[Row], fmt: str, output: Optional[str]) -> None:
     else:
         payload = to_text(rows)
     if output:
-        Path(output).write_text(payload + "\n", encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
     else:
         print(payload)
 
@@ -105,7 +98,7 @@ def cmd_det(args) -> int:
         raise UsageError(f"{variant}_0 is undefined (layout needs n >= 1)")
 
     cache = cache_from_config(args.cache)
-    value: Optional[Poly] = None
+    value: Poly | None = None
     from_cache = False
     if cache is not None:
         hit = cache.get(family.name, args.n, variant)
@@ -114,9 +107,13 @@ def cmd_det(args) -> int:
             from_cache = True
     if x is not None and value is None and cache is None:
         # point query with no cache in play: substitute before eliminating
+        from .hankel import variant_det_at
+
         rendered = raw = format_rat(variant_det_at(family, args.n, variant, x))
     else:
         if value is None or args.recheck:
+            from .hankel import variant_det
+
             fresh = variant_det(family, args.n, variant)
             if from_cache and args.recheck and fresh != value:
                 print(
@@ -153,6 +150,7 @@ def cmd_det(args) -> int:
 
 def cmd_factor(args) -> int:
     from .factor import factor_smooth, primality_label
+    from .hankel import hankel_det_at
 
     family = _family(args.family)
     if args.n < 0:
@@ -216,6 +214,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .sequences import GfForm, closed_form_for, f_series, t_series, tau_series
+
     kinds = [k for k in ("t", "tau", "f") if getattr(args, k)]
     if len(kinds) != 1:
         raise UsageError("choose exactly one of --t, --tau, --f")
@@ -349,6 +349,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from pathlib import Path
+
     from .checks import fast_suite
     from .report import sort_rows, to_csv, to_json_lines
 
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,7 +8,7 @@ occur here (below 3.3 * 10^24) and reported as "probable prime" beyond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
@@ -70,15 +70,11 @@ def primes_up_to(bound: int) -> list[int]:
     return list(compress(range(bound + 1), sieve))
 
 
-@dataclass(frozen=True)
-class FactorReport:
-    """sign * prod(prime^exp) * cofactor = input, primes all <= bound."""
+class FactorReport(namedtuple("FactorReport", "input sign small_factors cofactor bound")):
+    """sign * prod(prime^exp) * cofactor = input, primes all <= bound;
+    small_factors is a tuple of (prime, exponent) pairs."""
 
-    input: int
-    sign: int
-    small_factors: tuple[tuple[int, int], ...]
-    cofactor: int
-    bound: int
+    __slots__ = ()
 
     def reconstruct(self) -> int:
         acc = self.sign

@@ -13,10 +13,10 @@ same step above the pivot too, for adjugates and integer nullspaces.
 from __future__ import annotations
 
 import operator
-import threading
-from dataclasses import dataclass, field
+from _thread import allocate_lock
+from collections import namedtuple
+from collections.abc import Sequence
 from math import lcm, prod
-from typing import Callable, Optional, Sequence
 
 from .poly import (
     InexactDivision,
@@ -29,7 +29,7 @@ from .poly import (
     to_int_scaled,
 )
 from .rat import Rat, binom, rat
-from .sequences import FamilyId, a_poly
+from .sequences import VARIANTS, FamilyId, a_poly
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +37,7 @@ from .sequences import FamilyId, a_poly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(namedtuple("Ring", "cross neg unit")):
     """The operations Bareiss elimination needs from an integral domain.
 
     ``cross(p, r, l, u, d)`` is the fused step (p*r - l*u) / d, where d is
@@ -46,12 +45,10 @@ class Ring:
     raises on a remainder.  ``unit(v)`` tells whether v can be a divisor.
     """
 
-    cross: Callable
-    neg: Callable
-    unit: Callable
+    __slots__ = ()
 
 
-def _int_cross(p: int, r: int, l: int, u: int, d: Optional[int]) -> int:
+def _int_cross(p: int, r: int, l: int, u: int, d: int | None) -> int:
     v = p * r - l * u
     if d is None:
         return v
@@ -182,9 +179,6 @@ def hankel_matrix(family: FamilyId, n: int) -> list[list[Poly]]:
     return [[a_poly(family, i + j) for j in range(n + 1)] for i in range(n + 1)]
 
 
-VARIANTS = ("H", "K", "M", "N")
-
-
 def _variant_columns(n: int, variant: str) -> list[int]:
     """The columns of [a_{i+j}] whose determinant is the variant at n."""
     if n < 0:
@@ -199,8 +193,7 @@ def _variant_columns(n: int, variant: str) -> list[int]:
     return base + [n + "HKN".index(variant)]
 
 
-@dataclass
-class Ladder:
+class Ladder(namedtuple("Ladder", "ring entries rows m")):
     """One fraction-free elimination of the Hankel matrix [e_{i+j}].
 
     ``entries`` holds e_0 .. e_{2N+2} and ``rows[i]`` is row i of the
@@ -210,12 +203,10 @@ class Ladder:
     entries left of the diagonal are the leads its steps used, kept so that
     new columns can replay the steps.  ``m[n]`` is M_n (None at n = 0).
     Rows end at the first pivot H_k the ring cannot divide by, at n = k.
+    The lists grow in place as the ladder is extended.
     """
 
-    ring: Ring
-    entries: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
-    m: list = field(default_factory=list)
+    __slots__ = ()
 
     def det(self, n: int, variant: str) -> object:
         """The variant's determinant at n, read off the rows where they
@@ -227,7 +218,7 @@ class Ladder:
         return det_bareiss([[e[c + i] for c in cols] for i in range(n + 1)], self.ring)
 
 
-def ladder(entries: Sequence, ring: Ring, lad: Optional[Ladder] = None) -> Ladder:
+def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
     """Eliminate [e_{i+j}] once for every n <= N = (len(entries) - 3) // 2.
 
     ``lad``, the ladder of a prefix of ``entries``, grows in place: new
@@ -236,7 +227,7 @@ def ladder(entries: Sequence, ring: Ring, lad: Optional[Ladder] = None) -> Ladde
     just before row n's last step, over columns n and n+1.
     """
     if lad is None:
-        lad = Ladder(ring)
+        lad = Ladder(ring, [], [], [])
     e, rows = lad.entries, lad.rows
     e.extend(entries[len(e) :])
     width = (len(e) - 3) // 2 + 3
@@ -271,11 +262,11 @@ def ladder(entries: Sequence, ring: Ring, lad: Optional[Ladder] = None) -> Ladde
 # D q^k a_k(x0) for x0 = p/q, with q = 1 symbolically.  Point ladders are
 # many and are mostly read at one n, so only the latest few are kept.
 _ladders: dict[tuple, tuple[int, Ladder]] = {}
-_ladders_lock = threading.Lock()
+_ladders_lock = allocate_lock()  # threading.Lock, without importing threading
 _POINT_LADDERS_KEPT = 4
 
 
-def cached_ladder(family: FamilyId, x0: Optional[Rat], ring: Ring, n: int):
+def cached_ladder(family: FamilyId, x0: Rat | None, ring: Ring, n: int):
     """(D, ladder): the family's ladder at x0 over the ring, grown to hold
     n, whose entries are D q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its
     determinant on columns c_0..c_n is D^(n+1) q^(n(n+1)/2 + sum c_j) times
@@ -316,16 +307,10 @@ def cached_ladder(family: FamilyId, x0: Optional[Rat], ring: Ring, n: int):
         return _ladders[key]
 
 
-@dataclass(frozen=True)
-class HankelQuartet:
-    """H_n and its shifted-column companions K_n, M_n, N_n."""
+class HankelQuartet(namedtuple("HankelQuartet", "family n H K M N")):
+    """H_n and its shifted-column companions K_n, M_n, N_n (M, N None at n = 0)."""
 
-    family: FamilyId
-    n: int
-    H: Poly
-    K: Poly
-    M: Optional[Poly]
-    N: Optional[Poly]
+    __slots__ = ()
 
 
 def variant_det(family: FamilyId, n: int, variant: str) -> Poly:
@@ -387,28 +372,23 @@ def dodgson_check(family: FamilyId, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeInstance:
+class DegreeInstance(namedtuple("DegreeInstance", "p q alphas betas gamma")):
     """An instance of the generalized Hankel-like determinant.
 
     Entry (i, j) is sum_{0 <= m <= p_i + q_j} C(alpha_i + beta_j + gamma*m,
     p_i + q_j - m) x^m, the binomial taken in falling-factorial form; an
-    empty sum (p_i + q_j < 0) gives a zero entry.
+    empty sum (p_i + q_j < 0) gives a zero entry.  p and q are tuples of
+    ints, alphas and betas tuples of Rats, gamma a Rat.
     """
 
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-    alphas: tuple[Rat, ...]
-    betas: tuple[Rat, ...]
-    gamma: Rat
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (
-            len(self.p) == len(self.q) == len(self.alphas) == len(self.betas)
-        ):
+    def __new__(cls, p, q, alphas, betas, gamma):
+        if not len(p) == len(q) == len(alphas) == len(betas):
             raise ValueError("p, q, alphas, betas must have equal length")
-        if len(self.p) == 0:
+        if len(p) == 0:
             raise ValueError("instance must be nonempty")
+        return super().__new__(cls, p, q, alphas, betas, gamma)
 
     @property
     def n(self) -> int:

@@ -838,13 +838,28 @@ def _weight_base_series(family: FamilyId, order: int) -> list[Rat]:
     raise ValueError("weights are constructed for the (3,1) and (2,1) families")
 
 
+# (family, n) -> WeightSolution.  The solution is immutable (a frozen record
+# of tuples of Rats and Polys), so the weights, explicit-weights and ciden
+# checks share one per process.  A construction that raises is not kept.
+_weight_memo: dict[tuple[FamilyId, int], WeightSolution] = {}
+
+
 def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
     """Solve the truncation system for Q0 and assemble Q1, Q2 and the weights.
 
     Q0 (degree n+1) is fixed by demanding the y^{n+2}..y^{2n+2} coefficients
     of base*Q0 vanish; the nullspace must be exactly 1-dimensional.  Q0 is
-    normalized so its lowest-index nonzero coefficient is 1.
+    normalized so its lowest-index nonzero coefficient is 1.  Built once per
+    (family, n) in a process, every structural check included.
     """
+    key = (family, n)
+    sol = _weight_memo.get(key)
+    if sol is None:
+        sol = _weight_memo.setdefault(key, _solve_weights(family, n))
+    return sol
+
+
+def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
     if n < 1:
         raise ValueError("weight construction needs n >= 1")
     order = 2 * n + 2

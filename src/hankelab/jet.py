@@ -13,7 +13,7 @@ with nonzero value; callers resample the point otherwise.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .hankel import Ring
 from .poly import Poly

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .rat import Rat, format_rat, parse_rat, rat
 

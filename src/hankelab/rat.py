@@ -62,10 +62,12 @@ def binom(top, k: int) -> Rat:
         # C(-t, k) = (-1)^k C(k - t - 1, k)
         sign = -1 if k % 2 else 1
         return Rat(sign * math.comb(k - t - 1, k))
-    num = ONE
+    # t = p/q: one integer falling factorial over q^k k!, reduced once
+    p, q = top.numerator, top.denominator
+    num = 1
     for i in range(k):
-        num *= top - i
-    return num / math.factorial(k)
+        num *= p - i * q
+    return Rat(num, q**k * math.factorial(k))
 
 
 def binom0(top, k: int) -> Rat:

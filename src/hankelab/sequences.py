@@ -10,31 +10,34 @@ coefficient.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from _thread import allocate_lock
+from collections import namedtuple
 from enum import Enum
-from typing import Optional
 
 from .poly import Poly, from_int_scaled, int_poly_mul, to_int_scaled
-from .rat import Rat, binom, factorial, rat
-from .series import SeriesYX
+from .rat import Rat, binom, factorial
+
+# The series layer is imported by the generating-function functions below
+# when they run: a determinant query never expands a series.
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .series import SeriesYX
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(namedtuple("FamilyId", "kind beta alpha", defaults=(0, 0))):
     """Tagged name of a sequence family.
 
     kind "binom" carries the (beta, alpha) pair; the named variants
     ("3k-2m", "aex", "3k+1-shift", "2k+2-shift") carry no parameters.
+    Equal and hashed as the tuple (kind, beta, alpha).
     """
 
-    kind: str
-    beta: int = 0
-    alpha: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "binom" and self.beta < 1:
+    def __new__(cls, kind: str, beta: int = 0, alpha: int = 0):
+        if kind == "binom" and beta < 1:
             raise ValueError("binomial family needs beta >= 1")
+        return super().__new__(cls, kind, beta, alpha)
 
     @property
     def name(self) -> str:
@@ -69,13 +72,18 @@ def family_from_name(name: str) -> FamilyId:
     raise ValueError(f"unknown family {name!r}")
 
 
+# The determinants of a family at each n: H_n on columns 0..n, and K_n, M_n,
+# N_n on shifted columns (hankel.py).
+VARIANTS = ("H", "K", "M", "N")
+
+
 # ---------------------------------------------------------------------------
 # a_k(x) and convolutions
 # ---------------------------------------------------------------------------
 
 _a_memo: dict[tuple[FamilyId, int], Poly] = {}
 _conv_memo: dict[tuple[FamilyId, int], Poly] = {}
-_memo_lock = threading.Lock()
+_memo_lock = allocate_lock()  # threading.Lock, without importing threading
 
 
 def a_poly(family: FamilyId, k: int) -> Poly:
@@ -147,6 +155,8 @@ def t_series(beta: int, order: int) -> SeriesYX:
     Coefficient of y^k is (beta*k)! / (((beta-1)*k + 1)! * k!), a positive
     integer for integer beta >= 1.
     """
+    from .series import SeriesYX
+
     if beta < 1:
         raise ValueError("t-series needs beta >= 1")
     if order < 0:
@@ -160,6 +170,8 @@ def t_series(beta: int, order: int) -> SeriesYX:
 
 def t_residual(beta: int, order: int) -> SeriesYX:
     """t^beta * y - t + 1 at the given truncation; zero iff t is correct."""
+    from .series import SeriesYX
+
     t = t_series(beta, order)
     tb = SeriesYX.one(order)
     for _ in range(beta):
@@ -169,6 +181,8 @@ def t_residual(beta: int, order: int) -> SeriesYX:
 
 def tau_series(order: int) -> SeriesYX:
     """The series with coefficients (3k)! / ((2k)! (k+1)!)."""
+    from .series import SeriesYX
+
     if order < 0:
         raise ValueError("order must be >= 0")
     vals = [
@@ -198,7 +212,7 @@ _CLOSED_FOR_FAMILY = {
 }
 
 
-def closed_form_for(family: FamilyId) -> Optional[GfForm]:
+def closed_form_for(family: FamilyId) -> GfForm | None:
     return _CLOSED_FOR_FAMILY.get(family)
 
 
@@ -213,6 +227,8 @@ def gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, S
     expansions, so the pair lives entirely in Q[x][[y]].  Raises ValueError
     for an incompatible form/family pair.
     """
+    from .series import SeriesYX
+
     one = SeriesYX.one(order)
     y = SeriesYX.y(order)
 
@@ -271,6 +287,8 @@ def gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, S
 
 
 def _direct_fraction(family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
+    from .series import SeriesYX
+
     one = SeriesYX.one(order)
     y = SeriesYX.y(order)
     xpoly = Poly.x()

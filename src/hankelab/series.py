@@ -9,7 +9,7 @@ stated order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .poly import Poly
 from .rat import rat

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -357,7 +358,8 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*_args):
         raise InexactDivision("tripwire")
 
-    monkeypatch.setattr(cli, "variant_det", broken)
+    # `det` imports the elimination layer when it runs, so patch it there
+    monkeypatch.setattr(hankel, "variant_det", broken)
     with pytest.raises(InexactDivision):
         main(["det", "--family", "3,1", "--n", "2"])
 
@@ -400,36 +402,153 @@ def test_pool_size_clamps_to_tasks_and_cpus():
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def modules_loaded_by(*argv):
-    """The hankelab modules a fresh interpreter holds after `main(argv)`."""
-    script = (
-        "import json, sys\n"
-        "from hankelab import cli\n"
-        f"code = cli.main({list(argv)!r})\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hankelab'))),"
-        " file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
+# Imported before the count starts: every command needs them, so what a
+# query adds beyond them is what its layers cost at start-up.
+BASELINE = "import argparse, json, fractions"
+
+
+def run_fresh(script, *args):
+    """Run a script in a fresh interpreter without site hooks (-S), so the
+    machine's site packages do not add modules."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    return proc
+
+
+def modules_loaded_by(*argv):
+    """The modules `main(argv)` adds to a fresh interpreter beyond BASELINE."""
+    script = (
+        f"{BASELINE}\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from hankelab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    return set(json.loads(run_fresh(script, *argv).stderr.splitlines()[-1]))
+
+
+# Heavy standard-library modules that no det or factor query runs:
+# dataclasses pulls in inspect, ast, dis and tokenize.
+NOT_AT_START_UP = {"dataclasses", "inspect", "typing", "pathlib"}
 
 
 def test_det_loads_only_the_layers_it_runs():
     loaded = modules_loaded_by("det", "--family", "3,1", "--n", "3", "--x", "2")
     assert "hankelab.hankel" in loaded
-    unused = ("checks", "identities", "closed_forms", "sturm", "jet", "factor", "report")
+    unused = ("checks", "identities", "closed_forms", "sturm", "jet", "factor", "report",
+              "series")
     assert loaded.isdisjoint(f"hankelab.{m}" for m in unused)
+    assert loaded.isdisjoint(NOT_AT_START_UP)
+
+
+def test_det_cache_hit_loads_no_elimination(tmp_path):
+    argv = ("det", "--family", "2,1", "--n", "4", "--variant", "N",
+            "--cache", str(tmp_path / "dets.jsonl"))
+    miss = modules_loaded_by(*argv)
+    hit = modules_loaded_by(*argv)
+    recheck = modules_loaded_by(*argv, "--recheck")
+    assert "hankelab.hankel" in miss and "hankelab.hankel" in recheck
+    assert hit >= {"hankelab.cli", "hankelab.cache", "hankelab.poly"}
+    assert hit.isdisjoint({"hankelab.hankel", "hankelab.series"})
+    for loaded in (miss, hit, recheck):
+        assert loaded.isdisjoint(NOT_AT_START_UP)
 
 
 def test_factor_loads_factor_but_not_the_checks():
     loaded = modules_loaded_by("factor", "--family", "3,1", "--n", "10")
     assert "hankelab.factor" in loaded
-    assert loaded.isdisjoint({"hankelab.checks", "hankelab.identities"})
+    assert loaded.isdisjoint({"hankelab.checks", "hankelab.identities", "hankelab.series"})
+    assert loaded.isdisjoint(NOT_AT_START_UP)
+
+
+def test_python_m_hankelab_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv, code, out in (
+        (("det", "--family", "3,1", "--n", "1"), 0, "5 - 2x\n"),
+        (("det", "--family", "3,1", "--n", "-1"), 2, ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hankelab", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
+def test_package_exports_load_on_first_use():
+    script = (
+        "import json, sys\n"
+        "import hankelab\n"
+        "first = sorted(m for m in sys.modules if m.startswith('hankelab.'))\n"
+        "import hankelab.rat, hankelab.poly\n"
+        "from hankelab import *\n"
+        "homes = [sys.modules[f'hankelab.{m}'] for m in ('rat', 'poly', 'series', 'sequences')]\n"
+        "names = hankelab.__all__\n"
+        "homeless = [n for n in names if not any(vars(h).get(n) is globals()[n] for h in homes)]\n"
+        "print(json.dumps({'first': first, 'names': names, 'homeless': homeless,\n"
+        "    'rat': rat.__module__ + '.' + rat.__name__,\n"
+        "    'listed': sorted(set(names) - set(dir(hankelab))),\n"
+        "    'unknown': hasattr(hankelab, 'no_such_name')}))\n"
+    )
+    got = json.loads(run_fresh(script).stdout)
+    # importing the package loads only rat; the rest load when first named
+    assert got["first"] == ["hankelab.rat"]
+    assert len(got["names"]) == 27 and got["homeless"] == []
+    assert got["rat"] == "hankelab.rat.rat"  # the function, not the submodule
+    assert got["listed"] == [] and got["unknown"] is False
+
+
+def test_record_classes_keep_equality_hash_and_validation():
+    import pickle
+
+    from hankelab.factor import FactorReport, factor_smooth
+    from hankelab.sequences import FamilyId
+
+    fam = FamilyId(kind="binom", beta=3, alpha=1)
+    assert fam == F31 and fam != F21 and hash(fam) == hash(("binom", 3, 1))
+    assert repr(fam) == "FamilyId(kind='binom', beta=3, alpha=1)" and str(fam) == "3,1"
+    assert FamilyId("aex") == FamilyId("aex", 0, 0) and pickle.loads(pickle.dumps(fam)) == fam
+    with pytest.raises(ValueError, match="beta >= 1"):
+        FamilyId("binom", 0, 1)
+    with pytest.raises(AttributeError):
+        fam.beta = 2
+
+    entry = CacheEntry("2,1", 3, "K", Poly([1, 0, -4]))
+    assert entry.version == TOOL_VERSION
+    assert entry == CacheEntry("2,1", 3, "K", Poly([1, -2]) * Poly([1, 2]))
+    assert entry != CacheEntry("2,1", 3, "K", Poly([1]))
+    assert entry != CacheEntry("2,1", 3, "K", entry.value, "hankelab-0.0.1")
+    assert hash(entry) == hash(CacheEntry.from_json(entry.to_json()))
+
+    assert hankel.INT == hankel.Ring(hankel.INT.cross, hankel.INT.neg, bool)
+    assert hankel.INT != hankel.INT_POLY
+    assert hash(hankel.INT) == hash(hankel.Ring(hankel.INT.cross, hankel.INT.neg, bool))
+    e = [list(hankel.a_poly(F21, k).num) for k in range(7)]
+    assert hankel.ladder(e, hankel.INT_POLY) == hankel.ladder(e, hankel.INT_POLY)
+
+    q = hankel.quartet(F21, 2)
+    same = hankel.HankelQuartet(F21, 2, q.H, q.K, q.M, q.N)
+    assert q == same and hash(q) == hash(same)
+    assert q != hankel.HankelQuartet(F21, 3, q.H, q.K, q.M, q.N)
+
+    inst = hankel.make_degree_instance([0, 1], [1, 0], [1, 2], [0, "1/2"], 1)
+    same = hankel.DegreeInstance((0, 1), (1, 0), (1, 2), (0, Fraction(1, 2)), 1)
+    assert inst == same and hash(inst) == hash(same) and inst.n == 1
+    with pytest.raises(ValueError, match="equal length"):
+        hankel.DegreeInstance((0, 1), (1,), (1, 2), (0, 1), 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        hankel.make_degree_instance([], [], [], [], 1)
+
+    rep = factor_smooth(-360)
+    assert rep == FactorReport(-360, -1, ((2, 3), (3, 2), (5, 1)), 1, 10**6)
+    assert hash(rep) == hash(factor_smooth(-360)) and rep.reconstruct() == -360
+    with pytest.raises(AttributeError):
+        rep.cofactor = 2
 
 
 def test_sweep_and_report_look_up_the_acceptance_suite_when_run(

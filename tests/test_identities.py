@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
@@ -215,6 +216,45 @@ def test_weight_nullspace_matches_the_fraction_oracle():
             q0 = weight_nullspace(fam, n).q0
             lead = next(v for v in vec if v)
             assert list(q0) == [Fraction(v, lead) for v in vec], (fam, n)
+
+
+def test_weight_checks_share_one_solution_per_key(monkeypatch):
+    keys = [(F21, n) for n in range(1, 7)] + [(F31, n) for n in range(2, 6)]
+    checks = ("weights", "explicit-weights", "ciden")
+    # the rows each check gives when it builds its own solution
+    alone = {}
+    for name in checks:
+        for fam, n in keys:
+            monkeypatch.setattr(identities_mod, "_weight_memo", {})
+            alone[name, fam, n] = run_check(name, fam, [n])
+    monkeypatch.setattr(identities_mod, "_weight_memo", {})
+    built = []
+    solve = identities_mod._solve_weights
+
+    def counting(fam, n):
+        built.append((fam, n))
+        return solve(fam, n)
+
+    monkeypatch.setattr(identities_mod, "_solve_weights", counting)
+    for name in checks:
+        for fam, n in keys:
+            assert run_check(name, fam, [n]) == alone[name, fam, n], (name, fam, n)
+    assert built == keys
+    # the shared solution cannot be changed by one check under another
+    sol = weight_nullspace(F31, 3)
+    assert sol is weight_nullspace(F31, 3)
+    with pytest.raises(FrozenInstanceError):
+        sol.scale = Rat(1)
+    for field in (sol.q0, sol.q1, sol.q2, sol.weights):
+        assert type(field) is tuple
+
+
+def test_weight_nullspace_failure_is_not_memoized(monkeypatch):
+    monkeypatch.setattr(identities_mod, "_weight_memo", {})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            weight_nullspace(F30, 2)
+    assert identities_mod._weight_memo == {}
 
 
 def test_weight_nullspace_21():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,27 @@ def test_binom_pascal_rule_random():
         top = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
         k = rng.randint(1, 10)
         assert binom(top, k) == binom(top - 1, k) + binom(top - 1, k - 1)
+
+
+def fraction_binom(top, k):
+    """The falling-factorial loop binom ran before its integer form: k
+    Fraction products, then one division by k!."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= top - i
+    return num / math.factorial(k)
+
+
+def test_binom_rational_top_matches_the_fraction_loop():
+    rng = random.Random(8)
+    drawn = (Fraction(rng.randint(-10**6, 10**6), rng.randint(2, 10**4)) for _ in range(150))
+    tops = [t for t in drawn if t.denominator > 1]  # integer tops take math.comb
+    tops += [Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3), Fraction(13, 6)]
+    assert len(tops) > 100 and sum(t < 0 for t in tops) > 50
+    for top in tops:
+        for k in range(13):
+            got = binom(top, k)
+            assert type(got) is Fraction and got == fraction_binom(top, k), (top, k)
 
 
 def test_double_factorial():
