@@ -3,7 +3,10 @@ rules, and the third-identity weight machinery.
 
 The sequence-level identities hold for every index k and are checked as
 exact Poly identities; the determinant-level relations tie H, K, M, N and
-the derivatives of H together at fixed n.  The weight machinery constructs
+the derivatives of H together at fixed n.  Each symbolic relation is stated
+once, as terms (symbol, Poly coefficient): the symbolic check sums them
+against the determinants over Z[x], and the point screen evaluates the same
+terms at x0 against integer-jet values.  The weight machinery constructs
 the annihilating weights from a truncated-series nullspace and compares
 them with the explicit closed forms.
 """
@@ -12,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Optional, Sequence
 
+from .closed_forms import ODES
 from .jet import JET
 from .poly import Poly, denominator_lcm
 from .rat import Rat, binom0, double_factorial, factorial, rat
@@ -34,7 +39,6 @@ from .hankel import (
     adjugate,
     cached_ladder,
     gauss_jordan,
-    hankel_det,
     hankel_det_at,
     hankel_matrix,
     quartet,
@@ -44,6 +48,10 @@ from .hankel import (
 
 def _p(*cs) -> Poly:
     return Poly(cs)
+
+
+# (x-3)(2x-3)(4x-3): the coefficient of d_x a_k in L1_31 and of H_n' in R_DET01
+_S31 = _p(-3, 1) * _p(-3, 2) * _p(-3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +96,7 @@ def identity_residual(iid: IdentityId, k: int) -> Poly:
 
     if iid is I.L1_31:
         return (
-            _p(-3, 1) * _p(-3, 2) * _p(-3, 4) * da
+            _S31 * da
             - 2 * (2 * k + 3) * a(k + 1)
             + _p(27 * k + 36, -18, 8) * a(k)
             - 4 * _p(3, -6, 2) * c(k)
@@ -186,6 +194,14 @@ def check_identity(iid: IdentityId, k_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Determinant-level relations
 # ---------------------------------------------------------------------------
+#
+# Every symbolic relation is linear in H, K, M, N, H' and H'' and is stated
+# once, as residuals: each a tuple of (symbol, Poly coefficient) terms, with
+# _SYMBOLS naming the values in the order jet_quartet gives them.
+# `relation_residuals` sums coefficient times determinant over Z[x];
+# `relation_residuals_at` sums the coefficient's value at x0 times the jet
+# value, which is the same residual at x0 times the jet's common q-power,
+# because every relation is homogeneous in the values.
 
 
 class RelationId(Enum):
@@ -205,17 +221,6 @@ class RelationId(Enum):
     R_21_X2 = "r_21_x2"
 
 
-SYMBOLIC_RELATIONS = (
-    RelationId.R_DET01,
-    RelationId.R_LINEAR,
-    RelationId.R_SECONDDER,
-    RelationId.R_RHS,
-    RelationId.R_21_FIRST,
-    RelationId.R_21_SECOND,
-    RelationId.R_21_FACTORED,
-    RelationId.R_21_THIRD,
-)
-
 POINT_RELATIONS = (
     RelationId.R_X3,
     RelationId.R_X3HALF,
@@ -224,6 +229,8 @@ POINT_RELATIONS = (
     RelationId.R_21_X0,
     RelationId.R_21_X2,
 )
+
+_SYMBOLS = ("H", "K", "M", "N", "dH", "d2H")
 
 
 def pnqnrn_31(n: int) -> tuple[Poly, Poly, Poly]:
@@ -249,148 +256,151 @@ def pnqnrn_21(n: int) -> tuple[Poly, Poly, Poly]:
     )
 
 
+def _scaled(weight: Poly | int, terms) -> tuple:
+    return tuple((s, weight * c) for s, c in terms)
+
+
+def _third(pqr: tuple[Poly, Poly, Poly]) -> tuple:
+    """p_n N + q_n K + r_n H."""
+    p, q, r = pqr
+    return (("N", p), ("K", q), ("H", r))
+
+
+def _ode(name: str, n: int, weight: Poly) -> tuple:
+    """weight times the named equation's left side, sum_k coeffs(n)[k] d^k H."""
+    return _scaled(weight, zip(("H", "dH", "d2H"), ODES[name].coeffs(n)))
+
+
+def _w21(n: int) -> Poly:
+    """(2n+1)(1 + 2n + 2n(n+1)x): N's coefficient in R_21_SECOND and the
+    third identity's multiplier in R_21_FACTORED."""
+    return (2 * n + 1) * _p(1 + 2 * n, 2 * n + 2 * n * n)
+
+
+def _det01(n: int) -> tuple:
+    h = -_p(-3 * (9 * n * n + 13 * n + 8), -6 * (5 * n + 1), 8 * n)
+    return ((("dH", _S31), ("H", h), ("K", _p(-2 * (4 * n + 3)))),)
+
+
+def _linear(n: int) -> tuple:
+    k = _p(6 * (54 * n + 31), -108 * (5 * n + 2), 8 * (36 * n + 7), -16 * (4 * n + 1))
+    h = _p(
+        -729 * n * n - 1083 * n - 324,
+        1458 * n * n + 1770 * n + 378,
+        -(972 * n * n + 800 * n + 108),
+        216 * n * n - 24 * n - 12,
+        64 * n + 16,
+    )
+    xm1 = _p(-1, 1)
+    return ((("N", 4 * (4 * n + 5) * xm1), ("M", 4 * (4 * n + 1) * xm1), ("K", k), ("H", h)),)
+
+
+def _secondder(n: int) -> tuple:
+    h = -_p(
+        -3 * (243 * n**4 + 1674 * n**3 + 3679 * n**2 + 3140 * n + 1008),
+        3 * (243 * n**4 + 2106 * n**3 + 5192 * n**2 + 4291 * n + 1482),
+        -4 * (459 * n**3 + 1661 * n**2 + 949 * n + 417),
+        12 * (36 * n**3 + 163 * n**2 - 65 * n - 8),
+        -96 * (3 * n * n - 8 * n - 2),
+        64 * n * (n - 1),
+    )
+    k = (2 * (4 * n + 3)) * _p(
+        -3 * (18 * n * n + 80 * n + 77),
+        6 * (9 * n * n + 48 * n + 53),
+        -4 * (17 * n + 31),
+        16 * (n + 2),
+    )
+    nn = -8 * (4 * n + 3) * (4 * n + 5) * _p(-1, 1)
+    terms = (("d2H", _p(-1, 1) * _S31**2), ("H", h), ("K", k), ("N", nn))
+    return (_scaled(4 * (4 * n + 1), terms),)
+
+
+def _rhs(n: int) -> tuple:
+    # The right side of the differential-equation derivation is the
+    # combination p_n N + q_n K + r_n H: both its vanishing and the full
+    # displayed equation, de1 times (x-3)(2x-3)^2(4x-3)^2 plus it, are asserted.
+    third = _third(pnqnrn_31(n))
+    return (third, _ode("de1", n, _p(-3, 1) * _p(-3, 2) ** 2 * _p(-3, 4) ** 2) + third)
+
+
+def _21_first(n: int) -> tuple:
+    first = (
+        ("dH", 2 * _p(0, 1) * _p(-2, 1)),
+        ("H", _p(3 + 8 * n + 4 * n * n, 1)),
+        ("K", _p(-(2 * n + 1))),
+    )
+    second = (
+        ("H", _p(-4 * n - 8, 10 * n + 12, 8 * n * n + 12 * n + 8, 2 * n)),
+        ("K", -_p(4, 12 + 8 * n, 2 + 4 * n)),
+        ("M", 2 * _p(1, n)),
+        ("N", 2 * _p(1, n + 1)),
+    )
+    return (first, second)
+
+
+def _21_second(n: int) -> tuple:
+    dh = _p(3 + 10 * n + 4 * n * n, 3 + 9 * n + 12 * n * n + 4 * n**3, 4 * n + 2 * n * n)
+    h = _p(
+        10 + 49 * n + 78 * n * n + 44 * n**3 + 8 * n**4,
+        4 + 34 * n + 86 * n * n + 98 * n**3 + 48 * n**4 + 8 * n**5,
+        1 + 8 * n + 14 * n * n + 8 * n**3,
+        2 * n - 2 * n**3,
+    )
+    xx2 = _p(0, 1) * _p(-2, 1)
+    return ((("d2H", 2 * xx2**2 * _p(1, n)), ("dH", 2 * xx2 * dh), ("H", h), ("N", -_w21(n))),)
+
+
+def _21_factored(n: int) -> tuple:
+    # de2np1 times 2x(x-2)(1+nx) equals the third identity times _w21(n)
+    lhs = _ode("de2np1", n, 2 * _p(-2, 1) * _p(0, 1) * _p(1, n))
+    return (lhs + _scaled(-_w21(n), _third(pnqnrn_21(n))),)
+
+
+# rid -> (family, terms): terms(n) gives the relation's residuals
+_RELATIONS = {
+    RelationId.R_DET01: (F31, _det01),
+    RelationId.R_LINEAR: (F31, _linear),
+    RelationId.R_SECONDDER: (F31, _secondder),
+    RelationId.R_RHS: (F31, _rhs),
+    RelationId.R_21_FIRST: (F21, _21_first),
+    RelationId.R_21_SECOND: (F21, _21_second),
+    RelationId.R_21_FACTORED: (F21, _21_factored),
+    RelationId.R_21_THIRD: (F21, lambda n: (_third(pnqnrn_21(n)),)),
+}
+
+SYMBOLIC_RELATIONS = tuple(_RELATIONS)
+
+
+def _require_n(rid: RelationId, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{rid.value} needs n >= 1: M_0, N_0 and H_-1 are undefined")
+
+
+@lru_cache(maxsize=None)
+def _relation_terms(rid: RelationId, n: int) -> tuple:
+    """(family, residuals) of a symbolic relation, built once per (rid, n)."""
+    if rid not in _RELATIONS:
+        raise ValueError(f"{rid.value} is a point relation; use relation_point_ok")
+    _require_n(rid, n)
+    family, terms = _RELATIONS[rid]
+    return family, terms(n)
+
+
+def _combine(residuals, values, x0=None) -> list:
+    """Each residual's sum of coefficient times value, values in _SYMBOLS
+    order; with x0 given, each coefficient is read at x0."""
+    named = dict(zip(_SYMBOLS, values))
+    if x0 is None:
+        return [sum(c * named[s] for s, c in terms) for terms in residuals]
+    return [sum(c(x0) * named[s] for s, c in terms) for terms in residuals]
+
+
 def relation_residuals(rid: RelationId, n: int) -> list[Poly]:
     """Symbolic relations: list of Poly residuals, all zero iff it holds."""
-    R = RelationId
-    _symbolic_relation(rid, n)
-    if rid in (R.R_DET01, R.R_LINEAR, R.R_SECONDDER, R.R_RHS):
-        q = quartet(F31, n)
-        h, k, m, nn = q.H, q.K, q.M, q.N
-        dh = h.derivative()
-        d2h = dh.derivative()
-        if rid is R.R_DET01:
-            lhs = _p(-3, 1) * _p(-3, 2) * _p(-3, 4) * dh
-            rhs = (
-                _p(-3 * (9 * n * n + 13 * n + 8), -6 * (5 * n + 1), 8 * n) * h
-                + 2 * (4 * n + 3) * k
-            )
-            return [lhs - rhs]
-        if rid is R.R_LINEAR:
-            return [
-                4 * (4 * n + 5) * _p(-1, 1) * nn
-                + 4 * (4 * n + 1) * _p(-1, 1) * m
-                + _p(
-                    6 * (54 * n + 31),
-                    -108 * (5 * n + 2),
-                    8 * (36 * n + 7),
-                    -16 * (4 * n + 1),
-                )
-                * k
-                + _p(
-                    -729 * n * n - 1083 * n - 324,
-                    1458 * n * n + 1770 * n + 378,
-                    -(972 * n * n + 800 * n + 108),
-                    216 * n * n - 24 * n - 12,
-                    64 * n + 16,
-                )
-                * h
-            ]
-        if rid is R.R_SECONDDER:
-            t1 = (
-                4
-                * (4 * n + 1)
-                * _p(-1, 1)
-                * _p(-3, 1) ** 2
-                * _p(-3, 2) ** 2
-                * _p(-3, 4) ** 2
-                * d2h
-            )
-            t2 = (
-                -4
-                * (4 * n + 1)
-                * _p(
-                    -3 * (243 * n**4 + 1674 * n**3 + 3679 * n**2 + 3140 * n + 1008),
-                    3 * (243 * n**4 + 2106 * n**3 + 5192 * n**2 + 4291 * n + 1482),
-                    -4 * (459 * n**3 + 1661 * n**2 + 949 * n + 417),
-                    12 * (36 * n**3 + 163 * n**2 - 65 * n - 8),
-                    -96 * (3 * n * n - 8 * n - 2),
-                    64 * n * (n - 1),
-                )
-                * h
-            )
-            t3 = (
-                8
-                * (4 * n + 1)
-                * (4 * n + 3)
-                * _p(
-                    -3 * (18 * n * n + 80 * n + 77),
-                    6 * (9 * n * n + 48 * n + 53),
-                    -4 * (17 * n + 31),
-                    16 * (n + 2),
-                )
-                * k
-            )
-            t4 = -32 * (4 * n + 1) * (4 * n + 3) * (4 * n + 5) * _p(-1, 1) * nn
-            return [t1 + t2 + t3 + t4]
-        # R_RHS: the right side of the differential-equation derivation is the
-        # determinant combination p_n N + q_n K + r_n H; both the vanishing of
-        # that combination and the full displayed equation are asserted.
-        p, qq, r = pnqnrn_31(n)
-        zero_comb = p * nn + qq * k + r * h
-        lhs = (
-            _p(-3, 1)
-            * _p(-3, 2) ** 2
-            * _p(-3, 4) ** 2
-            * (
-                _p(-1, 1) * _p(-3, 1) * d2h
-                + _p(2 * (n + 2) * -3 + 3, 2 * (n + 2)) * dh
-                - 3 * n * (n + 1) * h
-            )
-        )
-        return [zero_comb, lhs + zero_comb]
-    if rid in (R.R_21_FIRST, R.R_21_SECOND, R.R_21_FACTORED, R.R_21_THIRD):
-        q = quartet(F21, n)
-        h, k, m, nn = q.H, q.K, q.M, q.N
-        dh = h.derivative()
-        d2h = dh.derivative()
-        if rid is R.R_21_FIRST:
-            first = (
-                2 * _p(0, 1) * _p(-2, 1) * dh
-                + _p(3 + 8 * n + 4 * n * n, 1) * h
-                - (2 * n + 1) * k
-            )
-            second = (
-                _p(-4 * n - 8, 10 * n + 12, 8 * n * n + 12 * n + 8, 2 * n) * h
-                - _p(4, 12 + 8 * n, 2 + 4 * n) * k
-                + 2 * _p(1, n) * m
-                + 2 * _p(1, n + 1) * nn
-            )
-            return [first, second]
-        if rid is R.R_21_SECOND:
-            return [
-                2 * _p(-2, 1) ** 2 * _p(0, 0, 1) * _p(1, n) * d2h
-                + 2
-                * _p(-2, 1)
-                * _p(0, 1)
-                * _p(
-                    3 + 10 * n + 4 * n * n,
-                    3 + 9 * n + 12 * n * n + 4 * n**3,
-                    4 * n + 2 * n * n,
-                )
-                * dh
-                + _p(
-                    10 + 49 * n + 78 * n * n + 44 * n**3 + 8 * n**4,
-                    4 + 34 * n + 86 * n * n + 98 * n**3 + 48 * n**4 + 8 * n**5,
-                    1 + 8 * n + 14 * n * n + 8 * n**3,
-                    2 * n - 2 * n**3,
-                )
-                * h
-                - (2 * n + 1) * _p(1 + 2 * n, 2 * n + 2 * n * n) * nn
-            ]
-        third = nn - _p(4 + 2 * n, 1) * k + _p(2 + 5 * n + 2 * n * n, 3 + 2 * n) * h
-        if rid is R.R_21_THIRD:
-            return [third]
-        # R_21_FACTORED
-        lhs = (
-            2
-            * _p(-2, 1)
-            * _p(0, 1)
-            * _p(1, n)
-            * (_p(0, 1) * _p(-2, 1) * d2h + _p(-1, 2) * dh - n * (n + 1) * h)
-        )
-        rhs = (2 * n + 1) * _p(1 + 2 * n, 2 * n + 2 * n * n) * third
-        return [lhs - rhs]
-    raise ValueError(f"unknown symbolic relation {rid!r}")
+    family, residuals = _relation_terms(rid, n)
+    q = quartet(family, n)
+    dh = q.H.derivative()
+    return _combine(residuals, (q.H, q.K, q.M, q.N, dh, dh.derivative()))
 
 
 # rid -> (family, x0, {name: K/N/M multiplier as a function of n}), asserting
@@ -484,6 +494,7 @@ _RECURSION_RATIOS = {
 
 def relation_point_ok(rid: RelationId, n: int) -> bool:
     """Point relations: K/N/M multiples of H, and the squared recursions."""
+    _require_n(rid, n)
     fam, x0, mults = _POINT_SPECS[rid]
     h = hankel_det_at(fam, n, x0)
     for name, mult in mults.items():
@@ -501,18 +512,6 @@ def check_relation(rid: RelationId, n: int) -> bool:
     if rid in POINT_RELATIONS:
         return relation_point_ok(rid, n)
     return all(r.is_zero() for r in relation_residuals(rid, n))
-
-
-_RELATION_SCREEN_FAMILY = {
-    RelationId.R_DET01: F31,
-    RelationId.R_LINEAR: F31,
-    RelationId.R_SECONDDER: F31,
-    RelationId.R_RHS: F31,
-    RelationId.R_21_FIRST: F21,
-    RelationId.R_21_SECOND: F21,
-    RelationId.R_21_FACTORED: F21,
-    RelationId.R_21_THIRD: F21,
-}
 
 
 def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
@@ -541,148 +540,17 @@ def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     return tuple(Rat(v * lift, den) for v in values)
 
 
-def _symbolic_relation(rid: RelationId, n: int) -> None:
-    """Reject what neither relation entry point can evaluate."""
-    if rid in POINT_RELATIONS:
-        raise ValueError(f"{rid.value} is a point relation; use relation_point_ok")
-    if n < 1:
-        raise ValueError(f"{rid.value} needs n >= 1: M_0 and N_0 are undefined")
-
-
 def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
-    """Cheap screen: a symbolic relation evaluated at a rational x.
+    """Cheap screen: a symbolic relation's residuals evaluated at a rational x.
 
-    The determinant values and the first two derivatives of H come from
-    integer-jet elimination; no symbolic determinant is formed.  The values
-    share one x0-denominator power, which the relations are homogeneous in.
+    The same terms as `relation_residuals`, read at x0 against integer-jet
+    values of the determinants and of H's first two derivatives; no
+    symbolic determinant is formed.  Each residual comes out times the
+    jets' common x0-denominator power.
     """
-    _symbolic_relation(rid, n)
-    fam = _RELATION_SCREEN_FAMILY[rid]
+    family, residuals = _relation_terms(rid, n)
     x = rat(x0)
-    h, k, m, nn, dh, d2h = jet_quartet(fam, n, x)
-
-    if rid is RelationId.R_DET01:
-        lhs = (x - 3) * (2 * x - 3) * (4 * x - 3) * dh
-        rhs = (
-            8 * n * x * x - 6 * (5 * n + 1) * x - 3 * (9 * n * n + 13 * n + 8)
-        ) * h + 2 * (4 * n + 3) * k
-        return [lhs - rhs]
-    return _eval_relation_pointwise(rid, n, x, h, k, m, nn, dh, d2h)
-
-
-def _eval_relation_pointwise(rid, n, x, h, k, m, nn, dh, d2h) -> list[Rat]:
-    R = RelationId
-    if rid is R.R_LINEAR:
-        return [
-            4 * (4 * n + 5) * (x - 1) * nn
-            + 4 * (4 * n + 1) * (x - 1) * m
-            + (
-                -16 * (4 * n + 1) * x**3
-                + 8 * (36 * n + 7) * x**2
-                - 108 * (5 * n + 2) * x
-                + 6 * (54 * n + 31)
-            )
-            * k
-            + (
-                (64 * n + 16) * x**4
-                + (216 * n * n - 24 * n - 12) * x**3
-                - (972 * n * n + 800 * n + 108) * x**2
-                + (1458 * n * n + 1770 * n + 378) * x
-                - 729 * n * n
-                - 1083 * n
-                - 324
-            )
-            * h
-        ]
-    if rid is R.R_SECONDDER:
-        return [
-            4
-            * (4 * n + 1)
-            * (x - 1)
-            * (x - 3) ** 2
-            * (2 * x - 3) ** 2
-            * (4 * x - 3) ** 2
-            * d2h
-            - 4
-            * (4 * n + 1)
-            * (
-                64 * n * (n - 1) * x**5
-                - 96 * (3 * n * n - 8 * n - 2) * x**4
-                + 12 * (36 * n**3 + 163 * n**2 - 65 * n - 8) * x**3
-                - 4 * (459 * n**3 + 1661 * n**2 + 949 * n + 417) * x**2
-                + 3 * (243 * n**4 + 2106 * n**3 + 5192 * n**2 + 4291 * n + 1482) * x
-                - 3 * (243 * n**4 + 1674 * n**3 + 3679 * n**2 + 3140 * n + 1008)
-            )
-            * h
-            + 8
-            * (4 * n + 1)
-            * (4 * n + 3)
-            * (
-                16 * (n + 2) * x**3
-                - 4 * (17 * n + 31) * x**2
-                + 6 * (9 * n * n + 48 * n + 53) * x
-                - 3 * (18 * n * n + 80 * n + 77)
-            )
-            * k
-            - 32 * (4 * n + 1) * (4 * n + 3) * (4 * n + 5) * (x - 1) * nn
-        ]
-    if rid is R.R_RHS:
-        p, q, r = pnqnrn_31(n)
-        return [p(x) * nn + q(x) * k + r(x) * h]
-    if rid is R.R_21_FIRST:
-        return [
-            2 * x * (x - 2) * dh + (x + 3 + 8 * n + 4 * n * n) * h - (2 * n + 1) * k,
-            (2 * n * x**3 + (8 * n * n + 12 * n + 8) * x**2 + (10 * n + 12) * x - 4 * n - 8)
-            * h
-            - ((2 + 4 * n) * x**2 + (12 + 8 * n) * x + 4) * k
-            + 2 * (n * x + 1) * m
-            + 2 * ((n + 1) * x + 1) * nn,
-        ]
-    if rid is R.R_21_SECOND:
-        return [
-            2 * (x - 2) ** 2 * x**2 * (1 + n * x) * d2h
-            + 2
-            * (x - 2)
-            * x
-            * (
-                3
-                + 10 * n
-                + 4 * n * n
-                + 3 * x
-                + 9 * n * x
-                + 12 * n * n * x
-                + 4 * n**3 * x
-                + 4 * n * x * x
-                + 2 * n * n * x * x
-            )
-            * dh
-            + (
-                10
-                + 49 * n
-                + 78 * n * n
-                + 44 * n**3
-                + 8 * n**4
-                + (4 + 34 * n + 86 * n * n + 98 * n**3 + 48 * n**4 + 8 * n**5) * x
-                + (1 + 8 * n + 14 * n * n + 8 * n**3) * x * x
-                + (2 * n - 2 * n**3) * x**3
-            )
-            * h
-            - (2 * n + 1) * (1 + 2 * n + 2 * n * x + 2 * n * n * x) * nn
-        ]
-    third = nn - (4 + 2 * n + x) * k + (2 + 5 * n + 2 * n * n + 3 * x + 2 * n * x) * h
-    if rid is R.R_21_THIRD:
-        return [third]
-    if rid is R.R_21_FACTORED:
-        lhs = (
-            2
-            * (x - 2)
-            * x
-            * (n * x + 1)
-            * (x * (x - 2) * d2h + (2 * x - 1) * dh - n * (n + 1) * h)
-        )
-        rhs = (2 * n + 1) * (1 + 2 * n + 2 * n * x + 2 * n * n * x) * third
-        return [lhs - rhs]
-    raise ValueError(f"no pointwise form for {rid!r}")
+    return _combine(residuals, jet_quartet(family, n, x), x)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,10 @@ def test_relation_entry_points_reject_the_same_input():
             relation_residuals_at(*args, Rat(7, 5))
     with pytest.raises(ValueError, match="needs n >= 1"):
         jet_quartet(F31, 0, Rat(7, 5))
+    # point relations too, before H_{n-1} or N_n is formed
+    for args in ((RelationId.R_CREC, 0), (RelationId.R_X3, 0), (RelationId.R_LINEAR, 0)):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            check_relation(*args)
 
 
 def test_e_f_matrix_shapes():
