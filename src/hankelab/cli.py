@@ -310,13 +310,10 @@ def cmd_verify(args) -> int:
     items = []
     for name in names:
         defn = REGISTRY[name]
-        if defn.needs_family and family is None and defn.default_family is None:
-            raise UsageError(f"check {name!r} needs --family")
+        lo, hi = defn.items[0][1:]
         if args.n is not None:
             ns = _parse_range(args.n)
             lo, hi = ns[0], ns[-1]
-        else:
-            lo, hi = defn.default_range
         if hi < defn.min_n:
             raise UsageError(f"check {name!r} needs n >= {defn.min_n}")
         items.append((name, family, lo, hi))
@@ -372,9 +369,9 @@ def cmd_checks(_args) -> int:
 
     for name in sorted(REGISTRY):
         defn = REGISTRY[name]
-        fam = f" [family, default {defn.default_family}]" if defn.needs_family else ""
-        lo, hi = defn.default_range
-        print(f"{name:18s} n={lo}..{hi}{fam}  {defn.description}")
+        fam, lo, hi = defn.items[0]
+        tag = f" [family, default {fam}]" if fam is not None else ""
+        print(f"{name:18s} n={lo}..{hi}{tag}  {defn.description}")
     return 0
 
 

@@ -9,9 +9,9 @@ failing (id, n) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable, Union
 
 from .poly import Poly
 from .rat import Rat, double_factorial, factorial, rat
@@ -198,7 +198,7 @@ def _ap21_sum(n: int, base: Poly) -> Poly:
 
 def almost_product_eval(
     aid: AlmostProductId, n: int, x=None
-) -> Union[Poly, Rat]:
+) -> Poly | Rat:
     """Evaluate an almost-product formula.
 
     ``x=None`` returns the symbolic Poly for the three parametric forms;
@@ -254,15 +254,11 @@ def almost_product_eval(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OdeSpec:
-    """coeffs(n)[k] multiplies d_x^k y in the residual."""
+class OdeSpec(namedtuple("OdeSpec", "name family order coeffs proven", defaults=(True,))):
+    """coeffs(n)[k] multiplies d_x^k y in the residual; an ODE that is not
+    proven is reported, not asserted."""
 
-    name: str
-    family: FamilyId
-    order: int
-    coeffs: Callable[[int], list[Poly]]
-    proven: bool = True
+    __slots__ = ()
 
 
 def _p(*cs) -> Poly:

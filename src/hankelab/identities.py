@@ -13,11 +13,11 @@ them with the explicit closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Optional, Sequence
 
 from .closed_forms import ODES
 from .jet import JET
@@ -662,15 +662,15 @@ class WeightError(AssertionError):
     """A structural property of the weight construction failed."""
 
 
-@dataclass(frozen=True)
-class WeightSolution:
-    family: FamilyId
-    n: int
-    q0: tuple[Rat, ...]             # y-coefficients, degree n+1
-    q1: tuple[Rat, ...]             # y-coefficients, degree n+1
-    q2: tuple[Poly, ...]            # Poly-in-x coefficients by power of y
-    weights: tuple[Poly, ...]       # w_{n,0} .. w_{n,n+2}
-    scale: Rat                      # (w_{n,n+2}, w_{n,n+1}, w_{n,n}) = scale*(p,q,r)
+class WeightSolution(namedtuple("WeightSolution", "family n q0 q1 q2 weights scale")):
+    """The third-identity weights of (family, n).
+
+    q0, q1: tuples of Rat y-coefficients, degree n+1; q2: Poly-in-x
+    coefficients by power of y; weights: w_{n,0} .. w_{n,n+2}; scale:
+    (w_{n,n+2}, w_{n,n+1}, w_{n,n}) = scale*(p,q,r).
+    """
+
+    __slots__ = ()
 
 
 def rational_nullspace(rows: Sequence[Sequence[Rat]], ncols: int) -> list[list[int]]:
@@ -807,7 +807,7 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
 
 def _proportionality_scale(
     got: Sequence[Poly], want: Sequence[Poly]
-) -> Optional[Rat]:
+) -> Rat | None:
     scale = None
     for g, w in zip(got, want):
         if w.is_zero():

@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 PASS = "pass"
 FAIL = "fail"
@@ -21,17 +21,13 @@ FINDING = "finding"
 COLUMNS = ("check", "family", "n", "x", "status", "detail")
 
 
-@dataclass(frozen=True)
-class Row:
-    check: str
-    family: Optional[str] = None
-    n: Optional[int] = None
-    x: Optional[str] = None
-    status: str = PASS
-    detail: str = ""
+class Row(namedtuple("Row", COLUMNS, defaults=(None, None, None, PASS, ""))):
+    """One report row; family, n and x are None when they do not apply."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def ok_row(check: str, *, family=None, n=None, x=None, detail="") -> Row:

@@ -9,12 +9,11 @@ exists.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Tuple
 
 from .poly import Poly
 from .rat import Rat, rat
 
-Interval = Tuple[Fraction, Fraction]
+Interval = tuple[Fraction, Fraction]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -30,9 +29,14 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _count(chain: list[Poly], a, b) -> int:
+    """Distinct real roots in (a, b] of the polynomial whose Sturm chain
+    this is: the drop in sign variations from a to b."""
+    counts = []
+    for t in (a, b):
+        signs = [v > 0 for v in (q(t) for q in chain) if v != 0]
+        counts.append(sum(1 for u, v in zip(signs, signs[1:]) if u != v))
+    return counts[0] - counts[1]
 
 
 def sturm_count(p: Poly, a, b) -> int:
@@ -42,10 +46,7 @@ def sturm_count(p: Poly, a, b) -> int:
     a, b = rat(a), rat(b)
     if a > b:
         raise ValueError("empty interval: a > b")
-    chain = sturm_chain(p)
-    va = _variations([q(a) for q in chain])
-    vb = _variations([q(b) for q in chain])
-    return va - vb
+    return _count(sturm_chain(p), a, b)
 
 
 def root_bound(p: Poly) -> Rat:
@@ -56,30 +57,25 @@ def root_bound(p: Poly) -> Rat:
     return 1 + max(abs(c) for c in p.coeffs) / lead
 
 
-def isolate_real_roots(p: Poly) -> list[Interval]:
+def isolate_real_roots(p: Poly, chain: list[Poly] | None = None) -> list[Interval]:
     """Disjoint rational intervals (a, b], one distinct real root in each.
 
     Bisection driven by Sturm counts on the squarefree part; the union of
-    the intervals accounts for every real root of p.
+    the intervals accounts for every real root of p.  ``chain`` is p's
+    Sturm chain, when the caller has it already.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    f = p.squarefree_part()
+    chain = chain or sturm_chain(p)
+    f = chain[0]  # the squarefree part of p
     if f.degree <= 0:
         return []
     bound = root_bound(f)
-    chain = sturm_chain(f)
-
-    def count(a: Fraction, b: Fraction) -> int:
-        va = _variations([q(a) for q in chain])
-        vb = _variations([q(b) for q in chain])
-        return va - vb
-
     out: list[Interval] = []
     stack: list[Interval] = [(-bound, bound)]
     while stack:
         a, b = stack.pop()
-        c = count(a, b)
+        c = _count(chain, a, b)
         if c == 0:
             continue
         if c == 1:
@@ -92,19 +88,16 @@ def isolate_real_roots(p: Poly) -> list[Interval]:
     return out
 
 
-def refine_interval(p: Poly, interval: Interval, width: Fraction) -> Interval:
-    """Shrink an isolating (a, b] below the given width by bisection."""
+def refine_interval(
+    p: Poly, interval: Interval, width: Fraction, chain: list[Poly] | None = None
+) -> Interval:
+    """Shrink an isolating (a, b] below the given width by bisection.
+    ``chain`` is p's Sturm chain, when the caller has it already."""
     a, b = interval
-    chain = sturm_chain(p)
-
-    def count(lo, hi):
-        return _variations([q(lo) for q in chain]) - _variations(
-            [q(hi) for q in chain]
-        )
-
+    chain = chain or sturm_chain(p)
     while b - a > width:
         mid = (a + b) / 2
-        if count(a, mid) == 1:
+        if _count(chain, a, mid) == 1:
             b = mid
         else:
             a = mid
@@ -119,30 +112,27 @@ def isolate_disjoint_from(
     Useful for interlacing checks: once every interval of p is disjoint
     from every interval of other, the interleaving order of the roots can
     be read off the interval order.  The polynomials must not share a
-    root, or refinement could never separate the intervals.
+    root, or refinement could never separate the intervals.  Each
+    polynomial's Sturm chain is built once.
     """
     common = p.gcd(other)
     if common.degree > 0:
         raise ValueError("polynomials share a factor; intervals cannot disjoin")
-    ips = isolate_real_roots(p)
-    ios = isolate_real_roots(other)
-    ps = p.squarefree_part()
-    os_ = other.squarefree_part()
+    chains = (sturm_chain(p), sturm_chain(other))
+    sides = (isolate_real_roots(p, chains[0]), isolate_real_roots(other, chains[1]))
     while True:
-        merged = [(iv, 0, idx) for idx, iv in enumerate(ips)] + [
-            (iv, 1, idx) for idx, iv in enumerate(ios)
-        ]
-        merged.sort()
+        merged = sorted(
+            (iv, side, idx) for side in (0, 1) for idx, iv in enumerate(sides[side])
+        )
         overlap = None
         for (iv1, s1, i1), (iv2, s2, i2) in zip(merged, merged[1:]):
             if iv2[0] < iv1[1]:  # (a2, b2] starts inside (a1, b1]
                 overlap = ((iv1, s1, i1), (iv2, s2, i2))
                 break
         if overlap is None:
-            return ips, ios
+            return sides
         for iv, side, idx in overlap:
             width = (iv[1] - iv[0]) / 4
-            if side == 0:
-                ips[idx] = refine_interval(ps, iv, width)
-            else:
-                ios[idx] = refine_interval(os_, iv, width)
+            sides[side][idx] = refine_interval(
+                (p, other)[side], iv, width, chains[side]
+            )

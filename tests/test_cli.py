@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from hankelab import cli, hankel
+from hankelab import checks, cli, hankel
 from hankelab.cache import TOOL_VERSION, CacheEntry
-from hankelab.checks import REGISTRY, CheckDef
+from hankelab.checks import REGISTRY, CheckDef, acceptance_suite
 from hankelab.cli import UsageError, main, pool_size
 from hankelab.poly import InexactDivision, Poly
 from hankelab.rat import format_rat
@@ -123,12 +123,11 @@ def test_exit_status_contract(capsys):
     # an injected failing check turns the exit status nonzero;
     # findings alone leave it zero
     REGISTRY["selftest"] = CheckDef(
-        "selftest", lambda fam, n: [fail_row("selftest", n=n)], default_range=(1, 1)
+        lambda fam, n: [fail_row("selftest", n=n)], ((None, 1, 1),)
     )
     REGISTRY["selffinding"] = CheckDef(
-        "selffinding",
         lambda fam, n: [finding_row("selffinding", n=n), ok_row("selffinding", n=n)],
-        default_range=(1, 1),
+        ((None, 1, 1),),
     )
     try:
         code, out, _ = run(capsys, "verify", "--check", "selftest")
@@ -217,6 +216,44 @@ def test_checks_listing(capsys):
     code, out, _ = run(capsys, "checks")
     assert code == 0
     assert "de1" in out and "dodgson" in out
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert lines["dodgson"].startswith("dodgson            n=1..10 [family, default 3,1]  H_")
+    assert lines["p21at0"] == "p21at0             n=0..20  product formula vs determinant"
+
+
+def test_acceptance_suite_is_the_golden_suite():
+    golden = json.loads((ROOT / "perfbench" / "golden" / "acceptance.json").read_text())
+    suite = [[name, fam and fam.name, lo, hi] for name, fam, lo, hi in acceptance_suite()]
+    assert sorted(map(tuple, suite), key=repr) == sorted(map(tuple, golden["suite"]), key=repr)
+    # every check is in the suite, and its first item is what `verify` runs
+    assert {name for name, *_ in suite} == set(REGISTRY)
+
+
+def test_verify_defaults_to_the_first_acceptance_item(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "explicit-weights,p21at0")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if "explicit-weights" in line][0].startswith(
+        "PASS explicit-weights family=3,1 n=2 "
+    )
+    assert sum("explicit-weights family=3,1" in line for line in lines) == 7
+    assert sum(line.startswith("PASS p21at0 n=") for line in lines) == 21
+
+
+def test_run_check_calls_the_layer_functions_bound_when_it_runs(monkeypatch):
+    # a tracer rebinds these module globals after the registry is built
+    calls = []
+
+    def dodgson(family, n):
+        calls.append((family, n))
+        return n != 2
+
+    monkeypatch.setattr(checks, "dodgson_check", dodgson)
+    monkeypatch.setattr(checks, "product_matches_determinant", lambda pid, n: False)
+    rows = checks.run_check("dodgson", None, range(1, 4))
+    assert calls == [(F31, 1), (F31, 2), (F31, 3)]
+    assert [r.status for r in rows] == ["pass", "fail", "pass"]
+    assert checks.run_check("p32", F21, [0]) == [fail_row("p32", n=0)]
 
 
 def count_dets(monkeypatch):
@@ -370,7 +407,7 @@ def test_one_bad_n_is_one_fail_row(capsys, monkeypatch):
             raise InexactDivision(f"inexact at n={n}")
         return [ok_row("selfraise", n=n)]
 
-    monkeypatch.setitem(REGISTRY, "selfraise", CheckDef("selfraise", run_check))
+    monkeypatch.setitem(REGISTRY, "selfraise", CheckDef(run_check, ((None, 1, 3),)))
     code, out, _ = run(capsys, "verify", "--check", "selfraise", "--n", "1..3")
     assert code == 1
     assert out.splitlines() == [
@@ -399,7 +436,8 @@ def test_pool_size_clamps_to_tasks_and_cpus():
         pool_size(0, 10, 2)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 # Imported before the count starts: every command needs them, so what a
@@ -460,6 +498,12 @@ def test_det_cache_hit_loads_no_elimination(tmp_path):
         assert loaded.isdisjoint(NOT_AT_START_UP)
 
 
+def test_verify_loads_no_heavy_standard_library_module():
+    loaded = modules_loaded_by("verify", "--check", "p32", "--n", "1")
+    assert "hankelab.checks" in loaded
+    assert loaded.isdisjoint(NOT_AT_START_UP)
+
+
 def test_factor_loads_factor_but_not_the_checks():
     loaded = modules_loaded_by("factor", "--family", "3,1", "--n", "10")
     assert "hankelab.factor" in loaded
@@ -506,7 +550,9 @@ def test_package_exports_load_on_first_use():
 def test_record_classes_keep_equality_hash_and_validation():
     import pickle
 
+    from hankelab.closed_forms import ODES
     from hankelab.factor import FactorReport, factor_smooth
+    from hankelab.report import Row
     from hankelab.sequences import FamilyId
 
     fam = FamilyId(kind="binom", beta=3, alpha=1)
@@ -549,6 +595,18 @@ def test_record_classes_keep_equality_hash_and_validation():
     assert hash(rep) == hash(factor_smooth(-360)) and rep.reconstruct() == -360
     with pytest.raises(AttributeError):
         rep.cofactor = 2
+
+    row = fail_row("dodgson", family="3,1", n=2)
+    assert row == Row("dodgson", "3,1", 2, None, "fail", "")
+    assert pickle.loads(pickle.dumps(row)) == row  # rows cross pool workers
+    assert list(row.as_dict().items()) == [
+        ("check", "dodgson"), ("family", "3,1"), ("n", 2),
+        ("x", None), ("status", "fail"), ("detail", ""),
+    ]
+    assert Row("p32") == Row("p32", None, None, None, "pass", "")
+    with pytest.raises(AttributeError):
+        row.status = "pass"
+    assert ODES["de1"].proven and not ODES["fig4"].proven and ODES["fig4"].order == 4
 
 
 def test_sweep_and_report_look_up_the_acceptance_suite_when_run(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hankelab import sturm
 from hankelab.poly import Poly
 from hankelab.sturm import isolate_real_roots, refine_interval, root_bound, sturm_count
 
@@ -78,3 +79,15 @@ def test_zero_poly_rejected():
         sturm_count(Poly.zero(), 0, 1)
     with pytest.raises(ValueError):
         isolate_real_roots(Poly.zero())
+
+
+def test_disjoint_isolation_builds_each_chain_once(monkeypatch):
+    built = []
+    chain = sturm.sturm_chain
+    monkeypatch.setattr(sturm, "sturm_chain", lambda p: built.append(p) or chain(p))
+    p, q = Poly([-2, 0, 1]), Poly([-3, 0, 1])  # +-sqrt 2 and +-sqrt 3
+    ips, iqs = sturm.isolate_disjoint_from(p, q)
+    assert built == [p, q]  # the first intervals overlap, so refinement ran too
+    merged = sorted([(iv, "p") for iv in ips] + [(iv, "q") for iv in iqs])
+    assert [tag for _, tag in merged] == ["q", "p", "p", "q"]
+    assert all(a[1] <= b[0] for (a, _), (b, _) in zip(merged, merged[1:]))
