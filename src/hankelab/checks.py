@@ -1,11 +1,13 @@
 """Named verification checks: the registry behind `verify`, `sweep`, `report`.
 
 REGISTRY is one table.  Each entry holds the check's run(family, n) -> rows,
-its acceptance items (family or None, lo, hi), the least n it runs at and a
-description.  The first item is what `verify` runs without --family or --n;
-the acceptance suite is every item of every entry.  Asserting checks emit
-pass/fail; the reported-not-asserted ones (the unproven fourth-order ODE,
-the conjectural explicit (3,1) weights) emit findings on mismatch.
+its acceptance items (family or None, lo, hi), the least n it runs at, a
+description, and the fixed family label and point its rows name (a fail
+row from an exception names them too).  The first item is what `verify`
+runs without --family or --n; the acceptance suite is every item of every
+entry.  Asserting checks emit pass/fail; the reported-not-asserted ones
+(the unproven fourth-order ODE, the conjectural explicit (3,1) weights)
+emit findings on mismatch.
 
 Entries call the layer functions through this module's globals when they
 run, so a tracer that rebinds those names sees every call.
@@ -69,10 +71,12 @@ from .sequences import (
 DEGREE_THEOREM_FAMILIES = tuple(f for f in ALL_FAMILIES if f != FAEX)
 
 
-class CheckDef(namedtuple("CheckDef", "run items min_n description", defaults=(0, ""))):
+class CheckDef(namedtuple("CheckDef", "run items min_n description label x",
+                          defaults=(0, "", None, None))):
     """One check: ``run(family, n)`` gives the rows of one n; ``items`` are
     its acceptance (family or None, lo, hi) triples, the first of them the
-    default of `verify`."""
+    default of `verify`; ``label`` and ``x`` are the fixed family and point
+    its rows name, if any."""
 
     __slots__ = ()
 
@@ -173,8 +177,9 @@ def _each(families, lo: int, hi: int):
 def _build_registry() -> dict[str, CheckDef]:
     reg: dict[str, CheckDef] = {}
 
-    def add(name, test, items, min_n=0, description="", **row):
-        reg[name] = CheckDef(_verdict(name, test, **row), tuple(items), min_n, description)
+    def add(name, test, items, min_n=0, description="", label=None, x=None, finding=False):
+        reg[name] = CheckDef(_verdict(name, test, label, x, finding), tuple(items), min_n,
+                             description, label, x)
 
     for name, hi in (("de1", 12), ("de2np1", 15), ("de2np2ak", 12), ("thme1", 10),
                      ("thme2", 10), ("thme3", 10), ("thme4", 10), ("fig4", 8)):
@@ -269,7 +274,8 @@ def run_check(name: str, family: FamilyId | None, ns: Sequence[int]) -> list[Row
             rows.extend(defn.run(fam, n))
         except Exception as exc:  # one bad (check, n) is one fail row
             detail = f"{type(exc).__name__}: {exc}"
-            rows.append(fail_row(name, family=fam and fam.name, n=n, detail=detail))
+            label = fam.name if fam is not None else defn.label
+            rows.append(fail_row(name, family=label, n=n, x=defn.x, detail=detail))
     return rows
 
 

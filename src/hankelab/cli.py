@@ -271,24 +271,27 @@ def pool_size(jobs: int, tasks: int, cpus: int) -> int:
     return max(1, min(jobs, tasks, cpus))
 
 
+def pool_tasks(tasks, workers: int) -> list[tuple]:
+    """One task per item, so that its n share one worker's memos, largest n
+    first (a stable sort: ties keep their order); one per n where there are
+    fewer items than workers.  Rows are sorted on emission."""
+    if len(tasks) < workers:
+        tasks = [(name, fam, n, n) for name, fam, lo, hi in tasks for n in range(lo, hi + 1)]
+    return sorted(tasks, key=lambda task: -task[3])
+
+
 def _run_suite(items, jobs: int) -> list[Row]:
     tasks = [
         (name, fam.name if fam is not None else None, lo, hi)
         for name, fam, lo, hi in items
     ]
-    # fan out per-(check, n); ordering is restored by sorting on emission
-    per_n = [
-        (name, fam_name, n, n)
-        for name, fam_name, lo, hi in tasks
-        for n in range(lo, hi + 1)
-    ]
-    workers = pool_size(jobs, len(per_n), _available_cpus())
+    workers = pool_size(jobs, sum(hi - lo + 1 for *_, lo, hi in tasks), _available_cpus())
     rows: list[Row] = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_task, per_n):
+            for chunk in pool.map(_run_task, pool_tasks(tasks, workers)):
                 rows.extend(chunk)
     else:
         for task in tasks:
@@ -334,12 +337,7 @@ def cmd_sweep(args) -> int:
     from .checks import fast_suite
     from .report import any_failure
 
-    if args.suite == "acceptance":
-        items = acceptance_suite()
-    elif args.suite == "fast":
-        items = fast_suite()
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}")
+    items = acceptance_suite() if args.suite == "acceptance" else fast_suite()
     rows = _run_suite(items, args.jobs)
     _emit_rows(rows, args.format, args.output)
     return 1 if any_failure(rows) else 0
@@ -380,77 +378,84 @@ def cmd_checks(_args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FLAG = dict(action="store_true")
+_FORMATS = dict(choices=("text", "json", "csv"), default="text")
+_SUITES = ("acceptance", "fast")
+# command -> (help, handler, its options as (flag, add_argument keywords))
+_COMMANDS = {
+    "det": ("evaluate H/K/M/N determinants", cmd_det, (
+        ("--family", dict(required=True)), ("--n", dict(type=int, required=True)),
+        ("--x", dict(default="symbolic")),
+        ("--variant", dict(default="H")),
+        ("--format", dict(choices=("text", "json"), default="text")),
+        ("--cache", dict(default=None, help="JSON-lines cache path")),
+        ("--recheck", dict(action="store_true",
+                           help="verify cache hits against fresh recomputation")),
+    )),
+    "factor": ("smooth-part/cofactor factorization display", cmd_factor, (
+        ("--family", dict(required=True)), ("--n", dict(type=int, required=True)),
+        ("--x", dict(default="0")),
+        ("--bound", dict(type=int, default=10**6)),
+    )),
+    "formula": ("evaluate product/almost-product formulas", cmd_formula, (
+        ("--id", dict(required=True)),
+        ("--n", dict(required=True, help="index or range a..b")),
+        ("--x", dict(default=None)),
+    )),
+    "series": ("print series coefficients", cmd_series, (
+        ("--t", _FLAG), ("--tau", _FLAG), ("--f", _FLAG),
+        ("--beta", dict(type=int, default=None)),
+        ("--family", dict(default=None)),
+        ("--form", dict(choices=("direct", "closed"), default="direct")),
+        ("--order", dict(type=int, required=True)),
+    )),
+    "verify": ("run named checks over an n-range", cmd_verify, (
+        ("--check", dict(required=True, help="comma-separated check ids")),
+        ("--family", dict(default=None)),
+        ("--n", dict(default=None, help="range a..b (default per check)")),
+        ("--format", _FORMATS),
+        ("--jobs", dict(type=int, default=1)),
+        ("--output", dict(default=None)),
+    )),
+    "sweep": ("run a predefined check suite", cmd_sweep, (
+        ("--suite", dict(choices=_SUITES, default="fast")),
+        ("--format", _FORMATS),
+        ("--jobs", dict(type=int, default=1)),
+        ("--output", dict(default=None)),
+    )),
+    "report": ("write report.jsonl and report.csv", cmd_report, (
+        ("--suite", dict(choices=_SUITES, default="acceptance")),
+        ("--output", dict(default="reports")),
+        ("--jobs", dict(type=int, default=1)),
+    )),
+    "checks": ("list available check ids", cmd_checks, ()),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the command argv names, or of every command when argv
+    names none or asks for help.  Its usage line lists every command either
+    way, so both parse argv alike and print the same messages."""
     parser = argparse.ArgumentParser(
         prog="hankelab",
         description="Exact Hankel determinant evaluation and verification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_det = sub.add_parser("det", help="evaluate H/K/M/N determinants")
-    p_det.add_argument("--family", required=True)
-    p_det.add_argument("--n", type=int, required=True)
-    p_det.add_argument("--x", default="symbolic")
-    p_det.add_argument("--variant", default="H")
-    p_det.add_argument("--format", choices=("text", "json"), default="text")
-    p_det.add_argument("--cache", default=None, help="JSON-lines cache path")
-    p_det.add_argument("--recheck", action="store_true",
-                       help="verify cache hits against fresh recomputation")
-    p_det.set_defaults(fn=cmd_det)
-
-    p_factor = sub.add_parser("factor", help="smooth-part/cofactor factorization display")
-    p_factor.add_argument("--family", required=True)
-    p_factor.add_argument("--n", type=int, required=True)
-    p_factor.add_argument("--x", default="0")
-    p_factor.add_argument("--bound", type=int, default=10**6)
-    p_factor.set_defaults(fn=cmd_factor)
-
-    p_formula = sub.add_parser("formula", help="evaluate product/almost-product formulas")
-    p_formula.add_argument("--id", required=True)
-    p_formula.add_argument("--n", required=True, help="index or range a..b")
-    p_formula.add_argument("--x", default=None)
-    p_formula.set_defaults(fn=cmd_formula)
-
-    p_series = sub.add_parser("series", help="print series coefficients")
-    p_series.add_argument("--t", action="store_true")
-    p_series.add_argument("--tau", action="store_true")
-    p_series.add_argument("--f", action="store_true")
-    p_series.add_argument("--beta", type=int, default=None)
-    p_series.add_argument("--family", default=None)
-    p_series.add_argument("--form", choices=("direct", "closed"), default="direct")
-    p_series.add_argument("--order", type=int, required=True)
-    p_series.set_defaults(fn=cmd_series)
-
-    p_verify = sub.add_parser("verify", help="run named checks over an n-range")
-    p_verify.add_argument("--check", required=True, help="comma-separated check ids")
-    p_verify.add_argument("--family", default=None)
-    p_verify.add_argument("--n", default=None, help="range a..b (default per check)")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="run a predefined check suite")
-    p_sweep.add_argument("--suite", choices=("acceptance", "fast"), default="fast")
-    p_sweep.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--output", default=None)
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_report = sub.add_parser("report", help="write report.jsonl and report.csv")
-    p_report.add_argument("--suite", choices=("acceptance", "fast"), default="acceptance")
-    p_report.add_argument("--output", default="reports")
-    p_report.add_argument("--jobs", type=int, default=1)
-    p_report.set_defaults(fn=cmd_report)
-
-    p_checks = sub.add_parser("checks", help="list available check ids")
-    p_checks.set_defaults(fn=cmd_checks)
-
+    names, metavar = list(_COMMANDS), None
+    if argv and argv[0] in _COMMANDS and not {"-h", "--help"} & set(argv):
+        names, metavar = [argv[0]], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, fn, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -349,6 +349,12 @@ def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:
     return variant_det_at(family, n, "H", x0)
 
 
+# (family, j) -> H_j from an elimination of its own, so that H_{n+1} at n is
+# H_{n'-1} at n' = n + 2.  Only dodgson_check reads it: it is never filled
+# from the ladder and never feeds it.
+_own_h: dict[tuple, Poly] = {}
+
+
 def dodgson_check(family: FamilyId, n: int) -> bool:
     """H_{n-1} H_{n+1} = H_n N_n - H_n M_n - K_n^2 as a Poly identity.
 
@@ -361,10 +367,10 @@ def dodgson_check(family: FamilyId, n: int) -> bool:
     h, k, nn = (variant_det(family, n, v) for v in "HKN")
     cols = _variant_columns(n, "M")
     m = det_fraction_free([[a_poly(family, c + i) for c in cols] for i in range(n + 1)])
-    lhs = det_fraction_free(hankel_matrix(family, n - 1)) * det_fraction_free(
-        hankel_matrix(family, n + 1)
-    )
-    return lhs == h * nn - h * m - k * k
+    for j in (n - 1, n + 1):
+        if (family, j) not in _own_h:
+            _own_h[family, j] = det_fraction_free(hankel_matrix(family, j))
+    return _own_h[family, n - 1] * _own_h[family, n + 1] == h * nn - h * m - k * k
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hankelab import checks, cli, hankel
 from hankelab.cache import TOOL_VERSION, CacheEntry
 from hankelab.checks import REGISTRY, CheckDef, acceptance_suite
-from hankelab.cli import UsageError, main, pool_size
+from hankelab.cli import UsageError, main, pool_size, pool_tasks
 from hankelab.poly import InexactDivision, Poly
 from hankelab.rat import format_rat
 from hankelab.report import fail_row, finding_row, ok_row
@@ -256,6 +256,21 @@ def test_run_check_calls_the_layer_functions_bound_when_it_runs(monkeypatch):
     assert checks.run_check("p32", F21, [0]) == [fail_row("p32", n=0)]
 
 
+def test_fail_row_of_a_fixed_label_check_names_its_label(monkeypatch):
+    def raises(*_args):
+        raise ValueError("no value")
+
+    assert checks.run_check("ap31", None, [1]) == [ok_row("ap31", family="3,1", n=1)]
+    monkeypatch.setattr(checks, "almost_product_eval", raises)
+    detail = "ValueError: no value"
+    assert checks.run_check("ap31", None, [1]) == [
+        fail_row("ap31", family="3,1", n=1, detail=detail)
+    ]
+    assert checks.run_check("ap31at0", None, [2]) == [
+        fail_row("ap31at0", family="3,1", n=2, x="0", detail=detail)
+    ]
+
+
 def count_dets(monkeypatch):
     """Count the eliminations formed through the hankel module, by kind,
     starting from an empty ladder cache."""
@@ -434,6 +449,43 @@ def test_pool_size_clamps_to_tasks_and_cpus():
     assert pool_size(2, 0, 2) == 1
     with pytest.raises(UsageError):
         pool_size(0, 10, 2)
+
+
+def test_pool_tasks_are_items_largest_n_first():
+    tasks = [("a", None, 0, 3), ("b", "3,1", 1, 10), ("c", None, 2, 3), ("d", None, 10, 10)]
+    # one task per item, by hi descending; ties keep their given order
+    assert pool_tasks(tasks, 2) == [tasks[1], tasks[3], tasks[0], tasks[2]]
+    assert pool_tasks(tasks, 4) == [tasks[1], tasks[3], tasks[0], tasks[2]]
+    # fewer items than workers: one task per n, so both workers run
+    assert pool_tasks([("dodgson", "3,1", 1, 3)], 2) == [
+        ("dodgson", "3,1", 3, 3), ("dodgson", "3,1", 2, 2), ("dodgson", "3,1", 1, 1),
+    ]
+    assert pool_tasks(tasks[:2], 3) == sorted(
+        [(name, fam, n, n) for name, fam, lo, hi in tasks[:2] for n in range(lo, hi + 1)],
+        key=lambda task: -task[3],
+    )
+
+
+def test_sweep_with_jobs_gives_the_serial_rows(capsys, monkeypatch):
+    serial = run(capsys, "sweep", "--suite", "fast", "--format", "json")
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)  # a pool on any machine
+    assert run(capsys, "sweep", "--suite", "fast", "--format", "json", "--jobs", "2") == serial
+    assert serial[0] == 0 and serial[1].count("\n") > 50
+
+
+def test_parser_of_one_command_prints_what_the_full_parser_prints(capsys, monkeypatch):
+    cases = [
+        ("--help",), ("-h", "det"), ("det", "--help"), ("verify", "-h"), ("nope",),
+        ("nope", "--help"), (), ("det",), ("det", "--family", "3,1", "--n", "2", "extra"),
+        ("sweep", "--suite", "nope"), ("checks", "extra"), ("det", "--family", "3,1", "--n", "1"),
+    ]
+    built = cli.build_parser(["det", "--family", "3,1", "--n", "1"])
+    assert list(built._subparsers._group_actions[0].choices) == ["det"]
+    lazy = [run(capsys, *argv) for argv in cases]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert [run(capsys, *argv) for argv in cases] == lazy
+    assert [code for code, *_ in lazy] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0]
 
 
 ROOT = Path(__file__).resolve().parents[1]

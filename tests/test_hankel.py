@@ -287,6 +287,38 @@ def test_dodgson_fails_where_the_ladder_is_wrong(monkeypatch):
     assert len(rows) == 7
 
 
+def test_dodgson_fails_where_its_own_h_is_wrong(monkeypatch):
+    # the memo of independently eliminated H_j is what dodgson compares the
+    # ladder with, so a wrong H_4 in it fails n = 3 and n = 5, which read it
+    from hankelab.checks import run_check
+
+    monkeypatch.setattr(hankel_mod, "_own_h", {})
+    hankel_mod._own_h[F31, 4] = det_fraction_free(hankel_matrix(F31, 4)) + Poly([1])
+    rows = run_check("dodgson", F31, range(1, 8))
+    assert [(r.n, r.status) for r in rows if r.status != "pass"] == [(3, "fail"), (5, "fail")]
+
+
+def test_dodgson_eliminates_each_of_its_own_h_once(monkeypatch):
+    # per family over n = 1..10: M_1..M_10, and H_0..H_11 once each, where
+    # eliminating H_{n-1} and H_{n+1} at every n would take 30
+    from hankelab.checks import acceptance_suite, run_check
+
+    orders = []
+
+    def counted(rows):
+        orders.append(len(rows))
+        return det_fraction_free(rows)
+
+    monkeypatch.setattr(hankel_mod, "_own_h", {})
+    monkeypatch.setattr(hankel_mod, "det_fraction_free", counted)
+    items = [item for item in acceptance_suite() if item[0] == "dodgson"]
+    assert [(lo, hi) for _, _, lo, hi in items] == [(1, 10)] * 8
+    for name, fam, lo, hi in items:
+        assert {r.status for r in run_check(name, fam, range(lo, hi + 1))} == {"pass"}
+    assert len(orders) == 176
+    assert sorted(set(orders)) == list(range(1, 13))
+
+
 def test_zero_pivot_swap():
     # leading principal minor vanishes; a row swap must rescue the run
     rows = [
