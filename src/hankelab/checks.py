@@ -19,13 +19,15 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .closed_forms import (
+    ALMOST_PRODUCTS,
+    AP_POINTS,
     ODES,
     AlmostProductId,
     ProductFormulaId,
     almost_product_eval,
     chebyshev_jacobi_check,
     interlace_check,
-    ode_residual,
+    ode_residual_for_det,
     product_eval,
     product_matches_determinant,
     recursion_31at1,
@@ -49,6 +51,7 @@ from .identities import (
     transform_rules,
     weight_nullspace,
 )
+from .rat import format_rat
 from .report import Row, fail_row, verdict_row
 from .sequences import (
     ALL_FAMILIES,
@@ -100,9 +103,9 @@ def _failing(bad, what: str, detail: str):
     return not bad, f"failing {what}: {bad}" if bad else detail
 
 
-def _ode(spec):
+def _ode(name):
     def test(_family, n):
-        res = ode_residual(spec, n, hankel_det(spec.family, n))
+        res = ode_residual_for_det(name, n)
         return res.is_zero(), "" if res.is_zero() else f"residual degree {res.degree}"
 
     return test
@@ -184,7 +187,7 @@ def _build_registry() -> dict[str, CheckDef]:
     for name, hi in (("de1", 12), ("de2np1", 15), ("de2np2ak", 12), ("thme1", 10),
                      ("thme2", 10), ("thme3", 10), ("thme4", 10), ("fig4", 8)):
         spec = ODES[name]
-        add(name, _ode(spec), [(None, 1, hi)],
+        add(name, _ode(name), [(None, 1, hi)],
             description=f"ODE residual for {spec.family.name}",
             label=spec.family.name, finding=not spec.proven)
 
@@ -194,20 +197,25 @@ def _build_registry() -> dict[str, CheckDef]:
         add(pid.value, lambda _f, n, pid=pid: product_matches_determinant(pid, n),
             [(None, 0, hi)], description="product formula vs determinant")
 
-    # (check, family label, x, hi, the value the formula must equal at n)
+    # (check, hi, the value the formula must equal at n); the family and
+    # point come from the form the check evaluates
     A = AlmostProductId
-    for aid, label, x, hi, want in (
-        (A.AP31, "3,1", None, 12, lambda n: hankel_det(F31, n)),
-        (A.AP31ALT, "3,1", None, 12, lambda n: hankel_det(F31, n)),
-        (A.AP21, "2,1", None, 15, lambda n: hankel_det(F21, n)),
-        (A.AP31AT0, "3,1", "0", 12, lambda n: hankel_det(F31, n)(0)),
-        (A.AP31AT1, "3,1", "1", 12, lambda n: product_eval(P.P32, n)),
-        (A.AP21AT0, "2,1", "0", 20, lambda n: 1),
-        (A.AP21AT1, "2,1", "1", 20, lambda n: (-1) ** ((n * (n + 1)) // 2)),
+    for aid, hi, want in (
+        (A.AP31, 12, None),
+        (A.AP31ALT, 12, None),
+        (A.AP21, 15, None),
+        (A.AP31AT0, 12, lambda n: hankel_det(F31, n)(0)),
+        (A.AP31AT1, 12, lambda n: product_eval(P.P32, n)),
+        (A.AP21AT0, 20, lambda n: 1),
+        (A.AP21AT1, 20, lambda n: (-1) ** ((n * (n + 1)) // 2)),
     ):
+        base, x = AP_POINTS.get(aid, (aid, None))
+        family = ALMOST_PRODUCTS[base].family
+        want = want or (lambda n, family=family: hankel_det(family, n))
         add(aid.value,
             lambda _f, n, aid=aid, want=want: almost_product_eval(aid, n) == want(n),
-            [(None, 0, hi)], description="almost-product formula", label=label, x=x)
+            [(None, 0, hi)], description="almost-product formula", label=family.name,
+            x=None if x is None else format_rat(x))
 
     for iid in IdentityId:
         add(iid.value,

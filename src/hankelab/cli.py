@@ -184,7 +184,7 @@ def cmd_factor(args) -> int:
 
 def cmd_formula(args) -> int:
     from .closed_forms import (
-        AP_FAMILY,
+        ALMOST_PRODUCTS,
         AlmostProductId,
         ProductFormulaId,
         almost_product_eval,
@@ -201,7 +201,7 @@ def cmd_formula(args) -> int:
         raise UsageError(f"unknown formula id {fid!r}")
     x = _parse_x(args.x) if args.x is not None else None
     # only the polynomial almost products take a point; products never do
-    if x is not None and almost_ids.get(fid) not in AP_FAMILY:
+    if x is not None and almost_ids.get(fid) not in ALMOST_PRODUCTS:
         raise UsageError(f"{fid} takes no --x")
     for n in ns:
         if fid in product_ids:

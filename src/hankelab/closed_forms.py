@@ -27,7 +27,7 @@ from .sequences import (
     FamilyId,
 )
 from .hankel import hankel_det, hankel_det_at
-from .sturm import isolate_disjoint_from, sturm_count
+from .sturm import isolate_disjoint_from
 
 
 # ---------------------------------------------------------------------------
@@ -48,18 +48,47 @@ class ProductFormulaId(Enum):
     P21AT2 = "p21at2"                 # H^{(2,1)}(2) = (-1)^n (2n+1)
 
 
-# (family, x) pair whose brute-force determinant each product evaluates.
-PRODUCT_POINTS: dict[ProductFormulaId, tuple[FamilyId, Rat]] = {
-    ProductFormulaId.P32: (F32, Rat(0)),
-    ProductFormulaId.P30: (F30, Rat(0)),
-    ProductFormulaId.P31AT3: (F31, Rat(3)),
-    ProductFormulaId.P31AT3HALF: (F31, Rat(3, 2)),
-    ProductFormulaId.P31AT3QUARTER: (F31, Rat(3, 4)),
-    ProductFormulaId.P30AT3: (F30, Rat(3)),
-    ProductFormulaId.P30AT3HALF: (F30, Rat(3, 2)),
-    ProductFormulaId.PAEXAT3SEVENTHS: (FAEX, Rat(3, 7)),
-    ProductFormulaId.P21AT0: (F21, Rat(0)),
-    ProductFormulaId.P21AT2: (F21, Rat(2)),
+# value(n) is the product; it equals the family's H_n at x.
+ProductForm = namedtuple("ProductForm", "family x value")
+
+
+def _prod(n: int, term: Callable[[int], Rat], start: int = 1) -> Rat:
+    acc = Rat(1)
+    for i in range(start, n + 1):
+        acc *= term(i)
+    return acc
+
+
+_f = factorial
+_P = ProductFormulaId
+PRODUCTS: dict[ProductFormulaId, ProductForm] = {
+    _P.P32: ProductForm(F32, Rat(0), lambda n: _prod(
+        n, lambda i: Rat(_f(6 * i + 4) * _f(2 * i + 1),
+                         2 * _f(4 * i + 2) * _f(4 * i + 3)))),
+    _P.P30: ProductForm(F30, Rat(0), lambda n: _prod(
+        n, lambda i: Rat(3 * (3 * i + 1) * _f(6 * i) * _f(2 * i),
+                         _f(4 * i) * _f(4 * i + 1)))),
+    _P.P31AT3: ProductForm(F31, Rat(3), lambda n: (-1) ** n * _prod(
+        n, lambda i: Rat(_f(6 * i - 3) * _f(3 * i + 2) * _f(2 * i - 1),
+                         _f(4 * i - 1) * _f(4 * i + 1) * _f(3 * i - 2)))),
+    _P.P31AT3HALF: ProductForm(F31, Rat(3, 2), lambda n: _prod(
+        n, lambda i: Rat(_f(2 * i - 1) * _f(6 * i) * (3 * i + 1),
+                         2 * _f(4 * i - 1) * _f(4 * i + 1)))),
+    _P.P31AT3QUARTER: ProductForm(F31, Rat(3, 4), lambda n: _prod(
+        n, lambda i: Rat(_f(2 * i - 1) * _f(6 * i + 1),
+                         2 * _f(4 * i - 1) * _f(4 * i + 1)))),
+    _P.P30AT3: ProductForm(F30, Rat(3), lambda n: Rat(
+        _f(3 * n) * _f(3 * n + 2), 2 * _f(n) ** 2) * _prod(
+        n, lambda i: Rat(3 * _f(6 * i - 5) * _f(2 * i) * (2 * i - 1),
+                         _f(4 * i + 1) * _f(4 * i - 1)))),
+    _P.P30AT3HALF: ProductForm(F30, Rat(3, 2), lambda n: _prod(
+        n, lambda i: Rat(27 * _f(6 * i - 5) * (3 * i - 1) * (3 * i - 2) * _f(2 * i - 1),
+                         2 * _f(4 * i - 1) * (4 * i - 3) * _f(4 * i - 4)))),
+    _P.PAEXAT3SEVENTHS: ProductForm(FAEX, Rat(3, 7), lambda n: _prod(
+        n, lambda i: Rat(2 * _f(6 * i + 7) * _f(2 * i + 1),
+                         7 * _f(4 * i + 5) * _f(4 * i + 3)), start=0)),
+    _P.P21AT0: ProductForm(F21, Rat(0), lambda n: Rat(1)),
+    _P.P21AT2: ProductForm(F21, Rat(2), lambda n: Rat((-1) ** n * (2 * n + 1))),
 }
 
 
@@ -67,78 +96,12 @@ def product_eval(pid: ProductFormulaId, n: int) -> Rat:
     """Exact value of the named finite product at index n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    f = factorial
-    P = ProductFormulaId
-    if pid is P.P32:
-        return _prod(
-            n, lambda i: Rat(f(6 * i + 4) * f(2 * i + 1), 2 * f(4 * i + 2) * f(4 * i + 3))
-        )
-    if pid is P.P30:
-        return _prod(
-            n,
-            lambda i: Rat(3 * (3 * i + 1) * f(6 * i) * f(2 * i), f(4 * i) * f(4 * i + 1)),
-        )
-    if pid is P.P31AT3:
-        sign = -1 if n % 2 else 1
-        return sign * _prod(
-            n,
-            lambda i: Rat(
-                f(6 * i - 3) * f(3 * i + 2) * f(2 * i - 1),
-                f(4 * i - 1) * f(4 * i + 1) * f(3 * i - 2),
-            ),
-        )
-    if pid is P.P31AT3HALF:
-        return _prod(
-            n,
-            lambda i: Rat(
-                f(2 * i - 1) * f(6 * i) * (3 * i + 1), 2 * f(4 * i - 1) * f(4 * i + 1)
-            ),
-        )
-    if pid is P.P31AT3QUARTER:
-        return _prod(
-            n, lambda i: Rat(f(2 * i - 1) * f(6 * i + 1), 2 * f(4 * i - 1) * f(4 * i + 1))
-        )
-    if pid is P.P30AT3:
-        pre = Rat(f(3 * n) * f(3 * n + 2), 2 * f(n) ** 2)
-        return pre * _prod(
-            n,
-            lambda i: Rat(
-                3 * f(6 * i - 5) * f(2 * i) * (2 * i - 1), f(4 * i + 1) * f(4 * i - 1)
-            ),
-        )
-    if pid is P.P30AT3HALF:
-        return _prod(
-            n,
-            lambda i: Rat(
-                27 * f(6 * i - 5) * (3 * i - 1) * (3 * i - 2) * f(2 * i - 1),
-                2 * f(4 * i - 1) * (4 * i - 3) * f(4 * i - 4),
-            ),
-        )
-    if pid is P.PAEXAT3SEVENTHS:
-        # This product starts at i = 0.
-        acc = Rat(1)
-        for i in range(0, n + 1):
-            acc *= Rat(
-                2 * f(6 * i + 7) * f(2 * i + 1), 7 * f(4 * i + 5) * f(4 * i + 3)
-            )
-        return acc
-    if pid is P.P21AT0:
-        return Rat(1)
-    if pid is P.P21AT2:
-        return Rat((-1 if n % 2 else 1) * (2 * n + 1))
-    raise ValueError(f"unknown product formula {pid!r}")
-
-
-def _prod(n: int, term: Callable[[int], Rat]) -> Rat:
-    acc = Rat(1)
-    for i in range(1, n + 1):
-        acc *= term(i)
-    return acc
+    return PRODUCTS[pid].value(n)
 
 
 def product_matches_determinant(pid: ProductFormulaId, n: int) -> bool:
-    family, x0 = PRODUCT_POINTS[pid]
-    return product_eval(pid, n) == hankel_det_at(family, n, x0)
+    form = PRODUCTS[pid]
+    return product_eval(pid, n) == hankel_det_at(form.family, n, form.x)
 
 
 # ---------------------------------------------------------------------------
@@ -150,50 +113,33 @@ class AlmostProductId(Enum):
     AP31 = "ap31"         # (3,1): prefactor * sum in powers of (x-3)
     AP31ALT = "ap31alt"   # (3,1): alternate form in powers of (x-1)
     AP21 = "ap21"         # (2,1): prefactor * sum in powers of (x-2)
-    AP31AT0 = "ap31at0"   # AP31 specialized with (-6)^i
-    AP31AT1 = "ap31at1"   # AP31 specialized with (-4)^i
-    AP21AT0 = "ap21at0"   # AP21 specialized with (-4)^i; equals 1
-    AP21AT1 = "ap21at1"   # AP21 specialized with (-2)^i; equals (-1)^{n(n+1)/2}
+    AP31AT0 = "ap31at0"   # AP31 at x = 0: H^{(3,1)}(0)
+    AP31AT1 = "ap31at1"   # AP31 at x = 1: the (3,2) product
+    AP21AT0 = "ap21at0"   # AP21 at x = 0: equals 1
+    AP21AT1 = "ap21at1"   # AP21 at x = 1: equals (-1)^{n(n+1)/2}
 
 
-AP_FAMILY: dict[AlmostProductId, FamilyId] = {
-    AlmostProductId.AP31: F31,
-    AlmostProductId.AP31ALT: F31,
-    AlmostProductId.AP21: F21,
+# H_n of family = product(prefactor, n) * sum_{i=0..n} coeff(n, i) (x - centre)^i.
+AlmostProductForm = namedtuple("AlmostProductForm", "family prefactor centre coeff")
+
+_A = AlmostProductId
+ALMOST_PRODUCTS: dict[AlmostProductId, AlmostProductForm] = {
+    _A.AP31: AlmostProductForm(F31, _P.P31AT3, 3, lambda n, i: Rat(
+        _f(n) * _f(3 * n + i + 2) * 2**i, _f(3 * n + 2) * _f(n - i) * _f(2 * i + 1))),
+    _A.AP31ALT: AlmostProductForm(F31, _P.P32, 1, lambda n, i: Rat(
+        (-1) ** i * _f(n) * double_factorial(4 * n + 3) * _f(3 * n + i + 2),
+        _f(3 * n + 2) * _f(i) * _f(n - i) * double_factorial(4 * n + 2 * i + 3))),
+    _A.AP21: AlmostProductForm(F21, _P.P21AT2, 2, lambda n, i: Rat(
+        _f(n + i) * 2**i, _f(n - i) * _f(2 * i + 1))),
 }
 
-
-def _ap31_sum(n: int, base: Poly) -> Poly:
-    f = factorial
-    acc = Poly.zero()
-    for i in range(n + 1):
-        coeff = Rat(
-            f(n) * f(3 * n + i + 2) * 2**i,
-            f(3 * n + 2) * f(n - i) * f(2 * i + 1),
-        )
-        acc = acc + base**i * coeff
-    return acc
-
-
-def _ap31alt_sum(n: int, base: Poly) -> Poly:
-    f = factorial
-    acc = Poly.zero()
-    for i in range(n + 1):
-        coeff = Rat(
-            (-1) ** i * f(n) * double_factorial(4 * n + 3) * f(3 * n + i + 2),
-            f(3 * n + 2) * f(i) * f(n - i) * double_factorial(4 * n + 2 * i + 3),
-        )
-        acc = acc + base**i * coeff
-    return acc
-
-
-def _ap21_sum(n: int, base: Poly) -> Poly:
-    f = factorial
-    acc = Poly.zero()
-    for i in range(n + 1):
-        coeff = Rat(f(n + i) * 2**i, f(n - i) * f(2 * i + 1))
-        acc = acc + base**i * coeff
-    return acc
+# The specialized forms: a parametric form read at a fixed point.
+AP_POINTS: dict[AlmostProductId, tuple[AlmostProductId, Rat]] = {
+    _A.AP31AT0: (_A.AP31, Rat(0)),
+    _A.AP31AT1: (_A.AP31, Rat(1)),
+    _A.AP21AT0: (_A.AP21, Rat(0)),
+    _A.AP21AT1: (_A.AP21, Rat(1)),
+}
 
 
 def almost_product_eval(
@@ -207,46 +153,18 @@ def almost_product_eval(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    A = AlmostProductId
-    f = factorial
-    if aid is A.AP31:
-        pre = product_eval(ProductFormulaId.P31AT3, n)
-        base = Poly([-3, 1]) if x is None else Poly.const(rat(x) - 3)
-        result = _ap31_sum(n, base) * pre
-    elif aid is A.AP31ALT:
-        pre = product_eval(ProductFormulaId.P32, n)
-        base = Poly([-1, 1]) if x is None else Poly.const(rat(x) - 1)
-        result = _ap31alt_sum(n, base) * pre
-    elif aid is A.AP21:
-        pre = product_eval(ProductFormulaId.P21AT2, n)
-        base = Poly([-2, 1]) if x is None else Poly.const(rat(x) - 2)
-        result = _ap21_sum(n, base) * pre
-    elif aid in (A.AP31AT0, A.AP31AT1):
+    if aid in AP_POINTS:
         if x is not None:
             raise ValueError(f"{aid.value} takes no x")
-        pre = product_eval(ProductFormulaId.P31AT3, n)
-        b = -6 if aid is A.AP31AT0 else -4
-        acc = Rat(0)
-        for i in range(n + 1):
-            acc += Rat(
-                f(n) * f(3 * n + i + 2) * b**i,
-                f(3 * n + 2) * f(n - i) * f(2 * i + 1),
-            )
-        return pre * acc
-    elif aid in (A.AP21AT0, A.AP21AT1):
-        if x is not None:
-            raise ValueError(f"{aid.value} takes no x")
-        pre = product_eval(ProductFormulaId.P21AT2, n)
-        b = -4 if aid is A.AP21AT0 else -2
-        acc = Rat(0)
-        for i in range(n + 1):
-            acc += Rat(f(n + i) * b**i, f(n - i) * f(2 * i + 1))
-        return pre * acc
-    else:
+        aid, x = AP_POINTS[aid]
+    form = ALMOST_PRODUCTS.get(aid)
+    if form is None:
         raise ValueError(f"unknown almost product {aid!r}")
-    if x is None:
-        return result
-    return result.coefficient(0)
+    t = Poly([-form.centre, 1]) if x is None else rat(x) - form.centre
+    acc = Rat(0)
+    for i in range(n, -1, -1):  # Horner in t = x - centre
+        acc = acc * t + form.coeff(n, i)
+    return acc * product_eval(form.prefactor, n)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +376,9 @@ def recursion_31at1(n: int) -> Rat:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    f = factorial
     acc = Rat(1)
     for i in range(1, n + 1):
-        acc *= Rat(
-            3 * (3 * i + 1) * (3 * i + 2) * f(2 * i + 1) * f(6 * i + 1),
-            4 * i * (4 * i + 1) * f(4 * i - 1) * f(4 * i + 3),
-        )
+        acc /= -three_term_31_pq(i + 1)[1](1)
     return acc
 
 
@@ -524,11 +438,7 @@ def interlace_check(n: int) -> bool:
         raise ValueError("interlacing starts at n = 1")
     hn = hankel_det(F31, n)
     hn1 = hankel_det(F31, n + 1)
-    bound = _common_bound(hn, hn1)
-    if sturm_count(hn, -bound, bound) != n:
-        return False
-    if sturm_count(hn1, -bound, bound) != n + 1:
-        return False
+    # distinct real roots: n of H_n and n + 1 of H_{n+1}
     iv_n, iv_n1 = isolate_disjoint_from(hn, hn1)
     if len(iv_n) != n or len(iv_n1) != n + 1:
         return False
@@ -537,9 +447,3 @@ def interlace_check(n: int) -> bool:
     pattern = [tag for _, tag in merged]
     expected = ["n1" if i % 2 == 0 else "n" for i in range(2 * n + 1)]
     return pattern == expected
-
-
-def _common_bound(p: Poly, q: Poly) -> Rat:
-    from .sturm import root_bound
-
-    return max(root_bound(p), root_bound(q))

@@ -310,8 +310,7 @@ def _secondder(n: int) -> tuple:
         -4 * (17 * n + 31),
         16 * (n + 2),
     )
-    nn = -8 * (4 * n + 3) * (4 * n + 5) * _p(-1, 1)
-    terms = (("d2H", _p(-1, 1) * _S31**2), ("H", h), ("K", k), ("N", nn))
+    terms = (("d2H", _p(-1, 1) * _S31**2), ("H", h), ("K", k), ("N", pnqnrn_31(n)[0]))
     return (_scaled(4 * (4 * n + 1), terms),)
 
 

@@ -59,11 +59,6 @@ class SeriesYX:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def truncate(self, order: int) -> "SeriesYX":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return SeriesYX(order, self.coeffs[: order + 1])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesYX):
             return NotImplemented
@@ -109,23 +104,6 @@ class SeriesYX:
             raise ValueError("negative y-shift")
         return SeriesYX(self.order, [Poly.zero()] * k + list(self.coeffs))
 
-    def inverse(self) -> "SeriesYX":
-        """Multiplicative inverse; requires a unit (nonzero constant) y^0 term."""
-        c0 = self.coeffs[0]
-        if c0.degree != 0:
-            raise ValueError(
-                "series inverse needs a nonzero constant y^0 coefficient, "
-                f"got {c0}"
-            )
-        inv0 = Poly.const(1 / c0.coefficient(0))
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = Poly.zero()
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out.append(-acc * inv0)
-        return SeriesYX(self.order, out)
-
     def divide_exact(self, den: "SeriesYX") -> "SeriesYX":
         """Divide by a series whose y^0 term is a nonzero Poly.
 
@@ -158,15 +136,6 @@ class SeriesYX:
                 f"order mismatch: {self.order} vs {other.order}"
             )
         return other
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: dict) -> "SeriesYX":
-        return SeriesYX(data["order"], [Poly.from_json(c) for c in data["coeffs"]])
 
     def __repr__(self) -> str:
         terms = ", ".join(f"[{c}]" for c in self.coeffs)

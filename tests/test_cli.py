@@ -12,10 +12,12 @@ from hankelab import checks, cli, hankel
 from hankelab.cache import TOOL_VERSION, CacheEntry
 from hankelab.checks import REGISTRY, CheckDef, acceptance_suite
 from hankelab.cli import UsageError, main, pool_size, pool_tasks
+from hankelab.closed_forms import AlmostProductId, ProductFormulaId
+from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.poly import InexactDivision, Poly
 from hankelab.rat import format_rat
 from hankelab.report import fail_row, finding_row, ok_row
-from hankelab.sequences import F21, F31
+from hankelab.sequences import F21, F30, F31, F32, FAEX
 
 
 def run(capsys, *argv):
@@ -106,6 +108,40 @@ def test_formula(capsys):
     code, out, _ = run(capsys, "formula", "--id", "p32", "--n", "1..3")
     assert code == 0
     assert out.splitlines() == ["n=1: 3", "n=2: 26", "n=3: 646"]
+
+
+# Each formula id's check value at n: H_n at the product's point, H_n itself
+# for the parametric almost products, and the specialized targets.
+FORMULA_CHECK_VALUES = {
+    "p32": lambda n: hankel_det_at(F32, n, 0),
+    "p30": lambda n: hankel_det_at(F30, n, 0),
+    "p31at3": lambda n: hankel_det_at(F31, n, 3),
+    "p31at3half": lambda n: hankel_det_at(F31, n, Fraction(3, 2)),
+    "p31at3quarter": lambda n: hankel_det_at(F31, n, Fraction(3, 4)),
+    "p30at3": lambda n: hankel_det_at(F30, n, 3),
+    "p30at3half": lambda n: hankel_det_at(F30, n, Fraction(3, 2)),
+    "paexat3sevenths": lambda n: hankel_det_at(FAEX, n, Fraction(3, 7)),
+    "p21at0": lambda n: hankel_det_at(F21, n, 0),
+    "p21at2": lambda n: hankel_det_at(F21, n, 2),
+    "ap31": lambda n: hankel_det(F31, n),
+    "ap31alt": lambda n: hankel_det(F31, n),
+    "ap21": lambda n: hankel_det(F21, n),
+    "ap31at0": lambda n: hankel_det(F31, n)(0),
+    "ap31at1": lambda n: hankel_det_at(F32, n, 0),  # the (3,2) product
+    "ap21at0": lambda n: Fraction(1),
+    "ap21at1": lambda n: Fraction((-1) ** (n * (n + 1) // 2)),
+}
+
+
+@pytest.mark.parametrize("fid", [i.value for ids in (ProductFormulaId, AlmostProductId)
+                                 for i in ids])
+def test_formula_prints_the_value_its_check_compares_with(capsys, fid):
+    code, out, _ = run(capsys, "formula", "--id", fid, "--n", "0..8")
+    assert code == 0
+    want = [FORMULA_CHECK_VALUES[fid](n) for n in range(9)]
+    assert out.splitlines() == [
+        f"n={n}: {v if isinstance(v, Poly) else format_rat(v)}" for n, v in enumerate(want)
+    ]
 
 
 def test_verify_pass(capsys):

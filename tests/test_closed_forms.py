@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from hankelab import closed_forms
+from hankelab.checks import REGISTRY, run_check
 from hankelab.poly import Poly
 from hankelab.rat import Rat
 from hankelab.closed_forms import (
+    ALMOST_PRODUCTS,
+    AP_POINTS,
     ODES,
+    PRODUCTS,
     AlmostProductId,
     ProductFormulaId,
     almost_product_eval,
@@ -135,3 +140,78 @@ def test_interlace_small():
     assert interlace_check(2)
     with pytest.raises(ValueError):
         interlace_check(0)
+
+
+def test_every_formula_id_has_exactly_one_table_entry():
+    assert set(PRODUCTS) == set(ProductFormulaId)
+    assert not set(ALMOST_PRODUCTS) & set(AP_POINTS)
+    assert set(ALMOST_PRODUCTS) | set(AP_POINTS) == set(AlmostProductId)
+    assert all(base in ALMOST_PRODUCTS for base, _x in AP_POINTS.values())
+
+
+# Negative controls: each mutation breaks one written form, and every check
+# that reads that form must then give a fail row on its first item.
+
+
+def _double_product(pid):
+    def mutate(monkeypatch):
+        form = PRODUCTS[pid]
+        monkeypatch.setitem(PRODUCTS, pid, form._replace(value=lambda n: 2 * form.value(n)))
+
+    return mutate
+
+
+def _top_coeff_doubled(aid):
+    def mutate(monkeypatch):
+        form = ALMOST_PRODUCTS[aid]
+
+        def coeff(n, i):
+            return form.coeff(n, i) * (2 if i == n else 1)
+
+        monkeypatch.setitem(ALMOST_PRODUCTS, aid, form._replace(coeff=coeff))
+
+    return mutate
+
+
+def _q_perturbed(monkeypatch):
+    pq = closed_forms.three_term_31_pq
+    monkeypatch.setattr(closed_forms, "three_term_31_pq", lambda n: (pq(n)[0], pq(n)[1] + 1))
+
+
+def _complex_h2(monkeypatch):
+    h = closed_forms.hankel_det
+    monkeypatch.setattr(closed_forms, "hankel_det",
+                        lambda fam, n: Poly([1, 0, 1]) if n == 2 else h(fam, n))
+
+
+def _de1_c0_perturbed(monkeypatch):
+    spec = ODES["de1"]
+
+    def coeffs(n):
+        c = spec.coeffs(n)
+        return [c[0] + 1, *c[1:]]
+
+    monkeypatch.setitem(ODES, "de1", spec._replace(coeffs=coeffs))
+
+
+A = AlmostProductId
+NEGATIVE_CONTROLS = [
+    *((pid.value, _double_product(pid)) for pid in ProductFormulaId),
+    *((aid.value, _top_coeff_doubled(A.AP31)) for aid in (A.AP31, A.AP31AT0, A.AP31AT1)),
+    *((aid.value, _top_coeff_doubled(A.AP21)) for aid in (A.AP21, A.AP21AT0, A.AP21AT1)),
+    ("ap31alt", _top_coeff_doubled(A.AP31ALT)),
+    ("threeterm31", _q_perturbed),
+    ("rec31at1", _q_perturbed),
+    ("interlace", _complex_h2),
+    ("de1", _de1_c0_perturbed),
+]
+
+
+@pytest.mark.parametrize("check,mutate", NEGATIVE_CONTROLS,
+                         ids=[c for c, _m in NEGATIVE_CONTROLS])
+def test_check_fails_on_a_broken_form(check, mutate, monkeypatch):
+    _fam, lo, hi = REGISTRY[check].items[0]
+    assert all(r.status == "pass" for r in run_check(check, None, range(lo, hi + 1)))
+    mutate(monkeypatch)
+    rows = run_check(check, None, range(lo, hi + 1))
+    assert any(r.status == "fail" for r in rows), rows

@@ -42,28 +42,9 @@ def test_truncation_consistency():
     # coefficient k of a product depends only on coefficients 0..k
     rng = random.Random(29)
     a, b = random_series(rng, 10), random_series(rng, 10)
-    full = (a * b).truncate(6)
-    short = a.truncate(6) * b.truncate(6)
+    full = SeriesYX(6, (a * b).coeffs)
+    short = SeriesYX(6, a.coeffs) * SeriesYX(6, b.coeffs)
     assert full == short
-
-
-def test_inverse():
-    rng = random.Random(31)
-    for _ in range(20):
-        s = random_series(rng, 6)
-        # force a unit constant term
-        s = s + SeriesYX.one(6) * (7 - s.coefficient(0).coefficient(0))
-        coeffs = list(s.coeffs)
-        coeffs[0] = Poly([7])
-        s = SeriesYX(6, coeffs)
-        inv = s.inverse()
-        assert (s * inv) == SeriesYX.one(6)
-
-
-def test_inverse_needs_unit():
-    s = SeriesYX(3, [Poly([0, 1]), Poly([1])])
-    with pytest.raises(ValueError):
-        s.inverse()
 
 
 def test_divide_exact_nonunit_constant():
@@ -80,11 +61,6 @@ def test_shift_y():
     assert s.shift_y(2).coefficient(2) == Poly([1])
     assert s.shift_y(2).coefficient(3) == Poly([2])
     assert s.shift_y(2).coefficient(0).is_zero()
-
-
-def test_json_roundtrip():
-    s = SeriesYX(2, [Poly([1, 2]), Poly([Fraction(1, 3)])])
-    assert SeriesYX.from_json(s.to_json()) == s
 
 
 def test_order_mismatch_rejected():
