@@ -199,10 +199,10 @@ def cmd_formula(args) -> int:
     almost_ids = {a.value: a for a in AlmostProductId}
     if fid not in product_ids and fid not in almost_ids:
         raise UsageError(f"unknown formula id {fid!r}")
-    x = _parse_x(args.x) if args.x is not None else None
     # only the polynomial almost products take a point; products never do
-    if x is not None and almost_ids.get(fid) not in ALMOST_PRODUCTS:
+    if args.x is not None and almost_ids.get(fid) not in ALMOST_PRODUCTS:
         raise UsageError(f"{fid} takes no --x")
+    x = _parse_x(args.x) if args.x is not None else None
     for n in ns:
         if fid in product_ids:
             print(f"n={n}: {format_rat(product_eval(product_ids[fid], n))}")

@@ -6,9 +6,10 @@ exact Poly identities; the determinant-level relations tie H, K, M, N and
 the derivatives of H together at fixed n.  Each symbolic relation is stated
 once, as terms (symbol, Poly coefficient): the symbolic check sums them
 against the determinants over Z[x], and the point screen evaluates the same
-terms at x0 against integer-jet values.  The weight machinery constructs
-the annihilating weights from a truncated-series nullspace and compares
-them with the explicit closed forms.
+terms at x0 against integer-jet values.  The weight machinery reads the
+annihilating weights off the closed generating-function denominator that
+`sequences.gf_fraction` states, one code path for (3,1) and (2,1), and
+compares them with the explicit closed forms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd
 
 from .closed_forms import ODES
 from .jet import JET
-from .poly import Poly, denominator_lcm
+from .poly import Poly, denominator_lcm, from_int_scaled, to_int_scaled
 from .rat import Rat, binom0, double_factorial, factorial, rat
 from .sequences import (
     F21,
@@ -31,8 +32,9 @@ from .sequences import (
     FAEX,
     FamilyId,
     a_poly,
+    closed_form_for,
     conv_poly,
-    t_series,
+    gf_fraction,
 )
 from .hankel import (
     INT,
@@ -661,12 +663,13 @@ class WeightError(AssertionError):
     """A structural property of the weight construction failed."""
 
 
-class WeightSolution(namedtuple("WeightSolution", "family n q0 q1 q2 weights scale")):
+class WeightSolution(namedtuple("WeightSolution", "family n q0 q2 weights scale")):
     """The third-identity weights of (family, n).
 
-    q0, q1: tuples of Rat y-coefficients, degree n+1; q2: Poly-in-x
-    coefficients by power of y; weights: w_{n,0} .. w_{n,n+2}; scale:
-    (w_{n,n+2}, w_{n,n+1}, w_{n,n}) = scale*(p,q,r).
+    q0: tuple of Rat y-coefficients, degree n+1; q2: den*Q0 through y^{n+2},
+    with den the closed generating-function denominator, as Poly-in-x
+    coefficients by power of y; weights: w_{n,0} .. w_{n,n+2}, Q2 reversed;
+    scale: (w_{n,n+2}, w_{n,n+1}, w_{n,n}) = scale*(p,q,r).
     """
 
     __slots__ = ()
@@ -694,17 +697,6 @@ def rational_nullspace(rows: Sequence[Sequence[Rat]], ncols: int) -> list[list[i
     return basis
 
 
-def _weight_base_series(family: FamilyId, order: int) -> list[Rat]:
-    """eta = 2t - 3 for the (3,1) construction; t itself for (2,1)."""
-    if family == F31:
-        vals = [2 * c.coefficient(0) for c in t_series(3, order).coeffs]
-        vals[0] -= 3
-        return vals
-    if family == F21:
-        return [c.coefficient(0) for c in t_series(2, order).coeffs]
-    raise ValueError("weights are constructed for the (3,1) and (2,1) families")
-
-
 # (family, n) -> WeightSolution.  The solution is immutable (a frozen record
 # of tuples of Rats and Polys), so the weights, explicit-weights and ciden
 # checks share one per process.  A construction that raises is not kept.
@@ -712,12 +704,14 @@ _weight_memo: dict[tuple[FamilyId, int], WeightSolution] = {}
 
 
 def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
-    """Solve the truncation system for Q0 and assemble Q1, Q2 and the weights.
+    """Read Q0, Q2 and the weights off the closed generating-function
+    denominator den of `sequences.gf_fraction`.
 
-    Q0 (degree n+1) is fixed by demanding the y^{n+2}..y^{2n+2} coefficients
-    of base*Q0 vanish; the nullspace must be exactly 1-dimensional.  Q0 is
-    normalized so its lowest-index nonzero coefficient is 1.  Built once per
-    (family, n) in a process, every structural check included.
+    Q0 (degree n+1) is fixed by demanding the y^{n+3}..y^{2n+3} coefficients
+    of den*Q0 vanish, one equation per power of y and of x; the nullspace
+    must be exactly 1-dimensional.  Q0 is normalized so its lowest-index
+    nonzero coefficient is 1, and Q2 is den*Q0 through y^{n+2}.  Built once
+    per (family, n) in a process, every structural check included.
     """
     key = (family, n)
     sol = _weight_memo.get(key)
@@ -729,53 +723,38 @@ def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
 def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
     if n < 1:
         raise ValueError("weight construction needs n >= 1")
-    order = 2 * n + 2
-    s = _weight_base_series(family, order)
+    form = _weight_form(family)
+    order = 2 * n + 3
+    _num, den = gf_fraction(closed_form_for(family), family, order)
+    # den over Z, one width: d[k][e] is scale times the y^k x^e coefficient
+    d, scale = to_int_scaled(den.coeffs)
+    width = max(map(len, d))
+    d = [c + [0] * (width - len(c)) for c in d]
     ncols = n + 2
+    # the y^r x^e coefficient of den*Q0, one row per r = n+3..2n+3 and e
     rows = [
-        [s[r - i] if 0 <= r - i <= order else Rat(0) for i in range(ncols)]
-        for r in range(n + 2, 2 * n + 3)
+        [d[r - i][e] for i in range(ncols)]
+        for r in range(n + 3, order + 1)
+        for e in range(width)
     ]
     basis = rational_nullspace(rows, ncols)
     if len(basis) != 1:
         raise WeightError(
             f"nullspace dimension {len(basis)} != 1 for family {family} n={n}"
         )
-    lead = next(v for v in basis[0] if v != 0)
-    q0 = [Rat(v, lead) for v in basis[0]]
+    vec = basis[0]
+    lead = next(v for v in vec if v != 0)
+    q0 = tuple(Rat(v, lead) for v in vec)
+    # den*Q0 through y^{2n+3}, times scale*lead: Q2 is its part through y^{n+2}
     prod = [
-        sum(
-            (q0[i] * s[k - i] for i in range(ncols) if 0 <= k - i <= order),
-            Rat(0),
-        )
+        [sum(vec[i] * d[k - i][e] for i in range(min(k, n + 1) + 1)) for e in range(width)]
         for k in range(order + 1)
     ]
-    for k in range(n + 2, 2 * n + 3):
-        if prod[k] != 0:
+    for k in range(n + 3, order + 1):
+        if any(prod[k]):
             raise WeightError(f"truncation equation failed at y^{k}")
-    q1 = prod[: n + 2]
-
-    def at(seq, idx):
-        return seq[idx] if 0 <= idx < len(seq) else Rat(0)
-
-    q2: list[Poly] = []
-    if family == F31:
-        p1 = _p(9, -15, 4)  # (x-3)(4x-3)
-        pm = _p(-1, 1)
-        for mdeg in range(n + 3):
-            q2.append(
-                p1 * at(q1, mdeg - 1)
-                - pm * (27 * at(q0, mdeg - 1) - 4 * at(q0, mdeg))
-            )
-    else:
-        p1 = _p(-2, 1)
-        for mdeg in range(n + 3):
-            q2.append(
-                p1 * at(q1, mdeg - 1)
-                + Poly.const(at(q0, mdeg))
-                - _p(0, 2) * at(q0, mdeg - 1)
-            )
-    weights = tuple(q2[n + 2 - j] for j in range(n + 3))
+    q2 = tuple(from_int_scaled(c, scale * lead) for c in prod[: n + 3])
+    weights = q2[::-1]
 
     for i in range(n + 1):
         acc = Poly.zero()
@@ -784,24 +763,23 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
         if not acc.is_zero():
             raise WeightError(f"weight annihilation failed at row i={i}")
 
-    p, q, r = pnqnrn_31(n) if family == F31 else pnqnrn_21(n)
     scale = _proportionality_scale(
-        (weights[n + 2], weights[n + 1], weights[n]), (p, q, r)
+        (weights[n + 2], weights[n + 1], weights[n]), form.anchor(n)
     )
     if scale is None:
         raise WeightError("top-three weights not proportional to (p_n, q_n, r_n)")
 
-    sol = WeightSolution(
-        family=family,
-        n=n,
-        q0=tuple(q0),
-        q1=tuple(q1),
-        q2=tuple(q2),
-        weights=weights,
-        scale=scale,
+    # The parametric solution (C_0, C_1, C_2)(Q0) = alpha * q0_params(n).
+    c0, c1, c2 = form.q0_params(n)
+    alpha = q0[0] / c0
+    if q0[1] != c1 * alpha:
+        raise WeightError("C_1(Q0) parametric form mismatch")
+    if q0[2] != c2 * alpha:
+        raise WeightError("C_2(Q0) parametric form mismatch")
+
+    return WeightSolution(
+        family=family, n=n, q0=q0, q2=q2, weights=weights, scale=scale
     )
-    _check_coefficient_system(sol)
-    return sol
 
 
 def _proportionality_scale(
@@ -820,49 +798,6 @@ def _proportionality_scale(
         if g != w * scale:
             return None
     return scale
-
-
-def _check_coefficient_system(sol: WeightSolution) -> None:
-    """The comparison-of-coefficients consequences of the construction.
-
-    For (3,1): the Csystem relations linking C_k(Q1), C_k(Q2) to C_k(Q0),
-    and the parametric solution for (C_2, C_1, C_0)(Q0).  For (2,1): the
-    analogous relations.  All are hard assertions given a valid Q0.
-    """
-    n = sol.n
-    q0, q1, q2 = sol.q0, sol.q1, sol.q2
-    if sol.family == F31:
-        if q1[0] != -q0[0] or q1[1] != 2 * q0[0] - q0[1]:
-            raise WeightError("Q1 low-order coefficients violate the eta system")
-        p1 = _p(9, -15, 4)
-        pm = _p(-1, 1)
-        if q2[0] != 4 * pm * q0[0]:
-            raise WeightError("C_0(Q2) mismatch")
-        if q2[1] != p1 * q1[0] - 27 * pm * q0[0] + 4 * pm * q0[1]:
-            raise WeightError("C_1(Q2) mismatch")
-        if q2[2] != p1 * q1[1] - 27 * pm * q0[1] + 4 * pm * q0[2]:
-            raise WeightError("C_2(Q2) mismatch")
-        # Parametric solution with alpha fixed by C_0(Q0) = 8(4n+3)(4n+5) alpha.
-        alpha = q0[0] / Rat(8 * (4 * n + 3) * (4 * n + 5))
-        if q0[1] != -12 * (1 + n) * (30 + 67 * n + 36 * n * n) * alpha:
-            raise WeightError("C_1(Q0) parametric form mismatch")
-        if q0[2] != 3 * (50 * n + 343 * n**2 + 540 * n**3 + 243 * n**4) * alpha:
-            raise WeightError("C_2(Q0) parametric form mismatch")
-    else:
-        if q1[0] != q0[0] or q1[1] != q0[0] + q0[1]:
-            raise WeightError("Q1 low-order coefficients violate the t system")
-        p1 = _p(-2, 1)
-        if q2[0] != Poly.const(q0[0]):
-            raise WeightError("C_0(Q2) mismatch")
-        if q2[1] != p1 * q1[0] - _p(0, 2) * q0[0] + Poly.const(q0[1]):
-            raise WeightError("C_1(Q2) mismatch")
-        if q2[2] != p1 * q1[1] - _p(0, 2) * q0[1] + Poly.const(q0[2]):
-            raise WeightError("C_2(Q2) mismatch")
-        alpha = q0[0]
-        if q0[1] != -2 * (n + 1) * alpha:
-            raise WeightError("C_1(Q0) parametric form mismatch")
-        if q0[2] != n * (2 * n + 1) * alpha:
-            raise WeightError("C_2(Q0) parametric form mismatch")
 
 
 def ciden_check(family: FamilyId, n: int) -> bool:
@@ -1025,12 +960,34 @@ def explicit_weights_31(n: int) -> list[Poly]:
     return out
 
 
+# family -> the anchor weights (p_n, q_n, r_n), the parametric (C_0, C_1,
+# C_2)(Q0) up to one scalar, and the explicit closed-form weights.
+WeightForm = namedtuple("WeightForm", "anchor q0_params explicit")
+_WEIGHT_FORMS = {
+    F31: WeightForm(
+        pnqnrn_31,
+        lambda n: (
+            8 * (4 * n + 3) * (4 * n + 5),
+            -12 * (1 + n) * (30 + 67 * n + 36 * n * n),
+            3 * (50 * n + 343 * n**2 + 540 * n**3 + 243 * n**4),
+        ),
+        explicit_weights_31,
+    ),
+    F21: WeightForm(
+        pnqnrn_21, lambda n: (1, -2 * (n + 1), n * (2 * n + 1)), explicit_weights_21
+    ),
+}
+
+
+def _weight_form(family: FamilyId) -> WeightForm:
+    form = _WEIGHT_FORMS.get(family)
+    if form is None:
+        raise ValueError("weights are constructed for the (3,1) and (2,1) families")
+    return form
+
+
 def explicit_weights(family: FamilyId, n: int) -> list[Poly]:
-    if family == F21:
-        return explicit_weights_21(n)
-    if family == F31:
-        return explicit_weights_31(n)
-    raise ValueError("explicit weights exist for the (3,1) and (2,1) families")
+    return _weight_form(family).explicit(n)
 
 
 def explicit_weights_match(family: FamilyId, n: int) -> tuple[bool, str]:

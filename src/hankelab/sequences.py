@@ -66,10 +66,11 @@ def family_from_name(name: str) -> FamilyId:
     for fam in ALL_FAMILIES:
         if fam.name == name:
             return fam
-    if "," in name:
-        beta_s, alpha_s = name.split(",", 1)
-        return FamilyId("binom", int(beta_s), int(alpha_s))
-    raise ValueError(f"unknown family {name!r}")
+    try:
+        beta, alpha = map(int, name.split(","))
+    except ValueError:
+        raise ValueError(f"unknown family {name!r}") from None
+    return FamilyId("binom", beta, alpha)
 
 
 # The determinants of a family at each n: H_n on columns 0..n, and K_n, M_n,

@@ -12,7 +12,7 @@ from hankelab import checks, cli, hankel
 from hankelab.cache import TOOL_VERSION, CacheEntry
 from hankelab.checks import REGISTRY, CheckDef, acceptance_suite
 from hankelab.cli import UsageError, main, pool_size, pool_tasks
-from hankelab.closed_forms import AlmostProductId, ProductFormulaId
+from hankelab.closed_forms import AP_POINTS, AlmostProductId, ProductFormulaId
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.poly import InexactDivision, Poly
 from hankelab.rat import format_rat
@@ -56,6 +56,9 @@ def test_det_json_roundtrips_poly(capsys):
 def test_det_usage_errors(capsys):
     code, _, err = run(capsys, "det", "--family", "9x", "--n", "1")
     assert code == 2 and "unknown family" in err
+    for name in ("a,b", "3,1,2"):
+        code, _, err = run(capsys, "det", "--family", name, "--n", "2")
+        assert code == 2 and err == f"error: unknown family '{name}'\n"
     code, _, err = run(capsys, "det", "--family", "3,1", "--n", "0", "--variant", "M")
     assert code == 2
 
@@ -142,6 +145,16 @@ def test_formula_prints_the_value_its_check_compares_with(capsys, fid):
     assert out.splitlines() == [
         f"n={n}: {v if isinstance(v, Poly) else format_rat(v)}" for n, v in enumerate(want)
     ]
+
+
+def test_formula_without_a_point_rejects_any_x(capsys):
+    # the products and the specialised almost products take no --x, symbolic included
+    no_point = [p.value for p in ProductFormulaId] + [a.value for a in AP_POINTS]
+    assert len(no_point) == 14
+    for fid in no_point:
+        for x in ("symbolic", "3"):
+            code, out, err = run(capsys, "formula", "--id", fid, "--n", "2", "--x", x)
+            assert (code, out, err) == (2, "", f"error: {fid} takes no --x\n"), (fid, x)
 
 
 def test_verify_pass(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import closed_forms
+from hankelab import closed_forms, identities, sequences
 from hankelab.checks import REGISTRY, run_check
 from hankelab.poly import Poly
 from hankelab.rat import Rat
@@ -27,7 +27,8 @@ from hankelab.closed_forms import (
     three_term_check,
 )
 from hankelab.hankel import hankel_det, hankel_det_at
-from hankelab.sequences import F21, F31
+from hankelab.sequences import F21, F31, closed_form_for
+from hankelab.series import SeriesYX
 
 
 def test_product_values_hand_checked():
@@ -214,4 +215,61 @@ def test_check_fails_on_a_broken_form(check, mutate, monkeypatch):
     assert all(r.status == "pass" for r in run_check(check, None, range(lo, hi + 1)))
     mutate(monkeypatch)
     rows = run_check(check, None, range(lo, hi + 1))
+    assert any(r.status == "fail" for r in rows), rows
+
+
+# Negative controls of the weight construction: it reads Q0 and Q2 off the
+# closed generating-function denominator and checks Q0 against its table's
+# parametric (C_0, C_1, C_2), so breaking either must fail every check that
+# reads the weights, and the closed denominator also feeds `gfequiv`.
+
+
+def _closed_den_perturbed(family, power):
+    """den + x y^power: y^1 reaches only Q2, y^2 the nullspace rows too."""
+    def mutate(monkeypatch):
+        form, gf = closed_form_for(family), sequences.gf_fraction
+
+        def perturbed(f, fam, order):
+            num, den = gf(f, fam, order)
+            if f is form:
+                den = den + Poly.x() * SeriesYX.y(order).shift_y(power - 1)
+            return num, den
+
+        monkeypatch.setattr(sequences, "gf_fraction", perturbed)
+        monkeypatch.setattr(identities, "gf_fraction", perturbed)
+        monkeypatch.setattr(identities, "_weight_memo", {})
+
+    return mutate
+
+
+def _c1_perturbed(family):
+    def mutate(monkeypatch):
+        form = identities._WEIGHT_FORMS[family]
+
+        def q0_params(n):
+            c0, c1, c2 = form.q0_params(n)
+            return c0, c1 + 1, c2
+
+        monkeypatch.setitem(identities._WEIGHT_FORMS, family, form._replace(q0_params=q0_params))
+        monkeypatch.setattr(identities, "_weight_memo", {})
+
+    return mutate
+
+
+WEIGHT_CONTROLS = [
+    *((check, fam, f"den-y{power}", _closed_den_perturbed(fam, power))
+      for fam in (F31, F21) for power in (1, 2)
+      for check in ("weights", "explicit-weights", "ciden", "gfequiv")),
+    *((check, fam, "c1", _c1_perturbed(fam))
+      for fam in (F31, F21) for check in ("weights", "explicit-weights", "ciden")),
+]
+
+
+@pytest.mark.parametrize("check,family,mutate", [(c, f, m) for c, f, _k, m in WEIGHT_CONTROLS],
+                         ids=[f"{c}-{f}-{k}" for c, f, k, _m in WEIGHT_CONTROLS])
+def test_weight_checks_fail_on_a_broken_form(check, family, mutate, monkeypatch):
+    ((_fam, lo, hi),) = [item for item in REGISTRY[check].items if item[0] == family]
+    assert all(r.status == "pass" for r in run_check(check, family, range(lo, hi + 1)))
+    mutate(monkeypatch)
+    rows = run_check(check, family, range(lo, hi + 1))
     assert any(r.status == "fail" for r in rows), rows

@@ -15,7 +15,6 @@ from hankelab.identities import (
     RelationId,
     POINT_RELATIONS,
     SYMBOLIC_RELATIONS,
-    _weight_base_series,
     check_identity,
     check_matrix_convolution_identities,
     check_relation,
@@ -35,7 +34,16 @@ from hankelab.identities import (
     transform_rules,
     weight_nullspace,
 )
-from hankelab.sequences import ALL_FAMILIES, F21, F30, F31, a_poly
+from hankelab.sequences import (
+    ALL_FAMILIES,
+    F21,
+    F30,
+    F31,
+    a_poly,
+    closed_form_for,
+    gf_fraction,
+    t_series,
+)
 
 
 def test_identity_boundary_uses_c_minus1():
@@ -206,11 +214,21 @@ def test_rational_nullspace_rank_deficient():
         _same_nullspace(rows, ncols)
 
 
+def _base_series(fam, order):
+    """eta = 2t - 3 for (3,1) and t itself for (2,1): an independent
+    statement of Q0, whose product with it vanishes at y^{n+2}..y^{2n+2}."""
+    if fam == F31:
+        eta = [2 * c.coefficient(0) for c in t_series(3, order).coeffs]
+        eta[0] -= 3
+        return eta
+    return [c.coefficient(0) for c in t_series(2, order).coeffs]
+
+
 def test_weight_nullspace_matches_the_fraction_oracle():
     for fam in (F21, F31):
         for n in range(1, 13):
             order = 2 * n + 2
-            s = _weight_base_series(fam, order)
+            s = _base_series(fam, order)
             rows = [
                 [s[r - i] if 0 <= r - i <= order else 0 for i in range(n + 2)]
                 for r in range(n + 2, 2 * n + 3)
@@ -219,6 +237,24 @@ def test_weight_nullspace_matches_the_fraction_oracle():
             q0 = weight_nullspace(fam, n).q0
             lead = next(v for v in vec if v)
             assert list(q0) == [Fraction(v, lead) for v in vec], (fam, n)
+
+
+def test_q2_is_the_closed_denominator_times_q0():
+    for fam in (F21, F31):
+        for n in range(1, 13):
+            sol = weight_nullspace(fam, n)
+            order = 2 * n + 3
+            _num, den = gf_fraction(closed_form_for(fam), fam, order)
+            prod = [
+                sum(
+                    (den.coefficient(k - i) * c for i, c in enumerate(sol.q0) if i <= k),
+                    Poly.zero(),
+                )
+                for k in range(order + 1)
+            ]
+            assert list(sol.q2) == prod[: n + 3], (fam, n)
+            assert all(p.is_zero() for p in prod[n + 3 :]), (fam, n)
+            assert list(sol.weights) == prod[n + 2 :: -1], (fam, n)
 
 
 def test_weight_checks_share_one_solution_per_key(monkeypatch):
@@ -248,7 +284,7 @@ def test_weight_checks_share_one_solution_per_key(monkeypatch):
     assert sol is weight_nullspace(F31, 3)
     with pytest.raises(AttributeError):  # an immutable record
         sol.scale = Rat(1)
-    for field in (sol.q0, sol.q1, sol.q2, sol.weights):
+    for field in (sol.q0, sol.q2, sol.weights):
         assert type(field) is tuple
 
 

@@ -32,8 +32,9 @@ def test_family_names_roundtrip():
     for fam in ALL_FAMILIES:
         assert family_from_name(fam.name) == fam
     assert family_from_name("4,2") == FamilyId("binom", 4, 2)
-    with pytest.raises(ValueError):
-        family_from_name("nope")
+    for bad in ("nope", "a,b", "3,1,2", "3,", ","):
+        with pytest.raises(ValueError, match=f"unknown family '{bad}'"):
+            family_from_name(bad)
     with pytest.raises(ValueError):
         FamilyId("binom", 0, 1)
 
