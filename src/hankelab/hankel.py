@@ -16,7 +16,7 @@ import operator
 from _thread import allocate_lock
 from collections import namedtuple
 from collections.abc import Sequence
-from math import lcm, prod
+from math import factorial, lcm, perm, prod
 
 from .poly import (
     InexactDivision,
@@ -28,7 +28,7 @@ from .poly import (
     int_poly_sub,
     to_int_scaled,
 )
-from .rat import Rat, binom, rat
+from .rat import Rat, rat
 from .sequences import VARIANTS, FamilyId, a_poly
 
 
@@ -401,12 +401,21 @@ class DegreeInstance(namedtuple("DegreeInstance", "p q alphas betas gamma")):
         return len(self.p) - 1
 
     def entry(self, i: int, j: int) -> Poly:
-        top_base = self.alphas[i] + self.betas[j]
+        top = self.alphas[i] + self.betas[j]
         bound = self.p[i] + self.q[j]
         if bound < 0:
             return Poly.zero()
-        return Poly(
-            [binom(top_base + self.gamma * m, bound - m) for m in range(bound + 1)]
+        # With d the lcm of the denominators, top + gamma*m = (a + g*m)/d, and
+        # over d^bound bound! coefficient m is the integer falling factorial
+        # prod_{r<k} (a + g*m - r*d) times d^m bound!/k!, where k = bound - m.
+        gamma = self.gamma
+        d = lcm(top.denominator, gamma.denominator)
+        a = top.numerator * (d // top.denominator)
+        g = gamma.numerator * (d // gamma.denominator)
+        return from_int_scaled(
+            [prod(a + g * m - r * d for r in range(bound - m)) * d**m * perm(bound, m)
+             for m in range(bound + 1)],
+            d**bound * factorial(bound),
         )
 
     def matrix(self) -> list[list[Poly]]:

@@ -679,12 +679,18 @@ def rational_nullspace(rows: Sequence[Sequence[Rat]], ncols: int) -> list[list[i
     """Primitive integer nullspace basis of a rational matrix, one vector per
     free column f, positive at f: Gauss-Jordan over Z of the integer-scaled
     rows leaves every pivot d, so d at f and minus each pivot row's entry at
-    f in its pivot column annihilate the rows."""
-    int_rows = []
+    f in its pivot column annihilate the rows.  Each row is first made
+    primitive with a positive leading entry, and zero and repeated rows are
+    dropped: the row space, and so the basis, is unchanged."""
+    int_rows: dict[tuple[int, ...], None] = {}
     for row in rows:
         scale = denominator_lcm(row)
-        int_rows.append([int(v * scale) for v in row])
-    reduced, pivots, _ = gauss_jordan(int_rows, INT)
+        ints = [int(v * scale) for v in row]
+        g = gcd(*ints)
+        if g:
+            g = g if next(v for v in ints if v) > 0 else -g
+            int_rows.setdefault(tuple(v // g for v in ints))
+    reduced, pivots, _ = gauss_jordan(list(int_rows), INT)
     d = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):

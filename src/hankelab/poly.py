@@ -175,12 +175,9 @@ class Poly:
         point = rat(point)
         if not self.num:
             return Rat(0)
-        p, q = point.numerator, point.denominator
-        acc, qpow = 0, 1
-        for c in reversed(self.num):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Rat(acc, self.den * (qpow // q))
+        q = point.denominator
+        return Rat(int_poly_hom_eval(self.num, point.numerator, q),
+                   self.den * q ** (len(self.num) - 1))
 
     def compose_affine(self, a, b) -> "Poly":
         """Return p(a*x + b), exactly.
@@ -390,6 +387,22 @@ def int_poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def int_poly_neg(a: Sequence[int]) -> list[int]:
     return [-c for c in a]
+
+
+def int_poly_add_into(acc: list[int], term: Sequence[int], weight: int = 1) -> None:
+    """acc += weight * term in Z[x], in place (trailing zeros are left)."""
+    acc.extend([0] * (len(term) - len(acc)))
+    for i, c in enumerate(term):
+        acc[i] += weight * c
+
+
+def int_poly_hom_eval(a: Sequence[int], p: int, q: int) -> int:
+    """q^deg a(p/q), the integer sum_i a_i p^i q^(deg - i), by Horner."""
+    acc, qpow = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
 
 
 def int_poly_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:

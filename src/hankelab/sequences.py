@@ -14,7 +14,7 @@ from _thread import allocate_lock
 from collections import namedtuple
 from enum import Enum
 
-from .poly import Poly, from_int_scaled, int_poly_mul, to_int_scaled
+from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_mul, to_int_scaled
 from .rat import Rat, binom, factorial
 
 # The series layer is imported by the generating-function functions below
@@ -134,11 +134,8 @@ def conv_poly(family: FamilyId, k: int) -> Poly:
     ints, scale = to_int_scaled([a_poly(family, m) for m in range(k + 1)])
     total: list[int] = []
     for m in range(k // 2 + 1):
-        term = int_poly_mul(ints[m], ints[k - m])
         weight = 1 if 2 * m == k else 2
-        total.extend([0] * (len(term) - len(total)))
-        for i, c in enumerate(term):
-            total[i] += weight * c
+        int_poly_add_into(total, int_poly_mul(ints[m], ints[k - m]), weight)
     acc = from_int_scaled(total, scale * scale)
     with _memo_lock:
         _conv_memo.setdefault(key, acc)

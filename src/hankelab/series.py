@@ -3,15 +3,17 @@
 A ``SeriesYX`` of order m keeps the coefficients of y^0 .. y^m.  Ring
 operations truncate consistently: coefficient k of a product depends only
 on coefficients 0..k of the factors, so all results are exact through the
-stated order.
+stated order.  Products and quotients run over Z on the int-list Z[x]
+kernel of ``poly.py``, and each output coefficient is normalised once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from collections.abc import Iterable, Sequence
 
-from .poly import Poly
+from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_mul, to_int_scaled
 from .rat import rat
 
 
@@ -83,18 +85,16 @@ class SeriesYX:
 
     def __mul__(self, other) -> "SeriesYX":
         if isinstance(other, (int, Fraction, Poly)):
-            p = _as_poly(other)
-            return SeriesYX(self.order, [c * p for c in self.coeffs])
+            return SeriesYX(self.order, [c * other for c in self.coeffs])
         other = self._align(other)
-        out = [Poly.zero()] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SeriesYX(self.order, out)
+        (a, sa), (b, sb) = to_int_scaled(self.coeffs), to_int_scaled(other.coeffs)
+        out: list[list[int]] = [[] for _ in a]
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b[: len(b) - i], i):
+                    if cb:
+                        int_poly_add_into(out[j], int_poly_mul(ca, cb))
+        return SeriesYX(self.order, [from_int_scaled(c, sa * sb) for c in out])
 
     __rmul__ = __mul__
 
@@ -109,17 +109,22 @@ class SeriesYX:
 
         Each step divides in Q[x] and must be remainder-free; this is how
         closed generating forms with non-unit constant terms are expanded.
+        With den = d / sd over Z, out_k = (sd self_k - sum_j d_j out_{k-j}) /
+        d_0, the sum taken over Z on its terms' common denominator.
         """
         den = self._align(den)
-        d0 = den.coeffs[0]
-        if d0.is_zero():
+        d, sd = to_int_scaled(den.coeffs)
+        if not d[0]:
             raise ZeroDivisionError("series division by y-multiple")
+        d0 = from_int_scaled(d[0], 1)
         out: list[Poly] = []
-        for k in range(self.order + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc = acc - den.coeffs[j] * out[k - j]
-            out.append(acc.exact_div(d0))
+        for k, c in enumerate(self.coeffs):
+            terms = [(d[j], out[k - j]) for j in range(1, k + 1) if d[j] and out[k - j]]
+            scale = lcm(c.den, *(o.den for _, o in terms))
+            acc = [v * sd * (scale // c.den) for v in c.num]
+            for dj, o in terms:
+                int_poly_add_into(acc, int_poly_mul(dj, o.num), -(scale // o.den))
+            out.append(from_int_scaled(acc, scale).exact_div(d0))
         return SeriesYX(self.order, out)
 
     def map_x(self, fn) -> "SeriesYX":

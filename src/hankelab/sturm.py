@@ -1,16 +1,17 @@
 """Sturm-sequence real-root counting and exact rational root isolation.
 
-Everything is exact: the chain comes from polynomial division over Q, signs
-are read from exact values at rational points, and intervals are half-open
-(a, b] so counts add up exactly under bisection and no tolerance parameter
-exists.
+Everything is exact: the chain comes from polynomial division over Q, the
+sign of each chain member at a rational point p/q is the sign of an integer
+homogeneous Horner sum over its Z[x] int-list numerator, and intervals are
+half-open (a, b] so counts add up exactly under bisection and no tolerance
+parameter exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, int_poly_hom_eval
 from .rat import Rat, rat
 
 Interval = tuple[Fraction, Fraction]
@@ -31,10 +32,12 @@ def sturm_chain(p: Poly) -> list[Poly]:
 
 def _count(chain: list[Poly], a, b) -> int:
     """Distinct real roots in (a, b] of the polynomial whose Sturm chain
-    this is: the drop in sign variations from a to b."""
+    this is: the drop in sign variations from a to b.  f(p/q) has the sign
+    of q^deg f(p/q) times den, an integer sum over f's numerator."""
     counts = []
     for t in (a, b):
-        signs = [v > 0 for v in (q(t) for q in chain) if v != 0]
+        p, q = t.numerator, t.denominator
+        signs = [v > 0 for v in (int_poly_hom_eval(f.num, p, q) for f in chain) if v]
         counts.append(sum(1 for u, v in zip(signs, signs[1:]) if u != v))
     return counts[0] - counts[1]
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,32 @@ def test_series_commands(capsys):
         capsys, "series", "--f", "--family", "2,1", "--form", "closed", "--order", "1"
     )
     assert code == 0 and out.strip() == "[1], [3, 1]"
+
+
+# sha256 of the stdout of `hankelab series` at order 25.  A family's direct
+# and closed forms expand to the same series, so they share one digest.
+F_SERIES_SHA256 = {
+    "3,1": "3adf3656c60b30b39c89ff2539321688e6881ed6a0eaba15d5a0cba6ec413daf",
+    "2,1": "375d64d20e98b4ec7f7770213a803f9fa92454718128f71abbdf115168f9d3da",
+    "3,0": "e8ad497d7acca3a4e1c99641494550f630ed1959ac61676cb8abab91ad8c4b33",
+    "3k-2m": "f68288443323b7d5a9af88a6177390fe17326a03c064be03f810217d732dd389",
+    "aex": "a7586153f60b14cc9bcc314276eeba02b55b1dc26af59ace312bc6e929751ede",
+}
+SERIES_SHA256 = [
+    *((("--f", "--family", fam, "--form", form), digest)
+      for fam, digest in F_SERIES_SHA256.items() for form in ("direct", "closed")),
+    (("--t", "--beta", "2"), "ac605a71110e8dca2ef2bd8583b1fa4d7f41b0dd1418640b58514f64f99dff09"),
+    (("--t", "--beta", "3"), "fcb411a626bcedddb07a9946bede17cf8e0ec2ab5d696f0b62c7704d54875d22"),
+    (("--tau",), "62e0d44391bd7a621d5f9a5a8db4c8eaaf3f6f2cbdb0bb0e6dcbdf8112dc9dca"),
+]
+
+
+@pytest.mark.parametrize("args,digest", SERIES_SHA256,
+                         ids=[" ".join(a) for a, _d in SERIES_SHA256])
+def test_series_output_is_pinned(capsys, args, digest):
+    code, out, _ = run(capsys, "series", *args, "--order", "25")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_series_usage(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import closed_forms, identities, sequences
+from hankelab import checks, closed_forms, identities, sequences
 from hankelab.checks import REGISTRY, run_check
 from hankelab.poly import Poly
 from hankelab.rat import Rat
@@ -27,7 +27,7 @@ from hankelab.closed_forms import (
     three_term_check,
 )
 from hankelab.hankel import hankel_det, hankel_det_at
-from hankelab.sequences import F21, F31, closed_form_for
+from hankelab.sequences import F21, F30, F31, F3K2M, FAEX, closed_form_for
 from hankelab.series import SeriesYX
 
 
@@ -195,6 +195,18 @@ def _de1_c0_perturbed(monkeypatch):
     monkeypatch.setitem(ODES, "de1", spec._replace(coeffs=coeffs))
 
 
+def _degree_bound_lowered(monkeypatch):
+    # 149 of the 200 instances sit exactly at the bound
+    bound = checks.degree_bound
+    monkeypatch.setattr(checks, "degree_bound", lambda inst: bound(inst) - 1)
+
+
+def _t_coeff_perturbed(monkeypatch):
+    t = sequences.t_series
+    monkeypatch.setattr(sequences, "t_series",
+                        lambda beta, order: t(beta, order) + SeriesYX(order, [0] * 5 + [1]))
+
+
 A = AlmostProductId
 NEGATIVE_CONTROLS = [
     *((pid.value, _double_product(pid)) for pid in ProductFormulaId),
@@ -205,6 +217,8 @@ NEGATIVE_CONTROLS = [
     ("rec31at1", _q_perturbed),
     ("interlace", _complex_h2),
     ("de1", _de1_c0_perturbed),
+    ("degree-random", _degree_bound_lowered),
+    ("tseries", _t_coeff_perturbed),
 ]
 
 
@@ -265,11 +279,41 @@ WEIGHT_CONTROLS = [
 ]
 
 
-@pytest.mark.parametrize("check,family,mutate", [(c, f, m) for c, f, _k, m in WEIGHT_CONTROLS],
-                         ids=[f"{c}-{f}-{k}" for c, f, k, _m in WEIGHT_CONTROLS])
-def test_weight_checks_fail_on_a_broken_form(check, family, mutate, monkeypatch):
+def _family_item_fails(check, family, mutate, monkeypatch):
     ((_fam, lo, hi),) = [item for item in REGISTRY[check].items if item[0] == family]
     assert all(r.status == "pass" for r in run_check(check, family, range(lo, hi + 1)))
     mutate(monkeypatch)
     rows = run_check(check, family, range(lo, hi + 1))
     assert any(r.status == "fail" for r in rows), rows
+
+
+@pytest.mark.parametrize("check,family,mutate", [(c, f, m) for c, f, _k, m in WEIGHT_CONTROLS],
+                         ids=[f"{c}-{f}-{k}" for c, f, k, _m in WEIGHT_CONTROLS])
+def test_weight_checks_fail_on_a_broken_form(check, family, mutate, monkeypatch):
+    _family_item_fails(check, family, mutate, monkeypatch)
+
+
+# Negative controls of the generating-function checks: a wrong a_3 must fail
+# `fcoeffs` for every family (for aex only since it expands the closed form:
+# its direct form is the literal sum of the a_k, so it equals any a_k), and a
+# perturbed closed denominator must fail `gfequiv`.
+
+
+def _a3_perturbed(monkeypatch):
+    raw = sequences._a_poly_raw
+    monkeypatch.setattr(sequences, "_a_poly_raw",
+                        lambda fam, k: raw(fam, k) + Poly([1, 0, 0, 1]) if k == 3 else raw(fam, k))
+    monkeypatch.setattr(sequences, "_a_memo", {})
+
+
+GENERATING = (F31, F21, F30, F3K2M, FAEX)
+SERIES_CONTROLS = [
+    *(("fcoeffs", fam, "a3", _a3_perturbed) for fam in GENERATING),
+    *(("gfequiv", fam, "den-y1", _closed_den_perturbed(fam, 1)) for fam in (F30, F3K2M, FAEX)),
+]
+
+
+@pytest.mark.parametrize("check,family,mutate", [(c, f, m) for c, f, _k, m in SERIES_CONTROLS],
+                         ids=[f"{c}-{f}-{k}" for c, f, k, _m in SERIES_CONTROLS])
+def test_series_checks_fail_on_a_broken_form(check, family, mutate, monkeypatch):
+    _family_item_fails(check, family, mutate, monkeypatch)

@@ -14,7 +14,7 @@ from reference_det import (
 )
 
 from hankelab.poly import InexactDivision, Poly, denominator_lcm
-from hankelab.rat import Rat
+from hankelab.rat import Rat, binom
 import hankelab.hankel as hankel_mod
 from hankelab.hankel import (
     INT,
@@ -447,6 +447,33 @@ def test_degree_instance_trivial_cases():
     # negative p_i + q_j exercises the empty-sum-zero entry
     inst2 = make_degree_instance([-2, 1], [0, 1], [1, 2], [0, 1], 1)
     general_degree_det(inst2)  # must not raise
+
+
+def binom_entry(inst, i, j):
+    """Oracle for DegreeInstance.entry: one rat.binom per coefficient."""
+    top, bound = inst.alphas[i] + inst.betas[j], inst.p[i] + inst.q[j]
+    if bound < 0:
+        return Poly.zero()
+    return Poly([binom(top + inst.gamma * m, bound - m) for m in range(bound + 1)])
+
+
+def test_degree_instance_entries_match_binomials():
+    from hankelab.checks import random_degree_instances
+
+    instances = list(random_degree_instances(200))
+    assert len(instances) == 200
+    # gamma = 0, negative gamma, and negative integer tops, on purpose
+    instances += [
+        make_degree_instance([3, 5], [2, 4], [-7, Fraction(-5, 2)], [0, -3], 0),
+        make_degree_instance([4, 1, 6], [2, 3, 0], [-9, 2, Fraction(1, 3)],
+                             [-4, Fraction(-7, 2), 5], Fraction(-3, 2)),
+        make_degree_instance([6, -1], [5, 2], [-12, -1], [-6, -2], -2),
+    ]
+    for inst in instances:
+        size = inst.n + 1
+        for i in range(size):
+            for j in range(size):
+                assert inst.entry(i, j) == binom_entry(inst, i, j), (inst, i, j)
 
 
 def test_easylemma_shape_random():

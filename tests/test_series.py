@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.poly import Poly
+from hankelab.poly import InexactDivision, Poly
 from hankelab.series import SeriesYX
 
 
@@ -66,3 +66,83 @@ def test_shift_y():
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         SeriesYX.one(3) + SeriesYX.one(4)
+
+
+# Differential tests: the series product and quotient run on integer rows;
+# these oracles are their earlier bodies, one Poly operation per term.
+
+
+def poly_mul(a, b):
+    out = [Poly.zero()] * (a.order + 1)
+    for i, ca in enumerate(a.coeffs):
+        if ca.is_zero():
+            continue
+        for j in range(a.order + 1 - i):
+            cb = b.coeffs[j]
+            if not cb.is_zero():
+                out[i + j] = out[i + j] + ca * cb
+    return SeriesYX(a.order, out)
+
+
+def poly_divide_exact(num, den):
+    d0 = den.coeffs[0]
+    if d0.is_zero():
+        raise ZeroDivisionError("series division by y-multiple")
+    out = []
+    for k in range(num.order + 1):
+        acc = num.coeffs[k]
+        for j in range(1, k + 1):
+            acc = acc - den.coeffs[j] * out[k - j]
+        out.append(acc.exact_div(d0))
+    return SeriesYX(num.order, out)
+
+
+def mixed_series(rng, order):
+    """Rational coefficients over mixed denominators, with zero rows."""
+    def coeff():
+        if rng.random() < 0.25:
+            return Poly.zero()
+        return Poly([Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 7]))
+                     for _ in range(rng.randint(1, 5))])
+
+    return SeriesYX(order, [coeff() for _ in range(order + 1)])
+
+
+def test_mul_matches_the_poly_oracle():
+    rng = random.Random(1409)
+    for _ in range(150):
+        order = rng.randint(0, 9)
+        a, b = mixed_series(rng, order), mixed_series(rng, order)
+        assert a * b == poly_mul(a, b)
+        assert a * a == poly_mul(a, a)
+        scalar = rng.choice([3, -2, Fraction(-5, 6), Poly([Fraction(1, 3), 0, -2])])
+        assert a * scalar == scalar * a == poly_mul(a, SeriesYX(order, [scalar]))
+    zero = SeriesYX.zero(4)
+    assert zero * mixed_series(rng, 4) == zero
+
+
+def test_divide_exact_matches_the_poly_oracle():
+    # num = q * den is divisible by construction; d0 is non-monic with
+    # a rational content, so each step divides by a non-unit in Q[x]
+    rng = random.Random(1423)
+    for _ in range(120):
+        order = rng.randint(0, 8)
+        den = mixed_series(rng, order)
+        low = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 5]))
+               for _ in range(rng.randint(1, 3))]
+        d0 = Poly(low + [Fraction(rng.choice([2, 3, -4, 6]), rng.choice([1, 3]))])
+        den = SeriesYX(order, (d0, *den.coeffs[1:]))
+        quot = mixed_series(rng, order)
+        num = poly_mul(quot, den)
+        assert num.divide_exact(den) == poly_divide_exact(num, den) == quot
+
+
+def test_divide_exact_keeps_the_remainder_tripwire():
+    x = Poly.x()
+    num = SeriesYX(3, [Poly.one(), x])
+    den = SeriesYX(3, [x - 1, Poly.const(2)])
+    for divide in (SeriesYX.divide_exact, poly_divide_exact):
+        with pytest.raises(InexactDivision):
+            divide(num, den)
+        with pytest.raises(ZeroDivisionError):
+            divide(num, SeriesYX(3, [Poly.zero(), x]))

@@ -91,3 +91,29 @@ def test_disjoint_isolation_builds_each_chain_once(monkeypatch):
     merged = sorted([(iv, "p") for iv in ips] + [(iv, "q") for iv in iqs])
     assert [tag for _, tag in merged] == ["q", "p", "p", "q"]
     assert all(a[1] <= b[0] for (a, _), (b, _) in zip(merged, merged[1:]))
+
+
+def fraction_count(chain, a, b):
+    """Oracle for the integer sign reading: each chain value as a Fraction."""
+    counts = []
+    for t in (a, b):
+        signs = [v > 0 for v in (f(t) for f in chain) if v != 0]
+        counts.append(sum(1 for u, v in zip(signs, signs[1:]) if u != v))
+    return counts[0] - counts[1]
+
+
+def test_integer_signs_match_fraction_evaluation():
+    rng = random.Random(1433)
+    for _ in range(120):
+        # a rational content, and a rational root r that is also an end
+        r = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        p = random_squarefree(rng) * Poly([-r, 1]) * Fraction(rng.randint(1, 5), rng.randint(1, 7))
+        chain = sturm.sturm_chain(p)
+        bound = root_bound(p)
+        ends = [-bound, bound, r, *(Fraction(rng.randint(-24, 24), rng.randint(1, 6))
+                                    for _ in range(3))]
+        for a in ends:
+            for b in ends:
+                if a <= b:
+                    assert sturm._count(chain, a, b) == fraction_count(chain, a, b)
+                    assert sturm_count(p, a, b) == fraction_count(chain, a, b)
