@@ -1,13 +1,15 @@
 """Named verification checks: the registry behind `verify`, `sweep`, `report`.
 
-REGISTRY is one table.  Each entry holds the check's run(family, n) -> rows,
-its acceptance items (family or None, lo, hi), the least n it runs at, a
-description, and the fixed family label and point its rows name (a fail
-row from an exception names them too).  The first item is what `verify`
-runs without --family or --n; the acceptance suite is every item of every
-entry.  Asserting checks emit pass/fail; the reported-not-asserted ones
-(the unproven fourth-order ODE, the conjectural explicit (3,1) weights)
-emit findings on mismatch.
+REGISTRY is one table, and the only place that states suites and row
+labels.  Each entry holds the check's test(family, n), its items
+(suite, family or None, lo, hi), the least n it runs at, a description, the
+fixed family label and point its rows name, and whether a mismatch is a
+finding.  A suite is every item the table tags with its name (`suite`),
+so a new suite is a new tag on some items.  The first acceptance item is
+what `verify` runs without --family or --n.  `run_check` builds every row:
+asserting checks emit pass/fail; the reported-not-asserted ones (the
+unproven fourth-order ODE, the conjectural explicit (3,1) weights) emit
+findings on mismatch; a test that raises is one fail row.
 
 Entries call the layer functions through this module's globals when they
 run, so a tracer that rebinds those names sees every call.
@@ -74,28 +76,20 @@ from .sequences import (
 DEGREE_THEOREM_FAMILIES = tuple(f for f in ALL_FAMILIES if f != FAEX)
 
 
-class CheckDef(namedtuple("CheckDef", "run items min_n description label x",
-                          defaults=(0, "", None, None))):
-    """One check: ``run(family, n)`` gives the rows of one n; ``items`` are
-    its acceptance (family or None, lo, hi) triples, the first of them the
-    default of `verify`; ``label`` and ``x`` are the fixed family and point
-    its rows name, if any."""
+class CheckDef(namedtuple("CheckDef", "test items min_n description label x finding",
+                          defaults=(0, "", None, None, False))):
+    """One check: ``test(family, n)`` returns ok, (ok, detail) or a list of
+    rows; ``items`` are its (suite, family or None, lo, hi) tuples;
+    ``label`` and ``x`` are the fixed family and point its rows name, if
+    any; with ``finding`` a mismatch is a finding row, not a fail."""
 
     __slots__ = ()
 
-
-def _verdict(name, test, label=None, x=None, finding=False):
-    """run(family, n) for a test(family, n) that returns ok or (ok, detail):
-    one row, naming the run family, else the fixed label."""
-
-    def run(family, n):
-        got = test(family, n)
-        ok, detail = got if type(got) is tuple else (got, "")
-        fam = family.name if family is not None else label
-        return [verdict_row(ok, name, finding_on_fail=finding, family=fam, n=n, x=x,
-                            detail=detail)]
-
-    return run
+    @property
+    def default(self) -> tuple[FamilyId | None, int, int]:
+        """(family, lo, hi) of the first acceptance item, else the first item."""
+        return next((item for item in self.items if item[0] == "acceptance"),
+                    self.items[0])[1:]
 
 
 def _failing(bad, what: str, detail: str):
@@ -178,89 +172,99 @@ def _degree_random(_family, count):
 
 
 def _each(families, lo: int, hi: int):
-    return [(f, lo, hi) for f in families]
+    return [("acceptance", f, lo, hi) for f in families]
 
 
 def _build_registry() -> dict[str, CheckDef]:
     reg: dict[str, CheckDef] = {}
 
     def add(name, test, items, min_n=0, description="", label=None, x=None, finding=False):
-        reg[name] = CheckDef(_verdict(name, test, label, x, finding), tuple(items), min_n,
-                             description, label, x)
+        reg[name] = CheckDef(test, tuple(items), min_n, description, label, x, finding)
 
-    for name, hi in (("de1", 12), ("de2np1", 15), ("de2np2ak", 12), ("thme1", 10),
-                     ("thme2", 10), ("thme3", 10), ("thme4", 10), ("fig4", 8)):
+    for name, *items in (
+        ("de1", ("acceptance", None, 1, 12), ("fast", None, 1, 5)),
+        ("de2np1", ("acceptance", None, 1, 15), ("fast", None, 1, 5)),
+        ("de2np2ak", ("acceptance", None, 1, 12)),
+        *((f"thme{k}", ("acceptance", None, 1, 10)) for k in range(1, 5)),
+        ("fig4", ("acceptance", None, 1, 8), ("fast", None, 1, 4)),
+    ):
         spec = ODES[name]
-        add(name, _ode(name), [(None, 1, hi)],
-            description=f"ODE residual for {spec.family.name}",
+        add(name, _ode(name), items, description=f"ODE residual for {spec.family.name}",
             label=spec.family.name, finding=not spec.proven)
 
     P = ProductFormulaId
     for pid in P:
         hi = 20 if pid in (P.P21AT0, P.P21AT2) else 10
+        fast = [("fast", None, 0, 5)] if pid is P.P31AT3 else []
         add(pid.value, lambda _f, n, pid=pid: product_matches_determinant(pid, n),
-            [(None, 0, hi)], description="product formula vs determinant")
+            [("acceptance", None, 0, hi), *fast], description="product formula vs determinant")
 
-    # (check, hi, the value the formula must equal at n); the family and
-    # point come from the form the check evaluates
+    # (check, the value the formula must equal at n, its items); the family
+    # and point come from the form the check evaluates
     A = AlmostProductId
-    for aid, hi, want in (
-        (A.AP31, 12, None),
-        (A.AP31ALT, 12, None),
-        (A.AP21, 15, None),
-        (A.AP31AT0, 12, lambda n: hankel_det(F31, n)(0)),
-        (A.AP31AT1, 12, lambda n: product_eval(P.P32, n)),
-        (A.AP21AT0, 20, lambda n: 1),
-        (A.AP21AT1, 20, lambda n: (-1) ** ((n * (n + 1)) // 2)),
+    for aid, want, *items in (
+        (A.AP31, None, ("acceptance", None, 0, 12), ("fast", None, 0, 5)),
+        (A.AP31ALT, None, ("acceptance", None, 0, 12)),
+        (A.AP21, None, ("acceptance", None, 0, 15), ("fast", None, 0, 6)),
+        (A.AP31AT0, lambda n: hankel_det(F31, n)(0), ("acceptance", None, 0, 12)),
+        (A.AP31AT1, lambda n: product_eval(P.P32, n), ("acceptance", None, 0, 12)),
+        (A.AP21AT0, lambda n: 1, ("acceptance", None, 0, 20)),
+        (A.AP21AT1, lambda n: (-1) ** ((n * (n + 1)) // 2), ("acceptance", None, 0, 20)),
     ):
         base, x = AP_POINTS.get(aid, (aid, None))
         family = ALMOST_PRODUCTS[base].family
         want = want or (lambda n, family=family: hankel_det(family, n))
         add(aid.value,
             lambda _f, n, aid=aid, want=want: almost_product_eval(aid, n) == want(n),
-            [(None, 0, hi)], description="almost-product formula", label=family.name,
+            items, description="almost-product formula", label=family.name,
             x=None if x is None else format_rat(x))
 
     for iid in IdentityId:
+        fast = [("fast", None, 10, 10)] if iid is IdentityId.L1_31 else []
         add(iid.value,
             lambda _f, k, iid=iid: _failing(check_identity(iid, k), "k", f"k <= {k}"),
-            [(None, 30, 30)], description="sequence-level identity (n is k_max)")
+            [("acceptance", None, 30, 30), *fast],
+            description="sequence-level identity (n is k_max)")
     for rid in RelationId:
-        add(rid.value, lambda _f, n, rid=rid: check_relation(rid, n), [(None, 2, 10)],
-            min_n=2, description="determinant-level relation")
+        fast = [("fast", None, 2, 5)] if rid is RelationId.R_DET01 else []
+        add(rid.value, lambda _f, n, rid=rid: check_relation(rid, n),
+            [("acceptance", None, 2, 10), *fast], 2, "determinant-level relation")
 
     pair = (F31, F21)
-    add("dodgson", lambda f, n: dodgson_check(f, n), _each(ALL_FAMILIES, 1, 10), 1,
+    add("dodgson", lambda f, n: dodgson_check(f, n),
+        [*_each(ALL_FAMILIES, 1, 10), ("fast", F31, 1, 5)], 1,
         "H_{n-1}H_{n+1} = H_nN_n - H_nM_n - K_n^2")
     add("ef", lambda f, n: check_matrix_convolution_identities(f, n), _each(pair, 0, 6),
         description="E/F convolution matrix identities")
     add("table1", _table1, _each(pair, 1, 5), 1, "trace transformation rules")
     add("weights", lambda f, n: (True, f"scale {weight_nullspace(f, n).scale}"),
-        _each(pair, 1, 12), 1, "third-identity nullspace weights")
+        [*_each(pair, 1, 12), ("fast", F21, 1, 5)], 1, "third-identity nullspace weights")
     add("explicit-weights", lambda f, n: explicit_weights_match(f, n),
-        [(F31, 2, 8), (F21, 1, 12)], 1, "closed-form weights vs nullspace", finding=True)
+        [("acceptance", F31, 2, 8), ("acceptance", F21, 1, 12)], 1,
+        "closed-form weights vs nullspace", finding=True)
     add("ciden", lambda f, n: ciden_check(f, n), _each(pair, 1, 10), 1,
         "Q2-coefficient determinant identity")
-    add("threeterm31", lambda _f, n: three_term_check("c31", n), [(None, 2, 10)], 2,
-        label="3,1")
-    add("threeterm21", lambda _f, n: three_term_check("c21", n), [(None, 2, 15)], 2,
-        label="2,1")
+    add("threeterm31", lambda _f, n: three_term_check("c31", n),
+        [("acceptance", None, 2, 10)], 2, label="3,1")
+    add("threeterm21", lambda _f, n: three_term_check("c21", n),
+        [("acceptance", None, 2, 15)], 2, label="2,1")
     add("rec31at1", lambda _f, n: recursion_31at1(n) == product_eval(P.P32, n),
-        [(None, 0, 10)], description="(3,2) one-term recursion vs product", label="3,2")
-    add("chebjac", lambda _f, n: chebyshev_jacobi_check(n), [(None, 0, 12)],
+        [("acceptance", None, 0, 10)], description="(3,2) one-term recursion vs product",
+        label="3,2")
+    add("chebjac", lambda _f, n: chebyshev_jacobi_check(n), [("acceptance", None, 0, 12)],
         description="Chebyshev/Jacobi forms of the (2,1) determinant", label="2,1")
-    add("interlace", lambda _f, n: interlace_check(n), [(None, 1, 8)], 1,
+    add("interlace", lambda _f, n: interlace_check(n), [("acceptance", None, 1, 8)], 1,
         "root interlacing for the (3,1) family", label="3,1")
     generating = (F31, F21, F30, F3K2M, FAEX)
-    add("gfequiv", _gfequiv, _each(generating, 25, 25),
+    add("gfequiv", _gfequiv, [*_each(generating, 25, 25), ("fast", F31, 10, 10)],
         description="direct vs closed generating form (n is order)")
     add("fcoeffs", _fcoeffs, _each(generating, 25, 25),
         description="series coefficients vs a_k (n is order)")
-    reg["tseries"] = CheckDef(_tseries, ((None, 25, 25),),
-                              description="t-series defining-equation residual")
+    add("tseries", _tseries, [("acceptance", None, 25, 25), ("fast", None, 10, 10)],
+        description="t-series defining-equation residual")
     add("degree-hn", _degree_hn, _each(ALL_FAMILIES, 0, 12),
         description="degree(H_n) bound")
-    add("degree-random", _degree_random, [(None, 200, 200)],
+    add("degree-random", _degree_random, [("acceptance", None, 200, 200)],
         description="random generalized-degree instances (n is count)")
     return reg
 
@@ -270,44 +274,44 @@ REGISTRY: dict[str, CheckDef] = _build_registry()
 
 def run_check(name: str, family: FamilyId | None, ns: Sequence[int]) -> list[Row]:
     """Rows of check `name` at each n of ns from its min_n on.  A family
-    check runs `family`, else the family of its first item; a check whose
-    items name no family runs with None."""
+    check runs `family`, else the family of its default item; a check whose
+    items name no family runs with None.  Each n gives one row naming the
+    run family, else the fixed label, or the rows its test returns."""
     defn = REGISTRY.get(name)
     if defn is None:
         raise KeyError(f"unknown check {name!r}")
-    fam = defn.items[0][0]
+    fam = defn.default[0]
     if fam is not None and family is not None:
         fam = family
+    where = dict(family=fam.name if fam is not None else defn.label, x=defn.x)
     rows: list[Row] = []
     for n in ns:
         if n < defn.min_n:
             continue
         try:
-            rows.extend(defn.run(fam, n))
+            got = defn.test(fam, n)
         except Exception as exc:  # one bad (check, n) is one fail row
-            detail = f"{type(exc).__name__}: {exc}"
-            label = fam.name if fam is not None else defn.label
-            rows.append(fail_row(name, family=label, n=n, x=defn.x, detail=detail))
+            rows.append(fail_row(name, n=n, detail=f"{type(exc).__name__}: {exc}", **where))
+            continue
+        if type(got) is list:
+            rows.extend(got)
+            continue
+        ok, detail = got if type(got) is tuple else (got, "")
+        rows.append(verdict_row(ok, name, finding_on_fail=defn.finding, n=n, detail=detail,
+                                **where))
     return rows
 
 
+def suite(name: str) -> list[tuple[str, FamilyId | None, int, int]]:
+    """(check, family or None, lo, hi): every item the table tags `name`.
+    Raises ValueError for a name that no item carries."""
+    items = [(check, *item) for check, defn in REGISTRY.items()
+             for tag, *item in defn.items if tag == name]
+    if not items:
+        raise ValueError(f"unknown suite {name!r}")
+    return items
+
+
 def acceptance_suite() -> list[tuple[str, FamilyId | None, int, int]]:
-    """(check, family or None, lo, hi): every item of every registry entry."""
-    return [(name, *item) for name, defn in REGISTRY.items() for item in defn.items]
-
-
-def fast_suite() -> list[tuple[str, FamilyId | None, int, int]]:
-    return [
-        ("de1", None, 1, 5),
-        ("de2np1", None, 1, 5),
-        ("fig4", None, 1, 4),
-        ("p31at3", None, 0, 5),
-        ("ap31", None, 0, 5),
-        ("ap21", None, 0, 6),
-        ("l1_31", None, 10, 10),
-        ("r_det01", None, 2, 5),
-        ("dodgson", F31, 1, 5),
-        ("weights", F21, 1, 5),
-        ("gfequiv", F31, 10, 10),
-        ("tseries", None, 10, 10),
-    ]
+    """The items the table tags `acceptance`: the suite of the golden rows."""
+    return suite("acceptance")

@@ -1,10 +1,11 @@
 """Command-line surface: determinant evaluation, factorization displays,
 verification sweeps, series printing, and report emission.
 
-Exit codes: 0 ok, 1 at least one asserting check failed or a cache that
-is corrupt or cannot be opened or written, 2 usage error (argparse or
-``UsageError``) and nothing else.
-Finding rows never affect the exit status.
+Exit codes: 0 ok, 1 at least one asserting check failed, a cache that is
+corrupt or cannot be opened or written, or an --output that cannot be
+written, 2 usage error (argparse or ``UsageError``, an unknown suite
+included) and nothing else.  `report` creates its --output directory
+before it runs a check.  Finding rows never affect the exit status.
 """
 
 from __future__ import annotations
@@ -64,21 +65,18 @@ def _family(text: str) -> FamilyId:
         raise UsageError(str(exc))
 
 
-def _emit_rows(rows: list[Row], fmt: str, output: str | None) -> None:
-    from .report import sort_rows, to_csv, to_json_lines, to_text
+def _emit_rows(rows: list[Row], fmt: str, output: str | None) -> int:
+    """Print the rows, or write them to output; the exit status they give."""
+    from .report import any_failure, sort_rows, to_csv, to_json_lines, to_text
 
     rows = sort_rows(rows)
-    if fmt == "json":
-        payload = to_json_lines(rows)
-    elif fmt == "csv":
-        payload = to_csv(rows)
-    else:
-        payload = to_text(rows)
+    payload = {"json": to_json_lines, "csv": to_csv}.get(fmt, to_text)(rows)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
+    return 1 if any_failure(rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +299,6 @@ def _run_suite(items, jobs: int) -> list[Row]:
 
 def cmd_verify(args) -> int:
     from .checks import REGISTRY
-    from .report import any_failure
 
     names = [c.strip() for c in args.check.split(",") if c.strip()]
     if not names:
@@ -313,16 +310,14 @@ def cmd_verify(args) -> int:
     items = []
     for name in names:
         defn = REGISTRY[name]
-        lo, hi = defn.items[0][1:]
+        lo, hi = defn.default[1:]
         if args.n is not None:
             ns = _parse_range(args.n)
             lo, hi = ns[0], ns[-1]
         if hi < defn.min_n:
             raise UsageError(f"check {name!r} needs n >= {defn.min_n}")
         items.append((name, family, lo, hi))
-    rows = _run_suite(items, args.jobs)
-    _emit_rows(rows, args.format, args.output)
-    return 1 if any_failure(rows) else 0
+    return _emit_rows(_run_suite(items, args.jobs), args.format, args.output)
 
 
 def acceptance_suite():
@@ -333,33 +328,37 @@ def acceptance_suite():
     return checks.acceptance_suite()
 
 
-def cmd_sweep(args) -> int:
-    from .checks import fast_suite
-    from .report import any_failure
+def _suite(name: str):
+    """Suite `name` of the check table; `acceptance` through the name above.
+    The table is loaded here either way, so forked pool workers inherit it."""
+    from .checks import suite
 
-    items = acceptance_suite() if args.suite == "acceptance" else fast_suite()
-    rows = _run_suite(items, args.jobs)
-    _emit_rows(rows, args.format, args.output)
-    return 1 if any_failure(rows) else 0
+    try:
+        items = suite(name)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return acceptance_suite() if name == "acceptance" else items
+
+
+def cmd_sweep(args) -> int:
+    return _emit_rows(_run_suite(_suite(args.suite), args.jobs), args.format, args.output)
 
 
 def cmd_report(args) -> int:
+    from collections import Counter
     from pathlib import Path
 
-    from .checks import fast_suite
     from .report import sort_rows, to_csv, to_json_lines
 
-    items = acceptance_suite() if args.suite == "acceptance" else fast_suite()
-    rows = sort_rows(_run_suite(items, args.jobs))
+    items = _suite(args.suite)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
+    rows = sort_rows(_run_suite(items, args.jobs))
     (outdir / "report.jsonl").write_text(to_json_lines(rows) + "\n", encoding="utf-8")
     (outdir / "report.csv").write_text(to_csv(rows), encoding="utf-8")
-    npass = sum(1 for r in rows if r.status == "pass")
-    nfail = sum(1 for r in rows if r.status == "fail")
-    nfind = sum(1 for r in rows if r.status == "finding")
-    print(f"{npass} pass, {nfail} fail, {nfind} findings -> {outdir}")
-    return 1 if nfail else 0
+    count = Counter(r.status for r in rows)
+    print(f"{count['pass']} pass, {count['fail']} fail, {count['finding']} findings -> {outdir}")
+    return 1 if count["fail"] else 0
 
 
 def cmd_checks(_args) -> int:
@@ -367,7 +366,7 @@ def cmd_checks(_args) -> int:
 
     for name in sorted(REGISTRY):
         defn = REGISTRY[name]
-        fam, lo, hi = defn.items[0]
+        fam, lo, hi = defn.default
         tag = f" [family, default {fam}]" if fam is not None else ""
         print(f"{name:18s} n={lo}..{hi}{tag}  {defn.description}")
     return 0
@@ -380,7 +379,6 @@ def cmd_checks(_args) -> int:
 
 _FLAG = dict(action="store_true")
 _FORMATS = dict(choices=("text", "json", "csv"), default="text")
-_SUITES = ("acceptance", "fast")
 # command -> (help, handler, its options as (flag, add_argument keywords))
 _COMMANDS = {
     "det": ("evaluate H/K/M/N determinants", cmd_det, (
@@ -418,13 +416,13 @@ _COMMANDS = {
         ("--output", dict(default=None)),
     )),
     "sweep": ("run a predefined check suite", cmd_sweep, (
-        ("--suite", dict(choices=_SUITES, default="fast")),
+        ("--suite", dict(default="fast", help="a suite the check table names")),
         ("--format", _FORMATS),
         ("--jobs", dict(type=int, default=1)),
         ("--output", dict(default=None)),
     )),
     "report": ("write report.jsonl and report.csv", cmd_report, (
-        ("--suite", dict(choices=_SUITES, default="acceptance")),
+        ("--suite", dict(default="acceptance", help="a suite the check table names")),
         ("--output", dict(default="reports")),
         ("--jobs", dict(type=int, default=1)),
     )),
@@ -468,6 +466,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except CacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an --output that cannot be written
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

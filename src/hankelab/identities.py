@@ -223,15 +223,6 @@ class RelationId(Enum):
     R_21_X2 = "r_21_x2"
 
 
-POINT_RELATIONS = (
-    RelationId.R_X3,
-    RelationId.R_X3HALF,
-    RelationId.R_X3QUARTER,
-    RelationId.R_CREC,
-    RelationId.R_21_X0,
-    RelationId.R_21_X2,
-)
-
 _SYMBOLS = ("H", "K", "M", "N", "dH", "d2H")
 
 
@@ -474,6 +465,8 @@ _POINT_SPECS = {
         },
     ),
 }
+
+POINT_RELATIONS = tuple(_POINT_SPECS)
 
 # Squared-ratio recursions H_{n-1} H_{n+1} = ratio * H_n^2 at the three
 # special points of the (3,1) family.

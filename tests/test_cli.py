@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -199,11 +200,11 @@ def test_exit_status_contract(capsys):
     # an injected failing check turns the exit status nonzero;
     # findings alone leave it zero
     REGISTRY["selftest"] = CheckDef(
-        lambda fam, n: [fail_row("selftest", n=n)], ((None, 1, 1),)
+        lambda fam, n: [fail_row("selftest", n=n)], (("acceptance", None, 1, 1),)
     )
     REGISTRY["selffinding"] = CheckDef(
         lambda fam, n: [finding_row("selffinding", n=n), ok_row("selffinding", n=n)],
-        ((None, 1, 1),),
+        (("acceptance", None, 1, 1),),
     )
     try:
         code, out, _ = run(capsys, "verify", "--check", "selftest")
@@ -305,6 +306,58 @@ def test_acceptance_suite_is_the_golden_suite():
     assert {name for name, *_ in suite} == set(REGISTRY)
 
 
+def test_fast_suite_is_pinned():
+    assert Counter(checks.suite("fast")) == Counter([
+        ("de1", None, 1, 5),
+        ("de2np1", None, 1, 5),
+        ("fig4", None, 1, 4),
+        ("p31at3", None, 0, 5),
+        ("ap31", None, 0, 5),
+        ("ap21", None, 0, 6),
+        ("l1_31", None, 10, 10),
+        ("r_det01", None, 2, 5),
+        ("dodgson", F31, 1, 5),
+        ("weights", F21, 1, 5),
+        ("gfequiv", F31, 10, 10),
+        ("tseries", None, 10, 10),
+    ])
+
+
+def test_a_suite_is_added_in_the_check_table_alone(capsys, monkeypatch, tmp_path):
+    # a check whose only item names a new suite: the suite runs that item,
+    # and `verify` defaults to it since the check has no acceptance item
+    monkeypatch.setitem(REGISTRY, "selfsmoke",
+                        CheckDef(lambda fam, n: fam == F21, (("smoke", F21, 1, 2),)))
+    want = ["PASS selfsmoke family=2,1 n=1", "PASS selfsmoke family=2,1 n=2"]
+    for argv in (("sweep", "--suite", "smoke"), ("verify", "--check", "selfsmoke")):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()) == (0, want), argv
+    code, out, _ = run(capsys, "report", "--suite", "smoke", "--output", str(tmp_path))
+    assert code == 0 and out.startswith("2 pass, 0 fail, 0 findings")
+    rows = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+    assert [(r["check"], r["family"], r["n"]) for r in rows] == [
+        ("selfsmoke", "2,1", 1), ("selfsmoke", "2,1", 2)
+    ]
+    for command in ("sweep", "report"):
+        code, out, err = run(capsys, command, "--suite", "nope", "--output", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: unknown suite 'nope'\n")
+
+
+def test_an_output_that_cannot_be_written_is_an_error(capsys, monkeypatch, tmp_path):
+    # not a usage error: exit 1 with the path and the system's reason
+    missing = tmp_path / "missing" / "rows.txt"
+    want = (1, "", f"error: {missing}: {os.strerror(errno.ENOENT)}\n")
+    for argv in (("verify", "--check", "p32", "--n", "1"), ("sweep", "--suite", "fast")):
+        assert run(capsys, *argv, "--output", str(missing)) == want, argv
+    # `report` makes its directory before it runs any check
+    (tmp_path / "file").write_text("")
+    outdir = tmp_path / "file" / "rep"
+    monkeypatch.setattr(cli, "_run_suite", lambda *_args: pytest.fail("ran the suite"))
+    assert run(capsys, "report", "--suite", "fast", "--output", str(outdir)) == (
+        1, "", f"error: {outdir}: {os.strerror(errno.ENOTDIR)}\n"
+    )
+
+
 def test_verify_defaults_to_the_first_acceptance_item(capsys):
     code, out, _ = run(capsys, "verify", "--check", "explicit-weights,p21at0")
     assert code == 0
@@ -344,6 +397,15 @@ def test_fail_row_of_a_fixed_label_check_names_its_label(monkeypatch):
     ]
     assert checks.run_check("ap31at0", None, [2]) == [
         fail_row("ap31at0", family="3,1", n=2, x="0", detail=detail)
+    ]
+
+
+def test_a_finding_check_that_raises_gives_a_fail_row(monkeypatch):
+    # a mismatch of the unproven fig4 ODE is a finding; an exception is not
+    monkeypatch.setattr(checks, "ode_residual_for_det", lambda *_args: 1 / 0)
+    label = checks.ODES["fig4"].family.name
+    assert checks.run_check("fig4", None, [1]) == [
+        fail_row("fig4", family=label, n=1, detail="ZeroDivisionError: division by zero")
     ]
 
 
@@ -498,7 +560,8 @@ def test_one_bad_n_is_one_fail_row(capsys, monkeypatch):
             raise InexactDivision(f"inexact at n={n}")
         return [ok_row("selfraise", n=n)]
 
-    monkeypatch.setitem(REGISTRY, "selfraise", CheckDef(run_check, ((None, 1, 3),)))
+    monkeypatch.setitem(REGISTRY, "selfraise",
+                        CheckDef(run_check, (("acceptance", None, 1, 3),)))
     code, out, _ = run(capsys, "verify", "--check", "selfraise", "--n", "1..3")
     assert code == 1
     assert out.splitlines() == [

@@ -225,7 +225,7 @@ NEGATIVE_CONTROLS = [
 @pytest.mark.parametrize("check,mutate", NEGATIVE_CONTROLS,
                          ids=[c for c, _m in NEGATIVE_CONTROLS])
 def test_check_fails_on_a_broken_form(check, mutate, monkeypatch):
-    _fam, lo, hi = REGISTRY[check].items[0]
+    _fam, lo, hi = REGISTRY[check].default
     assert all(r.status == "pass" for r in run_check(check, None, range(lo, hi + 1)))
     mutate(monkeypatch)
     rows = run_check(check, None, range(lo, hi + 1))
@@ -280,7 +280,8 @@ WEIGHT_CONTROLS = [
 
 
 def _family_item_fails(check, family, mutate, monkeypatch):
-    ((_fam, lo, hi),) = [item for item in REGISTRY[check].items if item[0] == family]
+    ((*_, lo, hi),) = [item for item in REGISTRY[check].items
+                       if item[:2] == ("acceptance", family)]
     assert all(r.status == "pass" for r in run_check(check, family, range(lo, hi + 1)))
     mutate(monkeypatch)
     rows = run_check(check, family, range(lo, hi + 1))
