@@ -4,8 +4,9 @@ verification sweeps, series printing, and report emission.
 Exit codes: 0 ok, 1 at least one asserting check failed, a cache that is
 corrupt or cannot be opened or written, or an --output that cannot be
 written, 2 usage error (argparse or ``UsageError``, an unknown suite
-included) and nothing else.  `report` creates its --output directory
-before it runs a check.  Finding rows never affect the exit status.
+included) and nothing else.  `verify` and `sweep` open their --output
+file, and `report` creates its --output directory, before any check runs.
+Finding rows never affect the exit status.
 """
 
 from __future__ import annotations
@@ -65,17 +66,19 @@ def _family(text: str) -> FamilyId:
         raise UsageError(str(exc))
 
 
-def _emit_rows(rows: list[Row], fmt: str, output: str | None) -> int:
-    """Print the rows, or write them to output; the exit status they give."""
+def _run_and_emit(items, jobs: int, fmt: str, output: str | None) -> int:
+    """Run the items and print their rows, or write them to output, which is
+    opened first, as a shell redirection would be; the exit status they give."""
     from .report import any_failure, sort_rows, to_csv, to_json_lines, to_text
 
-    rows = sort_rows(rows)
-    payload = {"json": to_json_lines, "csv": to_csv}.get(fmt, to_text)(rows)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    fh = open(output, "w", encoding="utf-8") if output else sys.stdout
+    try:
+        rows = sort_rows(_run_suite(items, jobs))
+        payload = {"json": to_json_lines, "csv": to_csv}.get(fmt, to_text)(rows)
+        print(payload, file=fh)
+    finally:
+        if output:
+            fh.close()
     return 1 if any_failure(rows) else 0
 
 
@@ -317,7 +320,7 @@ def cmd_verify(args) -> int:
         if hi < defn.min_n:
             raise UsageError(f"check {name!r} needs n >= {defn.min_n}")
         items.append((name, family, lo, hi))
-    return _emit_rows(_run_suite(items, args.jobs), args.format, args.output)
+    return _run_and_emit(items, args.jobs, args.format, args.output)
 
 
 def acceptance_suite():
@@ -341,7 +344,7 @@ def _suite(name: str):
 
 
 def cmd_sweep(args) -> int:
-    return _emit_rows(_run_suite(_suite(args.suite), args.jobs), args.format, args.output)
+    return _run_and_emit(_suite(args.suite), args.jobs, args.format, args.output)
 
 
 def cmd_report(args) -> int:

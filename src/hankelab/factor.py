@@ -76,12 +76,6 @@ class FactorReport(namedtuple("FactorReport", "input sign small_factors cofactor
 
     __slots__ = ()
 
-    def reconstruct(self) -> int:
-        acc = self.sign
-        for p, e in self.small_factors:
-            acc *= p**e
-        return acc * self.cofactor
-
     def render(self) -> str:
         """Display form: ascending primes, then the cofactor."""
         parts = []

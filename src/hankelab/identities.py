@@ -5,8 +5,9 @@ The sequence-level identities hold for every index k and are checked as
 exact Poly identities; the determinant-level relations tie H, K, M, N and
 the derivatives of H together at fixed n.  Each symbolic relation is stated
 once, as terms (symbol, Poly coefficient): the symbolic check sums them
-against the determinants over Z[x], and the point screen evaluates the same
-terms at x0 against integer-jet values.  The weight machinery reads the
+against the determinants over Z[x], and the point screen sums the same
+terms at x0 over Z, against integer-jet values over one denominator, with
+one division per residual.  The weight machinery reads the
 annihilating weights off the closed generating-function denominator that
 `sequences.gf_fraction` states, one code path for (3,1) and (2,1), and
 compares them with the explicit closed forms.
@@ -21,7 +22,7 @@ from functools import lru_cache
 from math import gcd
 
 from .closed_forms import ODES
-from .jet import JET
+from .jet import JET, terms_at
 from .poly import Poly, denominator_lcm, from_int_scaled, to_int_scaled
 from .rat import Rat, binom0, double_factorial, factorial, rat
 from .sequences import (
@@ -202,8 +203,8 @@ def check_identity(iid: IdentityId, k_max: int) -> list[int]:
 # _SYMBOLS naming the values in the order jet_quartet gives them.
 # `relation_residuals` sums coefficient times determinant over Z[x];
 # `relation_residuals_at` sums the coefficient's value at x0 times the jet
-# value, which is the same residual at x0 times the jet's common q-power,
-# because every relation is homogeneous in the values.
+# value over Z (`jet.terms_at`), which is the same residual at x0 times the
+# jets' common q-power, because every relation is homogeneous in the values.
 
 
 class RelationId(Enum):
@@ -378,13 +379,10 @@ def _relation_terms(rid: RelationId, n: int) -> tuple:
     return family, terms(n)
 
 
-def _combine(residuals, values, x0=None) -> list:
-    """Each residual's sum of coefficient times value, values in _SYMBOLS
-    order; with x0 given, each coefficient is read at x0."""
+def _combine(residuals, values) -> list:
+    """Each residual's sum of coefficient times value, values in _SYMBOLS order."""
     named = dict(zip(_SYMBOLS, values))
-    if x0 is None:
-        return [sum(c * named[s] for s, c in terms) for terms in residuals]
-    return [sum(c(x0) * named[s] for s, c in terms) for terms in residuals]
+    return [sum(c * named[s] for s, c in terms) for terms in residuals]
 
 
 def relation_residuals(rid: RelationId, n: int) -> list[Poly]:
@@ -509,17 +507,17 @@ def check_relation(rid: RelationId, n: int) -> bool:
 
 
 def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
-    """(H, K, M, N, d_xH, d_x^2 H) at x0, all scaled by one common factor.
+    """((H, K, M, N, d_xH, d_x^2 H) as integers, their common denominator).
 
     Read off the family's ladder over integer length-3 jets: each distinct
     entry a_k is expanded at x0 = p/q once, times q^k, so a determinant on
     columns c_0..c_n carries q^(n(n+1)/2 + sum c_j).  Each value is then
     lifted to the identical factor q^((2n+2)(n+1)), which is harmless to
-    the linear homogeneous relations screened against these values, and
-    the ladder's entry scale D is divided out.  Where a pivot of the ladder
-    vanishes at x0, each determinant is eliminated on its own with row
-    pivoting, which raises ``JetNotInvertible`` when a pivot it must divide
-    by is not a unit.
+    the linear homogeneous relations screened against these values; the
+    denominator is the ladder's entry scale D to the power n + 1.  Where a
+    pivot of the ladder vanishes at x0, each determinant is eliminated on
+    its own with row pivoting, which raises ``JetNotInvertible`` when a
+    pivot it must divide by is not a unit.
     """
     if n < 1:
         raise ValueError("the jet quartet needs n >= 1: M_0 and N_0 are undefined")
@@ -529,9 +527,8 @@ def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     h, k, m, nn = (lad.det(n, name) for name in "HKMN")
     # the columns of K sum to one more than H's, and M's and N's to two more
     lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
-    den = scale ** (n + 1)
     values = (h[0] * q * q, k[0] * q, m[0], nn[0], h[1] * q * q, 2 * h[2] * q * q)
-    return tuple(Rat(v * lift, den) for v in values)
+    return tuple(v * lift for v in values), scale ** (n + 1)
 
 
 def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
@@ -539,12 +536,14 @@ def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
 
     The same terms as `relation_residuals`, read at x0 against integer-jet
     values of the determinants and of H's first two derivatives; no
-    symbolic determinant is formed.  Each residual comes out times the
+    symbolic determinant is formed, and each residual is one integer sum
+    (`jet.terms_at`) divided once.  Each residual comes out times the
     jets' common x0-denominator power.
     """
     family, residuals = _relation_terms(rid, n)
     x = rat(x0)
-    return _combine(residuals, jet_quartet(family, n, x), x)
+    values, den = jet_quartet(family, n, x)
+    return terms_at(residuals, dict(zip(_SYMBOLS, values)), den, x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,18 @@ yields the value and the first two derivatives of a determinant at x0
 times a known power of q, without forming the symbolic determinant and
 without any gcd.  Interior divisions are exact (the intermediates are
 minors of an integer matrix) but require the divisor to be a unit, a jet
-with nonzero value; callers resample the point otherwise.
+with nonzero value; callers resample the point otherwise.  `terms_at`
+sums the point screen's residuals over Z against such values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import lcm
 
 from .hankel import Ring
-from .poly import Poly
-from .rat import rat
+from .poly import Poly, int_poly_hom_eval
+from .rat import Rat, rat
 
 
 class JetNotInvertible(ArithmeticError):
@@ -93,3 +95,28 @@ def int_jets(polys: Sequence[Poly], x0) -> list[IntJet]:
         tuple(_exact(t, f.den, k) for t in _taylor_jet(f.num, p, q, k))
         for k, f in enumerate(polys)
     ]
+
+
+def terms_at(residuals, values, den: int, x0) -> list[Rat]:
+    """Each residual's sum of coefficient at x0 times value, as one sum over Z.
+
+    ``residuals`` holds tuples of (symbol, Poly coefficient) terms and
+    ``values`` maps each symbol to an integer over the common ``den``.  At
+    x0 = p/q a coefficient c is hom(c) / (c.den q^deg c), hom(c) its
+    numerator's homogeneous Horner sum; brought to the residual's scale
+    L q^top (L the lcm of the c.den, top the largest degree), every term is
+    an integer and the residual is one sum divided once by den L q^top.
+    """
+    x0 = rat(x0)
+    p, q = x0.numerator, x0.denominator
+    out = []
+    for terms in residuals:
+        top = max(1, *(len(c.num) for _, c in terms)) - 1
+        scale = lcm(*(c.den for _, c in terms))
+        total = sum(
+            int_poly_hom_eval(c.num, p, q) * q ** (top + 1 - len(c.num))
+            * (scale // c.den) * values[s]
+            for s, c in terms
+        )
+        out.append(Rat(total, den * scale * q**top))
+    return out

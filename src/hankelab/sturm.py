@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly, int_poly_hom_eval
-from .rat import Rat, rat
+from .rat import Rat
 
 Interval = tuple[Fraction, Fraction]
 
@@ -40,16 +40,6 @@ def _count(chain: list[Poly], a, b) -> int:
         signs = [v > 0 for v in (int_poly_hom_eval(f.num, p, q) for f in chain) if v]
         counts.append(sum(1 for u, v in zip(signs, signs[1:]) if u != v))
     return counts[0] - counts[1]
-
-
-def sturm_count(p: Poly, a, b) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b]."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    a, b = rat(a), rat(b)
-    if a > b:
-        raise ValueError("empty interval: a > b")
-    return _count(sturm_chain(p), a, b)
 
 
 def root_bound(p: Poly) -> Rat:

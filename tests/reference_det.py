@@ -7,6 +7,9 @@ division.  ``POLY`` and ``RATIONAL`` run ``hankel.det_bareiss`` over
 ``cramer_trace`` forms Tr(adj(A) X) as n determinants, one per replaced
 column, and ``fraction_nullspace`` is Gauss-Jordan over ``Fraction``:
 the last two are the computations ``hankel.gauss_jordan`` replaced.
+``fraction_jet_quartet`` and ``fraction_screen`` are the relation screen
+over ``Fraction``, the computation ``jet.terms_at`` replaced, and
+``reconstruct`` multiplies a ``factor.FactorReport`` back out.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from hankelab import hankel
 from hankelab.hankel import Ring, det_fraction_free
+from hankelab.jet import JET
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> object:
@@ -111,3 +116,32 @@ def fraction_nullspace(rows, ncols: int) -> list[list[Fraction]]:
             vec[pc] = -m[row_idx][free]
         basis.append(vec)
     return basis
+
+
+def fraction_jet_quartet(family, n: int, x0) -> tuple:
+    """(H, K, M, N, H', H'') at x0 as Fractions, each times q^((2n+2)(n+1)):
+    the family's jet-ladder values lifted and divided one by one."""
+    x0 = Fraction(x0)
+    q = x0.denominator
+    scale, lad = hankel.cached_ladder(family, x0, JET, n)
+    h, k, m, nn = (lad.det(n, name) for name in "HKMN")
+    lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
+    den = scale ** (n + 1)
+    values = (h[0] * q * q, k[0] * q, m[0], nn[0], h[1] * q * q, 2 * h[2] * q * q)
+    return tuple(Fraction(v * lift, den) for v in values)
+
+
+def fraction_screen(residuals, values, x0) -> list[Fraction]:
+    """Each residual's sum over Q of its coefficients read at x0 by
+    ``Poly.__call__`` times the Fraction values, in (H, K, M, N, H', H'')
+    order."""
+    named = dict(zip(("H", "K", "M", "N", "dH", "d2H"), values))
+    return [sum(c(x0) * named[s] for s, c in terms) for terms in residuals]
+
+
+def reconstruct(rep) -> int:
+    """sign * prod(prime^exp) * cofactor of a FactorReport."""
+    acc = rep.sign
+    for p, e in rep.small_factors:
+        acc *= p**e
+    return acc * rep.cofactor

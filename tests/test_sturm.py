@@ -5,7 +5,13 @@ import pytest
 
 from hankelab import sturm
 from hankelab.poly import Poly
-from hankelab.sturm import isolate_real_roots, refine_interval, root_bound, sturm_count
+from hankelab.sturm import isolate_real_roots, refine_interval, root_bound
+
+
+def sturm_count(p, a, b) -> int:
+    """Oracle: distinct real roots of p in the half-open interval (a, b],
+    read off p's Sturm chain."""
+    return sturm._count(sturm.sturm_chain(p), Fraction(a), Fraction(b))
 
 
 def test_sqrt2_count():
