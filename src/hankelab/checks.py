@@ -43,16 +43,14 @@ from .hankel import (
     make_degree_instance,
 )
 from .identities import (
-    IdentityId,
     RelationId,
-    check_identity,
-    check_matrix_convolution_identities,
     check_relation,
     ciden_check,
     explicit_weights_match,
     transform_rules,
     weight_nullspace,
 )
+from .lemmas import IdentityId, check_identity, check_matrix_convolution_identities
 from .rat import format_rat
 from .report import Row, fail_row, verdict_row
 from .sequences import (

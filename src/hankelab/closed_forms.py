@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
 
-from .poly import Poly
+from .poly import Poly, lin_comb
 from .rat import Rat, double_factorial, factorial, rat
 from .sequences import (
     F21,
@@ -300,12 +300,10 @@ ODES: dict[str, OdeSpec] = {
 def ode_residual(spec: OdeSpec, n: int, y: Poly) -> Poly:
     """sum_k coeff_k(n) * d_x^k y; the zero Poly iff y solves the instance."""
     coeffs = spec.coeffs(n)
-    acc = Poly.zero()
-    d = y
-    for k, c in enumerate(coeffs):
-        acc = acc + c * d
-        d = d.derivative()
-    return acc
+    derivs = [y]
+    for _ in coeffs[1:]:
+        derivs.append(derivs[-1].derivative())
+    return lin_comb(zip(coeffs, derivs))
 
 
 def ode_residual_for_det(name: str, n: int) -> Poly:
@@ -353,19 +351,12 @@ def three_term_check(case: str, n: int) -> bool:
     if n < 2:
         raise ValueError("three-term recursions start at n = 2")
     if case == "c31":
-        p, q = three_term_31_pq(n)
-        lhs = (
-            p * hankel_det(F31, n)
-            + q * hankel_det(F31, n - 1)
-            + hankel_det(F31, n - 2)
-        )
-        return lhs.is_zero()
-    if case == "c21":
-        lhs = hankel_det(F21, n) - (
-            Poly([2, -2]) * hankel_det(F21, n - 1) - hankel_det(F21, n - 2)
-        )
-        return lhs.is_zero()
-    raise ValueError(f"unknown three-term case {case!r}")
+        fam, (p, q) = F31, three_term_31_pq(n)
+    elif case == "c21":
+        fam, p, q = F21, 1, Poly([-2, 2])
+    else:
+        raise ValueError(f"unknown three-term case {case!r}")
+    return lin_comb(zip((p, q, 1), (hankel_det(fam, n - i) for i in range(3)))).is_zero()
 
 
 def recursion_31at1(n: int) -> Rat:

@@ -151,8 +151,9 @@ def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list
     return m, pivots, sign
 
 
-def adjugate(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """adj(A) of an invertible square Poly matrix; ValueError if singular.
+def int_adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[list[int]]], int]:
+    """(B, s) with adj(A) = B / s, B over Z[x], for an invertible square Poly
+    matrix A; ValueError if singular.
 
     With D the row scales that make D A integral, Gauss-Jordan over Z[x]
     reduces [D A | D] to [d I | d A^{-1}], d = sign * det(D) * det(A).
@@ -163,8 +164,7 @@ def adjugate(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     reduced, pivots, sign = gauss_jordan(aug, INT_POLY)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    scale = sign * prod(s for _, s in scaled)
-    return [[from_int_scaled(v, scale) for v in row[n:]] for row in reduced]
+    return [row[n:] for row in reduced], sign * prod(s for _, s in scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +287,18 @@ def cached_ladder(family: FamilyId, x0: Rat | None, ring: Ring, n: int):
             need = lcm(need, f.den * q ** max(len(f.num) - 1 - k, 0))
         if need != scale:
             scale, lad = need, None
-        if scale != 1:
-            polys = [scale * f for f in polys]
         old = lad.entries if lad is not None else []
         start = len(old)
+        # only the entries the ladder lacks are scaled and expanded
+        polys = [scale * f for f in polys[start:]] if scale != 1 else polys[start:]
         if ring is INT_POLY:
-            new = [list(f.num) for f in polys[start:]]
+            new = [list(f.num) for f in polys]
         elif ring is INT:
-            new = [(f(x0) * q**k).numerator for k, f in enumerate(polys[start:], start)]
+            new = [(f(x0) * q**k).numerator for k, f in enumerate(polys, start)]
         else:
             from .jet import int_jets
 
-            new = int_jets(polys, x0)[start:]
+            new = int_jets(polys, x0, start)
         if key not in _ladders and x0 is not None:
             points = [k for k in _ladders if k[1] is not None]
             if len(points) >= _POINT_LADDERS_KEPT:

@@ -1,16 +1,16 @@
-"""Lemma-level identities, determinant-level relations, trace transformation
-rules, and the third-identity weight machinery.
+"""Determinant-level relations, trace transformation rules, and the
+third-identity weight machinery (the sequence-level lemmas are `lemmas.py`).
 
-The sequence-level identities hold for every index k and are checked as
-exact Poly identities; the determinant-level relations tie H, K, M, N and
-the derivatives of H together at fixed n.  Each symbolic relation is stated
-once, as terms (symbol, Poly coefficient): the symbolic check sums them
-against the determinants over Z[x], and the point screen sums the same
-terms at x0 over Z, against integer-jet values over one denominator, with
-one division per residual.  The weight machinery reads the
-annihilating weights off the closed generating-function denominator that
-`sequences.gf_fraction` states, one code path for (3,1) and (2,1), and
-compares them with the explicit closed forms.
+The determinant-level relations tie H, K, M, N and the derivatives of H
+together at fixed n.  Each symbolic relation is stated once, as terms
+(symbol, Poly coefficient): the symbolic check sums them against the
+determinants over Z[x], and the point screen sums the same terms at x0 over
+Z, against integer-jet values over one denominator, with one division per
+residual.  The weight machinery reads the annihilating weights off the
+closed generating-function denominator that `sequences.gf_fraction` states,
+one code path for (3,1) and (2,1), and compares them with the explicit
+closed forms.  Every sum of coefficients times polynomials here (relation
+residuals, Table-1 traces, weight annihilation rows) is one `poly.lin_comb`.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from math import gcd
 
 from .closed_forms import ODES
 from .jet import JET, terms_at
-from .poly import Poly, denominator_lcm, from_int_scaled, to_int_scaled
+from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
+from .poly import int_poly_add_into
 from .rat import Rat, binom0, double_factorial, factorial, rat
 from .sequences import (
     F21,
-    F30,
     F31,
-    F3K2M,
-    FAEX,
     FamilyId,
     a_poly,
     closed_form_for,
@@ -39,11 +37,11 @@ from .sequences import (
 )
 from .hankel import (
     INT,
-    adjugate,
     cached_ladder,
     gauss_jordan,
     hankel_det_at,
     hankel_matrix,
+    int_adjugate,
     quartet,
     variant_det_at,
 )
@@ -53,145 +51,8 @@ def _p(*cs) -> Poly:
     return Poly(cs)
 
 
-# (x-3)(2x-3)(4x-3): the coefficient of d_x a_k in L1_31 and of H_n' in R_DET01
+# (x-3)(2x-3)(4x-3): the coefficient of H_n' in R_DET01 (and of d_x a_k in L1_31)
 _S31 = _p(-3, 1) * _p(-3, 2) * _p(-3, 4)
-
-
-# ---------------------------------------------------------------------------
-# Sequence-level identities (one Poly identity per index k)
-# ---------------------------------------------------------------------------
-
-
-class IdentityId(Enum):
-    L1_31 = "l1_31"
-    L2_31 = "l2_31"
-    L1_21 = "l1_21"
-    L2_21 = "l2_21"
-    L1_30 = "l1_30"
-    L2_30 = "l2_30"
-    L1_3K2M = "l1_3k2m"
-    L2_3K2M = "l2_3k2m"
-    L1_AEX = "l1_aex"
-    L2_AEX = "l2_aex"
-
-
-IDENTITY_FAMILY: dict[IdentityId, FamilyId] = {
-    IdentityId.L1_31: F31,
-    IdentityId.L2_31: F31,
-    IdentityId.L1_21: F21,
-    IdentityId.L2_21: F21,
-    IdentityId.L1_30: F30,
-    IdentityId.L2_30: F30,
-    IdentityId.L1_3K2M: F3K2M,
-    IdentityId.L2_3K2M: F3K2M,
-    IdentityId.L1_AEX: FAEX,
-    IdentityId.L2_AEX: FAEX,
-}
-
-
-def identity_residual(iid: IdentityId, k: int) -> Poly:
-    """The stated combination of a_{k-1..k+2}, c_{k-1..k+2}, d_x a_k."""
-    fam = IDENTITY_FAMILY[iid]
-    a = lambda i: a_poly(fam, i)
-    c = lambda i: conv_poly(fam, i)
-    da = a(k).derivative()
-    I = IdentityId
-
-    if iid is I.L1_31:
-        return (
-            _S31 * da
-            - 2 * (2 * k + 3) * a(k + 1)
-            + _p(27 * k + 36, -18, 8) * a(k)
-            - 4 * _p(3, -6, 2) * c(k)
-            + 27 * _p(3, -6, 2) * c(k - 1)
-        )
-    if iid is I.L2_31:
-        return (
-            4 * (2 * k + 5) * _p(-1, 1) * a(k + 2)
-            - (2 * k * _p(-81, 135, -72, 16) + 2 * _p(-117, 180, -92, 24)) * a(k + 1)
-            + (27 * k * _p(-3, 2) ** 3 + 54 * _p(-3, 2) * _p(3, -4, 2)) * a(k)
-            + 8 * _p(-1, 1) * _p(3, -6, 2) * c(k + 1)
-            + 2 * _p(81, -297, 324, -114, 8) * c(k)
-            - 27 * _p(0, 1) * _p(-3, 2) * _p(9, -12, 2) * c(k - 1)
-        )
-    if iid is I.L1_21:
-        return (
-            2 * _p(0, 1) * _p(-2, 1) * da
-            - (k + 1) * a(k + 1)
-            + _p(4 * k + 2, 2) * a(k)
-            - _p(-1, 1) * c(k)
-            + 4 * _p(-1, 1) * c(k - 1)
-        )
-    if iid is I.L2_21:
-        return (
-            _p(2, k + 2) * a(k + 2)
-            - (2 * k * _p(0, 2, 1) + 2 * _p(4, 3, 2)) * a(k + 1)
-            + 4 * (2 * k + 3) * _p(0, 0, 1) * a(k)
-            + _p(-1, 1) * _p(-2, 1) * c(k + 1)
-            - 4 * _p(-1, 1) * _p(-2, 1) * c(k)
-        )
-    if iid is I.L1_30:
-        return (
-            3 * _p(-3, 1) * _p(0, 1) * _p(-3, 4) * da
-            - (4 * k * _p(-3, 2) + 2 * _p(-5, 2)) * a(k + 1)
-            + (27 * k * _p(-3, 2) + 3 * _p(-9, -3, 4)) * a(k)
-            - 4 * _p(-1, 1) * c(k + 1)
-            + 27 * _p(-1, 1) * c(k)
-        )
-    if iid is I.L2_30:
-        return (
-            (4 * k * _p(-3, 2) ** 2 * _p(-3, 5) + 2 * _p(-3, 2) * _p(-3, 5) * _p(-11, 6))
-            * a(k + 2)
-            - (81 * k * _p(-9, 27, -24, 8) + 18 * _p(-54, 153, -123, 37)) * a(k + 1)
-            + (729 * k + 486) * _p(0, 0, 0, 1) * a(k)
-            + 4 * _p(-1, 1) * _p(-3, 2) * _p(-3, 5) * c(k + 2)
-            - 3 * _p(-81, 270, -207, -30, 40) * c(k + 1)
-            + 162 * _p(0, 0, 1) * _p(9, -15, 5) * c(k)
-        )
-    if iid is I.L1_3K2M:
-        return (
-            _p(0, 1) * _p(-9, 2) * _p(9, 4) * da
-            - (36 * k + 30) * a(k + 1)
-            + _p(243 * k + 81, 18, 8) * a(k)
-            - 12 * c(k + 1)
-            - _p(-81, -36, 8) * c(k)
-            + 27 * _p(0, 1) * _p(-9, 2) * c(k - 1)
-        )
-    if iid is I.L2_3K2M:
-        return (
-            (36 * k + 66) * _p(3, 2) * a(k + 2)
-            - (k * _p(729, 486, 0, 32) + 12 * _p(81, 54, 4, 4)) * a(k + 1)
-            + (216 * k * _p(0, 0, 0, 1) + 108 * _p(0, 0, 1) * _p(3, 2)) * a(k)
-            + 12 * _p(3, 2) * c(k + 2)
-            + _p(-243, -378, -72, 16) * c(k + 1)
-            + 2 * _p(0, 1) * _p(729, 243, -90, 8) * c(k)
-            - 54 * _p(0, 0, 0, 1) * _p(-9, 2) * c(k - 1)
-        )
-    if iid is I.L1_AEX:
-        return (
-            _p(0, 1) * _p(-3, 1) * _p(-3, 7) * da
-            - (4 * k + 14) * _p(-1, 1) * a(k + 1)
-            + (27 * k * _p(-1, 1) + 3 * _p(-1, 1) * _p(3, 11)) * a(k)
-            - 6 * _p(-1, 1) ** 2 * c(k)
-            + 6 * _p(0, 0, 0, 1) * c(k - 1)
-        )
-    if iid is I.L2_AEX:
-        return (
-            (4 * k + 18) * _p(-1, 1) ** 2 * _p(-1, 3) * a(k + 2)
-            + (k * _p(27, -135, 189, -113) - 4 * _p(-9, 39, -21, -19, 30)) * a(k + 1)
-            + (216 * k * _p(0, 0, 0, 1) + 12 * _p(0, 0, 0, 1) * _p(15, -2, 7)) * a(k)
-            + 6 * _p(-1, 1) ** 3 * _p(-1, 3) * c(k + 1)
-            - 6 * _p(0, 0, 1) * _p(-1, 1) * _p(9, -17, 10) * c(k)
-            + 6 * _p(0, 0, 0, 0, 0, 1) * _p(-9, 7) * c(k - 1)
-        )
-    raise ValueError(f"unknown identity {iid!r}")
-
-
-def check_identity(iid: IdentityId, k_max: int) -> list[int]:
-    """Indices k in 0..k_max where the identity FAILS (empty = all pass)."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    return [k for k in range(k_max + 1) if not identity_residual(iid, k).is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +243,7 @@ def _relation_terms(rid: RelationId, n: int) -> tuple:
 def _combine(residuals, values) -> list:
     """Each residual's sum of coefficient times value, values in _SYMBOLS order."""
     named = dict(zip(_SYMBOLS, values))
-    return [sum(c * named[s] for s, c in terms) for terms in residuals]
+    return [lin_comb((c, named[s]) for s, c in terms) for terms in residuals]
 
 
 def relation_residuals(rid: RelationId, n: int) -> list[Poly]:
@@ -547,62 +408,8 @@ def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
 
 
 # ---------------------------------------------------------------------------
-# E/F matrix convolution identities and Table-1 trace rules
+# Table-1 trace rules
 # ---------------------------------------------------------------------------
-
-
-def e_matrix(family: FamilyId, n: int) -> list[list[Poly]]:
-    """Lower-triangular E_n with its first column halved."""
-    half = Rat(1, 2)
-    out = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if j == 0:
-                row.append(a_poly(family, i) * half)
-            elif j <= i:
-                row.append(a_poly(family, i - j))
-            else:
-                row.append(Poly.zero())
-        out.append(row)
-    return out
-
-
-def f_matrix(family: FamilyId, n: int) -> list[list[Poly]]:
-    """Strictly lower-triangular F_n with (i, j) entry a_{i-j-1}."""
-    return [
-        [
-            a_poly(family, i - j - 1) if j < i else Poly.zero()
-            for j in range(n + 1)
-        ]
-        for i in range(n + 1)
-    ]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(n)), Poly.zero())
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def check_matrix_convolution_identities(family: FamilyId, n: int) -> bool:
-    """[c_{i+j}] = E A + A E^T and [c_{i+j-1}] = F A + A F^T, entrywise.
-
-    A is symmetric, so A L^T is the transpose of L A for L = E, F.
-    """
-    a = hankel_matrix(family, n)
-    for lower, shift in ((e_matrix(family, n), 0), (f_matrix(family, n), -1)):
-        la = _mat_mul(lower, a)
-        for i, row in enumerate(la):
-            for j, v in enumerate(row):
-                if v + la[j][i] != conv_poly(family, i + j + shift):
-                    return False
-    return True
 
 
 def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Poly], Poly]]:
@@ -628,22 +435,28 @@ def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Po
     ]
 
 
-def transform_rules(family: FamilyId, n: int) -> list[tuple[str, bool]]:
-    """Table-1 rules as trace identities Tr(A^{-1} X) H_n = stated value.
+def _trace_values(family: FamilyId, n: int) -> list[tuple[str, Poly, Poly]]:
+    """(name, Tr(adj(A) X), stated value) for each Table-1 rule.
 
-    The left side is Tr(adj(A) X), the sum over s of x(s) times the s-th
-    anti-diagonal sum of adj(A), one Gauss-Jordan elimination of A's own.
+    Tr(adj(A) X) is the sum over s of x(s) times the s-th anti-diagonal sum
+    of adj(A) = B / scale, from one Gauss-Jordan elimination of A's own: the
+    anti-diagonal sums add B's integer entries, and each rule is one
+    `lin_comb` of them against x(s).
     """
-    rules = table1_rules(family, n)
-    adj = adjugate(hankel_matrix(family, n))
-    sums = [
-        sum((adj[i][s - i] for i in range(max(0, s - n), min(s, n) + 1)), Poly.zero())
-        for s in range(2 * n + 1)
-    ]
-    return [
-        (name, sum((t * x(s) for s, t in enumerate(sums)), Poly.zero()) == expected)
-        for name, x, expected in rules
-    ]
+    rows, scale = int_adjugate(hankel_matrix(family, n))
+    sums = []
+    for s in range(2 * n + 1):
+        acc: list[int] = []
+        for i in range(max(0, s - n), min(s, n) + 1):
+            int_poly_add_into(acc, rows[i][s - i])
+        sums.append(from_int_scaled(acc, scale))
+    return [(name, lin_comb(zip(sums, map(x, range(2 * n + 1)))), expected)
+            for name, x, expected in table1_rules(family, n)]
+
+
+def transform_rules(family: FamilyId, n: int) -> list[tuple[str, bool]]:
+    """Table-1 rules as trace identities Tr(A^{-1} X) H_n = stated value."""
+    return [(name, got == want) for name, got, want in _trace_values(family, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -755,10 +568,7 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
     weights = q2[::-1]
 
     for i in range(n + 1):
-        acc = Poly.zero()
-        for j in range(n + 3):
-            acc = acc + weights[j] * a_poly(family, i + j)
-        if not acc.is_zero():
+        if lin_comb((w, a_poly(family, i + j)) for j, w in enumerate(weights)):
             raise WeightError(f"weight annihilation failed at row i={i}")
 
     scale = _proportionality_scale(
@@ -802,8 +612,7 @@ def ciden_check(family: FamilyId, n: int) -> bool:
     """C_0(Q2) N_n + C_1(Q2) K_n + C_2(Q2) H_n = 0 (a nontrivial identity)."""
     sol = weight_nullspace(family, n)
     q = quartet(family, n)
-    acc = sol.q2[0] * q.N + sol.q2[1] * q.K + sol.q2[2] * q.H
-    return acc.is_zero()
+    return lin_comb(zip(sol.q2, (q.N, q.K, q.H))).is_zero()
 
 
 # -- explicit closed-form weights -------------------------------------------
@@ -949,12 +758,12 @@ def explicit_weights_31(n: int) -> list[Poly]:
     out = []
     half_cap = n // 2 + 1
     for j in range(n + 3):
-        acc = Poly.zero()
+        pairs = []
         for i in range(0, min(n + 1 - j, half_cap) + 1):
-            acc = acc + _abc31(n, i, j) * _u31(n, i, j)
+            pairs.append((_u31(n, i, j), _abc31(n, i, j)))
         for i in range(0, min(n + 2 - j, half_cap) + 1):
-            acc = acc + _def31(n, i, j) * _v31(n, i, j)
-        out.append(acc)
+            pairs.append((_v31(n, i, j), _def31(n, i, j)))
+        out.append(lin_comb(pairs))
     return out
 
 

@@ -81,8 +81,9 @@ def _exact(num: int, den: int, s: int) -> int:
     return out
 
 
-def int_jets(polys: Sequence[Poly], x0) -> list[IntJet]:
-    """The k-th f at x0 = p/q as the integer 3-jet q^k (f(x0), f'(x0), f''(x0)/2).
+def int_jets(polys: Sequence[Poly], x0, first: int = 0) -> list[IntJet]:
+    """The f with index k (first, first + 1, ...) at x0 = p/q as the integer
+    3-jet q^k (f(x0), f'(x0), f''(x0)/2).
 
     The sums run on f's integer numerators, and the jet is divided by
     f's denominator at the end.  Raises ``ArithmeticError`` where q^k
@@ -93,7 +94,7 @@ def int_jets(polys: Sequence[Poly], x0) -> list[IntJet]:
     p, q = x0.numerator, x0.denominator
     return [
         tuple(_exact(t, f.den, k) for t in _taylor_jet(f.num, p, q, k))
-        for k, f in enumerate(polys)
+        for k, f in enumerate(polys, first)
     ]
 
 

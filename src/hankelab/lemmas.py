@@ -1,0 +1,155 @@
+"""Sequence-level lemmas: identities among a_k, c_k and a_k' for every k.
+
+The ten L1/L2 identities are one table, `IDENTITIES`, of terms (A, B, kind,
+offset) with A and B int tuples: the coefficient A + k B times a_{k+offset},
+c_{k+offset} or a_k'.  Each residual, and each entry of the E/F matrix
+convolution identities, is one `poly.lin_comb` over Z.  The table has a
+module of its own: tuple displays cost the parser far more memory than ints,
+and inside `identities.py` they raised the compile that peaks a sweep's RSS.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+
+from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
+from .rat import Rat
+from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
+
+
+class IdentityId(Enum):
+    L1_31 = "l1_31"
+    L2_31 = "l2_31"
+    L1_21 = "l1_21"
+    L2_21 = "l2_21"
+    L1_30 = "l1_30"
+    L2_30 = "l2_30"
+    L1_3K2M = "l1_3k2m"
+    L2_3K2M = "l2_3k2m"
+    L1_AEX = "l1_aex"
+    L2_AEX = "l2_aex"
+
+
+# iid -> (family, terms).  The residual at k is the sum over the terms
+# (A, B, kind, offset) of the coefficient A + k B (ints ascending in x) times
+# a_{k+offset} ("a"), c_{k+offset} ("c") or d_x a_k ("da", offset 0).
+IDENTITIES: dict[IdentityId, tuple[FamilyId, tuple]] = {
+    IdentityId.L1_31: (F31, (
+        ((-27, 63, -42, 8), (), "da", 0),
+        ((-6,), (-4,), "a", 1),
+        ((36, -18, 8), (27,), "a", 0),
+        ((-12, 24, -8), (), "c", 0),
+        ((81, -162, 54), (), "c", -1))),
+    IdentityId.L2_31: (F31, (
+        ((-20, 20), (-8, 8), "a", 2),
+        ((234, -360, 184, -48), (162, -270, 144, -32), "a", 1),
+        ((-486, 972, -756, 216), (-729, 1458, -972, 216), "a", 0),
+        ((-24, 72, -64, 16), (), "c", 1),
+        ((162, -594, 648, -228, 16), (), "c", 0),
+        ((0, 729, -1458, 810, -108), (), "c", -1))),
+    IdentityId.L1_21: (F21, (
+        ((0, -4, 2), (), "da", 0),
+        ((-1,), (-1,), "a", 1),
+        ((2, 2), (4,), "a", 0),
+        ((1, -1), (), "c", 0),
+        ((-4, 4), (), "c", -1))),
+    IdentityId.L2_21: (F21, (
+        ((2, 2), (0, 1), "a", 2),
+        ((-8, -6, -4), (0, -4, -2), "a", 1),
+        ((0, 0, 12), (0, 0, 8), "a", 0),
+        ((2, -3, 1), (), "c", 1),
+        ((-8, 12, -4), (), "c", 0))),
+    IdentityId.L1_30: (F30, (
+        ((0, 27, -45, 12), (), "da", 0),
+        ((10, -4), (12, -8), "a", 1),
+        ((-27, -9, 12), (-81, 54), "a", 0),
+        ((4, -4), (), "c", 1),
+        ((-27, 27), (), "c", 0))),
+    IdentityId.L2_30: (F30, (
+        ((-198, 570, -472, 120), (-108, 324, -288, 80), "a", 2),
+        ((972, -2754, 2214, -666), (729, -2187, 1944, -648), "a", 1),
+        ((0, 0, 0, 486), (0, 0, 0, 729), "a", 0),
+        ((-36, 120, -124, 40), (), "c", 2),
+        ((243, -810, 621, 90, -120), (), "c", 1),
+        ((0, 0, 1458, -2430, 810), (), "c", 0))),
+    IdentityId.L1_3K2M: (F3K2M, (
+        ((0, -81, -18, 8), (), "da", 0),
+        ((-30,), (-36,), "a", 1),
+        ((81, 18, 8), (243,), "a", 0),
+        ((-12,), (), "c", 1),
+        ((81, 36, -8), (), "c", 0),
+        ((0, -243, 54), (), "c", -1))),
+    IdentityId.L2_3K2M: (F3K2M, (
+        ((198, 132), (108, 72), "a", 2),
+        ((-972, -648, -48, -48), (-729, -486, 0, -32), "a", 1),
+        ((0, 0, 324, 216), (0, 0, 0, 216), "a", 0),
+        ((36, 24), (), "c", 2),
+        ((-243, -378, -72, 16), (), "c", 1),
+        ((0, 1458, 486, -180, 16), (), "c", 0),
+        ((0, 0, 0, 486, -108), (), "c", -1))),
+    IdentityId.L1_AEX: (FAEX, (
+        ((0, 9, -24, 7), (), "da", 0),
+        ((14, -14), (4, -4), "a", 1),
+        ((-9, -24, 33), (-27, 27), "a", 0),
+        ((-6, 12, -6), (), "c", 0),
+        ((0, 0, 0, 6), (), "c", -1))),
+    IdentityId.L2_AEX: (FAEX, (
+        ((-18, 90, -126, 54), (-4, 20, -28, 12), "a", 2),
+        ((36, -156, 84, 76, -120), (27, -135, 189, -113), "a", 1),
+        ((0, 0, 0, 180, -24, 84), (0, 0, 0, 216), "a", 0),
+        ((6, -36, 72, -60, 18), (), "c", 1),
+        ((0, 0, 54, -156, 162, -60), (), "c", 0),
+        ((0, 0, 0, 0, 0, -54, 42), (), "c", -1))),
+}
+
+
+def identity_residual(iid: IdentityId, k: int) -> Poly:
+    """The identity's combination of a_{k-1..k+2}, c_{k-1..k+2} and d_x a_k,
+    summed over Z by one `lin_comb`."""
+    fam, terms = IDENTITIES[iid]
+    pairs = []
+    for a, b, kind, offset in terms:
+        coeff = list(a)
+        int_poly_add_into(coeff, b, k)
+        seq = conv_poly(fam, k + offset) if kind == "c" else a_poly(fam, k + offset)
+        pairs.append((from_int_scaled(coeff, 1), seq.derivative() if kind == "da" else seq))
+    return lin_comb(pairs)
+
+
+def check_identity(iid: IdentityId, k_max: int) -> list[int]:
+    """Indices k in 0..k_max where the identity FAILS (empty = all pass)."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    return [k for k in range(k_max + 1) if not identity_residual(iid, k).is_zero()]
+
+
+def _ef_entries(family: FamilyId, n: int) -> list[tuple[int, int, int, Poly]]:
+    """(shift, i, j, entry (i, j) of L A + A L^T) for j <= i, with A = [a_{i+j}]
+    and L = E_n (shift 0) or F_n (shift -1).
+
+    E_n is lower triangular with (r, k) entry a_{r-k} and its first column
+    halved; F_n is strictly lower with (r, k) entry a_{r-k-1}.  A is
+    symmetric, so A L^T is the transpose of L A, and entry (i, j) is one
+    `lin_comb` of row i of L against column j of A and row j against column i.
+    """
+    a = [a_poly(family, s) for s in range(2 * n + 1)]
+    out = []
+    for shift in (0, -1):
+        for i in range(n + 1):
+            for j in range(i + 1):
+                terms = []
+                for r, col in ((i, j), (j, i)):
+                    if not shift:
+                        terms.append((a[r] * Rat(1, 2), a[col]))
+                    for k in range(1, r + 1):  # a_{r-k} = E[r][k] or F[r][k - 1]
+                        terms.append((a[r - k], a[k + shift + col]))
+                out.append((shift, i, j, lin_comb(terms)))
+    return out
+
+
+def check_matrix_convolution_identities(family: FamilyId, n: int) -> bool:
+    """[c_{i+j}] = E A + A E^T and [c_{i+j-1}] = F A + A F^T, entrywise."""
+    for shift, i, j, v in _ef_entries(family, n):
+        if v != conv_poly(family, i + j + shift):
+            return False
+    return True

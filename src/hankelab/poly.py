@@ -439,6 +439,24 @@ def _inexact(a: Sequence[int], b: Sequence[int]) -> InexactDivision:
     return InexactDivision(f"inexact integer polynomial division of {a} by {b}")
 
 
+def lin_comb(pairs: Iterable[tuple[object, Poly]]) -> Poly:
+    """The sum of c * p over (c, p) pairs, c an int, Fraction or Poly.
+
+    Every product is brought to the lcm of the products' denominators and
+    added over Z, one product at a time (a scalar c only weights p's
+    numerators); the sum is normalised once, not once per term.
+    """
+    pairs = list(pairs)
+    scale = lcm(*(p.den * (c.den if isinstance(c, Poly) else c.denominator) for c, p in pairs))
+    acc: list[int] = []
+    for c, p in pairs:
+        if isinstance(c, Poly):
+            int_poly_add_into(acc, int_poly_mul(c.num, p.num), scale // (c.den * p.den))
+        else:
+            int_poly_add_into(acc, p.num, c.numerator * (scale // (c.denominator * p.den)))
+    return _make(acc, scale)
+
+
 def denominator_lcm(values: Iterable[Rat]) -> int:
     """The least common multiple of the values' denominators."""
     scale = 1

@@ -2,10 +2,12 @@
 
 Each family lifts an integer sequence C(beta*k + alpha, k)-style sequence to
 monic-in-x polynomials a_k(x); the Hankel machinery downstream consumes these.
+a_k is one list of `math.comb` integers over one denominator (k + 1 for aex,
+else 1), with C(t, j) = (-1)^j C(j - t - 1, j) for a negative top t.
 Generating functions come in a "direct" rational form in the algebraic series
 t (t^beta * y = t - 1) and in per-family "closed" forms; both expand to the
 same truncated series and the expansion is checked against a_k coefficient by
-coefficient.
+coefficient.  Each (form, family, order) fraction is built once per process.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from _thread import allocate_lock
 from collections import namedtuple
 from enum import Enum
+from math import comb
 
 from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_mul, to_int_scaled
-from .rat import Rat, binom, factorial
+from .rat import Rat, factorial
 
 # The series layer is imported by the generating-function functions below
 # when they run: a determinant query never expands a series.
@@ -102,22 +105,31 @@ def a_poly(family: FamilyId, k: int) -> Poly:
 
 
 def _a_poly_raw(family: FamilyId, k: int) -> Poly:
+    """a_k from one integer coefficient list over one denominator: the
+    binomials are `math.comb` integers, and only aex divides (by k + 1)."""
     kind = family.kind
+    ms = range(k + 1)
     if kind == "binom":
-        beta, alpha = family.beta, family.alpha
-        return Poly([binom(beta * k + alpha - m, k - m) for m in range(k + 1)])
+        top = family.beta * k + family.alpha
+        return from_int_scaled([_comb(top - m, k - m) for m in ms], 1)
     if kind == "3k-2m":
-        return Poly([binom(3 * k - 2 * m, k - m) for m in range(k + 1)])
+        return from_int_scaled([comb(3 * k - 2 * m, k - m) for m in ms], 1)
     if kind == "aex":
-        inv = Rat(1, k + 1)
-        return Poly(
-            [inv * (m + 1) * (m + 2) * binom(3 * k - m, k - m) for m in range(k + 1)]
+        return from_int_scaled(
+            [(m + 1) * (m + 2) * comb(3 * k - m, k - m) for m in ms], k + 1
         )
     if kind == "3k+1-shift":
-        return Poly([binom(3 * k + 1, k - m) for m in range(k + 1)])
+        return from_int_scaled([comb(3 * k + 1, k - m) for m in ms], 1)
     if kind == "2k+2-shift":
-        return Poly([binom(2 * k + 2, k - m) for m in range(k + 1)])
+        return from_int_scaled([comb(2 * k + 2, k - m) for m in ms], 1)
     raise ValueError(f"unknown family kind {kind!r}")
+
+
+def _comb(top: int, j: int) -> int:
+    """C(top, j) for an integer top of either sign: C(t, j) = (-1)^j C(j - t - 1, j)."""
+    if top >= 0:
+        return comb(top, j)
+    return -comb(j - top - 1, j) if j & 1 else comb(j - top - 1, j)
 
 
 def conv_poly(family: FamilyId, k: int) -> Poly:
@@ -218,13 +230,26 @@ def _x(c0, c1=0, c2=0, c3=0) -> Poly:
     return Poly([c0, c1, c2, c3])
 
 
+# (form, family, order) -> (num, den): the series are immutable, so `gfequiv`,
+# `fcoeffs` and the weight construction share one pair per key.
+_gf_memo: dict[tuple[GfForm, FamilyId, int], tuple[SeriesYX, SeriesYX]] = {}
+
+
 def gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
     """Numerator and denominator of the requested form as truncated series.
 
     Occurrences of the algebraic series t (or tau) are substituted by their
     expansions, so the pair lives entirely in Q[x][[y]].  Raises ValueError
-    for an incompatible form/family pair.
+    for an incompatible form/family pair.  Built once per key in a process.
     """
+    key = (form, family, order)
+    hit = _gf_memo.get(key)
+    if hit is None:
+        hit = _gf_memo.setdefault(key, _gf_fraction(form, family, order))
+    return hit
+
+
+def _gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
     from .series import SeriesYX
 
     one = SeriesYX.one(order)

@@ -3,6 +3,7 @@
 ``det_cofactor`` is the cofactor expansion, exponential and free of any
 division.  ``POLY`` and ``RATIONAL`` run ``hankel.det_bareiss`` over
 ``Poly`` and ``Fraction`` entries directly, with no integer scaling.
+``adjugate`` is ``hankel.int_adjugate`` read as Poly entries, and
 ``cofactor_adjugate`` is adj(A) entry by entry from ``det_cofactor``,
 ``cramer_trace`` forms Tr(adj(A) X) as n determinants, one per replaced
 column, and ``fraction_nullspace`` is Gauss-Jordan over ``Fraction``:
@@ -21,6 +22,7 @@ from typing import Sequence
 from hankelab import hankel
 from hankelab.hankel import Ring, det_fraction_free
 from hankelab.jet import JET
+from hankelab.poly import from_int_scaled
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> object:
@@ -57,6 +59,13 @@ def _rational_cross(p, r, l, u, d):
 
 POLY = Ring(_poly_cross, operator.neg, bool)
 RATIONAL = Ring(_rational_cross, operator.neg, bool)
+
+
+def adjugate(rows):
+    """adj(A) as Poly entries: ``hankel.int_adjugate``'s integer rows over
+    its scale."""
+    ints, scale = hankel.int_adjugate(rows)
+    return [[from_int_scaled(v, scale) for v in row] for row in ints]
 
 
 def cofactor_adjugate(rows):

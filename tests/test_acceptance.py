@@ -26,15 +26,13 @@ from hankelab.closed_forms import (
 from hankelab.factor import factor_smooth
 from hankelab.hankel import dodgson_check, hankel_det, hankel_det_at
 from hankelab.identities import (
-    IdentityId,
     RelationId,
-    check_identity,
-    check_matrix_convolution_identities,
     check_relation,
     explicit_weights_match,
     transform_rules,
     weight_nullspace,
 )
+from hankelab.lemmas import IdentityId, check_identity, check_matrix_convolution_identities
 from hankelab.checks import DEGREE_THEOREM_FAMILIES, run_check
 from hankelab.report import FAIL
 from hankelab.sequences import (

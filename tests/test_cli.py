@@ -674,8 +674,8 @@ NOT_AT_START_UP = {"dataclasses", "inspect", "typing", "pathlib"}
 def test_det_loads_only_the_layers_it_runs():
     loaded = modules_loaded_by("det", "--family", "3,1", "--n", "3", "--x", "2")
     assert "hankelab.hankel" in loaded
-    unused = ("checks", "identities", "closed_forms", "sturm", "jet", "factor", "report",
-              "series")
+    unused = ("checks", "identities", "lemmas", "closed_forms", "sturm", "jet", "factor",
+              "report", "series")
     assert loaded.isdisjoint(f"hankelab.{m}" for m in unused)
     assert loaded.isdisjoint(NOT_AT_START_UP)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import checks, closed_forms, identities, sequences
+from hankelab import checks, closed_forms, identities, lemmas, sequences
 from hankelab.checks import REGISTRY, run_check
 from hankelab.poly import Poly
 from hankelab.rat import Rat
@@ -205,6 +205,33 @@ def _t_coeff_perturbed(monkeypatch):
     t = sequences.t_series
     monkeypatch.setattr(sequences, "t_series",
                         lambda beta, order: t(beta, order) + SeriesYX(order, [0] * 5 + [1]))
+    monkeypatch.setattr(sequences, "_gf_memo", {})
+
+
+def _identity_entry_perturbed(iid):
+    """The first int of the identity's first table entry plus 1."""
+    def mutate(monkeypatch):
+        fam, ((a, b, kind, offset), *rest) = lemmas.IDENTITIES[iid]
+        entry = ((a[0] + 1, *a[1:]), b, kind, offset)
+        monkeypatch.setitem(lemmas.IDENTITIES, iid, (fam, (entry, *rest)))
+
+    return mutate
+
+
+def _conv_entry_perturbed(monkeypatch):
+    conv = lemmas.conv_poly
+    monkeypatch.setattr(lemmas, "conv_poly",
+                        lambda fam, k: conv(fam, k) + 1 if k == 3 else conv(fam, k))
+
+
+def _rule_value_perturbed(monkeypatch):
+    rules = identities.table1_rules
+
+    def perturbed(family, n):
+        (name, x, value), *rest = rules(family, n)
+        return [(name, x, value + 1), *rest]
+
+    monkeypatch.setattr(identities, "table1_rules", perturbed)
 
 
 A = AlmostProductId
@@ -219,6 +246,9 @@ NEGATIVE_CONTROLS = [
     ("de1", _de1_c0_perturbed),
     ("degree-random", _degree_bound_lowered),
     ("tseries", _t_coeff_perturbed),
+    *((iid.value, _identity_entry_perturbed(iid)) for iid in lemmas.IdentityId),
+    ("ef", _conv_entry_perturbed),
+    ("table1", _rule_value_perturbed),
 ]
 
 
@@ -305,6 +335,7 @@ def _a3_perturbed(monkeypatch):
     monkeypatch.setattr(sequences, "_a_poly_raw",
                         lambda fam, k: raw(fam, k) + Poly([1, 0, 0, 1]) if k == 3 else raw(fam, k))
     monkeypatch.setattr(sequences, "_a_memo", {})
+    monkeypatch.setattr(sequences, "_gf_memo", {})  # aex's direct form reads a_k
 
 
 GENERATING = (F31, F21, F30, F3K2M, FAEX)

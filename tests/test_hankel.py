@@ -7,6 +7,7 @@ from fraction_poly import ref
 from reference_det import (
     POLY,
     RATIONAL,
+    adjugate,
     cofactor_adjugate,
     cramer_trace,
     det_cofactor,
@@ -21,7 +22,6 @@ from hankelab.hankel import (
     INT_POLY,
     VARIANTS,
     _variant_columns,
-    adjugate,
     degree_bound,
     det_bareiss,
     det_fraction_free,

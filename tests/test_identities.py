@@ -3,27 +3,36 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from reference_det import cofactor_adjugate, cramer_trace, fraction_nullspace
+from reference_det import adjugate, cofactor_adjugate, cramer_trace, fraction_nullspace
+import reference_identities
+from reference_identities import (
+    e_matrix,
+    f_matrix,
+    fraction_identity_residual,
+    fraction_trace_values,
+    mat_mul,
+)
 
 import hankelab.identities as identities_mod
+import hankelab.lemmas as lemmas_mod
 from hankelab.checks import run_check
+from hankelab.lemmas import (
+    IdentityId,
+    check_identity,
+    check_matrix_convolution_identities,
+    identity_residual,
+)
 from hankelab.poly import Poly
 from hankelab.rat import Rat
-from hankelab.hankel import adjugate, hankel_matrix, quartet
+from hankelab.hankel import hankel_matrix, quartet
 from hankelab.identities import (
-    IdentityId,
     RelationId,
     POINT_RELATIONS,
     SYMBOLIC_RELATIONS,
-    check_identity,
-    check_matrix_convolution_identities,
     check_relation,
     ciden_check,
-    e_matrix,
     explicit_weights,
     explicit_weights_match,
-    f_matrix,
-    identity_residual,
     jet_quartet,
     pnqnrn_21,
     pnqnrn_31,
@@ -41,6 +50,7 @@ from hankelab.sequences import (
     F31,
     a_poly,
     closed_form_for,
+    conv_poly,
     gf_fraction,
     t_series,
 )
@@ -55,6 +65,34 @@ def test_identity_boundary_uses_c_minus1():
 def test_identities_hold():
     for iid in IdentityId:
         assert check_identity(iid, 12) == [], iid
+
+
+def test_identity_table_matches_the_poly_oracle(monkeypatch):
+    # on the true sequences both residuals vanish; on seeded stand-ins for
+    # a_k and c_k with rational coefficients neither does, and the table's
+    # integer sum must still equal the Poly expression term for term
+    for iid in IdentityId:
+        for k in range(31):
+            assert identity_residual(iid, k) == fraction_identity_residual(iid, k) == 0
+    rng = random.Random(1709)
+    fake = {}
+
+    def stand_in(kind):
+        def seq(fam, i):
+            if (kind, fam, i) not in fake:
+                fake[kind, fam, i] = Poly([Fraction(rng.randint(-99, 99), rng.randint(1, 6))
+                                           for _ in range(i + 2)])
+            return Poly.zero() if i < 0 else fake[kind, fam, i]
+
+        return seq
+
+    for mod in (lemmas_mod, reference_identities):
+        monkeypatch.setattr(mod, "a_poly", stand_in("a"))
+        monkeypatch.setattr(mod, "conv_poly", stand_in("c"))
+    for iid in IdentityId:
+        for k in range(31):
+            got = identity_residual(iid, k)
+            assert got == fraction_identity_residual(iid, k) and got, (iid, k)
 
 
 def test_relation_det01_hand_expansion():
@@ -130,6 +168,27 @@ def test_convolution_identities():
     for fam in (F21, F31):
         for n in range(0, 5):
             assert check_matrix_convolution_identities(fam, n), (fam, n)
+
+
+def test_ef_and_trace_sums_match_the_poly_oracle():
+    # every entry of L A + A L^T and every Table-1 trace, against Poly
+    # matrix products and the Poly adjugate, with the same verdicts
+    for fam in ALL_FAMILIES:
+        for n in range(0, 7):
+            a = hankel_matrix(fam, n)
+            want = {}
+            for lower, shift in ((e_matrix(fam, n), 0), (f_matrix(fam, n), -1)):
+                la = mat_mul(lower, a)
+                want.update(((shift, i, j), la[i][j] + la[j][i])
+                            for i in range(n + 1) for j in range(i + 1))
+            got = {(shift, i, j): v for shift, i, j, v in lemmas_mod._ef_entries(fam, n)}
+            assert got == want, (fam, n)
+            verdict = all(v == conv_poly(fam, i + j + s) for (s, i, j), v in want.items())
+            assert check_matrix_convolution_identities(fam, n) == verdict, (fam, n)
+            if n:
+                oracle = fraction_trace_values(fam, n)
+                assert identities_mod._trace_values(fam, n) == oracle, (fam, n)
+                assert transform_rules(fam, n) == [(name, v == e) for name, v, e in oracle]
 
 
 def test_transform_rules():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.hankel import VARIANTS, _variant_columns, det_bareiss, ladder, quartet
+from hankelab import hankel, jet
+from hankelab.hankel import VARIANTS, _variant_columns, cached_ladder, det_bareiss, ladder, quartet
 from hankelab.identities import jet_quartet
 from hankelab.jet import JET, JetNotInvertible, int_jets
 from hankelab.poly import Poly
 from hankelab.rat import Rat
-from hankelab.sequences import ALL_FAMILIES, F21, F31, a_poly
+from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX, a_poly
 
 # H_1 of (3,1) is 5 - 2x and H_1 of (2,1) is 1 - 2x: at 5/2 and 1/2 a
 # leading pivot of the ladder vanishes and the per-variant eliminations run.
@@ -145,3 +146,23 @@ def test_ladder_on_vanishing_jets():
         else:
             assert tuple(lad.det(n, name) for name in VARIANTS) == four, (n, jets)
     assert declined > 0 and raised > 0
+
+
+def test_a_growing_point_ladder_expands_only_its_new_entries(monkeypatch):
+    # growing (3,1) at 7/5 through n = 1..12 expands each of its 27 entries
+    # once, at its own q^k; aex's entry scale D grows too, which rebuilds
+    x0 = Rat(7, 5)
+    calls = []
+    taylor = jet._taylor_jet
+    monkeypatch.setattr(jet, "_taylor_jet", lambda *args: calls.append(args) or taylor(*args))
+    for fam in (F31, FAEX):
+        monkeypatch.setattr(hankel, "_ladders", {})
+        calls.clear()
+        grown = [jet_quartet(fam, n, x0) for n in range(1, 13)]
+        if fam == F31:
+            assert len(calls) == 27
+        scale, lad = cached_ladder(fam, x0, JET, 12)
+        for n, values in enumerate(grown, 1):
+            monkeypatch.setattr(hankel, "_ladders", {})
+            assert jet_quartet(fam, n, x0) == values, (fam, n)
+        assert cached_ladder(fam, x0, JET, 12) == (scale, lad), fam

@@ -13,6 +13,7 @@ from hankelab.poly import (
     int_poly_mul,
     int_poly_neg,
     int_poly_sub,
+    lin_comb,
     to_int_scaled,
 )
 
@@ -294,3 +295,28 @@ def test_hash_agrees_with_eq():
         if p.degree <= 0:
             value = p.coefficient(0)
             assert p == value and hash(p) == hash(value)
+
+
+def test_lin_comb_matches_a_fraction_sum():
+    # int, Fraction and Poly coefficients over Polys with mixed denominators,
+    # with zero coefficients, zero polynomials and terms that cancel
+    rng = random.Random(4243)
+    draws = [
+        lambda: rng.randint(-6, 6),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        lambda: random_poly(rng, 4),
+    ]
+    for trial in range(300):
+        pairs = [(rng.choice(draws)(), random_poly(rng, 10)) for _ in range(rng.randint(0, 7))]
+        if trial % 3 == 0 and pairs:
+            c, p = pairs[0]
+            pairs.append((-c, p))
+        want = FractionPoly()
+        for c, p in pairs:
+            want = want + (ref(c) if isinstance(c, Poly) else c) * ref(p)
+        got = lin_comb(pairs)
+        assert ref(got) == want, pairs
+        assert got == from_int_scaled(list(got.num), got.den)  # canonical num / den
+    assert lin_comb([]) == Poly.zero() and lin_comb([(0, Poly([1, 2]))]).den == 1
+    half = Fraction(1, 2)
+    assert lin_comb([(half, Poly([1, 1])), (Poly([half]), Poly([1, -1]))]) == Poly([1])

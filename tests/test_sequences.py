@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from reference_identities import fraction_a_poly
 
+from hankelab import sequences
 from hankelab.poly import Poly
 from hankelab.rat import Rat, binom
 from hankelab.sequences import (
@@ -57,6 +60,18 @@ def test_binom_families_monic_and_value_at_zero():
                 assert p.degree == k
                 assert p.leading == 1
                 assert p(0) == binom(beta * k + alpha, k)
+
+
+def test_integer_a_k_matches_the_fraction_oracle():
+    # negative tops (alpha down to -8) take the sign rule C(t, j) = (-1)^j C(j-t-1, j)
+    pairs = [(FamilyId("binom", beta, alpha), k)
+             for beta in range(1, 6) for alpha in range(-8, 9) for k in range(21)]
+    pairs += [(fam, k) for fam in ALL_FAMILIES for k in range(41)]
+    assert len(pairs) == 2113
+    for fam, k in pairs:
+        got = sequences._a_poly_raw(fam, k)
+        assert got == fraction_a_poly(fam, k), (fam, k)
+        assert got.num[-1] and gcd(got.den, *got.num) == 1, (fam, k)
 
 
 def test_aex_shape():
