@@ -1,22 +1,23 @@
 """hankelab: exact evaluation and verification of Hankel determinants of
-binomial polynomial sequences, their product / almost-product formulas,
-ODEs, and identity machinery.
+binomial polynomial sequences, their generating functions, their product /
+almost-product formulas, ODEs, and identity machinery.
 
 The names below are loaded on first use (PEP 562), so importing one
-submodule, such as ``hankelab.cli``, does not load the others.  Those of
-``rat`` are bound at once: every layer imports it, and its function
-``rat`` must shadow the submodule of the same name.
+submodule, such as ``hankelab.cli``, does not load the others.  The
+families and a_k are in ``sequences``; the generating functions, which no
+determinant query runs, are in ``series``.  The names of ``rat`` are bound
+at once: every layer imports it, and its function ``rat`` must shadow the
+submodule of the same name.
 """
 
 from .rat import Rat, binom, double_factorial, format_rat, parse_rat, rat
 
 _LAZY = {
     "poly": ("InexactDivision", "Poly"),
-    "series": ("SeriesYX",),
+    "series": ("SeriesYX", "GfForm", "f_series", "gf_form_equiv", "t_series", "tau_series"),
     "sequences": (
-        "FamilyId", "GfForm", "ALL_FAMILIES", "F31", "F21", "F30", "F32", "F3K2M",
-        "FAEX", "FSHIFT31", "FSHIFT22", "a_poly", "conv_poly", "f_series",
-        "family_from_name", "gf_form_equiv", "t_series", "tau_series",
+        "FamilyId", "ALL_FAMILIES", "F31", "F21", "F30", "F32", "F3K2M", "FAEX",
+        "FSHIFT31", "FSHIFT22", "a_poly", "conv_poly", "family_from_name",
     ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

@@ -50,14 +50,24 @@ class CacheEntry(
 
     @staticmethod
     def from_json(line: str) -> "CacheEntry":
-        data = json.loads(line)
+        """The entry a line states; ValueError, KeyError or TypeError when
+        the line is not a JSON object with fields of the types to_json writes."""
+        data = {"version": "unknown", **json.loads(line)}
+        for field, kind in _FIELD_TYPES:
+            if type(data[field]) is not kind:  # an int n, so not a bool or 2.5
+                raise ValueError(f"{field} is {type(data[field]).__name__}, not {kind.__name__}")
+        if not all(type(c) is str for c in data["value"]):
+            raise ValueError("value is not a list of str")
         return CacheEntry(
             family=data["family"],
-            n=int(data["n"]),
+            n=data["n"],
             variant=data["variant"],
             value=Poly.from_json(data["value"]),
-            version=data.get("version", "unknown"),
+            version=data["version"],
         )
+
+
+_FIELD_TYPES = (("family", str), ("n", int), ("variant", str), ("value", list), ("version", str))
 
 
 class DetCache:
@@ -65,8 +75,9 @@ class DetCache:
 
     A final line that does not parse is what a crash during ``put`` leaves
     behind: it is skipped with a warning, and the next ``put`` truncates it
-    away before appending.  A bad line anywhere else is corruption and
-    raises ``CacheError`` naming its line number; so does a path that
+    away before appending.  A bad line anywhere else, one that is not JSON
+    or whose fields do not have the types ``to_json`` writes, is corruption
+    and raises ``CacheError`` naming its line number; so does a path that
     cannot be opened or written, naming the system's reason.
     """
 

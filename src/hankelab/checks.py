@@ -61,13 +61,9 @@ from .sequences import (
     F3K2M,
     FAEX,
     FamilyId,
-    GfForm,
     a_poly,
-    closed_form_for,
-    f_series,
-    gf_form_equiv,
-    t_residual,
 )
+from .series import GfForm, closed_form_for, f_series, gf_form_equiv, t_residual
 
 # Families covered by the generalized degree theorem (aex is not: its
 # entries carry the extra (m+1)(m+2) weights).

@@ -9,8 +9,8 @@ occur here (below 3.3 * 10^24) and reported as "probable prime" beyond.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
+from math import isqrt
 
 # Witnesses proving primality for every n < 3,317,044,064,679,887,385,961,981
 # (Sorenson & Webster).
@@ -55,19 +55,32 @@ def primality_label(n: int) -> str:
     return "prime" if n < _MR_DETERMINISTIC_LIMIT else "probable prime"
 
 
-@lru_cache(maxsize=8)
-def primes_up_to(bound: int) -> list[int]:
-    """Simple sieve of Eratosthenes (memoized; bounds repeat heavily)."""
+# _odd_sieve[i] is 1 iff 2i + 1 is prime; replaced by a longer one on demand.
+_odd_sieve = bytearray()
+
+
+def _primes(bound: int):
+    """The primes <= bound in ascending order, read lazily off the memoised
+    odd-only sieve of Eratosthenes, which is first made to cover bound."""
+    global _odd_sieve
+    size = (bound + 1) // 2
+    if len(_odd_sieve) < size:
+        sieve = bytearray([1]) * size
+        sieve[0] = 0
+        for i in range(1, (isqrt(bound) + 1) // 2):
+            if sieve[i]:
+                # cross out the odd multiples of p = 2i + 1 from p*p, at index 2i(i + 1)
+                start, p = 2 * i * (i + 1), 2 * i + 1
+                sieve[start::p] = bytes((size - 1 - start) // p + 1)
+        _odd_sieve = sieve
     if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    i = 2
-    while i * i <= bound:
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        i += 1
-    return list(compress(range(bound + 1), sieve))
+        return iter(())
+    return chain((2,), compress(range(1, bound + 1, 2), _odd_sieve))
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """The primes <= bound, ascending."""
+    return list(_primes(bound))
 
 
 class FactorReport(namedtuple("FactorReport", "input sign small_factors cofactor bound")):
@@ -90,7 +103,8 @@ class FactorReport(namedtuple("FactorReport", "input sign small_factors cofactor
 
 
 def factor_smooth(value: int, bound: int = 10**6) -> FactorReport:
-    """Complete trial division by all primes <= bound.
+    """Complete trial division by the primes <= bound, read one at a time,
+    so a value whose cofactor is settled early reads no further primes.
 
     The cofactor carries everything not divisible by any prime <= bound.
     """
@@ -101,7 +115,7 @@ def factor_smooth(value: int, bound: int = 10**6) -> FactorReport:
     sign = 1 if value > 0 else -1
     n = abs(value)
     factors: list[tuple[int, int]] = []
-    for p in primes_up_to(bound):
+    for p in _primes(bound):
         if p * p > n and n > 1:
             # Remaining n is prime; record it only if within the bound.
             if n <= bound:

@@ -7,7 +7,7 @@ together at fixed n.  Each symbolic relation is stated once, as terms
 determinants over Z[x], and the point screen sums the same terms at x0 over
 Z, against integer-jet values over one denominator, with one division per
 residual.  The weight machinery reads the annihilating weights off the
-closed generating-function denominator that `sequences.gf_fraction` states,
+closed generating-function denominator that `series.gf_fraction` states,
 one code path for (3,1) and (2,1), and compares them with the explicit
 closed forms.  Every sum of coefficients times polynomials here (relation
 residuals, Table-1 traces, weight annihilation rows) is one `poly.lin_comb`.
@@ -26,15 +26,8 @@ from .jet import JET, terms_at
 from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
 from .poly import int_poly_add_into
 from .rat import Rat, binom0, double_factorial, factorial, rat
-from .sequences import (
-    F21,
-    F31,
-    FamilyId,
-    a_poly,
-    closed_form_for,
-    conv_poly,
-    gf_fraction,
-)
+from .sequences import F21, F31, FamilyId, a_poly, conv_poly
+from .series import closed_form_for, gf_fraction
 from .hankel import (
     INT,
     cached_ladder,
@@ -516,7 +509,7 @@ _weight_memo: dict[tuple[FamilyId, int], WeightSolution] = {}
 
 def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
     """Read Q0, Q2 and the weights off the closed generating-function
-    denominator den of `sequences.gf_fraction`.
+    denominator den of `series.gf_fraction`.
 
     Q0 (degree n+1) is fixed by demanding the y^{n+3}..y^{2n+3} coefficients
     of den*Q0 vanish, one equation per power of y and of x; the nullspace

@@ -9,17 +9,21 @@ division.  ``POLY`` and ``RATIONAL`` run ``hankel.det_bareiss`` over
 column, and ``fraction_nullspace`` is Gauss-Jordan over ``Fraction``:
 the last two are the computations ``hankel.gauss_jordan`` replaced.
 ``fraction_jet_quartet`` and ``fraction_screen`` are the relation screen
-over ``Fraction``, the computation ``jet.terms_at`` replaced, and
-``reconstruct`` multiplies a ``factor.FactorReport`` back out.
+over ``Fraction``, the computation ``jet.terms_at`` replaced,
+``reconstruct`` multiplies a ``factor.FactorReport`` back out, and
+``list_factor_smooth`` is trial division over the whole list of primes up to
+the bound, the walk the lazy ``factor.factor_smooth`` replaced.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from hankelab import hankel
+from hankelab.factor import FactorReport
 from hankelab.hankel import Ring, det_fraction_free
 from hankelab.jet import JET
 from hankelab.poly import from_int_scaled
@@ -154,3 +158,39 @@ def reconstruct(rep) -> int:
     for p, e in rep.small_factors:
         acc *= p**e
     return acc * rep.cofactor
+
+
+def list_primes_up_to(bound: int) -> list[int]:
+    """Every prime <= bound, from a full sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    i = 2
+    while i * i <= bound:
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        i += 1
+    return list(compress(range(bound + 1), sieve))
+
+
+def list_factor_smooth(value: int, bound: int) -> FactorReport:
+    """``factor.factor_smooth`` as a walk over ``list_primes_up_to(bound)``."""
+    sign = 1 if value > 0 else -1
+    n = abs(value)
+    factors = []
+    for p in list_primes_up_to(bound):
+        if p * p > n and n > 1:
+            if n <= bound:
+                factors.append((n, 1))
+                n = 1
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        if n == 1:
+            break
+    return FactorReport(value, sign, tuple(factors), n, bound)

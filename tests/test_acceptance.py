@@ -44,8 +44,10 @@ from hankelab.sequences import (
     F3K2M,
     FAEX,
     FamilyId,
-    GfForm,
     a_poly,
+)
+from hankelab.series import (
+    GfForm,
     closed_form_for,
     f_series,
     gf_form_equiv,

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from reference_det import reconstruct
 
-from hankelab import checks, cli, hankel
+from hankelab import checks, cli, commands, hankel
 from hankelab.cache import TOOL_VERSION, CacheEntry
 from hankelab.checks import REGISTRY, CheckDef, acceptance_suite
-from hankelab.cli import UsageError, main, pool_size, pool_tasks
+from hankelab.cli import UsageError, main
+from hankelab.commands import pool_size, pool_tasks
 from hankelab.closed_forms import AP_POINTS, AlmostProductId, ProductFormulaId
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.poly import InexactDivision, Poly
@@ -356,7 +357,7 @@ def test_an_output_that_cannot_be_written_is_an_error(capsys, monkeypatch, tmp_p
     # `report` makes its directory before it runs any check
     (tmp_path / "file").write_text("")
     outdir = tmp_path / "file" / "rep"
-    monkeypatch.setattr(cli, "_run_suite", lambda *_args: pytest.fail("ran the suite"))
+    monkeypatch.setattr(commands, "_run_suite", lambda *_args: pytest.fail("ran the suite"))
     assert run(capsys, "report", "--suite", "fast", "--output", str(outdir)) == (
         1, "", f"error: {outdir}: {os.strerror(errno.ENOTDIR)}\n"
     )
@@ -497,6 +498,35 @@ def test_cache_corrupt_middle_line_is_an_error(capsys, tmp_path):
     assert code == 2 and "unknown family" in err
 
 
+# A line of the cache whose fields do not have the types `to_json` writes,
+# by field: each must be an error naming its line, never a hit or a traceback.
+MALFORMED_CACHE_FIELDS = [
+    ("value", [[1]]), ("family", ["3,1"]), ("n", 2.5), ("n", True), ("n", "2"),
+    ("value", "74"), ("value", [74, -60, 12]), ("family", 31), ("variant", None),
+    ("version", 2),
+]
+
+
+@pytest.mark.parametrize("field,bad", MALFORMED_CACHE_FIELDS,
+                         ids=[f"{f}={json.dumps(v)}" for f, v in MALFORMED_CACHE_FIELDS])
+def test_cache_line_with_a_malformed_field_is_an_error(capsys, tmp_path, field, bad):
+    cache_path = tmp_path / "dets.jsonl"
+    good = json.loads(CacheEntry("3,1", 2, "H", Poly([74, -60, 12])).to_json())
+    malformed = json.dumps({**good, field: bad})
+    argv = ("det", "--family", "3,1", "--n", "2", "--format", "json",
+            "--cache", str(cache_path))
+    cache_path.write_text(malformed + "\n" + json.dumps(good) + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cache_path}:1: corrupt cache line")
+    # as the final line it is what a crash leaves: a miss, then truncated away
+    cache_path.write_text(malformed + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["cached"] is False
+    assert f"{cache_path}:1: skipping truncated final cache line" in err
+    assert cache_path.read_text() == json.dumps(good, sort_keys=True) + "\n"
+
+
 def test_cache_path_that_cannot_be_opened_is_an_error(capsys, tmp_path):
     # not a usage error: exit 1 with the path and the system's reason
     for path, errno_ in (
@@ -611,7 +641,7 @@ def test_pool_tasks_are_items_largest_n_first():
 
 def test_sweep_with_jobs_gives_the_serial_rows(capsys, monkeypatch):
     serial = run(capsys, "sweep", "--suite", "fast", "--format", "json")
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)  # a pool on any machine
+    monkeypatch.setattr(commands, "_available_cpus", lambda: 2)  # a pool on any machine
     assert run(capsys, "sweep", "--suite", "fast", "--format", "json", "--jobs", "2") == serial
     assert serial[0] == 0 and serial[1].count("\n") > 50
 
@@ -675,7 +705,7 @@ def test_det_loads_only_the_layers_it_runs():
     loaded = modules_loaded_by("det", "--family", "3,1", "--n", "3", "--x", "2")
     assert "hankelab.hankel" in loaded
     unused = ("checks", "identities", "lemmas", "closed_forms", "sturm", "jet", "factor",
-              "report", "series")
+              "report", "series", "commands")
     assert loaded.isdisjoint(f"hankelab.{m}" for m in unused)
     assert loaded.isdisjoint(NOT_AT_START_UP)
 
@@ -688,8 +718,9 @@ def test_det_cache_hit_loads_no_elimination(tmp_path):
     recheck = modules_loaded_by(*argv, "--recheck")
     assert "hankelab.hankel" in miss and "hankelab.hankel" in recheck
     assert hit >= {"hankelab.cli", "hankelab.cache", "hankelab.poly"}
-    assert hit.isdisjoint({"hankelab.hankel", "hankelab.series"})
+    assert "hankelab.hankel" not in hit
     for loaded in (miss, hit, recheck):
+        assert loaded.isdisjoint({"hankelab.series", "hankelab.commands"})
         assert loaded.isdisjoint(NOT_AT_START_UP)
 
 
@@ -704,6 +735,22 @@ def test_factor_loads_factor_but_not_the_checks():
     assert "hankelab.factor" in loaded
     assert loaded.isdisjoint({"hankelab.checks", "hankelab.identities", "hankelab.series"})
     assert loaded.isdisjoint(NOT_AT_START_UP)
+
+
+def test_series_and_sweep_load_the_commands_and_the_series():
+    for argv in (("series", "--t", "--beta", "3", "--order", "3"), ("sweep", "--suite", "fast")):
+        loaded = modules_loaded_by(*argv)
+        assert {"hankelab.commands", "hankelab.series"} <= loaded, argv
+
+
+def test_sweep_runs_one_cli_run_task_per_item(capsys, monkeypatch):
+    # the benchmark counts pool tasks by wrapping this name in `cli`
+    tasks, run_task = [], cli._run_task
+    monkeypatch.setattr(cli, "_run_task", lambda task: tasks.append(task) or run_task(task))
+    code, _, _ = run(capsys, "sweep", "--suite", "fast")
+    assert code == 0
+    assert tasks == [(name, fam.name if fam else None, lo, hi)
+                     for name, fam, lo, hi in checks.suite("fast")]
 
 
 def test_python_m_hankelab_runs_the_cli():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import checks, closed_forms, identities, lemmas, sequences
+from hankelab import checks, closed_forms, identities, lemmas, sequences, series
 from hankelab.checks import REGISTRY, run_check
 from hankelab.poly import Poly
 from hankelab.rat import Rat
@@ -27,8 +27,8 @@ from hankelab.closed_forms import (
     three_term_check,
 )
 from hankelab.hankel import hankel_det, hankel_det_at
-from hankelab.sequences import F21, F30, F31, F3K2M, FAEX, closed_form_for
-from hankelab.series import SeriesYX
+from hankelab.sequences import F21, F30, F31, F3K2M, FAEX
+from hankelab.series import SeriesYX, closed_form_for
 
 
 def test_product_values_hand_checked():
@@ -202,10 +202,10 @@ def _degree_bound_lowered(monkeypatch):
 
 
 def _t_coeff_perturbed(monkeypatch):
-    t = sequences.t_series
-    monkeypatch.setattr(sequences, "t_series",
+    t = series.t_series
+    monkeypatch.setattr(series, "t_series",
                         lambda beta, order: t(beta, order) + SeriesYX(order, [0] * 5 + [1]))
-    monkeypatch.setattr(sequences, "_gf_memo", {})
+    monkeypatch.setattr(series, "_gf_memo", {})
 
 
 def _identity_entry_perturbed(iid):
@@ -271,7 +271,7 @@ def test_check_fails_on_a_broken_form(check, mutate, monkeypatch):
 def _closed_den_perturbed(family, power):
     """den + x y^power: y^1 reaches only Q2, y^2 the nullspace rows too."""
     def mutate(monkeypatch):
-        form, gf = closed_form_for(family), sequences.gf_fraction
+        form, gf = closed_form_for(family), series.gf_fraction
 
         def perturbed(f, fam, order):
             num, den = gf(f, fam, order)
@@ -279,7 +279,7 @@ def _closed_den_perturbed(family, power):
                 den = den + Poly.x() * SeriesYX.y(order).shift_y(power - 1)
             return num, den
 
-        monkeypatch.setattr(sequences, "gf_fraction", perturbed)
+        monkeypatch.setattr(series, "gf_fraction", perturbed)
         monkeypatch.setattr(identities, "gf_fraction", perturbed)
         monkeypatch.setattr(identities, "_weight_memo", {})
 
@@ -335,7 +335,7 @@ def _a3_perturbed(monkeypatch):
     monkeypatch.setattr(sequences, "_a_poly_raw",
                         lambda fam, k: raw(fam, k) + Poly([1, 0, 0, 1]) if k == 3 else raw(fam, k))
     monkeypatch.setattr(sequences, "_a_memo", {})
-    monkeypatch.setattr(sequences, "_gf_memo", {})  # aex's direct form reads a_k
+    monkeypatch.setattr(series, "_gf_memo", {})  # aex's direct form reads a_k
 
 
 GENERATING = (F31, F21, F30, F3K2M, FAEX)

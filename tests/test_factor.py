@@ -2,8 +2,9 @@ import random
 from math import isqrt
 
 import pytest
-from reference_det import reconstruct
+from reference_det import list_factor_smooth, list_primes_up_to, reconstruct
 
+from hankelab import factor
 from hankelab.factor import factor_smooth, is_prime, primality_label, primes_up_to
 
 
@@ -69,7 +70,30 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
 
 
-def test_primes_up_to_matches_trial_division():
+def test_primes_up_to_matches_trial_division(monkeypatch):
     primes = [p for p in range(2, 3000) if all(p % d for d in range(2, isqrt(p) + 1))]
     for bound in range(3000):
-        assert primes_up_to(bound) == [p for p in primes if p <= bound], bound
+        want = [p for p in primes if p <= bound]
+        assert primes_up_to(bound) == want, bound  # read off a sieve built for a larger bound
+        monkeypatch.setattr(factor, "_odd_sieve", bytearray())
+        assert primes_up_to(bound) == want, bound  # off a sieve built for this bound
+
+
+def test_lazy_walk_matches_the_list_walk_oracle(monkeypatch):
+    rng = random.Random(18)
+    for bound in (2, 3, 4, 9, 25, 97, 10**3, 10**4):
+        monkeypatch.setattr(factor, "_odd_sieve", bytearray())  # a sieve for this bound
+        primes = list_primes_up_to(bound + 200)
+        below = max(p for p in primes if p <= bound)
+        above = min(p for p in primes if p > bound)
+        values = [
+            1, -1, 2, -2 * 3 * 5, below, 8 * below, -9 * below * below,  # cofactor <= bound
+            above, 4 * above, -above * above, below * above,  # cofactor above bound
+            2**40 * 3**7 * 1000003, -(10**18 + 9),
+        ]
+        values += [rng.randint(1, 10**12) * rng.choice((1, -1)) for _ in range(60)]
+        values += [rng.choice(primes[:20]) ** rng.randint(1, 5) * rng.choice(primes)
+                   for _ in range(40)]
+        for value in values:
+            assert factor_smooth(value, bound) == list_factor_smooth(value, bound), (
+                value, bound)

@@ -49,11 +49,9 @@ from hankelab.sequences import (
     F30,
     F31,
     a_poly,
-    closed_form_for,
     conv_poly,
-    gf_fraction,
-    t_series,
 )
+from hankelab.series import closed_form_for, gf_fraction, t_series
 
 
 def test_identity_boundary_uses_c_minus1():

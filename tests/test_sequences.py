@@ -18,12 +18,14 @@ from hankelab.sequences import (
     FSHIFT22,
     FSHIFT31,
     FamilyId,
-    GfForm,
     a_poly,
-    closed_form_for,
     conv_poly,
-    f_series,
     family_from_name,
+)
+from hankelab.series import (
+    GfForm,
+    closed_form_for,
+    f_series,
     gf_form_equiv,
     t_residual,
     t_series,
