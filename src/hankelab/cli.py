@@ -1,10 +1,11 @@
 """Command-line surface: determinant evaluation, factorization displays,
 verification sweeps, series printing, and report emission.
 
-This module holds the parser, `main` and the `det` command; the bodies of
-the other commands are in `commands.py`, which `main` imports only when one
-of them runs.  `acceptance_suite` and `_run_task` stay here by name: a
-sweep looks both up in this module when it runs, so they can be replaced.
+This module holds the parser, `main` and the one-shot queries `det` and
+`factor`; the bodies of the other commands are in `commands.py`, which
+`main` imports only when one of them runs.  `acceptance_suite` and
+`_run_task` stay here by name: a sweep looks both up in this module when
+it runs, so they can be replaced.
 
 Exit codes: 0 ok, 1 at least one asserting check failed, a cache that is
 corrupt or cannot be opened or written, or an --output that cannot be
@@ -23,9 +24,10 @@ from collections.abc import Sequence
 
 # Only what a `det` cache hit runs is imported here: parsing, the cache and
 # the family names.  `det` imports `hankel` when it eliminates (a miss, a
-# recheck or a point query), and every other subcommand imports `commands`
-# and its own layers when it runs, so a one-shot query loads neither the
-# check registry nor typing, dataclasses or pathlib.
+# recheck or a point query), `factor` imports `hankel` and `factor`, and
+# every other subcommand imports `commands` and its own layers when it
+# runs, so a one-shot query loads neither the check registry nor typing,
+# dataclasses or pathlib.
 from .cache import CacheError, cache_from_config
 from .poly import Poly
 from .rat import Rat, format_rat, parse_rat
@@ -114,6 +116,40 @@ def cmd_det(args) -> int:
     return 0
 
 
+def cmd_factor(args) -> int:
+    from .factor import factor_smooth, primality_label
+    from .hankel import hankel_det_at
+
+    family = _family(args.family)
+    if args.n < 0:
+        raise UsageError("n must be >= 0")
+    if args.bound < 2:
+        raise UsageError("--bound must be >= 2")
+    x = _parse_x(args.x)
+    if x is None:
+        raise UsageError("factor needs a rational x (default 0)")
+    value = hankel_det_at(family, args.n, x)
+    if value == 0:
+        print("determinant is zero at this point; nothing to factor")
+        return 0
+    if value.denominator != 1:
+        num = factor_smooth(value.numerator, args.bound)
+        den = factor_smooth(value.denominator, args.bound)
+        print(f"({num.render()}) / ({den.render()})")
+        reports = [num, den]
+    else:
+        rep = factor_smooth(value.numerator, args.bound)
+        print(rep.render())
+        reports = [rep]
+    for rep in reports:
+        if rep.cofactor != 1:
+            print(
+                f"cofactor {rep.cofactor}: {primality_label(rep.cofactor)}",
+                file=sys.stderr,
+            )
+    return 0
+
+
 def _run_task(task):
     """One pool task (check, family name, lo, hi): its rows."""
     from .checks import run_check
@@ -139,9 +175,10 @@ def acceptance_suite():
 _FLAG = dict(action="store_true")
 _FORMATS = dict(choices=("text", "json", "csv"), default="text")
 # command -> (help, handler, its options as (flag, add_argument keywords));
-# a handler given by name is that function of `commands`
+# the handler is named: a function of this module for the one-shot queries
+# `det` and `factor`, else a function of `commands`
 _COMMANDS = {
-    "det": ("evaluate H/K/M/N determinants", cmd_det, (
+    "det": ("evaluate H/K/M/N determinants", "cmd_det", (
         ("--family", dict(required=True)), ("--n", dict(type=int, required=True)),
         ("--x", dict(default="symbolic")),
         ("--variant", dict(default="H")),
@@ -203,11 +240,11 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         names, metavar = [argv[0]], "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, fn, options = _COMMANDS[name]
+        help_text, handler, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -220,11 +257,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else 0
     try:
-        fn = args.fn
-        if isinstance(fn, str):
+        fn = globals().get(args.handler)
+        if fn is None:
             from . import commands
 
-            fn = getattr(commands, fn)
+            fn = getattr(commands, args.handler)
         return fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -240,4 +277,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m hankelab.cli` runs this file as `__main__`: register it as
+    # `hankelab.cli` too, so that `commands` finds this module, and raises the
+    # UsageError that `main` catches, instead of importing a second copy
+    sys.modules["hankelab.cli"] = sys.modules[__name__]
     sys.exit(main())

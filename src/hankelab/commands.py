@@ -1,10 +1,12 @@
-"""The bodies of every subcommand but `det`: factorization displays,
-formulas, series, verification sweeps and reports, with the worker pool.
+"""The bodies of every subcommand but the one-shot queries `det` and
+`factor`: formulas, series, verification sweeps and reports, with the
+worker pool.
 
 `cli.main` imports this module only when one of these commands runs, so a
-`det` query never compiles it.  The usage text, the exit codes and the
-names the benchmark replaces (`cli.acceptance_suite`, `cli._run_task`) stay
-in `cli.py`; both are looked up there when a command runs.
+`det` or `factor` query never compiles it.  The usage text, the exit codes
+and the names the benchmark replaces (`cli.acceptance_suite`,
+`cli._run_task`) stay in `cli.py`; this module reads every name of `cli`
+through the module when a command runs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import os
 import sys
 
 from . import cli
-from .cli import UsageError, _family, _parse_x
 from .poly import Poly
 from .rat import format_rat
 
@@ -30,9 +31,9 @@ def _parse_range(text: str) -> list[int]:
         lo = int(lo_s)
         hi = int(hi_s) if sep else lo
     except ValueError:
-        raise UsageError(f"bad range {text!r}")
+        raise cli.UsageError(f"bad range {text!r}")
     if hi < lo:
-        raise UsageError(f"empty range {text!r}")
+        raise cli.UsageError(f"empty range {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -52,40 +53,6 @@ def _run_and_emit(items, jobs: int, fmt: str, output: str | None) -> int:
     return 1 if any_failure(rows) else 0
 
 
-def cmd_factor(args) -> int:
-    from .factor import factor_smooth, primality_label
-    from .hankel import hankel_det_at
-
-    family = _family(args.family)
-    if args.n < 0:
-        raise UsageError("n must be >= 0")
-    if args.bound < 2:
-        raise UsageError("--bound must be >= 2")
-    x = _parse_x(args.x)
-    if x is None:
-        raise UsageError("factor needs a rational x (default 0)")
-    value = hankel_det_at(family, args.n, x)
-    if value == 0:
-        print("determinant is zero at this point; nothing to factor")
-        return 0
-    if value.denominator != 1:
-        num = factor_smooth(value.numerator, args.bound)
-        den = factor_smooth(value.denominator, args.bound)
-        print(f"({num.render()}) / ({den.render()})")
-        reports = [num, den]
-    else:
-        rep = factor_smooth(value.numerator, args.bound)
-        print(rep.render())
-        reports = [rep]
-    for rep in reports:
-        if rep.cofactor != 1:
-            print(
-                f"cofactor {rep.cofactor}: {primality_label(rep.cofactor)}",
-                file=sys.stderr,
-            )
-    return 0
-
-
 def cmd_formula(args) -> int:
     from .closed_forms import (
         ALMOST_PRODUCTS,
@@ -98,15 +65,15 @@ def cmd_formula(args) -> int:
     fid = args.id.lower()
     ns = _parse_range(args.n)
     if ns[0] < 0:
-        raise UsageError("n must be >= 0")
+        raise cli.UsageError("n must be >= 0")
     product_ids = {p.value: p for p in ProductFormulaId}
     almost_ids = {a.value: a for a in AlmostProductId}
     if fid not in product_ids and fid not in almost_ids:
-        raise UsageError(f"unknown formula id {fid!r}")
+        raise cli.UsageError(f"unknown formula id {fid!r}")
     # only the polynomial almost products take a point; products never do
     if args.x is not None and almost_ids.get(fid) not in ALMOST_PRODUCTS:
-        raise UsageError(f"{fid} takes no --x")
-    x = _parse_x(args.x) if args.x is not None else None
+        raise cli.UsageError(f"{fid} takes no --x")
+    x = cli._parse_x(args.x) if args.x is not None else None
     for n in ns:
         if fid in product_ids:
             print(f"n={n}: {format_rat(product_eval(product_ids[fid], n))}")
@@ -122,14 +89,14 @@ def cmd_series(args) -> int:
 
     kinds = [k for k in ("t", "tau", "f") if getattr(args, k)]
     if len(kinds) != 1:
-        raise UsageError("choose exactly one of --t, --tau, --f")
+        raise cli.UsageError("choose exactly one of --t, --tau, --f")
     kind = kinds[0]
     order = args.order
     if order < 0 or order > 500:
-        raise UsageError("order out of range (0..500)")
+        raise cli.UsageError("order out of range (0..500)")
     if kind == "t":
         if args.beta is None or args.beta < 1:
-            raise UsageError("--t needs --beta >= 1")
+            raise cli.UsageError("--t needs --beta >= 1")
         s = t_series(args.beta, order)
         print(", ".join(format_rat(c.coefficient(0)) for c in s.coeffs))
         return 0
@@ -138,16 +105,16 @@ def cmd_series(args) -> int:
         print(", ".join(format_rat(c.coefficient(0)) for c in s.coeffs))
         return 0
     if args.family is None:
-        raise UsageError("--f needs --family")
-    family = _family(args.family)
+        raise cli.UsageError("--f needs --family")
+    family = cli._family(args.family)
     if args.form == "direct":
         form = GfForm.DIRECT
         if family.kind == "binom" and family.alpha < -1:
-            raise UsageError("the direct form needs alpha >= -1")
+            raise cli.UsageError("the direct form needs alpha >= -1")
     else:
         form = closed_form_for(family)
         if form is None:
-            raise UsageError(f"family {family.name} has no closed form")
+            raise cli.UsageError(f"family {family.name} has no closed form")
     s = f_series(form, family, order)
     print(", ".join("[" + ", ".join(c.to_json()) + "]" for c in s.coeffs))
     return 0
@@ -163,7 +130,7 @@ def _available_cpus() -> int:
 def pool_size(jobs: int, tasks: int, cpus: int) -> int:
     """Worker count for ``--jobs``: never more than the tasks or the CPUs."""
     if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+        raise cli.UsageError(f"--jobs must be >= 1, got {jobs}")
     return max(1, min(jobs, tasks, cpus))
 
 
@@ -202,11 +169,11 @@ def cmd_verify(args) -> int:
 
     names = [c.strip() for c in args.check.split(",") if c.strip()]
     if not names:
-        raise UsageError("no check ids given")
+        raise cli.UsageError("no check ids given")
     for name in names:
         if name not in REGISTRY:
-            raise UsageError(f"unknown check {name!r}")
-    family = _family(args.family) if args.family else None
+            raise cli.UsageError(f"unknown check {name!r}")
+    family = cli._family(args.family) if args.family else None
     items = []
     for name in names:
         defn = REGISTRY[name]
@@ -215,7 +182,7 @@ def cmd_verify(args) -> int:
             ns = _parse_range(args.n)
             lo, hi = ns[0], ns[-1]
         if hi < defn.min_n:
-            raise UsageError(f"check {name!r} needs n >= {defn.min_n}")
+            raise cli.UsageError(f"check {name!r} needs n >= {defn.min_n}")
         items.append((name, family, lo, hi))
     return _run_and_emit(items, args.jobs, args.format, args.output)
 
@@ -228,7 +195,7 @@ def _suite(name: str):
     try:
         items = suite(name)
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise cli.UsageError(str(exc))
     return cli.acceptance_suite() if name == "acceptance" else items
 
 

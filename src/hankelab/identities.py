@@ -27,7 +27,6 @@ from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scale
 from .poly import int_poly_add_into
 from .rat import Rat, binom0, double_factorial, factorial, rat
 from .sequences import F21, F31, FamilyId, a_poly, conv_poly
-from .series import closed_form_for, gf_fraction
 from .hankel import (
     INT,
     cached_ladder,
@@ -529,6 +528,9 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
         raise ValueError("weight construction needs n >= 1")
     form = _weight_form(family)
     order = 2 * n + 3
+    # imported here: the point screen reads no generating function
+    from .series import closed_form_for, gf_fraction
+
     _num, den = gf_fraction(closed_form_for(family), family, order)
     # den over Z, one width: d[k][e] is scale times the y^k x^e coefficient
     d, scale = to_int_scaled(den.coeffs)

@@ -733,7 +733,8 @@ def test_verify_loads_no_heavy_standard_library_module():
 def test_factor_loads_factor_but_not_the_checks():
     loaded = modules_loaded_by("factor", "--family", "3,1", "--n", "10")
     assert "hankelab.factor" in loaded
-    assert loaded.isdisjoint({"hankelab.checks", "hankelab.identities", "hankelab.series"})
+    assert loaded.isdisjoint({"hankelab.checks", "hankelab.identities", "hankelab.series",
+                              "hankelab.commands"})
     assert loaded.isdisjoint(NOT_AT_START_UP)
 
 
@@ -741,6 +742,20 @@ def test_series_and_sweep_load_the_commands_and_the_series():
     for argv in (("series", "--t", "--beta", "3", "--order", "3"), ("sweep", "--suite", "fast")):
         loaded = modules_loaded_by(*argv)
         assert {"hankelab.commands", "hankelab.series"} <= loaded, argv
+
+
+def test_point_screen_loads_no_generating_function():
+    script = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from hankelab import identities\n"
+        "for rid in identities.SYMBOLIC_RELATIONS:\n"
+        "    assert not any(identities.relation_residuals_at(rid, 3, Fraction(7, 5)))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = set(json.loads(run_fresh(script).stdout))
+    assert "hankelab.identities" in loaded
+    assert loaded.isdisjoint({"hankelab.series", "hankelab.checks", "hankelab.commands"})
 
 
 def test_sweep_runs_one_cli_run_task_per_item(capsys, monkeypatch):
@@ -764,6 +779,23 @@ def test_python_m_hankelab_runs_the_cli():
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
+def test_python_m_hankelab_cli_keeps_the_exit_codes_of_the_moved_commands():
+    # run as `__main__`, cli.py must still be the module whose UsageError the
+    # commands raise and `main` catches
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in (("verify", "--check", "nope"), ("sweep", "--suite", "nope"),
+                 ("sweep", "--suite", "fast", "--jobs", "0"),
+                 ("formula", "--id", "p30", "--n", "3..1"),
+                 ("factor", "--family", "3,1", "--n", "2", "--bound", "1")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hankelab.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: "), (argv, proc.stderr)
+        assert proc.stdout == "", argv
 
 
 def test_package_exports_load_on_first_use():

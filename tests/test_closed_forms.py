@@ -279,8 +279,7 @@ def _closed_den_perturbed(family, power):
                 den = den + Poly.x() * SeriesYX.y(order).shift_y(power - 1)
             return num, den
 
-        monkeypatch.setattr(series, "gf_fraction", perturbed)
-        monkeypatch.setattr(identities, "gf_fraction", perturbed)
+        monkeypatch.setattr(series, "gf_fraction", perturbed)  # identities reads it there too
         monkeypatch.setattr(identities, "_weight_memo", {})
 
     return mutate
