@@ -22,10 +22,10 @@ from .poly import (
     InexactDivision,
     Poly,
     from_int_scaled,
+    int_poly_addmul,
     int_poly_exact_div,
-    int_poly_mul,
     int_poly_neg,
-    int_poly_sub,
+    lin_comb,
     to_int_scaled,
 )
 from .rat import Rat, rat
@@ -59,7 +59,11 @@ def _int_cross(p: int, r: int, l: int, u: int, d: int | None) -> int:
 
 
 def _int_poly_cross(p, r, l, u, d) -> list[int]:
-    v = int_poly_sub(int_poly_mul(p, r), int_poly_mul(l, u))
+    v: list[int] = []
+    int_poly_addmul(v, p, r)
+    int_poly_addmul(v, l, u, -1)
+    while v and not v[-1]:
+        v.pop()
     return v if d is None else int_poly_exact_div(v, d)
 
 
@@ -370,7 +374,8 @@ def dodgson_check(family: FamilyId, n: int) -> bool:
     for j in (n - 1, n + 1):
         if (family, j) not in _own_h:
             _own_h[family, j] = det_fraction_free(hankel_matrix(family, j))
-    return _own_h[family, n - 1] * _own_h[family, n + 1] == h * nn - h * m - k * k
+    left = _own_h[family, n - 1] * _own_h[family, n + 1]
+    return left == lin_comb([(h, nn), (-h, m), (-k, k)])
 
 
 # ---------------------------------------------------------------------------

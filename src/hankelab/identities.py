@@ -1,5 +1,6 @@
-"""Determinant-level relations, trace transformation rules, and the
-third-identity weight machinery (the sequence-level lemmas are `lemmas.py`).
+"""Determinant-level relations, the trace transformation check, and the
+third-identity weight machinery (the sequence-level lemmas and the Table-1
+trace rules are `lemmas.py`).
 
 The determinant-level relations tie H, K, M, N and the derivatives of H
 together at fixed n.  Each symbolic relation is stated once, as terms
@@ -10,13 +11,13 @@ residual.  The weight machinery reads the annihilating weights off the
 closed generating-function denominator that `series.gf_fraction` states,
 one code path for (3,1) and (2,1), and compares them with the explicit
 closed forms.  Every sum of coefficients times polynomials here (relation
-residuals, Table-1 traces, weight annihilation rows) is one `poly.lin_comb`.
+residuals, weight annihilation rows) is one `poly.lin_comb`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -24,16 +25,13 @@ from math import gcd
 from .closed_forms import ODES
 from .jet import JET, terms_at
 from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
-from .poly import int_poly_add_into
 from .rat import Rat, binom0, double_factorial, factorial, rat
-from .sequences import F21, F31, FamilyId, a_poly, conv_poly
+from .sequences import F21, F31, FamilyId, a_poly
 from .hankel import (
     INT,
     cached_ladder,
     gauss_jordan,
     hankel_det_at,
-    hankel_matrix,
-    int_adjugate,
     quartet,
     variant_det_at,
 )
@@ -404,51 +402,17 @@ def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
 # ---------------------------------------------------------------------------
 
 
-def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Poly], Poly]]:
-    """(name, x, value) for Tr(A^{-1} X) H_n = value, X = [x(i + j)]."""
-    if n < 1:
-        raise ValueError("trace rules need n >= 1 (M, N enter)")
-    q = quartet(family, n)
-    h, k, m, nn = q.H, q.K, q.M, q.N
-    a0 = a_poly(family, 0)
-    a1 = a_poly(family, 1)
-    return [
-        ("dx_an", lambda s: a_poly(family, s).derivative(), h.derivative()),
-        ("n_an_minus1", lambda s: s * a_poly(family, s - 1) if s else Poly.zero(), Poly.zero()),
-        ("an", lambda s: a_poly(family, s), (n + 1) * h),
-        ("n_an", lambda s: s * a_poly(family, s), n * (n + 1) * h),
-        ("c_nminus1", lambda s: conv_poly(family, s - 1), Poly.zero()),
-        ("cn", lambda s: conv_poly(family, s), (2 * n + 1) * a0 * h),
-        ("a_nplus1", lambda s: a_poly(family, s + 1), k),
-        ("n_a_nplus1", lambda s: s * a_poly(family, s + 1), 2 * n * k),
-        ("c_nplus1", lambda s: conv_poly(family, s + 1), 2 * a0 * k + 2 * n * a1 * h),
-        ("a_nplus2", lambda s: a_poly(family, s + 2), m + nn),
-        ("n_a_nplus2", lambda s: s * a_poly(family, s + 2), 2 * (n - 1) * m + 2 * n * nn),
-    ]
-
-
-def _trace_values(family: FamilyId, n: int) -> list[tuple[str, Poly, Poly]]:
-    """(name, Tr(adj(A) X), stated value) for each Table-1 rule.
-
-    Tr(adj(A) X) is the sum over s of x(s) times the s-th anti-diagonal sum
-    of adj(A) = B / scale, from one Gauss-Jordan elimination of A's own: the
-    anti-diagonal sums add B's integer entries, and each rule is one
-    `lin_comb` of them against x(s).
-    """
-    rows, scale = int_adjugate(hankel_matrix(family, n))
-    sums = []
-    for s in range(2 * n + 1):
-        acc: list[int] = []
-        for i in range(max(0, s - n), min(s, n) + 1):
-            int_poly_add_into(acc, rows[i][s - i])
-        sums.append(from_int_scaled(acc, scale))
-    return [(name, lin_comb(zip(sums, map(x, range(2 * n + 1)))), expected)
-            for name, x, expected in table1_rules(family, n)]
-
-
 def transform_rules(family: FamilyId, n: int) -> list[tuple[str, bool]]:
-    """Table-1 rules as trace identities Tr(A^{-1} X) H_n = stated value."""
-    return [(name, got == want) for name, got, want in _trace_values(family, n)]
+    """Table-1 rules as trace identities Tr(A^{-1} X) H_n = stated value.
+
+    The rules and their traces are `lemmas.table1_rules` and
+    `lemmas.trace_values`, kept out of this module because its compile sets
+    a sweep's peak resident size.
+    """
+    # imported here: the point screen reads no Table-1 rule
+    from .lemmas import trace_values
+
+    return [(name, got == want) for name, got, want in trace_values(family, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Sequence-level lemmas: identities among a_k, c_k and a_k' for every k.
+"""Sequence-level lemmas: identities among a_k, c_k and a_k' for every k,
+and the matrix-level ones built on them.
 
 The ten L1/L2 identities are one table, `IDENTITIES`, of terms (A, B, kind,
 offset) with A and B int tuples: the coefficient A + k B times a_{k+offset},
 c_{k+offset} or a_k'.  Each residual, and each entry of the E/F matrix
-convolution identities, is one `poly.lin_comb` over Z.  The table has a
-module of its own: tuple displays cost the parser far more memory than ints,
-and inside `identities.py` they raised the compile that peaks a sweep's RSS.
+convolution identities, is one `poly.lin_comb` over Z.  The Table-1 trace
+rules Tr(A^{-1} X) H_n = value are stated here too (`table1_rules`), and
+`trace_values` sums them against one adjugate.  The table and the rules have
+a module of their own: inside `identities.py` they raised the compile that
+peaks a sweep's resident size (a tuple display costs the parser far more
+memory than an int).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
+from functools import partial
 
+from .hankel import hankel_matrix, int_adjugate, quartet
 from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
 from .rat import Rat
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
@@ -153,3 +160,73 @@ def check_matrix_convolution_identities(family: FamilyId, n: int) -> bool:
         if v != conv_poly(family, i + j + shift):
             return False
     return True
+
+
+# -- Table 1: trace transformation rules ----------------------------------------
+
+
+def _times_s(seq: Callable[[int], Poly], s: int) -> Poly:
+    return s * seq(s)
+
+
+def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Poly], Poly]]:
+    """(name, x, value) for Tr(A^{-1} X) H_n = value, X = [x(i + j)].
+
+    Eight sequences y(s) enter.  A rule x(s) = s y(s) is
+    `partial(_times_s, y)`, so `trace_values` forms y's products once for
+    both of y's rules.
+    """
+    if n < 1:
+        raise ValueError("trace rules need n >= 1 (M, N enter)")
+    q = quartet(family, n)
+    h, k, m, nn = q.H, q.K, q.M, q.N
+    a0 = a_poly(family, 0)
+    a1 = a_poly(family, 1)
+
+    def a(shift):
+        return lambda s: a_poly(family, s + shift) if s + shift >= 0 else Poly.zero()
+
+    def c(shift):
+        return lambda s: conv_poly(family, s + shift)
+
+    a_minus1, a_s, a_plus1, a_plus2 = a(-1), a(0), a(1), a(2)
+    return [
+        ("dx_an", lambda s: a_poly(family, s).derivative(), h.derivative()),
+        ("n_an_minus1", partial(_times_s, a_minus1), Poly.zero()),
+        ("an", a_s, (n + 1) * h),
+        ("n_an", partial(_times_s, a_s), n * (n + 1) * h),
+        ("c_nminus1", c(-1), Poly.zero()),
+        ("cn", c(0), (2 * n + 1) * a0 * h),
+        ("a_nplus1", a_plus1, k),
+        ("n_a_nplus1", partial(_times_s, a_plus1), 2 * n * k),
+        ("c_nplus1", c(1), 2 * a0 * k + 2 * n * a1 * h),
+        ("a_nplus2", a_plus2, m + nn),
+        ("n_a_nplus2", partial(_times_s, a_plus2), 2 * (n - 1) * m + 2 * n * nn),
+    ]
+
+
+def trace_values(family: FamilyId, n: int) -> list[tuple[str, Poly, Poly]]:
+    """(name, Tr(adj(A) X), stated value) for each Table-1 rule.
+
+    Tr(adj(A) X) is the sum over s of x(s) times the s-th anti-diagonal sum
+    of adj(A) = B / scale, from one Gauss-Jordan elimination of A's own: the
+    anti-diagonal sums add B's integer entries.  Each sequence's products
+    with them are formed once, and each rule is one `lin_comb` of them,
+    weighted by s for a rule s y(s).
+    """
+    rows, scale = int_adjugate(hankel_matrix(family, n))
+    sums = []
+    for s in range(2 * n + 1):
+        acc: list[int] = []
+        for i in range(max(0, s - n), min(s, n) + 1):
+            int_poly_add_into(acc, rows[i][s - i])
+        sums.append(from_int_scaled(acc, scale))
+    products: dict[Callable[[int], Poly], list[Poly]] = {}
+    out = []
+    for name, x, expected in table1_rules(family, n):
+        seq = x.args[0] if isinstance(x, partial) else x
+        if seq not in products:
+            products[seq] = [t * seq(s) for s, t in enumerate(sums)]
+        weights = range(len(sums)) if seq is not x else [1] * len(sums)
+        out.append((name, lin_comb(zip(weights, products[seq])), expected))
+    return out

@@ -7,7 +7,10 @@ every rational polynomial has exactly one (num, den) and equality is
 equality of the pair.  The zero polynomial is ((), 1), with degree
 ``-inf``.  Arithmetic runs over Z on the integer coefficient lists below,
 with one gcd normalisation per result; ``coeffs`` gives the Fraction
-coefficients on demand.
+coefficients on demand.  ``int_poly_addmul``, acc += w * a * b in place,
+is the one multiplication loop over Z[x]: a product is an addmul into an
+empty list, and a Bareiss step or a sum of products accumulates into one
+list without forming each product on its own.
 """
 
 from __future__ import annotations
@@ -192,7 +195,9 @@ class Poly:
         acc: list[int] = []
         spow = 1
         for c in reversed(self.num):
-            acc = int_poly_add(int_poly_mul(acc, lin), [c * spow])
+            step = [c * spow]
+            int_poly_addmul(step, acc, lin)
+            acc = step
             spow *= scale
         return _make(acc, self.den * (spow // scale))
 
@@ -357,15 +362,28 @@ class InexactDivision(ArithmeticError):
 # operations the Bareiss kernel in hankel.py is handed directly.
 
 
-def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product in Z[x]."""
+def int_poly_addmul(acc: list[int], a: Sequence[int], b: Sequence[int], weight: int = 1) -> None:
+    """acc += weight * a * b in Z[x], in place and in one pass.
+
+    This is the only multiplication loop over Z[x]: products, Bareiss
+    steps and sums of products all accumulate through it.  ``acc`` grows
+    as needed and keeps trailing zeros, as in ``int_poly_add_into``; it
+    must not be ``a`` or ``b``.
+    """
     if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+        return
+    acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
     for i, ca in enumerate(a):
+        ca *= weight
         if ca:
             for j, cb in enumerate(b, i):
-                out[j] += ca * cb
+                acc[j] += ca * cb
+
+
+def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product in Z[x]."""
+    out: list[int] = []
+    int_poly_addmul(out, a, b)
     return out
 
 
@@ -443,7 +461,7 @@ def lin_comb(pairs: Iterable[tuple[object, Poly]]) -> Poly:
     """The sum of c * p over (c, p) pairs, c an int, Fraction or Poly.
 
     Every product is brought to the lcm of the products' denominators and
-    added over Z, one product at a time (a scalar c only weights p's
+    accumulated over Z by ``int_poly_addmul`` (a scalar c only weights p's
     numerators); the sum is normalised once, not once per term.
     """
     pairs = list(pairs)
@@ -451,7 +469,7 @@ def lin_comb(pairs: Iterable[tuple[object, Poly]]) -> Poly:
     acc: list[int] = []
     for c, p in pairs:
         if isinstance(c, Poly):
-            int_poly_add_into(acc, int_poly_mul(c.num, p.num), scale // (c.den * p.den))
+            int_poly_addmul(acc, c.num, p.num, scale // (c.den * p.den))
         else:
             int_poly_add_into(acc, p.num, c.numerator * (scale // (c.denominator * p.den)))
     return _make(acc, scale)

@@ -14,7 +14,7 @@ from _thread import allocate_lock
 from collections import namedtuple
 from math import comb
 
-from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_mul, to_int_scaled
+from .poly import Poly, from_int_scaled, int_poly_addmul, to_int_scaled
 
 
 class FamilyId(namedtuple("FamilyId", "kind beta alpha", defaults=(0, 0))):
@@ -137,7 +137,7 @@ def conv_poly(family: FamilyId, k: int) -> Poly:
     total: list[int] = []
     for m in range(k // 2 + 1):
         weight = 1 if 2 * m == k else 2
-        int_poly_add_into(total, int_poly_mul(ints[m], ints[k - m]), weight)
+        int_poly_addmul(total, ints[m], ints[k - m], weight)
     acc = from_int_scaled(total, scale * scale)
     with _memo_lock:
         _conv_memo.setdefault(key, acc)

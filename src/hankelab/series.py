@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_mul, to_int_scaled
+from .poly import Poly, from_int_scaled, int_poly_addmul, to_int_scaled
 from .rat import Rat, factorial, rat
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly
 
@@ -101,7 +101,7 @@ class SeriesYX:
             if ca:
                 for j, cb in enumerate(b[: len(b) - i], i):
                     if cb:
-                        int_poly_add_into(out[j], int_poly_mul(ca, cb))
+                        int_poly_addmul(out[j], ca, cb)
         return SeriesYX(self.order, [from_int_scaled(c, sa * sb) for c in out])
 
     __rmul__ = __mul__
@@ -131,7 +131,7 @@ class SeriesYX:
             scale = lcm(c.den, *(o.den for _, o in terms))
             acc = [v * sd * (scale // c.den) for v in c.num]
             for dj, o in terms:
-                int_poly_add_into(acc, int_poly_mul(dj, o.num), -(scale // o.den))
+                int_poly_addmul(acc, dj, o.num, -(scale // o.den))
             out.append(from_int_scaled(acc, scale).exact_div(d0))
         return SeriesYX(self.order, out)
 

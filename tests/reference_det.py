@@ -13,6 +13,9 @@ over ``Fraction``, the computation ``jet.terms_at`` replaced,
 ``reconstruct`` multiplies a ``factor.FactorReport`` back out, and
 ``list_factor_smooth`` is trial division over the whole list of primes up to
 the bound, the walk the lazy ``factor.factor_smooth`` replaced.
+``schoolbook_mul``, ``mul_then_add`` and ``mul_sub_cross`` form each Z[x]
+product on its own list and add it afterwards, the compositions
+``poly.int_poly_addmul`` and ``hankel._int_poly_cross`` replaced.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from hankelab import hankel
 from hankelab.factor import FactorReport
 from hankelab.hankel import Ring, det_fraction_free
 from hankelab.jet import JET
-from hankelab.poly import from_int_scaled
+from hankelab.poly import from_int_scaled, int_poly_add_into, int_poly_exact_div, int_poly_sub
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> object:
@@ -59,6 +62,29 @@ def _poly_cross(p, r, l, u, d):
 def _rational_cross(p, r, l, u, d):
     v = p * r - l * u
     return v if d is None else v / d
+
+
+def schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product in Z[x], formed on a list of its own."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b, i):
+            out[j] += ca * cb
+    return out
+
+
+def mul_then_add(acc: list[int], a: Sequence[int], b: Sequence[int], weight: int = 1) -> None:
+    """acc += weight * a * b: the product first, then ``int_poly_add_into``."""
+    int_poly_add_into(acc, schoolbook_mul(a, b), weight)
+
+
+def mul_sub_cross(p, r, l, u, d) -> list[int]:
+    """(p r - l u) / d over Z[x]: two products, their difference, and the
+    exact division when d is not None."""
+    v = int_poly_sub(schoolbook_mul(p, r), schoolbook_mul(l, u))
+    return v if d is None else int_poly_exact_div(v, d)
 
 
 POLY = Ring(_poly_cross, operator.neg, bool)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from reference_det import adjugate
 
 from hankelab.hankel import hankel_matrix
-from hankelab.identities import table1_rules
-from hankelab.lemmas import IdentityId
+from hankelab.lemmas import IdentityId, table1_rules
 from hankelab.poly import Poly
 from hankelab.rat import Rat, binom
 from hankelab.sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly

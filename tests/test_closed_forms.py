@@ -225,13 +225,13 @@ def _conv_entry_perturbed(monkeypatch):
 
 
 def _rule_value_perturbed(monkeypatch):
-    rules = identities.table1_rules
+    rules = lemmas.table1_rules
 
     def perturbed(family, n):
         (name, x, value), *rest = rules(family, n)
         return [(name, x, value + 1), *rest]
 
-    monkeypatch.setattr(identities, "table1_rules", perturbed)
+    monkeypatch.setattr(lemmas, "table1_rules", perturbed)
 
 
 A = AlmostProductId

@@ -21,6 +21,7 @@ from hankelab.lemmas import (
     check_identity,
     check_matrix_convolution_identities,
     identity_residual,
+    table1_rules,
 )
 from hankelab.poly import Poly
 from hankelab.rat import Rat
@@ -39,7 +40,6 @@ from hankelab.identities import (
     rational_nullspace,
     relation_residuals,
     relation_residuals_at,
-    table1_rules,
     transform_rules,
     weight_nullspace,
 )
@@ -185,7 +185,7 @@ def test_ef_and_trace_sums_match_the_poly_oracle():
             assert check_matrix_convolution_identities(fam, n) == verdict, (fam, n)
             if n:
                 oracle = fraction_trace_values(fam, n)
-                assert identities_mod._trace_values(fam, n) == oracle, (fam, n)
+                assert lemmas_mod.trace_values(fam, n) == oracle, (fam, n)
                 assert transform_rules(fam, n) == [(name, v == e) for name, v, e in oracle]
 
 
@@ -215,13 +215,13 @@ def test_transform_rules_match_the_cramer_oracle():
 
 
 def test_table1_singular_matrix_is_one_fail_row(monkeypatch):
-    real = identities_mod.hankel_matrix
+    real = lemmas_mod.hankel_matrix
 
     def singular_at_2(family, n):
         rows = real(family, n)
         return [rows[0]] + rows[:-1] if n == 2 else rows
 
-    monkeypatch.setattr(identities_mod, "hankel_matrix", singular_at_2)
+    monkeypatch.setattr(lemmas_mod, "hankel_matrix", singular_at_2)
     with pytest.raises(ValueError, match="singular matrix"):
         transform_rules(F31, 2)
     rows = run_check("table1", F31, [1, 2, 3])

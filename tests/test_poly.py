@@ -4,11 +4,13 @@ from math import gcd, lcm
 
 import pytest
 from fraction_poly import FractionPoly, ref
+from reference_det import mul_sub_cross, mul_then_add
 
 from hankelab.poly import (
     InexactDivision,
     Poly,
     from_int_scaled,
+    int_poly_addmul,
     int_poly_exact_div,
     int_poly_mul,
     int_poly_neg,
@@ -16,6 +18,7 @@ from hankelab.poly import (
     lin_comb,
     to_int_scaled,
 )
+from hankelab.hankel import INT_POLY, Ring, _int_poly_cross, det_bareiss
 
 
 def random_poly(rng, max_deg=12):
@@ -133,6 +136,82 @@ def test_integer_ops_match_poly():
         assert from_int_scaled(int_poly_neg(a), scale) == -p
         if b:
             assert int_poly_exact_div(int_poly_mul(a, b), b) == a
+
+
+def random_int_poly(rng, max_len=9, bits=70):
+    """An int list of random length (0 too), a third of its entries zero,
+    so interior and trailing zeros both occur."""
+    return [rng.getrandbits(bits) - (1 << (bits - 1)) if rng.randrange(3) else 0
+            for _ in range(rng.randint(0, max_len))]
+
+
+def test_addmul_matches_mul_then_add():
+    # acc shorter, as long as and longer than the product, with trailing
+    # zeros of its own, against the product formed first and added after
+    rng = random.Random(8191)
+    weights = [0, 1, -1, 2, -3, 2**64 + 13, -(2**64) - 1, 3**50]
+    for trial in range(600):
+        a, b = random_int_poly(rng), random_int_poly(rng)
+        acc = random_int_poly(rng, max_len=20)
+        if trial % 4 == 0:
+            acc += [0] * rng.randint(1, 3)
+        weight = weights[trial % len(weights)] if trial % 3 else rng.randint(-50, 50)
+        want = list(acc)
+        mul_then_add(want, a, b, weight)
+        got, a0, b0 = list(acc), list(a), list(b)
+        int_poly_addmul(got, a, b, weight)
+        assert got == want, (acc, a, b, weight)
+        assert (a, b) == (a0, b0)
+    acc = [5, 0, 0]
+    int_poly_addmul(acc, [], [1, 2])
+    int_poly_addmul(acc, [1, 2], [])
+    assert acc == [5, 0, 0]
+    int_poly_addmul(acc, [1, 1], [1, 0, 1], 0)
+    assert acc == [5, 0, 0, 0]  # grown to the product's length, as add_into does
+
+
+def _stripped(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _recorded_crosses(rng, size):
+    """The (p, r, l, u, d) of every Bareiss step on a random Z[x] matrix."""
+    calls = []
+
+    def record(p, r, l, u, d):
+        calls.append((p, r, l, u, d))
+        return mul_sub_cross(p, r, l, u, d)
+
+    rows = [[_stripped(random_int_poly(rng, max_len=4, bits=20)) for _ in range(size)]
+            for _ in range(size)]
+    det_bareiss(rows, Ring(record, INT_POLY.neg, INT_POLY.unit))
+    return calls
+
+
+def test_int_poly_cross_matches_mul_sub_exact_div():
+    rng = random.Random(1968)
+    crosses = [c for size in (2, 3, 4, 5) for _ in range(12)
+               for c in _recorded_crosses(rng, size)]
+    assert any(d is None for *_, d in crosses) and any(d for *_, d in crosses)
+    for p, r, l, u, d in crosses:
+        assert _int_poly_cross(p, r, l, u, d) == mul_sub_cross(p, r, l, u, d)
+        # the same step over a divisor drawn at random: the two paths agree,
+        # both raising where it does not divide
+        other = _stripped(random_int_poly(rng, max_len=3, bits=6)) or [3]
+        try:
+            want = mul_sub_cross(p, r, l, u, other)
+        except InexactDivision:
+            with pytest.raises(InexactDivision):
+                _int_poly_cross(p, r, l, u, other)
+        else:
+            assert _int_poly_cross(p, r, l, u, other) == want
+    # x^2 + 1 over x + 1 leaves a remainder
+    with pytest.raises(InexactDivision):
+        _int_poly_cross([1, 0, 1], [1], [], [2], [1, 1])
+    # x x - x (1 + x) = -x: the x^2 terms cancel and are stripped
+    assert _int_poly_cross([0, 1], [0, 1], [0, 1], [1, 1], None) == [0, -1]
 
 
 def test_integer_exact_div_tripwire():
