@@ -267,10 +267,13 @@ REGISTRY: dict[str, CheckDef] = _build_registry()
 
 
 def run_check(name: str, family: FamilyId | None, ns: Sequence[int]) -> list[Row]:
-    """Rows of check `name` at each n of ns from its min_n on.  A family
-    check runs `family`, else the family of its default item; a check whose
-    items name no family runs with None.  Each n gives one row naming the
-    run family, else the fixed label, or the rows its test returns."""
+    """Rows of check `name` at each n of ns from its min_n on, in ascending
+    n.  A family check runs `family`, else the family of its default item; a
+    check whose items name no family runs with None.  Each n gives one row
+    naming the run family, else the fixed label, or the rows its test
+    returns.  The n are run from the largest down, so the first builds each
+    object the check shares across n (an elimination, a series) at its
+    full size, and every smaller n reads it."""
     defn = REGISTRY.get(name)
     if defn is None:
         raise KeyError(f"unknown check {name!r}")
@@ -278,22 +281,20 @@ def run_check(name: str, family: FamilyId | None, ns: Sequence[int]) -> list[Row
     if fam is not None and family is not None:
         fam = family
     where = dict(family=fam.name if fam is not None else defn.label, x=defn.x)
-    rows: list[Row] = []
-    for n in ns:
-        if n < defn.min_n:
-            continue
+    done: list[list[Row]] = []
+    for n in sorted((n for n in ns if n >= defn.min_n), reverse=True):
         try:
             got = defn.test(fam, n)
         except Exception as exc:  # one bad (check, n) is one fail row
-            rows.append(fail_row(name, n=n, detail=f"{type(exc).__name__}: {exc}", **where))
+            done.append([fail_row(name, n=n, detail=f"{type(exc).__name__}: {exc}", **where)])
             continue
         if type(got) is list:
-            rows.extend(got)
+            done.append(got)
             continue
         ok, detail = got if type(got) is tuple else (got, "")
-        rows.append(verdict_row(ok, name, finding_on_fail=defn.finding, n=n, detail=detail,
-                                **where))
-    return rows
+        done.append([verdict_row(ok, name, finding_on_fail=defn.finding, n=n, detail=detail,
+                                 **where)])
+    return [row for rows in reversed(done) for row in rows]
 
 
 def suite(name: str) -> list[tuple[str, FamilyId | None, int, int]]:

@@ -7,7 +7,8 @@ aborts loudly, which doubles as a correctness tripwire.  ``det_bareiss``
 eliminates one square matrix; ``ladder`` eliminates [a_{i+j}] once for
 H_n, K_n, M_n and N_n at every n, and a per-process cache grows each
 family's ladder as larger n are asked for.  ``gauss_jordan`` applies the
-same step above the pivot too, for adjugates and integer nullspaces.
+same step above the pivot too, for adjugates (those of every leading block
+from one elimination) and integer nullspaces.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import operator
 from _thread import allocate_lock
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import accumulate
 from math import factorial, lcm, perm, prod
 
 from .poly import (
@@ -74,10 +76,12 @@ INT_POLY = Ring(_int_poly_cross, int_poly_neg, bool)
 def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:
     """Fraction-free two-term elimination of one square matrix.
 
-    A pivot the ring cannot divide by is swapped for the first lower row
-    whose entry it can, flipping the sign.  If there is none, a zero pivot
-    makes the determinant zero; any other (a jet vanishing at its point) is
-    kept, and the jet ring raises if a later step must divide by it.
+    Each step asks ``unit`` first of its pivot, and of the entries below it
+    only when the pivot is no unit.  Such a pivot is swapped for the first
+    lower row whose entry the ring can divide by, flipping the sign.  If
+    there is none, a zero pivot makes the determinant zero; any other (a jet
+    vanishing at its point) is kept, and the jet ring raises if a later step
+    must divide by it.
     """
     n = len(rows)
     if n == 0:
@@ -124,14 +128,14 @@ def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
     return from_int_scaled(det, prod(scale for _, scale in scaled))
 
 
-def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination: (reduced rows, pivot columns, sign).
+def gauss_jordan_steps(rows: Sequence[Sequence], ring: Ring):
+    """Fraction-free Gauss-Jordan elimination, one pivot at a time.
 
-    Each column's pivot is the first row at or below the next pivot position
-    whose entry the ring can divide by, swapped up; a column with none is
-    skipped.  The Bareiss step updates every other row, those above too, so
-    each pivot ends equal to the last, d: [A | S] with A invertible reduces
-    to [d I | d A^{-1} S], where d = sign * det A.
+    Yields (rows, pivot columns, sign) after each pivot; the next pivot
+    updates the two lists in place.  Each column's pivot is the first row at
+    or below the next pivot position whose entry the ring can divide by,
+    swapped up; a column with none is skipped.  The Bareiss step updates
+    every other row, those above too, so each pivot ends equal to the last.
     """
     m = [list(row) for row in rows]
     cross, unit = ring.cross, ring.unit
@@ -152,23 +156,62 @@ def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list
                     row[j] = cross(p, row[j], lead, u, prev)
         pivots.append(c)
         prev = p
-    return m, pivots, sign
+        yield m, pivots, sign
+
+
+def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list[int], int]:
+    """(reduced rows, pivot columns, sign) of `gauss_jordan_steps` run to the
+    end: [A | S] with A invertible reduces to [d I | d A^{-1} S], where
+    d = sign * det A."""
+    state = None
+    for state in gauss_jordan_steps(rows, ring):
+        pass
+    return state or ([list(row) for row in rows], [], 1)
+
+
+def _augmented(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[list[int]]], list[int]]:
+    """[D A | D] over Z[x] and the row scales D that make D A integral."""
+    n = len(rows)
+    scaled = [to_int_scaled(row) for row in rows]
+    aug = [r + [[s] if j == i else [] for j in range(n)] for i, (r, s) in enumerate(scaled)]
+    return aug, [s for _, s in scaled]
 
 
 def int_adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[list[int]]], int]:
     """(B, s) with adj(A) = B / s, B over Z[x], for an invertible square Poly
     matrix A; ValueError if singular.
 
-    With D the row scales that make D A integral, Gauss-Jordan over Z[x]
-    reduces [D A | D] to [d I | d A^{-1}], d = sign * det(D) * det(A).
+    Gauss-Jordan over Z[x] reduces [D A | D] to [d I | d A^{-1}],
+    d = sign * det(D) * det(A).
     """
     n = len(rows)
-    scaled = [to_int_scaled(row) for row in rows]
-    aug = [r + [[s] if j == i else [] for j in range(n)] for i, (r, s) in enumerate(scaled)]
+    aug, scales = _augmented(rows)
     reduced, pivots, sign = gauss_jordan(aug, INT_POLY)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in reduced], sign * prod(s for _, s in scaled)
+    return [row[n:] for row in reduced], sign * prod(scales)
+
+
+def leading_adjugates(rows: Sequence[Sequence[Poly]]) -> list:
+    """[(B_k, s_k) with adj(A_k) = B_k / s_k] for each leading (k+1) x (k+1)
+    block A_k of a square Poly matrix A, all read off one Gauss-Jordan
+    elimination of [D A | D]; None for every block from the first pivot that
+    needs a row swap or skips a column on.
+
+    Until then, after pivot k, rows 0..k have been combined only with each
+    other, step for step as in the elimination of [D_k A_k | D_k] alone, so
+    the first k+1 columns of their right block are `int_adjugate`'s B of
+    A_k, and s_k = det D_k.
+    """
+    n = len(rows)
+    aug, scales = _augmented(rows)
+    out = []
+    for m, pivots, sign in gauss_jordan_steps(aug, INT_POLY):
+        k = len(pivots) - 1
+        if pivots[k] != k or sign != 1:
+            break
+        out.append(([row[n : n + k + 1] for row in m[: k + 1]], prod(scales[: k + 1])))
+    return out + [None] * (n - len(out))
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +396,36 @@ def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:
     return variant_det_at(family, n, "H", x0)
 
 
-# (family, j) -> H_j from an elimination of its own, so that H_{n+1} at n is
-# H_{n'-1} at n' = n + 2.  Only dodgson_check reads it: it is never filled
-# from the ladder and never feeds it.
-_own_h: dict[tuple, Poly] = {}
+def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
+    """H_0 .. H_top, none of them read off the ladder.
+
+    One `det_bareiss` of [a_{i+j}]_{0..top} gives them: its pivot at step k
+    is H_k times the scales of rows 0..k, it asks ``unit`` of each pivot
+    before any other entry, so the ring below records them up to the first
+    zero one, and its determinant is H_top.  A zero pivot means a row swap,
+    after which the pivots are no leading minors: each H_j past it is
+    eliminated on its own.
+    """
+    scaled = [to_int_scaled(row) for row in hankel_matrix(family, top)]
+    leading: list[list[int]] = []
+
+    def unit(v):
+        if not leading or leading[-1]:
+            leading.append(v)
+        return bool(v)
+
+    det = det_bareiss([row for row, _ in scaled], INT_POLY._replace(unit=unit))
+    scales = list(accumulate((s for _, s in scaled), operator.mul))
+    hs = [from_int_scaled(v, s) for v, s in zip(leading, scales)]
+    hs += [det_fraction_free(hankel_matrix(family, j)) for j in range(len(hs), top)]
+    return hs + [from_int_scaled(det, scales[top])]
+
+
+# family -> [H_0 .. H_j] from `own_hankel_dets`, so that dodgson_check at n
+# reads H_{n-1} and H_{n+1} off the elimination made for the largest n yet.
+# Only dodgson_check reads it: it is never filled from the ladder and never
+# feeds it.
+_own_h: dict[FamilyId, list[Poly]] = {}
 
 
 def dodgson_check(family: FamilyId, n: int) -> bool:
@@ -364,18 +433,22 @@ def dodgson_check(family: FamilyId, n: int) -> bool:
 
     The ladder's step from H_n to H_{n+1} is this identity (Desnanot-Jacobi),
     so M_n, H_{n-1} and H_{n+1} each come from an elimination of their own;
-    only H_n, K_n and N_n are read off the ladder.
+    only H_n, K_n and N_n are read off the ladder.  H_{n-1} and H_{n+1} are
+    pivots of one `det_bareiss` of [a_{i+j}] made at the largest n asked
+    (`own_hankel_dets`).  Bareiss's pivot k is the leading minor H_k: the
+    steps before it are those of the elimination of H_k alone, on longer
+    rows, so no compared value changes.  And none comes from the ladder: the
+    square elimination forms neither its extra columns nor its M_n steps.
     """
     if n < 1:
         raise ValueError("the Dodgson-like identity needs n >= 1")
     h, k, nn = (variant_det(family, n, v) for v in "HKN")
     cols = _variant_columns(n, "M")
     m = det_fraction_free([[a_poly(family, c + i) for c in cols] for i in range(n + 1)])
-    for j in (n - 1, n + 1):
-        if (family, j) not in _own_h:
-            _own_h[family, j] = det_fraction_free(hankel_matrix(family, j))
-    left = _own_h[family, n - 1] * _own_h[family, n + 1]
-    return left == lin_comb([(h, nn), (-h, m), (-k, k)])
+    own = _own_h.get(family)
+    if own is None or len(own) < n + 2:
+        own = _own_h[family] = own_hankel_dets(family, n + 1)
+    return own[n - 1] * own[n + 1] == lin_comb([(h, nn), (-h, m), (-k, k)])
 
 
 # ---------------------------------------------------------------------------

@@ -472,7 +472,7 @@ _weight_memo: dict[tuple[FamilyId, int], WeightSolution] = {}
 
 def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
     """Read Q0, Q2 and the weights off the closed generating-function
-    denominator den of `series.gf_fraction`.
+    denominator den of `series.gf_denominator`.
 
     Q0 (degree n+1) is fixed by demanding the y^{n+3}..y^{2n+3} coefficients
     of den*Q0 vanish, one equation per power of y and of x; the nullspace
@@ -493,9 +493,9 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
     form = _weight_form(family)
     order = 2 * n + 3
     # imported here: the point screen reads no generating function
-    from .series import closed_form_for, gf_fraction
+    from .series import closed_form_for, gf_denominator
 
-    _num, den = gf_fraction(closed_form_for(family), family, order)
+    den = gf_denominator(closed_form_for(family), family, order)
     # den over Z, one width: d[k][e] is scale times the y^k x^e coefficient
     d, scale = to_int_scaled(den.coeffs)
     width = max(map(len, d))

@@ -6,10 +6,10 @@ offset) with A and B int tuples: the coefficient A + k B times a_{k+offset},
 c_{k+offset} or a_k'.  Each residual, and each entry of the E/F matrix
 convolution identities, is one `poly.lin_comb` over Z.  The Table-1 trace
 rules Tr(A^{-1} X) H_n = value are stated here too (`table1_rules`), and
-`trace_values` sums them against one adjugate.  The table and the rules have
-a module of their own: inside `identities.py` they raised the compile that
-peaks a sweep's resident size (a tuple display costs the parser far more
-memory than an int).
+`trace_values` sums them against the adjugate, read off one elimination
+per family.  The table and the rules have a module of their own: inside
+`identities.py` they raised the compile that peaks a sweep's resident size
+(a tuple display costs the parser far more memory than an int).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Callable
 from enum import Enum
 from functools import partial
 
-from .hankel import hankel_matrix, int_adjugate, quartet
+from .hankel import hankel_matrix, int_adjugate, leading_adjugates, quartet
 from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
 from .rat import Rat
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
@@ -130,6 +130,11 @@ def check_identity(iid: IdentityId, k_max: int) -> list[int]:
     return [k for k in range(k_max + 1) if not identity_residual(iid, k).is_zero()]
 
 
+# (family, shift, i, j) -> entry (i, j) of L A + A L^T, which does not
+# depend on n: the largest n of the E/F check forms every entry once.
+_ef_memo: dict[tuple[FamilyId, int, int, int], Poly] = {}
+
+
 def _ef_entries(family: FamilyId, n: int) -> list[tuple[int, int, int, Poly]]:
     """(shift, i, j, entry (i, j) of L A + A L^T) for j <= i, with A = [a_{i+j}]
     and L = E_n (shift 0) or F_n (shift -1).
@@ -144,13 +149,17 @@ def _ef_entries(family: FamilyId, n: int) -> list[tuple[int, int, int, Poly]]:
     for shift in (0, -1):
         for i in range(n + 1):
             for j in range(i + 1):
-                terms = []
-                for r, col in ((i, j), (j, i)):
-                    if not shift:
-                        terms.append((a[r] * Rat(1, 2), a[col]))
-                    for k in range(1, r + 1):  # a_{r-k} = E[r][k] or F[r][k - 1]
-                        terms.append((a[r - k], a[k + shift + col]))
-                out.append((shift, i, j, lin_comb(terms)))
+                key = (family, shift, i, j)
+                v = _ef_memo.get(key)
+                if v is None:
+                    terms = []
+                    for r, col in ((i, j), (j, i)):
+                        if not shift:
+                            terms.append((a[r] * Rat(1, 2), a[col]))
+                        for k in range(1, r + 1):  # a_{r-k} = E[r][k] or F[r][k - 1]
+                            terms.append((a[r - k], a[k + shift + col]))
+                    v = _ef_memo[key] = lin_comb(terms)
+                out.append((shift, i, j, v))
     return out
 
 
@@ -205,16 +214,35 @@ def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Po
     ]
 
 
+# family -> (A, leading_adjugates(A)) for the largest Hankel matrix A whose
+# traces were summed: every smaller n reads its adjugate off A's elimination.
+_adjugates: dict[FamilyId, tuple[list, list]] = {}
+
+
+def _adjugate(family: FamilyId, n: int) -> tuple[list[list[list[int]]], int]:
+    """`int_adjugate` of hankel_matrix(family, n), read off the elimination
+    made for the largest n yet.  A matrix that is not the leading block of
+    the one eliminated, or one past its first row swap, is eliminated on
+    its own."""
+    a = hankel_matrix(family, n)
+    top, adjs = _adjugates.get(family, ([], []))
+    if n >= len(adjs):
+        top, adjs = _adjugates[family] = a, leading_adjugates(a)
+    if adjs[n] is not None and all(row[: n + 1] == want for row, want in zip(top, a)):
+        return adjs[n]
+    return int_adjugate(a)
+
+
 def trace_values(family: FamilyId, n: int) -> list[tuple[str, Poly, Poly]]:
     """(name, Tr(adj(A) X), stated value) for each Table-1 rule.
 
     Tr(adj(A) X) is the sum over s of x(s) times the s-th anti-diagonal sum
-    of adj(A) = B / scale, from one Gauss-Jordan elimination of A's own: the
-    anti-diagonal sums add B's integer entries.  Each sequence's products
+    of adj(A) = B / scale, read off one Gauss-Jordan elimination per family
+    (`_adjugate`): the anti-diagonal sums add B's integer entries.  Each sequence's products
     with them are formed once, and each rule is one `lin_comb` of them,
     weighted by s for a rule s y(s).
     """
-    rows, scale = int_adjugate(hankel_matrix(family, n))
+    rows, scale = _adjugate(family, n)
     sums = []
     for s in range(2 * n + 1):
         acc: list[int] = []

@@ -433,6 +433,8 @@ def int_poly_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return []
+    if len(b) == 1 and b[0] in (1, -1):  # a unit divides exactly
+        return list(a) if b[0] == 1 else [-c for c in a]
     db = len(b) - 1
     shift = len(a) - 1 - db
     if shift < 0:

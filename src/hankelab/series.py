@@ -10,7 +10,8 @@ kernel of ``poly.py``, and each output coefficient is normalised once.
 Generating functions come in a "direct" rational form in the algebraic series
 t (t^beta * y = t - 1) and in per-family "closed" forms; both expand to the
 same truncated series and the expansion is checked against a_k coefficient by
-coefficient.  Each (form, family, order) fraction is built once per process.
+coefficient.  Each part of a (form, family) fraction is built once per
+process, at the largest order asked, and a lower order is its prefix.
 """
 
 from __future__ import annotations
@@ -233,9 +234,11 @@ def _x(c0, c1=0, c2=0, c3=0) -> Poly:
     return Poly([c0, c1, c2, c3])
 
 
-# (form, family, order) -> (num, den): the series are immutable, so `gfequiv`,
-# `fcoeffs` and the weight construction share one pair per key.
-_gf_memo: dict[tuple[GfForm, FamilyId, int], tuple[SeriesYX, SeriesYX]] = {}
+# (form, family, part) -> the numerator (part 0) or denominator (part 1) at
+# the largest order built.  Coefficient k of a sum or product depends only on
+# coefficients 0..k, so every lower order is a prefix of it, and `gfequiv`,
+# `fcoeffs` and the weight construction share one series per key.
+_gf_memo: dict[tuple[GfForm, FamilyId, int], SeriesYX] = {}
 
 
 def gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
@@ -243,71 +246,68 @@ def gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, S
 
     Occurrences of the algebraic series t (or tau) are substituted by their
     expansions, so the pair lives entirely in Q[x][[y]].  Raises ValueError
-    for an incompatible form/family pair.  Built once per key in a process.
+    for an incompatible form/family pair.  Each part is built once per
+    process at the largest order asked; a lower order is its prefix.
     """
-    key = (form, family, order)
-    hit = _gf_memo.get(key)
-    if hit is None:
-        hit = _gf_memo.setdefault(key, _gf_fraction(form, family, order))
-    return hit
+    return _gf_part(form, family, order, 0), gf_denominator(form, family, order)
 
 
-def _gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
+def gf_denominator(form: GfForm, family: FamilyId, order: int) -> SeriesYX:
+    """The denominator of `gf_fraction`; a closed form's numerator is not
+    expanded."""
+    return _gf_part(form, family, order, 1)
+
+
+def _gf_part(form: GfForm, family: FamilyId, order: int, part: int) -> SeriesYX:
+    got = _gf_memo.get((form, family, part))
+    if got is None or got.order < order:
+        if form is GfForm.DIRECT:  # its two parts share their powers of t
+            built = enumerate(_direct_fraction(family, order))
+        else:
+            built = [(part, _closed_part(form, family, order, part))]
+        _gf_memo.update(((form, family, p), s) for p, s in built)
+        got = _gf_memo[form, family, part]
+    return got if got.order == order else SeriesYX(order, got.coeffs)
+
+
+def _closed_part(form: GfForm, family: FamilyId, order: int, part: int) -> SeriesYX:
+    """The numerator (part 0) or the denominator (part 1) of a closed form."""
+    fam = next((f for f, closed in _CLOSED_FOR_FAMILY.items() if closed is form), None)
+    if fam is None:
+        raise ValueError(f"unknown generating-function form {form!r}")
+    if family != fam:
+        raise ValueError(f"{form.value} only applies to the {fam.name} family")
     one = SeriesYX.one(order)
     y = SeriesYX.y(order)
 
-    if form is GfForm.DIRECT:
-        return _direct_fraction(family, order)
-
-    if form is GfForm.CLOSED31:
-        if family != F31:
-            raise ValueError("closed31 only applies to the 3,1 family")
-        t = t_series(3, order)
-        num = _x(-6, 4) * one + 2 * t
-        den = (_x(9, -15, 4) * y) * (2 * t - 3 * one) - _x(-1, 1) * (
-            27 * y - 4 * one
-        )
-        return num, den
-
-    if form is GfForm.CLOSED21:
-        if family != F21:
-            raise ValueError("closed21 only applies to the 2,1 family")
-        t = t_series(2, order)
-        num = t
-        den = (_x(-2, 1) * y) * t + one - _x(0, 2) * y
-        return num, den
-
-    if form is GfForm.CLOSED30:
-        if family != F30:
-            raise ValueError("closed30 only applies to the 3,0 family")
-        t = t_series(3, order)
-        num = -(_x(-3, 2) * t) - _x(0, 3) * one
-        den = (_x(0, 0, 9) * y + _x(-6, 10, -4) * one) * t + _x(9, -15, 4) * one
-        return num, den
-
-    if form is GfForm.CLOSED3K2M:
-        if family != F3K2M:
-            raise ValueError("closed3k2m only applies to the 3k-2m family")
-        t = t_series(3, order)
-        num = 3 * t + _x(0, 2) * one
-        den = (_x(0, -9, 4) * y - 6 * one) * t + _x(9, 2) * one - _x(0, 0, 6) * y
-        return num, den
-
     if form is GfForm.CLOSEDAEX:
-        if family != FAEX:
-            raise ValueError("closedaex only applies to the aex family")
         tau = tau_series(order)
         xm1sq = _x(1, -2, 1)
-        num = 2 * (xm1sq * tau) - 2 * xm1sq * one - 2 * _x(-1, 3) * one
-        den = (
+        if not part:
+            return 2 * (xm1sq * tau) - 2 * xm1sq * one - 2 * _x(-1, 3) * one
+        return (
             -(_x(0, 0, -3, 1) * (2 * y)) * tau
             + _x(0, 0, -3, 1) * (2 * y)
             + _x(0, 0, 6) * y
             + _x(1, -3) * one
         )
-        return num, den
 
-    raise ValueError(f"unknown generating-function form {form!r}")
+    t = t_series(2 if form is GfForm.CLOSED21 else 3, order)
+    if form is GfForm.CLOSED31:
+        if not part:
+            return _x(-6, 4) * one + 2 * t
+        return (_x(9, -15, 4) * y) * (2 * t - 3 * one) - _x(-1, 1) * (27 * y - 4 * one)
+    if form is GfForm.CLOSED21:
+        if not part:
+            return t
+        return (_x(-2, 1) * y) * t + one - _x(0, 2) * y
+    if form is GfForm.CLOSED30:
+        if not part:
+            return -(_x(-3, 2) * t) - _x(0, 3) * one
+        return (_x(0, 0, 9) * y + _x(-6, 10, -4) * one) * t + _x(9, -15, 4) * one
+    if not part:  # CLOSED3K2M
+        return 3 * t + _x(0, 2) * one
+    return (_x(0, -9, 4) * y - 6 * one) * t + _x(9, 2) * one - _x(0, 0, 6) * y
 
 
 def _direct_fraction(family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:

@@ -385,9 +385,22 @@ def test_run_check_calls_the_layer_functions_bound_when_it_runs(monkeypatch):
     monkeypatch.setattr(checks, "dodgson_check", dodgson)
     monkeypatch.setattr(checks, "product_matches_determinant", lambda pid, n: False)
     rows = checks.run_check("dodgson", None, range(1, 4))
-    assert calls == [(F31, 1), (F31, 2), (F31, 3)]
+    assert calls == [(F31, 3), (F31, 2), (F31, 1)]  # from the top; rows ascend
     assert [r.status for r in rows] == ["pass", "fail", "pass"]
     assert checks.run_check("p32", F21, [0]) == [fail_row("p32", n=0)]
+
+
+def test_run_check_rows_are_those_of_each_n_in_ascending_order():
+    # every acceptance item, n cut at 4 and given shuffled: run_check walks
+    # the n from the top, and its rows are those each n gives on its own
+    import random
+
+    rng = random.Random(20)
+    for name, fam, lo, hi in acceptance_suite():
+        ns = list(range(lo, min(hi, max(lo, 4)) + 1))
+        rng.shuffle(ns)
+        want = [row for n in sorted(ns) for row in checks.run_check(name, fam, [n])]
+        assert checks.run_check(name, fam, ns) == want, name
 
 
 def test_fail_row_of_a_fixed_label_check_names_its_label(monkeypatch):

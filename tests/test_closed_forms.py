@@ -271,15 +271,16 @@ def test_check_fails_on_a_broken_form(check, mutate, monkeypatch):
 def _closed_den_perturbed(family, power):
     """den + x y^power: y^1 reaches only Q2, y^2 the nullspace rows too."""
     def mutate(monkeypatch):
-        form, gf = closed_form_for(family), series.gf_fraction
+        form, gf = closed_form_for(family), series.gf_denominator
 
         def perturbed(f, fam, order):
-            num, den = gf(f, fam, order)
+            den = gf(f, fam, order)
             if f is form:
                 den = den + Poly.x() * SeriesYX.y(order).shift_y(power - 1)
-            return num, den
+            return den
 
-        monkeypatch.setattr(series, "gf_fraction", perturbed)  # identities reads it there too
+        # gf_fraction and the weight solve read it there
+        monkeypatch.setattr(series, "gf_denominator", perturbed)
         monkeypatch.setattr(identities, "_weight_memo", {})
 
     return mutate

@@ -14,7 +14,7 @@ from reference_det import (
     fraction_nullspace,
 )
 
-from hankelab.poly import InexactDivision, Poly, denominator_lcm
+from hankelab.poly import InexactDivision, Poly, denominator_lcm, from_int_scaled
 from hankelab.rat import Rat, binom
 import hankelab.hankel as hankel_mod
 from hankelab.hankel import (
@@ -289,34 +289,132 @@ def test_dodgson_fails_where_the_ladder_is_wrong(monkeypatch):
 
 def test_dodgson_fails_where_its_own_h_is_wrong(monkeypatch):
     # the memo of independently eliminated H_j is what dodgson compares the
-    # ladder with, so a wrong H_4 in it fails n = 3 and n = 5, which read it
+    # ladder with, so a wrong H_4 in it fails n = 3 and n = 5, which read it;
+    # it holds H_0..H_8, all that n = 7 reads, so no n re-eliminates it
     from hankelab.checks import run_check
 
-    monkeypatch.setattr(hankel_mod, "_own_h", {})
-    hankel_mod._own_h[F31, 4] = det_fraction_free(hankel_matrix(F31, 4)) + Poly([1])
+    own = [det_fraction_free(hankel_matrix(F31, j)) for j in range(9)]
+    own[4] += Poly([1])
+    monkeypatch.setattr(hankel_mod, "_own_h", {F31: own})
     rows = run_check("dodgson", F31, range(1, 8))
     assert [(r.n, r.status) for r in rows if r.status != "pass"] == [(3, "fail"), (5, "fail")]
 
 
 def test_dodgson_eliminates_each_of_its_own_h_once(monkeypatch):
-    # per family over n = 1..10: M_1..M_10, and H_0..H_11 once each, where
-    # eliminating H_{n-1} and H_{n+1} at every n would take 30
+    # per family over n = 1..10, walked from the top: M_10..M_1 (orders
+    # 11..2), and H_0..H_11 as the pivots of one elimination of order 12,
+    # where eliminating each H_j alone would take 12
     from hankelab.checks import acceptance_suite, run_check
 
     orders = []
+    real = hankel_mod.det_bareiss
 
-    def counted(rows):
+    def counted(rows, ring):
         orders.append(len(rows))
-        return det_fraction_free(rows)
+        return real(rows, ring)
 
     monkeypatch.setattr(hankel_mod, "_own_h", {})
-    monkeypatch.setattr(hankel_mod, "det_fraction_free", counted)
+    monkeypatch.setattr(hankel_mod, "det_bareiss", counted)
     items = [item for item in acceptance_suite() if item[0] == "dodgson"]
     assert [(lo, hi) for _, _, lo, hi in items] == [(1, 10)] * 8
     for name, fam, lo, hi in items:
+        del orders[:]
         assert {r.status for r in run_check(name, fam, range(lo, hi + 1))} == {"pass"}
-    assert len(orders) == 176
-    assert sorted(set(orders)) == list(range(1, 13))
+        assert orders == [11, 12, *range(10, 1, -1)], fam
+
+
+def over_scale(rows, scale):
+    """B / s as Poly entries, for an adjugate given as (B, s)."""
+    return [[from_int_scaled(v, scale) for v in row] for row in rows]
+
+
+def seq_with_head(head):
+    """A stand-in for a_poly: ``head``, then seeded polynomials of degree 2
+    with rational coefficients, so rows carry scales."""
+    rng = random.Random(len(head))
+    tail = [Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)])
+            for _ in range(40)]
+    seq = [*head, *tail]
+    return lambda _family, k: seq[k]
+
+
+# heads whose Hankel matrices have a zero leading minor: H_1 = x^2 - x^2,
+# then H_0 = 0, then a_0 = a_1 = a_2 = 0, where the first column of the
+# order-3 matrix has no entry to swap in and its determinant is zero
+ZERO_MINOR_HEADS = (
+    (Poly([1]), Poly([0, 1]), Poly([0, 0, 1])),
+    (Poly.zero(), Poly([1])),
+    (Poly.zero(), Poly.zero(), Poly.zero()),
+)
+
+
+def test_own_h_are_the_pivots_of_one_elimination():
+    # H_0..H_12 of every family, read off one elimination, against each
+    # H_j eliminated alone; a smaller top gives their prefix
+    for fam in ALL_FAMILIES:
+        want = [det_fraction_free(hankel_matrix(fam, j)) for j in range(13)]
+        assert hankel_mod.own_hankel_dets(fam, 12) == want, fam
+        assert hankel_mod.own_hankel_dets(fam, 4) == want[:5], fam
+        assert hankel_mod.own_hankel_dets(fam, 0) == want[:1], fam
+
+
+def test_own_h_past_a_zero_leading_minor_are_eliminated_alone(monkeypatch):
+    # the pivots are read up to the first zero one; each H_j past it (the
+    # elimination swaps rows there) comes from a det_fraction_free of its
+    # own, and dodgson, which holds for any sequence, still passes
+    from hankelab.checks import run_check
+
+    real = hankel_mod.det_fraction_free
+    for head in ZERO_MINOR_HEADS:
+        monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(head))
+        monkeypatch.setattr(hankel_mod, "_ladders", {})
+        monkeypatch.setattr(hankel_mod, "_own_h", {})
+        want = [det_cofactor(hankel_matrix(F31, j)) for j in range(7)]
+        first_zero = next(j for j, h in enumerate(want) if h.is_zero())
+        assert first_zero < 2 and not want[6].is_zero()
+        alone = []
+
+        def counted(rows):
+            alone.append(len(rows) - 1)
+            return real(rows)
+
+        monkeypatch.setattr(hankel_mod, "det_fraction_free", counted)
+        for top in (6, 2):
+            del alone[:]
+            assert hankel_mod.own_hankel_dets(F31, top) == want[: top + 1], (head, top)
+            assert alone == list(range(first_zero + 1, top)), (head, top)
+        monkeypatch.setattr(hankel_mod, "det_fraction_free", real)
+        rows = run_check("dodgson", F31, range(1, 6))
+        assert [r.status for r in rows] == ["pass"] * 5, head
+
+
+def test_leading_adjugates_match_each_adjugate(monkeypatch):
+    # every leading block's adjugate, read off one elimination, against
+    # int_adjugate of the block alone
+    for fam in ALL_FAMILIES:
+        got = hankel_mod.leading_adjugates(hankel_matrix(fam, 5))
+        assert got == [hankel_mod.int_adjugate(hankel_matrix(fam, k)) for k in range(6)], fam
+    # rows with their own scales; and past a singular leading block, where
+    # the elimination swaps rows, every block is None: int_adjugate raises
+    # on the singular one and swaps rows itself for the larger ones
+    # (a row of a larger matrix may take a larger scale, so compare B / s)
+    monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(()))
+    got = hankel_mod.leading_adjugates(hankel_matrix(F31, 4))
+    assert [over_scale(*adj) for adj in got] == [
+        adjugate(hankel_matrix(F31, k)) for k in range(5)]
+    assert {scale for _, scale in got} != {1}
+    for head in ZERO_MINOR_HEADS[:2]:
+        monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(head))
+        zero = 1 if head[0] else 0
+        got = hankel_mod.leading_adjugates(hankel_matrix(F31, 4))
+        assert [over_scale(*adj) for adj in got[:zero]] == [
+            adjugate(hankel_matrix(F31, k)) for k in range(zero)]
+        assert got[zero:] == [None] * (5 - zero)
+        with pytest.raises(ValueError, match="singular matrix"):
+            hankel_mod.int_adjugate(hankel_matrix(F31, zero))
+        for k in range(zero + 1, 4):
+            rows = hankel_matrix(F31, k)
+            assert adjugate(rows) == cofactor_adjugate(rows)
 
 
 def test_zero_pivot_swap():

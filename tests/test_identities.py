@@ -229,6 +229,50 @@ def test_table1_singular_matrix_is_one_fail_row(monkeypatch):
     assert rows[1].detail == "ValueError: singular matrix"
 
 
+def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
+    # walked from the top, n = 5..1 read their adjugates off the elimination
+    # made at n = 5, each equal to its own matrix's int_adjugate; past a
+    # zero leading minor, where that elimination swaps rows, each n is
+    # eliminated alone, and the singular block raises as int_adjugate does
+    import hankelab.hankel as hankel_mod
+    from test_hankel import ZERO_MINOR_HEADS, over_scale, seq_with_head
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(rows):
+            calls.append((name, len(rows) - 1))
+            return fn(rows)
+
+        return wrapped
+
+    monkeypatch.setattr(lemmas_mod, "_adjugates", {})
+    monkeypatch.setattr(lemmas_mod, "leading_adjugates", spy("one", lemmas_mod.leading_adjugates))
+    monkeypatch.setattr(lemmas_mod, "int_adjugate", spy("alone", lemmas_mod.int_adjugate))
+    for fam in (F31, F21):
+        for n in range(5, 0, -1):
+            assert lemmas_mod._adjugate(fam, n) == hankel_mod.int_adjugate(hankel_matrix(fam, n))
+    assert calls == [("one", 5), ("one", 5)]
+
+    # another sequence: the kept elimination is of another matrix, so at
+    # first every n is eliminated alone, except n = 0, whose [a_0] = [1] is
+    # the same
+    monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(ZERO_MINOR_HEADS[0]))
+    alone = [("alone", n) for n in range(4, 0, -1)]
+    for reset, want_calls in ((False, alone), (True, [("one", 4), *alone])):
+        if reset:
+            monkeypatch.setattr(lemmas_mod, "_adjugates", {})
+        del calls[:]
+        for n in range(4, -1, -1):
+            if n == 1:
+                with pytest.raises(ValueError, match="singular matrix"):
+                    lemmas_mod._adjugate(F31, n)
+                continue
+            want = hankel_mod.int_adjugate(hankel_matrix(F31, n))
+            assert over_scale(*lemmas_mod._adjugate(F31, n)) == over_scale(*want), n
+        assert calls == want_calls
+
+
 def _same_nullspace(rows, ncols):
     """rational_nullspace against the Fraction oracle: one primitive integer
     vector per free column, proportional to the oracle's, annihilated."""

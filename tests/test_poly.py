@@ -232,6 +232,20 @@ def test_integer_exact_div_tripwire():
     assert int_poly_exact_div([], [1, 1]) == []
 
 
+def test_exact_division_by_a_unit_copies_or_negates():
+    # a_0 = 1 is the first pivot of every Hankel elimination, so many steps
+    # divide by a unit; the quotient is a new list either way
+    rng = random.Random(1583)
+    for _ in range(200):
+        a = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 9))]
+        for unit in (1, -1):
+            q = int_poly_exact_div(a, [unit])
+            assert q == [unit * c for c in a] and q is not a
+            b = [rng.randint(-99, 99) or 1 for _ in range(rng.randint(1, 4))]
+            assert int_poly_exact_div(int_poly_mul(a, b), [unit * c for c in b]) == q
+    assert int_poly_exact_div([], [-1]) == []
+
+
 # -- differential tests against the Fraction-tuple reference -------------------
 
 
