@@ -35,16 +35,10 @@ from .closed_forms import (
     recursion_31at1,
     three_term_check,
 )
-from .hankel import (
-    degree_bound,
-    dodgson_check,
-    general_degree_det,
-    hankel_det,
-    make_degree_instance,
-)
-from .identities import (
-    RelationId,
-    check_relation,
+from .hankel import hankel_det
+from .hankel_checks import degree_bound, dodgson_check, general_degree_det, make_degree_instance
+from .identities import RelationId, check_relation
+from .identity_checks import (
     ciden_check,
     explicit_weights_match,
     transform_rules,

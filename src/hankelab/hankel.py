@@ -6,9 +6,9 @@ jets (``jet.py``).  Interior divisions are exact, and any nonzero remainder
 aborts loudly, which doubles as a correctness tripwire.  ``det_bareiss``
 eliminates one square matrix; ``ladder`` eliminates [a_{i+j}] once for
 H_n, K_n, M_n and N_n at every n, and a per-process cache grows each
-family's ladder as larger n are asked for.  ``gauss_jordan`` applies the
-same step above the pivot too, for adjugates (those of every leading block
-from one elimination) and integer nullspaces.
+family's ladder as larger n are asked for.  The elimination code that only
+checks run (Gauss-Jordan, adjugates, the Dodgson check's own eliminations,
+the degree-bound instances) is ``hankel_checks.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import operator
 from _thread import allocate_lock
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import accumulate
-from math import factorial, lcm, perm, prod
+from math import lcm, prod
 
 from .poly import (
     InexactDivision,
@@ -27,7 +26,6 @@ from .poly import (
     int_poly_addmul,
     int_poly_exact_div,
     int_poly_neg,
-    lin_comb,
     to_int_scaled,
 )
 from .rat import Rat, rat
@@ -39,12 +37,16 @@ from .sequences import VARIANTS, FamilyId, a_poly
 # ---------------------------------------------------------------------------
 
 
-class Ring(namedtuple("Ring", "cross neg unit")):
+class Ring(namedtuple("Ring", "cross neg unit value vcross", defaults=(None, None))):
     """The operations Bareiss elimination needs from an integral domain.
 
     ``cross(p, r, l, u, d)`` is the fused step (p*r - l*u) / d, where d is
     None for 1; the division is exact in the ring, and an implementation
     raises on a remainder.  ``unit(v)`` tells whether v can be a divisor.
+    A ring whose elements carry more than a value (the Taylor jets) also
+    gives ``value(v)``, the value part, a homomorphism onto Z, and
+    ``vcross``, the same step on value parts; a ladder keeps what is read
+    only as a value in values.  Both are None for Z and Z[x].
     """
 
     __slots__ = ()
@@ -128,92 +130,6 @@ def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
     return from_int_scaled(det, prod(scale for _, scale in scaled))
 
 
-def gauss_jordan_steps(rows: Sequence[Sequence], ring: Ring):
-    """Fraction-free Gauss-Jordan elimination, one pivot at a time.
-
-    Yields (rows, pivot columns, sign) after each pivot; the next pivot
-    updates the two lists in place.  Each column's pivot is the first row at
-    or below the next pivot position whose entry the ring can divide by,
-    swapped up; a column with none is skipped.  The Bareiss step updates
-    every other row, those above too, so each pivot ends equal to the last.
-    """
-    m = [list(row) for row in rows]
-    cross, unit = ring.cross, ring.unit
-    pivots: list[int] = []
-    sign, prev = 1, None
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if unit(m[i][c])), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr], sign = m[pr], m[r], -sign
-        pivot_row, p = m[r], m[r][c]
-        for row in m:
-            if row is not pivot_row:
-                lead = row[c]
-                for j, u in enumerate(pivot_row):
-                    row[j] = cross(p, row[j], lead, u, prev)
-        pivots.append(c)
-        prev = p
-        yield m, pivots, sign
-
-
-def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list[int], int]:
-    """(reduced rows, pivot columns, sign) of `gauss_jordan_steps` run to the
-    end: [A | S] with A invertible reduces to [d I | d A^{-1} S], where
-    d = sign * det A."""
-    state = None
-    for state in gauss_jordan_steps(rows, ring):
-        pass
-    return state or ([list(row) for row in rows], [], 1)
-
-
-def _augmented(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[list[int]]], list[int]]:
-    """[D A | D] over Z[x] and the row scales D that make D A integral."""
-    n = len(rows)
-    scaled = [to_int_scaled(row) for row in rows]
-    aug = [r + [[s] if j == i else [] for j in range(n)] for i, (r, s) in enumerate(scaled)]
-    return aug, [s for _, s in scaled]
-
-
-def int_adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[list[int]]], int]:
-    """(B, s) with adj(A) = B / s, B over Z[x], for an invertible square Poly
-    matrix A; ValueError if singular.
-
-    Gauss-Jordan over Z[x] reduces [D A | D] to [d I | d A^{-1}],
-    d = sign * det(D) * det(A).
-    """
-    n = len(rows)
-    aug, scales = _augmented(rows)
-    reduced, pivots, sign = gauss_jordan(aug, INT_POLY)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in reduced], sign * prod(scales)
-
-
-def leading_adjugates(rows: Sequence[Sequence[Poly]]) -> list:
-    """[(B_k, s_k) with adj(A_k) = B_k / s_k] for each leading (k+1) x (k+1)
-    block A_k of a square Poly matrix A, all read off one Gauss-Jordan
-    elimination of [D A | D]; None for every block from the first pivot that
-    needs a row swap or skips a column on.
-
-    Until then, after pivot k, rows 0..k have been combined only with each
-    other, step for step as in the elimination of [D_k A_k | D_k] alone, so
-    the first k+1 columns of their right block are `int_adjugate`'s B of
-    A_k, and s_k = det D_k.
-    """
-    n = len(rows)
-    aug, scales = _augmented(rows)
-    out = []
-    for m, pivots, sign in gauss_jordan_steps(aug, INT_POLY):
-        k = len(pivots) - 1
-        if pivots[k] != k or sign != 1:
-            break
-        out.append(([row[n : n + k + 1] for row in m[: k + 1]], prod(scales[: k + 1])))
-    return out + [None] * (n - len(out))
-
-
 # ---------------------------------------------------------------------------
 # Hankel matrices and the determinant quartet
 # ---------------------------------------------------------------------------
@@ -250,19 +166,31 @@ class Ladder(namedtuple("Ladder", "ring entries rows m")):
     entries left of the diagonal are the leads its steps used, kept so that
     new columns can replay the steps.  ``m[n]`` is M_n (None at n = 0).
     Rows end at the first pivot H_k the ring cannot divide by, at n = k.
-    The lists grow in place as the ladder is extended.
+    Over a ring with value parts (jets), columns N+1 and N+2 and M_N hold
+    only values: no step divides by them, as only columns 0..N become
+    pivots.  The lists grow in place as the ladder is extended, except
+    over such a ring, where `ladder` rebuilds it.
     """
 
     __slots__ = ()
 
     def det(self, n: int, variant: str) -> object:
         """The variant's determinant at n, read off the rows where they
-        reach n and otherwise eliminated on its own with row pivoting."""
-        if n < len(self.rows):
-            return self.m[n] if variant == "M" else self.rows[n][n + "HKN".index(variant)]
-        e = self.entries
-        cols = _variant_columns(n, variant)
-        return det_bareiss([[e[c + i] for c in cols] for i in range(n + 1)], self.ring)
+        reach n and otherwise eliminated on its own with row pivoting.
+        Over a ring with value parts, H is the full element and K, M and N
+        are values."""
+        value = self.ring.value
+        if n >= len(self.rows):
+            e = self.entries
+            cols = _variant_columns(n, variant)
+            v = det_bareiss([[e[c + i] for c in cols] for i in range(n + 1)], self.ring)
+            return v if value is None or variant == "H" else value(v)
+        if variant == "H":
+            return self.rows[n][n]
+        # K's and N's column, and the column whose step gives M
+        col = n + (2 if variant == "N" else 1)
+        v = self.m[n] if variant == "M" else self.rows[n][col]
+        return v if value is None or col >= len(self.rows[0]) - 2 else value(v)
 
 
 def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
@@ -271,13 +199,20 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
     ``lad``, the ladder of a prefix of ``entries``, grows in place: new
     columns of its rows replay their stored pivots and leads, and new rows
     run every step.  M_n is one 2 x 2 Sylvester step on rows n-1 and n
-    just before row n's last step, over columns n and n+1.
+    just before row n's last step, over columns n and n+1.  Over a ring
+    with value parts, columns N+1 and N+2 start as the entries' values and
+    step with the values of their pivots and leads, and so does M_N, which
+    reads column N+1.  Such a ladder is rebuilt from all of ``entries``
+    rather than grown, since a larger N needs those columns in full.
     """
-    if lad is None:
+    value, vcross = ring.value, ring.vcross
+    if lad is None or value is not None:
         lad = Ladder(ring, [], [], [])
     e, rows = lad.entries, lad.rows
     e.extend(entries[len(e) :])
     width = (len(e) - 3) // 2 + 3
+    # columns from `full` on hold values
+    full = width if value is None else width - 2
     cross = ring.cross
     # piv[k + 1] is the pivot H_k of step k, and piv[k] the step's divisor
     piv = [None] + [row[k] for k, row in enumerate(rows)]
@@ -291,14 +226,23 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
         if i and not ring.unit(piv[i]):
             break
         row = e[i : i + width]
+        if full < width:
+            row[full:] = map(value, row[full:])
         m = None
         for k in range(i):
             up = rows[k]
-            if k == i - 1:
-                m = cross(up[i + 1], row[i], row[i + 1], up[i], piv[k])
             p, d, lead = piv[k + 1], piv[k], row[k]
-            for j in range(k + 1, width):
+            if full < width:
+                p0, l0, d0 = value(p), value(lead), d if d is None else value(d)
+            if k == i - 1:
+                if i + 1 < full:
+                    m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
+                else:
+                    m = vcross(up[i + 1], value(row[i]), row[i + 1], value(up[i]), d0)
+            for j in range(k + 1, full):
                 row[j] = cross(p, row[j], lead, up[j], d)
+            for j in range(full, width):
+                row[j] = vcross(p0, row[j], l0, up[j], d0)
         rows.append(row)
         lad.m.append(m)
         piv.append(row[i])
@@ -318,7 +262,8 @@ def cached_ladder(family: FamilyId, x0: Rat | None, ring: Ring, n: int):
     n, whose entries are D q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its
     determinant on columns c_0..c_n is D^(n+1) q^(n(n+1)/2 + sum c_j) times
     the one of [a_{i+c_j}(x0)].  An extension that needs a larger D
-    rebuilds the ladder."""
+    rebuilds the ladder, and so does every extension of a jet ladder
+    (`ladder`), from the entries it holds: each a_k is expanded once."""
     key = (family, x0, ring)
     count = 2 * n + 3
     with _ladders_lock:
@@ -394,127 +339,3 @@ def variant_det_at(family: FamilyId, n: int, variant: str, x0) -> Rat:
 def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:
     """H_n evaluated at a rational point, substituting before elimination."""
     return variant_det_at(family, n, "H", x0)
-
-
-def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
-    """H_0 .. H_top, none of them read off the ladder.
-
-    One `det_bareiss` of [a_{i+j}]_{0..top} gives them: its pivot at step k
-    is H_k times the scales of rows 0..k, it asks ``unit`` of each pivot
-    before any other entry, so the ring below records them up to the first
-    zero one, and its determinant is H_top.  A zero pivot means a row swap,
-    after which the pivots are no leading minors: each H_j past it is
-    eliminated on its own.
-    """
-    scaled = [to_int_scaled(row) for row in hankel_matrix(family, top)]
-    leading: list[list[int]] = []
-
-    def unit(v):
-        if not leading or leading[-1]:
-            leading.append(v)
-        return bool(v)
-
-    det = det_bareiss([row for row, _ in scaled], INT_POLY._replace(unit=unit))
-    scales = list(accumulate((s for _, s in scaled), operator.mul))
-    hs = [from_int_scaled(v, s) for v, s in zip(leading, scales)]
-    hs += [det_fraction_free(hankel_matrix(family, j)) for j in range(len(hs), top)]
-    return hs + [from_int_scaled(det, scales[top])]
-
-
-# family -> [H_0 .. H_j] from `own_hankel_dets`, so that dodgson_check at n
-# reads H_{n-1} and H_{n+1} off the elimination made for the largest n yet.
-# Only dodgson_check reads it: it is never filled from the ladder and never
-# feeds it.
-_own_h: dict[FamilyId, list[Poly]] = {}
-
-
-def dodgson_check(family: FamilyId, n: int) -> bool:
-    """H_{n-1} H_{n+1} = H_n N_n - H_n M_n - K_n^2 as a Poly identity.
-
-    The ladder's step from H_n to H_{n+1} is this identity (Desnanot-Jacobi),
-    so M_n, H_{n-1} and H_{n+1} each come from an elimination of their own;
-    only H_n, K_n and N_n are read off the ladder.  H_{n-1} and H_{n+1} are
-    pivots of one `det_bareiss` of [a_{i+j}] made at the largest n asked
-    (`own_hankel_dets`).  Bareiss's pivot k is the leading minor H_k: the
-    steps before it are those of the elimination of H_k alone, on longer
-    rows, so no compared value changes.  And none comes from the ladder: the
-    square elimination forms neither its extra columns nor its M_n steps.
-    """
-    if n < 1:
-        raise ValueError("the Dodgson-like identity needs n >= 1")
-    h, k, nn = (variant_det(family, n, v) for v in "HKN")
-    cols = _variant_columns(n, "M")
-    m = det_fraction_free([[a_poly(family, c + i) for c in cols] for i in range(n + 1)])
-    own = _own_h.get(family)
-    if own is None or len(own) < n + 2:
-        own = _own_h[family] = own_hankel_dets(family, n + 1)
-    return own[n - 1] * own[n + 1] == lin_comb([(h, nn), (-h, m), (-k, k)])
-
-
-# ---------------------------------------------------------------------------
-# Generalized degree-bound determinants
-# ---------------------------------------------------------------------------
-
-
-class DegreeInstance(namedtuple("DegreeInstance", "p q alphas betas gamma")):
-    """An instance of the generalized Hankel-like determinant.
-
-    Entry (i, j) is sum_{0 <= m <= p_i + q_j} C(alpha_i + beta_j + gamma*m,
-    p_i + q_j - m) x^m, the binomial taken in falling-factorial form; an
-    empty sum (p_i + q_j < 0) gives a zero entry.  p and q are tuples of
-    ints, alphas and betas tuples of Rats, gamma a Rat.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p, q, alphas, betas, gamma):
-        if not len(p) == len(q) == len(alphas) == len(betas):
-            raise ValueError("p, q, alphas, betas must have equal length")
-        if len(p) == 0:
-            raise ValueError("instance must be nonempty")
-        return super().__new__(cls, p, q, alphas, betas, gamma)
-
-    @property
-    def n(self) -> int:
-        return len(self.p) - 1
-
-    def entry(self, i: int, j: int) -> Poly:
-        top = self.alphas[i] + self.betas[j]
-        bound = self.p[i] + self.q[j]
-        if bound < 0:
-            return Poly.zero()
-        # With d the lcm of the denominators, top + gamma*m = (a + g*m)/d, and
-        # over d^bound bound! coefficient m is the integer falling factorial
-        # prod_{r<k} (a + g*m - r*d) times d^m bound!/k!, where k = bound - m.
-        gamma = self.gamma
-        d = lcm(top.denominator, gamma.denominator)
-        a = top.numerator * (d // top.denominator)
-        g = gamma.numerator * (d // gamma.denominator)
-        return from_int_scaled(
-            [prod(a + g * m - r * d for r in range(bound - m)) * d**m * perm(bound, m)
-             for m in range(bound + 1)],
-            d**bound * factorial(bound),
-        )
-
-    def matrix(self) -> list[list[Poly]]:
-        size = self.n + 1
-        return [[self.entry(i, j) for j in range(size)] for i in range(size)]
-
-
-def degree_bound(inst: DegreeInstance) -> int:
-    """max(max p_i + max q_j - n, 0), the proven bound on the degree."""
-    return max(max(inst.p) + max(inst.q) - inst.n, 0)
-
-
-def general_degree_det(inst: DegreeInstance) -> Poly:
-    return det_fraction_free(inst.matrix())
-
-
-def make_degree_instance(p, q, alphas, betas, gamma) -> DegreeInstance:
-    return DegreeInstance(
-        tuple(int(v) for v in p),
-        tuple(int(v) for v in q),
-        tuple(rat(v) for v in alphas),
-        tuple(rat(v) for v in betas),
-        rat(gamma),
-    )

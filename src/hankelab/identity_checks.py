@@ -1,0 +1,507 @@
+"""The identity code only checks run: the point relations, the Table-1
+trace check, and the third-identity weight machinery.
+
+The point relations assert K, M and N as multiples of H at special points,
+and squared-ratio recursions of H, each read off the family's ladder over
+Z at the point.  The weight machinery reads the annihilating weights off
+the closed generating-function denominator that `series.gf_fraction`
+states, one code path for (3,1) and (2,1), and compares them with the
+explicit closed forms.  `identities.check_relation` imports this module on
+its first point relation, and the relation screen never does.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from collections.abc import Sequence
+from math import gcd
+
+from . import series
+from .hankel import INT, hankel_det_at, quartet, variant_det_at
+from .hankel_checks import gauss_jordan
+from .identities import RelationId, _require_n, pnqnrn_21, pnqnrn_31
+from .lemmas import trace_values
+from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
+from .rat import Rat, binom0, double_factorial, factorial
+from .sequences import F21, F31, FamilyId, a_poly
+
+
+# ---------------------------------------------------------------------------
+# Point relations
+# ---------------------------------------------------------------------------
+
+
+# rid -> (family, x0, {name: K/N/M multiplier as a function of n}), asserting
+# V(x0) = mult(n) * H(x0) for each V named; R_CREC asserts only its recursion.
+_POINT_SPECS = {
+    RelationId.R_CREC: (F31, Rat(3), {}),
+    RelationId.R_X3: (
+        F31,
+        Rat(3),
+        {
+            "K": lambda n: Rat(3 * (9 * n * n + 19 * n + 14), 2 * (4 * n + 3)),
+            "N": lambda n: Rat(
+                3 * (243 * n**4 + 1512 * n**3 + 3605 * n**2 + 4144 * n + 1920),
+                8 * (4 * n + 3) * (4 * n + 5),
+            ),
+            "M": lambda n: Rat(
+                -3 * n * (243 * n**3 + 540 * n**2 + 559 * n + 58),
+                8 * (4 * n + 1) * (4 * n + 3),
+            ),
+        },
+    ),
+    RelationId.R_X3HALF: (
+        F31,
+        Rat(3, 2),
+        {
+            "K": lambda n: Rat(3 * (9 * n * n + 22 * n + 11), 2 * (4 * n + 3)),
+            "N": lambda n: Rat(
+                3 * (243 * n**4 + 1674 * n**3 + 4031 * n**2 + 3934 * n + 1290),
+                8 * (4 * n + 3) * (4 * n + 5),
+            ),
+            "M": lambda n: Rat(
+                -3 * n * (243 * n**3 + 702 * n**2 + 547 * n + 118),
+                8 * (4 * n + 1) * (4 * n + 3),
+            ),
+        },
+    ),
+    RelationId.R_X3QUARTER: (
+        F31,
+        Rat(3, 4),
+        {
+            "K": lambda n: Rat(3 * (18 * n * n + 38 * n + 19), 4 * (4 * n + 3)),
+            "N": lambda n: Rat(
+                3 * (486 * n**4 + 3024 * n**3 + 6724 * n**2 + 6290 * n + 2085),
+                16 * (4 * n + 3) * (4 * n + 5),
+            ),
+            "M": lambda n: Rat(
+                -3 * n * (243 * n**3 + 540 * n**2 + 316 * n + 31),
+                8 * (4 * n + 1) * (4 * n + 3),
+            ),
+        },
+    ),
+    RelationId.R_21_X0: (
+        F21,
+        Rat(0),
+        {
+            "K": lambda n: Rat(3 + 8 * n + 4 * n * n, 2 * n + 1),
+            "N": lambda n: Rat(
+                10 + 49 * n + 78 * n * n + 44 * n**3 + 8 * n**4, (2 * n + 1) ** 2
+            ),
+            "M": lambda n: Rat(-(3 * n + 2 * n * n)),
+        },
+    ),
+    RelationId.R_21_X2: (
+        F21,
+        Rat(2),
+        {
+            "K": lambda n: Rat(5 + 8 * n + 4 * n * n, 2 * n + 1),
+            "N": lambda n: Rat(22 + 33 * n + 20 * n * n + 4 * n**3, 2 * n + 1),
+            "M": lambda n: Rat(-n * (7 + 8 * n + 4 * n * n), 2 * n + 1),
+        },
+    ),
+}
+
+# Squared-ratio recursions H_{n-1} H_{n+1} = ratio * H_n^2 at the three
+# special points of the (3,1) family.
+_RECURSION_RATIOS = {
+    RelationId.R_CREC: lambda n: Rat(
+        9 * (3 * n + 4) * (3 * n + 5) * (6 * n - 1) * (6 * n + 1),
+        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
+    ),
+    RelationId.R_X3HALF: lambda n: Rat(
+        9 * (3 * n + 2) * (3 * n + 4) * (6 * n + 1) * (6 * n + 5),
+        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
+    ),
+    RelationId.R_X3QUARTER: lambda n: Rat(
+        9 * (3 * n + 1) * (3 * n + 2) * (6 * n + 5) * (6 * n + 7),
+        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
+    ),
+}
+
+
+def relation_point_ok(rid: RelationId, n: int) -> bool:
+    """Point relations: K/N/M multiples of H, and the squared recursions."""
+    _require_n(rid, n)
+    fam, x0, mults = _POINT_SPECS[rid]
+    h = hankel_det_at(fam, n, x0)
+    for name, mult in mults.items():
+        if variant_det_at(fam, n, name, x0) != mult(n) * h:
+            return False
+    if rid in _RECURSION_RATIOS:
+        hm = hankel_det_at(fam, n - 1, x0)
+        hp = hankel_det_at(fam, n + 1, x0)
+        if hm * hp != _RECURSION_RATIOS[rid](n) * h * h:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Table-1 trace rules
+# ---------------------------------------------------------------------------
+
+
+def transform_rules(family: FamilyId, n: int) -> list[tuple[str, bool]]:
+    """Table-1 rules as trace identities Tr(A^{-1} X) H_n = stated value.
+
+    The rules and their traces are `lemmas.table1_rules` and
+    `lemmas.trace_values`.
+    """
+    return [(name, got == want) for name, got, want in trace_values(family, n)]
+
+
+# ---------------------------------------------------------------------------
+# Third-identity weight machinery
+# ---------------------------------------------------------------------------
+
+
+class WeightError(AssertionError):
+    """A structural property of the weight construction failed."""
+
+
+class WeightSolution(namedtuple("WeightSolution", "family n q0 q2 weights scale")):
+    """The third-identity weights of (family, n).
+
+    q0: tuple of Rat y-coefficients, degree n+1; q2: den*Q0 through y^{n+2},
+    with den the closed generating-function denominator, as Poly-in-x
+    coefficients by power of y; weights: w_{n,0} .. w_{n,n+2}, Q2 reversed;
+    scale: (w_{n,n+2}, w_{n,n+1}, w_{n,n}) = scale*(p,q,r).
+    """
+
+    __slots__ = ()
+
+
+def rational_nullspace(rows: Sequence[Sequence[Rat]], ncols: int) -> list[list[int]]:
+    """Primitive integer nullspace basis of a rational matrix, one vector per
+    free column f, positive at f: Gauss-Jordan over Z of the integer-scaled
+    rows leaves every pivot d, so d at f and minus each pivot row's entry at
+    f in its pivot column annihilate the rows.  Each row is first made
+    primitive with a positive leading entry, and zero and repeated rows are
+    dropped: the row space, and so the basis, is unchanged."""
+    int_rows: dict[tuple[int, ...], None] = {}
+    for row in rows:
+        scale = denominator_lcm(row)
+        ints = [int(v * scale) for v in row]
+        g = gcd(*ints)
+        if g:
+            g = g if next(v for v in ints if v) > 0 else -g
+            int_rows.setdefault(tuple(v // g for v in ints))
+    reduced, pivots, _ = gauss_jordan(list(int_rows), INT)
+    d = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = d
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append([v // g for v in vec])
+    return basis
+
+
+# (family, n) -> WeightSolution.  The solution is immutable (a frozen record
+# of tuples of Rats and Polys), so the weights, explicit-weights and ciden
+# checks share one per process.  A construction that raises is not kept.
+_weight_memo: dict[tuple[FamilyId, int], WeightSolution] = {}
+
+
+def weight_nullspace(family: FamilyId, n: int) -> WeightSolution:
+    """Read Q0, Q2 and the weights off the closed generating-function
+    denominator den of `series.gf_denominator`.
+
+    Q0 (degree n+1) is fixed by demanding the y^{n+3}..y^{2n+3} coefficients
+    of den*Q0 vanish, one equation per power of y and of x; the nullspace
+    must be exactly 1-dimensional.  Q0 is normalized so its lowest-index
+    nonzero coefficient is 1, and Q2 is den*Q0 through y^{n+2}.  Built once
+    per (family, n) in a process, every structural check included.
+    """
+    key = (family, n)
+    sol = _weight_memo.get(key)
+    if sol is None:
+        sol = _weight_memo.setdefault(key, _solve_weights(family, n))
+    return sol
+
+
+def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
+    if n < 1:
+        raise ValueError("weight construction needs n >= 1")
+    form = _weight_form(family)
+    order = 2 * n + 3
+    den = series.gf_denominator(series.closed_form_for(family), family, order)
+    # den over Z, one width: d[k][e] is scale times the y^k x^e coefficient
+    d, scale = to_int_scaled(den.coeffs)
+    width = max(map(len, d))
+    d = [c + [0] * (width - len(c)) for c in d]
+    ncols = n + 2
+    # the y^r x^e coefficient of den*Q0, one row per r = n+3..2n+3 and e
+    rows = [
+        [d[r - i][e] for i in range(ncols)]
+        for r in range(n + 3, order + 1)
+        for e in range(width)
+    ]
+    basis = rational_nullspace(rows, ncols)
+    if len(basis) != 1:
+        raise WeightError(
+            f"nullspace dimension {len(basis)} != 1 for family {family} n={n}"
+        )
+    vec = basis[0]
+    lead = next(v for v in vec if v != 0)
+    q0 = tuple(Rat(v, lead) for v in vec)
+    # den*Q0 through y^{2n+3}, times scale*lead: Q2 is its part through y^{n+2}
+    prod = [
+        [sum(vec[i] * d[k - i][e] for i in range(min(k, n + 1) + 1)) for e in range(width)]
+        for k in range(order + 1)
+    ]
+    for k in range(n + 3, order + 1):
+        if any(prod[k]):
+            raise WeightError(f"truncation equation failed at y^{k}")
+    q2 = tuple(from_int_scaled(c, scale * lead) for c in prod[: n + 3])
+    weights = q2[::-1]
+
+    for i in range(n + 1):
+        if lin_comb((w, a_poly(family, i + j)) for j, w in enumerate(weights)):
+            raise WeightError(f"weight annihilation failed at row i={i}")
+
+    scale = _proportionality_scale(
+        (weights[n + 2], weights[n + 1], weights[n]), form.anchor(n)
+    )
+    if scale is None:
+        raise WeightError("top-three weights not proportional to (p_n, q_n, r_n)")
+
+    # The parametric solution (C_0, C_1, C_2)(Q0) = alpha * q0_params(n).
+    c0, c1, c2 = form.q0_params(n)
+    alpha = q0[0] / c0
+    if q0[1] != c1 * alpha:
+        raise WeightError("C_1(Q0) parametric form mismatch")
+    if q0[2] != c2 * alpha:
+        raise WeightError("C_2(Q0) parametric form mismatch")
+
+    return WeightSolution(
+        family=family, n=n, q0=q0, q2=q2, weights=weights, scale=scale
+    )
+
+
+def _proportionality_scale(
+    got: Sequence[Poly], want: Sequence[Poly]
+) -> Rat | None:
+    scale = None
+    for g, w in zip(got, want):
+        if w.is_zero():
+            if not g.is_zero():
+                return None
+            continue
+        # Candidate scale from the leading coefficients, then exact match.
+        cand = g.coefficient(int(w.degree)) / w.leading if not g.is_zero() else Rat(0)
+        if scale is None:
+            scale = cand
+        if g != w * scale:
+            return None
+    return scale
+
+
+def ciden_check(family: FamilyId, n: int) -> bool:
+    """C_0(Q2) N_n + C_1(Q2) K_n + C_2(Q2) H_n = 0 (a nontrivial identity)."""
+    sol = weight_nullspace(family, n)
+    q = quartet(family, n)
+    return lin_comb(zip(sol.q2, (q.N, q.K, q.H))).is_zero()
+
+
+# -- explicit closed-form weights -------------------------------------------
+
+
+def explicit_weights_21(n: int) -> list[Poly]:
+    """The (2,1) closed-form weights, all indices j = 0..n+2."""
+    out = []
+    for j in range(n + 3):
+        sign = -1 if (n + j) % 2 else 1
+        const = 2 * binom0(n + j + 1, n - j + 1) + binom0(n + j + 1, n - j + 2)
+        lin = 2 * binom0(n + j + 1, n - j) + binom0(n + j + 1, n - j + 1)
+        out.append(Poly([sign * const, sign * lin]))
+    return out
+
+
+def _u31(n: int, i: int, j: int) -> Rat:
+    df = double_factorial
+    f = factorial
+    num = (
+        3
+        * 2 ** (i + 1)
+        * (4 * n + 3)
+        * (4 * n + 5)
+        * binom0(n, 2 * i)
+        * binom0(j + 2 * (n - i + 1) + 1, 2 * (n - i - j + 1) + 1)
+        * f(2 * n - i + 2)
+        * df(4 * n - 2 * i + 5)
+        * df(6 * n + 7)
+    )
+    den = (
+        (2 * i + 1)
+        * (3 * j + 1)
+        * (3 * j + 2)
+        * (2 * i - j - 2 * n - 3)
+        * (2 * i - j - 2 * n - 2)
+        * f(2 * n + 1)
+        * df(4 * n + 5)
+        * df(6 * n - 4 * i + 7)
+    )
+    return Rat(num, den)
+
+
+def _v31(n: int, i: int, j: int) -> Rat:
+    df = double_factorial
+    f = factorial
+    num = (
+        3
+        * 2 ** (i + 3)
+        * (2 * n - 2 * i - 2 * j + 5)
+        * (4 * n + 3)
+        * (4 * n + 5)
+        * binom0(n + 1, 2 * i)
+        * binom0(j + 2 * (n - i + 2) + 1, 2 * (n - i - j + 2) + 1)
+        * f(2 * n - i + 3)
+        * df(4 * n - 2 * i + 5)
+        * df(6 * n + 7)
+    )
+    den = (
+        (3 * j + 1)
+        * (3 * j + 2)
+        * (2 * i - j - 2 * n - 5)
+        * (2 * i - j - 2 * n - 4)
+        * (2 * i - j - 2 * n - 3)
+        * f(2 * n + 2)
+        * df(4 * n + 5)
+        * df(6 * n - 4 * i + 9)
+    )
+    return Rat(num, den)
+
+
+def _abc31(n: int, i: int, j: int) -> Poly:
+    alpha = (
+        3
+        * (9 * j * (j + 1) + 2)
+        * (
+            12 * i * i
+            + 6 * (3 * j - 4 * n - 5) * i
+            + 6 * (n + 1) * (2 * n + 3)
+            - j * (18 * n + 19)
+        )
+    )
+    beta = -3 * (3 * j + 2) * (
+        24 * i**3
+        + 8 * (12 * j - 9 * n - 8) * i * i
+        + 2 * (36 * n * n - 96 * j * n + 64 * n + 9 * j * (5 * j - 11) + 23) * i
+        - 2 * (n + 1) * (2 * n + 3) * (6 * n + 1)
+        - j * j * (90 * n + 89)
+        + 3 * j * (32 * n * n + 66 * n + 33)
+    )
+    gamma = (
+        2
+        * (2 * i + 2 * j - 2 * n - 3)
+        * (i + j - n - 1)
+        * (
+            36 * i * i
+            + 6 * (9 * j - 12 * n - 5) * i
+            + 6 * n * (6 * n + 5)
+            - 3 * j * (18 * n + 13)
+            + 2
+        )
+    )
+    return Poly([alpha, beta, gamma])
+
+
+def _def31(n: int, i: int, j: int) -> Poly:
+    delta = (
+        3
+        * (9 * j * (j + 1) + 2)
+        * (
+            6 * i * i
+            + 3 * (3 * j - 4 * n - 7) * i
+            + 3 * (n + 2) * (2 * n + 3)
+            - j * (9 * n + 14)
+        )
+    )
+    eps = -3 * (3 * j + 2) * (
+        12 * i**3
+        + (48 * j - 36 * n - 50) * i * i
+        + (45 * j * j - 3 * (32 * n + 49) * j + 4 * (n + 1) * (9 * n + 16)) * i
+        - 2 * (n + 2) * (2 * n + 3) * (3 * n + 2)
+        - j * j * (45 * n + 67)
+        + 3 * j * (n * (16 * n + 49) + 37)
+    )
+    theta = (
+        2
+        * (2 * i + 2 * j - 2 * n - 3)
+        * (i + j - n - 2)
+        * (
+            18 * n * n
+            - 9 * (4 * i + 3 * j) * n
+            + 33 * n
+            - 33 * j
+            + 3 * i * (6 * i + 9 * j - 11)
+            + 13
+        )
+    )
+    return Poly([delta, eps, theta])
+
+
+def explicit_weights_31(n: int) -> list[Poly]:
+    """The conjectured (3,1) closed-form weights, all indices j = 0..n+2."""
+    out = []
+    half_cap = n // 2 + 1
+    for j in range(n + 3):
+        pairs = []
+        for i in range(0, min(n + 1 - j, half_cap) + 1):
+            pairs.append((_u31(n, i, j), _abc31(n, i, j)))
+        for i in range(0, min(n + 2 - j, half_cap) + 1):
+            pairs.append((_v31(n, i, j), _def31(n, i, j)))
+        out.append(lin_comb(pairs))
+    return out
+
+
+# family -> the anchor weights (p_n, q_n, r_n), the parametric (C_0, C_1,
+# C_2)(Q0) up to one scalar, and the explicit closed-form weights.
+WeightForm = namedtuple("WeightForm", "anchor q0_params explicit")
+_WEIGHT_FORMS = {
+    F31: WeightForm(
+        pnqnrn_31,
+        lambda n: (
+            8 * (4 * n + 3) * (4 * n + 5),
+            -12 * (1 + n) * (30 + 67 * n + 36 * n * n),
+            3 * (50 * n + 343 * n**2 + 540 * n**3 + 243 * n**4),
+        ),
+        explicit_weights_31,
+    ),
+    F21: WeightForm(
+        pnqnrn_21, lambda n: (1, -2 * (n + 1), n * (2 * n + 1)), explicit_weights_21
+    ),
+}
+
+
+def _weight_form(family: FamilyId) -> WeightForm:
+    form = _WEIGHT_FORMS.get(family)
+    if form is None:
+        raise ValueError("weights are constructed for the (3,1) and (2,1) families")
+    return form
+
+
+def explicit_weights(family: FamilyId, n: int) -> list[Poly]:
+    return _weight_form(family).explicit(n)
+
+
+def explicit_weights_match(family: FamilyId, n: int) -> tuple[bool, str]:
+    """Compare closed-form weights with the nullspace weights up to one scalar.
+
+    A mismatch is reported, not raised: the closed (3,1) form is conjectural
+    in its source.
+    """
+    sol = weight_nullspace(family, n)
+    explicit = explicit_weights(family, n)
+    scale = _proportionality_scale(list(sol.weights), explicit)
+    if scale is None:
+        bad = [
+            j
+            for j in range(n + 3)
+            if (sol.weights[j].is_zero()) != (explicit[j].is_zero())
+        ]
+        return False, f"no global scalar matches (structurally off at j={bad})"
+    return True, f"proportional with scale {scale}"

@@ -8,14 +8,19 @@ yields the value and the first two derivatives of a determinant at x0
 times a known power of q, without forming the symbolic determinant and
 without any gcd.  Interior divisions are exact (the intermediates are
 minors of an integer matrix) but require the divisor to be a unit, a jet
-with nonzero value; callers resample the point otherwise.  `terms_at`
-sums the point screen's residuals over Z against such values.
+with nonzero value; callers resample the point otherwise.  The value part
+of a jet step depends only on the value parts of its operands, so ``JET``
+also gives that step on plain integers: a ladder over jets carries only
+the values of what is read as a value (K_n, M_n and N_n at its top n),
+and full jets only where a pivot, H, or its derivatives are read.
+`terms_at` sums the point screen's residuals over Z against such values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from math import lcm
+from operator import itemgetter
 
 from .hankel import Ring
 from .poly import Poly, int_poly_hom_eval
@@ -52,7 +57,21 @@ def _jet_cross(p, r, l, u, d) -> IntJet:
     return (e0, e1, e2)
 
 
-JET = Ring(_jet_cross, lambda a: (-a[0], -a[1], -a[2]), lambda a: a[0] != 0)
+def _value_cross(p: int, r: int, l: int, u: int, d: int | None) -> int:
+    """The value part of `_jet_cross`, from the value parts of its operands."""
+    v = p * r - l * u
+    if d is None:
+        return v
+    if not d:
+        raise JetNotInvertible("integer jet division by non-unit")
+    v, s = divmod(v, d)
+    if s:
+        raise ArithmeticError("inexact integer jet division")
+    return v
+
+
+JET = Ring(_jet_cross, lambda a: (-a[0], -a[1], -a[2]), lambda a: a[0] != 0,
+           itemgetter(0), _value_cross)
 
 
 def _taylor_jet(coeffs: Sequence[int], p: int, q: int, s: int) -> IntJet:

@@ -18,7 +18,8 @@ from collections.abc import Callable
 from enum import Enum
 from functools import partial
 
-from .hankel import hankel_matrix, int_adjugate, leading_adjugates, quartet
+from .hankel import hankel_matrix, quartet
+from .hankel_checks import int_adjugate, leading_adjugates
 from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
 from .rat import Rat
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly

@@ -3,11 +3,11 @@
 ``det_cofactor`` is the cofactor expansion, exponential and free of any
 division.  ``POLY`` and ``RATIONAL`` run ``hankel.det_bareiss`` over
 ``Poly`` and ``Fraction`` entries directly, with no integer scaling.
-``adjugate`` is ``hankel.int_adjugate`` read as Poly entries, and
+``adjugate`` is ``hankel_checks.int_adjugate`` read as Poly entries, and
 ``cofactor_adjugate`` is adj(A) entry by entry from ``det_cofactor``,
 ``cramer_trace`` forms Tr(adj(A) X) as n determinants, one per replaced
 column, and ``fraction_nullspace`` is Gauss-Jordan over ``Fraction``:
-the last two are the computations ``hankel.gauss_jordan`` replaced.
+the last two are the computations ``hankel_checks.gauss_jordan`` replaced.
 ``fraction_jet_quartet`` and ``fraction_screen`` are the relation screen
 over ``Fraction``, the computation ``jet.terms_at`` replaced,
 ``reconstruct`` multiplies a ``factor.FactorReport`` back out, and
@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from hankelab import hankel
+from hankelab import hankel, hankel_checks
 from hankelab.factor import FactorReport
 from hankelab.hankel import Ring, det_fraction_free
 from hankelab.jet import JET
@@ -92,9 +92,9 @@ RATIONAL = Ring(_rational_cross, operator.neg, bool)
 
 
 def adjugate(rows):
-    """adj(A) as Poly entries: ``hankel.int_adjugate``'s integer rows over
-    its scale."""
-    ints, scale = hankel.int_adjugate(rows)
+    """adj(A) as Poly entries: ``hankel_checks.int_adjugate``'s integer rows
+    over its scale."""
+    ints, scale = hankel_checks.int_adjugate(rows)
     return [[from_int_scaled(v, scale) for v in row] for row in ints]
 
 
@@ -159,14 +159,15 @@ def fraction_nullspace(rows, ncols: int) -> list[list[Fraction]]:
 
 def fraction_jet_quartet(family, n: int, x0) -> tuple:
     """(H, K, M, N, H', H'') at x0 as Fractions, each times q^((2n+2)(n+1)):
-    the family's jet-ladder values lifted and divided one by one."""
+    the family's jet-ladder values (H a 3-jet, K, M and N values) lifted
+    and divided one by one."""
     x0 = Fraction(x0)
     q = x0.denominator
     scale, lad = hankel.cached_ladder(family, x0, JET, n)
     h, k, m, nn = (lad.det(n, name) for name in "HKMN")
     lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
     den = scale ** (n + 1)
-    values = (h[0] * q * q, k[0] * q, m[0], nn[0], h[1] * q * q, 2 * h[2] * q * q)
+    values = (h[0] * q * q, k * q, m, nn, h[1] * q * q, 2 * h[2] * q * q)
     return tuple(Fraction(v * lift, den) for v in values)
 
 

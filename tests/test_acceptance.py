@@ -24,14 +24,10 @@ from hankelab.closed_forms import (
     three_term_check,
 )
 from hankelab.factor import factor_smooth
-from hankelab.hankel import dodgson_check, hankel_det, hankel_det_at
-from hankelab.identities import (
-    RelationId,
-    check_relation,
-    explicit_weights_match,
-    transform_rules,
-    weight_nullspace,
-)
+from hankelab.hankel import hankel_det, hankel_det_at
+from hankelab.hankel_checks import dodgson_check
+from hankelab.identities import RelationId, check_relation
+from hankelab.identity_checks import explicit_weights_match, transform_rules, weight_nullspace
 from hankelab.lemmas import IdentityId, check_identity, check_matrix_convolution_identities
 from hankelab.checks import DEGREE_THEOREM_FAMILIES, run_check
 from hankelab.report import FAIL

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from reference_det import reconstruct
 
-from hankelab import checks, cli, commands, hankel
+from hankelab import checks, cli, commands, hankel, hankel_checks
 from hankelab.cache import TOOL_VERSION, CacheEntry
 from hankelab.checks import REGISTRY, CheckDef, acceptance_suite
 from hankelab.cli import UsageError, main
@@ -718,7 +718,7 @@ def test_det_loads_only_the_layers_it_runs():
     loaded = modules_loaded_by("det", "--family", "3,1", "--n", "3", "--x", "2")
     assert "hankelab.hankel" in loaded
     unused = ("checks", "identities", "lemmas", "closed_forms", "sturm", "jet", "factor",
-              "report", "series", "commands")
+              "report", "series", "commands", "hankel_checks", "identity_checks", "odes")
     assert loaded.isdisjoint(f"hankelab.{m}" for m in unused)
     assert loaded.isdisjoint(NOT_AT_START_UP)
 
@@ -733,7 +733,9 @@ def test_det_cache_hit_loads_no_elimination(tmp_path):
     assert hit >= {"hankelab.cli", "hankelab.cache", "hankelab.poly"}
     assert "hankelab.hankel" not in hit
     for loaded in (miss, hit, recheck):
-        assert loaded.isdisjoint({"hankelab.series", "hankelab.commands"})
+        # a miss eliminates on the ladder alone: no check-side determinant code
+        assert loaded.isdisjoint({"hankelab.series", "hankelab.commands",
+                                  "hankelab.hankel_checks"})
         assert loaded.isdisjoint(NOT_AT_START_UP)
 
 
@@ -767,8 +769,10 @@ def test_point_screen_loads_no_generating_function():
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     loaded = set(json.loads(run_fresh(script).stdout))
-    assert "hankelab.identities" in loaded
-    assert loaded.isdisjoint({"hankelab.series", "hankelab.checks", "hankelab.commands"})
+    assert {"hankelab.identities", "hankelab.jet", "hankelab.hankel"} <= loaded
+    unused = ("series", "checks", "commands", "closed_forms", "sturm", "lemmas",
+              "identity_checks", "hankel_checks")
+    assert loaded.isdisjoint(f"hankelab.{m}" for m in unused)
 
 
 def test_sweep_runs_one_cli_run_task_per_item(capsys, monkeypatch):
@@ -869,13 +873,13 @@ def test_record_classes_keep_equality_hash_and_validation():
     assert q == same and hash(q) == hash(same)
     assert q != hankel.HankelQuartet(F21, 3, q.H, q.K, q.M, q.N)
 
-    inst = hankel.make_degree_instance([0, 1], [1, 0], [1, 2], [0, "1/2"], 1)
-    same = hankel.DegreeInstance((0, 1), (1, 0), (1, 2), (0, Fraction(1, 2)), 1)
+    inst = hankel_checks.make_degree_instance([0, 1], [1, 0], [1, 2], [0, "1/2"], 1)
+    same = hankel_checks.DegreeInstance((0, 1), (1, 0), (1, 2), (0, Fraction(1, 2)), 1)
     assert inst == same and hash(inst) == hash(same) and inst.n == 1
     with pytest.raises(ValueError, match="equal length"):
-        hankel.DegreeInstance((0, 1), (1,), (1, 2), (0, 1), 1)
+        hankel_checks.DegreeInstance((0, 1), (1,), (1, 2), (0, 1), 1)
     with pytest.raises(ValueError, match="nonempty"):
-        hankel.make_degree_instance([], [], [], [], 1)
+        hankel_checks.make_degree_instance([], [], [], [], 1)
 
     rep = factor_smooth(-360)
     assert rep == FactorReport(-360, -1, ((2, 3), (3, 2), (5, 1)), 1, 10**6)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import checks, closed_forms, identities, lemmas, sequences, series
+from hankelab import checks, closed_forms, identity_checks, lemmas, sequences, series
 from hankelab.checks import REGISTRY, run_check
 from hankelab.poly import Poly
 from hankelab.rat import Rat
@@ -185,14 +185,18 @@ def _complex_h2(monkeypatch):
                         lambda fam, n: Poly([1, 0, 1]) if n == 2 else h(fam, n))
 
 
-def _de1_c0_perturbed(monkeypatch):
-    spec = ODES["de1"]
+def _ode_c0_perturbed(name):
+    """The equation's coefficient of y plus 1: the residual gains H_n."""
+    def mutate(monkeypatch):
+        spec = ODES[name]
 
-    def coeffs(n):
-        c = spec.coeffs(n)
-        return [c[0] + 1, *c[1:]]
+        def coeffs(n):
+            c = spec.coeffs(n)
+            return [c[0] + 1, *c[1:]]
 
-    monkeypatch.setitem(ODES, "de1", spec._replace(coeffs=coeffs))
+        monkeypatch.setitem(ODES, name, spec._replace(coeffs=coeffs))
+
+    return mutate
 
 
 def _degree_bound_lowered(monkeypatch):
@@ -243,7 +247,8 @@ NEGATIVE_CONTROLS = [
     ("threeterm31", _q_perturbed),
     ("rec31at1", _q_perturbed),
     ("interlace", _complex_h2),
-    ("de1", _de1_c0_perturbed),
+    *((name, _ode_c0_perturbed(name))
+      for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4")),
     ("degree-random", _degree_bound_lowered),
     ("tseries", _t_coeff_perturbed),
     *((iid.value, _identity_entry_perturbed(iid)) for iid in lemmas.IdentityId),
@@ -281,21 +286,21 @@ def _closed_den_perturbed(family, power):
 
         # gf_fraction and the weight solve read it there
         monkeypatch.setattr(series, "gf_denominator", perturbed)
-        monkeypatch.setattr(identities, "_weight_memo", {})
+        monkeypatch.setattr(identity_checks, "_weight_memo", {})
 
     return mutate
 
 
 def _c1_perturbed(family):
     def mutate(monkeypatch):
-        form = identities._WEIGHT_FORMS[family]
+        form = identity_checks._WEIGHT_FORMS[family]
 
         def q0_params(n):
             c0, c1, c2 = form.q0_params(n)
             return c0, c1 + 1, c2
 
-        monkeypatch.setitem(identities._WEIGHT_FORMS, family, form._replace(q0_params=q0_params))
-        monkeypatch.setattr(identities, "_weight_memo", {})
+        monkeypatch.setitem(identity_checks._WEIGHT_FORMS, family, form._replace(q0_params=q0_params))
+        monkeypatch.setattr(identity_checks, "_weight_memo", {})
 
     return mutate
 

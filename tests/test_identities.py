@@ -13,7 +13,7 @@ from reference_identities import (
     mat_mul,
 )
 
-import hankelab.identities as identities_mod
+import hankelab.identity_checks as identity_checks_mod
 import hankelab.lemmas as lemmas_mod
 from hankelab.checks import run_check
 from hankelab.lemmas import (
@@ -31,15 +31,17 @@ from hankelab.identities import (
     POINT_RELATIONS,
     SYMBOLIC_RELATIONS,
     check_relation,
-    ciden_check,
-    explicit_weights,
-    explicit_weights_match,
     jet_quartet,
     pnqnrn_21,
     pnqnrn_31,
-    rational_nullspace,
     relation_residuals,
     relation_residuals_at,
+)
+from hankelab.identity_checks import (
+    ciden_check,
+    explicit_weights,
+    explicit_weights_match,
+    rational_nullspace,
     transform_rules,
     weight_nullspace,
 )
@@ -235,6 +237,7 @@ def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
     # zero leading minor, where that elimination swaps rows, each n is
     # eliminated alone, and the singular block raises as int_adjugate does
     import hankelab.hankel as hankel_mod
+    import hankelab.hankel_checks as checks_mod
     from test_hankel import ZERO_MINOR_HEADS, over_scale, seq_with_head
 
     calls = []
@@ -251,7 +254,7 @@ def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
     monkeypatch.setattr(lemmas_mod, "int_adjugate", spy("alone", lemmas_mod.int_adjugate))
     for fam in (F31, F21):
         for n in range(5, 0, -1):
-            assert lemmas_mod._adjugate(fam, n) == hankel_mod.int_adjugate(hankel_matrix(fam, n))
+            assert lemmas_mod._adjugate(fam, n) == checks_mod.int_adjugate(hankel_matrix(fam, n))
     assert calls == [("one", 5), ("one", 5)]
 
     # another sequence: the kept elimination is of another matrix, so at
@@ -268,7 +271,7 @@ def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
                 with pytest.raises(ValueError, match="singular matrix"):
                     lemmas_mod._adjugate(F31, n)
                 continue
-            want = hankel_mod.int_adjugate(hankel_matrix(F31, n))
+            want = checks_mod.int_adjugate(hankel_matrix(F31, n))
             assert over_scale(*lemmas_mod._adjugate(F31, n)) == over_scale(*want), n
         assert calls == want_calls
 
@@ -365,17 +368,17 @@ def test_weight_checks_share_one_solution_per_key(monkeypatch):
     alone = {}
     for name in checks:
         for fam, n in keys:
-            monkeypatch.setattr(identities_mod, "_weight_memo", {})
+            monkeypatch.setattr(identity_checks_mod, "_weight_memo", {})
             alone[name, fam, n] = run_check(name, fam, [n])
-    monkeypatch.setattr(identities_mod, "_weight_memo", {})
+    monkeypatch.setattr(identity_checks_mod, "_weight_memo", {})
     built = []
-    solve = identities_mod._solve_weights
+    solve = identity_checks_mod._solve_weights
 
     def counting(fam, n):
         built.append((fam, n))
         return solve(fam, n)
 
-    monkeypatch.setattr(identities_mod, "_solve_weights", counting)
+    monkeypatch.setattr(identity_checks_mod, "_solve_weights", counting)
     for name in checks:
         for fam, n in keys:
             assert run_check(name, fam, [n]) == alone[name, fam, n], (name, fam, n)
@@ -390,11 +393,11 @@ def test_weight_checks_share_one_solution_per_key(monkeypatch):
 
 
 def test_weight_nullspace_failure_is_not_memoized(monkeypatch):
-    monkeypatch.setattr(identities_mod, "_weight_memo", {})
+    monkeypatch.setattr(identity_checks_mod, "_weight_memo", {})
     for _ in range(2):
         with pytest.raises(ValueError):
             weight_nullspace(F30, 2)
-    assert identities_mod._weight_memo == {}
+    assert identity_checks_mod._weight_memo == {}
 
 
 def test_weight_nullspace_21():

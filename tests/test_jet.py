@@ -83,6 +83,26 @@ def test_jet_division_requires_unit():
         jet_div((1, 0, 0), (0, 1, 0))
 
 
+def test_value_step_is_the_value_part_of_the_jet_step():
+    rng = random.Random(89)
+    for _ in range(200):
+        p, r, l, u, d = ((rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
+                         for _ in range(5))
+        if not d[0]:
+            continue
+        e = JET.cross(p, r, l, u, None)
+        # e is a multiple of d, so the division is exact
+        prod = JET.cross(e, d, ZERO, ZERO, None)
+        assert JET.vcross(p[0], r[0], l[0], u[0], None) == e[0]
+        assert JET.vcross(prod[0], 1, 0, 0, d[0]) == JET.cross(prod, ONE, ZERO, ZERO, d)[0]
+    # the exact-division tripwire, and a divisor vanishing at the point
+    with pytest.raises(ArithmeticError) as raised:
+        JET.vcross(5, 1, 0, 0, 3)
+    assert not isinstance(raised.value, JetNotInvertible)
+    with pytest.raises(JetNotInvertible):
+        JET.vcross(5, 1, 0, 0, 0)
+
+
 def four_eliminations(jets, n):
     """H, K, M, N each by its own pivoting elimination, or None if one raises."""
     try:
@@ -92,6 +112,11 @@ def four_eliminations(jets, n):
         )
     except JetNotInvertible:
         return None
+
+
+def as_read(dets):
+    """What a jet ladder gives of H, K, M, N: H as a 3-jet, the rest values."""
+    return None if dets is None else (dets[0], *(d[0] for d in dets[1:]))
 
 
 def test_jet_quartet_matches_symbolic_quartet():
@@ -117,7 +142,7 @@ def test_ladder_agrees_with_four_eliminations():
                     fallbacks += 1
                 else:
                     got = tuple(lad.det(n, name) for name in VARIANTS)
-                    assert got == four_eliminations(jets, n), (fam, n, x0)
+                    assert got == as_read(four_eliminations(jets, n)), (fam, n, x0)
     assert fallbacks >= 2 * 5  # (3,1) at 5/2 and (2,1) at 1/2, n = 2..6
     for fam, x0 in ((F31, Rat(5, 2)), (F21, Rat(1, 2))):
         lad = ladder(int_jets([a_poly(fam, k) for k in range(7)], x0), JET)
@@ -137,7 +162,7 @@ def test_ladder_on_vanishing_jets():
             for _ in range(2 * n + 3)
         ]
         lad = ladder(jets, JET)
-        four = four_eliminations(jets, n)
+        four = as_read(four_eliminations(jets, n))
         if len(lad.rows) <= n:
             declined += 1
             raised += four is None
@@ -146,6 +171,84 @@ def test_ladder_on_vanishing_jets():
         else:
             assert tuple(lad.det(n, name) for name in VARIANTS) == four, (n, jets)
     assert declined > 0 and raised > 0
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except JetNotInvertible:
+        return JetNotInvertible
+
+
+def test_jet_ladder_reads_h_jets_and_kmn_values(monkeypatch):
+    # every point, n <= 12 asked out of order, so the cached jet ladder is
+    # rebuilt larger and read below its top: H equals det_bareiss over JET
+    # on its own matrix and K, M, N its value part, or both raise; at the
+    # vanishing pivots (5/2 for (3,1), 1/2 for (2,1)) n >= 2 is the fallback
+    monkeypatch.setattr(hankel, "_ladders", {})
+    for fam in ALL_FAMILIES:
+        for x0 in POINTS:
+            scale = cached_ladder(fam, x0, JET, 12)[0]
+            jets = int_jets([scale * a_poly(fam, k) for k in range(27)], x0)
+            monkeypatch.setattr(hankel, "_ladders", {})
+            for n in (6, 2, 12, 9, 1, 4, 11, 0):
+                for name in VARIANTS if n else ("H", "K"):
+                    rows = [[jets[c + i] for c in _variant_columns(n, name)] for i in range(n + 1)]
+                    want = outcome(lambda: det_bareiss(rows, JET))
+                    if name != "H" and want is not JetNotInvertible:
+                        want = want[0]
+                    got = outcome(lambda: cached_ladder(fam, x0, JET, n)[1].det(n, name))
+                    assert got == want, (fam, x0, n, name)
+            lad = cached_ladder(fam, x0, JET, 12)[1]
+            vanishing = (fam, x0) in ((F31, Rat(5, 2)), (F21, Rat(1, 2)))
+            assert len(lad.rows) == (2 if vanishing else 13), (fam, x0)
+
+
+def counting(ring, counts):
+    """The ring with each full step and each value step counted."""
+
+    def cross(*args):
+        counts[0] += 1
+        return ring.cross(*args)
+
+    def vcross(*args):
+        counts[1] += 1
+        return ring.vcross(*args)
+
+    return ring._replace(cross=cross, vcross=vcross)
+
+
+def ladder_steps(top):
+    """sum_{i <= N} sum_{k < i} (N + 2 - k) + N: row i's step k runs over
+    columns k+1..N+2, and rows 1..N take one M step each."""
+    return sum(top + 2 - k for i in range(top + 1) for k in range(i)) + top
+
+
+def test_ladder_step_counts():
+    x0 = Rat(3, 7)
+    for top in (1, 4, 7, 10):
+        entries = {
+            hankel.INT_POLY: [list(a_poly(F31, k).num) for k in range(2 * top + 3)],
+            hankel.INT: cached_ladder(F31, x0, hankel.INT, top)[1].entries[: 2 * top + 3],
+            JET: int_jets([a_poly(F31, k) for k in range(2 * top + 3)], x0),
+        }
+        for ring, e in entries.items():
+            counts = [0, 0]
+            lad = ladder(e, counting(ring, counts))
+            assert len(lad.rows) == top + 1
+            if ring is JET:
+                # columns N+1 and N+2 of rows 1..N, and M_N, step on values
+                values = top * (top + 1) + 1
+                assert counts == [ladder_steps(top) - values, values], top
+            else:
+                assert counts == [ladder_steps(top), 0], (ring, top)
+                # grown from a smaller ladder, it does the same steps
+                counts[:] = [0, 0]
+                ladder(e, counting(ring, counts), ladder(e[:5], counting(ring, counts)))
+                assert counts == [ladder_steps(top), 0], (ring, top)
+    # the scale the benchmark's point screen works at
+    assert (ladder_steps(7), 7 * 8 + 1) == (203, 57)
+    assert (ladder_steps(10), 10 * 11 + 1) == (505, 111)
 
 
 def test_a_growing_point_ladder_expands_only_its_new_entries(monkeypatch):
