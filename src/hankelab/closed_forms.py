@@ -19,7 +19,7 @@ from .rat import Rat, double_factorial, factorial, rat
 from .sequences import F21, F30, F31, F32, FAEX, FSHIFT22
 from .hankel import hankel_det, hankel_det_at
 from .odes import ODES, OdeSpec
-from .sturm import isolate_disjoint_from
+from .sturm import strictly_interlace
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +291,7 @@ def chebyshev_jacobi_check(n: int) -> bool:
 
 
 def interlace_check(n: int) -> bool:
-    """H_n^{(3,1)} has n distinct real roots interlacing those of H_{n+1}."""
+    """H_n^{(3,1)} has n distinct real roots strictly interlacing those of H_{n+1}."""
     if n < 1:
         raise ValueError("interlacing starts at n = 1")
-    hn = hankel_det(F31, n)
-    hn1 = hankel_det(F31, n + 1)
-    # distinct real roots: n of H_n and n + 1 of H_{n+1}
-    iv_n, iv_n1 = isolate_disjoint_from(hn, hn1)
-    if len(iv_n) != n or len(iv_n1) != n + 1:
-        return False
-    merged = [(iv, "n") for iv in iv_n] + [(iv, "n1") for iv in iv_n1]
-    merged.sort()
-    pattern = [tag for _, tag in merged]
-    expected = ["n1" if i % 2 == 0 else "n" for i in range(2 * n + 1)]
-    return pattern == expected
+    return strictly_interlace(hankel_det(F31, n + 1), hankel_det(F31, n))

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from math import lcm
 from operator import itemgetter
 
-from .hankel import Ring
+from .hankel import INT, Ring
 from .poly import Poly, int_poly_hom_eval
 from .rat import Rat, rat
 
@@ -57,21 +57,10 @@ def _jet_cross(p, r, l, u, d) -> IntJet:
     return (e0, e1, e2)
 
 
-def _value_cross(p: int, r: int, l: int, u: int, d: int | None) -> int:
-    """The value part of `_jet_cross`, from the value parts of its operands."""
-    v = p * r - l * u
-    if d is None:
-        return v
-    if not d:
-        raise JetNotInvertible("integer jet division by non-unit")
-    v, s = divmod(v, d)
-    if s:
-        raise ArithmeticError("inexact integer jet division")
-    return v
-
-
+# a value step divides only by pivots the ladder has already found to be
+# units, nonzero values, so it is the integer step of Z
 JET = Ring(_jet_cross, lambda a: (-a[0], -a[1], -a[2]), lambda a: a[0] != 0,
-           itemgetter(0), _value_cross)
+           itemgetter(0), INT.cross)
 
 
 def _taylor_jet(coeffs: Sequence[int], p: int, q: int, s: int) -> IntJet:

@@ -118,7 +118,7 @@ class Poly:
         return _make(int_poly_sub(a, b), den)
 
     def __rsub__(self, other) -> "Poly":
-        return _coerce(other) - self
+        return as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -210,7 +210,7 @@ class Poly:
         divisor's leading coefficient that the eliminated term lacks, so
         s * num = quot * other.num + rem for one positive integer s.
         """
-        other = _coerce(other)
+        other = as_poly(other)
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
@@ -255,24 +255,6 @@ class Poly:
                 f"dividing ({self}) by ({other})"
             )
         return q
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, _coerce(other)
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        # a / leading(a) is num over its leading numerator
-        return _make(list(a.num), a.num[-1])
-
-    def squarefree_part(self) -> "Poly":
-        if self.is_zero():
-            raise ValueError("zero polynomial has no squarefree part")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.exact_div(g)
 
     # -- serialization ---------------------------------------------------
 
@@ -505,7 +487,8 @@ def from_int_scaled(coeffs: Sequence[int], scale: int) -> Poly:
     return _make(list(coeffs), scale)
 
 
-def _coerce(value) -> Poly:
+def as_poly(value) -> Poly:
+    """An int, Fraction or Poly as a Poly."""
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):

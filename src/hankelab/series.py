@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .poly import Poly, from_int_scaled, int_poly_addmul, to_int_scaled
+from .poly import Poly, as_poly, from_int_scaled, int_poly_addmul, to_int_scaled
 from .rat import Rat, factorial, rat
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly
 
@@ -34,7 +34,7 @@ class SeriesYX:
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = [_as_poly(c) for c in coeffs][: order + 1]
+        cs = [as_poly(c) for c in coeffs][: order + 1]
         cs += [Poly.zero()] * (order + 1 - len(cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -142,7 +142,7 @@ class SeriesYX:
 
     def _align(self, other) -> "SeriesYX":
         if isinstance(other, (int, Fraction, Poly)):
-            return SeriesYX(self.order, [_as_poly(other)])
+            return SeriesYX(self.order, [as_poly(other)])
         if not isinstance(other, SeriesYX):
             raise TypeError(f"cannot combine SeriesYX with {other!r}")
         if other.order != self.order:
@@ -154,14 +154,6 @@ class SeriesYX:
     def __repr__(self) -> str:
         terms = ", ".join(f"[{c}]" for c in self.coeffs)
         return f"SeriesYX(order={self.order}: {terms})"
-
-
-def _as_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.const(value)
-    raise TypeError(f"cannot coerce {value!r} to Poly")
 
 
 # ---------------------------------------------------------------------------

@@ -114,15 +114,6 @@ class FractionPoly:
                     rem[i + j] -= c * oc
         return FractionPoly(quot), FractionPoly(rem)
 
-    def gcd(self, other: "FractionPoly") -> "FractionPoly":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while b:
-            a, b = b, a.divmod(b)[1]
-        if not a:
-            return a
-        return a * (1 / a.coeffs[-1])
-
 
 def _coerce(value) -> FractionPoly:
     if isinstance(value, FractionPoly):

@@ -185,6 +185,26 @@ def _complex_h2(monkeypatch):
                         lambda fam, n: Poly([1, 0, 1]) if n == 2 else h(fam, n))
 
 
+def _shifted_h1(monkeypatch):
+    """H_1(x + 100): real-rooted of degree 1, but its root lies far left of H_2's."""
+    h = closed_forms.hankel_det
+    monkeypatch.setattr(closed_forms, "hankel_det",
+                        lambda fam, n: h(fam, 1).compose_affine(1, 100) if n == 1 else h(fam, n))
+
+
+def _h21_3_plus_one(monkeypatch):
+    h = closed_forms.hankel_det
+    monkeypatch.setattr(closed_forms, "hankel_det",
+                        lambda fam, n: h(fam, n) + 1 if (fam, n) == (F21, 3) else h(fam, n))
+
+
+def _degree_raised(monkeypatch):
+    """H_5 times x: degree 6 at n = 5."""
+    h = checks.hankel_det
+    monkeypatch.setattr(checks, "hankel_det",
+                        lambda fam, n: h(fam, n) * Poly.x() if n == 5 else h(fam, n))
+
+
 def _ode_c0_perturbed(name):
     """The equation's coefficient of y plus 1: the residual gains H_n."""
     def mutate(monkeypatch):
@@ -247,6 +267,9 @@ NEGATIVE_CONTROLS = [
     ("threeterm31", _q_perturbed),
     ("rec31at1", _q_perturbed),
     ("interlace", _complex_h2),
+    ("threeterm21", _h21_3_plus_one),
+    ("chebjac", _h21_3_plus_one),
+    ("degree-hn", _degree_raised),
     *((name, _ode_c0_perturbed(name))
       for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4")),
     ("degree-random", _degree_bound_lowered),
@@ -260,6 +283,15 @@ NEGATIVE_CONTROLS = [
 @pytest.mark.parametrize("check,mutate", NEGATIVE_CONTROLS,
                          ids=[c for c, _m in NEGATIVE_CONTROLS])
 def test_check_fails_on_a_broken_form(check, mutate, monkeypatch):
+    _default_item_fails(check, mutate, monkeypatch)
+
+
+def test_interlace_fails_on_real_roots_that_do_not_interlace(monkeypatch):
+    # `_complex_h2` breaks real-rootedness; this breaks only the interlacing
+    _default_item_fails("interlace", _shifted_h1, monkeypatch)
+
+
+def _default_item_fails(check, mutate, monkeypatch):
     _fam, lo, hi = REGISTRY[check].default
     assert all(r.status == "pass" for r in run_check(check, None, range(lo, hi + 1)))
     mutate(monkeypatch)

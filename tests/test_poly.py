@@ -95,16 +95,6 @@ def test_divmod_random_reconstruction():
         assert r.degree < b.degree
 
 
-def test_gcd_and_squarefree():
-    p = Poly([1, 1]) ** 2 * Poly([-2, 1])
-    g = p.gcd(p.derivative())
-    assert g == Poly([1, 1])
-    sf = p.squarefree_part()
-    # squarefree part has the same roots, each once
-    assert sf.degree == 2
-    assert sf(-1) == 0 and sf(2) == 0
-
-
 def test_json_roundtrip():
     p = Poly([Fraction(1, 2), 0, -3])
     assert Poly.from_json(p.to_json()) == p
@@ -335,8 +325,6 @@ def test_poly_ops_match_fraction_reference():
             if rem and trial % 4 == 0:
                 with pytest.raises(InexactDivision):
                     p.exact_div(q)
-            if trial % 5 == 0:
-                assert_agrees(p.gcd(q), rp.gcd(rq))
         else:
             with pytest.raises(ZeroDivisionError):
                 p.divmod(q)

@@ -1,125 +1,118 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from hankelab import sturm
+from hankelab.hankel import hankel_det
 from hankelab.poly import Poly
-from hankelab.sturm import isolate_real_roots, refine_interval, root_bound
+from hankelab.sequences import F31
+from hankelab.sturm import strictly_interlace
 
 
-def sturm_count(p, a, b) -> int:
-    """Oracle: distinct real roots of p in the half-open interval (a, b],
-    read off p's Sturm chain."""
-    return sturm._count(sturm.sturm_chain(p), Fraction(a), Fraction(b))
+def from_roots(lead, roots) -> Poly:
+    p = Poly.const(lead)
+    for r in roots:
+        p = p * Poly([-r, 1])
+    return p
 
 
-def test_sqrt2_count():
-    p = Poly([-2, 0, 1])
-    assert sturm_count(p, 0, 2) == 1
-    assert sturm_count(p, -2, 2) == 2
-    assert sturm_count(p, 2, 5) == 0
+def merge_oracle(p_roots, q_roots) -> bool:
+    """Interlacing read off the known roots: sorted together they must
+    alternate p, q, p, ..., p with no value repeated."""
+    if len(q_roots) != len(p_roots) - 1:
+        return False
+    merged = sorted([(r, "p") for r in p_roots] + [(r, "q") for r in q_roots])
+    if any(a == b for (a, _), (b, _) in zip(merged, merged[1:])):
+        return False
+    return [tag for _, tag in merged] == ["p" if i % 2 == 0 else "q" for i in range(len(merged))]
+
+
+def random_lead(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+
+def random_pair(rng):
+    """Roots on a grid of halves.  Half the pairs alternate by construction,
+    one root of q then possibly moved; the rest are drawn freely, so repeated
+    and shared roots and degree gaps other than 1 occur too."""
+    grid = [Fraction(k, 2) for k in range(-8, 9)]
+    deg = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        pts = sorted(rng.sample(grid, 2 * deg - 1))
+        p_roots, q_roots = pts[::2], pts[1::2]
+        if q_roots and rng.random() < 0.5:
+            q_roots[rng.randrange(len(q_roots))] = rng.choice(grid)
+    else:
+        p_roots = [rng.choice(grid) for _ in range(deg)]
+        q_deg = max(0, deg - rng.choice([1, 1, 1, 0, 2]))
+        q_roots = [rng.choice(grid) for _ in range(q_deg)]
+    return p_roots, q_roots
+
+
+def test_criterion_matches_root_merge_oracle():
+    rng = random.Random(2026)
+    verdicts = []
+    for _ in range(1500):
+        p_roots, q_roots = random_pair(rng)
+        p = from_roots(random_lead(rng), p_roots)
+        q = from_roots(random_lead(rng), q_roots)
+        want = merge_oracle(p_roots, q_roots)
+        assert strictly_interlace(p, q) == want, (p_roots, q_roots)
+        verdicts.append(want)
+    assert 300 < sum(verdicts) < 1200
+
+
+def test_sqrt2_pair():
+    # +-sqrt 2 around 0; the roots are irrational, so no merge can be read off
+    assert strictly_interlace(Poly([-2, 0, 1]), Poly([0, 1]))
+    assert strictly_interlace(Poly([-2, 0, 1]), Poly([1, 1]))  # -1 lies between
+    assert not strictly_interlace(Poly([-2, 0, 1]), Poly([-2, 1]))  # 2 does not
+
+
+def test_linear_and_nonzero_constant_interlace():
+    # one root and no gap between roots: nothing can fail
+    assert strictly_interlace(Poly([5, -2]), Poly([3]))
+    assert strictly_interlace(Poly([5, -2]), Poly([-1]))
 
 
 def test_no_real_roots():
-    assert isolate_real_roots(Poly([1, 0, 1])) == []
+    assert not strictly_interlace(Poly([1, 0, 1]), Poly([0, 1]))
+    # x^2 + 1 times (x - 1): one real root of three
+    assert not strictly_interlace(Poly([1, 0, 1]) * Poly([-1, 1]), Poly([-2, 0, 1]))
 
 
-def test_linear_isolation():
-    # 5 - 2x has the single root 5/2
-    intervals = isolate_real_roots(Poly([5, -2]))
-    assert len(intervals) == 1
-    a, b = intervals[0]
-    assert a < Fraction(5, 2) <= b
+def test_shared_root_does_not_interlace():
+    assert not strictly_interlace(from_roots(1, [0, 1, 2]), from_roots(1, [1, Fraction(3, 2)]))
+    assert not strictly_interlace(from_roots(1, [0, 2]), from_roots(1, [2]))
+    assert strictly_interlace(from_roots(1, [0, 1, 2]), from_roots(1, [Fraction(1, 2), Fraction(3, 2)]))
 
 
-def test_half_open_endpoint_semantics():
-    # (a, b] includes b: root exactly at endpoint 1
-    p = Poly([-1, 1])
-    assert sturm_count(p, 0, 1) == 1
-    assert sturm_count(p, 1, 2) == 0
+def test_repeated_root_of_p_does_not_interlace():
+    assert not strictly_interlace(from_roots(1, [0, 0]), from_roots(1, [1]))
+    assert not strictly_interlace(from_roots(1, [0, 0]), from_roots(1, [0]))
+    assert not strictly_interlace(from_roots(1, [-1, 1, 1]), from_roots(1, [0, 2]))
 
 
-def test_repeated_roots_counted_once():
-    p = Poly([1, 1]) ** 3  # (x+1)^3
-    assert sturm_count(p, -2, 0) == 1
-    assert len(isolate_real_roots(p)) == 1
+def test_negative_leading_coefficients():
+    p_roots, q_roots = [-2, 0, 3], [-1, 1]
+    for lp in (1, -1, Fraction(-2, 3)):
+        for lq in (1, -1, Fraction(-5, 7)):
+            assert strictly_interlace(from_roots(lp, p_roots), from_roots(lq, q_roots))
+            assert not strictly_interlace(from_roots(lp, p_roots), from_roots(lq, [1, 2]))
 
 
-def random_squarefree(rng):
-    while True:
-        deg = rng.randint(1, 8)
-        coeffs = [Fraction(rng.randint(-6, 6)) for _ in range(deg)] + [
-            Fraction(rng.randint(1, 6))
-        ]
-        p = Poly(coeffs)
-        if p.gcd(p.derivative()).degree == 0:
-            return p
-
-
-def test_isolation_matches_count_random():
-    rng = random.Random(43)
-    for _ in range(100):
-        p = random_squarefree(rng)
-        bound = root_bound(p)
-        total = sturm_count(p, -bound, bound)
-        intervals = isolate_real_roots(p)
-        assert len(intervals) == total
-        # each interval holds exactly one root, intervals pairwise disjoint
-        for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
-            assert b1 <= a2
-        for a, b in intervals:
-            assert sturm_count(p, a, b) == 1
-
-
-def test_refine_interval():
-    p = Poly([-2, 0, 1])
-    (interval,) = [iv for iv in isolate_real_roots(p) if iv[1] > 0]
-    a, b = refine_interval(p, interval, Fraction(1, 1000))
-    assert b - a <= Fraction(1, 1000)
-    assert a * a < 2 <= b * b or (a < 0)  # sqrt(2) inside
+def test_degree_gap_other_than_one():
+    p = from_roots(1, [-2, 0, 3])
+    for q_roots in ([], [-1], [-1, 1, 2], [-3, -1, 1, 4]):
+        assert not strictly_interlace(p, from_roots(1, q_roots))
+    # the pair the right way round interlaces
+    assert strictly_interlace(from_roots(1, [-3, -1, 1, 4]), p)
 
 
 def test_zero_poly_rejected():
-    with pytest.raises(ValueError):
-        sturm_count(Poly.zero(), 0, 1)
-    with pytest.raises(ValueError):
-        isolate_real_roots(Poly.zero())
+    assert not strictly_interlace(Poly.zero(), Poly.zero())
+    assert not strictly_interlace(Poly([3]), Poly.zero())
+    assert not strictly_interlace(Poly.zero(), Poly([0, 1]))
 
 
-def test_disjoint_isolation_builds_each_chain_once(monkeypatch):
-    built = []
-    chain = sturm.sturm_chain
-    monkeypatch.setattr(sturm, "sturm_chain", lambda p: built.append(p) or chain(p))
-    p, q = Poly([-2, 0, 1]), Poly([-3, 0, 1])  # +-sqrt 2 and +-sqrt 3
-    ips, iqs = sturm.isolate_disjoint_from(p, q)
-    assert built == [p, q]  # the first intervals overlap, so refinement ran too
-    merged = sorted([(iv, "p") for iv in ips] + [(iv, "q") for iv in iqs])
-    assert [tag for _, tag in merged] == ["q", "p", "p", "q"]
-    assert all(a[1] <= b[0] for (a, _), (b, _) in zip(merged, merged[1:]))
-
-
-def fraction_count(chain, a, b):
-    """Oracle for the integer sign reading: each chain value as a Fraction."""
-    counts = []
-    for t in (a, b):
-        signs = [v > 0 for v in (f(t) for f in chain) if v != 0]
-        counts.append(sum(1 for u, v in zip(signs, signs[1:]) if u != v))
-    return counts[0] - counts[1]
-
-
-def test_integer_signs_match_fraction_evaluation():
-    rng = random.Random(1433)
-    for _ in range(120):
-        # a rational content, and a rational root r that is also an end
-        r = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        p = random_squarefree(rng) * Poly([-r, 1]) * Fraction(rng.randint(1, 5), rng.randint(1, 7))
-        chain = sturm.sturm_chain(p)
-        bound = root_bound(p)
-        ends = [-bound, bound, r, *(Fraction(rng.randint(-24, 24), rng.randint(1, 6))
-                                    for _ in range(3))]
-        for a in ends:
-            for b in ends:
-                if a <= b:
-                    assert sturm._count(chain, a, b) == fraction_count(chain, a, b)
-                    assert sturm_count(p, a, b) == fraction_count(chain, a, b)
+def test_f31_determinants_interlace_to_n12():
+    for n in range(1, 13):
+        assert strictly_interlace(hankel_det(F31, n + 1), hankel_det(F31, n)), n
