@@ -107,6 +107,9 @@ def factor_smooth(value: int, bound: int = 10**6) -> FactorReport:
     so a value whose cofactor is settled early reads no further primes.
 
     The cofactor carries everything not divisible by any prime <= bound.
+    Only primes up to min(bound, isqrt(|value|)) are read: a cofactor
+    1 < n <= bound left after them has no prime factor <= isqrt(n), so it
+    is prime and is recorded as a factor.
     """
     if value == 0:
         raise ValueError("cannot factor zero")
@@ -115,12 +118,8 @@ def factor_smooth(value: int, bound: int = 10**6) -> FactorReport:
     sign = 1 if value > 0 else -1
     n = abs(value)
     factors: list[tuple[int, int]] = []
-    for p in _primes(bound):
-        if p * p > n and n > 1:
-            # Remaining n is prime; record it only if within the bound.
-            if n <= bound:
-                factors.append((n, 1))
-                n = 1
+    for p in _primes(min(bound, isqrt(n))):
+        if p * p > n:
             break
         if n % p == 0:
             e = 0
@@ -128,8 +127,9 @@ def factor_smooth(value: int, bound: int = 10**6) -> FactorReport:
                 n //= p
                 e += 1
             factors.append((p, e))
-        if n == 1:
-            break
+    if 1 < n <= bound:
+        factors.append((n, 1))
+        n = 1
     return FactorReport(
         input=value,
         sign=sign,

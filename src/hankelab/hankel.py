@@ -17,7 +17,7 @@ import operator
 from _thread import allocate_lock
 from collections import namedtuple
 from collections.abc import Sequence
-from math import lcm, prod
+from math import prod
 
 from .poly import (
     InexactDivision,
@@ -25,6 +25,7 @@ from .poly import (
     from_int_scaled,
     int_poly_addmul,
     int_poly_exact_div,
+    int_poly_hom_eval,
     int_poly_neg,
     to_int_scaled,
 )
@@ -37,16 +38,16 @@ from .sequences import VARIANTS, FamilyId, a_poly
 # ---------------------------------------------------------------------------
 
 
-class Ring(namedtuple("Ring", "cross neg unit value vcross", defaults=(None, None))):
+class Ring(namedtuple("Ring", "cross neg unit value", defaults=(None,))):
     """The operations Bareiss elimination needs from an integral domain.
 
     ``cross(p, r, l, u, d)`` is the fused step (p*r - l*u) / d, where d is
     None for 1; the division is exact in the ring, and an implementation
     raises on a remainder.  ``unit(v)`` tells whether v can be a divisor.
     A ring whose elements carry more than a value (the Taylor jets) also
-    gives ``value(v)``, the value part, a homomorphism onto Z, and
-    ``vcross``, the same step on value parts; a ladder keeps what is read
-    only as a value in values.  Both are None for Z and Z[x].
+    gives ``value(v)``, the value part, a homomorphism onto Z; a ladder
+    keeps what is read only as a value in values, stepped over Z.  It is
+    None for Z and Z[x].
     """
 
     __slots__ = ()
@@ -73,6 +74,23 @@ def _int_poly_cross(p, r, l, u, d) -> list[int]:
 
 INT = Ring(_int_cross, operator.neg, bool)
 INT_POLY = Ring(_int_poly_cross, int_poly_neg, bool)
+
+
+def int_entries(family: FamilyId, start: int, stop: int) -> list[list[int]]:
+    """a_start .. a_{stop-1} as integer coefficient lists.
+
+    Every family's a_k lies in Z[x] and has degree <= k, so a_k is itself
+    an entry over Z[x], and q^k a_k(p/q) and its 3-jet are integers.  The
+    eliminations of [a_{i+j}] read the a_k only through here, and an a_k
+    with a denominator or a degree above k raises ``ValueError``.
+    """
+    out = []
+    for k in range(start, stop):
+        f = a_poly(family, k)
+        if f.den != 1 or len(f.num) > k + 1:
+            raise ValueError(f"a_{k} of {family} is not an integer polynomial of degree <= {k}")
+        out.append(list(f.num))
+    return out
 
 
 def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:
@@ -201,11 +219,13 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
     run every step.  M_n is one 2 x 2 Sylvester step on rows n-1 and n
     just before row n's last step, over columns n and n+1.  Over a ring
     with value parts, columns N+1 and N+2 start as the entries' values and
-    step with the values of their pivots and leads, and so does M_N, which
-    reads column N+1.  Such a ladder is rebuilt from all of ``entries``
-    rather than grown, since a larger N needs those columns in full.
+    step over Z (`_int_cross`) with the values of their pivots and leads,
+    and so does M_N, which reads column N+1: the value part of a step is
+    the step on value parts, and each divides only by a pivot ``unit``
+    accepted.  Such a ladder is rebuilt from all of ``entries`` rather than
+    grown, since a larger N needs those columns in full.
     """
-    value, vcross = ring.value, ring.vcross
+    value = ring.value
     if lad is None or value is not None:
         lad = Ladder(ring, [], [], [])
     e, rows = lad.entries, lad.rows
@@ -238,65 +258,54 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
                 if i + 1 < full:
                     m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
                 else:
-                    m = vcross(up[i + 1], value(row[i]), row[i + 1], value(up[i]), d0)
+                    m = _int_cross(up[i + 1], value(row[i]), row[i + 1], value(up[i]), d0)
             for j in range(k + 1, full):
                 row[j] = cross(p, row[j], lead, up[j], d)
             for j in range(full, width):
-                row[j] = vcross(p0, row[j], l0, up[j], d0)
+                row[j] = _int_cross(p0, row[j], l0, up[j], d0)
         rows.append(row)
         lad.m.append(m)
         piv.append(row[i])
     return lad
 
 
-# (family, point or None, ring) -> (D, ladder): entry k of the ladder is
-# D q^k a_k(x0) for x0 = p/q, with q = 1 symbolically.  Point ladders are
+# (family, point or None, ring) -> ladder: entry k of the ladder is a_k over
+# Z[x], and q^k a_k(x0) or its integer jet at x0 = p/q.  Point ladders are
 # many and are mostly read at one n, so only the latest few are kept.
-_ladders: dict[tuple, tuple[int, Ladder]] = {}
+_ladders: dict[tuple, Ladder] = {}
 _ladders_lock = allocate_lock()  # threading.Lock, without importing threading
 _POINT_LADDERS_KEPT = 4
 
 
-def cached_ladder(family: FamilyId, x0: Rat | None, ring: Ring, n: int):
-    """(D, ladder): the family's ladder at x0 over the ring, grown to hold
-    n, whose entries are D q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its
-    determinant on columns c_0..c_n is D^(n+1) q^(n(n+1)/2 + sum c_j) times
-    the one of [a_{i+c_j}(x0)].  An extension that needs a larger D
-    rebuilds the ladder, and so does every extension of a jet ladder
-    (`ladder`), from the entries it holds: each a_k is expanded once."""
+def cached_ladder(family: FamilyId, x0: Rat | None, ring: Ring, n: int) -> Ladder:
+    """The family's ladder at x0 over the ring, grown to hold n, whose
+    entries are q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its determinant
+    on columns c_0..c_n is q^(n(n+1)/2 + sum c_j) times the one of
+    [a_{i+c_j}(x0)].  An extension expands only the a_k the ladder lacks,
+    and a jet ladder is then rebuilt from the entries it holds (`ladder`)."""
     key = (family, x0, ring)
     count = 2 * n + 3
     with _ladders_lock:
-        scale, lad = _ladders.get(key, (1, None))
+        lad = _ladders.get(key)
         if lad is not None and len(lad.entries) >= count:
-            return scale, lad
-        q = 1 if x0 is None else x0.denominator
-        polys = [a_poly(family, k) for k in range(count)]
-        # the least D with D q^k a_k integral over Z[q x] for every k: then
-        # every entry, and every Taylor coefficient of it at p/q, is an integer
-        need = 1
-        for k, f in enumerate(polys):
-            need = lcm(need, f.den * q ** max(len(f.num) - 1 - k, 0))
-        if need != scale:
-            scale, lad = need, None
+            return lad
         old = lad.entries if lad is not None else []
         start = len(old)
-        # only the entries the ladder lacks are scaled and expanded
-        polys = [scale * f for f in polys[start:]] if scale != 1 else polys[start:]
-        if ring is INT_POLY:
-            new = [list(f.num) for f in polys]
-        elif ring is INT:
-            new = [(f(x0) * q**k).numerator for k, f in enumerate(polys, start)]
-        else:
+        new = int_entries(family, start, count)
+        if ring is INT:
+            p, q = x0.numerator, x0.denominator
+            new = [int_poly_hom_eval(c, p, q) * q ** (k + 1 - len(c))
+                   for k, c in enumerate(new, start)]
+        elif ring is not INT_POLY:
             from .jet import int_jets
 
-            new = int_jets(polys, x0, start)
-        if key not in _ladders and x0 is not None:
+            new = int_jets(new, x0, start)
+        if lad is None and x0 is not None:
             points = [k for k in _ladders if k[1] is not None]
             if len(points) >= _POINT_LADDERS_KEPT:
                 del _ladders[points[0]]
-        _ladders[key] = scale, ladder(old + new, ring, lad)
-        return _ladders[key]
+        lad = _ladders[key] = ladder(old + new, ring, lad)
+        return lad
 
 
 class HankelQuartet(namedtuple("HankelQuartet", "family n H K M N")):
@@ -308,8 +317,7 @@ class HankelQuartet(namedtuple("HankelQuartet", "family n H K M N")):
 def variant_det(family: FamilyId, n: int, variant: str) -> Poly:
     """One of H_n, K_n, M_n, N_n as a polynomial, from the family's ladder."""
     _variant_columns(n, variant)
-    scale, lad = cached_ladder(family, None, INT_POLY, n)
-    return from_int_scaled(lad.det(n, variant), scale ** (n + 1))
+    return from_int_scaled(cached_ladder(family, None, INT_POLY, n).det(n, variant), 1)
 
 
 def hankel_det(family: FamilyId, n: int) -> Poly:
@@ -332,8 +340,7 @@ def variant_det_at(family: FamilyId, n: int, variant: str, x0) -> Rat:
     ladder over Z: the entries are substituted before elimination."""
     shift = n * (n + 1) // 2 + sum(_variant_columns(n, variant))
     x0 = rat(x0)
-    scale, lad = cached_ladder(family, x0, INT, n)
-    return Rat(lad.det(n, variant), scale ** (n + 1) * x0.denominator**shift)
+    return Rat(cached_ladder(family, x0, INT, n).det(n, variant), x0.denominator**shift)
 
 
 def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:

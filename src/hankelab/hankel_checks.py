@@ -10,10 +10,8 @@ screen, so a process that runs only those does not compile it.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import accumulate
 from math import factorial, lcm, perm, prod
 
 from .hankel import (
@@ -23,6 +21,7 @@ from .hankel import (
     det_bareiss,
     det_fraction_free,
     hankel_matrix,
+    int_entries,
     variant_det,
 )
 from .poly import Poly, from_int_scaled, lin_comb, to_int_scaled
@@ -124,14 +123,13 @@ def leading_adjugates(rows: Sequence[Sequence[Poly]]) -> list:
 def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
     """H_0 .. H_top, none of them read off the ladder.
 
-    One `det_bareiss` of [a_{i+j}]_{0..top} gives them: its pivot at step k
-    is H_k times the scales of rows 0..k, it asks ``unit`` of each pivot
-    before any other entry, so the ring below records them up to the first
-    zero one, and its determinant is H_top.  A zero pivot means a row swap,
-    after which the pivots are no leading minors: each H_j past it is
-    eliminated on its own.
+    One `det_bareiss` of [a_{i+j}]_{0..top} over Z[x] gives them: its pivot
+    at step k is H_k, it asks ``unit`` of each pivot before any other entry,
+    so the ring below records them up to the first zero one, and its
+    determinant is H_top.  A zero pivot means a row swap, after which the
+    pivots are no leading minors: each H_j past it is eliminated on its own.
     """
-    scaled = [to_int_scaled(row) for row in hankel_matrix(family, top)]
+    e = int_entries(family, 0, 2 * top + 1)
     leading: list[list[int]] = []
 
     def unit(v):
@@ -139,11 +137,10 @@ def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
             leading.append(v)
         return bool(v)
 
-    det = det_bareiss([row for row, _ in scaled], INT_POLY._replace(unit=unit))
-    scales = list(accumulate((s for _, s in scaled), operator.mul))
-    hs = [from_int_scaled(v, s) for v, s in zip(leading, scales)]
+    det = det_bareiss([e[i : i + top + 1] for i in range(top + 1)], INT_POLY._replace(unit=unit))
+    hs = [from_int_scaled(v, 1) for v in leading]
     hs += [det_fraction_free(hankel_matrix(family, j)) for j in range(len(hs), top)]
-    return hs + [from_int_scaled(det, scales[top])]
+    return hs + [from_int_scaled(det, 1)]
 
 
 # family -> [H_0 .. H_j] from `own_hankel_dets`, so that dodgson_check at n

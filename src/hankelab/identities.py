@@ -7,9 +7,9 @@ The determinant-level relations tie H, K, M, N and the derivatives of H
 together at fixed n.  Each symbolic relation is stated once, as terms
 (symbol, Poly coefficient): the symbolic check sums them against the
 determinants over Z[x] (one `poly.lin_comb` per residual), and the point
-screen sums the same terms at x0 over Z, against integer-jet values over
-one denominator, with one division per residual.  This module holds only
-what the screen runs, with the symbolic check beside it.
+screen sums the same terms at x0 over Z, against integer-jet values, with
+one division per residual.  This module holds only what the screen runs,
+with the symbolic check beside it.
 """
 
 from __future__ import annotations
@@ -244,7 +244,8 @@ def check_relation(rid: RelationId, n: int) -> bool:
 
 
 def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
-    """((H, K, M, N, d_xH, d_x^2 H) as integers, their common denominator).
+    """(H, K, M, N, d_xH, d_x^2 H) at x0 = p/q as integers, each times the
+    same power of q.
 
     Read off the family's ladder over integer length-3 jets: each distinct
     entry a_k is expanded at x0 = p/q once, times q^k, so a determinant on
@@ -252,8 +253,7 @@ def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     as a 3-jet and K, M and N as values: the relations read no derivative
     of those three.  Each value is then lifted to the identical factor
     q^((2n+2)(n+1)), which is harmless to the linear homogeneous relations
-    screened against these values; the denominator is the ladder's entry
-    scale D to the power n + 1.  Where a pivot of the ladder vanishes at
+    screened against these values.  Where a pivot of the ladder vanishes at
     x0, each determinant is eliminated on its own with row pivoting, which
     raises ``JetNotInvertible`` when a pivot it must divide by is not a
     unit.
@@ -262,12 +262,12 @@ def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
         raise ValueError("the jet quartet needs n >= 1: M_0 and N_0 are undefined")
     x0 = rat(x0)
     q = x0.denominator
-    scale, lad = cached_ladder(family, x0, JET, n)
+    lad = cached_ladder(family, x0, JET, n)
     h, k, m, nn = (lad.det(n, name) for name in "HKMN")
     # the columns of K sum to one more than H's, and M's and N's to two more
     lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
     values = (h[0] * q * q, k * q, m, nn, h[1] * q * q, 2 * h[2] * q * q)
-    return tuple(v * lift for v in values), scale ** (n + 1)
+    return tuple(v * lift for v in values)
 
 
 def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
@@ -281,7 +281,6 @@ def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
     """
     family, residuals = _relation_terms(rid, n)
     x = rat(x0)
-    values, den = jet_quartet(family, n, x)
-    return terms_at(residuals, dict(zip(_SYMBOLS, values)), den, x)
+    return terms_at(residuals, dict(zip(_SYMBOLS, jet_quartet(family, n, x))), x)
 
 

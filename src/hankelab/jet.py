@@ -1,18 +1,18 @@
 """Integer Taylor jets: exact derivatives of determinants at a rational point.
 
-At x0 = p/q every entry a_k of a Hankel matrix becomes the integer 3-jet
-q^k (a_k(x0), a_k'(x0), a_k''(x0)/2).  Entry (i, j) then carries q^i q^j,
-a scale per row and per column, so fraction-free elimination over these
-jets (the ring ``JET``, run by ``hankel.ladder`` and ``hankel.det_bareiss``)
-yields the value and the first two derivatives of a determinant at x0
+At x0 = p/q every entry a_k of a Hankel matrix, in Z[x] of degree <= k,
+becomes the integer 3-jet q^k (a_k(x0), a_k'(x0), a_k''(x0)/2).  Entry
+(i, j) then carries q^i q^j, a scale per row and per column, so
+fraction-free elimination over these jets (the ring ``JET``, run by
+``hankel.ladder`` and ``hankel.det_bareiss``) yields the value and the first two derivatives of a determinant at x0
 times a known power of q, without forming the symbolic determinant and
 without any gcd.  Interior divisions are exact (the intermediates are
 minors of an integer matrix) but require the divisor to be a unit, a jet
 with nonzero value; callers resample the point otherwise.  The value part
-of a jet step depends only on the value parts of its operands, so ``JET``
-also gives that step on plain integers: a ladder over jets carries only
-the values of what is read as a value (K_n, M_n and N_n at its top n),
-and full jets only where a pivot, H, or its derivatives are read.
+of a jet step is the integer step on the value parts of its operands, so
+a ladder over jets carries only the values of what is read as a value
+(K_n, M_n and N_n at its top n), and full jets only where a pivot, H, or
+its derivatives are read.
 `terms_at` sums the point screen's residuals over Z against such values.
 """
 
@@ -22,8 +22,8 @@ from collections.abc import Sequence
 from math import lcm
 from operator import itemgetter
 
-from .hankel import INT, Ring
-from .poly import Poly, int_poly_hom_eval
+from .hankel import Ring
+from .poly import int_poly_hom_eval
 from .rat import Rat, rat
 
 
@@ -57,16 +57,15 @@ def _jet_cross(p, r, l, u, d) -> IntJet:
     return (e0, e1, e2)
 
 
-# a value step divides only by pivots the ladder has already found to be
-# units, nonzero values, so it is the integer step of Z
 JET = Ring(_jet_cross, lambda a: (-a[0], -a[1], -a[2]), lambda a: a[0] != 0,
-           itemgetter(0), INT.cross)
+           itemgetter(0))
 
 
 def _taylor_jet(coeffs: Sequence[int], p: int, q: int, s: int) -> IntJet:
     """The first three Taylor coefficients of sum_j c_j x^j at p/q, times
-    q^s: sum_j C(j, i) c_j p^(j-i) q^(s-j+i) for i = 0, 1, 2, by one
-    homogeneous Horner pass over Z that also carries the derivatives."""
+    q^s for s >= the degree: sum_j C(j, i) c_j p^(j-i) q^(s-j+i) for
+    i = 0, 1, 2, by one homogeneous Horner pass over Z that also carries
+    the derivatives."""
     b0 = b1 = b2 = 0
     qpow = 1
     for c in reversed(coeffs):
@@ -75,46 +74,28 @@ def _taylor_jet(coeffs: Sequence[int], p: int, q: int, s: int) -> IntJet:
         b0 = b0 * p + c * qpow
         qpow *= q
     # b_i carries q^(top - j) per term; shift it to q^(s - j + i)
-    top = len(coeffs) - 1
-    return tuple(
-        acc * q**shift if shift >= 0 else _exact(acc, q**-shift, s)
-        for shift, acc in ((s - top, b0), (s - top + 1, b1), (s - top + 2, b2))
-    )
+    shift = q ** (s + 1 - len(coeffs))
+    return (b0 * shift, b1 * shift * q, b2 * shift * q * q)
 
 
-def _exact(num: int, den: int, s: int) -> int:
-    out, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"q^{s} does not clear a Taylor coefficient")
-    return out
-
-
-def int_jets(polys: Sequence[Poly], x0, first: int = 0) -> list[IntJet]:
-    """The f with index k (first, first + 1, ...) at x0 = p/q as the integer
-    3-jet q^k (f(x0), f'(x0), f''(x0)/2).
-
-    The sums run on f's integer numerators, and the jet is divided by
-    f's denominator at the end.  Raises ``ArithmeticError`` where q^k
-    does not clear a coefficient (a degree above k, or a denominator that
-    does not divide).
-    """
+def int_jets(coeffs: Sequence[Sequence[int]], x0, first: int = 0) -> list[IntJet]:
+    """The integer polynomial f with index k (first, first + 1, ...), of
+    degree <= k (`hankel.int_entries`), at x0 = p/q as the integer 3-jet
+    q^k (f(x0), f'(x0), f''(x0)/2)."""
     x0 = rat(x0)
     p, q = x0.numerator, x0.denominator
-    return [
-        tuple(_exact(t, f.den, k) for t in _taylor_jet(f.num, p, q, k))
-        for k, f in enumerate(polys, first)
-    ]
+    return [_taylor_jet(c, p, q, k) for k, c in enumerate(coeffs, first)]
 
 
-def terms_at(residuals, values, den: int, x0) -> list[Rat]:
+def terms_at(residuals, values, x0) -> list[Rat]:
     """Each residual's sum of coefficient at x0 times value, as one sum over Z.
 
     ``residuals`` holds tuples of (symbol, Poly coefficient) terms and
-    ``values`` maps each symbol to an integer over the common ``den``.  At
+    ``values`` maps each symbol to an integer.  At
     x0 = p/q a coefficient c is hom(c) / (c.den q^deg c), hom(c) its
     numerator's homogeneous Horner sum; brought to the residual's scale
     L q^top (L the lcm of the c.den, top the largest degree), every term is
-    an integer and the residual is one sum divided once by den L q^top.
+    an integer and the residual is one sum divided once by L q^top.
     """
     x0 = rat(x0)
     p, q = x0.numerator, x0.denominator
@@ -127,5 +108,5 @@ def terms_at(residuals, values, den: int, x0) -> list[Rat]:
             * (scale // c.den) * values[s]
             for s, c in terms
         )
-        out.append(Rat(total, den * scale * q**top))
+        out.append(Rat(total, scale * q**top))
     return out

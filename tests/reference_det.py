@@ -160,15 +160,14 @@ def fraction_nullspace(rows, ncols: int) -> list[list[Fraction]]:
 def fraction_jet_quartet(family, n: int, x0) -> tuple:
     """(H, K, M, N, H', H'') at x0 as Fractions, each times q^((2n+2)(n+1)):
     the family's jet-ladder values (H a 3-jet, K, M and N values) lifted
-    and divided one by one."""
+    one by one."""
     x0 = Fraction(x0)
     q = x0.denominator
-    scale, lad = hankel.cached_ladder(family, x0, JET, n)
+    lad = hankel.cached_ladder(family, x0, JET, n)
     h, k, m, nn = (lad.det(n, name) for name in "HKMN")
     lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
-    den = scale ** (n + 1)
     values = (h[0] * q * q, k * q, m, nn, h[1] * q * q, 2 * h[2] * q * q)
-    return tuple(Fraction(v * lift, den) for v in values)
+    return tuple(Fraction(v * lift) for v in values)
 
 
 def fraction_screen(residuals, values, x0) -> list[Fraction]:

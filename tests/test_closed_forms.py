@@ -1,9 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from hankelab import checks, closed_forms, identity_checks, lemmas, sequences, series
+from hankelab import (
+    checks, closed_forms, hankel, identities, identity_checks, lemmas, sequences, series,
+)
 from hankelab.checks import REGISTRY, run_check
+from hankelab.identities import POINT_RELATIONS, SYMBOLIC_RELATIONS, RelationId
 from hankelab.poly import Poly
 from hankelab.rat import Rat
 from hankelab.closed_forms import (
@@ -258,6 +262,55 @@ def _rule_value_perturbed(monkeypatch):
     monkeypatch.setattr(lemmas, "table1_rules", perturbed)
 
 
+def _relation_term_perturbed(rid):
+    """The first coefficient of the relation's first residual plus 1, read
+    through a memo of the relation terms of its own, which starts empty and
+    goes with the mutation."""
+    def mutate(monkeypatch):
+        family, terms = identities._RELATIONS[rid]
+
+        def perturbed(n):
+            (first, *rest), *others = terms(n)
+            return (((first[0], first[1] + 1), *rest), *others)
+
+        monkeypatch.setitem(identities._RELATIONS, rid, (family, perturbed))
+        monkeypatch.setattr(identities, "_relation_terms",
+                            lru_cache(maxsize=None)(identities._relation_terms.__wrapped__))
+
+    return mutate
+
+
+def _point_multiplier_doubled(rid):
+    """The first of the point relation's K/N/M multipliers doubled."""
+    def mutate(monkeypatch):
+        fam, x0, mults = identity_checks._POINT_SPECS[rid]
+        name, mult = next(iter(mults.items()))
+        monkeypatch.setitem(identity_checks._POINT_SPECS, rid,
+                            (fam, x0, {**mults, name: lambda n: 2 * mult(n)}))
+
+    return mutate
+
+
+def _crec_ratio_plus_one(monkeypatch):
+    ratio = identity_checks._RECURSION_RATIOS[RelationId.R_CREC]
+    monkeypatch.setitem(identity_checks._RECURSION_RATIOS, RelationId.R_CREC,
+                        lambda n: ratio(n) + 1)
+
+
+def _ladder_k3_off_by_one(monkeypatch):
+    """K_3 read off a Z[x] ladder plus 1: dodgson takes M_n and H_{n-1},
+    H_{n+1} from eliminations of their own, so only the ladder is wrong."""
+    read = hankel.Ladder.det
+
+    def off_by_one(lad, n, variant):
+        value = read(lad, n, variant)
+        if lad.ring is hankel.INT_POLY and n == 3 and variant == "K":
+            return [value[0] + 1] + value[1:]
+        return value
+
+    monkeypatch.setattr(hankel.Ladder, "det", off_by_one)
+
+
 A = AlmostProductId
 NEGATIVE_CONTROLS = [
     *((pid.value, _double_product(pid)) for pid in ProductFormulaId),
@@ -271,12 +324,17 @@ NEGATIVE_CONTROLS = [
     ("chebjac", _h21_3_plus_one),
     ("degree-hn", _degree_raised),
     *((name, _ode_c0_perturbed(name))
-      for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4")),
+      for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4", "fig4")),
     ("degree-random", _degree_bound_lowered),
     ("tseries", _t_coeff_perturbed),
     *((iid.value, _identity_entry_perturbed(iid)) for iid in lemmas.IdentityId),
     ("ef", _conv_entry_perturbed),
     ("table1", _rule_value_perturbed),
+    *((rid.value, _relation_term_perturbed(rid)) for rid in SYMBOLIC_RELATIONS),
+    *((rid.value, _point_multiplier_doubled(rid))
+      for rid in POINT_RELATIONS if rid is not RelationId.R_CREC),
+    ("r_crec", _crec_ratio_plus_one),
+    ("dodgson", _ladder_k3_off_by_one),
 ]
 
 
@@ -292,11 +350,14 @@ def test_interlace_fails_on_real_roots_that_do_not_interlace(monkeypatch):
 
 
 def _default_item_fails(check, mutate, monkeypatch):
+    """The check's default item passes, and fails under the mutation: a
+    check that reports findings then gives a finding row."""
     _fam, lo, hi = REGISTRY[check].default
     assert all(r.status == "pass" for r in run_check(check, None, range(lo, hi + 1)))
     mutate(monkeypatch)
     rows = run_check(check, None, range(lo, hi + 1))
-    assert any(r.status == "fail" for r in rows), rows
+    failed = "finding" if REGISTRY[check].finding else "fail"
+    assert any(r.status == failed for r in rows), rows
 
 
 # Negative controls of the weight construction: it reads Q0 and Q2 off the
@@ -386,3 +447,9 @@ SERIES_CONTROLS = [
                          ids=[f"{c}-{f}-{k}" for c, f, k, _m in SERIES_CONTROLS])
 def test_series_checks_fail_on_a_broken_form(check, family, mutate, monkeypatch):
     _family_item_fails(check, family, mutate, monkeypatch)
+
+
+def test_every_check_has_a_negative_control():
+    # a check added to the table without a control fails here
+    controlled = {check for check, *_ in (*NEGATIVE_CONTROLS, *WEIGHT_CONTROLS, *SERIES_CONTROLS)}
+    assert [check for check in REGISTRY if check not in controlled] == []

@@ -97,3 +97,25 @@ def test_lazy_walk_matches_the_list_walk_oracle(monkeypatch):
         for value in values:
             assert factor_smooth(value, bound) == list_factor_smooth(value, bound), (
                 value, bound)
+
+
+def test_values_far_below_the_bound_match_the_list_walk_oracle():
+    # bounds below and far above the square root of each seeded value
+    rng = random.Random(24)
+    values = [1, 2, 3, 4, 3158, -3158, 97 * 101, 2 * 1000003, 1000003**2, 10**12 + 39]
+    values += [rng.randint(1, 10**9) * rng.choice((1, -1)) for _ in range(40)]
+    values += [rng.choice((2, 3, 5, 7, 11)) ** rng.randint(1, 9) * rng.randint(1, 5000)
+               for _ in range(40)]
+    for value in values:
+        root = isqrt(abs(value))
+        for bound in {2, max(2, root // 3), max(2, root), root + 1, 10**5}:
+            assert factor_smooth(value, bound) == list_factor_smooth(value, bound), (value, bound)
+
+
+def test_the_sieve_covers_only_what_the_value_needs(monkeypatch):
+    # 3158 = 2 * 1579 needs the primes up to isqrt(3158) = 56, not a sieve
+    # of the 10^8 the bound allows
+    monkeypatch.setattr(factor, "_odd_sieve", bytearray())
+    rep = factor_smooth(3158, 10**8)
+    assert rep.small_factors == ((2, 1), (1579, 1)) and rep.cofactor == 1
+    assert len(factor._odd_sieve) <= 28

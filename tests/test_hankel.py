@@ -40,7 +40,7 @@ from hankelab.hankel_checks import (
     make_degree_instance,
 )
 from hankelab.jet import JET, JetNotInvertible, int_jets
-from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX, a_poly
+from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX, FamilyId, a_poly
 
 
 def test_hankel_matrix_examples():
@@ -201,29 +201,38 @@ def test_point_evaluation_consistency():
                     assert variant_det_at(fam, n, name, x0) == want, (fam, n, name, x0)
 
 
-def test_point_values_with_rational_coefficients(monkeypatch):
-    # every family's a_k has integer coefficients and degree <= k, so
-    # substitute a sequence with growing denominators and degree 2: the
-    # entry scale D grows with n and the cached ladders are rebuilt
-    def seq(_family, k):
-        return Poly([Fraction(k + 1, 3), Fraction(-1, k + 2), Fraction(k, 5)])
+def test_every_entry_is_an_integer_polynomial_of_degree_at_most_k():
+    # what lets the ladders' entries be a_k itself, and q^k a_k(p/q) or its
+    # integer jet at a point: every family's a_k and several more (beta,
+    # alpha) families' have denominator 1 and degree <= k
+    more = [FamilyId("binom", b, a) for b, a in ((1, 0), (2, 0), (2, -3), (4, 1), (5, 7), (7, -2))]
+    for fam in (*ALL_FAMILIES, *more):
+        for k in range(201):
+            f = a_poly(fam, k)
+            assert f.den == 1 and len(f.num) <= k + 1, (fam, k)
+        want = [list(a_poly(fam, k).num) for k in range(195, 201)]
+        assert hankel_mod.int_entries(fam, 195, 201) == want, fam
 
-    monkeypatch.setattr(hankel_mod, "a_poly", seq)
-    monkeypatch.setattr(hankel_mod, "_ladders", {})
-    for n in range(0, 5):
-        q = quartet(F31, n)
-        rows = [[seq(F31, i + j) for j in range(n + 1)] for i in range(n + 1)]
-        assert q.H == det_cofactor(rows)
-        for x0 in (Rat(0), Rat(2, 3), Rat(-7, 4)):
-            for name in VARIANTS:
-                sym = getattr(q, name)
-                if sym is not None:
-                    assert variant_det_at(F31, n, name, x0) == sym(x0), (n, name, x0)
-    # n = 0 needs D = 60; the 7 and 11 of a_5 and a_9 came later and
-    # rebuilt the ladders, at 2/3 also with the powers of 3 that a_0 and
-    # a_1, of degree above k, need
-    scales = {key[1]: scale for key, (scale, _) in hankel_mod._ladders.items()}
-    assert scales[None] % (7 * 11) == 0 and scales[Rat(2, 3)] % (9 * 7 * 11) == 0
+
+def test_the_entry_tripwire_raises_on_every_ring(monkeypatch):
+    # a substituted sequence whose a_3 has a rational coefficient, or a
+    # degree above 3, stops every ladder and dodgson's own eliminations at
+    # a ValueError naming a_3; the entries before it are accepted
+    def rational(_family, k):
+        return Poly([k + 1, 2, Fraction(1, 2)] if k == 3 else [k + 1, 2][: k + 1])
+
+    def too_high(_family, k):
+        return Poly([k + 1, 2, 0, 0, 1] if k == 3 else [k + 1, 2][: k + 1])
+
+    for seq in (rational, too_high):
+        monkeypatch.setattr(hankel_mod, "a_poly", seq)
+        monkeypatch.setattr(hankel_mod, "_ladders", {})
+        assert hankel_det(F31, 0) == Poly([1])
+        for x0, ring in ((None, INT_POLY), (Rat(2, 3), INT), (Rat(2, 3), JET)):
+            with pytest.raises(ValueError, match="a_3 of 3,1 is not an integer polynomial"):
+                hankel_mod.cached_ladder(F31, x0, ring, 1)
+        with pytest.raises(ValueError, match="a_3 of 3,1"):
+            checks_mod.own_hankel_dets(F31, 2)
 
 
 def test_ladder_extension_matches_single_eliminations(monkeypatch):
@@ -253,35 +262,29 @@ def test_ladder_extension_matches_single_eliminations(monkeypatch):
                         want = det_bareiss(rows, RATIONAL)
                         assert variant_det_at(fam, n, name, x0) == want, (fam, n, name, x0)
                     else:
-                        jets = int_jets(a, x0)
+                        jets = int_jets([f.num for f in a], x0)
                         rows = [[jets[c + i] for c in cols] for i in range(n + 1)]
                         want = outcome(lambda: det_bareiss(rows, JET))
                         if name != "H" and want is not JetNotInvertible:
                             want = want[0]
                         got = outcome(
-                            lambda: hankel_mod.cached_ladder(fam, x0, JET, n)[1].det(n, name)
+                            lambda: hankel_mod.cached_ladder(fam, x0, JET, n).det(n, name)
                         )
                         assert got == want, (fam, n, name, x0)
             if (fam, x0) in vanishing and ring is not INT_POLY:
                 # the ladder holds n <= 1, and the larger n came from the
                 # single eliminations
-                assert len(hankel_mod._ladders[fam, x0, ring][1].rows) == 2
+                assert len(hankel_mod._ladders[fam, x0, ring].rows) == 2
 
 
 def test_dodgson_fails_where_the_ladder_is_wrong(monkeypatch):
     # dodgson takes M_n and H_{n-1}, H_{n+1} from eliminations of their own,
     # so a K_n off by one in the ladder fails that n and no other
+    from test_closed_forms import _ladder_k3_off_by_one
+
     from hankelab.checks import run_check
 
-    read = hankel_mod.Ladder.det
-
-    def off_by_one(lad, n, variant):
-        value = read(lad, n, variant)
-        if lad.ring is INT_POLY and n == 3 and variant == "K":
-            return [value[0] + 1] + value[1:]
-        return value
-
-    monkeypatch.setattr(hankel_mod.Ladder, "det", off_by_one)
+    _ladder_k3_off_by_one(monkeypatch)
     rows = run_check("dodgson", F31, range(1, 8))
     assert [(r.n, r.status) for r in rows if r.status != "pass"] == [(3, "fail")]
     assert len(rows) == 7
@@ -330,11 +333,10 @@ def over_scale(rows, scale):
 
 
 def seq_with_head(head):
-    """A stand-in for a_poly: ``head``, then seeded polynomials of degree 2
-    with rational coefficients, so rows carry scales."""
+    """A stand-in for a_poly: ``head``, then seeded integer polynomials of
+    degree 2."""
     rng = random.Random(len(head))
-    tail = [Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)])
-            for _ in range(40)]
+    tail = [Poly([rng.randint(-9, 9) for _ in range(3)]) for _ in range(40)]
     seq = [*head, *tail]
     return lambda _family, k: seq[k]
 
@@ -400,7 +402,8 @@ def test_leading_adjugates_match_each_adjugate(monkeypatch):
     # the elimination swaps rows, every block is None: int_adjugate raises
     # on the singular one and swaps rows itself for the larger ones
     # (a row of a larger matrix may take a larger scale, so compare B / s)
-    monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(()))
+    tail = seq_with_head(())
+    monkeypatch.setattr(hankel_mod, "a_poly", lambda fam, k: tail(fam, k) * Fraction(1, k % 4 + 1))
     got = checks_mod.leading_adjugates(hankel_matrix(F31, 4))
     assert [over_scale(*adj) for adj in got] == [
         adjugate(hankel_matrix(F31, k)) for k in range(5)]

@@ -88,12 +88,12 @@ def test_screen_and_symbolic_residuals_agree_off_the_relation():
             assert any(not r.is_zero() for r in symbolic), (rid, n)
             for x0 in points:
                 try:
-                    (h, k, m, nn, jdh, jd2h), den = jet_quartet(family, n, x0)
+                    h, k, m, nn, jdh, jd2h = jet_quartet(family, n, x0)
                 except JetNotInvertible:
                     continue
                 scale = x0.denominator ** ((2 * n + 2) * (n + 1))
                 swapped = dict(zip(_SYMBOLS, (k, h, m, nn, jdh, jd2h)))
-                screen = terms_at(terms, swapped, den, x0)
+                screen = terms_at(terms, swapped, x0)
                 assert screen == [r(x0) * scale for r in symbolic], (rid, n, x0)
 
 
@@ -127,21 +127,22 @@ def test_integer_screen_matches_the_fraction_oracle():
                 assert got == want, (rid, n, x0)
                 if values is None:
                     continue
-                (h, k, m, nn, dh, d2h), den = jet_quartet(family, n, x0)
+                h, k, m, nn, dh, d2h = jet_quartet(family, n, x0)
                 rotated = dict(zip(_SYMBOLS, (nn, h, k, m, dh, d2h)))
                 thirds = [[(s, c * Fraction(1, 3 + i)) for i, (s, c) in enumerate(r)] for r in terms]
                 off = fraction_screen(thirds, (values[3], *values[:3], *values[4:]), x0)
-                assert terms_at(thirds, rotated, den, x0) == off, (rid, n, x0)
+                assert terms_at(thirds, rotated, x0) == off, (rid, n, x0)
                 off_relation += any(off)
     assert off_relation > 300
 
 
 def test_both_screens_decline_where_a_pivot_is_not_a_unit(monkeypatch):
-    # a_k = x0^k + k (x - x0) q^k: the values at x0 are geometric, so every
-    # order-2 minor vanishes there but not its derivative, and the jet
-    # eliminations must divide by a non-unit; both paths raise
+    # a_k = q^k (x0^k + k (x - x0)), an integer polynomial at x0 = 7/5: the
+    # values at x0 are geometric, so every order-2 minor vanishes there but
+    # not its derivative, and the jet eliminations must divide by a
+    # non-unit; both paths raise
     x0 = Fraction(7, 5)
-    fake = lambda family, k: Poly([x0**k - k * x0 * 5**k, k * 5**k])
+    fake = lambda family, k: Poly([7**k - 7 * k * 5**k // 5, k * 5**k])
     monkeypatch.setattr(hankel, "a_poly", fake)
     monkeypatch.setattr(hankel, "_ladders", {})
     for rid in SYMBOLIC_RELATIONS:
@@ -169,9 +170,9 @@ def test_the_screen_sees_a_perturbed_coefficient(monkeypatch):
         finally:
             monkeypatch.undo()
             identities._relation_terms.cache_clear()
-        values, den = jet_quartet(family, 4, x0)
+        values = jet_quartet(family, 4, x0)
         symbol = terms(4)[0][0][0]
-        assert got[0] == Rat(values[_SYMBOLS.index(symbol)], den) != 0, rid
+        assert got[0] == values[_SYMBOLS.index(symbol)] != 0, rid
         assert all(r == 0 for r in relation_residuals_at(rid, 4, x0)), rid
 
 
