@@ -35,7 +35,7 @@ from .closed_forms import (
     recursion_31at1,
     three_term_check,
 )
-from .hankel import hankel_det
+from .hankel import hankel_det, hankel_det_at
 from .hankel_checks import degree_bound, dodgson_check, general_degree_det, make_degree_instance
 from .identities import RelationId, check_relation
 from .identity_checks import (
@@ -187,24 +187,28 @@ def _build_registry() -> dict[str, CheckDef]:
         add(pid.value, lambda _f, n, pid=pid: product_matches_determinant(pid, n),
             [("acceptance", None, 0, hi), *fast], description="product formula vs determinant")
 
-    # (check, the value the formula must equal at n, its items); the family
-    # and point come from the form the check evaluates
+    # (check, the value the paper states for the form at n or None, its
+    # items); the family and point come from the form the check evaluates,
+    # and the form must equal the family's determinant, at that point if any
     A = AlmostProductId
     for aid, want, *items in (
         (A.AP31, None, ("acceptance", None, 0, 12), ("fast", None, 0, 5)),
         (A.AP31ALT, None, ("acceptance", None, 0, 12)),
         (A.AP21, None, ("acceptance", None, 0, 15), ("fast", None, 0, 6)),
-        (A.AP31AT0, lambda n: hankel_det(F31, n)(0), ("acceptance", None, 0, 12)),
+        (A.AP31AT0, None, ("acceptance", None, 0, 12)),
         (A.AP31AT1, lambda n: product_eval(P.P32, n), ("acceptance", None, 0, 12)),
         (A.AP21AT0, lambda n: 1, ("acceptance", None, 0, 20)),
         (A.AP21AT1, lambda n: (-1) ** ((n * (n + 1)) // 2), ("acceptance", None, 0, 20)),
     ):
         base, x = AP_POINTS.get(aid, (aid, None))
         family = ALMOST_PRODUCTS[base].family
-        want = want or (lambda n, family=family: hankel_det(family, n))
-        add(aid.value,
-            lambda _f, n, aid=aid, want=want: almost_product_eval(aid, n) == want(n),
-            items, description="almost-product formula", label=family.name,
+
+        def test(_f, n, aid=aid, want=want, family=family, x=x):
+            got = almost_product_eval(aid, n)
+            det = hankel_det(family, n) if x is None else hankel_det_at(family, n, x)
+            return got == det and (want is None or got == want(n))
+
+        add(aid.value, test, items, description="almost-product formula", label=family.name,
             x=None if x is None else format_rat(x))
 
     for iid in IdentityId:
@@ -236,7 +240,9 @@ def _build_registry() -> dict[str, CheckDef]:
         [("acceptance", None, 2, 10)], 2, label="3,1")
     add("threeterm21", lambda _f, n: three_term_check("c21", n),
         [("acceptance", None, 2, 15)], 2, label="2,1")
-    add("rec31at1", lambda _f, n: recursion_31at1(n) == product_eval(P.P32, n),
+    # the recursion is the (3,1) one at x = 1, so it gives H^{(3,1)}_n(1) too
+    add("rec31at1",
+        lambda _f, n: recursion_31at1(n) == product_eval(P.P32, n) == hankel_det_at(F31, n, 1),
         [("acceptance", None, 0, 10)], description="(3,2) one-term recursion vs product",
         label="3,2")
     add("chebjac", lambda _f, n: chebyshev_jacobi_check(n), [("acceptance", None, 0, 12)],

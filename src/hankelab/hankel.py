@@ -180,9 +180,12 @@ class Ladder(namedtuple("Ladder", "ring entries rows m")):
     ``entries`` holds e_0 .. e_{2N+2} and ``rows[i]`` is row i of the
     (N+1) x (N+3) matrix after i Bareiss steps.  By Sylvester's identity
     its entry j >= i is then the minor on rows 0..i and columns 0..i-1, j,
-    so row n holds H_n, K_n and N_n at columns n, n+1 and n+2.  Its
-    entries left of the diagonal are the leads its steps used, kept so that
-    new columns can replay the steps.  ``m[n]`` is M_n (None at n = 0).
+    so row n holds H_n, K_n and N_n at columns n, n+1 and n+2.  Its entry
+    k < i is the lead of its step k, the minor on rows 0..k-1, i and
+    columns 0..k; the matrix is symmetric, so that is the transposed minor
+    on rows 0..k and columns 0..k-1, i, which is ``rows[k][i]``.  It is
+    stored as that same object, never formed, and kept so that new
+    columns can replay the steps.  ``m[n]`` is M_n (None at n = 0).
     Rows end at the first pivot H_k the ring cannot divide by, at n = k.
     Over a ring with value parts (jets), columns N+1 and N+2 and M_N hold
     only values: no step divides by them, as only columns 0..N become
@@ -216,9 +219,15 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
 
     ``lad``, the ladder of a prefix of ``entries``, grows in place: new
     columns of its rows replay their stored pivots and leads, and new rows
-    run every step.  M_n is one 2 x 2 Sylvester step on rows n-1 and n
-    just before row n's last step, over columns n and n+1.  Over a ring
-    with value parts, columns N+1 and N+2 start as the entries' values and
+    run every step.  Row i's step k updates only its columns i..N+2: its
+    columns k+1..i-1 would be read only as the leads of its later steps,
+    and by the symmetry of [e_{i+j}] (see `Ladder`) the lead of step k is
+    ``rows[k][i]``, which row k already holds.  So the rows take
+    sum_{i <= N} i (N + 3 - i) steps, not sum_{i <= N} sum_{k < i}
+    (N + 2 - k): N^3/6 against N^3/3 for large N, 147 against 203 at
+    N = 7.  M_n is one 2 x 2 Sylvester step on rows n-1 and n just before
+    row n's last step, over columns n and n+1.  Over a ring with value
+    parts, columns N+1 and N+2 start as the entries' values and
     step over Z (`_int_cross`) with the values of their pivots and leads,
     and so does M_N, which reads column N+1: the value part of a step is
     the step on value parts, and each divides only by a pivot ``unit``
@@ -240,7 +249,7 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
         for j in range(len(row), width):
             v = e[i + j]
             for k in range(i):
-                v = cross(piv[k + 1], v, row[k], rows[k][j], piv[k])
+                v = cross(piv[k + 1], v, rows[k][i], rows[k][j], piv[k])
             row.append(v)
     for i in range(len(rows), width - 2):
         if i and not ring.unit(piv[i]):
@@ -251,7 +260,10 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
         m = None
         for k in range(i):
             up = rows[k]
-            p, d, lead = piv[k + 1], piv[k], row[k]
+            # the lead is row k's entry at column i (symmetry); stored as
+            # row[k], the entry this step would have formed
+            p, d, lead = piv[k + 1], piv[k], up[i]
+            row[k] = lead
             if full < width:
                 p0, l0, d0 = value(p), value(lead), d if d is None else value(d)
             if k == i - 1:
@@ -259,7 +271,7 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
                     m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
                 else:
                     m = _int_cross(up[i + 1], value(row[i]), row[i + 1], value(up[i]), d0)
-            for j in range(k + 1, full):
+            for j in range(i, full):
                 row[j] = cross(p, row[j], lead, up[j], d)
             for j in range(full, width):
                 row[j] = _int_cross(p0, row[j], l0, up[j], d0)

@@ -16,6 +16,8 @@ the bound, the walk the lazy ``factor.factor_smooth`` replaced.
 ``schoolbook_mul``, ``mul_then_add`` and ``mul_sub_cross`` form each Z[x]
 product on its own list and add it afterwards, the compositions
 ``poly.int_poly_addmul`` and ``hankel._int_poly_cross`` replaced.
+``full_row_ladder`` is ``hankel.ladder`` stepping every entry of each row,
+the elimination the symmetric ladder replaced.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from hankelab import hankel, hankel_checks
 from hankelab.factor import FactorReport
-from hankelab.hankel import Ring, det_fraction_free
+from hankelab.hankel import Ladder, Ring, det_fraction_free
 from hankelab.jet import JET
 from hankelab.poly import from_int_scaled, int_poly_add_into, int_poly_exact_div, int_poly_sub
 
@@ -89,6 +91,52 @@ def mul_sub_cross(p, r, l, u, d) -> list[int]:
 
 POLY = Ring(_poly_cross, operator.neg, bool)
 RATIONAL = Ring(_rational_cross, operator.neg, bool)
+
+
+def full_row_ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
+    """``hankel.ladder`` with row i's step k run over columns k+1..N+2, so
+    the lead of each step is formed by the row's earlier steps and nothing
+    is read off another row: the elimination before the symmetric ladder."""
+    value, int_cross = ring.value, hankel._int_cross
+    if lad is None or value is not None:
+        lad = Ladder(ring, [], [], [])
+    e, rows = lad.entries, lad.rows
+    e.extend(entries[len(e) :])
+    width = (len(e) - 3) // 2 + 3
+    full = width if value is None else width - 2
+    cross = ring.cross
+    piv = [None] + [row[k] for k, row in enumerate(rows)]
+    for i, row in enumerate(rows):
+        for j in range(len(row), width):
+            v = e[i + j]
+            for k in range(i):
+                v = cross(piv[k + 1], v, row[k], rows[k][j], piv[k])
+            row.append(v)
+    for i in range(len(rows), width - 2):
+        if i and not ring.unit(piv[i]):
+            break
+        row = e[i : i + width]
+        if full < width:
+            row[full:] = map(value, row[full:])
+        m = None
+        for k in range(i):
+            up = rows[k]
+            p, d, lead = piv[k + 1], piv[k], row[k]
+            if full < width:
+                p0, l0, d0 = value(p), value(lead), d if d is None else value(d)
+            if k == i - 1:
+                if i + 1 < full:
+                    m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
+                else:
+                    m = int_cross(up[i + 1], value(row[i]), row[i + 1], value(up[i]), d0)
+            for j in range(k + 1, full):
+                row[j] = cross(p, row[j], lead, up[j], d)
+            for j in range(full, width):
+                row[j] = int_cross(p0, row[j], l0, up[j], d0)
+        rows.append(row)
+        lad.m.append(m)
+        piv.append(row[i])
+    return lad
 
 
 def adjugate(rows):

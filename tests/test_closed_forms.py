@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -155,7 +156,8 @@ def test_every_formula_id_has_exactly_one_table_entry():
 
 
 # Negative controls: each mutation breaks one written form, and every check
-# that reads that form must then give a fail row on its first item.
+# that reads that form must then give a fail row on its first item, or a
+# finding row if it reports findings (the table is `CONTROLS` below).
 
 
 def _double_product(pid):
@@ -311,55 +313,6 @@ def _ladder_k3_off_by_one(monkeypatch):
     monkeypatch.setattr(hankel.Ladder, "det", off_by_one)
 
 
-A = AlmostProductId
-NEGATIVE_CONTROLS = [
-    *((pid.value, _double_product(pid)) for pid in ProductFormulaId),
-    *((aid.value, _top_coeff_doubled(A.AP31)) for aid in (A.AP31, A.AP31AT0, A.AP31AT1)),
-    *((aid.value, _top_coeff_doubled(A.AP21)) for aid in (A.AP21, A.AP21AT0, A.AP21AT1)),
-    ("ap31alt", _top_coeff_doubled(A.AP31ALT)),
-    ("threeterm31", _q_perturbed),
-    ("rec31at1", _q_perturbed),
-    ("interlace", _complex_h2),
-    ("threeterm21", _h21_3_plus_one),
-    ("chebjac", _h21_3_plus_one),
-    ("degree-hn", _degree_raised),
-    *((name, _ode_c0_perturbed(name))
-      for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4", "fig4")),
-    ("degree-random", _degree_bound_lowered),
-    ("tseries", _t_coeff_perturbed),
-    *((iid.value, _identity_entry_perturbed(iid)) for iid in lemmas.IdentityId),
-    ("ef", _conv_entry_perturbed),
-    ("table1", _rule_value_perturbed),
-    *((rid.value, _relation_term_perturbed(rid)) for rid in SYMBOLIC_RELATIONS),
-    *((rid.value, _point_multiplier_doubled(rid))
-      for rid in POINT_RELATIONS if rid is not RelationId.R_CREC),
-    ("r_crec", _crec_ratio_plus_one),
-    ("dodgson", _ladder_k3_off_by_one),
-]
-
-
-@pytest.mark.parametrize("check,mutate", NEGATIVE_CONTROLS,
-                         ids=[c for c, _m in NEGATIVE_CONTROLS])
-def test_check_fails_on_a_broken_form(check, mutate, monkeypatch):
-    _default_item_fails(check, mutate, monkeypatch)
-
-
-def test_interlace_fails_on_real_roots_that_do_not_interlace(monkeypatch):
-    # `_complex_h2` breaks real-rootedness; this breaks only the interlacing
-    _default_item_fails("interlace", _shifted_h1, monkeypatch)
-
-
-def _default_item_fails(check, mutate, monkeypatch):
-    """The check's default item passes, and fails under the mutation: a
-    check that reports findings then gives a finding row."""
-    _fam, lo, hi = REGISTRY[check].default
-    assert all(r.status == "pass" for r in run_check(check, None, range(lo, hi + 1)))
-    mutate(monkeypatch)
-    rows = run_check(check, None, range(lo, hi + 1))
-    failed = "finding" if REGISTRY[check].finding else "fail"
-    assert any(r.status == failed for r in rows), rows
-
-
 # Negative controls of the weight construction: it reads Q0 and Q2 off the
 # closed generating-function denominator and checks Q0 against its table's
 # parametric (C_0, C_1, C_2), so breaking either must fail every check that
@@ -398,28 +351,19 @@ def _c1_perturbed(family):
     return mutate
 
 
-WEIGHT_CONTROLS = [
-    *((check, fam, f"den-y{power}", _closed_den_perturbed(fam, power))
-      for fam in (F31, F21) for power in (1, 2)
-      for check in ("weights", "explicit-weights", "ciden", "gfequiv")),
-    *((check, fam, "c1", _c1_perturbed(fam))
-      for fam in (F31, F21) for check in ("weights", "explicit-weights", "ciden")),
-]
+def _explicit_weight_perturbed(family):
+    """The closed-form weight at j = 0 plus x: no one scalar takes the
+    nullspace weights to the closed ones any more."""
+    def mutate(monkeypatch):
+        form = identity_checks._WEIGHT_FORMS[family]
 
+        def explicit(n):
+            first, *rest = form.explicit(n)
+            return [first + Poly.x(), *rest]
 
-def _family_item_fails(check, family, mutate, monkeypatch):
-    ((*_, lo, hi),) = [item for item in REGISTRY[check].items
-                       if item[:2] == ("acceptance", family)]
-    assert all(r.status == "pass" for r in run_check(check, family, range(lo, hi + 1)))
-    mutate(monkeypatch)
-    rows = run_check(check, family, range(lo, hi + 1))
-    assert any(r.status == "fail" for r in rows), rows
+        monkeypatch.setitem(identity_checks._WEIGHT_FORMS, family, form._replace(explicit=explicit))
 
-
-@pytest.mark.parametrize("check,family,mutate", [(c, f, m) for c, f, _k, m in WEIGHT_CONTROLS],
-                         ids=[f"{c}-{f}-{k}" for c, f, k, _m in WEIGHT_CONTROLS])
-def test_weight_checks_fail_on_a_broken_form(check, family, mutate, monkeypatch):
-    _family_item_fails(check, family, mutate, monkeypatch)
+    return mutate
 
 
 # Negative controls of the generating-function checks: a wrong a_3 must fail
@@ -436,20 +380,114 @@ def _a3_perturbed(monkeypatch):
     monkeypatch.setattr(series, "_gf_memo", {})  # aex's direct form reads a_k
 
 
+# Every negative control in one table.  Under the mutation, the check's
+# item must give a row of the control's status, where it passed before: the
+# default item, or the family's acceptance item when the control names a
+# family.  A check that reports findings (`fig4`, `explicit-weights`) must
+# give a `finding` row when the form it reports on is broken; a mutation of
+# the weight solve or of the generating functions makes every check that
+# reads them raise, which is a `fail` row for any check.  `part` says what
+# the mutation breaks: a written form, the weight construction or the
+# generating functions, one test each below.
+Control = namedtuple("Control", "part check family label mutate status")
+
+
+def _form(check, mutate):
+    return Control("form", check, None, None, mutate,
+                   "finding" if REGISTRY[check].finding else "fail")
+
+
+A = AlmostProductId
 GENERATING = (F31, F21, F30, F3K2M, FAEX)
-SERIES_CONTROLS = [
-    *(("fcoeffs", fam, "a3", _a3_perturbed) for fam in GENERATING),
-    *(("gfequiv", fam, "den-y1", _closed_den_perturbed(fam, 1)) for fam in (F30, F3K2M, FAEX)),
+CONTROLS = [
+    *(_form(pid.value, _double_product(pid)) for pid in ProductFormulaId),
+    *(_form(aid.value, _top_coeff_doubled(A.AP31)) for aid in (A.AP31, A.AP31AT0, A.AP31AT1)),
+    *(_form(aid.value, _top_coeff_doubled(A.AP21)) for aid in (A.AP21, A.AP21AT0, A.AP21AT1)),
+    _form("ap31alt", _top_coeff_doubled(A.AP31ALT)),
+    _form("threeterm31", _q_perturbed),
+    _form("rec31at1", _q_perturbed),
+    _form("interlace", _complex_h2),
+    _form("threeterm21", _h21_3_plus_one),
+    _form("chebjac", _h21_3_plus_one),
+    _form("degree-hn", _degree_raised),
+    *(_form(name, _ode_c0_perturbed(name))
+      for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4", "fig4")),
+    _form("degree-random", _degree_bound_lowered),
+    _form("tseries", _t_coeff_perturbed),
+    *(_form(iid.value, _identity_entry_perturbed(iid)) for iid in lemmas.IdentityId),
+    _form("ef", _conv_entry_perturbed),
+    _form("table1", _rule_value_perturbed),
+    *(_form(rid.value, _relation_term_perturbed(rid)) for rid in SYMBOLIC_RELATIONS),
+    *(_form(rid.value, _point_multiplier_doubled(rid))
+      for rid in POINT_RELATIONS if rid is not RelationId.R_CREC),
+    _form("r_crec", _crec_ratio_plus_one),
+    _form("dodgson", _ladder_k3_off_by_one),
+    *(Control("weights", check, fam, f"den-y{power}", _closed_den_perturbed(fam, power), "fail")
+      for fam in (F31, F21) for power in (1, 2)
+      for check in ("weights", "explicit-weights", "ciden", "gfequiv")),
+    *(Control("weights", check, fam, "c1", _c1_perturbed(fam), "fail")
+      for fam in (F31, F21) for check in ("weights", "explicit-weights", "ciden")),
+    *(Control("weights", "explicit-weights", fam, "explicit", _explicit_weight_perturbed(fam),
+              "finding") for fam in (F31, F21)),
+    *(Control("series", "fcoeffs", fam, "a3", _a3_perturbed, "fail") for fam in GENERATING),
+    *(Control("series", "gfequiv", fam, "den-y1", _closed_den_perturbed(fam, 1), "fail")
+      for fam in (F30, F3K2M, FAEX)),
 ]
 
 
-@pytest.mark.parametrize("check,family,mutate", [(c, f, m) for c, f, _k, m in SERIES_CONTROLS],
-                         ids=[f"{c}-{f}-{k}" for c, f, k, _m in SERIES_CONTROLS])
-def test_series_checks_fail_on_a_broken_form(check, family, mutate, monkeypatch):
-    _family_item_fails(check, family, mutate, monkeypatch)
+def _control_fails(control, monkeypatch):
+    check, family = control.check, control.family
+    if family is None:
+        _fam, lo, hi = REGISTRY[check].default
+    else:
+        ((*_, lo, hi),) = [item for item in REGISTRY[check].items
+                           if item[:2] == ("acceptance", family)]
+    assert all(r.status == "pass" for r in run_check(check, family, range(lo, hi + 1)))
+    control.mutate(monkeypatch)
+    rows = run_check(check, family, range(lo, hi + 1))
+    assert any(r.status == control.status for r in rows), rows
+
+
+def _controls(part):
+    """The table's controls of one part, as test parameters."""
+    chosen = [c for c in CONTROLS if c.part == part]
+    ids = [c.check if c.family is None else f"{c.check}-{c.family}-{c.label}" for c in chosen]
+    return pytest.mark.parametrize("control", chosen, ids=ids)
+
+
+@_controls("form")
+def test_check_fails_on_a_broken_form(control, monkeypatch):
+    _control_fails(control, monkeypatch)
+
+
+@_controls("weights")
+def test_weight_checks_fail_on_a_broken_form(control, monkeypatch):
+    _control_fails(control, monkeypatch)
+
+
+@_controls("series")
+def test_series_checks_fail_on_a_broken_form(control, monkeypatch):
+    _control_fails(control, monkeypatch)
+
+
+def test_interlace_fails_on_real_roots_that_do_not_interlace(monkeypatch):
+    # `_complex_h2` breaks real-rootedness; this breaks only the interlacing
+    _control_fails(_form("interlace", _shifted_h1), monkeypatch)
+
+
+def test_point_forms_fail_where_the_point_determinant_is_wrong(monkeypatch):
+    # a form read at a point is compared with the family's determinant at
+    # that point as well as with the value the paper states, so a wrong H_3
+    # there fails n = 3 and no other n
+    at = checks.hankel_det_at
+    monkeypatch.setattr(checks, "hankel_det_at", lambda fam, n, x: at(fam, n, x) + (n == 3))
+    for check in ("ap31at0", "ap31at1", "ap21at0", "ap21at1", "rec31at1"):
+        _fam, lo, hi = REGISTRY[check].default
+        rows = run_check(check, None, range(lo, hi + 1))
+        assert [(r.n, r.status) for r in rows if r.status != "pass"] == [(3, "fail")], check
 
 
 def test_every_check_has_a_negative_control():
     # a check added to the table without a control fails here
-    controlled = {check for check, *_ in (*NEGATIVE_CONTROLS, *WEIGHT_CONTROLS, *SERIES_CONTROLS)}
+    controlled = {c.check for c in CONTROLS}
     assert [check for check in REGISTRY if check not in controlled] == []

@@ -12,6 +12,7 @@ from reference_det import (
     cramer_trace,
     det_cofactor,
     fraction_nullspace,
+    full_row_ladder,
 )
 
 from hankelab.poly import InexactDivision, Poly, denominator_lcm, from_int_scaled
@@ -275,6 +276,29 @@ def test_ladder_extension_matches_single_eliminations(monkeypatch):
                 # the ladder holds n <= 1, and the larger n came from the
                 # single eliminations
                 assert len(hankel_mod._ladders[fam, x0, ring].rows) == 2
+
+
+def test_symmetric_ladder_matches_the_full_row_ladder():
+    # every entry of every row, the leads read off earlier rows included,
+    # and every M_n equal the full-row elimination's, for each family to
+    # N = 12 over Z[x], and over Z and jets at points where a leading pivot
+    # vanishes too; a ladder grown in place through smaller N ends equal
+    top = 12
+    cases = [(None, INT_POLY)]
+    cases += [(x0, ring) for ring in (INT, JET) for x0 in (Rat(3, 7), Rat(-2), Rat(5, 2), Rat(1, 2))]
+    vanishing = ((F31, Rat(5, 2)), (F21, Rat(1, 2)))  # where H_1 is zero
+    for fam in ALL_FAMILIES:
+        for x0, ring in cases:
+            e = hankel_mod.cached_ladder(fam, x0, ring, top).entries[: 2 * top + 3]
+            refs = {}
+            for chain in ((top,), (0, top), (3, 8, top), (1, 2, 5, 11, top)):
+                lad = None
+                for n in chain:
+                    if n not in refs:
+                        refs[n] = full_row_ladder(e[: 2 * n + 3], ring)
+                    lad = hankel_mod.ladder(e[: 2 * n + 3], ring, lad)
+                    assert (lad.rows, lad.m) == (refs[n].rows, refs[n].m), (fam, x0, ring, chain, n)
+            assert len(refs[top].rows) == (2 if (fam, x0) in vanishing else top + 1), (fam, x0)
 
 
 def test_dodgson_fails_where_the_ladder_is_wrong(monkeypatch):

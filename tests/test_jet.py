@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_det import full_row_ladder
 
 from hankelab import hankel, jet
 from hankelab.hankel import VARIANTS, _variant_columns, cached_ladder, det_bareiss, ladder, quartet
@@ -197,8 +198,14 @@ def counting(ring, counts):
 
 
 def ladder_steps(top):
-    """sum_{i <= N} sum_{k < i} (N + 2 - k) + N: row i's step k runs over
-    columns k+1..N+2, and rows 1..N take one M step each."""
+    """sum_{i <= N} i (N + 3 - i) + N: row i's step k runs over columns
+    i..N+2, its lead read off row k, and rows 1..N take one M step each."""
+    return sum(i * (top + 3 - i) for i in range(top + 1)) + top
+
+
+def full_row_steps(top):
+    """sum_{i <= N} sum_{k < i} (N + 2 - k) + N: the steps of
+    ``full_row_ladder``, whose row i's step k runs over columns k+1..N+2."""
     return sum(top + 2 - k for i in range(top + 1) for k in range(i)) + top
 
 
@@ -221,22 +228,23 @@ def test_ladder_step_counts(monkeypatch):
             JET: int_jets(hankel.int_entries(F31, 0, 2 * top + 3), x0),
         }
         for ring, e in entries.items():
-            counts[:] = [0, 0]
-            lad = ladder(e, counting(ring, counts))
-            assert len(lad.rows) == top + 1
-            if ring is JET:
-                # columns N+1 and N+2 of rows 1..N, and M_N, step on values
-                values = top * (top + 1) + 1
-                assert counts == [ladder_steps(top) - values, values], top
-            else:
-                assert counts == [ladder_steps(top), 0], (ring, top)
+            # columns N+1 and N+2 of rows 1..N, and M_N, step on values
+            values = top * (top + 1) + 1 if ring is JET else 0
+            for build, steps in ((ladder, ladder_steps), (full_row_ladder, full_row_steps)):
+                counts[:] = [0, 0]
+                lad = build(e, counting(ring, counts))
+                assert len(lad.rows) == top + 1
+                assert counts == [steps(top) - values, values], (ring, top, build)
+            if ring is not JET:
                 # grown from a smaller ladder, it does the same steps
                 counts[:] = [0, 0]
                 ladder(e, counting(ring, counts), ladder(e[:5], counting(ring, counts)))
                 assert counts == [ladder_steps(top), 0], (ring, top)
-    # the scale the benchmark's point screen works at
-    assert (ladder_steps(7), 7 * 8 + 1) == (203, 57)
-    assert (ladder_steps(10), 10 * 11 + 1) == (505, 111)
+    # the scale the benchmark's point screen works at: all steps, a jet
+    # ladder's full steps and its value steps, against the full rows'
+    assert (ladder_steps(7), ladder_steps(7) - 57, 7 * 8 + 1) == (147, 90, 57)
+    assert (ladder_steps(10), ladder_steps(10) - 111, 10 * 11 + 1) == (340, 229, 111)
+    assert (full_row_steps(7), full_row_steps(10)) == (203, 505)
 
 
 def test_a_growing_point_ladder_expands_only_its_new_entries(monkeypatch):
