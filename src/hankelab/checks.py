@@ -45,7 +45,6 @@ from .identity_checks import (
     weight_nullspace,
 )
 from .lemmas import IdentityId, check_identity, check_matrix_convolution_identities
-from .rat import format_rat
 from .report import Row, fail_row, verdict_row
 from .sequences import (
     ALL_FAMILIES,
@@ -209,7 +208,7 @@ def _build_registry() -> dict[str, CheckDef]:
             return got == det and (want is None or got == want(n))
 
         add(aid.value, test, items, description="almost-product formula", label=family.name,
-            x=None if x is None else format_rat(x))
+            x=None if x is None else str(x))
 
     for iid in IdentityId:
         fast = [("fast", None, 10, 10)] if iid is IdentityId.L1_31 else []

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from fractions import Fraction
 
 # Only what a `det` cache hit runs is imported here: parsing, the cache and
 # the family names.  `det` imports `hankel` when it eliminates (a miss, a
@@ -30,7 +31,6 @@ from collections.abc import Sequence
 # dataclasses or pathlib.
 from .cache import CacheError, cache_from_config
 from .poly import Poly
-from .rat import Rat, format_rat, parse_rat
 from .sequences import VARIANTS, FamilyId, family_from_name
 
 
@@ -38,11 +38,11 @@ class UsageError(Exception):
     pass
 
 
-def _parse_x(text: str) -> Rat | None:
+def _parse_x(text: str) -> Fraction | None:
     if text == "symbolic":
         return None
     try:
-        return parse_rat(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad x value {text!r}: {exc}")
 
@@ -77,7 +77,7 @@ def cmd_det(args) -> int:
         # point query with no cache in play: substitute before eliminating
         from .hankel import variant_det_at
 
-        rendered = raw = format_rat(variant_det_at(family, args.n, variant, x))
+        rendered = raw = str(variant_det_at(family, args.n, variant, x))
     else:
         if value is None or args.recheck:
             from .hankel import variant_det
@@ -96,7 +96,7 @@ def cmd_det(args) -> int:
             rendered = str(value)
             raw = value.to_json()
         else:
-            rendered = raw = format_rat(value(x))
+            rendered = raw = str(value(x))
     if args.format == "json":
         print(
             json.dumps(

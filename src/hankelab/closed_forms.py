@@ -13,9 +13,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
+from fractions import Fraction
+from math import factorial, prod
 
 from .poly import Poly, lin_comb
-from .rat import Rat, double_factorial, factorial, rat
 from .sequences import F21, F30, F31, F32, FAEX, FSHIFT22
 from .hankel import hankel_det, hankel_det_at
 from .odes import ODES, OdeSpec
@@ -44,8 +45,8 @@ class ProductFormulaId(Enum):
 ProductForm = namedtuple("ProductForm", "family x value")
 
 
-def _prod(n: int, term: Callable[[int], Rat], start: int = 1) -> Rat:
-    acc = Rat(1)
+def _prod(n: int, term: Callable[[int], Fraction], start: int = 1) -> Fraction:
+    acc = Fraction(1)
     for i in range(start, n + 1):
         acc *= term(i)
     return acc
@@ -54,37 +55,37 @@ def _prod(n: int, term: Callable[[int], Rat], start: int = 1) -> Rat:
 _f = factorial
 _P = ProductFormulaId
 PRODUCTS: dict[ProductFormulaId, ProductForm] = {
-    _P.P32: ProductForm(F32, Rat(0), lambda n: _prod(
-        n, lambda i: Rat(_f(6 * i + 4) * _f(2 * i + 1),
-                         2 * _f(4 * i + 2) * _f(4 * i + 3)))),
-    _P.P30: ProductForm(F30, Rat(0), lambda n: _prod(
-        n, lambda i: Rat(3 * (3 * i + 1) * _f(6 * i) * _f(2 * i),
-                         _f(4 * i) * _f(4 * i + 1)))),
-    _P.P31AT3: ProductForm(F31, Rat(3), lambda n: (-1) ** n * _prod(
-        n, lambda i: Rat(_f(6 * i - 3) * _f(3 * i + 2) * _f(2 * i - 1),
-                         _f(4 * i - 1) * _f(4 * i + 1) * _f(3 * i - 2)))),
-    _P.P31AT3HALF: ProductForm(F31, Rat(3, 2), lambda n: _prod(
-        n, lambda i: Rat(_f(2 * i - 1) * _f(6 * i) * (3 * i + 1),
-                         2 * _f(4 * i - 1) * _f(4 * i + 1)))),
-    _P.P31AT3QUARTER: ProductForm(F31, Rat(3, 4), lambda n: _prod(
-        n, lambda i: Rat(_f(2 * i - 1) * _f(6 * i + 1),
-                         2 * _f(4 * i - 1) * _f(4 * i + 1)))),
-    _P.P30AT3: ProductForm(F30, Rat(3), lambda n: Rat(
+    _P.P32: ProductForm(F32, Fraction(0), lambda n: _prod(
+        n, lambda i: Fraction(_f(6 * i + 4) * _f(2 * i + 1),
+                              2 * _f(4 * i + 2) * _f(4 * i + 3)))),
+    _P.P30: ProductForm(F30, Fraction(0), lambda n: _prod(
+        n, lambda i: Fraction(3 * (3 * i + 1) * _f(6 * i) * _f(2 * i),
+                              _f(4 * i) * _f(4 * i + 1)))),
+    _P.P31AT3: ProductForm(F31, Fraction(3), lambda n: (-1) ** n * _prod(
+        n, lambda i: Fraction(_f(6 * i - 3) * _f(3 * i + 2) * _f(2 * i - 1),
+                              _f(4 * i - 1) * _f(4 * i + 1) * _f(3 * i - 2)))),
+    _P.P31AT3HALF: ProductForm(F31, Fraction(3, 2), lambda n: _prod(
+        n, lambda i: Fraction(_f(2 * i - 1) * _f(6 * i) * (3 * i + 1),
+                              2 * _f(4 * i - 1) * _f(4 * i + 1)))),
+    _P.P31AT3QUARTER: ProductForm(F31, Fraction(3, 4), lambda n: _prod(
+        n, lambda i: Fraction(_f(2 * i - 1) * _f(6 * i + 1),
+                              2 * _f(4 * i - 1) * _f(4 * i + 1)))),
+    _P.P30AT3: ProductForm(F30, Fraction(3), lambda n: Fraction(
         _f(3 * n) * _f(3 * n + 2), 2 * _f(n) ** 2) * _prod(
-        n, lambda i: Rat(3 * _f(6 * i - 5) * _f(2 * i) * (2 * i - 1),
-                         _f(4 * i + 1) * _f(4 * i - 1)))),
-    _P.P30AT3HALF: ProductForm(F30, Rat(3, 2), lambda n: _prod(
-        n, lambda i: Rat(27 * _f(6 * i - 5) * (3 * i - 1) * (3 * i - 2) * _f(2 * i - 1),
-                         2 * _f(4 * i - 1) * (4 * i - 3) * _f(4 * i - 4)))),
-    _P.PAEXAT3SEVENTHS: ProductForm(FAEX, Rat(3, 7), lambda n: _prod(
-        n, lambda i: Rat(2 * _f(6 * i + 7) * _f(2 * i + 1),
-                         7 * _f(4 * i + 5) * _f(4 * i + 3)), start=0)),
-    _P.P21AT0: ProductForm(F21, Rat(0), lambda n: Rat(1)),
-    _P.P21AT2: ProductForm(F21, Rat(2), lambda n: Rat((-1) ** n * (2 * n + 1))),
+        n, lambda i: Fraction(3 * _f(6 * i - 5) * _f(2 * i) * (2 * i - 1),
+                              _f(4 * i + 1) * _f(4 * i - 1)))),
+    _P.P30AT3HALF: ProductForm(F30, Fraction(3, 2), lambda n: _prod(
+        n, lambda i: Fraction(27 * _f(6 * i - 5) * (3 * i - 1) * (3 * i - 2) * _f(2 * i - 1),
+                              2 * _f(4 * i - 1) * (4 * i - 3) * _f(4 * i - 4)))),
+    _P.PAEXAT3SEVENTHS: ProductForm(FAEX, Fraction(3, 7), lambda n: _prod(
+        n, lambda i: Fraction(2 * _f(6 * i + 7) * _f(2 * i + 1),
+                              7 * _f(4 * i + 5) * _f(4 * i + 3)), start=0)),
+    _P.P21AT0: ProductForm(F21, Fraction(0), lambda n: Fraction(1)),
+    _P.P21AT2: ProductForm(F21, Fraction(2), lambda n: Fraction((-1) ** n * (2 * n + 1))),
 }
 
 
-def product_eval(pid: ProductFormulaId, n: int) -> Rat:
+def product_eval(pid: ProductFormulaId, n: int) -> Fraction:
     """Exact value of the named finite product at index n."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -112,36 +113,37 @@ class AlmostProductId(Enum):
 
 
 # H_n of family = product(prefactor, n) * sum_{i=0..n} coeff(n, i) (x - centre)^i.
+# The double factorial m!! is prod(range(m, 0, -2)).
 AlmostProductForm = namedtuple("AlmostProductForm", "family prefactor centre coeff")
 
 _A = AlmostProductId
 ALMOST_PRODUCTS: dict[AlmostProductId, AlmostProductForm] = {
-    _A.AP31: AlmostProductForm(F31, _P.P31AT3, 3, lambda n, i: Rat(
+    _A.AP31: AlmostProductForm(F31, _P.P31AT3, 3, lambda n, i: Fraction(
         _f(n) * _f(3 * n + i + 2) * 2**i, _f(3 * n + 2) * _f(n - i) * _f(2 * i + 1))),
-    _A.AP31ALT: AlmostProductForm(F31, _P.P32, 1, lambda n, i: Rat(
-        (-1) ** i * _f(n) * double_factorial(4 * n + 3) * _f(3 * n + i + 2),
-        _f(3 * n + 2) * _f(i) * _f(n - i) * double_factorial(4 * n + 2 * i + 3))),
-    _A.AP21: AlmostProductForm(F21, _P.P21AT2, 2, lambda n, i: Rat(
+    _A.AP31ALT: AlmostProductForm(F31, _P.P32, 1, lambda n, i: Fraction(
+        (-1) ** i * _f(n) * prod(range(4 * n + 3, 0, -2)) * _f(3 * n + i + 2),
+        _f(3 * n + 2) * _f(i) * _f(n - i) * prod(range(4 * n + 2 * i + 3, 0, -2)))),
+    _A.AP21: AlmostProductForm(F21, _P.P21AT2, 2, lambda n, i: Fraction(
         _f(n + i) * 2**i, _f(n - i) * _f(2 * i + 1))),
 }
 
 # The specialized forms: a parametric form read at a fixed point.
-AP_POINTS: dict[AlmostProductId, tuple[AlmostProductId, Rat]] = {
-    _A.AP31AT0: (_A.AP31, Rat(0)),
-    _A.AP31AT1: (_A.AP31, Rat(1)),
-    _A.AP21AT0: (_A.AP21, Rat(0)),
-    _A.AP21AT1: (_A.AP21, Rat(1)),
+AP_POINTS: dict[AlmostProductId, tuple[AlmostProductId, Fraction]] = {
+    _A.AP31AT0: (_A.AP31, Fraction(0)),
+    _A.AP31AT1: (_A.AP31, Fraction(1)),
+    _A.AP21AT0: (_A.AP21, Fraction(0)),
+    _A.AP21AT1: (_A.AP21, Fraction(1)),
 }
 
 
 def almost_product_eval(
     aid: AlmostProductId, n: int, x=None
-) -> Poly | Rat:
+) -> Poly | Fraction:
     """Evaluate an almost-product formula.
 
     ``x=None`` returns the symbolic Poly for the three parametric forms;
     a rational ``x`` substitutes first.  The four specialized forms take
-    no ``x`` and return a Rat.
+    no ``x`` and return a Fraction.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -152,8 +154,8 @@ def almost_product_eval(
     form = ALMOST_PRODUCTS.get(aid)
     if form is None:
         raise ValueError(f"unknown almost product {aid!r}")
-    t = Poly([-form.centre, 1]) if x is None else rat(x) - form.centre
-    acc = Rat(0)
+    t = Poly([-form.centre, 1]) if x is None else Fraction(x) - form.centre
+    acc = Fraction(0)
     for i in range(n, -1, -1):  # Horner in t = x - centre
         acc = acc * t + form.coeff(n, i)
     return acc * product_eval(form.prefactor, n)
@@ -186,7 +188,7 @@ def ode_residual_for_det(name: str, n: int) -> Poly:
 def three_term_31_pq(n: int) -> tuple[Poly, Poly]:
     """The rational-coefficient p_n, q_n of the (3,1) three-term recursion."""
     f = factorial
-    pc = Rat(
+    pc = Fraction(
         4 * f(4 * n - 3) ** 2 * f(4 * n - 1) ** 2,
         9
         * (3 * n - 2) ** 2
@@ -195,7 +197,7 @@ def three_term_31_pq(n: int) -> tuple[Poly, Poly]:
         * f(6 * n - 5) ** 2,
     )
     p = Poly([1, -2, 1]) * pc
-    qc = Rat(
+    qc = Fraction(
         4 * (n - 1) * f(4 * n - 5) * f(4 * n - 1),
         3 * (3 * n - 2) * (3 * n - 1) * (4 * n + 1) * f(2 * n - 1) * f(6 * n - 5),
     )
@@ -226,7 +228,7 @@ def three_term_check(case: str, n: int) -> bool:
     return lin_comb(zip((p, q, 1), (hankel_det(fam, n - i) for i in range(3)))).is_zero()
 
 
-def recursion_31at1(n: int) -> Rat:
+def recursion_31at1(n: int) -> Fraction:
     """Iterate the one-term recursion for the (3,2) determinant.
 
     Specializing the (3,1) three-term recursion at x = 1 kills the H_n term
@@ -234,7 +236,7 @@ def recursion_31at1(n: int) -> Rat:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    acc = Rat(1)
+    acc = Fraction(1)
     for i in range(1, n + 1):
         acc /= -three_term_31_pq(i + 1)[1](1)
     return acc
@@ -259,15 +261,15 @@ def jacobi_half(n: int) -> Poly:
     p0 = Poly.one()
     if n == 0:
         return p0
-    p1 = Poly([Rat(1, 2), 1])
+    p1 = Poly([Fraction(1, 2), 1])
     if n == 1:
         return p1
     prev, cur = p0, p1
     for k in range(2, n + 1):
         # k(k-1) P_k = (2k-1)(k-1) x P_{k-1} - (k-1/2)(k-3/2) P_{k-2}
-        a = Rat((2 * k - 1) * (k - 1))
-        c = (Rat(2 * k - 1, 2)) * Rat(2 * k - 3, 2)
-        nxt = (Poly([0, a]) * cur - c * prev) * Rat(1, k * (k - 1))
+        a = (2 * k - 1) * (k - 1)
+        c = Fraction((2 * k - 1) * (2 * k - 3), 4)
+        nxt = (Poly([0, a]) * cur - c * prev) * Fraction(1, k * (k - 1))
         prev, cur = cur, nxt
     return cur
 
@@ -281,7 +283,7 @@ def chebyshev_jacobi_check(n: int) -> bool:
     if h != u_part:
         return False
     f = factorial
-    scale = Rat((-4) ** n * f(n) ** 2, f(2 * n))
+    scale = Fraction((-4) ** n * f(n) ** 2, f(2 * n))
     if h != jacobi_half(n).compose_affine(1, -1) * scale:
         return False
     h_shift = hankel_det(FSHIFT22, n)

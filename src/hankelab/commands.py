@@ -15,8 +15,6 @@ import os
 import sys
 
 from . import cli
-from .poly import Poly
-from .rat import format_rat
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -76,11 +74,9 @@ def cmd_formula(args) -> int:
     x = cli._parse_x(args.x) if args.x is not None else None
     for n in ns:
         if fid in product_ids:
-            print(f"n={n}: {format_rat(product_eval(product_ids[fid], n))}")
+            print(f"n={n}: {product_eval(product_ids[fid], n)}")
         else:
-            val = almost_product_eval(almost_ids[fid], n, x)
-            out = str(val) if isinstance(val, Poly) else format_rat(val)
-            print(f"n={n}: {out}")
+            print(f"n={n}: {almost_product_eval(almost_ids[fid], n, x)}")
     return 0
 
 
@@ -98,11 +94,11 @@ def cmd_series(args) -> int:
         if args.beta is None or args.beta < 1:
             raise cli.UsageError("--t needs --beta >= 1")
         s = t_series(args.beta, order)
-        print(", ".join(format_rat(c.coefficient(0)) for c in s.coeffs))
+        print(", ".join(str(c.coefficient(0)) for c in s.coeffs))
         return 0
     if kind == "tau":
         s = tau_series(order)
-        print(", ".join(format_rat(c.coefficient(0)) for c in s.coeffs))
+        print(", ".join(str(c.coefficient(0)) for c in s.coeffs))
         return 0
     if args.family is None:
         raise cli.UsageError("--f needs --family")

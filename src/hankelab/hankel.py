@@ -17,6 +17,7 @@ import operator
 from _thread import allocate_lock
 from collections import namedtuple
 from collections.abc import Sequence
+from fractions import Fraction
 from math import prod
 
 from .poly import (
@@ -29,7 +30,6 @@ from .poly import (
     int_poly_neg,
     to_int_scaled,
 )
-from .rat import Rat, rat
 from .sequences import VARIANTS, FamilyId, a_poly
 
 
@@ -289,7 +289,7 @@ _ladders_lock = allocate_lock()  # threading.Lock, without importing threading
 _POINT_LADDERS_KEPT = 4
 
 
-def cached_ladder(family: FamilyId, x0: Rat | None, ring: Ring, n: int) -> Ladder:
+def cached_ladder(family: FamilyId, x0: Fraction | None, ring: Ring, n: int) -> Ladder:
     """The family's ladder at x0 over the ring, grown to hold n, whose
     entries are q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its determinant
     on columns c_0..c_n is q^(n(n+1)/2 + sum c_j) times the one of
@@ -347,14 +347,14 @@ def quartet(family: FamilyId, n: int) -> HankelQuartet:
     return HankelQuartet(family, n, h, k, m, nn)
 
 
-def variant_det_at(family: FamilyId, n: int, variant: str, x0) -> Rat:
+def variant_det_at(family: FamilyId, n: int, variant: str, x0) -> Fraction:
     """One of H_n, K_n, M_n, N_n at a rational point, from the point's
     ladder over Z: the entries are substituted before elimination."""
     shift = n * (n + 1) // 2 + sum(_variant_columns(n, variant))
-    x0 = rat(x0)
-    return Rat(cached_ladder(family, x0, INT, n).det(n, variant), x0.denominator**shift)
+    x0 = Fraction(x0)
+    return Fraction(cached_ladder(family, x0, INT, n).det(n, variant), x0.denominator**shift)
 
 
-def hankel_det_at(family: FamilyId, n: int, x0) -> Rat:
+def hankel_det_at(family: FamilyId, n: int, x0) -> Fraction:
     """H_n evaluated at a rational point, substituting before elimination."""
     return variant_det_at(family, n, "H", x0)

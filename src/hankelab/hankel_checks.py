@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from fractions import Fraction
 from math import factorial, lcm, perm, prod
 
 from .hankel import (
@@ -25,7 +26,6 @@ from .hankel import (
     variant_det,
 )
 from .poly import Poly, from_int_scaled, lin_comb, to_int_scaled
-from .rat import rat
 from .sequences import FamilyId, a_poly
 
 
@@ -184,7 +184,7 @@ class DegreeInstance(namedtuple("DegreeInstance", "p q alphas betas gamma")):
     Entry (i, j) is sum_{0 <= m <= p_i + q_j} C(alpha_i + beta_j + gamma*m,
     p_i + q_j - m) x^m, the binomial taken in falling-factorial form; an
     empty sum (p_i + q_j < 0) gives a zero entry.  p and q are tuples of
-    ints, alphas and betas tuples of Rats, gamma a Rat.
+    ints, alphas and betas tuples of Fractions, gamma a Fraction.
     """
 
     __slots__ = ()
@@ -237,7 +237,7 @@ def make_degree_instance(p, q, alphas, betas, gamma) -> DegreeInstance:
     return DegreeInstance(
         tuple(int(v) for v in p),
         tuple(int(v) for v in q),
-        tuple(rat(v) for v in alphas),
-        tuple(rat(v) for v in betas),
-        rat(gamma),
+        tuple(Fraction(v) for v in alphas),
+        tuple(Fraction(v) for v in betas),
+        Fraction(gamma),
     )

@@ -15,13 +15,13 @@ with the symbolic check beside it.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 from .hankel import cached_ladder, quartet
 from .jet import JET, terms_at
 from .odes import ODES
 from .poly import Poly, lin_comb
-from .rat import Rat, rat
 from .sequences import F21, F31, FamilyId
 
 
@@ -260,7 +260,7 @@ def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     """
     if n < 1:
         raise ValueError("the jet quartet needs n >= 1: M_0 and N_0 are undefined")
-    x0 = rat(x0)
+    x0 = Fraction(x0)
     q = x0.denominator
     lad = cached_ladder(family, x0, JET, n)
     h, k, m, nn = (lad.det(n, name) for name in "HKMN")
@@ -270,7 +270,7 @@ def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     return tuple(v * lift for v in values)
 
 
-def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
+def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Fraction]:
     """Cheap screen: a symbolic relation's residuals evaluated at a rational x.
 
     The same terms as `relation_residuals`, read at x0 against integer-jet
@@ -280,7 +280,18 @@ def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Rat]:
     jets' common x0-denominator power.
     """
     family, residuals = _relation_terms(rid, n)
-    x = rat(x0)
-    return terms_at(residuals, dict(zip(_SYMBOLS, jet_quartet(family, n, x))), x)
+    x = Fraction(x0)
+    return terms_at(residuals, dict(zip(_SYMBOLS, _screen_quartet(family, n, x))), x)
+
+
+@lru_cache(maxsize=2)
+def _screen_quartet(family: FamilyId, n: int, x0: Fraction) -> tuple:
+    """`jet_quartet`, read once for all the relations of a family at (n, x0).
+
+    The screen asks for one family's relations in turn at the same point,
+    so two entries cover it.  The call goes through the module global, so
+    a wrapper bound to `jet_quartet` still sees each read.
+    """
+    return jet_quartet(family, n, x0)
 
 

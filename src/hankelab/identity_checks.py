@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from math import gcd
+from fractions import Fraction
+from math import comb, factorial, gcd, prod
 
 from . import series
 from .hankel import INT, hankel_det_at, quartet, variant_det_at
@@ -22,7 +23,6 @@ from .hankel_checks import gauss_jordan
 from .identities import RelationId, _require_n, pnqnrn_21, pnqnrn_31
 from .lemmas import trace_values
 from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
-from .rat import Rat, binom0, double_factorial, factorial
 from .sequences import F21, F31, FamilyId, a_poly
 
 
@@ -34,17 +34,17 @@ from .sequences import F21, F31, FamilyId, a_poly
 # rid -> (family, x0, {name: K/N/M multiplier as a function of n}), asserting
 # V(x0) = mult(n) * H(x0) for each V named; R_CREC asserts only its recursion.
 _POINT_SPECS = {
-    RelationId.R_CREC: (F31, Rat(3), {}),
+    RelationId.R_CREC: (F31, Fraction(3), {}),
     RelationId.R_X3: (
         F31,
-        Rat(3),
+        Fraction(3),
         {
-            "K": lambda n: Rat(3 * (9 * n * n + 19 * n + 14), 2 * (4 * n + 3)),
-            "N": lambda n: Rat(
+            "K": lambda n: Fraction(3 * (9 * n * n + 19 * n + 14), 2 * (4 * n + 3)),
+            "N": lambda n: Fraction(
                 3 * (243 * n**4 + 1512 * n**3 + 3605 * n**2 + 4144 * n + 1920),
                 8 * (4 * n + 3) * (4 * n + 5),
             ),
-            "M": lambda n: Rat(
+            "M": lambda n: Fraction(
                 -3 * n * (243 * n**3 + 540 * n**2 + 559 * n + 58),
                 8 * (4 * n + 1) * (4 * n + 3),
             ),
@@ -52,14 +52,14 @@ _POINT_SPECS = {
     ),
     RelationId.R_X3HALF: (
         F31,
-        Rat(3, 2),
+        Fraction(3, 2),
         {
-            "K": lambda n: Rat(3 * (9 * n * n + 22 * n + 11), 2 * (4 * n + 3)),
-            "N": lambda n: Rat(
+            "K": lambda n: Fraction(3 * (9 * n * n + 22 * n + 11), 2 * (4 * n + 3)),
+            "N": lambda n: Fraction(
                 3 * (243 * n**4 + 1674 * n**3 + 4031 * n**2 + 3934 * n + 1290),
                 8 * (4 * n + 3) * (4 * n + 5),
             ),
-            "M": lambda n: Rat(
+            "M": lambda n: Fraction(
                 -3 * n * (243 * n**3 + 702 * n**2 + 547 * n + 118),
                 8 * (4 * n + 1) * (4 * n + 3),
             ),
@@ -67,14 +67,14 @@ _POINT_SPECS = {
     ),
     RelationId.R_X3QUARTER: (
         F31,
-        Rat(3, 4),
+        Fraction(3, 4),
         {
-            "K": lambda n: Rat(3 * (18 * n * n + 38 * n + 19), 4 * (4 * n + 3)),
-            "N": lambda n: Rat(
+            "K": lambda n: Fraction(3 * (18 * n * n + 38 * n + 19), 4 * (4 * n + 3)),
+            "N": lambda n: Fraction(
                 3 * (486 * n**4 + 3024 * n**3 + 6724 * n**2 + 6290 * n + 2085),
                 16 * (4 * n + 3) * (4 * n + 5),
             ),
-            "M": lambda n: Rat(
+            "M": lambda n: Fraction(
                 -3 * n * (243 * n**3 + 540 * n**2 + 316 * n + 31),
                 8 * (4 * n + 1) * (4 * n + 3),
             ),
@@ -82,22 +82,22 @@ _POINT_SPECS = {
     ),
     RelationId.R_21_X0: (
         F21,
-        Rat(0),
+        Fraction(0),
         {
-            "K": lambda n: Rat(3 + 8 * n + 4 * n * n, 2 * n + 1),
-            "N": lambda n: Rat(
+            "K": lambda n: Fraction(3 + 8 * n + 4 * n * n, 2 * n + 1),
+            "N": lambda n: Fraction(
                 10 + 49 * n + 78 * n * n + 44 * n**3 + 8 * n**4, (2 * n + 1) ** 2
             ),
-            "M": lambda n: Rat(-(3 * n + 2 * n * n)),
+            "M": lambda n: Fraction(-(3 * n + 2 * n * n)),
         },
     ),
     RelationId.R_21_X2: (
         F21,
-        Rat(2),
+        Fraction(2),
         {
-            "K": lambda n: Rat(5 + 8 * n + 4 * n * n, 2 * n + 1),
-            "N": lambda n: Rat(22 + 33 * n + 20 * n * n + 4 * n**3, 2 * n + 1),
-            "M": lambda n: Rat(-n * (7 + 8 * n + 4 * n * n), 2 * n + 1),
+            "K": lambda n: Fraction(5 + 8 * n + 4 * n * n, 2 * n + 1),
+            "N": lambda n: Fraction(22 + 33 * n + 20 * n * n + 4 * n**3, 2 * n + 1),
+            "M": lambda n: Fraction(-n * (7 + 8 * n + 4 * n * n), 2 * n + 1),
         },
     ),
 }
@@ -105,15 +105,15 @@ _POINT_SPECS = {
 # Squared-ratio recursions H_{n-1} H_{n+1} = ratio * H_n^2 at the three
 # special points of the (3,1) family.
 _RECURSION_RATIOS = {
-    RelationId.R_CREC: lambda n: Rat(
+    RelationId.R_CREC: lambda n: Fraction(
         9 * (3 * n + 4) * (3 * n + 5) * (6 * n - 1) * (6 * n + 1),
         4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
-    RelationId.R_X3HALF: lambda n: Rat(
+    RelationId.R_X3HALF: lambda n: Fraction(
         9 * (3 * n + 2) * (3 * n + 4) * (6 * n + 1) * (6 * n + 5),
         4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
-    RelationId.R_X3QUARTER: lambda n: Rat(
+    RelationId.R_X3QUARTER: lambda n: Fraction(
         9 * (3 * n + 1) * (3 * n + 2) * (6 * n + 5) * (6 * n + 7),
         4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
@@ -162,7 +162,7 @@ class WeightError(AssertionError):
 class WeightSolution(namedtuple("WeightSolution", "family n q0 q2 weights scale")):
     """The third-identity weights of (family, n).
 
-    q0: tuple of Rat y-coefficients, degree n+1; q2: den*Q0 through y^{n+2},
+    q0: tuple of Fraction y-coefficients, degree n+1; q2: den*Q0 through y^{n+2},
     with den the closed generating-function denominator, as Poly-in-x
     coefficients by power of y; weights: w_{n,0} .. w_{n,n+2}, Q2 reversed;
     scale: (w_{n,n+2}, w_{n,n+1}, w_{n,n}) = scale*(p,q,r).
@@ -171,7 +171,7 @@ class WeightSolution(namedtuple("WeightSolution", "family n q0 q2 weights scale"
     __slots__ = ()
 
 
-def rational_nullspace(rows: Sequence[Sequence[Rat]], ncols: int) -> list[list[int]]:
+def rational_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[int]]:
     """Primitive integer nullspace basis of a rational matrix, one vector per
     free column f, positive at f: Gauss-Jordan over Z of the integer-scaled
     rows leaves every pivot d, so d at f and minus each pivot row's entry at
@@ -200,7 +200,7 @@ def rational_nullspace(rows: Sequence[Sequence[Rat]], ncols: int) -> list[list[i
 
 
 # (family, n) -> WeightSolution.  The solution is immutable (a frozen record
-# of tuples of Rats and Polys), so the weights, explicit-weights and ciden
+# of tuples of Fractions and Polys), so the weights, explicit-weights and ciden
 # checks share one per process.  A construction that raises is not kept.
 _weight_memo: dict[tuple[FamilyId, int], WeightSolution] = {}
 
@@ -246,16 +246,16 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
         )
     vec = basis[0]
     lead = next(v for v in vec if v != 0)
-    q0 = tuple(Rat(v, lead) for v in vec)
+    q0 = tuple(Fraction(v, lead) for v in vec)
     # den*Q0 through y^{2n+3}, times scale*lead: Q2 is its part through y^{n+2}
-    prod = [
+    q0_series = [
         [sum(vec[i] * d[k - i][e] for i in range(min(k, n + 1) + 1)) for e in range(width)]
         for k in range(order + 1)
     ]
     for k in range(n + 3, order + 1):
-        if any(prod[k]):
+        if any(q0_series[k]):
             raise WeightError(f"truncation equation failed at y^{k}")
-    q2 = tuple(from_int_scaled(c, scale * lead) for c in prod[: n + 3])
+    q2 = tuple(from_int_scaled(c, scale * lead) for c in q0_series[: n + 3])
     weights = q2[::-1]
 
     for i in range(n + 1):
@@ -283,7 +283,7 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
 
 def _proportionality_scale(
     got: Sequence[Poly], want: Sequence[Poly]
-) -> Rat | None:
+) -> Fraction | None:
     scale = None
     for g, w in zip(got, want):
         if w.is_zero():
@@ -291,7 +291,7 @@ def _proportionality_scale(
                 return None
             continue
         # Candidate scale from the leading coefficients, then exact match.
-        cand = g.coefficient(int(w.degree)) / w.leading if not g.is_zero() else Rat(0)
+        cand = g.coefficient(int(w.degree)) / w.leading if not g.is_zero() else Fraction(0)
         if scale is None:
             scale = cand
         if g != w * scale:
@@ -314,25 +314,28 @@ def explicit_weights_21(n: int) -> list[Poly]:
     out = []
     for j in range(n + 3):
         sign = -1 if (n + j) % 2 else 1
-        const = 2 * binom0(n + j + 1, n - j + 1) + binom0(n + j + 1, n - j + 2)
-        lin = 2 * binom0(n + j + 1, n - j) + binom0(n + j + 1, n - j + 1)
+        # C(n+j+1, k) for k = n-j .. n-j+2, zero where k < 0
+        c = [comb(n + j + 1, k) if k >= 0 else 0 for k in range(n - j, n - j + 3)]
+        const = 2 * c[1] + c[2]
+        lin = 2 * c[0] + c[1]
         out.append(Poly([sign * const, sign * lin]))
     return out
 
 
-def _u31(n: int, i: int, j: int) -> Rat:
-    df = double_factorial
+# The double factorial m!! is prod(range(m, 0, -2)); every m below is >= 3,
+# and every binomial top is >= 0, since 2i <= n + 2.
+def _u31(n: int, i: int, j: int) -> Fraction:
     f = factorial
     num = (
         3
         * 2 ** (i + 1)
         * (4 * n + 3)
         * (4 * n + 5)
-        * binom0(n, 2 * i)
-        * binom0(j + 2 * (n - i + 1) + 1, 2 * (n - i - j + 1) + 1)
+        * comb(n, 2 * i)
+        * comb(j + 2 * (n - i + 1) + 1, 2 * (n - i - j + 1) + 1)
         * f(2 * n - i + 2)
-        * df(4 * n - 2 * i + 5)
-        * df(6 * n + 7)
+        * prod(range(4 * n - 2 * i + 5, 0, -2))
+        * prod(range(6 * n + 7, 0, -2))
     )
     den = (
         (2 * i + 1)
@@ -341,14 +344,13 @@ def _u31(n: int, i: int, j: int) -> Rat:
         * (2 * i - j - 2 * n - 3)
         * (2 * i - j - 2 * n - 2)
         * f(2 * n + 1)
-        * df(4 * n + 5)
-        * df(6 * n - 4 * i + 7)
+        * prod(range(4 * n + 5, 0, -2))
+        * prod(range(6 * n - 4 * i + 7, 0, -2))
     )
-    return Rat(num, den)
+    return Fraction(num, den)
 
 
-def _v31(n: int, i: int, j: int) -> Rat:
-    df = double_factorial
+def _v31(n: int, i: int, j: int) -> Fraction:
     f = factorial
     num = (
         3
@@ -356,11 +358,11 @@ def _v31(n: int, i: int, j: int) -> Rat:
         * (2 * n - 2 * i - 2 * j + 5)
         * (4 * n + 3)
         * (4 * n + 5)
-        * binom0(n + 1, 2 * i)
-        * binom0(j + 2 * (n - i + 2) + 1, 2 * (n - i - j + 2) + 1)
+        * comb(n + 1, 2 * i)
+        * comb(j + 2 * (n - i + 2) + 1, 2 * (n - i - j + 2) + 1)
         * f(2 * n - i + 3)
-        * df(4 * n - 2 * i + 5)
-        * df(6 * n + 7)
+        * prod(range(4 * n - 2 * i + 5, 0, -2))
+        * prod(range(6 * n + 7, 0, -2))
     )
     den = (
         (3 * j + 1)
@@ -369,10 +371,10 @@ def _v31(n: int, i: int, j: int) -> Rat:
         * (2 * i - j - 2 * n - 4)
         * (2 * i - j - 2 * n - 3)
         * f(2 * n + 2)
-        * df(4 * n + 5)
-        * df(6 * n - 4 * i + 9)
+        * prod(range(4 * n + 5, 0, -2))
+        * prod(range(6 * n - 4 * i + 9, 0, -2))
     )
-    return Rat(num, den)
+    return Fraction(num, den)
 
 
 def _abc31(n: int, i: int, j: int) -> Poly:

@@ -19,12 +19,12 @@ its derivatives are read.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
 from .hankel import Ring
 from .poly import int_poly_hom_eval
-from .rat import Rat, rat
 
 
 class JetNotInvertible(ArithmeticError):
@@ -82,12 +82,12 @@ def int_jets(coeffs: Sequence[Sequence[int]], x0, first: int = 0) -> list[IntJet
     """The integer polynomial f with index k (first, first + 1, ...), of
     degree <= k (`hankel.int_entries`), at x0 = p/q as the integer 3-jet
     q^k (f(x0), f'(x0), f''(x0)/2)."""
-    x0 = rat(x0)
+    x0 = Fraction(x0)
     p, q = x0.numerator, x0.denominator
     return [_taylor_jet(c, p, q, k) for k, c in enumerate(coeffs, first)]
 
 
-def terms_at(residuals, values, x0) -> list[Rat]:
+def terms_at(residuals, values, x0) -> list[Fraction]:
     """Each residual's sum of coefficient at x0 times value, as one sum over Z.
 
     ``residuals`` holds tuples of (symbol, Poly coefficient) terms and
@@ -97,7 +97,7 @@ def terms_at(residuals, values, x0) -> list[Rat]:
     L q^top (L the lcm of the c.den, top the largest degree), every term is
     an integer and the residual is one sum divided once by L q^top.
     """
-    x0 = rat(x0)
+    x0 = Fraction(x0)
     p, q = x0.numerator, x0.denominator
     out = []
     for terms in residuals:
@@ -108,5 +108,5 @@ def terms_at(residuals, values, x0) -> list[Rat]:
             * (scale // c.den) * values[s]
             for s, c in terms
         )
-        out.append(Rat(total, scale * q**top))
+        out.append(Fraction(total, scale * q**top))
     return out

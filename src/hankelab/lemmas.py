@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from enum import Enum
+from fractions import Fraction
 from functools import partial
 
 from .hankel import hankel_matrix, quartet
 from .hankel_checks import int_adjugate, leading_adjugates
 from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
-from .rat import Rat
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
 
 
@@ -156,7 +156,7 @@ def _ef_entries(family: FamilyId, n: int) -> list[tuple[int, int, int, Poly]]:
                     terms = []
                     for r, col in ((i, j), (j, i)):
                         if not shift:
-                            terms.append((a[r] * Rat(1, 2), a[col]))
+                            terms.append((a[r] * Fraction(1, 2), a[col]))
                         for k in range(1, r + 1):  # a_{r-k} = E[r][k] or F[r][k - 1]
                             terms.append((a[r - k], a[k + shift + col]))
                     v = _ef_memo[key] = lin_comb(terms)

@@ -20,7 +20,6 @@ from itertools import zip_longest
 from math import gcd, lcm
 from collections.abc import Iterable, Sequence
 
-from .rat import Rat, format_rat, parse_rat, rat
 
 NEG_INF = float("-inf")
 
@@ -33,7 +32,7 @@ class Poly:
     def __init__(self, coeffs: Iterable = ()):
         """The polynomial with the given ints, Fractions or rational strings
         as coefficients, ascending by degree."""
-        cs = [c if isinstance(c, int) else rat(c) for c in coeffs]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         den = denominator_lcm(cs)
         num = [c.numerator * (den // c.denominator) for c in cs]
         while num and not num[-1]:
@@ -67,10 +66,10 @@ class Poly:
     # -- basic structure ----------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Rat, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, ascending by degree (built per call)."""
         den = self.den
-        return tuple(Rat(c, den) for c in self.num)
+        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def degree(self):
@@ -83,16 +82,16 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def coefficient(self, k: int) -> Rat:
+    def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.num):
-            return Rat(self.num[k], self.den)
-        return Rat(0)
+            return Fraction(self.num[k], self.den)
+        return Fraction(0)
 
     @property
-    def leading(self) -> Rat:
+    def leading(self) -> Fraction:
         if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return Rat(self.num[-1], self.den)
+        return Fraction(self.num[-1], self.den)
 
     # -- ring operations ----------------------------------------------
 
@@ -160,7 +159,7 @@ class Poly:
         if len(num) > 1:
             return hash((num, self.den))
         # a constant hashes like the scalar it equals
-        return hash(Rat(num[0], self.den)) if num else 0
+        return hash(Fraction(num[0], self.den)) if num else 0
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -170,17 +169,17 @@ class Poly:
             num = [m * c for m, c in enumerate(num)][1:]
         return _make(num, self.den)
 
-    def __call__(self, point) -> Rat:
+    def __call__(self, point) -> Fraction:
         """Exact evaluation at p/q by homogeneous Horner over Z.
 
         The value is sum_i num_i p^i q^(deg - i) over den q^deg.
         """
-        point = rat(point)
+        point = Fraction(point)
         if not self.num:
-            return Rat(0)
+            return Fraction(0)
         q = point.denominator
-        return Rat(int_poly_hom_eval(self.num, point.numerator, q),
-                   self.den * q ** (len(self.num) - 1))
+        return Fraction(int_poly_hom_eval(self.num, point.numerator, q),
+                        self.den * q ** (len(self.num) - 1))
 
     def compose_affine(self, a, b) -> "Poly":
         """Return p(a*x + b), exactly.
@@ -189,7 +188,7 @@ class Poly:
         linear form an bd x + bn ad, and homogeneous Horner in it gives
         p(a x + b) times den (ad bd)^deg.
         """
-        a, b = rat(a), rat(b)
+        a, b = Fraction(a), Fraction(b)
         scale = a.denominator * b.denominator
         lin = int_poly_add([b.numerator * a.denominator], [0, a.numerator * b.denominator])
         acc: list[int] = []
@@ -260,11 +259,11 @@ class Poly:
 
     def to_json(self) -> list[str]:
         """JSON form: array of rational strings, ascending degree."""
-        return [format_rat(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     @staticmethod
     def from_json(data: Sequence[str]) -> "Poly":
-        return Poly([parse_rat(s) for s in data])
+        return Poly(data)
 
     def __str__(self) -> str:
         if not self.num:
@@ -273,7 +272,7 @@ class Poly:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            mag = format_rat(abs(c))
+            mag = str(abs(c))
             if k == 0:
                 term = mag
             else:
@@ -459,7 +458,7 @@ def lin_comb(pairs: Iterable[tuple[object, Poly]]) -> Poly:
     return _make(acc, scale)
 
 
-def denominator_lcm(values: Iterable[Rat]) -> int:
+def denominator_lcm(values: Iterable[Fraction]) -> int:
     """The least common multiple of the values' denominators."""
     scale = 1
     for c in values:

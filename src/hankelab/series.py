@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .poly import Poly, as_poly, from_int_scaled, int_poly_addmul, to_int_scaled
-from .rat import Rat, factorial, rat
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly
 
 
@@ -58,7 +57,7 @@ class SeriesYX:
 
     @staticmethod
     def from_rats(order: int, values: Sequence) -> "SeriesYX":
-        return SeriesYX(order, [Poly.const(rat(v)) for v in values])
+        return SeriesYX(order, [Poly.const(Fraction(v)) for v in values])
 
     # -- structure -----------------------------------------------------
 
@@ -172,7 +171,7 @@ def t_series(beta: int, order: int) -> SeriesYX:
     if order < 0:
         raise ValueError("order must be >= 0")
     vals = [
-        Rat(factorial(beta * k), factorial((beta - 1) * k + 1) * factorial(k))
+        Fraction(factorial(beta * k), factorial((beta - 1) * k + 1) * factorial(k))
         for k in range(order + 1)
     ]
     return SeriesYX.from_rats(order, vals)
@@ -192,7 +191,7 @@ def tau_series(order: int) -> SeriesYX:
     if order < 0:
         raise ValueError("order must be >= 0")
     vals = [
-        Rat(factorial(3 * k), factorial(2 * k) * factorial(k + 1))
+        Fraction(factorial(3 * k), factorial(2 * k) * factorial(k + 1))
         for k in range(order + 1)
     ]
     return SeriesYX.from_rats(order, vals)

@@ -1,7 +1,7 @@
 """Reference computations the sequence-level checks are compared against.
 
 Each is the Fraction-`Poly` form a check ran before its sums moved onto
-the integer kernel: ``fraction_a_poly`` builds a_k from one `rat.binom`
+the integer kernel: ``fraction_a_poly`` builds a_k from one ``binom``
 per coefficient, ``fraction_identity_residual`` states the ten L1/L2
 identities as Poly expressions, ``e_matrix``, ``f_matrix`` and
 ``mat_mul`` form E_n A and F_n A as Poly matrix products, and
@@ -10,12 +10,14 @@ identities as Poly expressions, ``e_matrix``, ``f_matrix`` and
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from reference_det import adjugate
 
 from hankelab.hankel import hankel_matrix
 from hankelab.lemmas import IdentityId, table1_rules
 from hankelab.poly import Poly
-from hankelab.rat import Rat, binom
 from hankelab.sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
 
 
@@ -30,8 +32,31 @@ IDENTITY_FAMILY = {
     _I.L2_30: F30, _I.L1_3K2M: F3K2M, _I.L2_3K2M: F3K2M, _I.L1_AEX: FAEX, _I.L2_AEX: FAEX,
 }
 
+
+def binom(top, k: int) -> Fraction:
+    """Generalized binomial coefficient via the falling factorial.
+
+    ``binom(t, k) = t (t-1) ... (t-k+1) / k!`` for any rational ``t`` and
+    integer ``k >= 0``.  Coincides with the ordinary binomial coefficient
+    for integer ``t >= k`` and vanishes for integer ``t`` with
+    ``0 <= t < k``.
+    """
+    if k < 0:
+        raise ValueError(f"binom lower index must be >= 0, got {k}")
+    top = Fraction(top)
+    if top.denominator == 1:
+        t = top.numerator
+        if t >= 0:
+            return Fraction(math.comb(t, k))
+        # C(-t, k) = (-1)^k C(k - t - 1, k)
+        return Fraction((-1) ** k * math.comb(k - t - 1, k))
+    # t = p/q: one integer falling factorial over q^k k!, reduced once
+    p, q = top.numerator, top.denominator
+    return Fraction(math.prod(p - i * q for i in range(k)), q**k * math.factorial(k))
+
+
 def fraction_a_poly(family: FamilyId, k: int) -> Poly:
-    """a_k from one `rat.binom` Fraction per coefficient."""
+    """a_k from one ``binom`` Fraction per coefficient."""
     kind = family.kind
     if kind == "binom":
         beta, alpha = family.beta, family.alpha
@@ -39,7 +64,7 @@ def fraction_a_poly(family: FamilyId, k: int) -> Poly:
     if kind == "3k-2m":
         return Poly([binom(3 * k - 2 * m, k - m) for m in range(k + 1)])
     if kind == "aex":
-        inv = Rat(1, k + 1)
+        inv = Fraction(1, k + 1)
         return Poly(
             [inv * (m + 1) * (m + 2) * binom(3 * k - m, k - m) for m in range(k + 1)]
         )
@@ -151,7 +176,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
 
 def e_matrix(family: FamilyId, n: int) -> list[list[Poly]]:
     """Lower-triangular E_n with its first column halved."""
-    half = Rat(1, 2)
+    half = Fraction(1, 2)
     out = []
     for i in range(n + 1):
         row = []

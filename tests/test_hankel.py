@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 from fraction_poly import ref
+from reference_identities import binom
 from reference_det import (
     POLY,
     RATIONAL,
@@ -16,7 +17,6 @@ from reference_det import (
 )
 
 from hankelab.poly import InexactDivision, Poly, denominator_lcm, from_int_scaled
-from hankelab.rat import Rat, binom
 import hankelab.hankel as hankel_mod
 import hankelab.hankel_checks as checks_mod
 from hankelab.hankel import (
@@ -121,8 +121,8 @@ def test_bareiss_agrees_with_cofactor_oracle():
 def test_det_rational():
     # a matrix of rationals: Bareiss over Fraction, and over Z on rows
     # scaled to integers, against the cofactor expansion
-    rows = [[Rat(1), Rat(1, 2)], [Rat(1, 3), Rat(1, 4)]]
-    assert det_bareiss(rows, RATIONAL) == Rat(1, 12)
+    rows = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 4)]]
+    assert det_bareiss(rows, RATIONAL) == Fraction(1, 12)
     assert det_bareiss([[2, 1], [4, 3]], INT) == 2  # rows scaled by 2 and 12
     rng = random.Random(49)
     for trial in range(200):
@@ -137,7 +137,7 @@ def test_det_rational():
         assert det_bareiss(m, RATIONAL) == want
         scales = [denominator_lcm(row) for row in m]
         int_rows = [[int(c * s) for c in row] for row, s in zip(m, scales)]
-        assert Rat(det_bareiss(int_rows, INT), prod(scales)) == want
+        assert Fraction(det_bareiss(int_rows, INT), prod(scales)) == want
 
 
 def test_integer_kernel_tripwire():
@@ -187,9 +187,9 @@ def test_dodgson_all_families():
 def test_point_evaluation_consistency():
     # H_1 of (3,1) is 5 - 2x and H_1 of (2,1) is 1 - 2x: at 5/2 and 1/2 the
     # second leading pivot of every n >= 2 matrix of those families vanishes
-    assert hankel_det(F31, 1)(Rat(5, 2)) == 0
-    assert hankel_det(F21, 1)(Rat(1, 2)) == 0
-    points = [Rat(0), Rat(3, 7), Rat(-2), Rat(5, 2), Rat(1, 2), Rat(-11, 5)]
+    assert hankel_det(F31, 1)(Fraction(5, 2)) == 0
+    assert hankel_det(F21, 1)(Fraction(1, 2)) == 0
+    points = [Fraction(0), Fraction(3, 7), Fraction(-2), Fraction(5, 2), Fraction(1, 2), Fraction(-11, 5)]
     for fam in ALL_FAMILIES:
         for n in range(0, 6):
             q = quartet(fam, n)
@@ -229,7 +229,7 @@ def test_the_entry_tripwire_raises_on_every_ring(monkeypatch):
         monkeypatch.setattr(hankel_mod, "a_poly", seq)
         monkeypatch.setattr(hankel_mod, "_ladders", {})
         assert hankel_det(F31, 0) == Poly([1])
-        for x0, ring in ((None, INT_POLY), (Rat(2, 3), INT), (Rat(2, 3), JET)):
+        for x0, ring in ((None, INT_POLY), (Fraction(2, 3), INT), (Fraction(2, 3), JET)):
             with pytest.raises(ValueError, match="a_3 of 3,1 is not an integer polynomial"):
                 hankel_mod.cached_ladder(F31, x0, ring, 1)
         with pytest.raises(ValueError, match="a_3 of 3,1"):
@@ -245,9 +245,9 @@ def test_ladder_extension_matches_single_eliminations(monkeypatch):
 
     monkeypatch.setattr(hankel_mod, "_ladders", {})
     cases = [(None, INT_POLY)]
-    cases += [(x0, INT) for x0 in (Rat(0), Rat(3, 7), Rat(5, 2), Rat(1, 2))]
+    cases += [(x0, INT) for x0 in (Fraction(0), Fraction(3, 7), Fraction(5, 2), Fraction(1, 2))]
     cases += [(x0, JET) for x0 in POINTS]
-    vanishing = ((F31, Rat(5, 2)), (F21, Rat(1, 2)))  # where H_1 is zero
+    vanishing = ((F31, Fraction(5, 2)), (F21, Fraction(1, 2)))  # where H_1 is zero
     for fam in ALL_FAMILIES:
         a = [a_poly(fam, k) for k in range(19)]
         for x0, ring in cases:
@@ -285,8 +285,8 @@ def test_symmetric_ladder_matches_the_full_row_ladder():
     # vanishes too; a ladder grown in place through smaller N ends equal
     top = 12
     cases = [(None, INT_POLY)]
-    cases += [(x0, ring) for ring in (INT, JET) for x0 in (Rat(3, 7), Rat(-2), Rat(5, 2), Rat(1, 2))]
-    vanishing = ((F31, Rat(5, 2)), (F21, Rat(1, 2)))  # where H_1 is zero
+    cases += [(x0, ring) for ring in (INT, JET) for x0 in (Fraction(3, 7), Fraction(-2), Fraction(5, 2), Fraction(1, 2))]
+    vanishing = ((F31, Fraction(5, 2)), (F21, Fraction(1, 2)))  # where H_1 is zero
     for fam in ALL_FAMILIES:
         for x0, ring in cases:
             e = hankel_mod.cached_ladder(fam, x0, ring, top).entries[: 2 * top + 3]
@@ -577,7 +577,7 @@ def test_degree_instance_trivial_cases():
 
 
 def binom_entry(inst, i, j):
-    """Oracle for DegreeInstance.entry: one rat.binom per coefficient."""
+    """Oracle for DegreeInstance.entry: one reference ``binom`` per coefficient."""
     top, bound = inst.alphas[i] + inst.betas[j], inst.p[i] + inst.q[j]
     if bound < 0:
         return Poly.zero()

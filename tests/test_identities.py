@@ -13,6 +13,7 @@ from reference_identities import (
     mat_mul,
 )
 
+import hankelab.identities as identities_mod
 import hankelab.identity_checks as identity_checks_mod
 import hankelab.lemmas as lemmas_mod
 from hankelab.checks import run_check
@@ -23,8 +24,8 @@ from hankelab.lemmas import (
     identity_residual,
     table1_rules,
 )
+from hankelab.jet import terms_at
 from hankelab.poly import Poly
-from hankelab.rat import Rat
 from hankelab.hankel import hankel_matrix, quartet
 from hankelab.identities import (
     RelationId,
@@ -123,14 +124,35 @@ def test_relation_x3_hand_values():
     # K_1(3) = 3*42/14 * H_1(3) = -9, directly 36 - 27 - 18
     q = quartet(F31, 1)
     assert q.K(3) == -9
-    assert q.K(3) == Rat(3 * 42, 14) * q.H(3)
+    assert q.K(3) == Fraction(3 * 42, 14) * q.H(3)
 
 
 def test_relation_screen_jets():
     for rid in SYMBOLIC_RELATIONS:
-        for x0 in (Rat(7, 5), Rat(-2, 3)):
+        for x0 in (Fraction(7, 5), Fraction(-2, 3)):
             vals = relation_residuals_at(rid, 11, x0)
             assert all(v == 0 for v in vals), (rid, x0)
+
+
+def test_screen_reads_each_family_quartet_once_per_point(monkeypatch):
+    x0 = Fraction(97, 5)
+    want = {}
+    for rid in SYMBOLIC_RELATIONS:
+        family, terms = identities_mod._relation_terms(rid, 4)
+        values = dict(zip(identities_mod._SYMBOLS, jet_quartet(family, 4, x0)))
+        assert all(values.values()), rid
+        want[rid] = terms_at(terms, values, x0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return jet_quartet(*args)
+
+    monkeypatch.setattr(identities_mod, "jet_quartet", counted)
+    identities_mod._screen_quartet.cache_clear()
+    got = {rid: relation_residuals_at(rid, 4, x0) for rid in SYMBOLIC_RELATIONS}
+    assert calls == [(F31, 4, x0), (F21, 4, x0)]
+    assert got == want
 
 
 def test_relation_entry_points_reject_the_same_input():
@@ -139,9 +161,9 @@ def test_relation_entry_points_reject_the_same_input():
         with pytest.raises(ValueError, match="point relation|needs n >= 1"):
             relation_residuals(*args)
         with pytest.raises(ValueError, match="point relation|needs n >= 1"):
-            relation_residuals_at(*args, Rat(7, 5))
+            relation_residuals_at(*args, Fraction(7, 5))
     with pytest.raises(ValueError, match="needs n >= 1"):
-        jet_quartet(F31, 0, Rat(7, 5))
+        jet_quartet(F31, 0, Fraction(7, 5))
     # point relations too, before H_{n-1} or N_n is formed
     for args in ((RelationId.R_CREC, 0), (RelationId.R_X3, 0), (RelationId.R_LINEAR, 0)):
         with pytest.raises(ValueError, match="needs n >= 1"):
@@ -387,7 +409,7 @@ def test_weight_checks_share_one_solution_per_key(monkeypatch):
     sol = weight_nullspace(F31, 3)
     assert sol is weight_nullspace(F31, 3)
     with pytest.raises(AttributeError):  # an immutable record
-        sol.scale = Rat(1)
+        sol.scale = Fraction(1)
     for field in (sol.q0, sol.q2, sol.weights):
         assert type(field) is tuple
 
@@ -423,7 +445,7 @@ def test_weight_nullspace_31_top_three():
     assert sol.weights[n + 1] == q * sol.scale
     assert sol.weights[n] == r * sol.scale
     # under lowest-coefficient-1 normalization the scale is -1/(2(4n+3)(4n+5))
-    assert sol.scale == Rat(-1, 2 * (4 * n + 3) * (4 * n + 5))
+    assert sol.scale == Fraction(-1, 2 * (4 * n + 3) * (4 * n + 5))
 
 
 def test_weight_nullspace_dimensions():

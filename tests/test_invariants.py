@@ -19,17 +19,16 @@ from hankelab.identities import (
 )
 from hankelab.jet import JetNotInvertible, terms_at
 from hankelab.poly import Poly
-from hankelab.rat import Rat
 from hankelab.sequences import F21, F31
 
 
 def test_crecursion_iteration_reproduces_product():
     # iterate H_{n+1} = ratio(n) H_n^2 / H_{n-1} at x = 3 from H_0 = 1,
     # H_1 = -1 and compare against the factorial product, n <= 10
-    h_prev, h_cur = Rat(1), Rat(-1)
+    h_prev, h_cur = Fraction(1), Fraction(-1)
     values = [h_prev, h_cur]
     for n in range(1, 10):
-        ratio = Rat(
+        ratio = Fraction(
             9 * (3 * n + 4) * (3 * n + 5) * (6 * n - 1) * (6 * n + 1),
             4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
         )

@@ -9,12 +9,11 @@ from hankelab.hankel import VARIANTS, _variant_columns, cached_ladder, det_barei
 from hankelab.identities import jet_quartet
 from hankelab.jet import JET, JetNotInvertible, int_jets
 from hankelab.poly import Poly
-from hankelab.rat import Rat
 from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX, a_poly
 
 # H_1 of (3,1) is 5 - 2x and H_1 of (2,1) is 1 - 2x: at 5/2 and 1/2 a
 # leading pivot of the ladder vanishes and the per-variant eliminations run.
-POINTS = [Rat(0), Rat(3, 7), Rat(-2), Rat(5, 2), Rat(1, 2), Rat(-11, 5), Rat(7, 3)]
+POINTS = [Fraction(0), Fraction(3, 7), Fraction(-2), Fraction(5, 2), Fraction(1, 2), Fraction(-11, 5), Fraction(7, 3)]
 
 
 def jet_at(f, x0, k):
@@ -129,7 +128,7 @@ def test_ladder_agrees_with_four_eliminations():
                     got = tuple(lad.det(n, name) for name in VARIANTS)
                     assert got == as_read(four_eliminations(jets, n)), (fam, n, x0)
     assert fallbacks >= 2 * 5  # (3,1) at 5/2 and (2,1) at 1/2, n = 2..6
-    for fam, x0 in ((F31, Rat(5, 2)), (F21, Rat(1, 2))):
+    for fam, x0 in ((F31, Fraction(5, 2)), (F21, Fraction(1, 2))):
         lad = ladder(int_jets(hankel.int_entries(fam, 0, 7), x0), JET)
         assert len(lad.rows) == 2  # stopped at H_1, which vanishes at x0
 
@@ -183,7 +182,7 @@ def test_jet_ladder_reads_h_jets_and_kmn_values(monkeypatch):
                     got = outcome(lambda: cached_ladder(fam, x0, JET, n).det(n, name))
                     assert got == want, (fam, x0, n, name)
             lad = cached_ladder(fam, x0, JET, 12)
-            vanishing = (fam, x0) in ((F31, Rat(5, 2)), (F21, Rat(1, 2)))
+            vanishing = (fam, x0) in ((F31, Fraction(5, 2)), (F21, Fraction(1, 2)))
             assert len(lad.rows) == (2 if vanishing else 13), (fam, x0)
 
 
@@ -220,7 +219,7 @@ def test_ladder_step_counts(monkeypatch):
         return int_cross(*args)
 
     monkeypatch.setattr(hankel, "_int_cross", value_step)
-    x0 = Rat(3, 7)
+    x0 = Fraction(3, 7)
     for top in (1, 4, 7, 10):
         entries = {
             hankel.INT_POLY: hankel.int_entries(F31, 0, 2 * top + 3),
@@ -251,7 +250,7 @@ def test_a_growing_point_ladder_expands_only_its_new_entries(monkeypatch):
     # growing (3,1) or aex at 7/5 through n = 1..12 expands each of its 27
     # entries once, at its own q^k, and gives what a ladder built for each
     # n alone gives
-    x0 = Rat(7, 5)
+    x0 = Fraction(7, 5)
     calls = []
     taylor = jet._taylor_jet
     monkeypatch.setattr(jet, "_taylor_jet", lambda *args: calls.append(args) or taylor(*args))

@@ -1,12 +1,13 @@
+import math
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from reference_identities import fraction_a_poly
+from reference_identities import binom, fraction_a_poly
 
 from hankelab import sequences
 from hankelab.poly import Poly
-from hankelab.rat import Rat, binom
 from hankelab.sequences import (
     ALL_FAMILIES,
     F21,
@@ -64,6 +65,61 @@ def test_binom_families_monic_and_value_at_zero():
                 assert p(0) == binom(beta * k + alpha, k)
 
 
+# The reference `binom` (rational tops) that `fraction_a_poly` and the
+# DegreeInstance oracle read.
+
+
+def test_binom_ordinary():
+    assert binom(4, 1) == 4
+    assert binom(7, 2) == 21
+    assert binom(10, 0) == 1
+    assert binom(3, 5) == 0  # lower index exceeds nonnegative integer top
+
+
+def test_binom_half():
+    # falling factorial: (1/2)(-1/2)/2!
+    assert binom(Fraction(1, 2), 2) == Fraction(-1, 8)
+
+
+def test_binom_negative_top():
+    assert binom(-1, 3) == -1
+    assert binom(-2, 2) == 3
+
+
+def test_binom_rejects_negative_lower():
+    with pytest.raises(ValueError):
+        binom(4, -1)
+
+
+def test_binom_pascal_rule_random():
+    rng = random.Random(7)
+    for _ in range(200):
+        top = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+        k = rng.randint(1, 10)
+        assert binom(top, k) == binom(top - 1, k) + binom(top - 1, k - 1)
+
+
+def fraction_binom(top, k):
+    """The falling-factorial loop binom ran before its integer form: k
+    Fraction products, then one division by k!."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= top - i
+    return num / math.factorial(k)
+
+
+def test_binom_rational_top_matches_the_fraction_loop():
+    rng = random.Random(8)
+    drawn = (Fraction(rng.randint(-10**6, 10**6), rng.randint(2, 10**4)) for _ in range(150))
+    tops = [t for t in drawn if t.denominator > 1]  # integer tops take math.comb
+    tops += [Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3), Fraction(13, 6)]
+    assert len(tops) > 100 and sum(t < 0 for t in tops) > 50
+    for top in tops:
+        for k in range(13):
+            got = binom(top, k)
+            assert type(got) is Fraction and got == fraction_binom(top, k), (top, k)
+
+
 def test_integer_a_k_matches_the_fraction_oracle():
     # negative tops (alpha down to -8) take the sign rule C(t, j) = (-1)^j C(j-t-1, j)
     pairs = [(FamilyId("binom", beta, alpha), k)
@@ -82,7 +138,7 @@ def test_aex_shape():
         p = a_poly(FAEX, k)
         assert p.degree == k
         assert p.leading == k + 2
-        assert p(0) == Rat(2, k + 1) * binom(3 * k, k)
+        assert p(0) == Fraction(2, k + 1) * binom(3 * k, k)
 
 
 def test_shift_identities():
