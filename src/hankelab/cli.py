@@ -151,7 +151,9 @@ def cmd_factor(args) -> int:
 
 
 def _run_task(task):
-    """One pool task (check, family name, lo, hi): its rows."""
+    """The rows of one sweep item (check, family name, lo, hi).  Every
+    sweep runs each item through this name in `cli`, serially or inside a
+    pooled group (`commands.pool_tasks`), so a replacement sees each item."""
     from .checks import run_check
 
     name, family_name, lo, hi = task

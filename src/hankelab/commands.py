@@ -130,33 +130,53 @@ def pool_size(jobs: int, tasks: int, cpus: int) -> int:
     return max(1, min(jobs, tasks, cpus))
 
 
-def pool_tasks(tasks, workers: int) -> list[tuple]:
-    """One task per item, so that its n share one worker's memos, largest n
-    first (a stable sort: ties keep their order); one per n where there are
-    fewer items than workers.  Rows are sorted on emission."""
-    if len(tasks) < workers:
-        tasks = [(name, fam, n, n) for name, fam, lo, hi in tasks for n in range(lo, hi + 1)]
-    return sorted(tasks, key=lambda task: -task[3])
+def pool_tasks(tasks, workers: int) -> list[list[tuple]]:
+    """The pool's tasks: the items grouped by the family whose memos they
+    fill (the item's own, else the one its check reads, else the check's
+    name), so each family's a_k, ladders and series are built on one
+    worker.  Groups go largest n first, ties to the one with more n; a
+    group runs its items largest n first (stable sorts: ties keep their
+    order).  Where there are fewer groups than workers, each n is a task
+    of its own.  Rows are sorted on emission."""
+    from .checks import REGISTRY
+
+    def largest_n_first(tasks):
+        return sorted(tasks, key=lambda task: -task[3])
+
+    groups: dict[str, list[tuple]] = {}
+    for name, fam, lo, hi in largest_n_first(tasks):
+        reads = REGISTRY[name].reads
+        key = fam or (reads.name if reads is not None else name)
+        groups.setdefault(key, []).append((name, fam, lo, hi))
+    if len(groups) < workers:
+        return [[task] for task in largest_n_first(
+            (name, fam, n, n) for name, fam, lo, hi in tasks for n in range(lo, hi + 1))]
+    return sorted(groups.values(),
+                  key=lambda group: (-group[0][3], -sum(hi - lo + 1 for *_, lo, hi in group)))
+
+
+def _run_group(group) -> list[Row]:
+    """The rows of a group's items, one `cli._run_task` per item, looked up
+    in `cli` for each, so a replaced `_run_task` sees every item."""
+    return [row for task in group for row in cli._run_task(task)]
 
 
 def _run_suite(items, jobs: int) -> list[Row]:
-    """The rows of the items, one `cli._run_task` per task; the pool pickles
-    that function by its name in `cli`."""
+    """The rows of the items: in their order in this process, or on a pool
+    with one `_run_group` per task of `pool_tasks`."""
     tasks = [
         (name, fam.name if fam is not None else None, lo, hi)
         for name, fam, lo, hi in items
     ]
     workers = pool_size(jobs, sum(hi - lo + 1 for *_, lo, hi in tasks), _available_cpus())
-    rows: list[Row] = []
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        return _run_group(tasks)
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(cli._run_task, pool_tasks(tasks, workers)):
-                rows.extend(chunk)
-    else:
-        for task in tasks:
-            rows.extend(cli._run_task(task))
+    rows: list[Row] = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for chunk in pool.map(_run_group, pool_tasks(tasks, workers)):
+            rows.extend(chunk)
     return rows
 
 

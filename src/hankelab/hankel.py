@@ -187,8 +187,8 @@ class Ladder(namedtuple("Ladder", "ring entries rows m")):
     stored as that same object, never formed, and kept so that new
     columns can replay the steps.  ``m[n]`` is M_n (None at n = 0).
     Rows end at the first pivot H_k the ring cannot divide by, at n = k.
-    Over a ring with value parts (jets), columns N+1 and N+2 and M_N hold
-    only values: no step divides by them, as only columns 0..N become
+    Over a ring with value parts (jets), columns N+1 and N+2 and every M_n
+    hold only values: no step divides by them, as only columns 0..N become
     pivots.  The lists grow in place as the ladder is extended, except
     over such a ring, where `ladder` rebuilds it.
     """
@@ -208,9 +208,10 @@ class Ladder(namedtuple("Ladder", "ring entries rows m")):
             return v if value is None or variant == "H" else value(v)
         if variant == "H":
             return self.rows[n][n]
-        # K's and N's column, and the column whose step gives M
-        col = n + (2 if variant == "N" else 1)
-        v = self.m[n] if variant == "M" else self.rows[n][col]
+        if variant == "M":
+            return self.m[n]
+        col = n + (2 if variant == "N" else 1)  # K's or N's column
+        v = self.rows[n][col]
         return v if value is None or col >= len(self.rows[0]) - 2 else value(v)
 
 
@@ -229,10 +230,10 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
     row n's last step, over columns n and n+1.  Over a ring with value
     parts, columns N+1 and N+2 start as the entries' values and
     step over Z (`_int_cross`) with the values of their pivots and leads,
-    and so does M_N, which reads column N+1: the value part of a step is
-    the step on value parts, and each divides only by a pivot ``unit``
-    accepted.  Such a ladder is rebuilt from all of ``entries`` rather than
-    grown, since a larger N needs those columns in full.
+    and every M_n steps on the values of its four entries: the value part
+    of a step is the step on value parts, and each divides only by a pivot
+    ``unit`` accepted.  Such a ladder is rebuilt from all of ``entries``
+    rather than grown, since a larger N needs those columns in full.
     """
     value = ring.value
     if lad is None or value is not None:
@@ -267,10 +268,13 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
             if full < width:
                 p0, l0, d0 = value(p), value(lead), d if d is None else value(d)
             if k == i - 1:
-                if i + 1 < full:
+                if full == width:
                     m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
-                else:
-                    m = _int_cross(up[i + 1], value(row[i]), row[i + 1], value(up[i]), d0)
+                else:  # M is read only as a value: step on value parts
+                    u, r = up[i + 1], row[i + 1]
+                    if i + 1 < full:  # column N+1 holds values already
+                        u, r = value(u), value(r)
+                    m = _int_cross(u, value(row[i]), r, value(up[i]), d0)
             for j in range(i, full):
                 row[j] = cross(p, row[j], lead, up[j], d)
             for j in range(full, width):

@@ -20,7 +20,7 @@ from math import comb, factorial, gcd, prod
 from . import series
 from .hankel import INT, hankel_det_at, quartet, variant_det_at
 from .hankel_checks import gauss_jordan
-from .identities import RelationId, _require_n, pnqnrn_21, pnqnrn_31
+from .identities import _RELATIONS, RelationId, _require_n, pnqnrn_21, pnqnrn_31
 from .lemmas import trace_values
 from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
 from .sequences import F21, F31, FamilyId, a_poly
@@ -118,6 +118,11 @@ _RECURSION_RATIOS = {
         4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
 }
+
+
+def relation_family(rid: RelationId) -> FamilyId:
+    """The family whose determinants the relation reads, symbolic or point."""
+    return (_RELATIONS.get(rid) or _POINT_SPECS[rid])[0]
 
 
 def relation_point_ok(rid: RelationId, n: int) -> bool:

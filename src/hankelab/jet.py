@@ -11,8 +11,8 @@ minors of an integer matrix) but require the divisor to be a unit, a jet
 with nonzero value; callers resample the point otherwise.  The value part
 of a jet step is the integer step on the value parts of its operands, so
 a ladder over jets carries only the values of what is read as a value
-(K_n, M_n and N_n at its top n), and full jets only where a pivot, H, or
-its derivatives are read.
+(every M_n, and K_n and N_n at its top n), and full jets only where a
+pivot, H, or its derivatives are read.
 `terms_at` sums the point screen's residuals over Z against such values.
 """
 

@@ -20,7 +20,7 @@ from hankelab.closed_forms import AP_POINTS, AlmostProductId, ProductFormulaId
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.poly import InexactDivision, Poly
 from hankelab.report import fail_row, finding_row, ok_row
-from hankelab.sequences import F21, F30, F31, F32, FAEX
+from hankelab.sequences import F21, F30, F31, F32, FAEX, FSHIFT22
 
 
 def run(capsys, *argv):
@@ -661,19 +661,80 @@ def test_pool_size_clamps_to_tasks_and_cpus():
         pool_size(0, 10, 2)
 
 
-def test_pool_tasks_are_items_largest_n_first():
-    tasks = [("a", None, 0, 3), ("b", "3,1", 1, 10), ("c", None, 2, 3), ("d", None, 10, 10)]
-    # one task per item, by hi descending; ties keep their given order
-    assert pool_tasks(tasks, 2) == [tasks[1], tasks[3], tasks[0], tasks[2]]
-    assert pool_tasks(tasks, 4) == [tasks[1], tasks[3], tasks[0], tasks[2]]
-    # fewer items than workers: one task per n, so both workers run
+def test_pool_tasks_group_items_by_family_largest_n_first():
+    dodgson21, l1_21 = ("dodgson", "2,1", 1, 10), ("l1_21", None, 30, 30)
+    dodgson, de1, l1_31 = ("dodgson", "3,1", 1, 10), ("de1", None, 1, 12), ("l1_31", None, 30, 30)
+    tseries, random = ("tseries", None, 25, 25), ("degree-random", None, 200, 200)
+    tasks = [dodgson21, l1_21, dodgson, de1, l1_31, tseries, random]
+    # keyed by the item's family, else the family its check reads, else the
+    # check; groups by hi descending, ties to the one with more n (23
+    # against 11), and a group's items by hi descending
+    groups = [[random], [l1_31, de1, dodgson], [l1_21, dodgson21], [tseries]]
+    assert pool_tasks(tasks, 2) == groups
+    assert pool_tasks(tasks, 4) == groups
+    # fewer groups than workers: one task per n, so every worker runs
     assert pool_tasks([("dodgson", "3,1", 1, 3)], 2) == [
-        ("dodgson", "3,1", 3, 3), ("dodgson", "3,1", 2, 2), ("dodgson", "3,1", 1, 1),
+        [("dodgson", "3,1", 3, 3)], [("dodgson", "3,1", 2, 2)], [("dodgson", "3,1", 1, 1)],
     ]
-    assert pool_tasks(tasks[:2], 3) == sorted(
-        [(name, fam, n, n) for name, fam, lo, hi in tasks[:2] for n in range(lo, hi + 1)],
+    assert pool_tasks([dodgson, de1], 2) == [[task] for task in sorted(
+        [(name, fam, n, n) for name, fam, lo, hi in (dodgson, de1) for n in range(lo, hi + 1)],
         key=lambda task: -task[3],
-    )
+    )]
+    assert len(pool_tasks(tasks, 5)) == sum(hi - lo + 1 for *_, lo, hi in tasks)
+
+
+# The families a check reads beyond the one it states: chebjac compares the
+# (2,1) determinant with the shifted (2k+2-shift) one.
+EXTRA_READS = {"chebjac": {FSHIFT22}}
+
+
+def test_checks_state_the_family_their_test_reads(monkeypatch):
+    # each acceptance item that names no family, run alone at its least n
+    # with the a_k, convolution and ladder memos empty, builds the a_k of
+    # the family its check states and of no other
+    from hankelab import sequences
+
+    for name, fam, lo, _hi in acceptance_suite():
+        if fam is not None:
+            continue
+        for memo in ("_a_memo", "_conv_memo"):
+            monkeypatch.setattr(sequences, memo, {})
+        monkeypatch.setattr(hankel, "_ladders", {})
+        rows = checks.run_check(name, None, [lo])
+        assert rows and all(row.status == "pass" for row in rows), name
+        reads = REGISTRY[name].reads
+        want = ({reads} if reads is not None else set()) | EXTRA_READS.get(name, set())
+        assert {family for family, _k in sequences._a_memo} == want, name
+
+
+def test_pooled_sweep_builds_each_symbolic_ladder_in_one_worker(capsys, monkeypatch, tmp_path):
+    # forked workers inherit a ladder memo that logs, per process, each
+    # family whose symbolic ladder it builds
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the workers inherit the logging memo only when forked")
+    log = tmp_path / "built.log"
+
+    class Logged(dict):
+        def __setitem__(self, key, lad):
+            if key not in self and key[1] is None:
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {key[0].name}\n")
+            super().__setitem__(key, lad)
+
+    monkeypatch.setattr(hankel, "_ladders", Logged())
+    monkeypatch.setattr(commands, "_available_cpus", lambda: 2)
+    code, out, _ = run(capsys, "sweep", "--suite", "acceptance", "--format", "json",
+                       "--jobs", "2")
+    assert code == 0 and out.count("\n") == 802
+    builders: dict[str, set] = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, family = line.split(" ", 1)
+        builders.setdefault(family, set()).add(pid)
+    assert len(set().union(*builders.values())) == 2  # both workers ran
+    extra = {f.name for fams in EXTRA_READS.values() for f in fams}
+    assert {f for f, pids in builders.items() if len(pids) > 1} <= extra
 
 
 def test_sweep_with_jobs_gives_the_serial_rows(capsys, monkeypatch):

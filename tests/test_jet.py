@@ -227,9 +227,12 @@ def test_ladder_step_counts(monkeypatch):
             JET: int_jets(hankel.int_entries(F31, 0, 2 * top + 3), x0),
         }
         for ring, e in entries.items():
-            # columns N+1 and N+2 of rows 1..N, and M_N, step on values
-            values = top * (top + 1) + 1 if ring is JET else 0
-            for build, steps in ((ladder, ladder_steps), (full_row_ladder, full_row_steps)):
+            # columns N+1 and N+2 of rows 1..N, and M_1..M_N, step on values;
+            # the full-row oracle steps on values only at M_N
+            jet = ring is JET
+            for build, steps, values in ((ladder, ladder_steps, top * (top + 2) if jet else 0),
+                                         (full_row_ladder, full_row_steps,
+                                          top * (top + 1) + 1 if jet else 0)):
                 counts[:] = [0, 0]
                 lad = build(e, counting(ring, counts))
                 assert len(lad.rows) == top + 1
@@ -241,8 +244,8 @@ def test_ladder_step_counts(monkeypatch):
                 assert counts == [ladder_steps(top), 0], (ring, top)
     # the scale the benchmark's point screen works at: all steps, a jet
     # ladder's full steps and its value steps, against the full rows'
-    assert (ladder_steps(7), ladder_steps(7) - 57, 7 * 8 + 1) == (147, 90, 57)
-    assert (ladder_steps(10), ladder_steps(10) - 111, 10 * 11 + 1) == (340, 229, 111)
+    assert (ladder_steps(7), ladder_steps(7) - 63, 7 * 9) == (147, 84, 63)
+    assert (ladder_steps(10), ladder_steps(10) - 120, 10 * 12) == (340, 220, 120)
     assert (full_row_steps(7), full_row_steps(10)) == (203, 505)
 
 
