@@ -78,11 +78,6 @@ def _primes(bound: int):
     return chain((2,), compress(range(1, bound + 1, 2), _odd_sieve))
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """The primes <= bound, ascending."""
-    return list(_primes(bound))
-
-
 class FactorReport(namedtuple("FactorReport", "input sign small_factors cofactor bound")):
     """sign * prod(prime^exp) * cofactor = input, primes all <= bound;
     small_factors is a tuple of (prime, exponent) pairs."""

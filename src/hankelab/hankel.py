@@ -6,9 +6,11 @@ jets (``jet.py``).  Interior divisions are exact, and any nonzero remainder
 aborts loudly, which doubles as a correctness tripwire.  ``det_bareiss``
 eliminates one square matrix; ``ladder`` eliminates [a_{i+j}] once for
 H_n, K_n, M_n and N_n at every n, and a per-process cache grows each
-family's ladder as larger n are asked for.  The elimination code that only
-checks run (Gauss-Jordan, adjugates, the Dodgson check's own eliminations,
-the degree-bound instances) is ``hankel_checks.py``.
+family's ladder as larger n are asked for.  Every elimination of
+[a_{i+j}] reads its rows unscaled from ``int_entries``; the ones only
+checks run (Gauss-Jordan, adjugates, the Dodgson check's own), and the
+degree-bound instances, are ``hankel_checks.py``.  ``det_fraction_free``
+and ``hankel_matrix`` serve the tests and perfbench's tracer self-test.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@ adjugates it gives, the Dodgson check's own eliminations, and the
 generalized degree-bound instances.
 
 ``gauss_jordan`` applies ``hankel``'s fraction-free step above the pivot
-too, for adjugates (those of every leading block from one elimination) and
-integer nullspaces.  None of this serves a determinant query or the point
-screen, so a process that runs only those does not compile it.
+too, for adjugates over Z[x] (those of every leading block from one
+elimination) and integer nullspaces.  The adjugates and the Dodgson
+check's eliminations take their rows [a_{i+j}] from ``hankel.int_entries``
+as they are; only the degree-bound instances, whose entries are rational,
+scale their rows to Z[x].  None of this serves a determinant query or the
+point screen, so a process that runs only those does not compile it.
 """
 
 from __future__ import annotations
@@ -15,18 +18,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, lcm, perm, prod
 
-from .hankel import (
-    INT_POLY,
-    Ring,
-    _variant_columns,
-    det_bareiss,
-    det_fraction_free,
-    hankel_matrix,
-    int_entries,
-    variant_det,
-)
-from .poly import Poly, from_int_scaled, lin_comb, to_int_scaled
-from .sequences import FamilyId, a_poly
+from .hankel import INT_POLY, Ring, _variant_columns, det_bareiss, int_entries, variant_det
+from .poly import Poly, from_int_scaled, int_poly_neg, lin_comb, to_int_scaled
+from .sequences import FamilyId
 
 
 def gauss_jordan_steps(rows: Sequence[Sequence], ring: Ring):
@@ -70,48 +64,43 @@ def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list
     return state or ([list(row) for row in rows], [], 1)
 
 
-def _augmented(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[list[int]]], list[int]]:
-    """[D A | D] over Z[x] and the row scales D that make D A integral."""
-    n = len(rows)
-    scaled = [to_int_scaled(row) for row in rows]
-    aug = [r + [[s] if j == i else [] for j in range(n)] for i, (r, s) in enumerate(scaled)]
-    return aug, [s for _, s in scaled]
+def int_adjugate(rows: Sequence[Sequence[list[int]]]) -> list[list[list[int]]]:
+    """adj(A) over Z[x] for an invertible square matrix A of integer
+    coefficient lists; ValueError if singular.
 
-
-def int_adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[list[int]]], int]:
-    """(B, s) with adj(A) = B / s, B over Z[x], for an invertible square Poly
-    matrix A; ValueError if singular.
-
-    Gauss-Jordan over Z[x] reduces [D A | D] to [d I | d A^{-1}],
-    d = sign * det(D) * det(A).
+    Gauss-Jordan over Z[x] reduces [A | I] to [d I | d A^{-1}] with
+    d = sign * det(A), so adj(A) = det(A) A^{-1} is the right block times
+    the sign.
     """
     n = len(rows)
-    aug, scales = _augmented(rows)
+    aug = [[*r, *([1] if j == i else [] for j in range(n))] for i, r in enumerate(rows)]
     reduced, pivots, sign = gauss_jordan(aug, INT_POLY)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in reduced], sign * prod(scales)
+    if sign == 1:
+        return [row[n:] for row in reduced]
+    return [[int_poly_neg(v) for v in row[n:]] for row in reduced]
 
 
-def leading_adjugates(rows: Sequence[Sequence[Poly]]) -> list:
-    """[(B_k, s_k) with adj(A_k) = B_k / s_k] for each leading (k+1) x (k+1)
-    block A_k of a square Poly matrix A, all read off one Gauss-Jordan
-    elimination of [D A | D]; None for every block from the first pivot that
-    needs a row swap or skips a column on.
+def leading_adjugates(rows: Sequence[Sequence[list[int]]]) -> list:
+    """adj(A_k) over Z[x] for each leading (k+1) x (k+1) block A_k of a
+    square matrix A of integer coefficient lists, all read off one
+    Gauss-Jordan elimination of [A | I]; None for every block from the
+    first pivot that needs a row swap or skips a column on.
 
     Until then, after pivot k, rows 0..k have been combined only with each
-    other, step for step as in the elimination of [D_k A_k | D_k] alone, so
-    the first k+1 columns of their right block are `int_adjugate`'s B of
-    A_k, and s_k = det D_k.
+    other, step for step as in the elimination of [A_k | I] alone, with no
+    swap, so the first k+1 columns of their right block are `int_adjugate`
+    of A_k.
     """
     n = len(rows)
-    aug, scales = _augmented(rows)
+    aug = [[*r, *([1] if j == i else [] for j in range(n))] for i, r in enumerate(rows)]
     out = []
     for m, pivots, sign in gauss_jordan_steps(aug, INT_POLY):
         k = len(pivots) - 1
         if pivots[k] != k or sign != 1:
             break
-        out.append(([row[n : n + k + 1] for row in m[: k + 1]], prod(scales[: k + 1])))
+        out.append([row[n : n + k + 1] for row in m[: k + 1]])
     return out + [None] * (n - len(out))
 
 
@@ -138,9 +127,9 @@ def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
         return bool(v)
 
     det = det_bareiss([e[i : i + top + 1] for i in range(top + 1)], INT_POLY._replace(unit=unit))
-    hs = [from_int_scaled(v, 1) for v in leading]
-    hs += [det_fraction_free(hankel_matrix(family, j)) for j in range(len(hs), top)]
-    return hs + [from_int_scaled(det, 1)]
+    hs = leading + [det_bareiss([e[i : i + j + 1] for i in range(j + 1)], INT_POLY)
+                    for j in range(len(leading), top)]
+    return [from_int_scaled(v, 1) for v in hs + [det]]
 
 
 # family -> [H_0 .. H_j] from `own_hankel_dets`, so that dodgson_check at n
@@ -155,18 +144,20 @@ def dodgson_check(family: FamilyId, n: int) -> bool:
 
     The ladder's step from H_n to H_{n+1} is this identity (Desnanot-Jacobi),
     so M_n, H_{n-1} and H_{n+1} each come from an elimination of their own;
-    only H_n, K_n and N_n are read off the ladder.  H_{n-1} and H_{n+1} are
-    pivots of one `det_bareiss` of [a_{i+j}] made at the largest n asked
-    (`own_hankel_dets`).  Bareiss's pivot k is the leading minor H_k: the
-    steps before it are those of the elimination of H_k alone, on longer
-    rows, so no compared value changes.  And none comes from the ladder: the
-    square elimination forms neither its extra columns nor its M_n steps.
+    only H_n, K_n and N_n are read off the ladder.  M_n is one `det_bareiss`
+    of its columns of [a_{i+j}] over Z[x], with no symmetry.  H_{n-1} and
+    H_{n+1} are pivots of one `det_bareiss` of [a_{i+j}] made at the
+    largest n asked (`own_hankel_dets`).  Bareiss's pivot k is the leading
+    minor H_k: the steps before it are those of the elimination of H_k
+    alone, on longer rows, so no compared value changes.  And none comes
+    from the ladder: the square elimination forms neither its extra columns
+    nor its M_n steps.
     """
     if n < 1:
         raise ValueError("the Dodgson-like identity needs n >= 1")
     h, k, nn = (variant_det(family, n, v) for v in "HKN")
-    cols = _variant_columns(n, "M")
-    m = det_fraction_free([[a_poly(family, c + i) for c in cols] for i in range(n + 1)])
+    cols, e = _variant_columns(n, "M"), int_entries(family, 0, 2 * n + 2)
+    m = from_int_scaled(det_bareiss([[e[c + i] for c in cols] for i in range(n + 1)], INT_POLY), 1)
     own = _own_h.get(family)
     if own is None or len(own) < n + 2:
         own = _own_h[family] = own_hankel_dets(family, n + 1)
@@ -230,7 +221,12 @@ def degree_bound(inst: DegreeInstance) -> int:
 
 
 def general_degree_det(inst: DegreeInstance) -> Poly:
-    return det_fraction_free(inst.matrix())
+    """The instance's determinant: its entries are rational, so each row is
+    scaled to Z[x] by the lcm of its denominators, eliminated over Z[x],
+    and the result divided by the product of the row scales once."""
+    scaled = [to_int_scaled(row) for row in inst.matrix()]
+    det = det_bareiss([row for row, _ in scaled], INT_POLY)
+    return from_int_scaled(det, prod(scale for _, scale in scaled))
 
 
 def make_degree_instance(p, q, alphas, betas, gamma) -> DegreeInstance:

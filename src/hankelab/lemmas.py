@@ -6,8 +6,10 @@ offset) with A and B int tuples: the coefficient A + k B times a_{k+offset},
 c_{k+offset} or a_k'.  Each residual, and each entry of the E/F matrix
 convolution identities, is one `poly.lin_comb` over Z.  The Table-1 trace
 rules Tr(A^{-1} X) H_n = value are stated here too (`table1_rules`), and
-`trace_values` sums them against the adjugate, read off one elimination
-per family.  The table and the rules have a module of their own: inside
+`trace_values` sums each as one `lin_comb` against the adjugate over Z[x]
+of [a_{i+j}], whose integer rows come from `hankel.int_entries` and which
+is read off one Gauss-Jordan elimination per family.  The table and the
+rules have a module of their own: inside
 `identities.py` they raised the compile that peaks a sweep's resident size
 (a tuple display costs the parser far more memory than an int).
 """
@@ -17,9 +19,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 
-from .hankel import hankel_matrix, quartet
+from .hankel import int_entries, quartet
 from .hankel_checks import int_adjugate, leading_adjugates
 from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
@@ -175,17 +176,8 @@ def check_matrix_convolution_identities(family: FamilyId, n: int) -> bool:
 # -- Table 1: trace transformation rules ----------------------------------------
 
 
-def _times_s(seq: Callable[[int], Poly], s: int) -> Poly:
-    return s * seq(s)
-
-
 def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Poly], Poly]]:
-    """(name, x, value) for Tr(A^{-1} X) H_n = value, X = [x(i + j)].
-
-    Eight sequences y(s) enter.  A rule x(s) = s y(s) is
-    `partial(_times_s, y)`, so `trace_values` forms y's products once for
-    both of y's rules.
-    """
+    """(name, x, value) for Tr(A^{-1} X) H_n = value, X = [x(i + j)]."""
     if n < 1:
         raise ValueError("trace rules need n >= 1 (M, N enter)")
     q = quartet(family, n)
@@ -196,66 +188,63 @@ def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Po
     def a(shift):
         return lambda s: a_poly(family, s + shift) if s + shift >= 0 else Poly.zero()
 
+    def s_a(shift):
+        x = a(shift)
+        return lambda s: s * x(s)
+
     def c(shift):
         return lambda s: conv_poly(family, s + shift)
 
-    a_minus1, a_s, a_plus1, a_plus2 = a(-1), a(0), a(1), a(2)
     return [
         ("dx_an", lambda s: a_poly(family, s).derivative(), h.derivative()),
-        ("n_an_minus1", partial(_times_s, a_minus1), Poly.zero()),
-        ("an", a_s, (n + 1) * h),
-        ("n_an", partial(_times_s, a_s), n * (n + 1) * h),
+        ("n_an_minus1", s_a(-1), Poly.zero()),
+        ("an", a(0), (n + 1) * h),
+        ("n_an", s_a(0), n * (n + 1) * h),
         ("c_nminus1", c(-1), Poly.zero()),
         ("cn", c(0), (2 * n + 1) * a0 * h),
-        ("a_nplus1", a_plus1, k),
-        ("n_a_nplus1", partial(_times_s, a_plus1), 2 * n * k),
+        ("a_nplus1", a(1), k),
+        ("n_a_nplus1", s_a(1), 2 * n * k),
         ("c_nplus1", c(1), 2 * a0 * k + 2 * n * a1 * h),
-        ("a_nplus2", a_plus2, m + nn),
-        ("n_a_nplus2", partial(_times_s, a_plus2), 2 * (n - 1) * m + 2 * n * nn),
+        ("a_nplus2", a(2), m + nn),
+        ("n_a_nplus2", s_a(2), 2 * (n - 1) * m + 2 * n * nn),
     ]
 
 
-# family -> (A, leading_adjugates(A)) for the largest Hankel matrix A whose
-# traces were summed: every smaller n reads its adjugate off A's elimination.
-_adjugates: dict[FamilyId, tuple[list, list]] = {}
+# family -> the adjugates of every leading block of the largest Hankel
+# matrix [a_{i+j}] whose traces were summed (`hankel_checks.leading_adjugates`):
+# every smaller n reads its adjugate off that one elimination.
+_adjugates: dict[FamilyId, list] = {}
 
 
-def _adjugate(family: FamilyId, n: int) -> tuple[list[list[list[int]]], int]:
-    """`int_adjugate` of hankel_matrix(family, n), read off the elimination
-    made for the largest n yet.  A matrix that is not the leading block of
-    the one eliminated, or one past its first row swap, is eliminated on
-    its own."""
-    a = hankel_matrix(family, n)
-    top, adjs = _adjugates.get(family, ([], []))
-    if n >= len(adjs):
-        top, adjs = _adjugates[family] = a, leading_adjugates(a)
-    if adjs[n] is not None and all(row[: n + 1] == want for row, want in zip(top, a)):
+def _adjugate(family: FamilyId, n: int) -> list[list[list[int]]]:
+    """adj([a_{i+j}]_{0..n}) over Z[x], its rows read from `int_entries`.
+    The n-block is the leading block of every larger [a_{i+j}], so it is
+    read off the elimination made for the largest n yet; past that
+    elimination's first row swap it is eliminated on its own."""
+    adjs = _adjugates.get(family, [])
+    if n < len(adjs) and adjs[n] is not None:
         return adjs[n]
-    return int_adjugate(a)
+    e = int_entries(family, 0, 2 * n + 1)
+    rows = [e[i : i + n + 1] for i in range(n + 1)]
+    if n >= len(adjs):
+        adjs = _adjugates[family] = leading_adjugates(rows)
+    return adjs[n] if adjs[n] is not None else int_adjugate(rows)
 
 
 def trace_values(family: FamilyId, n: int) -> list[tuple[str, Poly, Poly]]:
     """(name, Tr(adj(A) X), stated value) for each Table-1 rule.
 
     Tr(adj(A) X) is the sum over s of x(s) times the s-th anti-diagonal sum
-    of adj(A) = B / scale, read off one Gauss-Jordan elimination per family
-    (`_adjugate`): the anti-diagonal sums add B's integer entries.  Each sequence's products
-    with them are formed once, and each rule is one `lin_comb` of them,
-    weighted by s for a rule s y(s).
+    of adj(A), read off one Gauss-Jordan elimination per family
+    (`_adjugate`): the anti-diagonal sums add its integer entries, and each
+    rule is one `lin_comb` over s.
     """
-    rows, scale = _adjugate(family, n)
+    rows = _adjugate(family, n)
     sums = []
     for s in range(2 * n + 1):
         acc: list[int] = []
         for i in range(max(0, s - n), min(s, n) + 1):
             int_poly_add_into(acc, rows[i][s - i])
-        sums.append(from_int_scaled(acc, scale))
-    products: dict[Callable[[int], Poly], list[Poly]] = {}
-    out = []
-    for name, x, expected in table1_rules(family, n):
-        seq = x.args[0] if isinstance(x, partial) else x
-        if seq not in products:
-            products[seq] = [t * seq(s) for s, t in enumerate(sums)]
-        weights = range(len(sums)) if seq is not x else [1] * len(sums)
-        out.append((name, lin_comb(zip(weights, products[seq])), expected))
-    return out
+        sums.append(from_int_scaled(acc, 1))
+    return [(name, lin_comb((t, x(s)) for s, t in enumerate(sums)), expected)
+            for name, x, expected in table1_rules(family, n)]

@@ -3,7 +3,12 @@
 ``det_cofactor`` is the cofactor expansion, exponential and free of any
 division.  ``POLY`` and ``RATIONAL`` run ``hankel.det_bareiss`` over
 ``Poly`` and ``Fraction`` entries directly, with no integer scaling.
-``adjugate`` is ``hankel_checks.int_adjugate`` read as Poly entries, and
+``det_fraction_free`` (rows scaled to Z[x] by the lcm of their
+denominators, one ``det_bareiss`` over Z[x]) and ``hankel_matrix``, the
+Poly matrix [a_{i+j}], are the Poly-matrix helpers of ``hankel``, which no
+check calls: every elimination of [a_{i+j}] reads integer rows.
+``adjugate`` is ``hankel_checks.int_adjugate`` of a Poly matrix, each row
+scaled to Z[x] first and the scales divided back out, and
 ``cofactor_adjugate`` is adj(A) entry by entry from ``det_cofactor``,
 ``cramer_trace`` forms Tr(adj(A) X) as n determinants, one per replaced
 column, and ``fraction_nullspace`` is Gauss-Jordan over ``Fraction``:
@@ -25,13 +30,20 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import compress
+from math import prod
 from typing import Sequence
 
 from hankelab import hankel, hankel_checks
 from hankelab.factor import FactorReport
-from hankelab.hankel import Ladder, Ring, det_fraction_free
+from hankelab.hankel import Ladder, Ring, det_fraction_free, hankel_matrix  # noqa: F401
 from hankelab.jet import JET
-from hankelab.poly import from_int_scaled, int_poly_add_into, int_poly_exact_div, int_poly_sub
+from hankelab.poly import (
+    from_int_scaled,
+    int_poly_add_into,
+    int_poly_exact_div,
+    int_poly_sub,
+    to_int_scaled,
+)
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> object:
@@ -140,10 +152,18 @@ def full_row_ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) ->
 
 
 def adjugate(rows):
-    """adj(A) as Poly entries: ``hankel_checks.int_adjugate``'s integer rows
-    over its scale."""
-    ints, scale = hankel_checks.int_adjugate(rows)
-    return [[from_int_scaled(v, scale) for v in row] for row in ints]
+    """adj(A) as Poly entries, for a square Poly matrix A.
+
+    With D the diagonal of the row scales that make D A integral,
+    adj(A) = adj(D A) D / det D: column j of ``hankel_checks.int_adjugate``
+    of D A times d_j, over the product of the scales.
+    """
+    scaled = [to_int_scaled(row) for row in rows]
+    scales = [s for _, s in scaled]
+    ints = hankel_checks.int_adjugate([r for r, _ in scaled])
+    total = prod(scales)
+    return [[from_int_scaled([c * d for c in v], total) for v, d in zip(row, scales)]
+            for row in ints]
 
 
 def cofactor_adjugate(rows):

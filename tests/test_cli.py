@@ -190,6 +190,20 @@ def test_verify_pass(capsys):
     assert out.count("PASS de1") == 4
 
 
+def test_verify_zero_minor_family_runs_both_fallbacks(capsys):
+    # the (1,0) family has H_2 = 0: dodgson's own H_j past that zero pivot
+    # are eliminated alone and pass; the Table-1 adjugates from n = 2 on
+    # are of singular matrices, one fail row each, and verify exits 1
+    code, out, _ = run(capsys, "verify", "--check", "table1,dodgson", "--family", "1,0",
+                       "--n", "1..4")
+    assert code == 1
+    assert out.splitlines() == [
+        *(f"PASS dodgson family=1,0 n={n}" for n in range(1, 5)),
+        "PASS table1 family=1,0 n=1 (11 rules)",
+        *(f"FAIL table1 family=1,0 n={n} (ValueError: singular matrix)" for n in range(2, 5)),
+    ]
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--check", "bogus", "--n", "1..2")
     assert code == 2

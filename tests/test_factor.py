@@ -5,7 +5,7 @@ import pytest
 from reference_det import list_factor_smooth, list_primes_up_to, reconstruct
 
 from hankelab import factor
-from hankelab.factor import factor_smooth, is_prime, primality_label, primes_up_to
+from hankelab.factor import factor_smooth, is_prime, primality_label
 
 
 def test_small_example():
@@ -52,7 +52,7 @@ def test_reconstruction_random():
         for p, _ in rep.small_factors:
             assert p <= rep.bound and is_prime(p)
         # cofactor has no factor at or below the bound
-        for p in primes_up_to(100):
+        for p in list_primes_up_to(100):
             if rep.cofactor > 1:
                 assert rep.cofactor % p != 0 or p > rep.bound
 
@@ -66,17 +66,22 @@ def test_primality():
 
 
 def test_primes_up_to():
-    assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert primes_up_to(1) == []
+    # the lazy walk over the odd-only sieve, and the full-sieve oracle
+    for primes in (lambda b: list(factor._primes(b)), list_primes_up_to):
+        assert primes(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert primes(1) == []
 
 
 def test_primes_up_to_matches_trial_division(monkeypatch):
+    # the lazy walk against the full-sieve oracle, which is checked against
+    # trial division
     primes = [p for p in range(2, 3000) if all(p % d for d in range(2, isqrt(p) + 1))]
     for bound in range(3000):
         want = [p for p in primes if p <= bound]
-        assert primes_up_to(bound) == want, bound  # read off a sieve built for a larger bound
+        assert list_primes_up_to(bound) == want, bound
+        assert list(factor._primes(bound)) == want, bound  # off a sieve built for a larger bound
         monkeypatch.setattr(factor, "_odd_sieve", bytearray())
-        assert primes_up_to(bound) == want, bound  # off a sieve built for this bound
+        assert list(factor._primes(bound)) == want, bound  # off a sieve built for this bound
 
 
 def test_lazy_walk_matches_the_list_walk_oracle(monkeypatch):

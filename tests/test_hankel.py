@@ -12,23 +12,24 @@ from reference_det import (
     cofactor_adjugate,
     cramer_trace,
     det_cofactor,
+    det_fraction_free,
     fraction_nullspace,
     full_row_ladder,
+    hankel_matrix,
 )
 
 from hankelab.poly import InexactDivision, Poly, denominator_lcm, from_int_scaled
 import hankelab.hankel as hankel_mod
 import hankelab.hankel_checks as checks_mod
+import hankelab.lemmas as lemmas_mod
 from hankelab.hankel import (
     INT,
     INT_POLY,
     VARIANTS,
     _variant_columns,
     det_bareiss,
-    det_fraction_free,
     hankel_det,
     hankel_det_at,
-    hankel_matrix,
     quartet,
     variant_det,
     variant_det_at,
@@ -217,8 +218,9 @@ def test_every_entry_is_an_integer_polynomial_of_degree_at_most_k():
 
 def test_the_entry_tripwire_raises_on_every_ring(monkeypatch):
     # a substituted sequence whose a_3 has a rational coefficient, or a
-    # degree above 3, stops every ladder and dodgson's own eliminations at
-    # a ValueError naming a_3; the entries before it are accepted
+    # degree above 3, stops every ladder, dodgson's own eliminations and the
+    # Table-1 adjugates at a ValueError naming a_3; the entries before it
+    # are accepted
     def rational(_family, k):
         return Poly([k + 1, 2, Fraction(1, 2)] if k == 3 else [k + 1, 2][: k + 1])
 
@@ -234,6 +236,9 @@ def test_the_entry_tripwire_raises_on_every_ring(monkeypatch):
                 hankel_mod.cached_ladder(F31, x0, ring, 1)
         with pytest.raises(ValueError, match="a_3 of 3,1"):
             checks_mod.own_hankel_dets(F31, 2)
+        monkeypatch.setattr(lemmas_mod, "_adjugates", {})
+        with pytest.raises(ValueError, match="a_3 of 3,1 is not an integer polynomial"):
+            lemmas_mod._adjugate(F31, 4)
 
 
 def test_ladder_extension_matches_single_eliminations(monkeypatch):
@@ -354,9 +359,15 @@ def test_dodgson_eliminates_each_of_its_own_h_once(monkeypatch):
         assert orders == [11, 12, *range(10, 1, -1)], fam
 
 
-def over_scale(rows, scale):
-    """B / s as Poly entries, for an adjugate given as (B, s)."""
-    return [[from_int_scaled(v, scale) for v in row] for row in rows]
+def int_hankel(family, n):
+    """[a_{i+j}]_{0..n} as integer coefficient lists, from ``int_entries``."""
+    e = hankel_mod.int_entries(family, 0, 2 * n + 1)
+    return [e[i : i + n + 1] for i in range(n + 1)]
+
+
+def polys(rows):
+    """A matrix of integer coefficient lists as Poly entries."""
+    return [[from_int_scaled(v, 1) for v in row] for row in rows]
 
 
 def seq_with_head(head):
@@ -390,63 +401,59 @@ def test_own_h_are_the_pivots_of_one_elimination():
 
 def test_own_h_past_a_zero_leading_minor_are_eliminated_alone(monkeypatch):
     # the pivots are read up to the first zero one; each H_j past it (the
-    # elimination swaps rows there) comes from a det_fraction_free of its
-    # own, and dodgson, which holds for any sequence, still passes
+    # elimination swaps rows there) comes from a det_bareiss of its own
+    # rows of the same integer entries, and dodgson, which holds for any
+    # sequence, still passes
     from hankelab.checks import run_check
 
-    real = checks_mod.det_fraction_free
+    real = checks_mod.det_bareiss
     for head in ZERO_MINOR_HEADS:
         monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(head))
-        monkeypatch.setattr(checks_mod, "a_poly", hankel_mod.a_poly)
         monkeypatch.setattr(hankel_mod, "_ladders", {})
         monkeypatch.setattr(checks_mod, "_own_h", {})
         want = [det_cofactor(hankel_matrix(F31, j)) for j in range(7)]
         first_zero = next(j for j, h in enumerate(want) if h.is_zero())
         assert first_zero < 2 and not want[6].is_zero()
-        alone = []
+        orders = []
 
-        def counted(rows):
-            alone.append(len(rows) - 1)
-            return real(rows)
+        def counted(rows, ring):
+            orders.append(len(rows) - 1)
+            return real(rows, ring)
 
-        monkeypatch.setattr(checks_mod, "det_fraction_free", counted)
+        monkeypatch.setattr(checks_mod, "det_bareiss", counted)
         for top in (6, 2):
-            del alone[:]
+            del orders[:]
             assert checks_mod.own_hankel_dets(F31, top) == want[: top + 1], (head, top)
-            assert alone == list(range(first_zero + 1, top)), (head, top)
-        monkeypatch.setattr(checks_mod, "det_fraction_free", real)
+            assert orders == [top, *range(first_zero + 1, top)], (head, top)
+        monkeypatch.setattr(checks_mod, "det_bareiss", real)
         rows = run_check("dodgson", F31, range(1, 6))
         assert [r.status for r in rows] == ["pass"] * 5, head
 
 
 def test_leading_adjugates_match_each_adjugate(monkeypatch):
-    # every leading block's adjugate, read off one elimination, against
-    # int_adjugate of the block alone
+    # every leading block's adjugate, read off one elimination of integer
+    # rows, against int_adjugate of the block alone, and at small n
+    # against the cofactors
     for fam in ALL_FAMILIES:
-        got = checks_mod.leading_adjugates(hankel_matrix(fam, 5))
-        assert got == [checks_mod.int_adjugate(hankel_matrix(fam, k)) for k in range(6)], fam
-    # rows with their own scales; and past a singular leading block, where
-    # the elimination swaps rows, every block is None: int_adjugate raises
-    # on the singular one and swaps rows itself for the larger ones
-    # (a row of a larger matrix may take a larger scale, so compare B / s)
-    tail = seq_with_head(())
-    monkeypatch.setattr(hankel_mod, "a_poly", lambda fam, k: tail(fam, k) * Fraction(1, k % 4 + 1))
-    got = checks_mod.leading_adjugates(hankel_matrix(F31, 4))
-    assert [over_scale(*adj) for adj in got] == [
-        adjugate(hankel_matrix(F31, k)) for k in range(5)]
-    assert {scale for _, scale in got} != {1}
+        got = checks_mod.leading_adjugates(int_hankel(fam, 5))
+        assert got == [checks_mod.int_adjugate(int_hankel(fam, k)) for k in range(6)], fam
+        for k in range(3):
+            assert polys(got[k]) == cofactor_adjugate(hankel_matrix(fam, k)), (fam, k)
+    # past a singular leading block, where the elimination swaps rows,
+    # every block is None: int_adjugate raises on the singular one and
+    # swaps rows itself for the larger ones, folding the swap's sign in
     for head in ZERO_MINOR_HEADS[:2]:
         monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(head))
         zero = 1 if head[0] else 0
-        got = checks_mod.leading_adjugates(hankel_matrix(F31, 4))
-        assert [over_scale(*adj) for adj in got[:zero]] == [
-            adjugate(hankel_matrix(F31, k)) for k in range(zero)]
+        got = checks_mod.leading_adjugates(int_hankel(F31, 4))
+        assert [polys(adj) for adj in got[:zero]] == [
+            cofactor_adjugate(hankel_matrix(F31, k)) for k in range(zero)]
         assert got[zero:] == [None] * (5 - zero)
         with pytest.raises(ValueError, match="singular matrix"):
-            checks_mod.int_adjugate(hankel_matrix(F31, zero))
+            checks_mod.int_adjugate(int_hankel(F31, zero))
         for k in range(zero + 1, 4):
-            rows = hankel_matrix(F31, k)
-            assert adjugate(rows) == cofactor_adjugate(rows)
+            want = cofactor_adjugate(hankel_matrix(F31, k))
+            assert polys(checks_mod.int_adjugate(int_hankel(F31, k))) == want, (head, k)
 
 
 def test_zero_pivot_swap():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from reference_det import adjugate, cofactor_adjugate, cramer_trace, fraction_nullspace
+from reference_det import adjugate, cofactor_adjugate, cramer_trace, fraction_nullspace, hankel_matrix
 import reference_identities
 from reference_identities import (
     e_matrix,
@@ -26,7 +26,7 @@ from hankelab.lemmas import (
 )
 from hankelab.jet import terms_at
 from hankelab.poly import Poly
-from hankelab.hankel import hankel_matrix, quartet
+from hankelab.hankel import hankel_det, quartet
 from hankelab.identities import (
     RelationId,
     POINT_RELATIONS,
@@ -51,6 +51,7 @@ from hankelab.sequences import (
     F21,
     F30,
     F31,
+    FamilyId,
     a_poly,
     conv_poly,
 )
@@ -238,19 +239,18 @@ def test_transform_rules_match_the_cramer_oracle():
             assert all(ok for _, ok in transform_rules(fam, n)), (fam, n)
 
 
-def test_table1_singular_matrix_is_one_fail_row(monkeypatch):
-    real = lemmas_mod.hankel_matrix
-
-    def singular_at_2(family, n):
-        rows = real(family, n)
-        return [rows[0]] + rows[:-1] if n == 2 else rows
-
-    monkeypatch.setattr(lemmas_mod, "hankel_matrix", singular_at_2)
+def test_table1_singular_matrix_is_one_fail_row():
+    # the (1,0) family's H_n vanish from n = 2 on, so its Table-1 adjugates
+    # there are of singular matrices: each such n is one fail row, and the
+    # rows before it and the other families' rows are unaffected
+    f10 = FamilyId("binom", 1, 0)
+    assert [hankel_det(f10, n).is_zero() for n in range(5)] == [False, False, True, True, True]
     with pytest.raises(ValueError, match="singular matrix"):
-        transform_rules(F31, 2)
-    rows = run_check("table1", F31, [1, 2, 3])
-    assert [r.status for r in rows] == ["pass", "fail", "pass"]
-    assert rows[1].detail == "ValueError: singular matrix"
+        transform_rules(f10, 2)
+    rows = run_check("table1", f10, [1, 2, 3])
+    assert [r.status for r in rows] == ["pass", "fail", "fail"]
+    assert {r.detail for r in rows[1:]} == {"ValueError: singular matrix"}
+    assert {r.status for r in run_check("table1", F31, [1, 2, 3])} == {"pass"}
 
 
 def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
@@ -260,7 +260,7 @@ def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
     # eliminated alone, and the singular block raises as int_adjugate does
     import hankelab.hankel as hankel_mod
     import hankelab.hankel_checks as checks_mod
-    from test_hankel import ZERO_MINOR_HEADS, over_scale, seq_with_head
+    from test_hankel import ZERO_MINOR_HEADS, int_hankel, seq_with_head
 
     calls = []
 
@@ -276,26 +276,22 @@ def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
     monkeypatch.setattr(lemmas_mod, "int_adjugate", spy("alone", lemmas_mod.int_adjugate))
     for fam in (F31, F21):
         for n in range(5, 0, -1):
-            assert lemmas_mod._adjugate(fam, n) == checks_mod.int_adjugate(hankel_matrix(fam, n))
+            assert lemmas_mod._adjugate(fam, n) == checks_mod.int_adjugate(int_hankel(fam, n))
     assert calls == [("one", 5), ("one", 5)]
 
-    # another sequence: the kept elimination is of another matrix, so at
-    # first every n is eliminated alone, except n = 0, whose [a_0] = [1] is
-    # the same
+    # a sequence with H_1 = 0 (its memo emptied, as a_k are fixed per
+    # family): n = 4 is eliminated once for every block, and each n from
+    # 4 down to 1 alone, n = 0 reads its block off the one elimination
     monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(ZERO_MINOR_HEADS[0]))
-    alone = [("alone", n) for n in range(4, 0, -1)]
-    for reset, want_calls in ((False, alone), (True, [("one", 4), *alone])):
-        if reset:
-            monkeypatch.setattr(lemmas_mod, "_adjugates", {})
-        del calls[:]
-        for n in range(4, -1, -1):
-            if n == 1:
-                with pytest.raises(ValueError, match="singular matrix"):
-                    lemmas_mod._adjugate(F31, n)
-                continue
-            want = checks_mod.int_adjugate(hankel_matrix(F31, n))
-            assert over_scale(*lemmas_mod._adjugate(F31, n)) == over_scale(*want), n
-        assert calls == want_calls
+    monkeypatch.setattr(lemmas_mod, "_adjugates", {})
+    del calls[:]
+    for n in range(4, -1, -1):
+        if n == 1:
+            with pytest.raises(ValueError, match="singular matrix"):
+                lemmas_mod._adjugate(F31, n)
+            continue
+        assert lemmas_mod._adjugate(F31, n) == checks_mod.int_adjugate(int_hankel(F31, n)), n
+    assert calls == [("one", 4), *[("alone", n) for n in range(4, 0, -1)]]
 
 
 def _same_nullspace(rows, ncols):
