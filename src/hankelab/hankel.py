@@ -7,10 +7,12 @@ aborts loudly, which doubles as a correctness tripwire.  ``det_bareiss``
 eliminates one square matrix; ``ladder`` eliminates [a_{i+j}] once for
 H_n, K_n, M_n and N_n at every n, and a per-process cache grows each
 family's ladder as larger n are asked for.  Every elimination of
-[a_{i+j}] reads its rows unscaled from ``int_entries``; the ones only
-checks run (Gauss-Jordan, adjugates, the Dodgson check's own), and the
-degree-bound instances, are ``hankel_checks.py``.  ``det_fraction_free``
-and ``hankel_matrix`` serve the tests and perfbench's tracer self-test.
+[a_{i+j}] reads its rows unscaled from ``int_entries`` (``int_hankel``
+gives the square matrix); the ones only checks run (Gauss-Jordan,
+adjugates, the Dodgson check's own), and the degree-bound instances, are
+``hankel_checks.py``.  ``det_fraction_free`` scales rational rows to Z[x]
+for the degree-bound instances; ``hankel_matrix``, the Poly matrix
+[a_{i+j}], serves the tests and perfbench's tracer self-test.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ def int_entries(family: FamilyId, start: int, stop: int) -> list[list[int]]:
             raise ValueError(f"a_{k} of {family} is not an integer polynomial of degree <= {k}")
         out.append(list(f.num))
     return out
+
+
+def int_hankel(family: FamilyId, n: int) -> list[list[list[int]]]:
+    """The (n+1) x (n+1) matrix [a_{i+j}] of integer coefficient lists,
+    its rows slices of one `int_entries` list."""
+    e = int_entries(family, 0, 2 * n + 1)
+    return [e[i : i + n + 1] for i in range(n + 1)]
 
 
 def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:

@@ -7,8 +7,9 @@ too, for adjugates over Z[x] (those of every leading block from one
 elimination) and integer nullspaces.  The adjugates and the Dodgson
 check's eliminations take their rows [a_{i+j}] from ``hankel.int_entries``
 as they are; only the degree-bound instances, whose entries are rational,
-scale their rows to Z[x].  None of this serves a determinant query or the
-point screen, so a process that runs only those does not compile it.
+scale their rows to Z[x] (``hankel.det_fraction_free``).  None of this
+serves a determinant query or the point screen, so a process that runs
+only those does not compile it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,17 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, lcm, perm, prod
 
-from .hankel import INT_POLY, Ring, _variant_columns, det_bareiss, int_entries, variant_det
-from .poly import Poly, from_int_scaled, int_poly_neg, lin_comb, to_int_scaled
+from .hankel import (
+    INT_POLY,
+    Ring,
+    _variant_columns,
+    det_bareiss,
+    det_fraction_free,
+    int_entries,
+    int_hankel,
+    variant_det,
+)
+from .poly import Poly, from_int_scaled, lin_comb
 from .sequences import FamilyId
 
 
@@ -64,6 +74,11 @@ def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list
     return state or ([list(row) for row in rows], [], 1)
 
 
+def _with_identity(rows: Sequence[Sequence[list[int]]]) -> list[list[list[int]]]:
+    """[A | I] for a square matrix A of integer coefficient lists."""
+    return [[*r, *([1] if j == i else [] for j in range(len(rows)))] for i, r in enumerate(rows)]
+
+
 def int_adjugate(rows: Sequence[Sequence[list[int]]]) -> list[list[list[int]]]:
     """adj(A) over Z[x] for an invertible square matrix A of integer
     coefficient lists; ValueError if singular.
@@ -73,13 +88,12 @@ def int_adjugate(rows: Sequence[Sequence[list[int]]]) -> list[list[list[int]]]:
     the sign.
     """
     n = len(rows)
-    aug = [[*r, *([1] if j == i else [] for j in range(n))] for i, r in enumerate(rows)]
-    reduced, pivots, sign = gauss_jordan(aug, INT_POLY)
+    reduced, pivots, sign = gauss_jordan(_with_identity(rows), INT_POLY)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     if sign == 1:
         return [row[n:] for row in reduced]
-    return [[int_poly_neg(v) for v in row[n:]] for row in reduced]
+    return [[INT_POLY.neg(v) for v in row[n:]] for row in reduced]
 
 
 def leading_adjugates(rows: Sequence[Sequence[list[int]]]) -> list:
@@ -94,9 +108,8 @@ def leading_adjugates(rows: Sequence[Sequence[list[int]]]) -> list:
     of A_k.
     """
     n = len(rows)
-    aug = [[*r, *([1] if j == i else [] for j in range(n))] for i, r in enumerate(rows)]
     out = []
-    for m, pivots, sign in gauss_jordan_steps(aug, INT_POLY):
+    for m, pivots, sign in gauss_jordan_steps(_with_identity(rows), INT_POLY):
         k = len(pivots) - 1
         if pivots[k] != k or sign != 1:
             break
@@ -116,9 +129,10 @@ def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
     at step k is H_k, it asks ``unit`` of each pivot before any other entry,
     so the ring below records them up to the first zero one, and its
     determinant is H_top.  A zero pivot means a row swap, after which the
-    pivots are no leading minors: each H_j past it is eliminated on its own.
+    pivots are no leading minors: each H_j past it is eliminated on its own,
+    on the leading (j+1)-block of the same rows.
     """
-    e = int_entries(family, 0, 2 * top + 1)
+    rows = int_hankel(family, top)
     leading: list[list[int]] = []
 
     def unit(v):
@@ -126,8 +140,8 @@ def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
             leading.append(v)
         return bool(v)
 
-    det = det_bareiss([e[i : i + top + 1] for i in range(top + 1)], INT_POLY._replace(unit=unit))
-    hs = leading + [det_bareiss([e[i : i + j + 1] for i in range(j + 1)], INT_POLY)
+    det = det_bareiss(rows, INT_POLY._replace(unit=unit))
+    hs = leading + [det_bareiss([row[: j + 1] for row in rows[: j + 1]], INT_POLY)
                     for j in range(len(leading), top)]
     return [from_int_scaled(v, 1) for v in hs + [det]]
 
@@ -221,12 +235,7 @@ def degree_bound(inst: DegreeInstance) -> int:
 
 
 def general_degree_det(inst: DegreeInstance) -> Poly:
-    """The instance's determinant: its entries are rational, so each row is
-    scaled to Z[x] by the lcm of its denominators, eliminated over Z[x],
-    and the result divided by the product of the row scales once."""
-    scaled = [to_int_scaled(row) for row in inst.matrix()]
-    det = det_bareiss([row for row, _ in scaled], INT_POLY)
-    return from_int_scaled(det, prod(scale for _, scale in scaled))
+    return det_fraction_free(inst.matrix())
 
 
 def make_degree_instance(p, q, alphas, betas, gamma) -> DegreeInstance:

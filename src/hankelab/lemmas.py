@@ -7,7 +7,7 @@ c_{k+offset} or a_k'.  Each residual, and each entry of the E/F matrix
 convolution identities, is one `poly.lin_comb` over Z.  The Table-1 trace
 rules Tr(A^{-1} X) H_n = value are stated here too (`table1_rules`), and
 `trace_values` sums each as one `lin_comb` against the adjugate over Z[x]
-of [a_{i+j}], whose integer rows come from `hankel.int_entries` and which
+of [a_{i+j}], whose integer rows come from `hankel.int_hankel` and which
 is read off one Gauss-Jordan elimination per family.  The table and the
 rules have a module of their own: inside
 `identities.py` they raised the compile that peaks a sweep's resident size
@@ -20,7 +20,7 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
-from .hankel import int_entries, quartet
+from .hankel import int_hankel, quartet
 from .hankel_checks import int_adjugate, leading_adjugates
 from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
@@ -217,15 +217,14 @@ _adjugates: dict[FamilyId, list] = {}
 
 
 def _adjugate(family: FamilyId, n: int) -> list[list[list[int]]]:
-    """adj([a_{i+j}]_{0..n}) over Z[x], its rows read from `int_entries`.
+    """adj([a_{i+j}]_{0..n}) over Z[x], its rows read from `int_hankel`.
     The n-block is the leading block of every larger [a_{i+j}], so it is
     read off the elimination made for the largest n yet; past that
     elimination's first row swap it is eliminated on its own."""
     adjs = _adjugates.get(family, [])
     if n < len(adjs) and adjs[n] is not None:
         return adjs[n]
-    e = int_entries(family, 0, 2 * n + 1)
-    rows = [e[i : i + n + 1] for i in range(n + 1)]
+    rows = int_hankel(family, n)
     if n >= len(adjs):
         adjs = _adjugates[family] = leading_adjugates(rows)
     return adjs[n] if adjs[n] is not None else int_adjugate(rows)

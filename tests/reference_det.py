@@ -3,10 +3,6 @@
 ``det_cofactor`` is the cofactor expansion, exponential and free of any
 division.  ``POLY`` and ``RATIONAL`` run ``hankel.det_bareiss`` over
 ``Poly`` and ``Fraction`` entries directly, with no integer scaling.
-``det_fraction_free`` (rows scaled to Z[x] by the lcm of their
-denominators, one ``det_bareiss`` over Z[x]) and ``hankel_matrix``, the
-Poly matrix [a_{i+j}], are the Poly-matrix helpers of ``hankel``, which no
-check calls: every elimination of [a_{i+j}] reads integer rows.
 ``adjugate`` is ``hankel_checks.int_adjugate`` of a Poly matrix, each row
 scaled to Z[x] first and the scales divided back out, and
 ``cofactor_adjugate`` is adj(A) entry by entry from ``det_cofactor``,
@@ -35,7 +31,7 @@ from typing import Sequence
 
 from hankelab import hankel, hankel_checks
 from hankelab.factor import FactorReport
-from hankelab.hankel import Ladder, Ring, det_fraction_free, hankel_matrix  # noqa: F401
+from hankelab.hankel import Ladder, Ring, det_fraction_free
 from hankelab.jet import JET
 from hankelab.poly import (
     from_int_scaled,

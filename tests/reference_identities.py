@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from reference_det import adjugate, hankel_matrix
+from reference_det import adjugate
 
+from hankelab.hankel import hankel_matrix
 from hankelab.lemmas import IdentityId, table1_rules
 from hankelab.poly import Poly
 from hankelab.sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly

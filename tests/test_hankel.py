@@ -12,10 +12,8 @@ from reference_det import (
     cofactor_adjugate,
     cramer_trace,
     det_cofactor,
-    det_fraction_free,
     fraction_nullspace,
     full_row_ladder,
-    hankel_matrix,
 )
 
 from hankelab.poly import InexactDivision, Poly, denominator_lcm, from_int_scaled
@@ -28,8 +26,11 @@ from hankelab.hankel import (
     VARIANTS,
     _variant_columns,
     det_bareiss,
+    det_fraction_free,
     hankel_det,
     hankel_det_at,
+    hankel_matrix,
+    int_hankel,
     quartet,
     variant_det,
     variant_det_at,
@@ -357,12 +358,6 @@ def test_dodgson_eliminates_each_of_its_own_h_once(monkeypatch):
         del orders[:]
         assert {r.status for r in run_check(name, fam, range(lo, hi + 1))} == {"pass"}
         assert orders == [11, 12, *range(10, 1, -1)], fam
-
-
-def int_hankel(family, n):
-    """[a_{i+j}]_{0..n} as integer coefficient lists, from ``int_entries``."""
-    e = hankel_mod.int_entries(family, 0, 2 * n + 1)
-    return [e[i : i + n + 1] for i in range(n + 1)]
 
 
 def polys(rows):

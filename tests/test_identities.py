@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from reference_det import adjugate, cofactor_adjugate, cramer_trace, fraction_nullspace, hankel_matrix
+from reference_det import adjugate, cofactor_adjugate, cramer_trace, fraction_nullspace
 import reference_identities
 from reference_identities import (
     e_matrix,
@@ -26,7 +26,7 @@ from hankelab.lemmas import (
 )
 from hankelab.jet import terms_at
 from hankelab.poly import Poly
-from hankelab.hankel import hankel_det, quartet
+from hankelab.hankel import hankel_det, hankel_matrix, int_hankel, quartet
 from hankelab.identities import (
     RelationId,
     POINT_RELATIONS,
@@ -239,10 +239,10 @@ def test_transform_rules_match_the_cramer_oracle():
             assert all(ok for _, ok in transform_rules(fam, n)), (fam, n)
 
 
-def test_table1_singular_matrix_is_one_fail_row():
+def test_table1_singular_matrix_is_one_fail_row(monkeypatch):
     # the (1,0) family's H_n vanish from n = 2 on, so its Table-1 adjugates
     # there are of singular matrices: each such n is one fail row, and the
-    # rows before it and the other families' rows are unaffected
+    # row before it is unaffected
     f10 = FamilyId("binom", 1, 0)
     assert [hankel_det(f10, n).is_zero() for n in range(5)] == [False, False, True, True, True]
     with pytest.raises(ValueError, match="singular matrix"):
@@ -250,7 +250,23 @@ def test_table1_singular_matrix_is_one_fail_row():
     rows = run_check("table1", f10, [1, 2, 3])
     assert [r.status for r in rows] == ["pass", "fail", "fail"]
     assert {r.detail for r in rows[1:]} == {"ValueError: singular matrix"}
-    assert {r.status for r in run_check("table1", F31, [1, 2, 3])} == {"pass"}
+
+    # F31 with its n = 3 matrix made singular (row 0 twice): the n run from
+    # the top, so n = 3 fails first, and n = 2 and 1, whose blocks its
+    # elimination stopped short of, are each eliminated alone and pass
+    real = lemmas_mod.int_hankel
+
+    def singular_at_3(family, n):
+        rows = real(family, n)
+        return [rows[0]] + rows[:-1] if n == 3 else rows
+
+    monkeypatch.setattr(lemmas_mod, "_adjugates", {})
+    monkeypatch.setattr(lemmas_mod, "int_hankel", singular_at_3)
+    with pytest.raises(ValueError, match="singular matrix"):
+        transform_rules(F31, 3)
+    rows = run_check("table1", F31, [1, 2, 3])
+    assert [r.status for r in rows] == ["pass", "pass", "fail"]
+    assert rows[2].detail == "ValueError: singular matrix"
 
 
 def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
@@ -260,7 +276,7 @@ def test_table1_adjugates_come_from_one_elimination_per_family(monkeypatch):
     # eliminated alone, and the singular block raises as int_adjugate does
     import hankelab.hankel as hankel_mod
     import hankelab.hankel_checks as checks_mod
-    from test_hankel import ZERO_MINOR_HEADS, int_hankel, seq_with_head
+    from test_hankel import ZERO_MINOR_HEADS, seq_with_head
 
     calls = []
 
