@@ -6,17 +6,18 @@ ascending by degree with no trailing zeros, and gcd(den, *num) == 1, so
 every rational polynomial has exactly one (num, den) and equality is
 equality of the pair.  The zero polynomial is ((), 1), with degree
 ``-inf``.  Arithmetic runs over Z on the integer coefficient lists below,
-with one gcd normalisation per result; ``coeffs`` gives the Fraction
-coefficients on demand.  ``int_poly_addmul``, acc += w * a * b in place,
-is the one multiplication loop over Z[x]: a product is an addmul into an
-empty list, and a Bareiss step or a sum of products accumulates into one
-list without forming each product on its own.
+with one gcd normalisation per result (``from_int_scaled``); ``coeffs``
+gives the Fraction coefficients on demand.  There is one loop of each
+kind over Z[x]: ``int_poly_addmul``, acc += w * a * b in place, multiplies
+(a product is an addmul into an empty list, and a Bareiss step or a sum of
+products accumulates into one list); ``int_poly_add_into``, acc += w * t,
+adds; ``int_poly_exact_div`` divides, raising where the division is not
+exact; and ``to_int_scaled`` brings Polys to one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 from collections.abc import Iterable, Sequence
 
@@ -34,13 +35,9 @@ class Poly:
         as coefficients, ascending by degree."""
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         den = denominator_lcm(cs)
-        num = [c.numerator * (den // c.denominator) for c in cs]
-        while num and not num[-1]:
-            num.pop()
-        # den is the lcm of the reduced denominators (1 for a zero), so
-        # gcd(den, *num) == 1 and the zero polynomial gets den 1
-        _set_num(self, tuple(num))
-        _set_den(self, den)
+        p = from_int_scaled([c.numerator * (den // c.denominator) for c in cs], den)
+        _set_num(self, p.num)
+        _set_den(self, p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -96,12 +93,7 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(other)
-        a, b, den = _common_scale(self, other)
-        return _make(int_poly_add(a, b), den)
+        return _weighted_sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -109,24 +101,19 @@ class Poly:
         return _poly(tuple(int_poly_neg(self.num)), self.den)
 
     def __sub__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(other)
-        a, b, den = _common_scale(self, other)
-        return _make(int_poly_sub(a, b), den)
+        return _weighted_sum(self, other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            return _make(int_poly_mul(self.num, other.num), self.den * other.den)
+            return from_int_scaled(int_poly_mul(self.num, other.num), self.den * other.den)
         if isinstance(other, int):
-            return _make([c * other for c in self.num], self.den)
+            return from_int_scaled([c * other for c in self.num], self.den)
         if isinstance(other, Fraction):
             n = other.numerator
-            return _make([c * n for c in self.num], self.den * other.denominator)
+            return from_int_scaled([c * n for c in self.num], self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -167,7 +154,7 @@ class Poly:
         num = list(self.num)
         for _ in range(order):
             num = [m * c for m, c in enumerate(num)][1:]
-        return _make(num, self.den)
+        return from_int_scaled(num, self.den)
 
     def __call__(self, point) -> Fraction:
         """Exact evaluation at p/q by homogeneous Horner over Z.
@@ -190,7 +177,7 @@ class Poly:
         """
         a, b = Fraction(a), Fraction(b)
         scale = a.denominator * b.denominator
-        lin = int_poly_add([b.numerator * a.denominator], [0, a.numerator * b.denominator])
+        lin = [b.numerator * a.denominator, a.numerator * b.denominator]
         acc: list[int] = []
         spow = 1
         for c in reversed(self.num):
@@ -198,62 +185,23 @@ class Poly:
             int_poly_addmul(step, acc, lin)
             acc = step
             spow *= scale
-        return _make(acc, self.den * (spow // scale))
+        return from_int_scaled(acc, self.den * (spow // scale))
 
     # -- division ------------------------------------------------------
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Quotient and remainder over Q, by pseudo-division over Z.
+    def exact_div(self, other: "Poly") -> "Poly":
+        """Division that must be remainder-free; raises ``InexactDivision``
+        otherwise.
 
-        Each step scales the running remainder only by the part of the
-        divisor's leading coefficient that the eliminated term lacks, so
-        s * num = quot * other.num + rem for one positive integer s.
+        By Gauss's lemma a primitive divisor that divides over Q divides
+        over Z, so the numerator is divided by the divisor's primitive part
+        with ``int_poly_exact_div`` and its content joins the denominator.
         """
         other = as_poly(other)
         b = other.num
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        rem = list(self.num)
-        shift = len(rem) - 1 - db
-        if shift < 0:
-            return _ZERO, self
-        lead = b[-1]
-        size = abs(lead)
-        quot = [0] * (shift + 1)
-        s = 1
-        for i in range(shift, -1, -1):
-            t = rem[i + db]
-            if not t:
-                continue
-            g = gcd(t, lead)
-            m = size // g
-            if m != 1:
-                rem = [c * m for c in rem]
-                quot = [c * m for c in quot]
-                s *= m
-                t *= m
-            u = t // lead
-            quot[i] = u
-            for j, c in enumerate(b, i):
-                rem[j] -= u * c
-        # self = (quot * b.den / (s * self.den)) * other + rem / (s * self.den)
-        den = s * self.den
-        return _make([c * other.den for c in quot], den), _make(rem[:db], den)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Division that must be remainder-free; raises otherwise.
-
-        The nonzero-remainder branch doubles as the correctness tripwire
-        for fraction-free elimination.
-        """
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise InexactDivision(
-                f"inexact polynomial division: remainder {r} "
-                f"dividing ({self}) by ({other})"
-            )
-        return q
+        content = gcd(*b)
+        quot = int_poly_exact_div(self.num, [c // content for c in b] if content > 1 else b)
+        return from_int_scaled([c * other.den for c in quot], self.den * content)
 
     # -- serialization ---------------------------------------------------
 
@@ -305,31 +253,16 @@ def _poly(num: tuple, den: int) -> Poly:
     return p
 
 
-def _make(num: list[int], den: int) -> Poly:
-    """The Poly num / den for any int list and nonzero int: strips the
-    trailing zeros and divides out gcd(den, *num)."""
-    while num and not num[-1]:
-        num.pop()
-    if not num:
-        return _ZERO
-    if den != 1:
-        if den < 0:
-            num, den = [-c for c in num], -den
-        g = gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-    return _poly(tuple(num), den)
-
-
-def _common_scale(a: Poly, b: Poly) -> tuple[Sequence[int], Sequence[int], int]:
-    """The numerators of a and b over their common denominator, and it."""
-    da, db = a.den, b.den
-    if da == db:
-        return a.num, b.num, da
-    g = gcd(da, db)
-    sa, sb = db // g, da // g
-    return [c * sa for c in a.num], [c * sb for c in b.num], da * sa
+def _weighted_sum(a: Poly, b, weight: int) -> Poly:
+    """a + weight * b for an int, Fraction or Poly b, over Z on the
+    numerators brought to one scale."""
+    if not isinstance(b, Poly):
+        if not isinstance(b, (int, Fraction)):
+            return NotImplemented
+        b = Poly.const(b)
+    (acc, term), scale = to_int_scaled((a, b))
+    int_poly_add_into(acc, term, weight)
+    return from_int_scaled(acc, scale)
 
 
 class InexactDivision(ArithmeticError):
@@ -368,22 +301,6 @@ def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def int_poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Sum in Z[x], with trailing zeros stripped."""
-    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def int_poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Difference in Z[x], with trailing zeros stripped."""
-    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def int_poly_neg(a: Sequence[int]) -> list[int]:
     return [-c for c in a]
 
@@ -408,7 +325,8 @@ def int_poly_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Quotient in Z[x] of a division that must be exact; raises otherwise.
 
     A leading coefficient that does not divide, or a nonzero remainder,
-    raises ``InexactDivision``: the same tripwire as ``Poly.exact_div``.
+    raises ``InexactDivision``.  This is the one division loop: the
+    fraction-free elimination and ``Poly.exact_div`` both run on it.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -455,7 +373,7 @@ def lin_comb(pairs: Iterable[tuple[object, Poly]]) -> Poly:
             int_poly_addmul(acc, c.num, p.num, scale // (c.den * p.den))
         else:
             int_poly_add_into(acc, p.num, c.numerator * (scale // (c.denominator * p.den)))
-    return _make(acc, scale)
+    return from_int_scaled(acc, scale)
 
 
 def denominator_lcm(values: Iterable[Fraction]) -> int:
@@ -474,7 +392,7 @@ def to_int_scaled(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
     ``scale`` is the lcm of the polynomials' denominators, the least
     common scale that clears every coefficient.
     """
-    scale = lcm(*(p.den for p in polys))
+    scale = lcm(*[p.den for p in polys])
     return [
         list(p.num) if p.den == scale else [c * (scale // p.den) for c in p.num]
         for p in polys
@@ -482,8 +400,24 @@ def to_int_scaled(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
 
 
 def from_int_scaled(coeffs: Sequence[int], scale: int) -> Poly:
-    """The Poly with coefficients ``c / scale``."""
-    return _make(list(coeffs), scale)
+    """The Poly with coefficients ``c / scale``, for any int sequence and
+    nonzero int: trailing zeros are stripped and gcd(scale, *coeffs)
+    divided out.  ``coeffs`` itself is never changed (ladder entries are
+    shared), so the one copy made is the Poly's own tuple."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    if not end:
+        return _ZERO
+    num = coeffs if end == len(coeffs) else coeffs[:end]
+    if scale != 1:
+        if scale < 0:
+            num, scale = [-c for c in num], -scale
+        g = gcd(scale, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            scale //= g
+    return _poly(tuple(num), scale)
 
 
 def as_poly(value) -> Poly:

@@ -37,7 +37,6 @@ from hankelab.poly import (
     from_int_scaled,
     int_poly_add_into,
     int_poly_exact_div,
-    int_poly_sub,
     to_int_scaled,
 )
 
@@ -91,9 +90,14 @@ def mul_then_add(acc: list[int], a: Sequence[int], b: Sequence[int], weight: int
 
 
 def mul_sub_cross(p, r, l, u, d) -> list[int]:
-    """(p r - l u) / d over Z[x]: two products, their difference, and the
-    exact division when d is not None."""
-    v = int_poly_sub(schoolbook_mul(p, r), schoolbook_mul(l, u))
+    """(p r - l u) / d over Z[x]: two products, each added on its own by
+    ``mul_then_add``, trailing zeros stripped, and the exact division when
+    d is not None."""
+    v: list[int] = []
+    mul_then_add(v, p, r)
+    mul_then_add(v, l, u, -1)
+    while v and not v[-1]:
+        v.pop()
     return v if d is None else int_poly_exact_div(v, d)
 
 

@@ -10,11 +10,11 @@ from hankelab.poly import (
     InexactDivision,
     Poly,
     from_int_scaled,
+    int_poly_add_into,
     int_poly_addmul,
     int_poly_exact_div,
     int_poly_mul,
     int_poly_neg,
-    int_poly_sub,
     lin_comb,
     to_int_scaled,
 )
@@ -70,29 +70,26 @@ def test_eval_exact_and_compose_affine():
     assert shifted(Fraction(2)) == p(Fraction(3))
     scaled = p.compose_affine(Fraction(-2), Fraction(1, 2))
     assert scaled(Fraction(3)) == p(Fraction(-11, 2))
+    # a = 0: the linear factor [b, 0] ends in a zero, and p(b) is a constant
+    assert p.compose_affine(0, Fraction(5, 7)) == Poly.const(p(x0))
 
 
-def test_divmod_and_exact_div():
+def test_exact_div():
     a = Poly([1, 2, 1])  # (x+1)^2
     b = Poly([1, 1])
-    q, r = a.divmod(b)
-    assert q == b and r.is_zero()
     assert a.exact_div(b) == b
+    # a divisor with content and a negative leading coefficient, over a
+    # rational numerator: (x^2 - 1)/2 / (-4x - 4) = (1 - x)/8
+    half = Fraction(1, 2)
+    assert Poly([-half, 0, half]).exact_div(Poly([-4, -4])) == Poly([1, -1]) * Fraction(1, 8)
+    assert Poly([1, 1]).exact_div(6) == Poly([1, 1]) * Fraction(1, 6)
+    # inexact over Q
     with pytest.raises(InexactDivision):
         Poly([1, 0, 1]).exact_div(Poly([1, 1]))
+    with pytest.raises(InexactDivision):
+        Poly([3]).exact_div(Poly([0, 2]))
     with pytest.raises(ZeroDivisionError):
-        a.divmod(Poly.zero())
-
-
-def test_divmod_random_reconstruction():
-    rng = random.Random(17)
-    for _ in range(100):
-        a, b = random_poly(rng, 9), random_poly(rng, 5)
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert a == q * b + r
-        assert r.degree < b.degree
+        a.exact_div(Poly.zero())
 
 
 def test_json_roundtrip():
@@ -122,7 +119,9 @@ def test_integer_ops_match_poly():
         (a, b), scale = to_int_scaled([p, q])
         assert from_int_scaled(a, scale) == p and from_int_scaled(b, scale) == q
         assert from_int_scaled(int_poly_mul(a, b), scale * scale) == p * q
-        assert from_int_scaled(int_poly_sub(a, b), scale) == p - q
+        diff = list(a)
+        int_poly_add_into(diff, b, -1)
+        assert from_int_scaled(diff, scale) == p - q
         assert from_int_scaled(int_poly_neg(a), scale) == -p
         if b:
             assert int_poly_exact_div(int_poly_mul(a, b), b) == a
@@ -317,17 +316,16 @@ def test_poly_ops_match_fraction_reference():
             assert_agrees(p.compose_affine(a, b), rp.compose_affine(Fraction(a), Fraction(b)))
         assert (p == q) == (rp == rq)
         if rq:
-            quot, rem = p.divmod(q)
-            want_q, want_r = rp.divmod(rq)
-            assert_agrees(quot, want_q)
-            assert_agrees(rem, want_r)
             assert_agrees((p * q).exact_div(q), rp)
-            if rem and trial % 4 == 0:
+            want_q, want_r = rp.divmod(rq)
+            if want_r:
                 with pytest.raises(InexactDivision):
                     p.exact_div(q)
+            else:
+                assert_agrees(p.exact_div(q), want_q)
         else:
             with pytest.raises(ZeroDivisionError):
-                p.divmod(q)
+                p.exact_div(q)
 
 
 def test_int_scaled_round_trip_matches_reference():
@@ -341,7 +339,9 @@ def test_int_scaled_round_trip_matches_reference():
             assert row == [int(c * scale) for c in rp.coeffs]
             assert from_int_scaled(row, scale) == p
             assert_agrees(from_int_scaled(row, -scale), -rp)
-            assert_agrees(from_int_scaled([6 * c for c in row] + [0], 6 * scale), rp)
+            padded = [6 * c for c in row] + [0]
+            assert_agrees(from_int_scaled(padded, 6 * scale), rp)
+            assert padded == [6 * c for c in row] + [0]  # the caller's list is kept
 
 
 def test_canonical_and_immutable():

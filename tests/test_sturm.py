@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+from fraction_poly import ref
+
 from hankelab.hankel import hankel_det
 from hankelab.poly import Poly
 from hankelab.sequences import F31
-from hankelab.sturm import strictly_interlace
+from hankelab.sturm import signed_remainders, strictly_interlace
 
 
 def from_roots(lead, roots) -> Poly:
@@ -47,17 +49,44 @@ def random_pair(rng):
     return p_roots, q_roots
 
 
-def test_criterion_matches_root_merge_oracle():
+def seeded_pairs():
+    """1500 seeded (p_roots, q_roots, p, q), leading coefficients of both signs."""
     rng = random.Random(2026)
-    verdicts = []
     for _ in range(1500):
         p_roots, q_roots = random_pair(rng)
         p = from_roots(random_lead(rng), p_roots)
-        q = from_roots(random_lead(rng), q_roots)
+        yield p_roots, q_roots, p, from_roots(random_lead(rng), q_roots)
+
+
+def test_criterion_matches_root_merge_oracle():
+    verdicts = []
+    for p_roots, q_roots, p, q in seeded_pairs():
         want = merge_oracle(p_roots, q_roots)
         assert strictly_interlace(p, q) == want, (p_roots, q_roots)
         verdicts.append(want)
     assert 300 < sum(verdicts) < 1200
+
+
+def fraction_signed_remainders(p, q):
+    """S_0 = p, S_1 = q, S_{k+1} = -rem(S_{k-1}, S_k) by long division over
+    Fraction, up to the first zero remainder."""
+    seq = [ref(p), ref(q)]
+    while True:
+        rem = seq[-2].divmod(seq[-1])[1]
+        if not rem:
+            return seq
+        seq.append(-rem)
+
+
+def test_integer_remainders_match_the_fraction_sequence():
+    # Sylvester's count reads the degrees and leading signs only, and the
+    # integer sequence must keep every one of them
+    pairs = [(p, q) for *_, p, q in seeded_pairs()]
+    pairs += [(hankel_det(F31, n + 1), hankel_det(F31, n)) for n in range(1, 13)]
+    for p, q in pairs:
+        got = [(len(s), s[-1] > 0) for s in signed_remainders(p.num, q.num)]
+        want = [(len(s.coeffs), s.coeffs[-1] > 0) for s in fraction_signed_remainders(p, q)]
+        assert got == want, (p, q)
 
 
 def test_sqrt2_pair():
