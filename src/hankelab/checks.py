@@ -55,6 +55,7 @@ from .sequences import (
     F31,
     F3K2M,
     FAEX,
+    FSHIFT22,
     FamilyId,
     a_poly,
     family_from_name,
@@ -67,15 +68,16 @@ DEGREE_THEOREM_FAMILIES = tuple(f for f in ALL_FAMILIES if f != FAEX)
 
 
 class CheckDef(namedtuple("CheckDef", "test items min_n description label x finding reads",
-                          defaults=(0, "", None, None, False, None))):
+                          defaults=(0, "", None, None, False, ()))):
     """One check: ``test(family, n)`` returns ok, (ok, detail) or a list of
     rows; ``items`` are its (suite, family or None, lo, hi) tuples;
     ``label`` and ``x`` are the fixed family and point its rows name, if
     any; with ``finding`` a mismatch is a finding row, not a fail.
-    ``reads`` is the family whose a_k, ladders and series the test reads
-    when its items name none (None if it reads no family): the family of
-    the label, unless the entry states another.  A pooled sweep runs the
-    items of one family on one worker, so that its memos fill once."""
+    ``reads`` is the tuple of families whose a_k, ladders and series the
+    test reads when its items name none (empty if it reads no family): the
+    family of the label, unless the entry states others.  A pooled sweep
+    runs the items of families it reads together on one worker, so that
+    their memos fill once."""
 
     __slots__ = ()
 
@@ -173,9 +175,9 @@ def _build_registry() -> dict[str, CheckDef]:
     reg: dict[str, CheckDef] = {}
 
     def add(name, test, items, min_n=0, description="", label=None, x=None, finding=False,
-            reads=None):
-        if reads is None and label is not None:
-            reads = family_from_name(label)
+            reads=()):
+        if not reads and label is not None:
+            reads = (family_from_name(label),)
         reg[name] = CheckDef(test, tuple(items), min_n, description, label, x, finding, reads)
 
     for name, *items in (
@@ -195,7 +197,7 @@ def _build_registry() -> dict[str, CheckDef]:
         fast = [("fast", None, 0, 5)] if pid is P.P31AT3 else []
         add(pid.value, lambda _f, n, pid=pid: product_matches_determinant(pid, n),
             [("acceptance", None, 0, hi), *fast], description="product formula vs determinant",
-            reads=PRODUCTS[pid].family)
+            reads=(PRODUCTS[pid].family,))
 
     # (check, the value the paper states for the form at n or None, its
     # items); the family and point come from the form the check evaluates,
@@ -226,12 +228,12 @@ def _build_registry() -> dict[str, CheckDef]:
         add(iid.value,
             lambda _f, k, iid=iid: _failing(check_identity(iid, k), "k", f"k <= {k}"),
             [("acceptance", None, 30, 30), *fast],
-            description="sequence-level identity (n is k_max)", reads=IDENTITIES[iid][0])
+            description="sequence-level identity (n is k_max)", reads=(IDENTITIES[iid][0],))
     for rid in RelationId:
         fast = [("fast", None, 2, 5)] if rid is RelationId.R_DET01 else []
         add(rid.value, lambda _f, n, rid=rid: check_relation(rid, n),
             [("acceptance", None, 2, 10), *fast], 2, "determinant-level relation",
-            reads=relation_family(rid))
+            reads=(relation_family(rid),))
 
     pair = (F31, F21)
     add("dodgson", lambda f, n: dodgson_check(f, n),
@@ -255,9 +257,11 @@ def _build_registry() -> dict[str, CheckDef]:
     add("rec31at1",
         lambda _f, n: recursion_31at1(n) == product_eval(P.P32, n) == hankel_det_at(F31, n, 1),
         [("acceptance", None, 0, 10)], description="(3,2) one-term recursion vs product",
-        label="3,2", reads=F31)
+        label="3,2", reads=(F31,))
+    # it compares the (2,1) determinant with the 2k+2-shift one
     add("chebjac", lambda _f, n: chebyshev_jacobi_check(n), [("acceptance", None, 0, 12)],
-        description="Chebyshev/Jacobi forms of the (2,1) determinant", label="2,1")
+        description="Chebyshev/Jacobi forms of the (2,1) determinant", label="2,1",
+        reads=(F21, FSHIFT22))
     add("interlace", lambda _f, n: interlace_check(n), [("acceptance", None, 1, 8)], 1,
         "root interlacing for the (3,1) family", label="3,1")
     generating = (F31, F21, F30, F3K2M, FAEX)

@@ -4,18 +4,20 @@ and the orthogonal-polynomial connections of the determinant families.
 Every formula here was hand-transcribed once from its source display; the
 transcription gate is residual-zero (or exact equality) against brute-force
 determinants, exercised in the test suite, so a typo surfaces as a specific
-failing (id, n) pair.  The ODE table itself is ``odes.py``, re-exported
-here as ``ODES``.
+failing (id, n) pair.  The products, the almost-product coefficients and
+the three-term coefficients are data, hypergeometric terms and (n, x)
+tables read by ``forms``.  The ODE table itself is ``odes.py``,
+re-exported here as ``ODES``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
+from .forms import nx_poly, term_value
 from .poly import Poly, lin_comb
 from .sequences import F21, F30, F31, F32, FAEX, FSHIFT22
 from .hankel import hankel_det, hankel_det_at
@@ -41,47 +43,44 @@ class ProductFormulaId(Enum):
     P21AT2 = "p21at2"                 # H^{(2,1)}(2) = (-1)^n (2n+1)
 
 
-# value(n) is the product; it equals the family's H_n at x.
-ProductForm = namedtuple("ProductForm", "family x value")
+# A product formula: its outer term at n times the product of its inner
+# term at i = start..n, both hypergeometric terms (`forms.term_value`);
+# value(n) equals the family's H_n at x.
+class ProductForm(namedtuple("ProductForm", "family x outer inner start", defaults=(1,))):
+    __slots__ = ()
+
+    def value(self, n: int) -> Fraction:
+        acc = term_value(self.outer, n)
+        for i in range(self.start, n + 1):
+            acc *= term_value(self.inner, n, i)
+        return acc
 
 
-def _prod(n: int, term: Callable[[int], Fraction], start: int = 1) -> Fraction:
-    acc = Fraction(1)
-    for i in range(start, n + 1):
-        acc *= term(i)
-    return acc
-
-
-_f = factorial
 _P = ProductFormulaId
+_ONE = (1, 1, (), ())
+_SIGN_N = (-1, 1, 0, 0)  # (-1)^n
 PRODUCTS: dict[ProductFormulaId, ProductForm] = {
-    _P.P32: ProductForm(F32, Fraction(0), lambda n: _prod(
-        n, lambda i: Fraction(_f(6 * i + 4) * _f(2 * i + 1),
-                              2 * _f(4 * i + 2) * _f(4 * i + 3)))),
-    _P.P30: ProductForm(F30, Fraction(0), lambda n: _prod(
-        n, lambda i: Fraction(3 * (3 * i + 1) * _f(6 * i) * _f(2 * i),
-                              _f(4 * i) * _f(4 * i + 1)))),
-    _P.P31AT3: ProductForm(F31, Fraction(3), lambda n: (-1) ** n * _prod(
-        n, lambda i: Fraction(_f(6 * i - 3) * _f(3 * i + 2) * _f(2 * i - 1),
-                              _f(4 * i - 1) * _f(4 * i + 1) * _f(3 * i - 2)))),
-    _P.P31AT3HALF: ProductForm(F31, Fraction(3, 2), lambda n: _prod(
-        n, lambda i: Fraction(_f(2 * i - 1) * _f(6 * i) * (3 * i + 1),
-                              2 * _f(4 * i - 1) * _f(4 * i + 1)))),
-    _P.P31AT3QUARTER: ProductForm(F31, Fraction(3, 4), lambda n: _prod(
-        n, lambda i: Fraction(_f(2 * i - 1) * _f(6 * i + 1),
-                              2 * _f(4 * i - 1) * _f(4 * i + 1)))),
-    _P.P30AT3: ProductForm(F30, Fraction(3), lambda n: Fraction(
-        _f(3 * n) * _f(3 * n + 2), 2 * _f(n) ** 2) * _prod(
-        n, lambda i: Fraction(3 * _f(6 * i - 5) * _f(2 * i) * (2 * i - 1),
-                              _f(4 * i + 1) * _f(4 * i - 1)))),
-    _P.P30AT3HALF: ProductForm(F30, Fraction(3, 2), lambda n: _prod(
-        n, lambda i: Fraction(27 * _f(6 * i - 5) * (3 * i - 1) * (3 * i - 2) * _f(2 * i - 1),
-                              2 * _f(4 * i - 1) * (4 * i - 3) * _f(4 * i - 4)))),
-    _P.PAEXAT3SEVENTHS: ProductForm(FAEX, Fraction(3, 7), lambda n: _prod(
-        n, lambda i: Fraction(2 * _f(6 * i + 7) * _f(2 * i + 1),
-                              7 * _f(4 * i + 5) * _f(4 * i + 3)), start=0)),
-    _P.P21AT0: ProductForm(F21, Fraction(0), lambda n: Fraction(1)),
-    _P.P21AT2: ProductForm(F21, Fraction(2), lambda n: Fraction((-1) ** n * (2 * n + 1))),
+    _P.P32: ProductForm(F32, Fraction(0), _ONE, (
+        1, 2, (("!", 0, 6, 4), ("!", 0, 2, 1)), (("!", 0, 4, 2), ("!", 0, 4, 3)))),
+    _P.P30: ProductForm(F30, Fraction(0), _ONE, (
+        3, 1, (("", 0, 3, 1), ("!", 0, 6, 0), ("!", 0, 2, 0)), (("!", 0, 4, 0), ("!", 0, 4, 1)))),
+    _P.P31AT3: ProductForm(F31, Fraction(3), (1, 1, (_SIGN_N,), ()), (
+        1, 1, (("!", 0, 6, -3), ("!", 0, 3, 2), ("!", 0, 2, -1)),
+        (("!", 0, 4, -1), ("!", 0, 4, 1), ("!", 0, 3, -2)))),
+    _P.P31AT3HALF: ProductForm(F31, Fraction(3, 2), _ONE, (
+        1, 2, (("!", 0, 2, -1), ("!", 0, 6, 0), ("", 0, 3, 1)), (("!", 0, 4, -1), ("!", 0, 4, 1)))),
+    _P.P31AT3QUARTER: ProductForm(F31, Fraction(3, 4), _ONE, (
+        1, 2, (("!", 0, 2, -1), ("!", 0, 6, 1)), (("!", 0, 4, -1), ("!", 0, 4, 1)))),
+    _P.P30AT3: ProductForm(F30, Fraction(3), (
+        1, 2, (("!", 3, 0, 0), ("!", 3, 0, 2)), (("!", 1, 0, 0), ("!", 1, 0, 0))), (
+        3, 1, (("!", 0, 6, -5), ("!", 0, 2, 0), ("", 0, 2, -1)), (("!", 0, 4, 1), ("!", 0, 4, -1)))),
+    _P.P30AT3HALF: ProductForm(F30, Fraction(3, 2), _ONE, (
+        27, 2, (("!", 0, 6, -5), ("", 0, 3, -1), ("", 0, 3, -2), ("!", 0, 2, -1)),
+        (("!", 0, 4, -1), ("", 0, 4, -3), ("!", 0, 4, -4)))),
+    _P.PAEXAT3SEVENTHS: ProductForm(FAEX, Fraction(3, 7), _ONE, (
+        2, 7, (("!", 0, 6, 7), ("!", 0, 2, 1)), (("!", 0, 4, 5), ("!", 0, 4, 3))), 0),
+    _P.P21AT0: ProductForm(F21, Fraction(0), _ONE, _ONE),
+    _P.P21AT2: ProductForm(F21, Fraction(2), (1, 1, (_SIGN_N, ("", 2, 0, 1)), ()), _ONE),
 }
 
 
@@ -112,19 +111,25 @@ class AlmostProductId(Enum):
     AP21AT1 = "ap21at1"   # AP21 at x = 1: equals (-1)^{n(n+1)/2}
 
 
-# H_n of family = product(prefactor, n) * sum_{i=0..n} coeff(n, i) (x - centre)^i.
-# The double factorial m!! is prod(range(m, 0, -2)).
-AlmostProductForm = namedtuple("AlmostProductForm", "family prefactor centre coeff")
+# H_n of family = product(prefactor, n) * sum_{i=0..n} coeff(n, i) (x - centre)^i,
+# with coeff(n, i) the hypergeometric term ``term`` at (n, i).
+class AlmostProductForm(namedtuple("AlmostProductForm", "family prefactor centre term")):
+    __slots__ = ()
+
+    def coeff(self, n: int, i: int) -> Fraction:
+        return term_value(self.term, n, i)
+
 
 _A = AlmostProductId
 ALMOST_PRODUCTS: dict[AlmostProductId, AlmostProductForm] = {
-    _A.AP31: AlmostProductForm(F31, _P.P31AT3, 3, lambda n, i: Fraction(
-        _f(n) * _f(3 * n + i + 2) * 2**i, _f(3 * n + 2) * _f(n - i) * _f(2 * i + 1))),
-    _A.AP31ALT: AlmostProductForm(F31, _P.P32, 1, lambda n, i: Fraction(
-        (-1) ** i * _f(n) * prod(range(4 * n + 3, 0, -2)) * _f(3 * n + i + 2),
-        _f(3 * n + 2) * _f(i) * _f(n - i) * prod(range(4 * n + 2 * i + 3, 0, -2)))),
-    _A.AP21: AlmostProductForm(F21, _P.P21AT2, 2, lambda n, i: Fraction(
-        _f(n + i) * 2**i, _f(n - i) * _f(2 * i + 1))),
+    _A.AP31: AlmostProductForm(F31, _P.P31AT3, 3, (
+        1, 1, (("!", 1, 0, 0), ("!", 3, 1, 2), (2, 0, 1, 0)),
+        (("!", 3, 0, 2), ("!", 1, -1, 0), ("!", 0, 2, 1)))),
+    _A.AP31ALT: AlmostProductForm(F31, _P.P32, 1, (
+        1, 1, ((-1, 0, 1, 0), ("!", 1, 0, 0), ("!!", 4, 0, 3), ("!", 3, 1, 2)),
+        (("!", 3, 0, 2), ("!", 0, 1, 0), ("!", 1, -1, 0), ("!!", 4, 2, 3)))),
+    _A.AP21: AlmostProductForm(F21, _P.P21AT2, 2, (
+        1, 1, (("!", 1, 1, 0), (2, 0, 1, 0)), (("!", 1, -1, 0), ("!", 0, 2, 1)))),
 }
 
 # The specialized forms: a parametric form read at a fixed point.
@@ -185,34 +190,22 @@ def ode_residual_for_det(name: str, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+# The (3,1) three-term recursion p_n H_n + q_n H_{n-1} + H_{n-2} = 0: p_n
+# and q_n, each a hypergeometric term in n times a polynomial in (n, x).
+THREE_TERM_31 = (
+    ((4, 9, (("!", 4, 0, -3), ("!", 4, 0, -3), ("!", 4, 0, -1), ("!", 4, 0, -1)),
+      (("", 3, 0, -2), ("", 3, 0, -2), ("", 3, 0, -1), ("", 3, 0, -1),
+       ("!", 2, 0, -1), ("!", 2, 0, -1), ("!", 6, 0, -5), ("!", 6, 0, -5))),
+     (((1,), (-2,), (1,)),)),
+    ((4, 3, (("", 1, 0, -1), ("!", 4, 0, -5), ("!", 4, 0, -1)),
+      (("", 3, 0, -2), ("", 3, 0, -1), ("", 4, 0, 1), ("!", 2, 0, -1), ("!", 6, 0, -5))),
+     (((57, 162, -324), (-138, -378, 756), (108, 288, -576), (-24, -64, 128)),)),
+)
+
+
 def three_term_31_pq(n: int) -> tuple[Poly, Poly]:
     """The rational-coefficient p_n, q_n of the (3,1) three-term recursion."""
-    f = factorial
-    pc = Fraction(
-        4 * f(4 * n - 3) ** 2 * f(4 * n - 1) ** 2,
-        9
-        * (3 * n - 2) ** 2
-        * (3 * n - 1) ** 2
-        * f(2 * n - 1) ** 2
-        * f(6 * n - 5) ** 2,
-    )
-    p = Poly([1, -2, 1]) * pc
-    qc = Fraction(
-        4 * (n - 1) * f(4 * n - 5) * f(4 * n - 1),
-        3 * (3 * n - 2) * (3 * n - 1) * (4 * n + 1) * f(2 * n - 1) * f(6 * n - 5),
-    )
-    q = (
-        Poly(
-            [
-                -3 * (108 * n**2 - 54 * n - 19),
-                6 * (126 * n**2 - 63 * n - 23),
-                -36 * (4 * n - 3) * (4 * n + 1),
-                8 * (4 * n - 3) * (4 * n + 1),
-            ]
-        )
-        * qc
-    )
-    return p, q
+    return tuple(nx_poly(poly, n) * term_value(term, n) for term, poly in THREE_TERM_31)
 
 
 def three_term_check(case: str, n: int) -> bool:

@@ -131,23 +131,37 @@ def pool_size(jobs: int, tasks: int, cpus: int) -> int:
 
 
 def pool_tasks(tasks, workers: int) -> list[list[tuple]]:
-    """The pool's tasks: the items grouped by the family whose memos they
-    fill (the item's own, else the one its check reads, else the check's
-    name), so each family's a_k, ladders and series are built on one
-    worker.  Groups go largest n first, ties to the one with more n; a
-    group runs its items largest n first (stable sorts: ties keep their
-    order).  Where there are fewer groups than workers, each n is a task
-    of its own.  Rows are sorted on emission."""
+    """The pool's tasks: the items grouped by the families whose memos they
+    fill (the item's own, else every family its check reads, else the
+    check's name), items that share a family in one group, so each
+    family's a_k, ladders and series are built on one worker.  Groups go
+    largest n first, ties to the one with more n; a group runs its items
+    largest n first (stable sorts: ties keep their order).  Where there
+    are fewer groups than workers, each n is a task of its own.  Rows are
+    sorted on emission."""
     from .checks import REGISTRY
 
     def largest_n_first(tasks):
         return sorted(tasks, key=lambda task: -task[3])
 
+    def keys(task):
+        name, fam, _lo, _hi = task
+        return [fam] if fam else [f.name for f in REGISTRY[name].reads] or [name]
+
+    merged: dict[str, str] = {}  # key -> a key of its group; the links end at the group's key
+
+    def group_of(key):
+        while merged.get(key, key) != key:
+            key = merged[key]
+        return key
+
+    for task in tasks:
+        first, *rest = map(group_of, keys(task))
+        for key in rest:
+            merged[key] = first
     groups: dict[str, list[tuple]] = {}
-    for name, fam, lo, hi in largest_n_first(tasks):
-        reads = REGISTRY[name].reads
-        key = fam or (reads.name if reads is not None else name)
-        groups.setdefault(key, []).append((name, fam, lo, hi))
+    for task in largest_n_first(tasks):
+        groups.setdefault(group_of(keys(task)[0]), []).append(task)
     if len(groups) < workers:
         return [[task] for task in largest_n_first(
             (name, fam, n, n) for name, fam, lo, hi in tasks for n in range(lo, hi + 1))]
@@ -171,10 +185,16 @@ def _run_suite(items, jobs: int) -> list[Row]:
     workers = pool_size(jobs, sum(hi - lo + 1 for *_, lo, hi in tasks), _available_cpus())
     if workers == 1:
         return _run_group(tasks)
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # forked workers inherit the loaded check table, the memos and a
+    # replaced `cli._run_task`; fork is asked for where it is offered, as
+    # it is not every platform's default start method
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork") if fork else None
     rows: list[Row] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         for chunk in pool.map(_run_group, pool_tasks(tasks, workers)):
             rows.extend(chunk)
     return rows

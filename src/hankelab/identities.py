@@ -5,7 +5,8 @@ and the Table-1 trace rules are `lemmas.py`).
 
 The determinant-level relations tie H, K, M, N and the derivatives of H
 together at fixed n.  Each symbolic relation is stated once, as terms
-(symbol, Poly coefficient): the symbolic check sums them against the
+(symbol, coefficient), each coefficient a polynomial in (n, x) written as
+int tables (`forms`): the symbolic check sums them against the
 determinants over Z[x] (one `poly.lin_comb` per residual), and the point
 screen sums the same terms at x0 over Z, against integer-jet values, with
 one division per residual.  This module holds only what the screen runs,
@@ -18,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from .forms import nx_poly
 from .hankel import cached_ladder, quartet
 from .jet import JET, terms_at
 from .odes import ODES
@@ -25,21 +27,15 @@ from .poly import Poly, lin_comb
 from .sequences import F21, F31, FamilyId
 
 
-def _p(*cs) -> Poly:
-    return Poly(cs)
-
-
-# (x-3)(2x-3)(4x-3): the coefficient of H_n' in R_DET01 (and of d_x a_k in L1_31)
-_S31 = _p(-3, 1) * _p(-3, 2) * _p(-3, 4)
-
-
 # ---------------------------------------------------------------------------
 # Determinant-level relations
 # ---------------------------------------------------------------------------
 #
 # Every symbolic relation is linear in H, K, M, N, H' and H'' and is stated
-# once, as residuals: each a tuple of (symbol, Poly coefficient) terms, with
-# _SYMBOLS naming the values in the order jet_quartet gives them.
+# once, as data: residuals, each a tuple of (symbol, coefficient) terms,
+# with _SYMBOLS naming the values in the order jet_quartet gives them.  A
+# coefficient is a polynomial in (n, x), a tuple of tables whose product
+# it is (`forms.nx_poly`), and `_relation_terms` reads it at n as a Poly.
 # `relation_residuals` sums coefficient times determinant over Z[x];
 # `relation_residuals_at` sums the coefficient's value at x0 times the jet
 # value over Z (`jet.terms_at`), which is the same residual at x0 times the
@@ -65,139 +61,84 @@ class RelationId(Enum):
 
 _SYMBOLS = ("H", "K", "M", "N", "dH", "d2H")
 
+# factors in (n, x) that several coefficients share
+_XM1 = ((-1,), (1,))                    # x - 1
+_2X3 = ((-3,), (2,))                    # 2x - 3
+_4X3 = ((-3,), (4,))                    # 4x - 3
+_DH31 = ((-27,), (63,), (-42,), (8,))   # (x-3)(2x-3)(4x-3): H' in R_DET01
+_2XX2 = ((0,), (-4,), (2,))             # 2x(x-2)
+_1NX = ((1,), (0, 1))                   # 1 + nx
+# (2n+1)(1 + 2n + 2n(n+1)x), negated: N's coefficient in R_21_SECOND and
+# the third identity's multiplier in R_21_FACTORED
+_NEG_W21 = (((-1, -2),), ((1, 2), (0, 2, 2)))
+
+# The third-identity anchor weights (p_n, q_n, r_n), and the identity
+# p_n N + q_n K + r_n H = 0 they state.
+_PQR31 = (
+    (((-24, -32),), ((5, 4),), _XM1),
+    (((12, 16),), ((-75, -93, -27), (60, 81, 27), (10, 8))),
+    (((1080, 4236, 6015, 3564, 729), (-180, -1722, -3777, -2916, -729),
+      (-600, -1676, -1492, -432)),),
+)
+_PQR21 = ((((1,),),), (((-4, -2), (-1,)),), (((2, 5, 2), (3, 2)),))
+_THIRD31 = (("N", _PQR31[0]), ("K", _PQR31[1]), ("H", _PQR31[2]))
+_THIRD21 = (("N", _PQR21[0]), ("K", _PQR21[1]), ("H", _PQR21[2]))
+
+# The equations R_RHS and R_21_FACTORED scale, read from the ODE table.
+_DE1, _DE2NP1 = ODES["de1"].table, ODES["de2np1"].table
+_W_RHS = (_DH31, _2X3, _4X3)            # (x-3)(2x-3)^2(4x-3)^2
+_W_21 = (_2XX2, _1NX)                   # 2x(x-2)(1+nx)
+_4N1 = ((4, 16),)                       # 4(4n+1)
+
 
 def pnqnrn_31(n: int) -> tuple[Poly, Poly, Poly]:
     """The (3,1) third-identity anchor weights (p_n, q_n, r_n)."""
-    p = -8 * (4 * n + 3) * (4 * n + 5) * _p(-1, 1)
-    q = (4 * (4 * n + 3)) * _p(
-        -27 * n * n - 93 * n - 75, 27 * n * n + 81 * n + 60, 8 * n + 10
-    )
-    r = -_p(
-        -729 * n**4 - 3564 * n**3 - 6015 * n**2 - 4236 * n - 1080,
-        729 * n**4 + 2916 * n**3 + 3777 * n**2 + 1722 * n + 180,
-        432 * n**3 + 1492 * n**2 + 1676 * n + 600,
-    )
-    return p, q, r
+    return tuple(nx_poly(c, n) for c in _PQR31)
 
 
 def pnqnrn_21(n: int) -> tuple[Poly, Poly, Poly]:
     """The (2,1) third-identity anchor weights."""
-    return (
-        Poly.one(),
-        -_p(4 + 2 * n, 1),
-        _p(2 + 5 * n + 2 * n * n, 3 + 2 * n),
-    )
+    return tuple(nx_poly(c, n) for c in _PQR21)
 
 
-def _scaled(weight: Poly | int, terms) -> tuple:
-    return tuple((s, weight * c) for s, c in terms)
-
-
-def _third(pqr: tuple[Poly, Poly, Poly]) -> tuple:
-    """p_n N + q_n K + r_n H."""
-    p, q, r = pqr
-    return (("N", p), ("K", q), ("H", r))
-
-
-def _ode(name: str, n: int, weight: Poly) -> tuple:
-    """weight times the named equation's left side, sum_k coeffs(n)[k] d^k H."""
-    return _scaled(weight, zip(("H", "dH", "d2H"), ODES[name].coeffs(n)))
-
-
-def _w21(n: int) -> Poly:
-    """(2n+1)(1 + 2n + 2n(n+1)x): N's coefficient in R_21_SECOND and the
-    third identity's multiplier in R_21_FACTORED."""
-    return (2 * n + 1) * _p(1 + 2 * n, 2 * n + 2 * n * n)
-
-
-def _det01(n: int) -> tuple:
-    h = -_p(-3 * (9 * n * n + 13 * n + 8), -6 * (5 * n + 1), 8 * n)
-    return ((("dH", _S31), ("H", h), ("K", _p(-2 * (4 * n + 3)))),)
-
-
-def _linear(n: int) -> tuple:
-    k = _p(6 * (54 * n + 31), -108 * (5 * n + 2), 8 * (36 * n + 7), -16 * (4 * n + 1))
-    h = _p(
-        -729 * n * n - 1083 * n - 324,
-        1458 * n * n + 1770 * n + 378,
-        -(972 * n * n + 800 * n + 108),
-        216 * n * n - 24 * n - 12,
-        64 * n + 16,
-    )
-    xm1 = _p(-1, 1)
-    return ((("N", 4 * (4 * n + 5) * xm1), ("M", 4 * (4 * n + 1) * xm1), ("K", k), ("H", h)),)
-
-
-def _secondder(n: int) -> tuple:
-    h = -_p(
-        -3 * (243 * n**4 + 1674 * n**3 + 3679 * n**2 + 3140 * n + 1008),
-        3 * (243 * n**4 + 2106 * n**3 + 5192 * n**2 + 4291 * n + 1482),
-        -4 * (459 * n**3 + 1661 * n**2 + 949 * n + 417),
-        12 * (36 * n**3 + 163 * n**2 - 65 * n - 8),
-        -96 * (3 * n * n - 8 * n - 2),
-        64 * n * (n - 1),
-    )
-    k = (2 * (4 * n + 3)) * _p(
-        -3 * (18 * n * n + 80 * n + 77),
-        6 * (9 * n * n + 48 * n + 53),
-        -4 * (17 * n + 31),
-        16 * (n + 2),
-    )
-    terms = (("d2H", _p(-1, 1) * _S31**2), ("H", h), ("K", k), ("N", pnqnrn_31(n)[0]))
-    return (_scaled(4 * (4 * n + 1), terms),)
-
-
-def _rhs(n: int) -> tuple:
-    # The right side of the differential-equation derivation is the
-    # combination p_n N + q_n K + r_n H: both its vanishing and the full
-    # displayed equation, de1 times (x-3)(2x-3)^2(4x-3)^2 plus it, are asserted.
-    third = _third(pnqnrn_31(n))
-    return (third, _ode("de1", n, _p(-3, 1) * _p(-3, 2) ** 2 * _p(-3, 4) ** 2) + third)
-
-
-def _21_first(n: int) -> tuple:
-    first = (
-        ("dH", 2 * _p(0, 1) * _p(-2, 1)),
-        ("H", _p(3 + 8 * n + 4 * n * n, 1)),
-        ("K", _p(-(2 * n + 1))),
-    )
-    second = (
-        ("H", _p(-4 * n - 8, 10 * n + 12, 8 * n * n + 12 * n + 8, 2 * n)),
-        ("K", -_p(4, 12 + 8 * n, 2 + 4 * n)),
-        ("M", 2 * _p(1, n)),
-        ("N", 2 * _p(1, n + 1)),
-    )
-    return (first, second)
-
-
-def _21_second(n: int) -> tuple:
-    dh = _p(3 + 10 * n + 4 * n * n, 3 + 9 * n + 12 * n * n + 4 * n**3, 4 * n + 2 * n * n)
-    h = _p(
-        10 + 49 * n + 78 * n * n + 44 * n**3 + 8 * n**4,
-        4 + 34 * n + 86 * n * n + 98 * n**3 + 48 * n**4 + 8 * n**5,
-        1 + 8 * n + 14 * n * n + 8 * n**3,
-        2 * n - 2 * n**3,
-    )
-    xx2 = _p(0, 1) * _p(-2, 1)
-    return ((("d2H", 2 * xx2**2 * _p(1, n)), ("dH", 2 * xx2 * dh), ("H", h), ("N", -_w21(n))),)
-
-
-def _21_factored(n: int) -> tuple:
-    # de2np1 times 2x(x-2)(1+nx) equals the third identity times _w21(n)
-    lhs = _ode("de2np1", n, 2 * _p(-2, 1) * _p(0, 1) * _p(1, n))
-    return (lhs + _scaled(-_w21(n), _third(pnqnrn_21(n))),)
-
-
-# rid -> (family, terms): terms(n) gives the relation's residuals
+# rid -> (family, residuals)
 _RELATIONS = {
-    RelationId.R_DET01: (F31, _det01),
-    RelationId.R_LINEAR: (F31, _linear),
-    RelationId.R_SECONDDER: (F31, _secondder),
-    RelationId.R_RHS: (F31, _rhs),
-    RelationId.R_21_FIRST: (F21, _21_first),
-    RelationId.R_21_SECOND: (F21, _21_second),
-    RelationId.R_21_FACTORED: (F21, _21_factored),
-    RelationId.R_21_THIRD: (F21, lambda n: (_third(pnqnrn_21(n)),)),
+    RelationId.R_DET01: (F31, ((
+        ("dH", (_DH31,)), ("H", (((24, 39, 27), (6, 30), (0, -8)),)), ("K", (((-6, -8),),))),)),
+    RelationId.R_LINEAR: (F31, ((
+        ("N", (((-20, -16), (20, 16)),)), ("M", (((-4, -16), (4, 16)),)),
+        ("K", (((186, 324), (-216, -540), (56, 288), (-16, -64)),)),
+        ("H", (((-324, -1083, -729), (378, 1770, 1458), (-108, -800, -972), (-12, -24, 216),
+                (16, 64)),))),)),
+    RelationId.R_SECONDDER: (F31, ((
+        ("d2H", (_4N1, _XM1, _DH31, _DH31)),
+        ("H", (_4N1, ((3024, 9420, 11037, 5022, 729), (-4446, -12873, -15576, -6318, -729),
+                      (1668, 3796, 6644, 1836), (96, 780, -1956, -432), (-192, -768, 288),
+                      (0, 64, -64)))),
+        ("K", (_4N1, ((6, 8),), ((-231, -240, -54), (318, 288, 54), (-124, -68), (32, 16)))),
+        ("N", (_4N1, *_PQR31[0]))),)),
+    # the right side of the differential-equation derivation is the third
+    # identity: both its vanishing and the full displayed equation, de1
+    # times (x-3)(2x-3)^2(4x-3)^2 plus it, are asserted
+    RelationId.R_RHS: (F31, (_THIRD31, (
+        ("H", _W_RHS + _DE1[0]), ("dH", _W_RHS + _DE1[1]), ("d2H", _W_RHS + _DE1[2]),
+        *_THIRD31))),
+    RelationId.R_21_FIRST: (F21, (
+        (("dH", (_2XX2,)), ("H", (((3, 8, 4), (1,)),)), ("K", (((-1, -2),),))),
+        (("H", (((-8, -4), (12, 10), (8, 12, 8), (0, 2)),)),
+         ("K", (((-4,), (-12, -8), (-2, -4)),)), ("M", (((2,), (0, 2)),)),
+         ("N", (((2,), (2, 2)),))))),
+    RelationId.R_21_SECOND: (F21, ((
+        ("d2H", (_2XX2, ((0,), (-2,), (1,)), _1NX)),
+        ("dH", (_2XX2, ((3, 10, 4), (3, 9, 12, 4), (0, 4, 2)))),
+        ("H", (((10, 49, 78, 44, 8), (4, 34, 86, 98, 48, 8), (1, 8, 14, 8), (0, 2, 0, -2)),)),
+        ("N", _NEG_W21)),)),
+    # de2np1 times 2x(x-2)(1+nx) equals the third identity times w21
+    RelationId.R_21_FACTORED: (F21, ((
+        ("H", _W_21 + _DE2NP1[0]), ("dH", _W_21 + _DE2NP1[1]), ("d2H", _W_21 + _DE2NP1[2]),
+        ("N", _NEG_W21 + _PQR21[0]), ("K", _NEG_W21 + _PQR21[1]),
+        ("H", _NEG_W21 + _PQR21[2])),)),
+    RelationId.R_21_THIRD: (F21, (_THIRD21,)),
 }
 
 SYMBOLIC_RELATIONS = tuple(_RELATIONS)
@@ -216,8 +157,8 @@ def _relation_terms(rid: RelationId, n: int) -> tuple:
     if rid not in _RELATIONS:
         raise ValueError(f"{rid.value} is a point relation; use relation_point_ok")
     _require_n(rid, n)
-    family, terms = _RELATIONS[rid]
-    return family, terms(n)
+    family, residuals = _RELATIONS[rid]
+    return family, tuple(tuple((s, nx_poly(c, n)) for s, c in terms) for terms in residuals)
 
 
 def _combine(residuals, values) -> list:

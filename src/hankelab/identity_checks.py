@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 from . import series
+from .forms import nx_poly, term_value
 from .hankel import INT, hankel_det_at, quartet, variant_det_at
 from .hankel_checks import gauss_jordan
 from .identities import _RELATIONS, RelationId, _require_n, pnqnrn_21, pnqnrn_31
@@ -31,93 +32,53 @@ from .sequences import F21, F31, FamilyId, a_poly
 # ---------------------------------------------------------------------------
 
 
-# rid -> (family, x0, {name: K/N/M multiplier as a function of n}), asserting
-# V(x0) = mult(n) * H(x0) for each V named; R_CREC asserts only its recursion.
+# rid -> (family, x0, {name: multiplier}), asserting V(x0) = mult(n) * H(x0)
+# for each V named; R_CREC asserts only its recursion.  A multiplier is a
+# hypergeometric term in n times a polynomial in n, an (n, x) table of one
+# row (`forms`).
+_N = ("", 1, 0, 0)
+_2N1 = ("", 2, 0, 1)
+_4N1, _4N3, _4N5 = ("", 4, 0, 1), ("", 4, 0, 3), ("", 4, 0, 5)
 _POINT_SPECS = {
     RelationId.R_CREC: (F31, Fraction(3), {}),
-    RelationId.R_X3: (
-        F31,
-        Fraction(3),
-        {
-            "K": lambda n: Fraction(3 * (9 * n * n + 19 * n + 14), 2 * (4 * n + 3)),
-            "N": lambda n: Fraction(
-                3 * (243 * n**4 + 1512 * n**3 + 3605 * n**2 + 4144 * n + 1920),
-                8 * (4 * n + 3) * (4 * n + 5),
-            ),
-            "M": lambda n: Fraction(
-                -3 * n * (243 * n**3 + 540 * n**2 + 559 * n + 58),
-                8 * (4 * n + 1) * (4 * n + 3),
-            ),
-        },
-    ),
-    RelationId.R_X3HALF: (
-        F31,
-        Fraction(3, 2),
-        {
-            "K": lambda n: Fraction(3 * (9 * n * n + 22 * n + 11), 2 * (4 * n + 3)),
-            "N": lambda n: Fraction(
-                3 * (243 * n**4 + 1674 * n**3 + 4031 * n**2 + 3934 * n + 1290),
-                8 * (4 * n + 3) * (4 * n + 5),
-            ),
-            "M": lambda n: Fraction(
-                -3 * n * (243 * n**3 + 702 * n**2 + 547 * n + 118),
-                8 * (4 * n + 1) * (4 * n + 3),
-            ),
-        },
-    ),
-    RelationId.R_X3QUARTER: (
-        F31,
-        Fraction(3, 4),
-        {
-            "K": lambda n: Fraction(3 * (18 * n * n + 38 * n + 19), 4 * (4 * n + 3)),
-            "N": lambda n: Fraction(
-                3 * (486 * n**4 + 3024 * n**3 + 6724 * n**2 + 6290 * n + 2085),
-                16 * (4 * n + 3) * (4 * n + 5),
-            ),
-            "M": lambda n: Fraction(
-                -3 * n * (243 * n**3 + 540 * n**2 + 316 * n + 31),
-                8 * (4 * n + 1) * (4 * n + 3),
-            ),
-        },
-    ),
-    RelationId.R_21_X0: (
-        F21,
-        Fraction(0),
-        {
-            "K": lambda n: Fraction(3 + 8 * n + 4 * n * n, 2 * n + 1),
-            "N": lambda n: Fraction(
-                10 + 49 * n + 78 * n * n + 44 * n**3 + 8 * n**4, (2 * n + 1) ** 2
-            ),
-            "M": lambda n: Fraction(-(3 * n + 2 * n * n)),
-        },
-    ),
-    RelationId.R_21_X2: (
-        F21,
-        Fraction(2),
-        {
-            "K": lambda n: Fraction(5 + 8 * n + 4 * n * n, 2 * n + 1),
-            "N": lambda n: Fraction(22 + 33 * n + 20 * n * n + 4 * n**3, 2 * n + 1),
-            "M": lambda n: Fraction(-n * (7 + 8 * n + 4 * n * n), 2 * n + 1),
-        },
-    ),
+    RelationId.R_X3: (F31, Fraction(3), {
+        "K": ((3, 2, (), (_4N3,)), ((14, 19, 9),)),
+        "N": ((3, 8, (), (_4N3, _4N5)), ((1920, 4144, 3605, 1512, 243),)),
+        "M": ((-3, 8, (_N,), (_4N1, _4N3)), ((58, 559, 540, 243),))}),
+    RelationId.R_X3HALF: (F31, Fraction(3, 2), {
+        "K": ((3, 2, (), (_4N3,)), ((11, 22, 9),)),
+        "N": ((3, 8, (), (_4N3, _4N5)), ((1290, 3934, 4031, 1674, 243),)),
+        "M": ((-3, 8, (_N,), (_4N1, _4N3)), ((118, 547, 702, 243),))}),
+    RelationId.R_X3QUARTER: (F31, Fraction(3, 4), {
+        "K": ((3, 4, (), (_4N3,)), ((19, 38, 18),)),
+        "N": ((3, 16, (), (_4N3, _4N5)), ((2085, 6290, 6724, 3024, 486),)),
+        "M": ((-3, 8, (_N,), (_4N1, _4N3)), ((31, 316, 540, 243),))}),
+    RelationId.R_21_X0: (F21, Fraction(0), {
+        "K": ((1, 1, (), (_2N1,)), ((3, 8, 4),)),
+        "N": ((1, 1, (), (_2N1, _2N1)), ((10, 49, 78, 44, 8),)),
+        "M": ((-1, 1, (), ()), ((0, 3, 2),))}),
+    RelationId.R_21_X2: (F21, Fraction(2), {
+        "K": ((1, 1, (), (_2N1,)), ((5, 8, 4),)),
+        "N": ((1, 1, (), (_2N1,)), ((22, 33, 20, 4),)),
+        "M": ((-1, 1, (_N,), (_2N1,)), ((7, 8, 4),))}),
 }
 
 # Squared-ratio recursions H_{n-1} H_{n+1} = ratio * H_n^2 at the three
-# special points of the (3,1) family.
+# special points of the (3,1) family, each ratio a hypergeometric term.
+_RATIO_DEN = (_4N1, _4N3, _4N3, _4N5)
 _RECURSION_RATIOS = {
-    RelationId.R_CREC: lambda n: Fraction(
-        9 * (3 * n + 4) * (3 * n + 5) * (6 * n - 1) * (6 * n + 1),
-        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
-    ),
-    RelationId.R_X3HALF: lambda n: Fraction(
-        9 * (3 * n + 2) * (3 * n + 4) * (6 * n + 1) * (6 * n + 5),
-        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
-    ),
-    RelationId.R_X3QUARTER: lambda n: Fraction(
-        9 * (3 * n + 1) * (3 * n + 2) * (6 * n + 5) * (6 * n + 7),
-        4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
-    ),
+    RelationId.R_CREC: (9, 4, (("", 3, 0, 4), ("", 3, 0, 5), ("", 6, 0, -1), ("", 6, 0, 1)),
+                        _RATIO_DEN),
+    RelationId.R_X3HALF: (9, 4, (("", 3, 0, 2), ("", 3, 0, 4), ("", 6, 0, 1), ("", 6, 0, 5)),
+                          _RATIO_DEN),
+    RelationId.R_X3QUARTER: (9, 4, (("", 3, 0, 1), ("", 3, 0, 2), ("", 6, 0, 5), ("", 6, 0, 7)),
+                             _RATIO_DEN),
 }
+
+
+def _n_poly(table, n: int) -> Fraction:
+    """A polynomial in n, an (n, x) table of one row, at n."""
+    return nx_poly((table,), n).coefficient(0)
 
 
 def relation_family(rid: RelationId) -> FamilyId:
@@ -130,13 +91,13 @@ def relation_point_ok(rid: RelationId, n: int) -> bool:
     _require_n(rid, n)
     fam, x0, mults = _POINT_SPECS[rid]
     h = hankel_det_at(fam, n, x0)
-    for name, mult in mults.items():
-        if variant_det_at(fam, n, name, x0) != mult(n) * h:
+    for name, (term, poly) in mults.items():
+        if variant_det_at(fam, n, name, x0) != term_value(term, n) * _n_poly(poly, n) * h:
             return False
     if rid in _RECURSION_RATIOS:
         hm = hankel_det_at(fam, n - 1, x0)
         hp = hankel_det_at(fam, n + 1, x0)
-        if hm * hp != _RECURSION_RATIOS[rid](n) * h * h:
+        if hm * hp != term_value(_RECURSION_RATIOS[rid], n) * h * h:
             return False
     return True
 
@@ -273,8 +234,8 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
     if scale is None:
         raise WeightError("top-three weights not proportional to (p_n, q_n, r_n)")
 
-    # The parametric solution (C_0, C_1, C_2)(Q0) = alpha * q0_params(n).
-    c0, c1, c2 = form.q0_params(n)
+    # The parametric solution (C_0, C_1, C_2)(Q0) = alpha * q0_params at n.
+    c0, c1, c2 = (_n_poly(table, n) for table in form.q0_params)
     alpha = q0[0] / c0
     if q0[1] != c1 * alpha:
         raise WeightError("C_1(Q0) parametric form mismatch")
@@ -466,21 +427,13 @@ def explicit_weights_31(n: int) -> list[Poly]:
 
 
 # family -> the anchor weights (p_n, q_n, r_n), the parametric (C_0, C_1,
-# C_2)(Q0) up to one scalar, and the explicit closed-form weights.
+# C_2)(Q0) up to one scalar, as polynomials in n, and the explicit
+# closed-form weights.
 WeightForm = namedtuple("WeightForm", "anchor q0_params explicit")
 _WEIGHT_FORMS = {
-    F31: WeightForm(
-        pnqnrn_31,
-        lambda n: (
-            8 * (4 * n + 3) * (4 * n + 5),
-            -12 * (1 + n) * (30 + 67 * n + 36 * n * n),
-            3 * (50 * n + 343 * n**2 + 540 * n**3 + 243 * n**4),
-        ),
-        explicit_weights_31,
-    ),
-    F21: WeightForm(
-        pnqnrn_21, lambda n: (1, -2 * (n + 1), n * (2 * n + 1)), explicit_weights_21
-    ),
+    F31: WeightForm(pnqnrn_31, (((120, 256, 128),), ((-360, -1164, -1236, -432),),
+                                ((0, 150, 1029, 1620, 729),)), explicit_weights_31),
+    F21: WeightForm(pnqnrn_21, (((1,),), ((-2, -2),), ((0, 1, 2),)), explicit_weights_21),
 }
 
 

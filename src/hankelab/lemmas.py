@@ -1,10 +1,11 @@
 """Sequence-level lemmas: identities among a_k, c_k and a_k' for every k,
 and the matrix-level ones built on them.
 
-The ten L1/L2 identities are one table, `IDENTITIES`, of terms (A, B, kind,
-offset) with A and B int tuples: the coefficient A + k B times a_{k+offset},
-c_{k+offset} or a_k'.  Each residual, and each entry of the E/F matrix
-convolution identities, is one `poly.lin_comb` over Z.  The Table-1 trace
+The ten L1/L2 identities are one table, `IDENTITIES`, of terms (table,
+kind, offset): the coefficient, a polynomial in (k, x) as an int table
+(`forms`), times a_{k+offset}, c_{k+offset} or a_k'.  Each residual, and
+each entry of the E/F matrix convolution identities, is one
+`poly.lin_comb` over Z.  The Table-1 trace
 rules Tr(A^{-1} X) H_n = value are stated here too (`table1_rules`), and
 `trace_values` sums each as one `lin_comb` against the adjugate over Z[x]
 of [a_{i+j}], whose integer rows come from `hankel.int_hankel` and which
@@ -20,6 +21,7 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
+from .forms import nx_poly
 from .hankel import int_hankel, quartet
 from .hankel_checks import int_adjugate, leading_adjugates
 from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
@@ -40,75 +42,76 @@ class IdentityId(Enum):
 
 
 # iid -> (family, terms).  The residual at k is the sum over the terms
-# (A, B, kind, offset) of the coefficient A + k B (ints ascending in x) times
-# a_{k+offset} ("a"), c_{k+offset} ("c") or d_x a_k ("da", offset 0).
+# (table, kind, offset) of the coefficient, a polynomial in (k, x) written
+# as one table (`forms.nx_poly`: row j is A_j + k B_j), times a_{k+offset}
+# ("a"), c_{k+offset} ("c") or d_x a_k ("da", offset 0).
 IDENTITIES: dict[IdentityId, tuple[FamilyId, tuple]] = {
     IdentityId.L1_31: (F31, (
-        ((-27, 63, -42, 8), (), "da", 0),
-        ((-6,), (-4,), "a", 1),
-        ((36, -18, 8), (27,), "a", 0),
-        ((-12, 24, -8), (), "c", 0),
-        ((81, -162, 54), (), "c", -1))),
+        (((-27,), (63,), (-42,), (8,)), "da", 0),
+        (((-6, -4),), "a", 1),
+        (((36, 27), (-18,), (8,)), "a", 0),
+        (((-12,), (24,), (-8,)), "c", 0),
+        (((81,), (-162,), (54,)), "c", -1))),
     IdentityId.L2_31: (F31, (
-        ((-20, 20), (-8, 8), "a", 2),
-        ((234, -360, 184, -48), (162, -270, 144, -32), "a", 1),
-        ((-486, 972, -756, 216), (-729, 1458, -972, 216), "a", 0),
-        ((-24, 72, -64, 16), (), "c", 1),
-        ((162, -594, 648, -228, 16), (), "c", 0),
-        ((0, 729, -1458, 810, -108), (), "c", -1))),
+        (((-20, -8), (20, 8)), "a", 2),
+        (((234, 162), (-360, -270), (184, 144), (-48, -32)), "a", 1),
+        (((-486, -729), (972, 1458), (-756, -972), (216, 216)), "a", 0),
+        (((-24,), (72,), (-64,), (16,)), "c", 1),
+        (((162,), (-594,), (648,), (-228,), (16,)), "c", 0),
+        (((0,), (729,), (-1458,), (810,), (-108,)), "c", -1))),
     IdentityId.L1_21: (F21, (
-        ((0, -4, 2), (), "da", 0),
-        ((-1,), (-1,), "a", 1),
-        ((2, 2), (4,), "a", 0),
-        ((1, -1), (), "c", 0),
-        ((-4, 4), (), "c", -1))),
+        (((0,), (-4,), (2,)), "da", 0),
+        (((-1, -1),), "a", 1),
+        (((2, 4), (2,)), "a", 0),
+        (((1,), (-1,)), "c", 0),
+        (((-4,), (4,)), "c", -1))),
     IdentityId.L2_21: (F21, (
-        ((2, 2), (0, 1), "a", 2),
-        ((-8, -6, -4), (0, -4, -2), "a", 1),
-        ((0, 0, 12), (0, 0, 8), "a", 0),
-        ((2, -3, 1), (), "c", 1),
-        ((-8, 12, -4), (), "c", 0))),
+        (((2,), (2, 1)), "a", 2),
+        (((-8,), (-6, -4), (-4, -2)), "a", 1),
+        (((0,), (0,), (12, 8)), "a", 0),
+        (((2,), (-3,), (1,)), "c", 1),
+        (((-8,), (12,), (-4,)), "c", 0))),
     IdentityId.L1_30: (F30, (
-        ((0, 27, -45, 12), (), "da", 0),
-        ((10, -4), (12, -8), "a", 1),
-        ((-27, -9, 12), (-81, 54), "a", 0),
-        ((4, -4), (), "c", 1),
-        ((-27, 27), (), "c", 0))),
+        (((0,), (27,), (-45,), (12,)), "da", 0),
+        (((10, 12), (-4, -8)), "a", 1),
+        (((-27, -81), (-9, 54), (12,)), "a", 0),
+        (((4,), (-4,)), "c", 1),
+        (((-27,), (27,)), "c", 0))),
     IdentityId.L2_30: (F30, (
-        ((-198, 570, -472, 120), (-108, 324, -288, 80), "a", 2),
-        ((972, -2754, 2214, -666), (729, -2187, 1944, -648), "a", 1),
-        ((0, 0, 0, 486), (0, 0, 0, 729), "a", 0),
-        ((-36, 120, -124, 40), (), "c", 2),
-        ((243, -810, 621, 90, -120), (), "c", 1),
-        ((0, 0, 1458, -2430, 810), (), "c", 0))),
+        (((-198, -108), (570, 324), (-472, -288), (120, 80)), "a", 2),
+        (((972, 729), (-2754, -2187), (2214, 1944), (-666, -648)), "a", 1),
+        (((0,), (0,), (0,), (486, 729)), "a", 0),
+        (((-36,), (120,), (-124,), (40,)), "c", 2),
+        (((243,), (-810,), (621,), (90,), (-120,)), "c", 1),
+        (((0,), (0,), (1458,), (-2430,), (810,)), "c", 0))),
     IdentityId.L1_3K2M: (F3K2M, (
-        ((0, -81, -18, 8), (), "da", 0),
-        ((-30,), (-36,), "a", 1),
-        ((81, 18, 8), (243,), "a", 0),
-        ((-12,), (), "c", 1),
-        ((81, 36, -8), (), "c", 0),
-        ((0, -243, 54), (), "c", -1))),
+        (((0,), (-81,), (-18,), (8,)), "da", 0),
+        (((-30, -36),), "a", 1),
+        (((81, 243), (18,), (8,)), "a", 0),
+        (((-12,),), "c", 1),
+        (((81,), (36,), (-8,)), "c", 0),
+        (((0,), (-243,), (54,)), "c", -1))),
     IdentityId.L2_3K2M: (F3K2M, (
-        ((198, 132), (108, 72), "a", 2),
-        ((-972, -648, -48, -48), (-729, -486, 0, -32), "a", 1),
-        ((0, 0, 324, 216), (0, 0, 0, 216), "a", 0),
-        ((36, 24), (), "c", 2),
-        ((-243, -378, -72, 16), (), "c", 1),
-        ((0, 1458, 486, -180, 16), (), "c", 0),
-        ((0, 0, 0, 486, -108), (), "c", -1))),
+        (((198, 108), (132, 72)), "a", 2),
+        (((-972, -729), (-648, -486), (-48,), (-48, -32)), "a", 1),
+        (((0,), (0,), (324,), (216, 216)), "a", 0),
+        (((36,), (24,)), "c", 2),
+        (((-243,), (-378,), (-72,), (16,)), "c", 1),
+        (((0,), (1458,), (486,), (-180,), (16,)), "c", 0),
+        (((0,), (0,), (0,), (486,), (-108,)), "c", -1))),
     IdentityId.L1_AEX: (FAEX, (
-        ((0, 9, -24, 7), (), "da", 0),
-        ((14, -14), (4, -4), "a", 1),
-        ((-9, -24, 33), (-27, 27), "a", 0),
-        ((-6, 12, -6), (), "c", 0),
-        ((0, 0, 0, 6), (), "c", -1))),
+        (((0,), (9,), (-24,), (7,)), "da", 0),
+        (((14, 4), (-14, -4)), "a", 1),
+        (((-9, -27), (-24, 27), (33,)), "a", 0),
+        (((-6,), (12,), (-6,)), "c", 0),
+        (((0,), (0,), (0,), (6,)), "c", -1))),
     IdentityId.L2_AEX: (FAEX, (
-        ((-18, 90, -126, 54), (-4, 20, -28, 12), "a", 2),
-        ((36, -156, 84, 76, -120), (27, -135, 189, -113), "a", 1),
-        ((0, 0, 0, 180, -24, 84), (0, 0, 0, 216), "a", 0),
-        ((6, -36, 72, -60, 18), (), "c", 1),
-        ((0, 0, 54, -156, 162, -60), (), "c", 0),
-        ((0, 0, 0, 0, 0, -54, 42), (), "c", -1))),
+        (((-18, -4), (90, 20), (-126, -28), (54, 12)), "a", 2),
+        (((36, 27), (-156, -135), (84, 189), (76, -113), (-120,)), "a", 1),
+        (((0,), (0,), (0,), (180, 216), (-24,), (84,)), "a", 0),
+        (((6,), (-36,), (72,), (-60,), (18,)), "c", 1),
+        (((0,), (0,), (54,), (-156,), (162,), (-60,)), "c", 0),
+        (((0,), (0,), (0,), (0,), (0,), (-54,), (42,)), "c", -1))),
 }
 
 
@@ -117,11 +120,9 @@ def identity_residual(iid: IdentityId, k: int) -> Poly:
     summed over Z by one `lin_comb`."""
     fam, terms = IDENTITIES[iid]
     pairs = []
-    for a, b, kind, offset in terms:
-        coeff = list(a)
-        int_poly_add_into(coeff, b, k)
+    for table, kind, offset in terms:
         seq = conv_poly(fam, k + offset) if kind == "c" else a_poly(fam, k + offset)
-        pairs.append((from_int_scaled(coeff, 1), seq.derivative() if kind == "da" else seq))
+        pairs.append((nx_poly((table,), k), seq.derivative() if kind == "da" else seq))
     return lin_comb(pairs)
 
 

@@ -697,15 +697,39 @@ def test_pool_tasks_group_items_by_family_largest_n_first():
     assert len(pool_tasks(tasks, 5)) == sum(hi - lo + 1 for *_, lo, hi in tasks)
 
 
-# The families a check reads beyond the one it states: chebjac compares the
-# (2,1) determinant with the shifted (2k+2-shift) one.
-EXTRA_READS = {"chebjac": {FSHIFT22}}
+def test_pool_tasks_merge_the_groups_of_families_a_check_reads_together():
+    # chebjac reads (2,1) and 2k+2-shift, so it joins l1_21's items and the
+    # 2k+2-shift ones in one group
+    chebjac, shift = ("chebjac", None, 0, 12), ("dodgson", FSHIFT22.name, 1, 10)
+    l1_21, de1 = ("l1_21", None, 30, 30), ("de1", None, 1, 12)
+    assert pool_tasks([shift, de1, l1_21, chebjac], 2) == [[l1_21, chebjac, shift], [de1]]
+
+
+def test_pool_workers_are_forked_where_the_platform_offers_fork(capsys, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    contexts = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            contexts.append(mp_context)
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(commands, "_available_cpus", lambda: 2)
+    code, _, _ = run(capsys, "verify", "--check", "p32", "--n", "0..3", "--jobs", "2")
+    assert code == 0 and len(contexts) == 1
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert contexts[0].get_start_method() == "fork"
+    else:
+        assert contexts[0] is None
 
 
 def test_checks_state_the_family_their_test_reads(monkeypatch):
     # each acceptance item that names no family, run alone at its least n
     # with the a_k, convolution and ladder memos empty, builds the a_k of
-    # the family its check states and of no other
+    # every family its check states and of no other
     from hankelab import sequences
 
     for name, fam, lo, _hi in acceptance_suite():
@@ -716,9 +740,7 @@ def test_checks_state_the_family_their_test_reads(monkeypatch):
         monkeypatch.setattr(hankel, "_ladders", {})
         rows = checks.run_check(name, None, [lo])
         assert rows and all(row.status == "pass" for row in rows), name
-        reads = REGISTRY[name].reads
-        want = ({reads} if reads is not None else set()) | EXTRA_READS.get(name, set())
-        assert {family for family, _k in sequences._a_memo} == want, name
+        assert {family for family, _k in sequences._a_memo} == set(REGISTRY[name].reads), name
 
 
 def test_pooled_sweep_builds_each_symbolic_ladder_in_one_worker(capsys, monkeypatch, tmp_path):
@@ -726,7 +748,7 @@ def test_pooled_sweep_builds_each_symbolic_ladder_in_one_worker(capsys, monkeypa
     # family whose symbolic ladder it builds
     import multiprocessing
 
-    if multiprocessing.get_start_method() != "fork":
+    if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the workers inherit the logging memo only when forked")
     log = tmp_path / "built.log"
 
@@ -747,8 +769,7 @@ def test_pooled_sweep_builds_each_symbolic_ladder_in_one_worker(capsys, monkeypa
         pid, family = line.split(" ", 1)
         builders.setdefault(family, set()).add(pid)
     assert len(set().union(*builders.values())) == 2  # both workers ran
-    extra = {f.name for fams in EXTRA_READS.values() for f in fams}
-    assert {f for f, pids in builders.items() if len(pids) > 1} <= extra
+    assert {f for f, pids in builders.items() if len(pids) > 1} == set()
 
 
 def test_sweep_with_jobs_gives_the_serial_rows(capsys, monkeypatch):

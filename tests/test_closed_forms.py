@@ -156,32 +156,37 @@ def test_every_formula_id_has_exactly_one_table_entry():
 
 # Negative controls: each mutation breaks one written form, and every check
 # that reads that form must then give a fail row on its first item, or a
-# finding row if it reports findings (the table is `CONTROLS` below).
+# finding row if it reports findings (the table is `CONTROLS` below).  A
+# form stated as data (`hankelab.forms`) is broken in one table entry.
 
 
-def _double_product(pid):
+def _bumped(form):
+    """An (n, x) table, a tuple of them or a hypergeometric term, with its
+    first int plus 1: a term's rational constant p/q becomes (p + 1)/q."""
+    first, *rest = form
+    return (first + 1 if type(first) is int else _bumped(first), *rest)
+
+
+def _product_perturbed(pid):
     def mutate(monkeypatch):
         form = PRODUCTS[pid]
-        monkeypatch.setitem(PRODUCTS, pid, form._replace(value=lambda n: 2 * form.value(n)))
+        monkeypatch.setitem(PRODUCTS, pid, form._replace(outer=_bumped(form.outer)))
 
     return mutate
 
 
-def _top_coeff_doubled(aid):
+def _coeff_perturbed(aid):
     def mutate(monkeypatch):
         form = ALMOST_PRODUCTS[aid]
-
-        def coeff(n, i):
-            return form.coeff(n, i) * (2 if i == n else 1)
-
-        monkeypatch.setitem(ALMOST_PRODUCTS, aid, form._replace(coeff=coeff))
+        monkeypatch.setitem(ALMOST_PRODUCTS, aid, form._replace(term=_bumped(form.term)))
 
     return mutate
 
 
 def _q_perturbed(monkeypatch):
-    pq = closed_forms.three_term_31_pq
-    monkeypatch.setattr(closed_forms, "three_term_31_pq", lambda n: (pq(n)[0], pq(n)[1] + 1))
+    """q_n of the (3,1) three-term recursion plus its hypergeometric term."""
+    p, (term, q) = closed_forms.THREE_TERM_31
+    monkeypatch.setattr(closed_forms, "THREE_TERM_31", (p, (term, _bumped(q))))
 
 
 def _complex_h2(monkeypatch):
@@ -211,15 +216,12 @@ def _degree_raised(monkeypatch):
 
 
 def _ode_c0_perturbed(name):
-    """The equation's coefficient of y plus 1: the residual gains H_n."""
+    """The first table entry of the equation's coefficient of y plus 1: the
+    residual gains H_n times the other factors of that coefficient."""
     def mutate(monkeypatch):
         spec = ODES[name]
-
-        def coeffs(n):
-            c = spec.coeffs(n)
-            return [c[0] + 1, *c[1:]]
-
-        monkeypatch.setitem(ODES, name, spec._replace(coeffs=coeffs))
+        c0, *rest = spec.table
+        monkeypatch.setitem(ODES, name, spec._replace(table=(_bumped(c0), *rest)))
 
     return mutate
 
@@ -238,10 +240,10 @@ def _t_coeff_perturbed(monkeypatch):
 
 
 def _identity_entry_perturbed(iid):
-    """The first int of the identity's first table entry plus 1."""
+    """The first int of the identity's first table plus 1."""
     def mutate(monkeypatch):
-        fam, ((a, b, kind, offset), *rest) = lemmas.IDENTITIES[iid]
-        entry = ((a[0] + 1, *a[1:]), b, kind, offset)
+        fam, ((table, kind, offset), *rest) = lemmas.IDENTITIES[iid]
+        entry = (_bumped(table), kind, offset)
         monkeypatch.setitem(lemmas.IDENTITIES, iid, (fam, (entry, *rest)))
 
     return mutate
@@ -264,38 +266,35 @@ def _rule_value_perturbed(monkeypatch):
 
 
 def _relation_term_perturbed(rid):
-    """The first coefficient of the relation's first residual plus 1, read
-    through a memo of the relation terms of its own, which starts empty and
-    goes with the mutation."""
+    """The first table entry of the first coefficient of the relation's
+    first residual plus 1, read through a memo of the relation terms of its
+    own, which starts empty and goes with the mutation."""
     def mutate(monkeypatch):
-        family, terms = identities._RELATIONS[rid]
-
-        def perturbed(n):
-            (first, *rest), *others = terms(n)
-            return (((first[0], first[1] + 1), *rest), *others)
-
-        monkeypatch.setitem(identities._RELATIONS, rid, (family, perturbed))
+        family, (((symbol, factors), *rest), *others) = identities._RELATIONS[rid]
+        residuals = (((symbol, _bumped(factors)), *rest), *others)
+        monkeypatch.setitem(identities._RELATIONS, rid, (family, residuals))
         monkeypatch.setattr(identities, "_relation_terms",
                             lru_cache(maxsize=None)(identities._relation_terms.__wrapped__))
 
     return mutate
 
 
-def _point_multiplier_doubled(rid):
-    """The first of the point relation's K/N/M multipliers doubled."""
+def _point_multiplier_perturbed(rid):
+    """The rational constant p/q of the point relation's first K/N/M
+    multiplier made (p + 1)/q."""
     def mutate(monkeypatch):
         fam, x0, mults = identity_checks._POINT_SPECS[rid]
         name, mult = next(iter(mults.items()))
         monkeypatch.setitem(identity_checks._POINT_SPECS, rid,
-                            (fam, x0, {**mults, name: lambda n: 2 * mult(n)}))
+                            (fam, x0, {**mults, name: _bumped(mult)}))
 
     return mutate
 
 
-def _crec_ratio_plus_one(monkeypatch):
+def _crec_ratio_perturbed(monkeypatch):
+    """The squared-ratio recursion's constant 9/4 made 10/4."""
     ratio = identity_checks._RECURSION_RATIOS[RelationId.R_CREC]
-    monkeypatch.setitem(identity_checks._RECURSION_RATIOS, RelationId.R_CREC,
-                        lambda n: ratio(n) + 1)
+    monkeypatch.setitem(identity_checks._RECURSION_RATIOS, RelationId.R_CREC, _bumped(ratio))
 
 
 def _ladder_k3_off_by_one(monkeypatch):
@@ -337,14 +336,12 @@ def _closed_den_perturbed(family, power):
 
 
 def _c1_perturbed(family):
+    """C_1 of the parametric (C_0, C_1, C_2)(Q0) plus 1, in its table."""
     def mutate(monkeypatch):
         form = identity_checks._WEIGHT_FORMS[family]
-
-        def q0_params(n):
-            c0, c1, c2 = form.q0_params(n)
-            return c0, c1 + 1, c2
-
-        monkeypatch.setitem(identity_checks._WEIGHT_FORMS, family, form._replace(q0_params=q0_params))
+        c0, c1, c2 = form.q0_params
+        monkeypatch.setitem(identity_checks._WEIGHT_FORMS, family,
+                            form._replace(q0_params=(c0, _bumped(c1), c2)))
         monkeypatch.setattr(identity_checks, "_weight_memo", {})
 
     return mutate
@@ -399,10 +396,10 @@ def _form(check, mutate):
 A = AlmostProductId
 GENERATING = (F31, F21, F30, F3K2M, FAEX)
 CONTROLS = [
-    *(_form(pid.value, _double_product(pid)) for pid in ProductFormulaId),
-    *(_form(aid.value, _top_coeff_doubled(A.AP31)) for aid in (A.AP31, A.AP31AT0, A.AP31AT1)),
-    *(_form(aid.value, _top_coeff_doubled(A.AP21)) for aid in (A.AP21, A.AP21AT0, A.AP21AT1)),
-    _form("ap31alt", _top_coeff_doubled(A.AP31ALT)),
+    *(_form(pid.value, _product_perturbed(pid)) for pid in ProductFormulaId),
+    *(_form(aid.value, _coeff_perturbed(A.AP31)) for aid in (A.AP31, A.AP31AT0, A.AP31AT1)),
+    *(_form(aid.value, _coeff_perturbed(A.AP21)) for aid in (A.AP21, A.AP21AT0, A.AP21AT1)),
+    _form("ap31alt", _coeff_perturbed(A.AP31ALT)),
     _form("threeterm31", _q_perturbed),
     _form("rec31at1", _q_perturbed),
     _form("interlace", _complex_h2),
@@ -417,9 +414,9 @@ CONTROLS = [
     _form("ef", _conv_entry_perturbed),
     _form("table1", _rule_value_perturbed),
     *(_form(rid.value, _relation_term_perturbed(rid)) for rid in SYMBOLIC_RELATIONS),
-    *(_form(rid.value, _point_multiplier_doubled(rid))
+    *(_form(rid.value, _point_multiplier_perturbed(rid))
       for rid in POINT_RELATIONS if rid is not RelationId.R_CREC),
-    _form("r_crec", _crec_ratio_plus_one),
+    _form("r_crec", _crec_ratio_perturbed),
     _form("dodgson", _ladder_k3_off_by_one),
     *(Control("weights", check, fam, f"den-y{power}", _closed_den_perturbed(fam, power), "fail")
       for fam in (F31, F21) for power in (1, 2)

@@ -92,7 +92,7 @@ def test_identity_table_matches_the_poly_oracle(monkeypatch):
         monkeypatch.setattr(mod, "a_poly", stand_in("a"))
         monkeypatch.setattr(mod, "conv_poly", stand_in("c"))
     for iid in IdentityId:
-        for k in range(31):
+        for k in range(41):
             got = identity_residual(iid, k)
             assert got == fraction_identity_residual(iid, k) and got, (iid, k)
 

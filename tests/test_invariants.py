@@ -152,16 +152,14 @@ def test_both_screens_decline_where_a_pivot_is_not_a_unit(monkeypatch):
 
 def test_the_screen_sees_a_perturbed_coefficient(monkeypatch):
     # negative control: the first coefficient of each relation moved by 1
-    # leaves its first residual equal to that symbol's jet value, nonzero,
-    # at a point the screen accepts
+    # (its symbol once more, times the constant table 1) leaves its first
+    # residual equal to that symbol's jet value, nonzero, at a point the
+    # screen accepts
     x0 = Fraction(97, 5)
     for rid in SYMBOLIC_RELATIONS:
-        family, terms = identities._RELATIONS[rid]
-
-        def perturbed(n, terms=terms):
-            (first, *rest), *others = terms(n)
-            return (((first[0], first[1] + 1), *rest), *others)
-
+        family, ((first, *rest), *others) = identities._RELATIONS[rid]
+        symbol = first[0]
+        perturbed = ((first, *rest, (symbol, (((1,),),))), *others)
         monkeypatch.setitem(identities._RELATIONS, rid, (family, perturbed))
         identities._relation_terms.cache_clear()
         try:
@@ -170,7 +168,6 @@ def test_the_screen_sees_a_perturbed_coefficient(monkeypatch):
             monkeypatch.undo()
             identities._relation_terms.cache_clear()
         values = jet_quartet(family, 4, x0)
-        symbol = terms(4)[0][0][0]
         assert got[0] == values[_SYMBOLS.index(symbol)] != 0, rid
         assert all(r == 0 for r in relation_residuals_at(rid, 4, x0)), rid
 
