@@ -132,15 +132,15 @@ def cmd_factor(args) -> int:
     if value == 0:
         print("determinant is zero at this point; nothing to factor")
         return 0
-    if value.denominator != 1:
-        num = factor_smooth(value.numerator, args.bound)
-        den = factor_smooth(value.denominator, args.bound)
-        print(f"({num.render()}) / ({den.render()})")
-        reports = [num, den]
+    parts = [value.numerator] + ([value.denominator] if value.denominator != 1 else [])
+    try:
+        reports = [factor_smooth(v, args.bound) for v in parts]
+    except ValueError as exc:  # a bound whose sieve factor_smooth will not build
+        raise UsageError(str(exc))
+    if len(reports) == 1:
+        print(reports[0].render())
     else:
-        rep = factor_smooth(value.numerator, args.bound)
-        print(rep.render())
-        reports = [rep]
+        print(f"({reports[0].render()}) / ({reports[1].render()})")
     for rep in reports:
         if rep.cofactor != 1:
             print(

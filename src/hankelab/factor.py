@@ -57,6 +57,8 @@ def primality_label(n: int) -> str:
 
 # _odd_sieve[i] is 1 iff 2i + 1 is prime; replaced by a longer one on demand.
 _odd_sieve = bytearray()
+# the largest prime bound a sieve is built for: (bound + 1) // 2 bytes, 50 MB
+_SIEVE_LIMIT = 10**8
 
 
 def _primes(bound: int):
@@ -104,7 +106,8 @@ def factor_smooth(value: int, bound: int = 10**6) -> FactorReport:
     The cofactor carries everything not divisible by any prime <= bound.
     Only primes up to min(bound, isqrt(|value|)) are read: a cofactor
     1 < n <= bound left after them has no prime factor <= isqrt(n), so it
-    is prime and is recorded as a factor.
+    is prime and is recorded as a factor.  ValueError if that limit is
+    above 10^8, before any sieve is built.
     """
     if value == 0:
         raise ValueError("cannot factor zero")
@@ -112,8 +115,12 @@ def factor_smooth(value: int, bound: int = 10**6) -> FactorReport:
         raise ValueError("bound must be >= 2")
     sign = 1 if value > 0 else -1
     n = abs(value)
+    limit = min(bound, isqrt(n))
+    if limit > _SIEVE_LIMIT:
+        raise ValueError(f"a sieve of the primes up to {limit} is too large: "
+                         f"use a bound of at most {_SIEVE_LIMIT}")
     factors: list[tuple[int, int]] = []
-    for p in _primes(min(bound, isqrt(n))):
+    for p in _primes(limit):
         if p * p > n:
             break
         if n % p == 0:

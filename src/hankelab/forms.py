@@ -44,16 +44,19 @@ def nx_poly(factors, n: int) -> Poly:
     return from_int_scaled(acc, 1)
 
 
-def term_value(term, n: int, i: int = 0) -> Fraction:
-    """The hypergeometric term (p, q, num, den) at (n, i)."""
+def term_value(term, n: int, i: int | None = None) -> Fraction:
+    """The hypergeometric term (p, q, num, den) at (n, i).  Without i, a
+    factor that reads i (b != 0) raises ``ValueError``."""
     p, q, num, den = term
     return Fraction(p * _factors(num, n, i), q * _factors(den, n, i))
 
 
-def _factors(factors, n: int, i: int) -> int:
+def _factors(factors, n: int, i: int | None) -> int:
     acc = 1
     for kind, a, b, c in factors:
-        m = a * n + b * i + c
+        if b and i is None:
+            raise ValueError(f"the factor {(kind, a, b, c)} reads i, and no i is given")
+        m = a * n + b * (i or 0) + c
         if kind == "":
             acc *= m
         elif kind == "!":

@@ -1,18 +1,15 @@
 """Hankel matrices over Poly and their exact determinant machinery.
 
-Everything is fraction-free (Bareiss) elimination over an integral domain:
-Z[x] for symbolic determinants, Z at a rational point, and integer Taylor
-jets (``jet.py``).  Interior divisions are exact, and any nonzero remainder
-aborts loudly, which doubles as a correctness tripwire.  ``det_bareiss``
-eliminates one square matrix; ``ladder`` eliminates [a_{i+j}] once for
-H_n, K_n, M_n and N_n at every n, and a per-process cache grows each
-family's ladder as larger n are asked for.  Every elimination of
-[a_{i+j}] reads its rows unscaled from ``int_entries`` (``int_hankel``
-gives the square matrix); the ones only checks run (Gauss-Jordan,
-adjugates, the Dodgson check's own), and the degree-bound instances, are
-``hankel_checks.py``.  ``det_fraction_free`` scales rational rows to Z[x]
-for the degree-bound instances; ``hankel_matrix``, the Poly matrix
-[a_{i+j}], serves the tests and perfbench's tracer self-test.
+All of it is fraction-free (Bareiss) elimination over an integral domain,
+Z[x], Z at a rational point or integer Taylor jets (``jet.py``), whose
+exact interior divisions raise on any remainder.  ``bareiss_steps`` is
+the one elimination of a single matrix, below the pivot for
+``det_bareiss`` and in full for Gauss-Jordan (``hankel_checks.py``); a
+column's pivot is the first unit at or below the next pivot row, else a
+nonzero non-unit (a jet), else none.  ``ladder`` eliminates [a_{i+j}],
+read unscaled from ``int_entries``, once for H_n, K_n, M_n and N_n at
+every n; a per-process cache grows it.  ``det_fraction_free`` and
+``hankel_matrix`` serve the degree-bound instances, tests and perfbench.
 """
 
 from __future__ import annotations
@@ -50,8 +47,7 @@ class Ring(namedtuple("Ring", "cross neg unit value", defaults=(None,))):
     raises on a remainder.  ``unit(v)`` tells whether v can be a divisor.
     A ring whose elements carry more than a value (the Taylor jets) also
     gives ``value(v)``, the value part, a homomorphism onto Z; a ladder
-    keeps what is read only as a value in values, stepped over Z.  It is
-    None for Z and Z[x].
+    keeps what is read only as a value in values, stepped over Z.
     """
 
     __slots__ = ()
@@ -104,56 +100,65 @@ def int_hankel(family: FamilyId, n: int) -> list[list[list[int]]]:
     return [e[i : i + n + 1] for i in range(n + 1)]
 
 
-def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:
-    """Fraction-free two-term elimination of one square matrix.
+def bareiss_steps(m: list[list], ring: Ring, full: bool = False):
+    """Fraction-free elimination of the rows ``m`` in place, one pivot at a
+    time: yields (pivot columns, sign) after each pivot.
 
-    Each step asks ``unit`` first of its pivot, and of the entries below it
-    only when the pivot is no unit.  Such a pivot is swapped for the first
-    lower row whose entry the ring can divide by, flipping the sign.  If
-    there is none, a zero pivot makes the determinant zero; any other (a jet
-    vanishing at its point) is kept, and the jet ring raises if a later step
-    must divide by it.
-    """
+    Column c's pivot is the first entry at or below the next pivot row that
+    the ring can divide by (``unit``), swapped up, flipping the sign; else a
+    nonzero non-unit there, kept (a jet vanishing at its point: the jet ring
+    raises if a later step divides by it); else the column has none.  The
+    step (p r - l u) / d, d the previous pivot, updates the rows below the
+    pivot right of its column, or with ``full`` every other row (Gauss-Jordan)."""
+    cross, unit = ring.cross, ring.unit
+    pivots, sign, prev = [], 1, None
+    width = len(m[0]) if m else 0
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if unit(m[i][c])), None)
+        if pr is None:
+            if r == len(m) or not m[r][c]:
+                continue
+        elif pr != r:
+            m[r], m[pr], sign = m[pr], m[r], -sign
+        pivot_row, p = m[r], m[r][c]
+        cols = range(width) if full else range(c + 1, width)
+        for row in m if full else m[r + 1 :]:
+            if row is not pivot_row:
+                lead = row[c]
+                for j in cols:
+                    row[j] = cross(p, row[j], lead, pivot_row[j], prev)
+        pivots.append(c)
+        prev = p
+        yield pivots, sign
+
+
+def det_bareiss(rows: Sequence[Sequence], ring: Ring) -> object:
+    """The determinant of a square matrix from the below-the-pivot run of
+    `bareiss_steps`: its last pivot times the sign of its row swaps, or the
+    zero entry of the first column with no pivot."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
     if n == 1:
         return rows[0][0]
-    cross, unit = ring.cross, ring.unit
     m = [list(row) for row in rows]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not unit(m[k][k]):
-            for i in range(k + 1, n):
-                if unit(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                if not m[k][k]:
-                    return m[k][k]
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = cross(pivot, row[j], lead, pivot_row[j], prev)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else ring.neg(det)
+    k, sign = 0, 1
+    for pivots, sign in bareiss_steps(m, ring):
+        if pivots[-1] != k:
+            break
+        k += 1
+    if k < n:  # rows k.. are zero in column k
+        return m[k][k]
+    return m[-1][-1] if sign == 1 else ring.neg(m[-1][-1])
 
 
 def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Exact determinant of a square Poly matrix.
-
-    Each row is scaled to integer coefficients by the lcm of its
-    denominators, elimination runs over Z[x], and the result is divided by
-    the product of the row scales once.
-    """
+    """Exact determinant of a square Poly matrix: each row scaled to Z[x]
+    by the lcm of its denominators, eliminated over Z[x], and the result
+    divided by the product of the row scales once."""
     scaled = [to_int_scaled(row) for row in rows]
     det = det_bareiss([int_row for int_row, _ in scaled], INT_POLY)
     return from_int_scaled(det, prod(scale for _, scale in scaled))
@@ -234,17 +239,14 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
     run every step.  Row i's step k updates only its columns i..N+2: its
     columns k+1..i-1 would be read only as the leads of its later steps,
     and by the symmetry of [e_{i+j}] (see `Ladder`) the lead of step k is
-    ``rows[k][i]``, which row k already holds.  So the rows take
-    sum_{i <= N} i (N + 3 - i) steps, not sum_{i <= N} sum_{k < i}
-    (N + 2 - k): N^3/6 against N^3/3 for large N, 147 against 203 at
-    N = 7.  M_n is one 2 x 2 Sylvester step on rows n-1 and n just before
+    ``rows[k][i]``, which row k already holds: about N^3/6 steps, not
+    N^3/3.  M_n is one 2 x 2 Sylvester step on rows n-1 and n just before
     row n's last step, over columns n and n+1.  Over a ring with value
     parts, columns N+1 and N+2 start as the entries' values and
     step over Z (`_int_cross`) with the values of their pivots and leads,
     and every M_n steps on the values of its four entries: the value part
     of a step is the step on value parts, and each divides only by a pivot
-    ``unit`` accepted.  Such a ladder is rebuilt from all of ``entries``
-    rather than grown, since a larger N needs those columns in full.
+    ``unit`` accepted; a larger N needs them in full, so it is rebuilt.
     """
     value = ring.value
     if lad is None or value is not None:
@@ -353,10 +355,8 @@ def hankel_det(family: FamilyId, n: int) -> Poly:
 
 
 def quartet(family: FamilyId, n: int) -> HankelQuartet:
-    """All four determinants; M and N are None at n = 0.
-
-    K_0 degenerates to det[[a_1]] = a_1 per the defining column layout.
-    """
+    """All four determinants; M and N are None at n = 0, and K_0 is
+    det[[a_1]] = a_1 per the defining column layout."""
     m, nn = (variant_det(family, n, v) for v in "MN") if n else (None, None)
     h, k = variant_det(family, n, "H"), variant_det(family, n, "K")
     return HankelQuartet(family, n, h, k, m, nn)

@@ -2,9 +2,13 @@
 adjugates it gives, the Dodgson check's own eliminations, and the
 generalized degree-bound instances.
 
-``gauss_jordan`` applies ``hankel``'s fraction-free step above the pivot
-too, for adjugates over Z[x] (those of every leading block from one
-elimination) and integer nullspaces.  The adjugates and the Dodgson
+All of them run ``hankel.bareiss_steps``, the one fraction-free
+elimination, whose pivot in each column is the first unit at or below the
+next pivot row (over Z and Z[x], the first nonzero entry), else none.
+``gauss_jordan`` is its run that updates the rows above the pivot too,
+for adjugates over Z[x] (those of every leading block from one
+elimination) and integer nullspaces; the Dodgson check reads its own H_j
+off the pivots of a run below the pivot.  The adjugates and the Dodgson
 check's eliminations take their rows [a_{i+j}] from ``hankel.int_entries``
 as they are; only the degree-bound instances, whose entries are rational,
 scale their rows to Z[x] (``hankel.det_fraction_free``).  None of this
@@ -23,6 +27,7 @@ from .hankel import (
     INT_POLY,
     Ring,
     _variant_columns,
+    bareiss_steps,
     det_bareiss,
     det_fraction_free,
     int_entries,
@@ -33,45 +38,15 @@ from .poly import Poly, from_int_scaled, lin_comb
 from .sequences import FamilyId
 
 
-def gauss_jordan_steps(rows: Sequence[Sequence], ring: Ring):
-    """Fraction-free Gauss-Jordan elimination, one pivot at a time.
-
-    Yields (rows, pivot columns, sign) after each pivot; the next pivot
-    updates the two lists in place.  Each column's pivot is the first row at
-    or below the next pivot position whose entry the ring can divide by,
-    swapped up; a column with none is skipped.  The Bareiss step updates
-    every other row, those above too, so each pivot ends equal to the last.
-    """
-    m = [list(row) for row in rows]
-    cross, unit = ring.cross, ring.unit
-    pivots: list[int] = []
-    sign, prev = 1, None
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if unit(m[i][c])), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr], sign = m[pr], m[r], -sign
-        pivot_row, p = m[r], m[r][c]
-        for row in m:
-            if row is not pivot_row:
-                lead = row[c]
-                for j, u in enumerate(pivot_row):
-                    row[j] = cross(p, row[j], lead, u, prev)
-        pivots.append(c)
-        prev = p
-        yield m, pivots, sign
-
-
 def gauss_jordan(rows: Sequence[Sequence], ring: Ring) -> tuple[list[list], list[int], int]:
-    """(reduced rows, pivot columns, sign) of `gauss_jordan_steps` run to the
-    end: [A | S] with A invertible reduces to [d I | d A^{-1} S], where
-    d = sign * det A."""
-    state = None
-    for state in gauss_jordan_steps(rows, ring):
+    """(reduced rows, pivot columns, sign) of the full run of
+    `hankel.bareiss_steps`: every other row takes each step, so each pivot
+    ends equal to the last, and [A | S] with A invertible reduces to
+    [d I | d A^{-1} S], where d = sign * det A."""
+    m, pivots, sign = [list(row) for row in rows], [], 1
+    for pivots, sign in bareiss_steps(m, ring, full=True):
         pass
-    return state or ([list(row) for row in rows], [], 1)
+    return m, pivots, sign
 
 
 def _with_identity(rows: Sequence[Sequence[list[int]]]) -> list[list[list[int]]]:
@@ -108,8 +83,8 @@ def leading_adjugates(rows: Sequence[Sequence[list[int]]]) -> list:
     of A_k.
     """
     n = len(rows)
-    out = []
-    for m, pivots, sign in gauss_jordan_steps(_with_identity(rows), INT_POLY):
+    m, out = _with_identity(rows), []
+    for pivots, sign in bareiss_steps(m, INT_POLY, full=True):
         k = len(pivots) - 1
         if pivots[k] != k or sign != 1:
             break
@@ -125,25 +100,26 @@ def leading_adjugates(rows: Sequence[Sequence[list[int]]]) -> list:
 def own_hankel_dets(family: FamilyId, top: int) -> list[Poly]:
     """H_0 .. H_top, none of them read off the ladder.
 
-    One `det_bareiss` of [a_{i+j}]_{0..top} over Z[x] gives them: its pivot
-    at step k is H_k, it asks ``unit`` of each pivot before any other entry,
-    so the ring below records them up to the first zero one, and its
-    determinant is H_top.  A zero pivot means a row swap, after which the
-    pivots are no leading minors: each H_j past it is eliminated on its own,
-    on the leading (j+1)-block of the same rows.
+    One run of `bareiss_steps` below the pivot on [a_{i+j}]_{0..top} over
+    Z[x] gives them: until it first swaps rows or finds no pivot, at the
+    first zero leading minor, its pivot k is the leading minor H_k, and its
+    determinant is H_top.  Past that zero H_j the pivots are no leading
+    minors, so each H_j before H_top is eliminated on its own, on the
+    leading (j+1)-block of the same rows.
     """
     rows = int_hankel(family, top)
-    leading: list[list[int]] = []
-
-    def unit(v):
-        if not leading or leading[-1]:
-            leading.append(v)
-        return bool(v)
-
-    det = det_bareiss(rows, INT_POLY._replace(unit=unit))
-    hs = leading + [det_bareiss([row[: j + 1] for row in rows[: j + 1]], INT_POLY)
-                    for j in range(len(leading), top)]
-    return [from_int_scaled(v, 1) for v in hs + [det]]
+    m, hs = [list(row) for row in rows], []
+    pivots, sign = [], 1
+    for pivots, sign in bareiss_steps(m, INT_POLY):
+        k = len(pivots) - 1
+        if len(hs) == k == pivots[k] < top and sign == 1:
+            hs.append(m[k][k])
+    zero = len(hs)  # the first zero leading minor, unless it is H_top
+    hs += [det_bareiss([row[: j + 1] for row in rows[: j + 1]], INT_POLY) if j > zero else []
+           for j in range(zero, top)]
+    det = m[top][top] if len(pivots) == top + 1 else []
+    hs.append(det if sign == 1 else INT_POLY.neg(det))
+    return [from_int_scaled(v, 1) for v in hs]
 
 
 # family -> [H_0 .. H_j] from `own_hankel_dets`, so that dodgson_check at n
@@ -160,7 +136,7 @@ def dodgson_check(family: FamilyId, n: int) -> bool:
     so M_n, H_{n-1} and H_{n+1} each come from an elimination of their own;
     only H_n, K_n and N_n are read off the ladder.  M_n is one `det_bareiss`
     of its columns of [a_{i+j}] over Z[x], with no symmetry.  H_{n-1} and
-    H_{n+1} are pivots of one `det_bareiss` of [a_{i+j}] made at the
+    H_{n+1} are pivots of one elimination of [a_{i+j}] made at the
     largest n asked (`own_hankel_dets`).  Bareiss's pivot k is the leading
     minor H_k: the steps before it are those of the elimination of H_k
     alone, on longer rows, so no compared value changes.  And none comes

@@ -4,16 +4,20 @@ At x0 = p/q every entry a_k of a Hankel matrix, in Z[x] of degree <= k,
 becomes the integer 3-jet q^k (a_k(x0), a_k'(x0), a_k''(x0)/2).  Entry
 (i, j) then carries q^i q^j, a scale per row and per column, so
 fraction-free elimination over these jets (the ring ``JET``, run by
-``hankel.ladder`` and ``hankel.det_bareiss``) yields the value and the first two derivatives of a determinant at x0
-times a known power of q, without forming the symbolic determinant and
-without any gcd.  Interior divisions are exact (the intermediates are
-minors of an integer matrix) but require the divisor to be a unit, a jet
-with nonzero value; callers resample the point otherwise.  The value part
-of a jet step is the integer step on the value parts of its operands, so
-a ladder over jets carries only the values of what is read as a value
-(every M_n, and K_n and N_n at its top n), and full jets only where a
-pivot, H, or its derivatives are read.
-`terms_at` sums the point screen's residuals over Z against such values.
+``hankel.ladder`` and by ``hankel.det_bareiss`` through the one routine
+``hankel.bareiss_steps``) yields the value and the first two derivatives
+of a determinant at x0 times a known power of q, without forming the
+symbolic determinant and without any gcd.  Interior divisions are exact
+(the intermediates are minors of an integer matrix) but require the
+divisor to be a unit, a jet with nonzero value.  ``bareiss_steps`` takes
+the first unit at or below the next pivot row, else keeps the non-unit
+jet, which `_jet_cross` refuses if a later step divides by it; callers
+resample the point then.  The value part of a jet step is the integer
+step on the value parts of its operands, so a ladder over jets carries
+only the values of what is read as a value (every M_n, and K_n and N_n
+at its top n), and full jets only where a pivot, H, or its derivatives
+are read.  `terms_at` sums the point screen's residuals over Z against
+such values.
 """
 
 from __future__ import annotations

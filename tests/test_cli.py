@@ -618,6 +618,7 @@ def test_usage_errors_exit_2(capsys):
         ("formula", "--id", "nope", "--n", "2"),
         ("factor", "--family", "3,1", "--n=-1"),
         ("factor", "--family", "3,1", "--n", "3", "--bound", "1"),
+        ("factor", "--family", "3,1", "--n", "20", "--bound", "200000000"),  # sieve too large
         ("series", "--t", "--beta", "0", "--order", "2"),
         ("series", "--f", "--family", "3,-2", "--order", "2"),
         ("verify", "--check", "dodgson", "--family", "3,1", "--n", "0"),

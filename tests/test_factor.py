@@ -124,3 +124,8 @@ def test_the_sieve_covers_only_what_the_value_needs(monkeypatch):
     rep = factor_smooth(3158, 10**8)
     assert rep.small_factors == ((2, 1), (1579, 1)) and rep.cofactor == 1
     assert len(factor._odd_sieve) <= 28
+    # a value whose square root passes 10^8 with a bound past it too would
+    # need a sieve above 50 MB: refused before any is built
+    with pytest.raises(ValueError, match="too large"):
+        factor_smooth(10**20 + 1, 2 * 10**8)
+    assert len(factor._odd_sieve) <= 28

@@ -34,6 +34,11 @@ def test_term_value_reads_each_kind_of_factor():
     # 3/4 * (n + i) * (2n)! / (n + 2i + 1)!! * (-2)^i at n = 3, i = 2
     term = (3, 4, (("", 1, 1, 0), ("!", 2, 0, 0), (-2, 0, 1, 0)), (("!!", 1, 2, 1),))
     assert term_value(term, 3, 2) == Fraction(3 * 5 * 720 * 4, 4 * (8 * 6 * 4 * 2))
+    # without i, a factor that reads i is refused, not read at i = 0
+    with pytest.raises(ValueError, match="reads i"):
+        term_value(term, 3)
+    with pytest.raises(ValueError, match="reads i"):
+        term_value((1, 1, (), (("!!", 1, 2, 1),)), 3)
     assert term_value((1, 1, (("!!", 1, 0, 0),), ()), 0) == 1  # m!! = 1 for m <= 0
     with pytest.raises(ValueError):
         term_value((1, 1, (("!", 1, 0, -2),), ()), 1)

@@ -343,15 +343,15 @@ def test_dodgson_eliminates_each_of_its_own_h_once(monkeypatch):
     from hankelab.checks import acceptance_suite, run_check
 
     orders = []
-    real = hankel_mod.det_bareiss
+    real = hankel_mod.bareiss_steps
 
-    def counted(rows, ring):
-        orders.append(len(rows))
-        return real(rows, ring)
+    def counted(m, ring, full=False):
+        orders.append(len(m))
+        return real(m, ring, full)
 
     monkeypatch.setattr(checks_mod, "_own_h", {})
-    monkeypatch.setattr(hankel_mod, "det_bareiss", counted)
-    monkeypatch.setattr(checks_mod, "det_bareiss", counted)
+    monkeypatch.setattr(hankel_mod, "bareiss_steps", counted)
+    monkeypatch.setattr(checks_mod, "bareiss_steps", counted)
     items = [item for item in acceptance_suite() if item[0] == "dodgson"]
     assert [(lo, hi) for _, _, lo, hi in items] == [(1, 10)] * 8
     for name, fam, lo, hi in items:
@@ -401,7 +401,7 @@ def test_own_h_past_a_zero_leading_minor_are_eliminated_alone(monkeypatch):
     # sequence, still passes
     from hankelab.checks import run_check
 
-    real = checks_mod.det_bareiss
+    real = hankel_mod.bareiss_steps
     for head in ZERO_MINOR_HEADS:
         monkeypatch.setattr(hankel_mod, "a_poly", seq_with_head(head))
         monkeypatch.setattr(hankel_mod, "_ladders", {})
@@ -411,16 +411,18 @@ def test_own_h_past_a_zero_leading_minor_are_eliminated_alone(monkeypatch):
         assert first_zero < 2 and not want[6].is_zero()
         orders = []
 
-        def counted(rows, ring):
-            orders.append(len(rows) - 1)
-            return real(rows, ring)
+        def counted(m, ring, full=False):
+            orders.append(len(m) - 1)
+            return real(m, ring, full)
 
-        monkeypatch.setattr(checks_mod, "det_bareiss", counted)
+        monkeypatch.setattr(hankel_mod, "bareiss_steps", counted)
+        monkeypatch.setattr(checks_mod, "bareiss_steps", counted)
         for top in (6, 2):
             del orders[:]
             assert checks_mod.own_hankel_dets(F31, top) == want[: top + 1], (head, top)
             assert orders == [top, *range(first_zero + 1, top)], (head, top)
-        monkeypatch.setattr(checks_mod, "det_bareiss", real)
+        monkeypatch.setattr(hankel_mod, "bareiss_steps", real)
+        monkeypatch.setattr(checks_mod, "bareiss_steps", real)
         rows = run_check("dodgson", F31, range(1, 6))
         assert [r.status for r in rows] == ["pass"] * 5, head
 
