@@ -22,6 +22,7 @@ from collections.abc import Sequence
 
 from .closed_forms import (
     ALMOST_PRODUCTS,
+    AP21AT1_SIGN,
     AP_POINTS,
     ODES,
     PRODUCTS,
@@ -210,7 +211,7 @@ def _build_registry() -> dict[str, CheckDef]:
         (A.AP31AT0, None, ("acceptance", None, 0, 12)),
         (A.AP31AT1, lambda n: product_eval(P.P32, n), ("acceptance", None, 0, 12)),
         (A.AP21AT0, lambda n: 1, ("acceptance", None, 0, 20)),
-        (A.AP21AT1, lambda n: (-1) ** ((n * (n + 1)) // 2), ("acceptance", None, 0, 20)),
+        (A.AP21AT1, AP21AT1_SIGN.value, ("acceptance", None, 0, 20)),
     ):
         base, x = AP_POINTS.get(aid, (aid, None))
         family = ALMOST_PRODUCTS[base].family

@@ -251,7 +251,13 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a token that starts with "-" for an option unless it is a
+    # negative int or decimal: `--x -3/2` is read as `--x=-3/2`, since no
+    # option starts with "-" and a digit
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--x" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = ["--x=" + argv[i]]
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

@@ -4,9 +4,11 @@ and the orthogonal-polynomial connections of the determinant families.
 Every formula here was hand-transcribed once from its source display; the
 transcription gate is residual-zero (or exact equality) against brute-force
 determinants, exercised in the test suite, so a typo surfaces as a specific
-failing (id, n) pair.  The products, the almost-product coefficients and
-the three-term coefficients are data, hypergeometric terms and (n, x)
-tables read by ``forms``.  The ODE table itself is ``odes.py``,
+failing (id, n) pair.  Every form is data read by ``forms``: the products,
+the almost-product coefficients, Chebyshev U_n and Jacobi
+P_n^(1/2,-1/2) (terminating 2F1 sums in powers of y - 1), their scale and
+ap21at1's stated sign are hypergeometric terms, and the three-term
+coefficients (n, x) tables.  The ODE table itself is ``odes.py``,
 re-exported here as ``ODES``.
 """
 
@@ -15,9 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from math import factorial
 
-from .forms import nx_poly, term_value
+from .forms import nx_poly, term_sum, term_value
 from .poly import Poly, lin_comb
 from .sequences import F21, F30, F31, F32, FAEX, FSHIFT22
 from .hankel import hankel_det, hankel_det_at
@@ -111,13 +112,9 @@ class AlmostProductId(Enum):
     AP21AT1 = "ap21at1"   # AP21 at x = 1: equals (-1)^{n(n+1)/2}
 
 
-# H_n of family = product(prefactor, n) * sum_{i=0..n} coeff(n, i) (x - centre)^i,
-# with coeff(n, i) the hypergeometric term ``term`` at (n, i).
-class AlmostProductForm(namedtuple("AlmostProductForm", "family prefactor centre term")):
-    __slots__ = ()
-
-    def coeff(self, n: int, i: int) -> Fraction:
-        return term_value(self.term, n, i)
+# H_n of family = product(prefactor, n) * sum_{i=0..n} term(n, i) (x - centre)^i,
+# with term(n, i) a hypergeometric term (`forms.term_sum`).
+AlmostProductForm = namedtuple("AlmostProductForm", "family prefactor centre term")
 
 
 _A = AlmostProductId
@@ -140,6 +137,10 @@ AP_POINTS: dict[AlmostProductId, tuple[AlmostProductId, Fraction]] = {
     _A.AP21AT1: (_A.AP21, Fraction(1)),
 }
 
+# The value the paper states for ap21at1, the product of (-1)^i over
+# i = 1..n: (-1)^{n(n+1)/2}.  Not a formula of its own, so not in PRODUCTS.
+AP21AT1_SIGN = ProductForm(F21, Fraction(1), _ONE, (1, 1, ((-1, 0, 1, 0),), ()))
+
 
 def almost_product_eval(
     aid: AlmostProductId, n: int, x=None
@@ -160,10 +161,7 @@ def almost_product_eval(
     if form is None:
         raise ValueError(f"unknown almost product {aid!r}")
     t = Poly([-form.centre, 1]) if x is None else Fraction(x) - form.centre
-    acc = Fraction(0)
-    for i in range(n, -1, -1):  # Horner in t = x - centre
-        acc = acc * t + form.coeff(n, i)
-    return acc * product_eval(form.prefactor, n)
+    return term_sum(form.term, n, t) * product_eval(form.prefactor, n)
 
 
 # ---------------------------------------------------------------------------
@@ -235,54 +233,25 @@ def recursion_31at1(n: int) -> Fraction:
     return acc
 
 
-def chebyshev_u(n: int) -> Poly:
-    """Chebyshev U_n by its three-term recurrence; U_{-1} = 0."""
-    if n < 0:
-        return Poly.zero()
-    prev, cur = Poly.one(), Poly([0, 2])
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, Poly([0, 2]) * cur - prev
-    return cur
-
-
-def jacobi_half(n: int) -> Poly:
-    """Jacobi P_n^{(1/2, -1/2)} by its rational three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    p0 = Poly.one()
-    if n == 0:
-        return p0
-    p1 = Poly([Fraction(1, 2), 1])
-    if n == 1:
-        return p1
-    prev, cur = p0, p1
-    for k in range(2, n + 1):
-        # k(k-1) P_k = (2k-1)(k-1) x P_{k-1} - (k-1/2)(k-3/2) P_{k-2}
-        a = (2 * k - 1) * (k - 1)
-        c = Fraction((2 * k - 1) * (2 * k - 3), 4)
-        nxt = (Poly([0, a]) * cur - c * prev) * Fraction(1, k * (k - 1))
-        prev, cur = cur, nxt
-    return cur
+# Chebyshev U_n(y) and Jacobi P_n^(1/2,-1/2)(y) as sums over i of a term in
+# (n, i) times (y - 1)^i (Andrews-Askey-Roy, ch. 2 and 6): 2^i (n+i+1)! /
+# ((2i+1)! (n-i)!) and (2n+1)!! (n+i)! / (2^n n! i! (n-i)! (2i+1)!!).
+# H^{(2,1)}_n is U_n(1-x) - U_{n-1}(1-x), and CHEBJAC_SCALE, (-4)^n n!^2 /
+# (2n)!, times P_n(x-1); the 2k+2-shift H_n is that scale times P_n(x).
+CHEBYSHEV_U = (1, 1, ((2, 0, 1, 0), ("!", 1, 1, 1)), (("!", 0, 2, 1), ("!", 1, -1, 0)))
+JACOBI_HALF = (1, 1, (("!!", 2, 0, 1), ("!", 1, 1, 0)),
+               ((2, 1, 0, 0), ("!", 1, 0, 0), ("!", 0, 1, 0), ("!", 1, -1, 0), ("!!", 0, 2, 1)))
+CHEBJAC_SCALE = (1, 1, ((-4, 1, 0, 0), ("!", 1, 0, 0), ("!", 1, 0, 0)), (("!", 2, 0, 0),))
 
 
 def chebyshev_jacobi_check(n: int) -> bool:
     """The (2,1) determinant vs Chebyshev/Jacobi forms, plus the shifted ODE."""
-    h = hankel_det(F21, n)
-    u_part = chebyshev_u(n).compose_affine(-1, 1) - chebyshev_u(n - 1).compose_affine(
-        -1, 1
-    )
-    if h != u_part:
-        return False
-    f = factorial
-    scale = Fraction((-4) ** n * f(n) ** 2, f(2 * n))
-    if h != jacobi_half(n).compose_affine(1, -1) * scale:
-        return False
-    h_shift = hankel_det(FSHIFT22, n)
-    if h_shift != jacobi_half(n) * scale:
-        return False
-    return ode_residual(ODES["de2np2ak"], n, h_shift).is_zero()
+    h, h_shift = hankel_det(F21, n), hankel_det(FSHIFT22, n)
+    t, scale = Poly([0, -1]), term_value(CHEBJAC_SCALE, n)  # t = y - 1 at y = 1 - x
+    return (h == term_sum(CHEBYSHEV_U, n, t) - term_sum(CHEBYSHEV_U, n - 1, t)
+            and h == term_sum(JACOBI_HALF, n, Poly([-2, 1])) * scale
+            and h_shift == term_sum(JACOBI_HALF, n, Poly([-1, 1])) * scale
+            and ode_residual(ODES["de2np2ak"], n, h_shift).is_zero())
 
 
 def interlace_check(n: int) -> bool:

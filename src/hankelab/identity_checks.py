@@ -18,12 +18,14 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 from . import series
-from .forms import nx_poly, term_value
+from .forms import term_value
 from .hankel import INT, hankel_det_at, quartet, variant_det_at
 from .hankel_checks import gauss_jordan
 from .identities import _RELATIONS, RelationId, _require_n, pnqnrn_21, pnqnrn_31
 from .lemmas import trace_values
-from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
+from .poly import (
+    Poly, denominator_lcm, from_int_scaled, int_poly_hom_eval, lin_comb, to_int_scaled,
+)
 from .sequences import F21, F31, FamilyId, a_poly
 
 
@@ -34,33 +36,32 @@ from .sequences import F21, F31, FamilyId, a_poly
 
 # rid -> (family, x0, {name: multiplier}), asserting V(x0) = mult(n) * H(x0)
 # for each V named; R_CREC asserts only its recursion.  A multiplier is a
-# hypergeometric term in n times a polynomial in n, an (n, x) table of one
-# row (`forms`).
+# hypergeometric term in n times a polynomial in n, one `forms` row.
 _N = ("", 1, 0, 0)
 _2N1 = ("", 2, 0, 1)
 _4N1, _4N3, _4N5 = ("", 4, 0, 1), ("", 4, 0, 3), ("", 4, 0, 5)
 _POINT_SPECS = {
     RelationId.R_CREC: (F31, Fraction(3), {}),
     RelationId.R_X3: (F31, Fraction(3), {
-        "K": ((3, 2, (), (_4N3,)), ((14, 19, 9),)),
-        "N": ((3, 8, (), (_4N3, _4N5)), ((1920, 4144, 3605, 1512, 243),)),
-        "M": ((-3, 8, (_N,), (_4N1, _4N3)), ((58, 559, 540, 243),))}),
+        "K": ((3, 2, (), (_4N3,)), (14, 19, 9)),
+        "N": ((3, 8, (), (_4N3, _4N5)), (1920, 4144, 3605, 1512, 243)),
+        "M": ((-3, 8, (_N,), (_4N1, _4N3)), (58, 559, 540, 243))}),
     RelationId.R_X3HALF: (F31, Fraction(3, 2), {
-        "K": ((3, 2, (), (_4N3,)), ((11, 22, 9),)),
-        "N": ((3, 8, (), (_4N3, _4N5)), ((1290, 3934, 4031, 1674, 243),)),
-        "M": ((-3, 8, (_N,), (_4N1, _4N3)), ((118, 547, 702, 243),))}),
+        "K": ((3, 2, (), (_4N3,)), (11, 22, 9)),
+        "N": ((3, 8, (), (_4N3, _4N5)), (1290, 3934, 4031, 1674, 243)),
+        "M": ((-3, 8, (_N,), (_4N1, _4N3)), (118, 547, 702, 243))}),
     RelationId.R_X3QUARTER: (F31, Fraction(3, 4), {
-        "K": ((3, 4, (), (_4N3,)), ((19, 38, 18),)),
-        "N": ((3, 16, (), (_4N3, _4N5)), ((2085, 6290, 6724, 3024, 486),)),
-        "M": ((-3, 8, (_N,), (_4N1, _4N3)), ((31, 316, 540, 243),))}),
+        "K": ((3, 4, (), (_4N3,)), (19, 38, 18)),
+        "N": ((3, 16, (), (_4N3, _4N5)), (2085, 6290, 6724, 3024, 486)),
+        "M": ((-3, 8, (_N,), (_4N1, _4N3)), (31, 316, 540, 243))}),
     RelationId.R_21_X0: (F21, Fraction(0), {
-        "K": ((1, 1, (), (_2N1,)), ((3, 8, 4),)),
-        "N": ((1, 1, (), (_2N1, _2N1)), ((10, 49, 78, 44, 8),)),
-        "M": ((-1, 1, (), ()), ((0, 3, 2),))}),
+        "K": ((1, 1, (), (_2N1,)), (3, 8, 4)),
+        "N": ((1, 1, (), (_2N1, _2N1)), (10, 49, 78, 44, 8)),
+        "M": ((-1, 1, (), ()), (0, 3, 2))}),
     RelationId.R_21_X2: (F21, Fraction(2), {
-        "K": ((1, 1, (), (_2N1,)), ((5, 8, 4),)),
-        "N": ((1, 1, (), (_2N1,)), ((22, 33, 20, 4),)),
-        "M": ((-1, 1, (_N,), (_2N1,)), ((7, 8, 4),))}),
+        "K": ((1, 1, (), (_2N1,)), (5, 8, 4)),
+        "N": ((1, 1, (), (_2N1,)), (22, 33, 20, 4)),
+        "M": ((-1, 1, (_N,), (_2N1,)), (7, 8, 4))}),
 }
 
 # Squared-ratio recursions H_{n-1} H_{n+1} = ratio * H_n^2 at the three
@@ -76,11 +77,6 @@ _RECURSION_RATIOS = {
 }
 
 
-def _n_poly(table, n: int) -> Fraction:
-    """A polynomial in n, an (n, x) table of one row, at n."""
-    return nx_poly((table,), n).coefficient(0)
-
-
 def relation_family(rid: RelationId) -> FamilyId:
     """The family whose determinants the relation reads, symbolic or point."""
     return (_RELATIONS.get(rid) or _POINT_SPECS[rid])[0]
@@ -92,7 +88,8 @@ def relation_point_ok(rid: RelationId, n: int) -> bool:
     fam, x0, mults = _POINT_SPECS[rid]
     h = hankel_det_at(fam, n, x0)
     for name, (term, poly) in mults.items():
-        if variant_det_at(fam, n, name, x0) != term_value(term, n) * _n_poly(poly, n) * h:
+        mult = term_value(term, n) * int_poly_hom_eval(poly, n, 1)
+        if variant_det_at(fam, n, name, x0) != mult * h:
             return False
     if rid in _RECURSION_RATIOS:
         hm = hankel_det_at(fam, n - 1, x0)
@@ -235,7 +232,7 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
         raise WeightError("top-three weights not proportional to (p_n, q_n, r_n)")
 
     # The parametric solution (C_0, C_1, C_2)(Q0) = alpha * q0_params at n.
-    c0, c1, c2 = (_n_poly(table, n) for table in form.q0_params)
+    c0, c1, c2 = (int_poly_hom_eval(row, n, 1) for row in form.q0_params)
     alpha = q0[0] / c0
     if q0[1] != c1 * alpha:
         raise WeightError("C_1(Q0) parametric form mismatch")
@@ -431,9 +428,9 @@ def explicit_weights_31(n: int) -> list[Poly]:
 # closed-form weights.
 WeightForm = namedtuple("WeightForm", "anchor q0_params explicit")
 _WEIGHT_FORMS = {
-    F31: WeightForm(pnqnrn_31, (((120, 256, 128),), ((-360, -1164, -1236, -432),),
-                                ((0, 150, 1029, 1620, 729),)), explicit_weights_31),
-    F21: WeightForm(pnqnrn_21, (((1,),), ((-2, -2),), ((0, 1, 2),)), explicit_weights_21),
+    F31: WeightForm(pnqnrn_31, ((120, 256, 128), (-360, -1164, -1236, -432),
+                                (0, 150, 1029, 1620, 729)), explicit_weights_31),
+    F21: WeightForm(pnqnrn_21, ((1,), (-2, -2), (0, 1, 2)), explicit_weights_21),
 }
 
 

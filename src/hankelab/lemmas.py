@@ -5,14 +5,16 @@ The ten L1/L2 identities are one table, `IDENTITIES`, of terms (table,
 kind, offset): the coefficient, a polynomial in (k, x) as an int table
 (`forms`), times a_{k+offset}, c_{k+offset} or a_k'.  Each residual, and
 each entry of the E/F matrix convolution identities, is one
-`poly.lin_comb` over Z.  The Table-1 trace
-rules Tr(A^{-1} X) H_n = value are stated here too (`table1_rules`), and
-`trace_values` sums each as one `lin_comb` against the adjugate over Z[x]
-of [a_{i+j}], whose integer rows come from `hankel.int_hankel` and which
-is read off one Gauss-Jordan elimination per family.  The table and the
-rules have a module of their own: inside
-`identities.py` they raised the compile that peaks a sweep's resident size
-(a tuple display costs the parser far more memory than an int).
+`poly.lin_comb` over Z.  The Table-1 trace rules Tr(A^{-1} X) H_n = value
+are a table too, `TABLE1`: per rule, the kind and offset of X and the
+value, polynomials in n (rows, as in `forms`) times H', H, K, M, N,
+a_0 H, a_0 K or a_1 H.  `table1_rules` reads it at n, and `trace_values` sums
+each rule as one `lin_comb` against the adjugate over Z[x] of [a_{i+j}],
+whose integer rows come from `hankel.int_hankel` and which is read off
+one Gauss-Jordan elimination per family.  The tables have a module of
+their own: inside `identities.py` they raised the compile that peaks a
+sweep's resident size (a tuple display costs the parser far more memory
+than an int).
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .forms import nx_poly
 from .hankel import int_hankel, quartet
 from .hankel_checks import int_adjugate, leading_adjugates
-from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
+from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_hom_eval, lin_comb
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
 
 
@@ -121,9 +124,18 @@ def identity_residual(iid: IdentityId, k: int) -> Poly:
     fam, terms = IDENTITIES[iid]
     pairs = []
     for table, kind, offset in terms:
-        seq = conv_poly(fam, k + offset) if kind == "c" else a_poly(fam, k + offset)
-        pairs.append((nx_poly((table,), k), seq.derivative() if kind == "da" else seq))
+        pairs.append((nx_poly((table,), k), _seq(fam, kind, k + offset)))
     return lin_comb(pairs)
+
+
+def _seq(family: FamilyId, kind: str, k: int) -> Poly:
+    """a_k ("a"), c_k ("c") or d_x a_k ("da"), with a_k = 0 for k < 0."""
+    if kind == "c":
+        return conv_poly(family, k)
+    if kind not in ("a", "da"):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    a = a_poly(family, k) if k >= 0 else Poly.zero()
+    return a.derivative() if kind == "da" else a
 
 
 def check_identity(iid: IdentityId, k_max: int) -> list[int]:
@@ -177,38 +189,44 @@ def check_matrix_convolution_identities(family: FamilyId, n: int) -> bool:
 # -- Table 1: trace transformation rules ----------------------------------------
 
 
+# The Table-1 rules Tr(A^{-1} X) H_n = value, X = [x(i + j)], one row
+# (name, kind, offset, value) each: x(s) is `_table1_x`, and the value sums,
+# over its (symbol, row), the row (a polynomial in n, as in `forms`) times
+# the symbol: H', H, K, M, N, a_0 H, a_0 K or a_1 H.
+TABLE1 = (
+    ("dx_an", "da", 0, (("dH", (1,)),)),
+    ("n_an_minus1", "sa", -1, ()),
+    ("an", "a", 0, (("H", (1, 1)),)),
+    ("n_an", "sa", 0, (("H", (0, 1, 1)),)),
+    ("c_nminus1", "c", -1, ()),
+    ("cn", "c", 0, (("a0H", (1, 2)),)),
+    ("a_nplus1", "a", 1, (("K", (1,)),)),
+    ("n_a_nplus1", "sa", 1, (("K", (0, 2)),)),
+    ("c_nplus1", "c", 1, (("a0K", (2,)), ("a1H", (0, 2)))),
+    ("a_nplus2", "a", 2, (("M", (1,)), ("N", (1,)))),
+    ("n_a_nplus2", "sa", 2, (("M", (-2, 2)), ("N", (0, 2)))),
+)
+
+
 def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Poly], Poly]]:
-    """(name, x, value) for Tr(A^{-1} X) H_n = value, X = [x(i + j)]."""
+    """(name, x, value) for each row of `TABLE1` at n."""
     if n < 1:
         raise ValueError("trace rules need n >= 1 (M, N enter)")
     q = quartet(family, n)
-    h, k, m, nn = q.H, q.K, q.M, q.N
-    a0 = a_poly(family, 0)
-    a1 = a_poly(family, 1)
+    a0, a1 = a_poly(family, 0), a_poly(family, 1)
+    symbols = dict(dH=q.H.derivative(), H=q.H, K=q.K, M=q.M, N=q.N,
+                   a0H=a0 * q.H, a0K=a0 * q.K, a1H=a1 * q.H)
+    return [(name, partial(_table1_x, family, kind, offset),
+             lin_comb((int_poly_hom_eval(row, n, 1), symbols[symbol]) for symbol, row in value))
+            for name, kind, offset, value in TABLE1]
 
-    def a(shift):
-        return lambda s: a_poly(family, s + shift) if s + shift >= 0 else Poly.zero()
 
-    def s_a(shift):
-        x = a(shift)
-        return lambda s: s * x(s)
-
-    def c(shift):
-        return lambda s: conv_poly(family, s + shift)
-
-    return [
-        ("dx_an", lambda s: a_poly(family, s).derivative(), h.derivative()),
-        ("n_an_minus1", s_a(-1), Poly.zero()),
-        ("an", a(0), (n + 1) * h),
-        ("n_an", s_a(0), n * (n + 1) * h),
-        ("c_nminus1", c(-1), Poly.zero()),
-        ("cn", c(0), (2 * n + 1) * a0 * h),
-        ("a_nplus1", a(1), k),
-        ("n_a_nplus1", s_a(1), 2 * n * k),
-        ("c_nplus1", c(1), 2 * a0 * k + 2 * n * a1 * h),
-        ("a_nplus2", a(2), m + nn),
-        ("n_a_nplus2", s_a(2), 2 * (n - 1) * m + 2 * n * nn),
-    ]
+def _table1_x(family: FamilyId, kind: str, offset: int, s: int) -> Poly:
+    """x(s) of a Table-1 row: s a_{s+offset} ("sa"), else `_seq` of its
+    kind at s + offset."""
+    if kind == "sa":
+        return s * _seq(family, "a", s + offset)
+    return _seq(family, kind, s + offset)
 
 
 # family -> the adjugates of every leading block of the largest Hankel

@@ -4,9 +4,11 @@ Before they became int tables (`hankelab.forms`), the ODE coefficients,
 the symbolic relations, the third-identity anchor weights, the product
 formulas, the almost-product coefficients, the (3,1) three-term
 coefficients, the point multipliers, the squared-ratio recursions and
-the parametric (C_0, C_1, C_2)(Q0) were written as the functions and
-lambdas below, with Poly and Fraction arithmetic.  `test_forms.py`
-requires every table to equal its function here.
+the parametric (C_0, C_1, C_2)(Q0), Chebyshev U_n, Jacobi
+P_n^(1/2,-1/2), their scale, ap21at1's stated sign and the Table-1 trace
+rules were written as the functions and lambdas below, with Poly and
+Fraction arithmetic.  `test_forms.py` requires every table to equal its
+function here.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from fractions import Fraction
 from math import factorial, prod
 
 from hankelab.closed_forms import AlmostProductId, ProductFormulaId
+from hankelab.hankel import quartet
 from hankelab.identities import RelationId
 from hankelab.poly import Poly
-from hankelab.sequences import F21, F31
+from hankelab.sequences import F21, F31, a_poly, conv_poly
 
 
 def _p(*cs) -> Poly:
@@ -424,3 +427,83 @@ Q0_PARAMS = {
     ),
     F21: lambda n: (1, -2 * (n + 1), n * (2 * n + 1)),
 }
+
+
+# -- the Chebyshev/Jacobi forms of the (2,1) determinant ---------------------
+
+
+def chebyshev_u(n: int) -> Poly:
+    """Chebyshev U_n by its three-term recurrence; U_{-1} = 0."""
+    if n < 0:
+        return Poly.zero()
+    prev, cur = Poly.one(), Poly([0, 2])
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, Poly([0, 2]) * cur - prev
+    return cur
+
+
+def jacobi_half(n: int) -> Poly:
+    """Jacobi P_n^{(1/2, -1/2)} by its rational three-term recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    p0 = Poly.one()
+    if n == 0:
+        return p0
+    p1 = Poly([Fraction(1, 2), 1])
+    if n == 1:
+        return p1
+    prev, cur = p0, p1
+    for k in range(2, n + 1):
+        # k(k-1) P_k = (2k-1)(k-1) x P_{k-1} - (k-1/2)(k-3/2) P_{k-2}
+        a = (2 * k - 1) * (k - 1)
+        c = Fraction((2 * k - 1) * (2 * k - 3), 4)
+        nxt = (Poly([0, a]) * cur - c * prev) * Fraction(1, k * (k - 1))
+        prev, cur = cur, nxt
+    return cur
+
+
+def chebjac_scale(n: int) -> Fraction:
+    return Fraction((-4) ** n * factorial(n) ** 2, factorial(2 * n))
+
+
+def ap21at1_sign(n: int) -> int:
+    return (-1) ** ((n * (n + 1)) // 2)
+
+
+# -- Table 1: the trace transformation rules ------------------------------
+
+
+def table1_rules(family, n: int) -> list:
+    """(name, x, value) for Tr(A^{-1} X) H_n = value, X = [x(i + j)]."""
+    if n < 1:
+        raise ValueError("trace rules need n >= 1 (M, N enter)")
+    q = quartet(family, n)
+    h, k, m, nn = q.H, q.K, q.M, q.N
+    a0 = a_poly(family, 0)
+    a1 = a_poly(family, 1)
+
+    def a(shift):
+        return lambda s: a_poly(family, s + shift) if s + shift >= 0 else Poly.zero()
+
+    def s_a(shift):
+        x = a(shift)
+        return lambda s: s * x(s)
+
+    def c(shift):
+        return lambda s: conv_poly(family, s + shift)
+
+    return [
+        ("dx_an", lambda s: a_poly(family, s).derivative(), h.derivative()),
+        ("n_an_minus1", s_a(-1), Poly.zero()),
+        ("an", a(0), (n + 1) * h),
+        ("n_an", s_a(0), n * (n + 1) * h),
+        ("c_nminus1", c(-1), Poly.zero()),
+        ("cn", c(0), (2 * n + 1) * a0 * h),
+        ("a_nplus1", a(1), k),
+        ("n_a_nplus1", s_a(1), 2 * n * k),
+        ("c_nplus1", c(1), 2 * a0 * k + 2 * n * a1 * h),
+        ("a_nplus2", a(2), m + nn),
+        ("n_a_nplus2", s_a(2), 2 * (n - 1) * m + 2 * n * nn),
+    ]

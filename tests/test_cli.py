@@ -41,6 +41,19 @@ def test_det_at_point(capsys):
     assert out.strip() == "-7"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("det", "--family", "3,1", "--n", "2"), "191\n"),
+    (("factor", "--family", "3,1", "--n", "2"), "191\n"),
+    (("formula", "--id", "ap21", "--n", "2"), "n=2: 19\n"),
+], ids=["det", "factor", "formula"])
+def test_a_negative_fraction_after_x_is_a_point(capsys, argv, want):
+    # argparse reads only negative ints and decimals as values, so -3/2
+    # after --x would be an option; it is the point, as with --x=-3/2.
+    # H^{(3,1)}_2(-3/2) = 191 (a prime) and H^{(2,1)}_2(-3/2) = 1 + 9 + 9
+    assert run(capsys, *argv, "--x", "-3/2") == (0, want, "")
+    assert run(capsys, *argv, "--x=-3/2") == (0, want, "")
+
+
 def test_det_n0(capsys):
     code, out, _ = run(capsys, "det", "--family", "3,1", "--n", "0")
     assert code == 0

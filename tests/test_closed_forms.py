@@ -13,15 +13,16 @@ from hankelab.poly import Poly
 from hankelab.closed_forms import (
     ALMOST_PRODUCTS,
     AP_POINTS,
+    CHEBJAC_SCALE,
+    CHEBYSHEV_U,
+    JACOBI_HALF,
     ODES,
     PRODUCTS,
     AlmostProductId,
     ProductFormulaId,
     almost_product_eval,
     chebyshev_jacobi_check,
-    chebyshev_u,
     interlace_check,
-    jacobi_half,
     ode_residual,
     ode_residual_for_det,
     product_eval,
@@ -30,6 +31,7 @@ from hankelab.closed_forms import (
     three_term_31_pq,
     three_term_check,
 )
+from hankelab.forms import term_sum, term_value
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.sequences import F21, F30, F31, F3K2M, FAEX
 from hankelab.series import SeriesYX, closed_form_for
@@ -117,21 +119,27 @@ def test_recursion_31at1():
         assert recursion_31at1(n) == product_eval(ProductFormulaId.P32, n)
 
 
+# U_n(y) and P_n(y) are sums in t = y - 1: read at y, t is the Poly y - 1
+Y_MINUS_1 = Poly([-1, 1])
+
+
 def test_chebyshev_values():
-    assert chebyshev_u(0) == Poly([1])
-    assert chebyshev_u(1) == Poly([0, 2])
-    assert chebyshev_u(-1).is_zero()
-    # U_1(1-x) - U_0 = 2(1-x) - 1 = 1 - 2x
-    u = chebyshev_u(1).compose_affine(-1, 1) - chebyshev_u(0)
+    assert term_sum(CHEBYSHEV_U, 0, Y_MINUS_1) == Poly([1])
+    assert term_sum(CHEBYSHEV_U, 1, Y_MINUS_1) == Poly([0, 2])
+    assert term_sum(CHEBYSHEV_U, -1, Y_MINUS_1).is_zero()
+    # U_1(1-x) - U_0 = 2(1-x) - 1 = 1 - 2x: at y = 1 - x, t = -x
+    u = term_sum(CHEBYSHEV_U, 1, Poly([0, -1])) - term_sum(CHEBYSHEV_U, 0, Poly([0, -1]))
     assert u == Poly([1, -2])
+    assert term_sum(CHEBYSHEV_U, 2, Fraction(1)) == 15  # U_2(2) = 4 * 4 - 1
 
 
 def test_jacobi_values():
-    assert jacobi_half(0) == Poly([1])
-    assert jacobi_half(1) == Poly([Fraction(1, 2), 1])
-    # scaled Jacobi at n = 2 matches the determinant
+    assert term_sum(JACOBI_HALF, 0, Y_MINUS_1) == Poly([1])
+    assert term_sum(JACOBI_HALF, 1, Y_MINUS_1) == Poly([Fraction(1, 2), 1])
+    # scaled Jacobi at n = 2 matches the determinant: P_2(x - 1), t = x - 2
     scale = Fraction((-4) ** 2 * 2 * 2, 24)
-    assert jacobi_half(2).compose_affine(1, -1) * scale == hankel_det(F21, 2)
+    assert term_value(CHEBJAC_SCALE, 2) == scale
+    assert term_sum(JACOBI_HALF, 2, Poly([-2, 1])) * scale == hankel_det(F21, 2)
 
 
 def test_chebyshev_jacobi_check():
@@ -256,13 +264,15 @@ def _conv_entry_perturbed(monkeypatch):
 
 
 def _rule_value_perturbed(monkeypatch):
-    rules = lemmas.table1_rules
+    """The first int of Table 1's first value row plus 1: H' becomes 2H'."""
+    (name, kind, offset, ((symbol, row), *terms)), *rules = lemmas.TABLE1
+    rule = (name, kind, offset, ((symbol, _bumped(row)), *terms))
+    monkeypatch.setattr(lemmas, "TABLE1", (rule, *rules))
 
-    def perturbed(family, n):
-        (name, x, value), *rest = rules(family, n)
-        return [(name, x, value + 1), *rest]
 
-    monkeypatch.setattr(lemmas, "table1_rules", perturbed)
+def _chebyshev_u_perturbed(monkeypatch):
+    """U_n's rational constant 1 made 2: U_n doubled, U_{-1} still 0."""
+    monkeypatch.setattr(closed_forms, "CHEBYSHEV_U", _bumped(closed_forms.CHEBYSHEV_U))
 
 
 def _relation_term_perturbed(rid):
@@ -404,7 +414,7 @@ CONTROLS = [
     _form("rec31at1", _q_perturbed),
     _form("interlace", _complex_h2),
     _form("threeterm21", _h21_3_plus_one),
-    _form("chebjac", _h21_3_plus_one),
+    _form("chebjac", _chebyshev_u_perturbed),
     _form("degree-hn", _degree_raised),
     *(_form(name, _ode_c0_perturbed(name))
       for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4", "fig4")),

@@ -3,7 +3,8 @@ against the function body it replaced (`reference_forms.py`).
 
 A table and its oracle must agree at every n = 0..40, and at every
 i = 0..n for a term in (n, i), or both must raise there: a factorial of
-a negative number raises in both.  The sequence-level identities of
+a negative number raises in both.  Table 1 is compared rule for rule on
+the (3,1) and (2,1) quartets at n = 1..8.  The sequence-level identities of
 `lemmas.IDENTITIES` are compared with their Poly oracle term for term in
 `test_identities.test_identity_table_matches_the_poly_oracle`.
 """
@@ -13,10 +14,11 @@ from fractions import Fraction
 import pytest
 
 import reference_forms as ref
-from hankelab import closed_forms, identities, identity_checks
-from hankelab.forms import nx_poly, term_value
+from hankelab import closed_forms, identities, identity_checks, lemmas
+from hankelab.forms import nx_poly, term_sum, term_value
 from hankelab.odes import ODES
-from hankelab.poly import Poly
+from hankelab.poly import Poly, int_poly_hom_eval
+from hankelab.sequences import F21, F31
 
 NS = range(41)
 
@@ -28,6 +30,16 @@ def test_nx_poly_reads_rows_by_power_of_x_and_entries_by_power_of_n():
     assert nx_poly((table, ((-3,), (1,))), 3) == Poly([-21, -65, 24])
     assert nx_poly((), 5) == Poly.one()
     assert nx_poly((((0, 1, -1),),), 1).is_zero()
+
+
+def test_term_sum_sums_the_term_against_powers_of_t():
+    # sum over i = 0..2 of (n + i) t^i at n = 2: 2 + 3t + 4t^2
+    term = (1, 1, (("", 1, 1, 0),), ())
+    assert term_sum(term, 2, Poly.x()) == Poly([2, 3, 4])
+    assert term_sum(term, 2, Fraction(1, 2)) == Fraction(2 * 4 + 3 * 2 + 4, 4)
+    # empty below n = 0, a zero of t's kind
+    assert term_sum(term, -1, Poly.x()).is_zero()
+    assert term_sum(term, -1, Fraction(3)) == 0
 
 
 def test_term_value_reads_each_kind_of_factor():
@@ -72,7 +84,7 @@ def test_every_table_equals_its_oracle():
         weights = identity_checks._WEIGHT_FORMS[fam]
         for n in NS:
             assert weights.anchor(n) == anchor(n), (fam, n)
-            q0 = tuple(identity_checks._n_poly(table, n) for table in weights.q0_params)
+            q0 = tuple(int_poly_hom_eval(row, n, 1) for row in weights.q0_params)
             assert q0 == ref.Q0_PARAMS[fam](n), (fam, n)
     for pid, value in ref.PRODUCT_VALUES.items():
         for n in NS:
@@ -81,7 +93,7 @@ def test_every_table_equals_its_oracle():
         form = closed_forms.ALMOST_PRODUCTS[aid]
         for n in NS:
             for i in range(n + 1):
-                assert form.coeff(n, i) == coeff(n, i), (aid, n, i)
+                assert term_value(form.term, n, i) == coeff(n, i), (aid, n, i)
     for n in NS:
         assert _agree(lambda: closed_forms.three_term_31_pq(n),
                       lambda: ref.three_term_31_pq(n)), n
@@ -91,10 +103,42 @@ def test_every_table_equals_its_oracle():
         for name, mult in mults.items():
             term, poly = got[name]
             for n in NS:
-                assert term_value(term, n) * identity_checks._n_poly(poly, n) == mult(n)
+                assert term_value(term, n) * int_poly_hom_eval(poly, n, 1) == mult(n)
     for rid, ratio in ref.RECURSION_RATIOS.items():
         for n in NS:
             assert term_value(identity_checks._RECURSION_RATIOS[rid], n) == ratio(n), (rid, n)
+
+
+def test_chebyshev_jacobi_tables_equal_their_oracles():
+    # U_n and P_n are sums in t = y - 1; U_{-1} = 0 is the empty sum
+    y_minus_1 = Poly([-1, 1])
+    assert term_sum(closed_forms.CHEBYSHEV_U, -1, y_minus_1) == ref.chebyshev_u(-1)
+    for n in NS:
+        assert term_sum(closed_forms.CHEBYSHEV_U, n, y_minus_1) == ref.chebyshev_u(n), n
+        assert term_sum(closed_forms.JACOBI_HALF, n, y_minus_1) == ref.jacobi_half(n), n
+        assert term_value(closed_forms.CHEBJAC_SCALE, n) == ref.chebjac_scale(n), n
+        assert closed_forms.AP21AT1_SIGN.value(n) == ref.ap21at1_sign(n), n
+
+
+def test_table1_rows_equal_the_rules_they_replaced():
+    for fam in (F31, F21):
+        for n in range(1, 9):
+            got, want = lemmas.table1_rules(fam, n), ref.table1_rules(fam, n)
+            assert [name for name, _x, _v in got] == [name for name, _x, _v in want]
+            for (name, x, value), (_name, x_ref, value_ref) in zip(got, want):
+                assert value == value_ref, (fam, n, name)
+                assert all(x(s) == x_ref(s) for s in range(2 * n + 1)), (fam, n, name)
+    with pytest.raises(ValueError):
+        lemmas.table1_rules(F31, 0)
+
+
+def test_a_table1_row_of_unknown_kind_raises(monkeypatch):
+    # X's kind is read by the decoder the L1/L2 identities use: a kind it
+    # does not know is an error, not a_{s+o} read in its place
+    monkeypatch.setattr(lemmas, "TABLE1", (("typo", "aa", 0, ()),))
+    [(_name, x, _value)] = lemmas.table1_rules(F31, 1)
+    with pytest.raises(ValueError, match="unknown sequence kind"):
+        x(0)
 
 
 def test_scaled_equations_read_the_ode_table_itself():
