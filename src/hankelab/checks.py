@@ -26,8 +26,7 @@ from .closed_forms import (
     AP_POINTS,
     ODES,
     PRODUCTS,
-    AlmostProductId,
-    ProductFormulaId,
+    THREE_TERM,
     almost_product_eval,
     chebyshev_jacobi_check,
     interlace_check,
@@ -39,15 +38,15 @@ from .closed_forms import (
 )
 from .hankel import hankel_det, hankel_det_at
 from .hankel_checks import degree_bound, dodgson_check, general_degree_det, make_degree_instance
-from .identities import RelationId, check_relation
+from .identities import SYMBOLIC_RELATIONS, check_relation
 from .identity_checks import (
+    POINT_RELATIONS,
     ciden_check,
     explicit_weights_match,
     relation_family,
-    transform_rules,
     weight_nullspace,
 )
-from .lemmas import IDENTITIES, IdentityId, check_identity, check_matrix_convolution_identities
+from .lemmas import IDENTITIES, check_identity, check_matrix_convolution_identities, trace_values
 from .report import Row, fail_row, verdict_row
 from .sequences import (
     ALL_FAMILIES,
@@ -61,7 +60,7 @@ from .sequences import (
     a_poly,
     family_from_name,
 )
-from .series import GfForm, closed_form_for, f_series, gf_form_equiv, t_residual
+from .series import CLOSED_FORMS, f_series, gf_form_equiv, t_residual
 
 # Families covered by the generalized degree theorem (aex is not: its
 # entries carry the extra (m+1)(m+2) weights).
@@ -103,26 +102,24 @@ def _ode(name):
 
 
 def _table1(family, n):
-    results = transform_rules(family, n)
-    bad = [name for name, ok in results if not ok]
+    results = trace_values(family, n)
+    bad = [name for name, got, want in results if got != want]
     return _failing(bad, "rules", f"{len(results)} rules")
 
 
 def _gfequiv(family, order):
-    form = closed_form_for(family)
-    if form is None:
+    if family not in CLOSED_FORMS:
         return False, "no closed form"
-    ok, _res = gf_form_equiv(GfForm.DIRECT, form, family, order)
-    detail = f"direct vs {form.value}"
-    if form is GfForm.CLOSEDAEX:
+    ok, _res = gf_form_equiv(family, order)
+    detail = f"direct vs {CLOSED_FORMS[family]}"
+    if family == FAEX:
         detail += " (tau has non-integer coefficients; implemented literally)"
     return ok, detail
 
 
 def _fcoeffs(family, order):
     # aex's direct form is the literal sum of its a_k: expand the closed one
-    form = closed_form_for(family) if family == FAEX else GfForm.DIRECT
-    s = f_series(form, family, order)
+    s = f_series(family, order, family == FAEX)
     bad = [k for k in range(order + 1) if s.coefficient(k) != a_poly(family, k)]
     return _failing(bad, "k", f"k <= {order}")
 
@@ -192,26 +189,24 @@ def _build_registry() -> dict[str, CheckDef]:
         add(name, _ode(name), items, description=f"ODE residual for {spec.family.name}",
             label=spec.family.name, finding=not spec.proven)
 
-    P = ProductFormulaId
-    for pid in P:
-        hi = 20 if pid in (P.P21AT0, P.P21AT2) else 10
-        fast = [("fast", None, 0, 5)] if pid is P.P31AT3 else []
-        add(pid.value, lambda _f, n, pid=pid: product_matches_determinant(pid, n),
+    for pid, form in PRODUCTS.items():
+        hi = 20 if form.family == F21 else 10
+        fast = [("fast", None, 0, 5)] if pid == "p31at3" else []
+        add(pid, lambda _f, n, pid=pid: product_matches_determinant(pid, n),
             [("acceptance", None, 0, hi), *fast], description="product formula vs determinant",
-            reads=(PRODUCTS[pid].family,))
+            reads=(form.family,))
 
     # (check, the value the paper states for the form at n or None, its
     # items); the family and point come from the form the check evaluates,
     # and the form must equal the family's determinant, at that point if any
-    A = AlmostProductId
     for aid, want, *items in (
-        (A.AP31, None, ("acceptance", None, 0, 12), ("fast", None, 0, 5)),
-        (A.AP31ALT, None, ("acceptance", None, 0, 12)),
-        (A.AP21, None, ("acceptance", None, 0, 15), ("fast", None, 0, 6)),
-        (A.AP31AT0, None, ("acceptance", None, 0, 12)),
-        (A.AP31AT1, lambda n: product_eval(P.P32, n), ("acceptance", None, 0, 12)),
-        (A.AP21AT0, lambda n: 1, ("acceptance", None, 0, 20)),
-        (A.AP21AT1, AP21AT1_SIGN.value, ("acceptance", None, 0, 20)),
+        ("ap31", None, ("acceptance", None, 0, 12), ("fast", None, 0, 5)),
+        ("ap31alt", None, ("acceptance", None, 0, 12)),
+        ("ap21", None, ("acceptance", None, 0, 15), ("fast", None, 0, 6)),
+        ("ap31at0", None, ("acceptance", None, 0, 12)),
+        ("ap31at1", PRODUCTS["p32"].value, ("acceptance", None, 0, 12)),
+        ("ap21at0", PRODUCTS["p21at0"].value, ("acceptance", None, 0, 20)),
+        ("ap21at1", AP21AT1_SIGN.value, ("acceptance", None, 0, 20)),
     ):
         base, x = AP_POINTS.get(aid, (aid, None))
         family = ALMOST_PRODUCTS[base].family
@@ -221,18 +216,17 @@ def _build_registry() -> dict[str, CheckDef]:
             det = hankel_det(family, n) if x is None else hankel_det_at(family, n, x)
             return got == det and (want is None or got == want(n))
 
-        add(aid.value, test, items, description="almost-product formula", label=family.name,
+        add(aid, test, items, description="almost-product formula", label=family.name,
             x=None if x is None else str(x))
 
-    for iid in IdentityId:
-        fast = [("fast", None, 10, 10)] if iid is IdentityId.L1_31 else []
-        add(iid.value,
-            lambda _f, k, iid=iid: _failing(check_identity(iid, k), "k", f"k <= {k}"),
+    for iid, (family, _terms) in IDENTITIES.items():
+        fast = [("fast", None, 10, 10)] if iid == "l1_31" else []
+        add(iid, lambda _f, k, iid=iid: _failing(check_identity(iid, k), "k", f"k <= {k}"),
             [("acceptance", None, 30, 30), *fast],
-            description="sequence-level identity (n is k_max)", reads=(IDENTITIES[iid][0],))
-    for rid in RelationId:
-        fast = [("fast", None, 2, 5)] if rid is RelationId.R_DET01 else []
-        add(rid.value, lambda _f, n, rid=rid: check_relation(rid, n),
+            description="sequence-level identity (n is k_max)", reads=(family,))
+    for rid in (*SYMBOLIC_RELATIONS, *POINT_RELATIONS):
+        fast = [("fast", None, 2, 5)] if rid == "r_det01" else []
+        add(rid, lambda _f, n, rid=rid: check_relation(rid, n),
             [("acceptance", None, 2, 10), *fast], 2, "determinant-level relation",
             reads=(relation_family(rid),))
 
@@ -250,13 +244,12 @@ def _build_registry() -> dict[str, CheckDef]:
         "closed-form weights vs nullspace", finding=True)
     add("ciden", lambda f, n: ciden_check(f, n), _each(pair, 1, 10), 1,
         "Q2-coefficient determinant identity")
-    add("threeterm31", lambda _f, n: three_term_check("c31", n),
-        [("acceptance", None, 2, 10)], 2, label="3,1")
-    add("threeterm21", lambda _f, n: three_term_check("c21", n),
-        [("acceptance", None, 2, 15)], 2, label="2,1")
+    for check, (family, _pq) in THREE_TERM.items():
+        add(check, lambda _f, n, check=check: three_term_check(check, n),
+            [("acceptance", None, 2, 15 if family == F21 else 10)], 2, label=family.name)
     # the recursion is the (3,1) one at x = 1, so it gives H^{(3,1)}_n(1) too
     add("rec31at1",
-        lambda _f, n: recursion_31at1(n) == product_eval(P.P32, n) == hankel_det_at(F31, n, 1),
+        lambda _f, n: recursion_31at1(n) == product_eval("p32", n) == hankel_det_at(F31, n, 1),
         [("acceptance", None, 0, 10)], description="(3,2) one-term recursion vs product",
         label="3,2", reads=(F31,))
     # it compares the (2,1) determinant with the 2k+2-shift one

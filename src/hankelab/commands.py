@@ -53,35 +53,29 @@ def _run_and_emit(items, jobs: int, fmt: str, output: str | None) -> int:
 
 def cmd_formula(args) -> int:
     from .closed_forms import (
-        ALMOST_PRODUCTS,
-        AlmostProductId,
-        ProductFormulaId,
-        almost_product_eval,
-        product_eval,
+        ALMOST_PRODUCTS, AP_POINTS, PRODUCTS, almost_product_eval, product_eval,
     )
 
     fid = args.id.lower()
     ns = _parse_range(args.n)
     if ns[0] < 0:
         raise cli.UsageError("n must be >= 0")
-    product_ids = {p.value: p for p in ProductFormulaId}
-    almost_ids = {a.value: a for a in AlmostProductId}
-    if fid not in product_ids and fid not in almost_ids:
+    if fid not in PRODUCTS and fid not in ALMOST_PRODUCTS and fid not in AP_POINTS:
         raise cli.UsageError(f"unknown formula id {fid!r}")
     # only the polynomial almost products take a point; products never do
-    if args.x is not None and almost_ids.get(fid) not in ALMOST_PRODUCTS:
+    if args.x is not None and fid not in ALMOST_PRODUCTS:
         raise cli.UsageError(f"{fid} takes no --x")
     x = cli._parse_x(args.x) if args.x is not None else None
     for n in ns:
-        if fid in product_ids:
-            print(f"n={n}: {product_eval(product_ids[fid], n)}")
+        if fid in PRODUCTS:
+            print(f"n={n}: {product_eval(fid, n)}")
         else:
-            print(f"n={n}: {almost_product_eval(almost_ids[fid], n, x)}")
+            print(f"n={n}: {almost_product_eval(fid, n, x)}")
     return 0
 
 
 def cmd_series(args) -> int:
-    from .series import GfForm, closed_form_for, f_series, t_series, tau_series
+    from .series import CLOSED_FORMS, f_series, t_series, tau_series
 
     kinds = [k for k in ("t", "tau", "f") if getattr(args, k)]
     if len(kinds) != 1:
@@ -103,15 +97,12 @@ def cmd_series(args) -> int:
     if args.family is None:
         raise cli.UsageError("--f needs --family")
     family = cli._family(args.family)
-    if args.form == "direct":
-        form = GfForm.DIRECT
-        if family.kind == "binom" and family.alpha < -1:
-            raise cli.UsageError("the direct form needs alpha >= -1")
-    else:
-        form = closed_form_for(family)
-        if form is None:
-            raise cli.UsageError(f"family {family.name} has no closed form")
-    s = f_series(form, family, order)
+    closed = args.form == "closed"
+    if closed and family not in CLOSED_FORMS:
+        raise cli.UsageError(f"family {family.name} has no closed form")
+    if not closed and family.kind == "binom" and family.alpha < -1:
+        raise cli.UsageError("the direct form needs alpha >= -1")
+    s = f_series(family, order, closed)
     print(", ".join("[" + ", ".join(c.to_json()) + "]" for c in s.coeffs))
     return 0
 

@@ -1,10 +1,11 @@
 """Determinant-level relations: stated once, checked over Z[x] and screened
-at rational points (the point relations, the Table-1 trace check and the
-third-identity weights are `identity_checks.py`; the sequence-level lemmas
-and the Table-1 trace rules are `lemmas.py`).
+at rational points (the point relations and the third-identity weights
+are `identity_checks.py`; the sequence-level lemmas and the Table-1 trace
+rules are `lemmas.py`).
 
 The determinant-level relations tie H, K, M, N and the derivatives of H
-together at fixed n.  Each symbolic relation is stated once, as terms
+together at fixed n.  Each symbolic relation is stated once, in
+`_RELATIONS` under its check id ("r_det01"), as terms
 (symbol, coefficient), each coefficient a polynomial in (n, x) written as
 int tables (`forms`): the symbolic check sums them against the
 determinants over Z[x] (one `poly.lin_comb` per residual), and the point
@@ -15,7 +16,6 @@ with the symbolic check beside it.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,34 +42,17 @@ from .sequences import F21, F31, FamilyId
 # jets' common q-power, because every relation is homogeneous in the values.
 
 
-class RelationId(Enum):
-    R_DET01 = "r_det01"
-    R_LINEAR = "r_linear"
-    R_SECONDDER = "r_secondder"
-    R_RHS = "r_rhs"
-    R_X3 = "r_x3"
-    R_X3HALF = "r_x3half"
-    R_X3QUARTER = "r_x3quarter"
-    R_CREC = "r_crec"
-    R_21_FIRST = "r_21_first"
-    R_21_SECOND = "r_21_second"
-    R_21_FACTORED = "r_21_factored"
-    R_21_THIRD = "r_21_third"
-    R_21_X0 = "r_21_x0"
-    R_21_X2 = "r_21_x2"
-
-
 _SYMBOLS = ("H", "K", "M", "N", "dH", "d2H")
 
 # factors in (n, x) that several coefficients share
 _XM1 = ((-1,), (1,))                    # x - 1
 _2X3 = ((-3,), (2,))                    # 2x - 3
 _4X3 = ((-3,), (4,))                    # 4x - 3
-_DH31 = ((-27,), (63,), (-42,), (8,))   # (x-3)(2x-3)(4x-3): H' in R_DET01
+_DH31 = ((-27,), (63,), (-42,), (8,))   # (x-3)(2x-3)(4x-3): H' in r_det01
 _2XX2 = ((0,), (-4,), (2,))             # 2x(x-2)
 _1NX = ((1,), (0, 1))                   # 1 + nx
-# (2n+1)(1 + 2n + 2n(n+1)x), negated: N's coefficient in R_21_SECOND and
-# the third identity's multiplier in R_21_FACTORED
+# (2n+1)(1 + 2n + 2n(n+1)x), negated: N's coefficient in r_21_second and
+# the third identity's multiplier in r_21_factored
 _NEG_W21 = (((-1, -2),), ((1, 2), (0, 2, 2)))
 
 # The third-identity anchor weights (p_n, q_n, r_n), and the identity
@@ -84,7 +67,7 @@ _PQR21 = ((((1,),),), (((-4, -2), (-1,)),), (((2, 5, 2), (3, 2)),))
 _THIRD31 = (("N", _PQR31[0]), ("K", _PQR31[1]), ("H", _PQR31[2]))
 _THIRD21 = (("N", _PQR21[0]), ("K", _PQR21[1]), ("H", _PQR21[2]))
 
-# The equations R_RHS and R_21_FACTORED scale, read from the ODE table.
+# The equations r_rhs and r_21_factored scale, read from the ODE table.
 _DE1, _DE2NP1 = ODES["de1"].table, ODES["de2np1"].table
 _W_RHS = (_DH31, _2X3, _4X3)            # (x-3)(2x-3)^2(4x-3)^2
 _W_21 = (_2XX2, _1NX)                   # 2x(x-2)(1+nx)
@@ -101,16 +84,16 @@ def pnqnrn_21(n: int) -> tuple[Poly, Poly, Poly]:
     return tuple(nx_poly(c, n) for c in _PQR21)
 
 
-# rid -> (family, residuals)
+# check id -> (family, residuals)
 _RELATIONS = {
-    RelationId.R_DET01: (F31, ((
+    "r_det01": (F31, ((
         ("dH", (_DH31,)), ("H", (((24, 39, 27), (6, 30), (0, -8)),)), ("K", (((-6, -8),),))),)),
-    RelationId.R_LINEAR: (F31, ((
+    "r_linear": (F31, ((
         ("N", (((-20, -16), (20, 16)),)), ("M", (((-4, -16), (4, 16)),)),
         ("K", (((186, 324), (-216, -540), (56, 288), (-16, -64)),)),
         ("H", (((-324, -1083, -729), (378, 1770, 1458), (-108, -800, -972), (-12, -24, 216),
                 (16, 64)),))),)),
-    RelationId.R_SECONDDER: (F31, ((
+    "r_secondder": (F31, ((
         ("d2H", (_4N1, _XM1, _DH31, _DH31)),
         ("H", (_4N1, ((3024, 9420, 11037, 5022, 729), (-4446, -12873, -15576, -6318, -729),
                       (1668, 3796, 6644, 1836), (96, 780, -1956, -432), (-192, -768, 288),
@@ -120,42 +103,40 @@ _RELATIONS = {
     # the right side of the differential-equation derivation is the third
     # identity: both its vanishing and the full displayed equation, de1
     # times (x-3)(2x-3)^2(4x-3)^2 plus it, are asserted
-    RelationId.R_RHS: (F31, (_THIRD31, (
+    "r_rhs": (F31, (_THIRD31, (
         ("H", _W_RHS + _DE1[0]), ("dH", _W_RHS + _DE1[1]), ("d2H", _W_RHS + _DE1[2]),
         *_THIRD31))),
-    RelationId.R_21_FIRST: (F21, (
+    "r_21_first": (F21, (
         (("dH", (_2XX2,)), ("H", (((3, 8, 4), (1,)),)), ("K", (((-1, -2),),))),
         (("H", (((-8, -4), (12, 10), (8, 12, 8), (0, 2)),)),
          ("K", (((-4,), (-12, -8), (-2, -4)),)), ("M", (((2,), (0, 2)),)),
          ("N", (((2,), (2, 2)),))))),
-    RelationId.R_21_SECOND: (F21, ((
+    "r_21_second": (F21, ((
         ("d2H", (_2XX2, ((0,), (-2,), (1,)), _1NX)),
         ("dH", (_2XX2, ((3, 10, 4), (3, 9, 12, 4), (0, 4, 2)))),
         ("H", (((10, 49, 78, 44, 8), (4, 34, 86, 98, 48, 8), (1, 8, 14, 8), (0, 2, 0, -2)),)),
         ("N", _NEG_W21)),)),
     # de2np1 times 2x(x-2)(1+nx) equals the third identity times w21
-    RelationId.R_21_FACTORED: (F21, ((
+    "r_21_factored": (F21, ((
         ("H", _W_21 + _DE2NP1[0]), ("dH", _W_21 + _DE2NP1[1]), ("d2H", _W_21 + _DE2NP1[2]),
         ("N", _NEG_W21 + _PQR21[0]), ("K", _NEG_W21 + _PQR21[1]),
         ("H", _NEG_W21 + _PQR21[2])),)),
-    RelationId.R_21_THIRD: (F21, (_THIRD21,)),
+    "r_21_third": (F21, (_THIRD21,)),
 }
 
 SYMBOLIC_RELATIONS = tuple(_RELATIONS)
-# asserted at their special points by `identity_checks.relation_point_ok`
-POINT_RELATIONS = tuple(rid for rid in RelationId if rid not in _RELATIONS)
 
 
-def _require_n(rid: RelationId, n: int) -> None:
+def _require_n(rid: str, n: int) -> None:
     if n < 1:
-        raise ValueError(f"{rid.value} needs n >= 1: M_0, N_0 and H_-1 are undefined")
+        raise ValueError(f"{rid} needs n >= 1: M_0, N_0 and H_-1 are undefined")
 
 
 @lru_cache(maxsize=None)
-def _relation_terms(rid: RelationId, n: int) -> tuple:
+def _relation_terms(rid: str, n: int) -> tuple:
     """(family, residuals) of a symbolic relation, built once per (rid, n)."""
     if rid not in _RELATIONS:
-        raise ValueError(f"{rid.value} is a point relation; use relation_point_ok")
+        raise ValueError(f"{rid} is a point relation; use relation_point_ok")
     _require_n(rid, n)
     family, residuals = _RELATIONS[rid]
     return family, tuple(tuple((s, nx_poly(c, n)) for s, c in terms) for terms in residuals)
@@ -167,7 +148,7 @@ def _combine(residuals, values) -> list:
     return [lin_comb((c, named[s]) for s, c in terms) for terms in residuals]
 
 
-def relation_residuals(rid: RelationId, n: int) -> list[Poly]:
+def relation_residuals(rid: str, n: int) -> list[Poly]:
     """Symbolic relations: list of Poly residuals, all zero iff it holds."""
     family, residuals = _relation_terms(rid, n)
     q = quartet(family, n)
@@ -175,7 +156,7 @@ def relation_residuals(rid: RelationId, n: int) -> list[Poly]:
     return _combine(residuals, (q.H, q.K, q.M, q.N, dh, dh.derivative()))
 
 
-def check_relation(rid: RelationId, n: int) -> bool:
+def check_relation(rid: str, n: int) -> bool:
     if rid in _RELATIONS:
         return all(r.is_zero() for r in relation_residuals(rid, n))
     # imported here: the relation screen asserts no point relation
@@ -211,7 +192,7 @@ def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
     return tuple(v * lift for v in values)
 
 
-def relation_residuals_at(rid: RelationId, n: int, x0) -> list[Fraction]:
+def relation_residuals_at(rid: str, n: int, x0) -> list[Fraction]:
     """Cheap screen: a symbolic relation's residuals evaluated at a rational x.
 
     The same terms as `relation_residuals`, read at x0 against integer-jet

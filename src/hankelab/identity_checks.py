@@ -1,11 +1,12 @@
-"""The identity code only checks run: the point relations, the Table-1
-trace check, and the third-identity weight machinery.
+"""The identity code only checks run: the point relations and the
+third-identity weight machinery.
 
 The point relations assert K, M and N as multiples of H at special points,
 and squared-ratio recursions of H, each read off the family's ladder over
-Z at the point.  The weight machinery reads the annihilating weights off
-the closed generating-function denominator that `series.gf_fraction`
-states, one code path for (3,1) and (2,1), and compares them with the
+Z at the point; their tables are keyed by the check ids ("r_x3").  The
+weight machinery reads the annihilating weights off the closed
+generating-function denominator that `series.gf_fraction` states, one code
+path for (3,1) and (2,1), and compares them with the
 explicit closed forms.  `identities.check_relation` imports this module on
 its first point relation, and the relation screen never does.
 """
@@ -21,8 +22,7 @@ from . import series
 from .forms import term_value
 from .hankel import INT, hankel_det_at, quartet, variant_det_at
 from .hankel_checks import gauss_jordan
-from .identities import _RELATIONS, RelationId, _require_n, pnqnrn_21, pnqnrn_31
-from .lemmas import trace_values
+from .identities import _RELATIONS, _require_n, pnqnrn_21, pnqnrn_31
 from .poly import (
     Poly, denominator_lcm, from_int_scaled, int_poly_hom_eval, lin_comb, to_int_scaled,
 )
@@ -34,31 +34,31 @@ from .sequences import F21, F31, FamilyId, a_poly
 # ---------------------------------------------------------------------------
 
 
-# rid -> (family, x0, {name: multiplier}), asserting V(x0) = mult(n) * H(x0)
-# for each V named; R_CREC asserts only its recursion.  A multiplier is a
+# check id -> (family, x0, {name: multiplier}), asserting V(x0) = mult(n) *
+# H(x0) for each V named; r_crec asserts only its recursion.  A multiplier is a
 # hypergeometric term in n times a polynomial in n, one `forms` row.
 _N = ("", 1, 0, 0)
 _2N1 = ("", 2, 0, 1)
 _4N1, _4N3, _4N5 = ("", 4, 0, 1), ("", 4, 0, 3), ("", 4, 0, 5)
 _POINT_SPECS = {
-    RelationId.R_CREC: (F31, Fraction(3), {}),
-    RelationId.R_X3: (F31, Fraction(3), {
+    "r_crec": (F31, Fraction(3), {}),
+    "r_x3": (F31, Fraction(3), {
         "K": ((3, 2, (), (_4N3,)), (14, 19, 9)),
         "N": ((3, 8, (), (_4N3, _4N5)), (1920, 4144, 3605, 1512, 243)),
         "M": ((-3, 8, (_N,), (_4N1, _4N3)), (58, 559, 540, 243))}),
-    RelationId.R_X3HALF: (F31, Fraction(3, 2), {
+    "r_x3half": (F31, Fraction(3, 2), {
         "K": ((3, 2, (), (_4N3,)), (11, 22, 9)),
         "N": ((3, 8, (), (_4N3, _4N5)), (1290, 3934, 4031, 1674, 243)),
         "M": ((-3, 8, (_N,), (_4N1, _4N3)), (118, 547, 702, 243))}),
-    RelationId.R_X3QUARTER: (F31, Fraction(3, 4), {
+    "r_x3quarter": (F31, Fraction(3, 4), {
         "K": ((3, 4, (), (_4N3,)), (19, 38, 18)),
         "N": ((3, 16, (), (_4N3, _4N5)), (2085, 6290, 6724, 3024, 486)),
         "M": ((-3, 8, (_N,), (_4N1, _4N3)), (31, 316, 540, 243))}),
-    RelationId.R_21_X0: (F21, Fraction(0), {
+    "r_21_x0": (F21, Fraction(0), {
         "K": ((1, 1, (), (_2N1,)), (3, 8, 4)),
         "N": ((1, 1, (), (_2N1, _2N1)), (10, 49, 78, 44, 8)),
         "M": ((-1, 1, (), ()), (0, 3, 2))}),
-    RelationId.R_21_X2: (F21, Fraction(2), {
+    "r_21_x2": (F21, Fraction(2), {
         "K": ((1, 1, (), (_2N1,)), (5, 8, 4)),
         "N": ((1, 1, (), (_2N1,)), (22, 33, 20, 4)),
         "M": ((-1, 1, (_N,), (_2N1,)), (7, 8, 4))}),
@@ -68,21 +68,21 @@ _POINT_SPECS = {
 # special points of the (3,1) family, each ratio a hypergeometric term.
 _RATIO_DEN = (_4N1, _4N3, _4N3, _4N5)
 _RECURSION_RATIOS = {
-    RelationId.R_CREC: (9, 4, (("", 3, 0, 4), ("", 3, 0, 5), ("", 6, 0, -1), ("", 6, 0, 1)),
-                        _RATIO_DEN),
-    RelationId.R_X3HALF: (9, 4, (("", 3, 0, 2), ("", 3, 0, 4), ("", 6, 0, 1), ("", 6, 0, 5)),
-                          _RATIO_DEN),
-    RelationId.R_X3QUARTER: (9, 4, (("", 3, 0, 1), ("", 3, 0, 2), ("", 6, 0, 5), ("", 6, 0, 7)),
-                             _RATIO_DEN),
+    "r_crec": (9, 4, (("", 3, 0, 4), ("", 3, 0, 5), ("", 6, 0, -1), ("", 6, 0, 1)), _RATIO_DEN),
+    "r_x3half": (9, 4, (("", 3, 0, 2), ("", 3, 0, 4), ("", 6, 0, 1), ("", 6, 0, 5)), _RATIO_DEN),
+    "r_x3quarter": (9, 4, (("", 3, 0, 1), ("", 3, 0, 2), ("", 6, 0, 5), ("", 6, 0, 7)),
+                    _RATIO_DEN),
 }
+# the checks of the point relations, asserted by `relation_point_ok`
+POINT_RELATIONS = tuple(_POINT_SPECS)
 
 
-def relation_family(rid: RelationId) -> FamilyId:
+def relation_family(rid: str) -> FamilyId:
     """The family whose determinants the relation reads, symbolic or point."""
     return (_RELATIONS.get(rid) or _POINT_SPECS[rid])[0]
 
 
-def relation_point_ok(rid: RelationId, n: int) -> bool:
+def relation_point_ok(rid: str, n: int) -> bool:
     """Point relations: K/N/M multiples of H, and the squared recursions."""
     _require_n(rid, n)
     fam, x0, mults = _POINT_SPECS[rid]
@@ -97,20 +97,6 @@ def relation_point_ok(rid: RelationId, n: int) -> bool:
         if hm * hp != term_value(_RECURSION_RATIOS[rid], n) * h * h:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Table-1 trace rules
-# ---------------------------------------------------------------------------
-
-
-def transform_rules(family: FamilyId, n: int) -> list[tuple[str, bool]]:
-    """Table-1 rules as trace identities Tr(A^{-1} X) H_n = stated value.
-
-    The rules and their traces are `lemmas.table1_rules` and
-    `lemmas.trace_values`.
-    """
-    return [(name, got == want) for name, got, want in trace_values(family, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +176,7 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
         raise ValueError("weight construction needs n >= 1")
     form = _weight_form(family)
     order = 2 * n + 3
-    den = series.gf_denominator(series.closed_form_for(family), family, order)
+    den = series.gf_denominator(family, order, True)
     # den over Z, one width: d[k][e] is scale times the y^k x^e coefficient
     d, scale = to_int_scaled(den.coeffs)
     width = max(map(len, d))

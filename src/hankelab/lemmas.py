@@ -1,9 +1,10 @@
 """Sequence-level lemmas: identities among a_k, c_k and a_k' for every k,
 and the matrix-level ones built on them.
 
-The ten L1/L2 identities are one table, `IDENTITIES`, of terms (table,
-kind, offset): the coefficient, a polynomial in (k, x) as an int table
-(`forms`), times a_{k+offset}, c_{k+offset} or a_k'.  Each residual, and
+The ten L1/L2 identities are one table, `IDENTITIES`, keyed by their
+check ids ("l1_31" .. "l2_aex"), of terms (table, kind, offset): the
+coefficient, a polynomial in (k, x) as an int table (`forms`), times
+a_{k+offset}, c_{k+offset} or a_k'.  Each residual, and
 each entry of the E/F matrix convolution identities, is one
 `poly.lin_comb` over Z.  The Table-1 trace rules Tr(A^{-1} X) H_n = value
 are a table too, `TABLE1`: per rule, the kind and offset of X and the
@@ -20,7 +21,6 @@ than an int).
 from __future__ import annotations
 
 from collections.abc import Callable
-from enum import Enum
 from fractions import Fraction
 from functools import partial
 
@@ -31,70 +31,57 @@ from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_hom_eval, l
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
 
 
-class IdentityId(Enum):
-    L1_31 = "l1_31"
-    L2_31 = "l2_31"
-    L1_21 = "l1_21"
-    L2_21 = "l2_21"
-    L1_30 = "l1_30"
-    L2_30 = "l2_30"
-    L1_3K2M = "l1_3k2m"
-    L2_3K2M = "l2_3k2m"
-    L1_AEX = "l1_aex"
-    L2_AEX = "l2_aex"
-
-
-# iid -> (family, terms).  The residual at k is the sum over the terms
+# check id -> (family, terms).  The residual at k is the sum over the terms
 # (table, kind, offset) of the coefficient, a polynomial in (k, x) written
 # as one table (`forms.nx_poly`: row j is A_j + k B_j), times a_{k+offset}
 # ("a"), c_{k+offset} ("c") or d_x a_k ("da", offset 0).
-IDENTITIES: dict[IdentityId, tuple[FamilyId, tuple]] = {
-    IdentityId.L1_31: (F31, (
+IDENTITIES: dict[str, tuple[FamilyId, tuple]] = {
+    "l1_31": (F31, (
         (((-27,), (63,), (-42,), (8,)), "da", 0),
         (((-6, -4),), "a", 1),
         (((36, 27), (-18,), (8,)), "a", 0),
         (((-12,), (24,), (-8,)), "c", 0),
         (((81,), (-162,), (54,)), "c", -1))),
-    IdentityId.L2_31: (F31, (
+    "l2_31": (F31, (
         (((-20, -8), (20, 8)), "a", 2),
         (((234, 162), (-360, -270), (184, 144), (-48, -32)), "a", 1),
         (((-486, -729), (972, 1458), (-756, -972), (216, 216)), "a", 0),
         (((-24,), (72,), (-64,), (16,)), "c", 1),
         (((162,), (-594,), (648,), (-228,), (16,)), "c", 0),
         (((0,), (729,), (-1458,), (810,), (-108,)), "c", -1))),
-    IdentityId.L1_21: (F21, (
+    "l1_21": (F21, (
         (((0,), (-4,), (2,)), "da", 0),
         (((-1, -1),), "a", 1),
         (((2, 4), (2,)), "a", 0),
         (((1,), (-1,)), "c", 0),
         (((-4,), (4,)), "c", -1))),
-    IdentityId.L2_21: (F21, (
+    "l2_21": (F21, (
         (((2,), (2, 1)), "a", 2),
         (((-8,), (-6, -4), (-4, -2)), "a", 1),
         (((0,), (0,), (12, 8)), "a", 0),
         (((2,), (-3,), (1,)), "c", 1),
         (((-8,), (12,), (-4,)), "c", 0))),
-    IdentityId.L1_30: (F30, (
+    "l1_30": (F30, (
         (((0,), (27,), (-45,), (12,)), "da", 0),
         (((10, 12), (-4, -8)), "a", 1),
         (((-27, -81), (-9, 54), (12,)), "a", 0),
         (((4,), (-4,)), "c", 1),
         (((-27,), (27,)), "c", 0))),
-    IdentityId.L2_30: (F30, (
+    "l2_30": (F30, (
         (((-198, -108), (570, 324), (-472, -288), (120, 80)), "a", 2),
         (((972, 729), (-2754, -2187), (2214, 1944), (-666, -648)), "a", 1),
         (((0,), (0,), (0,), (486, 729)), "a", 0),
         (((-36,), (120,), (-124,), (40,)), "c", 2),
         (((243,), (-810,), (621,), (90,), (-120,)), "c", 1),
         (((0,), (0,), (1458,), (-2430,), (810,)), "c", 0))),
-    IdentityId.L1_3K2M: (F3K2M, (
+    "l1_3k2m": (F3K2M, (
         (((0,), (-81,), (-18,), (8,)), "da", 0),
         (((-30, -36),), "a", 1),
         (((81, 243), (18,), (8,)), "a", 0),
         (((-12,),), "c", 1),
         (((81,), (36,), (-8,)), "c", 0),
         (((0,), (-243,), (54,)), "c", -1))),
-    IdentityId.L2_3K2M: (F3K2M, (
+    "l2_3k2m": (F3K2M, (
         (((198, 108), (132, 72)), "a", 2),
         (((-972, -729), (-648, -486), (-48,), (-48, -32)), "a", 1),
         (((0,), (0,), (324,), (216, 216)), "a", 0),
@@ -102,13 +89,13 @@ IDENTITIES: dict[IdentityId, tuple[FamilyId, tuple]] = {
         (((-243,), (-378,), (-72,), (16,)), "c", 1),
         (((0,), (1458,), (486,), (-180,), (16,)), "c", 0),
         (((0,), (0,), (0,), (486,), (-108,)), "c", -1))),
-    IdentityId.L1_AEX: (FAEX, (
+    "l1_aex": (FAEX, (
         (((0,), (9,), (-24,), (7,)), "da", 0),
         (((14, 4), (-14, -4)), "a", 1),
         (((-9, -27), (-24, 27), (33,)), "a", 0),
         (((-6,), (12,), (-6,)), "c", 0),
         (((0,), (0,), (0,), (6,)), "c", -1))),
-    IdentityId.L2_AEX: (FAEX, (
+    "l2_aex": (FAEX, (
         (((-18, -4), (90, 20), (-126, -28), (54, 12)), "a", 2),
         (((36, 27), (-156, -135), (84, 189), (76, -113), (-120,)), "a", 1),
         (((0,), (0,), (0,), (180, 216), (-24,), (84,)), "a", 0),
@@ -118,7 +105,7 @@ IDENTITIES: dict[IdentityId, tuple[FamilyId, tuple]] = {
 }
 
 
-def identity_residual(iid: IdentityId, k: int) -> Poly:
+def identity_residual(iid: str, k: int) -> Poly:
     """The identity's combination of a_{k-1..k+2}, c_{k-1..k+2} and d_x a_k,
     summed over Z by one `lin_comb`."""
     fam, terms = IDENTITIES[iid]
@@ -138,7 +125,7 @@ def _seq(family: FamilyId, kind: str, k: int) -> Poly:
     return a.derivative() if kind == "da" else a
 
 
-def check_identity(iid: IdentityId, k_max: int) -> list[int]:
+def check_identity(iid: str, k_max: int) -> list[int]:
     """Indices k in 0..k_max where the identity FAILS (empty = all pass)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

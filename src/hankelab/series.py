@@ -8,7 +8,9 @@ stated order.  Products and quotients run over Z on the int-list Z[x]
 kernel of ``poly.py``, and each output coefficient is normalised once.
 
 Generating functions come in a "direct" rational form in the algebraic series
-t (t^beta * y = t - 1) and in per-family "closed" forms; both expand to the
+t (t^beta * y = t - 1) and, for the five families of `CLOSED_FORMS`, in a
+"closed" form of their own; a form is asked for by (family, order, closed),
+so a closed form is only ever read for its own family.  Both expand to the
 same truncated series and the expansion is checked against a_k coefficient by
 coefficient.  Each part of a (form, family) fraction is built once per
 process, at the largest order asked, and a lower order is its prefix.
@@ -17,7 +19,6 @@ process, at the largest order asked, and a lower order is its prefix.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from enum import Enum
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -197,28 +198,10 @@ def tau_series(order: int) -> SeriesYX:
     return SeriesYX.from_rats(order, vals)
 
 
-class GfForm(Enum):
-    """Which written form of the generating function to expand."""
-
-    DIRECT = "direct"
-    CLOSED31 = "closed31"
-    CLOSED21 = "closed21"
-    CLOSED30 = "closed30"
-    CLOSED3K2M = "closed3k2m"
-    CLOSEDAEX = "closedaex"
-
-
-_CLOSED_FOR_FAMILY = {
-    F31: GfForm.CLOSED31,
-    F21: GfForm.CLOSED21,
-    F30: GfForm.CLOSED30,
-    F3K2M: GfForm.CLOSED3K2M,
-    FAEX: GfForm.CLOSEDAEX,
-}
-
-
-def closed_form_for(family: FamilyId) -> GfForm | None:
-    return _CLOSED_FOR_FAMILY.get(family)
+# family -> the name of its closed generating form; the other families
+# have only the direct one.
+CLOSED_FORMS = {F31: "closed31", F21: "closed21", F30: "closed30", F3K2M: "closed3k2m",
+                FAEX: "closedaex"}
 
 
 def _x(c0, c1=0, c2=0, c3=0) -> Poly:
@@ -226,52 +209,52 @@ def _x(c0, c1=0, c2=0, c3=0) -> Poly:
 
 
 # (form, family, part) -> the numerator (part 0) or denominator (part 1) at
-# the largest order built.  Coefficient k of a sum or product depends only on
-# coefficients 0..k, so every lower order is a prefix of it, and `gfequiv`,
-# `fcoeffs` and the weight construction share one series per key.
-_gf_memo: dict[tuple[GfForm, FamilyId, int], SeriesYX] = {}
+# the largest order built, form "direct" or the family's closed form.
+# Coefficient k of a sum or product depends only on coefficients 0..k, so
+# every lower order is a prefix of it, and `gfequiv`, `fcoeffs` and the
+# weight construction share one series per key.
+_gf_memo: dict[tuple[str, FamilyId, int], SeriesYX] = {}
 
 
-def gf_fraction(form: GfForm, family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
-    """Numerator and denominator of the requested form as truncated series.
+def gf_fraction(family: FamilyId, order: int, closed: bool) -> tuple[SeriesYX, SeriesYX]:
+    """Numerator and denominator of the family's direct or closed form as
+    truncated series.
 
     Occurrences of the algebraic series t (or tau) are substituted by their
     expansions, so the pair lives entirely in Q[x][[y]].  Raises ValueError
-    for an incompatible form/family pair.  Each part is built once per
-    process at the largest order asked; a lower order is its prefix.
+    for a closed form of a family that has none.  Each part is built once
+    per process at the largest order asked; a lower order is its prefix.
     """
-    return _gf_part(form, family, order, 0), gf_denominator(form, family, order)
+    return _gf_part(family, order, closed, 0), gf_denominator(family, order, closed)
 
 
-def gf_denominator(form: GfForm, family: FamilyId, order: int) -> SeriesYX:
+def gf_denominator(family: FamilyId, order: int, closed: bool) -> SeriesYX:
     """The denominator of `gf_fraction`; a closed form's numerator is not
     expanded."""
-    return _gf_part(form, family, order, 1)
+    return _gf_part(family, order, closed, 1)
 
 
-def _gf_part(form: GfForm, family: FamilyId, order: int, part: int) -> SeriesYX:
+def _gf_part(family: FamilyId, order: int, closed: bool, part: int) -> SeriesYX:
+    form = CLOSED_FORMS.get(family) if closed else "direct"
+    if form is None:
+        raise ValueError(f"family {family.name} has no closed form")
     got = _gf_memo.get((form, family, part))
     if got is None or got.order < order:
-        if form is GfForm.DIRECT:  # its two parts share their powers of t
+        if closed:
+            built = [(part, _closed_part(family, order, part))]
+        else:  # the direct form's two parts share their powers of t
             built = enumerate(_direct_fraction(family, order))
-        else:
-            built = [(part, _closed_part(form, family, order, part))]
         _gf_memo.update(((form, family, p), s) for p, s in built)
         got = _gf_memo[form, family, part]
     return got if got.order == order else SeriesYX(order, got.coeffs)
 
 
-def _closed_part(form: GfForm, family: FamilyId, order: int, part: int) -> SeriesYX:
+def _closed_part(family: FamilyId, order: int, part: int) -> SeriesYX:
     """The numerator (part 0) or the denominator (part 1) of a closed form."""
-    fam = next((f for f, closed in _CLOSED_FOR_FAMILY.items() if closed is form), None)
-    if fam is None:
-        raise ValueError(f"unknown generating-function form {form!r}")
-    if family != fam:
-        raise ValueError(f"{form.value} only applies to the {fam.name} family")
     one = SeriesYX.one(order)
     y = SeriesYX.y(order)
 
-    if form is GfForm.CLOSEDAEX:
+    if family == FAEX:
         tau = tau_series(order)
         xm1sq = _x(1, -2, 1)
         if not part:
@@ -283,20 +266,20 @@ def _closed_part(form: GfForm, family: FamilyId, order: int, part: int) -> Serie
             + _x(1, -3) * one
         )
 
-    t = t_series(2 if form is GfForm.CLOSED21 else 3, order)
-    if form is GfForm.CLOSED31:
+    t = t_series(2 if family == F21 else 3, order)
+    if family == F31:
         if not part:
             return _x(-6, 4) * one + 2 * t
         return (_x(9, -15, 4) * y) * (2 * t - 3 * one) - _x(-1, 1) * (27 * y - 4 * one)
-    if form is GfForm.CLOSED21:
+    if family == F21:
         if not part:
             return t
         return (_x(-2, 1) * y) * t + one - _x(0, 2) * y
-    if form is GfForm.CLOSED30:
+    if family == F30:
         if not part:
             return -(_x(-3, 2) * t) - _x(0, 3) * one
         return (_x(0, 0, 9) * y + _x(-6, 10, -4) * one) * t + _x(9, -15, 4) * one
-    if not part:  # CLOSED3K2M
+    if not part:  # F3K2M
         return 3 * t + _x(0, 2) * one
     return (_x(0, -9, 4) * y - 6 * one) * t + _x(9, 2) * one - _x(0, 0, 6) * y
 
@@ -342,26 +325,26 @@ def _direct_fraction(family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
     raise ValueError(f"no direct form for family {family}")
 
 
-def f_series(form: GfForm, family: FamilyId, order: int) -> SeriesYX:
-    """Expand a generating-function form to a truncated series.
+def f_series(family: FamilyId, order: int, closed: bool) -> SeriesYX:
+    """Expand the family's direct or closed generating form to a truncated
+    series.
 
     The y^0 term of a denominator need not be a unit; expansion divides
     exactly in Q[x] per coefficient and any nonzero remainder aborts.
     """
-    num, den = gf_fraction(form, family, order)
+    num, den = gf_fraction(family, order, closed)
     return num.divide_exact(den)
 
 
-def gf_form_equiv(
-    form_a: GfForm, form_b: GfForm, family: FamilyId, order: int
-) -> tuple[bool, SeriesYX]:
-    """Cross-multiplied equality of two forms, avoiding series division.
+def gf_form_equiv(family: FamilyId, order: int) -> tuple[bool, SeriesYX]:
+    """Cross-multiplied equality of the family's direct and closed forms,
+    avoiding series division.
 
     Returns (equal, residual) where residual = num_a*den_b - num_b*den_a
     truncated at the given order; both forms are reduced through the
     defining relation of t by substituting its expansion.
     """
-    num_a, den_a = gf_fraction(form_a, family, order)
-    num_b, den_b = gf_fraction(form_b, family, order)
+    num_a, den_a = gf_fraction(family, order, False)
+    num_b, den_b = gf_fraction(family, order, True)
     residual = num_a * den_b - num_b * den_a
     return residual.is_zero(), residual

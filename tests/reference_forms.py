@@ -16,9 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from hankelab.closed_forms import AlmostProductId, ProductFormulaId
 from hankelab.hankel import quartet
-from hankelab.identities import RelationId
 from hankelab.poly import Poly
 from hankelab.sequences import F21, F31, a_poly, conv_poly
 
@@ -257,14 +255,14 @@ def _21_factored(n: int) -> tuple:
 
 
 RELATIONS = {
-    RelationId.R_DET01: _det01,
-    RelationId.R_LINEAR: _linear,
-    RelationId.R_SECONDDER: _secondder,
-    RelationId.R_RHS: _rhs,
-    RelationId.R_21_FIRST: _21_first,
-    RelationId.R_21_SECOND: _21_second,
-    RelationId.R_21_FACTORED: _21_factored,
-    RelationId.R_21_THIRD: lambda n: (_third(pnqnrn_21(n)),),
+    "r_det01": _det01,
+    "r_linear": _linear,
+    "r_secondder": _secondder,
+    "r_rhs": _rhs,
+    "r_21_first": _21_first,
+    "r_21_second": _21_second,
+    "r_21_factored": _21_factored,
+    "r_21_third": lambda n: (_third(pnqnrn_21(n)),),
 }
 PNQNRN = {F31: pnqnrn_31, F21: pnqnrn_21}
 
@@ -280,45 +278,43 @@ def _prod(n: int, term, start: int = 1) -> Fraction:
 
 
 _f = factorial
-_P = ProductFormulaId
 PRODUCT_VALUES = {
-    _P.P32: lambda n: _prod(
+    "p32": lambda n: _prod(
         n, lambda i: Fraction(_f(6 * i + 4) * _f(2 * i + 1),
                               2 * _f(4 * i + 2) * _f(4 * i + 3))),
-    _P.P30: lambda n: _prod(
+    "p30": lambda n: _prod(
         n, lambda i: Fraction(3 * (3 * i + 1) * _f(6 * i) * _f(2 * i),
                               _f(4 * i) * _f(4 * i + 1))),
-    _P.P31AT3: lambda n: (-1) ** n * _prod(
+    "p31at3": lambda n: (-1) ** n * _prod(
         n, lambda i: Fraction(_f(6 * i - 3) * _f(3 * i + 2) * _f(2 * i - 1),
                               _f(4 * i - 1) * _f(4 * i + 1) * _f(3 * i - 2))),
-    _P.P31AT3HALF: lambda n: _prod(
+    "p31at3half": lambda n: _prod(
         n, lambda i: Fraction(_f(2 * i - 1) * _f(6 * i) * (3 * i + 1),
                               2 * _f(4 * i - 1) * _f(4 * i + 1))),
-    _P.P31AT3QUARTER: lambda n: _prod(
+    "p31at3quarter": lambda n: _prod(
         n, lambda i: Fraction(_f(2 * i - 1) * _f(6 * i + 1),
                               2 * _f(4 * i - 1) * _f(4 * i + 1))),
-    _P.P30AT3: lambda n: Fraction(
+    "p30at3": lambda n: Fraction(
         _f(3 * n) * _f(3 * n + 2), 2 * _f(n) ** 2) * _prod(
         n, lambda i: Fraction(3 * _f(6 * i - 5) * _f(2 * i) * (2 * i - 1),
                               _f(4 * i + 1) * _f(4 * i - 1))),
-    _P.P30AT3HALF: lambda n: _prod(
+    "p30at3half": lambda n: _prod(
         n, lambda i: Fraction(27 * _f(6 * i - 5) * (3 * i - 1) * (3 * i - 2) * _f(2 * i - 1),
                               2 * _f(4 * i - 1) * (4 * i - 3) * _f(4 * i - 4))),
-    _P.PAEXAT3SEVENTHS: lambda n: _prod(
+    "paexat3sevenths": lambda n: _prod(
         n, lambda i: Fraction(2 * _f(6 * i + 7) * _f(2 * i + 1),
                               7 * _f(4 * i + 5) * _f(4 * i + 3)), start=0),
-    _P.P21AT0: lambda n: Fraction(1),
-    _P.P21AT2: lambda n: Fraction((-1) ** n * (2 * n + 1)),
+    "p21at0": lambda n: Fraction(1),
+    "p21at2": lambda n: Fraction((-1) ** n * (2 * n + 1)),
 }
 
-_A = AlmostProductId
 ALMOST_COEFFS = {
-    _A.AP31: lambda n, i: Fraction(
+    "ap31": lambda n, i: Fraction(
         _f(n) * _f(3 * n + i + 2) * 2**i, _f(3 * n + 2) * _f(n - i) * _f(2 * i + 1)),
-    _A.AP31ALT: lambda n, i: Fraction(
+    "ap31alt": lambda n, i: Fraction(
         (-1) ** i * _f(n) * prod(range(4 * n + 3, 0, -2)) * _f(3 * n + i + 2),
         _f(3 * n + 2) * _f(i) * _f(n - i) * prod(range(4 * n + 2 * i + 3, 0, -2))),
-    _A.AP21: lambda n, i: Fraction(
+    "ap21": lambda n, i: Fraction(
         _f(n + i) * 2**i, _f(n - i) * _f(2 * i + 1)),
 }
 
@@ -356,8 +352,8 @@ def three_term_31_pq(n: int) -> tuple[Poly, Poly]:
 
 
 POINT_MULTIPLIERS = {
-    RelationId.R_CREC: {},
-    RelationId.R_X3: {
+    "r_crec": {},
+    "r_x3": {
         "K": lambda n: Fraction(3 * (9 * n * n + 19 * n + 14), 2 * (4 * n + 3)),
         "N": lambda n: Fraction(
             3 * (243 * n**4 + 1512 * n**3 + 3605 * n**2 + 4144 * n + 1920),
@@ -368,7 +364,7 @@ POINT_MULTIPLIERS = {
             8 * (4 * n + 1) * (4 * n + 3),
         ),
     },
-    RelationId.R_X3HALF: {
+    "r_x3half": {
         "K": lambda n: Fraction(3 * (9 * n * n + 22 * n + 11), 2 * (4 * n + 3)),
         "N": lambda n: Fraction(
             3 * (243 * n**4 + 1674 * n**3 + 4031 * n**2 + 3934 * n + 1290),
@@ -379,7 +375,7 @@ POINT_MULTIPLIERS = {
             8 * (4 * n + 1) * (4 * n + 3),
         ),
     },
-    RelationId.R_X3QUARTER: {
+    "r_x3quarter": {
         "K": lambda n: Fraction(3 * (18 * n * n + 38 * n + 19), 4 * (4 * n + 3)),
         "N": lambda n: Fraction(
             3 * (486 * n**4 + 3024 * n**3 + 6724 * n**2 + 6290 * n + 2085),
@@ -390,14 +386,14 @@ POINT_MULTIPLIERS = {
             8 * (4 * n + 1) * (4 * n + 3),
         ),
     },
-    RelationId.R_21_X0: {
+    "r_21_x0": {
         "K": lambda n: Fraction(3 + 8 * n + 4 * n * n, 2 * n + 1),
         "N": lambda n: Fraction(
             10 + 49 * n + 78 * n * n + 44 * n**3 + 8 * n**4, (2 * n + 1) ** 2
         ),
         "M": lambda n: Fraction(-(3 * n + 2 * n * n)),
     },
-    RelationId.R_21_X2: {
+    "r_21_x2": {
         "K": lambda n: Fraction(5 + 8 * n + 4 * n * n, 2 * n + 1),
         "N": lambda n: Fraction(22 + 33 * n + 20 * n * n + 4 * n**3, 2 * n + 1),
         "M": lambda n: Fraction(-n * (7 + 8 * n + 4 * n * n), 2 * n + 1),
@@ -405,15 +401,15 @@ POINT_MULTIPLIERS = {
 }
 
 RECURSION_RATIOS = {
-    RelationId.R_CREC: lambda n: Fraction(
+    "r_crec": lambda n: Fraction(
         9 * (3 * n + 4) * (3 * n + 5) * (6 * n - 1) * (6 * n + 1),
         4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
-    RelationId.R_X3HALF: lambda n: Fraction(
+    "r_x3half": lambda n: Fraction(
         9 * (3 * n + 2) * (3 * n + 4) * (6 * n + 1) * (6 * n + 5),
         4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),
-    RelationId.R_X3QUARTER: lambda n: Fraction(
+    "r_x3quarter": lambda n: Fraction(
         9 * (3 * n + 1) * (3 * n + 2) * (6 * n + 5) * (6 * n + 7),
         4 * (4 * n + 1) * (4 * n + 3) ** 2 * (4 * n + 5),
     ),

@@ -16,7 +16,7 @@ from fractions import Fraction
 from reference_det import adjugate
 
 from hankelab.hankel import hankel_matrix
-from hankelab.lemmas import IdentityId, table1_rules
+from hankelab.lemmas import table1_rules
 from hankelab.poly import Poly
 from hankelab.sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
 
@@ -26,10 +26,9 @@ def _p(*cs) -> Poly:
 
 
 _S31 = _p(-3, 1) * _p(-3, 2) * _p(-3, 4)
-_I = IdentityId
 IDENTITY_FAMILY = {
-    _I.L1_31: F31, _I.L2_31: F31, _I.L1_21: F21, _I.L2_21: F21, _I.L1_30: F30,
-    _I.L2_30: F30, _I.L1_3K2M: F3K2M, _I.L2_3K2M: F3K2M, _I.L1_AEX: FAEX, _I.L2_AEX: FAEX,
+    "l1_31": F31, "l2_31": F31, "l1_21": F21, "l2_21": F21, "l1_30": F30,
+    "l2_30": F30, "l1_3k2m": F3K2M, "l2_3k2m": F3K2M, "l1_aex": FAEX, "l2_aex": FAEX,
 }
 
 
@@ -75,16 +74,15 @@ def fraction_a_poly(family: FamilyId, k: int) -> Poly:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
+def fraction_identity_residual(iid: str, k: int) -> Poly:
     """The stated combination of a_{k-1..k+2}, c_{k-1..k+2}, d_x a_k, summed
     term by term with Poly `+` and `*`."""
     fam = IDENTITY_FAMILY[iid]
     a = lambda i: a_poly(fam, i)
     c = lambda i: conv_poly(fam, i)
     da = a(k).derivative()
-    I = IdentityId
 
-    if iid is I.L1_31:
+    if iid == "l1_31":
         return (
             _S31 * da
             - 2 * (2 * k + 3) * a(k + 1)
@@ -92,7 +90,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             - 4 * _p(3, -6, 2) * c(k)
             + 27 * _p(3, -6, 2) * c(k - 1)
         )
-    if iid is I.L2_31:
+    if iid == "l2_31":
         return (
             4 * (2 * k + 5) * _p(-1, 1) * a(k + 2)
             - (2 * k * _p(-81, 135, -72, 16) + 2 * _p(-117, 180, -92, 24)) * a(k + 1)
@@ -101,7 +99,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             + 2 * _p(81, -297, 324, -114, 8) * c(k)
             - 27 * _p(0, 1) * _p(-3, 2) * _p(9, -12, 2) * c(k - 1)
         )
-    if iid is I.L1_21:
+    if iid == "l1_21":
         return (
             2 * _p(0, 1) * _p(-2, 1) * da
             - (k + 1) * a(k + 1)
@@ -109,7 +107,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             - _p(-1, 1) * c(k)
             + 4 * _p(-1, 1) * c(k - 1)
         )
-    if iid is I.L2_21:
+    if iid == "l2_21":
         return (
             _p(2, k + 2) * a(k + 2)
             - (2 * k * _p(0, 2, 1) + 2 * _p(4, 3, 2)) * a(k + 1)
@@ -117,7 +115,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             + _p(-1, 1) * _p(-2, 1) * c(k + 1)
             - 4 * _p(-1, 1) * _p(-2, 1) * c(k)
         )
-    if iid is I.L1_30:
+    if iid == "l1_30":
         return (
             3 * _p(-3, 1) * _p(0, 1) * _p(-3, 4) * da
             - (4 * k * _p(-3, 2) + 2 * _p(-5, 2)) * a(k + 1)
@@ -125,7 +123,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             - 4 * _p(-1, 1) * c(k + 1)
             + 27 * _p(-1, 1) * c(k)
         )
-    if iid is I.L2_30:
+    if iid == "l2_30":
         return (
             (4 * k * _p(-3, 2) ** 2 * _p(-3, 5) + 2 * _p(-3, 2) * _p(-3, 5) * _p(-11, 6))
             * a(k + 2)
@@ -135,7 +133,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             - 3 * _p(-81, 270, -207, -30, 40) * c(k + 1)
             + 162 * _p(0, 0, 1) * _p(9, -15, 5) * c(k)
         )
-    if iid is I.L1_3K2M:
+    if iid == "l1_3k2m":
         return (
             _p(0, 1) * _p(-9, 2) * _p(9, 4) * da
             - (36 * k + 30) * a(k + 1)
@@ -144,7 +142,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             - _p(-81, -36, 8) * c(k)
             + 27 * _p(0, 1) * _p(-9, 2) * c(k - 1)
         )
-    if iid is I.L2_3K2M:
+    if iid == "l2_3k2m":
         return (
             (36 * k + 66) * _p(3, 2) * a(k + 2)
             - (k * _p(729, 486, 0, 32) + 12 * _p(81, 54, 4, 4)) * a(k + 1)
@@ -154,7 +152,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             + 2 * _p(0, 1) * _p(729, 243, -90, 8) * c(k)
             - 54 * _p(0, 0, 0, 1) * _p(-9, 2) * c(k - 1)
         )
-    if iid is I.L1_AEX:
+    if iid == "l1_aex":
         return (
             _p(0, 1) * _p(-3, 1) * _p(-3, 7) * da
             - (4 * k + 14) * _p(-1, 1) * a(k + 1)
@@ -162,7 +160,7 @@ def fraction_identity_residual(iid: IdentityId, k: int) -> Poly:
             - 6 * _p(-1, 1) ** 2 * c(k)
             + 6 * _p(0, 0, 0, 1) * c(k - 1)
         )
-    if iid is I.L2_AEX:
+    if iid == "l2_aex":
         return (
             (4 * k + 18) * _p(-1, 1) ** 2 * _p(-1, 3) * a(k + 2)
             + (k * _p(27, -135, 189, -113) - 4 * _p(-9, 39, -21, -19, 30)) * a(k + 1)

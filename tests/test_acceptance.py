@@ -13,8 +13,7 @@ from conftest import acceptance_line
 
 from hankelab.closed_forms import (
     ODES,
-    AlmostProductId,
-    ProductFormulaId,
+    PRODUCTS,
     almost_product_eval,
     chebyshev_jacobi_check,
     interlace_check,
@@ -26,9 +25,11 @@ from hankelab.closed_forms import (
 from hankelab.factor import factor_smooth
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.hankel_checks import dodgson_check
-from hankelab.identities import RelationId, check_relation
-from hankelab.identity_checks import explicit_weights_match, transform_rules, weight_nullspace
-from hankelab.lemmas import IdentityId, check_identity, check_matrix_convolution_identities
+from hankelab.identities import SYMBOLIC_RELATIONS, check_relation
+from hankelab.identity_checks import POINT_RELATIONS, explicit_weights_match, weight_nullspace
+from hankelab.lemmas import (
+    IDENTITIES, check_identity, check_matrix_convolution_identities, trace_values,
+)
 from hankelab.checks import DEGREE_THEOREM_FAMILIES, run_check
 from hankelab.report import FAIL
 from hankelab.sequences import (
@@ -43,16 +44,11 @@ from hankelab.sequences import (
     a_poly,
 )
 from hankelab.series import (
-    GfForm,
-    closed_form_for,
     f_series,
     gf_form_equiv,
     t_residual,
     t_series,
 )
-
-A = AlmostProductId
-P = ProductFormulaId
 
 
 def test_criterion_1_factorization_golden_n10():
@@ -92,12 +88,12 @@ def test_criterion_1_factorization_golden_n20():
 def test_criterion_2_almost_product_equivalence():
     bad = []
     for n in range(0, 13):
-        if almost_product_eval(A.AP31, n) != hankel_det(F31, n):
+        if almost_product_eval("ap31", n) != hankel_det(F31, n):
             bad.append(("ap31", n))
-        if almost_product_eval(A.AP31ALT, n) != almost_product_eval(A.AP31, n):
+        if almost_product_eval("ap31alt", n) != almost_product_eval("ap31", n):
             bad.append(("ap31alt", n))
     for n in range(0, 16):
-        if almost_product_eval(A.AP21, n) != hankel_det(F21, n):
+        if almost_product_eval("ap21", n) != hankel_det(F21, n):
             bad.append(("ap21", n))
     acceptance_line("02", not bad, "almost products equal fraction-free determinants")
     assert not bad, bad
@@ -105,22 +101,22 @@ def test_criterion_2_almost_product_equivalence():
 
 def test_criterion_3_product_formulas_at_special_points():
     bad = []
-    for pid in P:
-        top = 20 if pid in (P.P21AT0, P.P21AT2) else 10
+    for pid in PRODUCTS:
+        top = 20 if pid in ("p21at0", "p21at2") else 10
         for n in range(0, top + 1):
             if not product_matches_determinant(pid, n):
-                bad.append((pid.value, n))
+                bad.append((pid, n))
     # the (3,2) product also equals the (3,1) determinant at x = 1, and the
     # alternate (-4)^i sum gives a second independent route to it
     for n in range(0, 11):
-        want = product_eval(P.P32, n)
+        want = product_eval("p32", n)
         if hankel_det_at(F31, n, 1) != want:
             bad.append(("p32 via (3,1) at x=1", n))
-        if almost_product_eval(A.AP31AT1, n) != want:
+        if almost_product_eval("ap31at1", n) != want:
             bad.append(("second route (-4)^i sum", n))
-        if almost_product_eval(A.AP21AT0, n) != 1:
+        if almost_product_eval("ap21at0", n) != 1:
             bad.append(("ap21at0 != 1", n))
-        if almost_product_eval(A.AP21AT1, n) != (-1) ** ((n * (n + 1)) // 2):
+        if almost_product_eval("ap21at1", n) != (-1) ** ((n * (n + 1)) // 2):
             bad.append(("ap21at1 sign", n))
     acceptance_line("03", not bad, "product formulas at special points, exact")
     assert not bad, bad
@@ -149,20 +145,20 @@ def test_criterion_4_ode_residuals():
 
 def test_criterion_5_identity_suites():
     bad = []
-    for iid in IdentityId:
+    for iid in IDENTITIES:
         fails = check_identity(iid, 30)
         if fails:
-            bad.append((iid.value, fails))
-    for rid in RelationId:
+            bad.append((iid, fails))
+    for rid in (*SYMBOLIC_RELATIONS, *POINT_RELATIONS):
         for n in range(2, 11):
             if not check_relation(rid, n):
-                bad.append((rid.value, n))
+                bad.append((rid, n))
     for fam in (F31, F21):
         for n in range(0, 7):
             if not check_matrix_convolution_identities(fam, n):
                 bad.append(("ef", fam.name, n))
         for n in range(1, 6):
-            failed = [name for name, ok in transform_rules(fam, n) if not ok]
+            failed = [name for name, got, want in trace_values(fam, n) if got != want]
             if failed:
                 bad.append(("table1", fam.name, n, failed))
     acceptance_line("05", not bad, "identity, relation, E/F, and trace-rule suites")
@@ -222,10 +218,10 @@ def test_criterion_8_degree_theorem():
 def test_criterion_9_structure_results():
     bad = []
     for n in range(2, 11):
-        if not three_term_check("c31", n):
+        if not three_term_check("threeterm31", n):
             bad.append(("threeterm31", n))
     for n in range(2, 16):
-        if not three_term_check("c21", n):
+        if not three_term_check("threeterm21", n):
             bad.append(("threeterm21", n))
     for n in range(0, 13):
         if not chebyshev_jacobi_check(n):
@@ -249,11 +245,10 @@ def test_criterion_10_generating_functions():
     if [c.coefficient(0) for c in t2.coeffs] != [1, 1, 2, 5]:
         bad.append(("t2 prefix",))
     for fam in (F31, F21, F30, F3K2M, FAEX):
-        form = closed_form_for(fam)
-        ok, _res = gf_form_equiv(GfForm.DIRECT, form, fam, 25)
+        ok, _res = gf_form_equiv(fam, 25)
         if not ok:
             bad.append(("equiv", fam.name))
-        series = f_series(form, fam, 25)
+        series = f_series(fam, 25, True)
         for k in range(26):
             if series.coefficient(k) != a_poly(fam, k):
                 bad.append(("coeff", fam.name, k))

@@ -16,7 +16,7 @@ from hankelab.cache import TOOL_VERSION, CacheEntry, DetCache
 from hankelab.checks import REGISTRY, CheckDef, acceptance_suite
 from hankelab.cli import UsageError, main
 from hankelab.commands import pool_size, pool_tasks
-from hankelab.closed_forms import AP_POINTS, AlmostProductId, ProductFormulaId
+from hankelab.closed_forms import ALMOST_PRODUCTS, AP_POINTS, PRODUCTS
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.poly import InexactDivision, Poly
 from hankelab.report import fail_row, finding_row, ok_row
@@ -178,8 +178,7 @@ FORMULA_CHECK_VALUES = {
 }
 
 
-@pytest.mark.parametrize("fid", [i.value for ids in (ProductFormulaId, AlmostProductId)
-                                 for i in ids])
+@pytest.mark.parametrize("fid", [*PRODUCTS, *ALMOST_PRODUCTS, *AP_POINTS])
 def test_formula_prints_the_value_its_check_compares_with(capsys, fid):
     code, out, _ = run(capsys, "formula", "--id", fid, "--n", "0..8")
     assert code == 0
@@ -189,7 +188,7 @@ def test_formula_prints_the_value_its_check_compares_with(capsys, fid):
 
 def test_formula_without_a_point_rejects_any_x(capsys):
     # the products and the specialised almost products take no --x, symbolic included
-    no_point = [p.value for p in ProductFormulaId] + [a.value for a in AP_POINTS]
+    no_point = [*PRODUCTS, *AP_POINTS]
     assert len(no_point) == 14
     for fid in no_point:
         for x in ("symbolic", "3"):

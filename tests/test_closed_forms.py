@@ -5,10 +5,11 @@ from functools import lru_cache
 import pytest
 
 from hankelab import (
-    checks, closed_forms, hankel, identities, identity_checks, lemmas, sequences, series,
+    checks, cli, closed_forms, hankel, identities, identity_checks, lemmas, sequences, series,
 )
 from hankelab.checks import REGISTRY, run_check
-from hankelab.identities import POINT_RELATIONS, SYMBOLIC_RELATIONS, RelationId
+from hankelab.identities import SYMBOLIC_RELATIONS
+from hankelab.identity_checks import POINT_RELATIONS
 from hankelab.poly import Poly
 from hankelab.closed_forms import (
     ALMOST_PRODUCTS,
@@ -18,8 +19,7 @@ from hankelab.closed_forms import (
     JACOBI_HALF,
     ODES,
     PRODUCTS,
-    AlmostProductId,
-    ProductFormulaId,
+    THREE_TERM,
     almost_product_eval,
     chebyshev_jacobi_check,
     interlace_check,
@@ -28,57 +28,53 @@ from hankelab.closed_forms import (
     product_eval,
     product_matches_determinant,
     recursion_31at1,
-    three_term_31_pq,
     three_term_check,
+    three_term_pq,
 )
 from hankelab.forms import term_sum, term_value
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.sequences import F21, F30, F31, F3K2M, FAEX
-from hankelab.series import SeriesYX, closed_form_for
+from hankelab.series import SeriesYX
 
 
 def test_product_values_hand_checked():
-    P = ProductFormulaId
-    assert product_eval(P.P31AT3, 0) == 1 and product_eval(P.P31AT3, 1) == -1
-    assert product_eval(P.P31AT3HALF, 0) == 1 and product_eval(P.P31AT3HALF, 1) == 2
-    assert product_eval(P.P32, 1) == 3
-    assert product_eval(P.P21AT2, 3) == -7
-    assert product_eval(P.P21AT0, 17) == 1
+    assert product_eval("p31at3", 0) == 1 and product_eval("p31at3", 1) == -1
+    assert product_eval("p31at3half", 0) == 1 and product_eval("p31at3half", 1) == 2
+    assert product_eval("p32", 1) == 3
+    assert product_eval("p21at2", 3) == -7
+    assert product_eval("p21at0", 17) == 1
     # the source text labels this H_1(3/2), but the 3/4 context demands 7/2
-    assert product_eval(P.P31AT3QUARTER, 1) == Fraction(7, 2)
+    assert product_eval("p31at3quarter", 1) == Fraction(7, 2)
     assert hankel_det_at(F31, 1, Fraction(3, 4)) == Fraction(7, 2)
 
 
 def test_products_match_determinants():
-    for pid in ProductFormulaId:
+    for pid in PRODUCTS:
         for n in range(0, 7):
             assert product_matches_determinant(pid, n), (pid, n)
 
 
 def test_almost_product_examples():
-    A = AlmostProductId
-    assert almost_product_eval(A.AP31, 1) == Poly([5, -2])
-    assert almost_product_eval(A.AP21, 1, Fraction(2)) == -3
-    assert almost_product_eval(A.AP21AT1, 3) == 1
-    assert almost_product_eval(A.AP31ALT, 2, Fraction(1)) == hankel_det_at(F31, 2, 1)
+    assert almost_product_eval("ap31", 1) == Poly([5, -2])
+    assert almost_product_eval("ap21", 1, Fraction(2)) == -3
+    assert almost_product_eval("ap21at1", 3) == 1
+    assert almost_product_eval("ap31alt", 2, Fraction(1)) == hankel_det_at(F31, 2, 1)
     with pytest.raises(ValueError):
-        almost_product_eval(A.AP21AT0, 2, Fraction(1))
+        almost_product_eval("ap21at0", 2, Fraction(1))
 
 
 def test_almost_products_match_determinants():
-    A = AlmostProductId
     for n in range(0, 8):
-        assert almost_product_eval(A.AP31, n) == hankel_det(F31, n)
-        assert almost_product_eval(A.AP31ALT, n) == hankel_det(F31, n)
-        assert almost_product_eval(A.AP21, n) == hankel_det(F21, n)
+        assert almost_product_eval("ap31", n) == hankel_det(F31, n)
+        assert almost_product_eval("ap31alt", n) == hankel_det(F31, n)
+        assert almost_product_eval("ap21", n) == hankel_det(F21, n)
 
 
 def test_point_vs_symbolic_substitution():
     # substitute-then-sum equals sum-then-substitute
-    A = AlmostProductId
     for n in (2, 5):
         for x0 in (Fraction(0), Fraction(7, 3)):
-            assert almost_product_eval(A.AP31, n, x0) == almost_product_eval(A.AP31, n)(x0)
+            assert almost_product_eval("ap31", n, x0) == almost_product_eval("ap31", n)(x0)
 
 
 def test_ode_hand_instances():
@@ -98,25 +94,25 @@ def test_three_term_21_reproduces_h2():
     h2 = Poly([2, -2]) * Poly([1, -2]) - Poly([1])
     assert h2 == Poly([1, -6, 4])
     assert h2 == hankel_det(F21, 2)
-    assert three_term_check("c21", 2)
+    assert three_term_check("threeterm21", 2)
 
 
 def test_three_term_31_coefficients():
-    p2, q2 = three_term_31_pq(2)
+    p2, q2 = three_term_pq("threeterm31", 2)
     assert p2 == Poly([1, -2, 1]) * Fraction(4, 9)
     lhs = p2 * hankel_det(F31, 2) + q2 * hankel_det(F31, 1) + hankel_det(F31, 0)
     assert lhs.is_zero()
     for n in range(2, 8):
-        assert three_term_check("c31", n)
+        assert three_term_check("threeterm31", n)
     with pytest.raises(ValueError):
-        three_term_check("c31", 1)
+        three_term_check("threeterm31", 1)
 
 
 def test_recursion_31at1():
     assert recursion_31at1(0) == 1
     assert recursion_31at1(1) == 3
     for n in range(0, 8):
-        assert recursion_31at1(n) == product_eval(ProductFormulaId.P32, n)
+        assert recursion_31at1(n) == product_eval("p32", n)
 
 
 # U_n(y) and P_n(y) are sums in t = y - 1: read at y, t is the Poly y - 1
@@ -155,11 +151,19 @@ def test_interlace_small():
         interlace_check(0)
 
 
-def test_every_formula_id_has_exactly_one_table_entry():
-    assert set(PRODUCTS) == set(ProductFormulaId)
-    assert not set(ALMOST_PRODUCTS) & set(AP_POINTS)
-    assert set(ALMOST_PRODUCTS) | set(AP_POINTS) == set(AlmostProductId)
+def test_every_formula_id_has_exactly_one_table_entry(capsys):
+    # each check id keys one entry of one form table, and `formula --id`
+    # takes exactly the ids of the product and almost-product tables
+    tables = (PRODUCTS, ALMOST_PRODUCTS, AP_POINTS, lemmas.IDENTITIES,
+              identities._RELATIONS, identity_checks._POINT_SPECS, THREE_TERM)
+    keys = [key for table in tables for key in table]
+    assert len(keys) == len(set(keys))
+    assert set(keys) <= set(REGISTRY)
     assert all(base in ALMOST_PRODUCTS for base, _x in AP_POINTS.values())
+    accepted = {check for check in REGISTRY
+                if cli.main(["formula", "--id", check, "--n", "0"]) == 0}
+    capsys.readouterr()
+    assert accepted == {*PRODUCTS, *ALMOST_PRODUCTS, *AP_POINTS}
 
 
 # Negative controls: each mutation breaks one written form, and every check
@@ -191,10 +195,13 @@ def _coeff_perturbed(aid):
     return mutate
 
 
-def _q_perturbed(monkeypatch):
-    """q_n of the (3,1) three-term recursion plus its hypergeometric term."""
-    p, (term, q) = closed_forms.THREE_TERM_31
-    monkeypatch.setattr(closed_forms, "THREE_TERM_31", (p, (term, _bumped(q))))
+def _q_perturbed(check):
+    """q_n of the three-term recursion plus its hypergeometric term."""
+    def mutate(monkeypatch):
+        family, (p, (term, q)) = THREE_TERM[check]
+        monkeypatch.setitem(THREE_TERM, check, (family, (p, (term, _bumped(q)))))
+
+    return mutate
 
 
 def _complex_h2(monkeypatch):
@@ -208,12 +215,6 @@ def _shifted_h1(monkeypatch):
     h = closed_forms.hankel_det
     monkeypatch.setattr(closed_forms, "hankel_det",
                         lambda fam, n: h(fam, 1).compose_affine(1, 100) if n == 1 else h(fam, n))
-
-
-def _h21_3_plus_one(monkeypatch):
-    h = closed_forms.hankel_det
-    monkeypatch.setattr(closed_forms, "hankel_det",
-                        lambda fam, n: h(fam, n) + 1 if (fam, n) == (F21, 3) else h(fam, n))
 
 
 def _degree_raised(monkeypatch):
@@ -303,8 +304,8 @@ def _point_multiplier_perturbed(rid):
 
 def _crec_ratio_perturbed(monkeypatch):
     """The squared-ratio recursion's constant 9/4 made 10/4."""
-    ratio = identity_checks._RECURSION_RATIOS[RelationId.R_CREC]
-    monkeypatch.setitem(identity_checks._RECURSION_RATIOS, RelationId.R_CREC, _bumped(ratio))
+    ratio = identity_checks._RECURSION_RATIOS["r_crec"]
+    monkeypatch.setitem(identity_checks._RECURSION_RATIOS, "r_crec", _bumped(ratio))
 
 
 def _ladder_k3_off_by_one(monkeypatch):
@@ -330,11 +331,11 @@ def _ladder_k3_off_by_one(monkeypatch):
 def _closed_den_perturbed(family, power):
     """den + x y^power: y^1 reaches only Q2, y^2 the nullspace rows too."""
     def mutate(monkeypatch):
-        form, gf = closed_form_for(family), series.gf_denominator
+        gf = series.gf_denominator
 
-        def perturbed(f, fam, order):
-            den = gf(f, fam, order)
-            if f is form:
+        def perturbed(fam, order, closed):
+            den = gf(fam, order, closed)
+            if (fam, closed) == (family, True):
                 den = den + Poly.x() * SeriesYX.y(order).shift_y(power - 1)
             return den
 
@@ -403,29 +404,27 @@ def _form(check, mutate):
                    "finding" if REGISTRY[check].finding else "fail")
 
 
-A = AlmostProductId
 GENERATING = (F31, F21, F30, F3K2M, FAEX)
 CONTROLS = [
-    *(_form(pid.value, _product_perturbed(pid)) for pid in ProductFormulaId),
-    *(_form(aid.value, _coeff_perturbed(A.AP31)) for aid in (A.AP31, A.AP31AT0, A.AP31AT1)),
-    *(_form(aid.value, _coeff_perturbed(A.AP21)) for aid in (A.AP21, A.AP21AT0, A.AP21AT1)),
-    _form("ap31alt", _coeff_perturbed(A.AP31ALT)),
-    _form("threeterm31", _q_perturbed),
-    _form("rec31at1", _q_perturbed),
+    *(_form(pid, _product_perturbed(pid)) for pid in PRODUCTS),
+    *(_form(aid, _coeff_perturbed("ap31")) for aid in ("ap31", "ap31at0", "ap31at1")),
+    *(_form(aid, _coeff_perturbed("ap21")) for aid in ("ap21", "ap21at0", "ap21at1")),
+    _form("ap31alt", _coeff_perturbed("ap31alt")),
+    _form("threeterm31", _q_perturbed("threeterm31")),
+    _form("rec31at1", _q_perturbed("threeterm31")),
     _form("interlace", _complex_h2),
-    _form("threeterm21", _h21_3_plus_one),
+    _form("threeterm21", _q_perturbed("threeterm21")),
     _form("chebjac", _chebyshev_u_perturbed),
     _form("degree-hn", _degree_raised),
     *(_form(name, _ode_c0_perturbed(name))
       for name in ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4", "fig4")),
     _form("degree-random", _degree_bound_lowered),
     _form("tseries", _t_coeff_perturbed),
-    *(_form(iid.value, _identity_entry_perturbed(iid)) for iid in lemmas.IdentityId),
+    *(_form(iid, _identity_entry_perturbed(iid)) for iid in lemmas.IDENTITIES),
     _form("ef", _conv_entry_perturbed),
     _form("table1", _rule_value_perturbed),
-    *(_form(rid.value, _relation_term_perturbed(rid)) for rid in SYMBOLIC_RELATIONS),
-    *(_form(rid.value, _point_multiplier_perturbed(rid))
-      for rid in POINT_RELATIONS if rid is not RelationId.R_CREC),
+    *(_form(rid, _relation_term_perturbed(rid)) for rid in SYMBOLIC_RELATIONS),
+    *(_form(rid, _point_multiplier_perturbed(rid)) for rid in POINT_RELATIONS if rid != "r_crec"),
     _form("r_crec", _crec_ratio_perturbed),
     _form("dodgson", _ladder_k3_off_by_one),
     *(Control("weights", check, fam, f"den-y{power}", _closed_den_perturbed(fam, power), "fail")

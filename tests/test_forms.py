@@ -95,7 +95,7 @@ def test_every_table_equals_its_oracle():
             for i in range(n + 1):
                 assert term_value(form.term, n, i) == coeff(n, i), (aid, n, i)
     for n in NS:
-        assert _agree(lambda: closed_forms.three_term_31_pq(n),
+        assert _agree(lambda: closed_forms.three_term_pq("threeterm31", n),
                       lambda: ref.three_term_31_pq(n)), n
     for rid, mults in ref.POINT_MULTIPLIERS.items():
         _fam, _x0, got = identity_checks._POINT_SPECS[rid]
@@ -142,10 +142,9 @@ def test_a_table1_row_of_unknown_kind_raises(monkeypatch):
 
 
 def test_scaled_equations_read_the_ode_table_itself():
-    # R_RHS and R_21_FACTORED hold de1's and de2np1's coefficient tables
+    # r_rhs and r_21_factored hold de1's and de2np1's coefficient tables
     # themselves, not copies: each formula is written once
-    for rid, name in ((identities.RelationId.R_RHS, "de1"),
-                      (identities.RelationId.R_21_FACTORED, "de2np1")):
+    for rid, name in (("r_rhs", "de1"), ("r_21_factored", "de2np1")):
         _fam, (*_, residual) = identities._RELATIONS[rid]
         for (_symbol, factors), coeff in zip(residual, ODES[name].table):
             assert all(a is b for a, b in zip(factors[-len(coeff):], coeff)), rid

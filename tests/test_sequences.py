@@ -24,8 +24,6 @@ from hankelab.sequences import (
     family_from_name,
 )
 from hankelab.series import (
-    GfForm,
-    closed_form_for,
     f_series,
     gf_form_equiv,
     t_residual,
@@ -183,39 +181,36 @@ def test_tau_series_values():
 
 def test_direct_series_matches_a_poly():
     for fam in ALL_FAMILIES:
-        s = f_series(GfForm.DIRECT, fam, 12)
+        s = f_series(fam, 12, False)
         for k in range(13):
             assert s.coefficient(k) == a_poly(fam, k)
 
 
 def test_closed_series_matches_a_poly():
     for fam in (F31, F21, F30, F3K2M, FAEX):
-        form = closed_form_for(fam)
-        s = f_series(form, fam, 12)
+        s = f_series(fam, 12, True)
         for k in range(13):
             assert s.coefficient(k) == a_poly(fam, k), (fam, k)
 
 
 def test_closed_form_examples():
-    assert f_series(GfForm.CLOSED31, F31, 2).coefficient(1) == Poly([4, 1])
-    assert f_series(GfForm.CLOSED21, F21, 2).coefficient(2) == Poly([10, 4, 1])
-    assert f_series(GfForm.DIRECT, F31, 1).coefficient(0) == Poly([1])
+    assert f_series(F31, 2, True).coefficient(1) == Poly([4, 1])
+    assert f_series(F21, 2, True).coefficient(2) == Poly([10, 4, 1])
+    assert f_series(F31, 1, False).coefficient(0) == Poly([1])
 
 
 def test_incompatible_form_family():
+    # a closed form is asked of its own family only; (3,2) has none
     with pytest.raises(ValueError):
-        f_series(GfForm.CLOSED31, F21, 4)
-    with pytest.raises(ValueError):
-        f_series(GfForm.CLOSEDAEX, F31, 4)
+        f_series(F32, 4, True)
 
 
 def test_gf_form_equiv():
     for fam in (F31, F21, F30, F3K2M, FAEX):
-        form = closed_form_for(fam)
-        ok, residual = gf_form_equiv(GfForm.DIRECT, form, fam, 20)
+        ok, residual = gf_form_equiv(fam, 20)
         assert ok and residual.is_zero()
-    ok, _ = gf_form_equiv(GfForm.DIRECT, GfForm.DIRECT, F32, 10)
-    assert ok  # reflexivity
+    with pytest.raises(ValueError):  # no closed form to compare with
+        gf_form_equiv(F32, 10)
 
 
 def test_memo_returns_equal_values():

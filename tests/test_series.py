@@ -5,8 +5,8 @@ import pytest
 
 import hankelab.series as series
 from hankelab.poly import InexactDivision, Poly
-from hankelab.sequences import ALL_FAMILIES, F21
-from hankelab.series import GfForm, SeriesYX, closed_form_for, gf_denominator, gf_fraction
+from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX
+from hankelab.series import CLOSED_FORMS, SeriesYX, gf_denominator, gf_fraction
 
 
 def random_series(rng, order):
@@ -155,29 +155,28 @@ def test_gf_fraction_prefixes_match_a_build_at_each_order(monkeypatch):
     # prefix, equal to a build at that order
     monkeypatch.setattr(series, "_gf_memo", {})
     top = 12
-    pairs = [(GfForm.DIRECT, fam) for fam in ALL_FAMILIES]
-    pairs += [(closed_form_for(fam), fam) for fam in ALL_FAMILIES if closed_form_for(fam)]
-    for form, fam in pairs:
+    pairs = [(False, fam) for fam in ALL_FAMILIES]
+    pairs += [(True, fam) for fam in ALL_FAMILIES if fam in CLOSED_FORMS]
+    for closed, fam in pairs:
         for order in range(top, -1, -1):
-            if form is GfForm.DIRECT:
+            if not closed:
                 want = series._direct_fraction(fam, order)
             else:
-                want = tuple(series._closed_part(form, fam, order, part) for part in (0, 1))
-            assert gf_fraction(form, fam, order) == want, (form, fam, order)
+                want = tuple(series._closed_part(fam, order, part) for part in (0, 1))
+            assert gf_fraction(fam, order, closed) == want, (closed, fam, order)
     assert {s.order for s in series._gf_memo.values()} == {top}
     assert len(series._gf_memo) == 2 * len(pairs)
     # a larger order is built anew and kept
-    form, fam = pairs[-1]
-    want = tuple(series._closed_part(form, fam, top + 2, part) for part in (0, 1))
-    assert gf_fraction(form, fam, top + 2) == want
-    assert series._gf_memo[form, fam, 1].order == top + 2
+    closed, fam = pairs[-1]
+    want = tuple(series._closed_part(fam, top + 2, part) for part in (0, 1))
+    assert gf_fraction(fam, top + 2, closed) == want
+    assert series._gf_memo[CLOSED_FORMS[fam], fam, 1].order == top + 2
 
 
 def test_gf_denominator_expands_no_closed_numerator(monkeypatch):
     monkeypatch.setattr(series, "_gf_memo", {})
-    for form in (GfForm.CLOSED31, GfForm.CLOSEDAEX):
-        fam = next(f for f in ALL_FAMILIES if closed_form_for(f) is form)
-        assert gf_denominator(form, fam, 9) == gf_fraction(form, fam, 9)[1]
+    for fam in (F31, FAEX):
+        assert gf_denominator(fam, 9, True) == gf_fraction(fam, 9, True)[1]
     monkeypatch.setattr(series, "_gf_memo", {})
-    gf_denominator(GfForm.CLOSED21, F21, 7)
-    assert list(series._gf_memo) == [(GfForm.CLOSED21, F21, 1)]
+    gf_denominator(F21, 7, True)
+    assert list(series._gf_memo) == [("closed21", F21, 1)]
