@@ -203,7 +203,7 @@ _COMMANDS = {
         ("--t", _FLAG), ("--tau", _FLAG), ("--f", _FLAG),
         ("--beta", dict(type=int, default=None)),
         ("--family", dict(default=None)),
-        ("--form", dict(choices=("direct", "closed"), default="direct")),
+        ("--form", dict(choices=("direct", "closed"), default=None, help="default: direct")),
         ("--order", dict(type=int, required=True)),
     )),
     "verify": ("run named checks over an n-range", "cmd_verify", (

@@ -81,18 +81,21 @@ def cmd_series(args) -> int:
     if len(kinds) != 1:
         raise cli.UsageError("choose exactly one of --t, --tau, --f")
     kind = kinds[0]
+    # the options each series reads; any other one given is a usage error
+    reads = {"t": ("beta",), "tau": (), "f": ("family", "form")}[kind]
+    stray = [o for o in ("beta", "family", "form") if o not in reads and getattr(args, o) is not None]
+    if stray:
+        raise cli.UsageError(f"--{kind} takes no --{stray[0]}")
     order = args.order
     if order < 0 or order > 500:
         raise cli.UsageError("order out of range (0..500)")
     if kind == "t":
         if args.beta is None or args.beta < 1:
             raise cli.UsageError("--t needs --beta >= 1")
-        s = t_series(args.beta, order)
-        print(", ".join(str(c.coefficient(0)) for c in s.coeffs))
+        print(", ".join(map(str, t_series(args.beta, order))))
         return 0
     if kind == "tau":
-        s = tau_series(order)
-        print(", ".join(str(c.coefficient(0)) for c in s.coeffs))
+        print(", ".join(map(str, tau_series(order))))
         return 0
     if args.family is None:
         raise cli.UsageError("--f needs --family")
@@ -103,7 +106,7 @@ def cmd_series(args) -> int:
     if not closed and family.kind == "binom" and family.alpha < -1:
         raise cli.UsageError("the direct form needs alpha >= -1")
     s = f_series(family, order, closed)
-    print(", ".join("[" + ", ".join(c.to_json()) + "]" for c in s.coeffs))
+    print(", ".join("[" + ", ".join(c.to_json()) + "]" for c in s))
     return 0
 
 

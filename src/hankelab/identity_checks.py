@@ -178,7 +178,7 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
     order = 2 * n + 3
     den = series.gf_denominator(family, order, True)
     # den over Z, one width: d[k][e] is scale times the y^k x^e coefficient
-    d, scale = to_int_scaled(den.coeffs)
+    d, scale = to_int_scaled(den)
     width = max(map(len, d))
     d = [c + [0] * (width - len(c)) for c in d]
     ncols = n + 2

@@ -103,9 +103,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return _weighted_sum(self, other, -1)
 
-    def __rsub__(self, other) -> "Poly":
-        return as_poly(other) - self
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
             return from_int_scaled(int_poly_mul(self.num, other.num), self.den * other.den)
@@ -117,20 +114,6 @@ class Poly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        # content(f^n) = content(f)^n stays prime to den^n: nothing to reduce
-        result, base = [1], list(self.num)
-        k = n
-        while k:
-            if k & 1:
-                result = int_poly_mul(result, base)
-            k >>= 1
-            if k:
-                base = int_poly_mul(base, base)
-        return _poly(tuple(result), self.den**n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):

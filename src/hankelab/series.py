@@ -1,350 +1,196 @@
-"""Truncated power series in y whose coefficients are polynomials in x, and
-the generating functions of the families as such series.
+"""The generating functions of the families as truncated power series in y
+with Poly coefficients: a series of order m is the tuple of its y^0..y^m
+coefficients.
 
-A ``SeriesYX`` of order m keeps the coefficients of y^0 .. y^m.  Ring
-operations truncate consistently: coefficient k of a product depends only
-on coefficients 0..k of the factors, so all results are exact through the
-stated order.  Products and quotients run over Z on the int-list Z[x]
-kernel of ``poly.py``, and each output coefficient is normalised once.
-
-Generating functions come in a "direct" rational form in the algebraic series
-t (t^beta * y = t - 1) and, for the five families of `CLOSED_FORMS`, in a
-"closed" form of their own; a form is asked for by (family, order, closed),
-so a closed form is only ever read for its own family.  Both expand to the
-same truncated series and the expansion is checked against a_k coefficient by
-coefficient.  Each part of a (form, family) fraction is built once per
-process, at the largest order asked, and a lower order is its prefix.
+A generating function is a fraction whose numerator and denominator are
+term tables: a term (c, a, b) is c(x) y^a s^b, c an int row in x
+(ascending, a Poly's ``num``) and s the base series, t = t_beta of
+t^beta y = t - 1 or tau.  `CLOSED_FORMS` holds the five closed forms and
+`_direct_form` the direct form in t of every family but aex, whose direct
+form is the literal sum of its a_k.  `_evaluate` expands a table with one
+`poly.lin_comb` per coefficient, so no series is multiplied to build a
+form; `mul` and `divide_exact` compare and expand the forms over Z.  A
+closed form is asked for by (family, order, closed), so it is only read
+for its own family.  Each part is built once per process, at the largest
+order asked, and a lower order is its prefix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections import namedtuple
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, lcm
 
-from .poly import Poly, as_poly, from_int_scaled, int_poly_addmul, to_int_scaled
+from .poly import InexactDivision, Poly, from_int_scaled, int_poly_addmul, lin_comb, to_int_scaled
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly
 
 
-class SeriesYX:
-    """Immutable truncated element of Q[x][[y]]."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        cs = [as_poly(c) for c in coeffs][: order + 1]
-        cs += [Poly.zero()] * (order + 1 - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesYX is immutable")
-
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def zero(order: int) -> "SeriesYX":
-        return SeriesYX(order)
-
-    @staticmethod
-    def one(order: int) -> "SeriesYX":
-        return SeriesYX(order, [Poly.one()])
-
-    @staticmethod
-    def y(order: int) -> "SeriesYX":
-        return SeriesYX(order, [Poly.zero(), Poly.one()])
-
-    @staticmethod
-    def from_rats(order: int, values: Sequence) -> "SeriesYX":
-        return SeriesYX(order, [Poly.const(Fraction(v)) for v in values])
-
-    # -- structure -----------------------------------------------------
-
-    def coefficient(self, k: int) -> Poly:
-        if 0 <= k <= self.order:
-            return self.coeffs[k]
-        raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesYX):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other) -> "SeriesYX":
-        other = self._align(other)
-        return SeriesYX(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "SeriesYX":
-        return SeriesYX(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "SeriesYX":
-        return self + (-self._align(other))
-
-    def __mul__(self, other) -> "SeriesYX":
-        if isinstance(other, (int, Fraction, Poly)):
-            return SeriesYX(self.order, [c * other for c in self.coeffs])
-        other = self._align(other)
-        (a, sa), (b, sb) = to_int_scaled(self.coeffs), to_int_scaled(other.coeffs)
-        out: list[list[int]] = [[] for _ in a]
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b[: len(b) - i], i):
-                    if cb:
-                        int_poly_addmul(out[j], ca, cb)
-        return SeriesYX(self.order, [from_int_scaled(c, sa * sb) for c in out])
-
-    __rmul__ = __mul__
-
-    def shift_y(self, k: int) -> "SeriesYX":
-        """Multiply by y^k (coefficients past the order fall off)."""
-        if k < 0:
-            raise ValueError("negative y-shift")
-        return SeriesYX(self.order, [Poly.zero()] * k + list(self.coeffs))
-
-    def divide_exact(self, den: "SeriesYX") -> "SeriesYX":
-        """Divide by a series whose y^0 term is a nonzero Poly.
-
-        Each step divides in Q[x] and must be remainder-free; this is how
-        closed generating forms with non-unit constant terms are expanded.
-        With den = d / sd over Z, out_k = (sd self_k - sum_j d_j out_{k-j}) /
-        d_0, the sum taken over Z on its terms' common denominator.
-        """
-        den = self._align(den)
-        d, sd = to_int_scaled(den.coeffs)
-        if not d[0]:
-            raise ZeroDivisionError("series division by y-multiple")
-        d0 = from_int_scaled(d[0], 1)
-        out: list[Poly] = []
-        for k, c in enumerate(self.coeffs):
-            terms = [(d[j], out[k - j]) for j in range(1, k + 1) if d[j] and out[k - j]]
-            scale = lcm(c.den, *(o.den for _, o in terms))
-            acc = [v * sd * (scale // c.den) for v in c.num]
-            for dj, o in terms:
-                int_poly_addmul(acc, dj, o.num, -(scale // o.den))
-            out.append(from_int_scaled(acc, scale).exact_div(d0))
-        return SeriesYX(self.order, out)
-
-    def map_x(self, fn) -> "SeriesYX":
-        """Apply ``fn`` to every Poly coefficient (e.g. an x-substitution)."""
-        return SeriesYX(self.order, [fn(c) for c in self.coeffs])
-
-    def _align(self, other) -> "SeriesYX":
-        if isinstance(other, (int, Fraction, Poly)):
-            return SeriesYX(self.order, [as_poly(other)])
-        if not isinstance(other, SeriesYX):
-            raise TypeError(f"cannot combine SeriesYX with {other!r}")
-        if other.order != self.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}"
-            )
-        return other
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"[{c}]" for c in self.coeffs)
-        return f"SeriesYX(order={self.order}: {terms})"
-
-
-# ---------------------------------------------------------------------------
-# t, tau, and the generating-function forms
-# ---------------------------------------------------------------------------
-
-
-def t_series(beta: int, order: int) -> SeriesYX:
-    """Lagrange-inversion solution of t^beta * y = t - 1 with t(0) = 1.
-
-    Coefficient of y^k is (beta*k)! / (((beta-1)*k + 1)! * k!), a positive
-    integer for integer beta >= 1.
-    """
+def t_series(beta: int, order: int) -> tuple[int, ...]:
+    """Coefficients of the Lagrange-inversion solution of t^beta y = t - 1
+    with t(0) = 1: y^k has C(beta k, k) / ((beta - 1) k + 1), an integer
+    for integer beta >= 1 (a remainder raises ``InexactDivision``)."""
     if beta < 1:
         raise ValueError("t-series needs beta >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    vals = [
-        Fraction(factorial(beta * k), factorial((beta - 1) * k + 1) * factorial(k))
-        for k in range(order + 1)
-    ]
-    return SeriesYX.from_rats(order, vals)
+    out = [divmod(comb(beta * k, k), (beta - 1) * k + 1) for k in range(order + 1)]
+    if any(r for _q, r in out):
+        raise InexactDivision(f"a coefficient of t_{beta} is not an integer")
+    return tuple(q for q, _r in out)
 
 
-def t_residual(beta: int, order: int) -> SeriesYX:
-    """t^beta * y - t + 1 at the given truncation; zero iff t is correct."""
-    t = t_series(beta, order)
-    tb = SeriesYX.one(order)
-    for _ in range(beta):
-        tb = tb * t
-    return tb.shift_y(1) - t + SeriesYX.one(order)
-
-
-def tau_series(order: int) -> SeriesYX:
-    """The series with coefficients (3k)! / ((2k)! (k+1)!)."""
+def tau_series(order: int) -> tuple[Fraction, ...]:
+    """Coefficients (3k)! / ((2k)! (k+1)!) of tau."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    vals = [
-        Fraction(factorial(3 * k), factorial(2 * k) * factorial(k + 1))
-        for k in range(order + 1)
-    ]
-    return SeriesYX.from_rats(order, vals)
+    return tuple(Fraction(comb(3 * k, k), k + 1) for k in range(order + 1))
 
 
-# family -> the name of its closed generating form; the other families
-# have only the direct one.
-CLOSED_FORMS = {F31: "closed31", F21: "closed21", F30: "closed30", F3K2M: "closed3k2m",
-                FAEX: "closedaex"}
+def _scalar_mul(a, b) -> tuple:
+    """The product of two scalar series of one order, truncated at it."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a)))
 
 
-def _x(c0, c1=0, c2=0, c3=0) -> Poly:
-    return Poly([c0, c1, c2, c3])
+def t_residual(beta: int, order: int) -> tuple:
+    """t^beta y - t + 1 at the given truncation; zero iff t is correct."""
+    t = t_series(beta, order)
+    tb = (1,) + (0,) * order
+    for _ in range(beta):
+        tb = _scalar_mul(tb, t)
+    return tuple(u - v + (k == 0) for k, (u, v) in enumerate(zip((0, *tb[:order]), t)))
 
 
-# (form, family, part) -> the numerator (part 0) or denominator (part 1) at
-# the largest order built, form "direct" or the family's closed form.
-# Coefficient k of a sum or product depends only on coefficients 0..k, so
-# every lower order is a prefix of it, and `gfequiv`, `fcoeffs` and the
-# weight construction share one series per key.
-_gf_memo: dict[tuple[str, FamilyId, int], SeriesYX] = {}
+# family -> its closed form: a name, the base series (beta of t_beta, None
+# for tau) and the numerator and denominator term tables.
+ClosedForm = namedtuple("ClosedForm", "name beta num den")
+
+CLOSED_FORMS = {
+    F31: ClosedForm("closed31", 3, (((-6, 4), 0, 0), ((2,), 0, 1)),
+                    (((18, -30, 8), 1, 1), ((0, 18, -12), 1, 0), ((-4, 4), 0, 0))),
+    F21: ClosedForm("closed21", 2, (((1,), 0, 1),),
+                    (((-2, 1), 1, 1), ((1,), 0, 0), ((0, -2), 1, 0))),
+    F30: ClosedForm("closed30", 3, (((3, -2), 0, 1), ((0, -3), 0, 0)),
+                    (((0, 0, 9), 1, 1), ((-6, 10, -4), 0, 1), ((9, -15, 4), 0, 0))),
+    F3K2M: ClosedForm("closed3k2m", 3, (((3,), 0, 1), ((0, 2), 0, 0)),
+                      (((0, -9, 4), 1, 1), ((-6,), 0, 1), ((9, 2), 0, 0), ((0, 0, -6), 1, 0))),
+    FAEX: ClosedForm("closedaex", None, (((2, -4, 2), 0, 1), ((0, -2, -2), 0, 0)),
+                     (((0, 0, 6, -2), 1, 1), ((0, 0, 0, 2), 1, 0), ((1, -3), 0, 0))),
+}
+
+# Reindexing the defining double sum of 3k-2m gives t / ((3 - 2t)(1 - x y t)).
+_DIRECT_3K2M = (3, (((1,), 0, 1),),
+                (((3,), 0, 0), ((-2,), 0, 1), ((0, -3), 1, 1), ((0, 2), 1, 2)))
 
 
-def gf_fraction(family: FamilyId, order: int, closed: bool) -> tuple[SeriesYX, SeriesYX]:
-    """Numerator and denominator of the family's direct or closed form as
-    truncated series.
-
-    Occurrences of the algebraic series t (or tau) are substituted by their
-    expansions, so the pair lives entirely in Q[x][[y]].  Raises ValueError
-    for a closed form of a family that has none.  Each part is built once
-    per process at the largest order asked; a lower order is its prefix.
-    """
-    return _gf_part(family, order, closed, 0), gf_denominator(family, order, closed)
-
-
-def gf_denominator(family: FamilyId, order: int, closed: bool) -> SeriesYX:
-    """The denominator of `gf_fraction`; a closed form's numerator is not
-    expanded."""
-    return _gf_part(family, order, closed, 1)
-
-
-def _gf_part(family: FamilyId, order: int, closed: bool, part: int) -> SeriesYX:
-    form = CLOSED_FORMS.get(family) if closed else "direct"
-    if form is None:
-        raise ValueError(f"family {family.name} has no closed form")
-    got = _gf_memo.get((form, family, part))
-    if got is None or got.order < order:
-        if closed:
-            built = [(part, _closed_part(family, order, part))]
-        else:  # the direct form's two parts share their powers of t
-            built = enumerate(_direct_fraction(family, order))
-        _gf_memo.update(((form, family, p), s) for p, s in built)
-        got = _gf_memo[form, family, part]
-    return got if got.order == order else SeriesYX(order, got.coeffs)
-
-
-def _closed_part(family: FamilyId, order: int, part: int) -> SeriesYX:
-    """The numerator (part 0) or the denominator (part 1) of a closed form."""
-    one = SeriesYX.one(order)
-    y = SeriesYX.y(order)
-
-    if family == FAEX:
-        tau = tau_series(order)
-        xm1sq = _x(1, -2, 1)
-        if not part:
-            return 2 * (xm1sq * tau) - 2 * xm1sq * one - 2 * _x(-1, 3) * one
-        return (
-            -(_x(0, 0, -3, 1) * (2 * y)) * tau
-            + _x(0, 0, -3, 1) * (2 * y)
-            + _x(0, 0, 6) * y
-            + _x(1, -3) * one
-        )
-
-    t = t_series(2 if family == F21 else 3, order)
-    if family == F31:
-        if not part:
-            return _x(-6, 4) * one + 2 * t
-        return (_x(9, -15, 4) * y) * (2 * t - 3 * one) - _x(-1, 1) * (27 * y - 4 * one)
-    if family == F21:
-        if not part:
-            return t
-        return (_x(-2, 1) * y) * t + one - _x(0, 2) * y
-    if family == F30:
-        if not part:
-            return -(_x(-3, 2) * t) - _x(0, 3) * one
-        return (_x(0, 0, 9) * y + _x(-6, 10, -4) * one) * t + _x(9, -15, 4) * one
-    if not part:  # F3K2M
-        return 3 * t + _x(0, 2) * one
-    return (_x(0, -9, 4) * y - 6 * one) * t + _x(9, 2) * one - _x(0, 0, 6) * y
-
-
-def _direct_fraction(family: FamilyId, order: int) -> tuple[SeriesYX, SeriesYX]:
-    one = SeriesYX.one(order)
-    y = SeriesYX.y(order)
-    xpoly = Poly.x()
-
+def _direct_form(family: FamilyId):
+    """(beta, num, den) of the family's direct form, a fraction in t_beta."""
     if family.kind == "binom":
         beta, alpha = family.beta, family.alpha
         if alpha < -1:
             raise ValueError("direct form needs alpha >= -1 (t-power)")
-        t = t_series(beta, order)
-        num = SeriesYX.one(order)
-        for _ in range(alpha + 1):
-            num = num * t
-        tbm1 = SeriesYX.one(order)
-        for _ in range(beta - 1):
-            tbm1 = tbm1 * t
-        den = (beta * one + (1 - beta) * t) * (one - (xpoly * y) * tbm1)
-        return num, den
-
+        # t^(alpha+1) / ((beta + (1 - beta) t)(1 - x y t^(beta-1)))
+        return beta, (((1,), 0, alpha + 1),), (((beta,), 0, 0), ((1 - beta,), 0, 1),
+                                                ((0, -beta), 1, beta - 1), ((0, beta - 1), 1, beta))
     if family.kind == "3k-2m":
-        # Reindexing the defining double sum gives t / ((3-2t)(1-x*y*t)).
-        t = t_series(3, order)
-        num = t
-        den = (3 * one - 2 * t) * (one - (xpoly * y) * t)
-        return num, den
-
+        return _DIRECT_3K2M
     if family.kind in ("3k+1-shift", "2k+2-shift"):
-        base = F30 if family.kind == "3k+1-shift" else F21
-        num, den = _direct_fraction(base, order)
-        shift = lambda p: p.compose_affine(1, 1)
-        return num.map_x(shift), den.map_x(shift)
-
-    if family.kind == "aex":
-        # No rational form in t exists in this case; the direct form is the
-        # literal truncated sum of the defining polynomials.
-        num = SeriesYX(order, [a_poly(family, k) for k in range(order + 1)])
-        return num, SeriesYX.one(order)
-
+        # x -> x + 1 in every coefficient of the base family's form
+        beta, *parts = _direct_form(F30 if family.kind == "3k+1-shift" else F21)
+        return beta, *(tuple((Poly(c).compose_affine(1, 1).num, a, b) for c, a, b in part)
+                       for part in parts)
     raise ValueError(f"no direct form for family {family}")
 
 
-def f_series(family: FamilyId, order: int, closed: bool) -> SeriesYX:
-    """Expand the family's direct or closed generating form to a truncated
-    series.
+def _evaluate(terms, s, order: int) -> tuple[Poly, ...]:
+    """The sum of c(x) y^a s^b over the table's terms through y^order, for
+    s given by its scalar coefficients."""
+    powers = [(1,) + (0,) * order]
+    for _ in range(max(b for _c, _a, b in terms)):
+        powers.append(_scalar_mul(powers[-1], s))
+    polys = [(from_int_scaled(c, 1), a, powers[b]) for c, a, b in terms]
+    return tuple(lin_comb((sb[k - a], c) for c, a, sb in polys if a <= k)
+                 for k in range(order + 1))
 
-    The y^0 term of a denominator need not be a unit; expansion divides
-    exactly in Q[x] per coefficient and any nonzero remainder aborts.
-    """
-    num, den = gf_fraction(family, order, closed)
-    return num.divide_exact(den)
+
+# (form, family, part) -> the numerator (part 0) or denominator (part 1) at
+# the largest order built, form "direct" or the family's closed form name.
+# Coefficient k reads only coefficients 0..k of s, so a lower order is a
+# prefix, and `gfequiv`, `fcoeffs` and the weight solve share one per key.
+_gf_memo: dict[tuple[str, FamilyId, int], tuple[Poly, ...]] = {}
 
 
-def gf_form_equiv(family: FamilyId, order: int) -> tuple[bool, SeriesYX]:
-    """Cross-multiplied equality of the family's direct and closed forms,
-    avoiding series division.
+def gf_fraction(family: FamilyId, order: int, closed: bool) -> tuple[tuple, tuple]:
+    """Numerator and denominator of the family's direct or closed form;
+    ValueError for a closed form of a family that has none."""
+    return _gf_part(family, order, closed, 0), gf_denominator(family, order, closed)
 
-    Returns (equal, residual) where residual = num_a*den_b - num_b*den_a
-    truncated at the given order; both forms are reduced through the
-    defining relation of t by substituting its expansion.
-    """
+
+def gf_denominator(family: FamilyId, order: int, closed: bool) -> tuple[Poly, ...]:
+    """The denominator of `gf_fraction`, without expanding the numerator."""
+    return _gf_part(family, order, closed, 1)
+
+
+def _gf_part(family: FamilyId, order: int, closed: bool, part: int) -> tuple[Poly, ...]:
+    if closed and family not in CLOSED_FORMS:
+        raise ValueError(f"family {family.name} has no closed form")
+    key = (CLOSED_FORMS[family].name if closed else "direct", family, part)
+    got = _gf_memo.get(key)
+    if got is None or len(got) <= order:
+        if not closed and family == FAEX:
+            # No rational form in tau exists here: the literal sum of the a_k.
+            got = ((Poly.one(),) + (Poly.zero(),) * order if part
+                   else tuple(a_poly(family, k) for k in range(order + 1)))
+        else:
+            beta, *parts = CLOSED_FORMS[family][1:] if closed else _direct_form(family)
+            s = tau_series(order) if beta is None else t_series(beta, order)
+            got = _evaluate(parts[part], s, order)
+        _gf_memo[key] = got
+    return got[: order + 1]
+
+
+def mul(a, b) -> tuple[Poly, ...]:
+    """The product of two series of one order, truncated at it, over Z."""
+    (ia, sa), (ib, sb) = to_int_scaled(a), to_int_scaled(b)
+    out: list[list[int]] = [[] for _ in ia]
+    for i, ca in enumerate(ia):
+        if ca:
+            for j, cb in enumerate(ib[: len(ib) - i], i):
+                if cb:
+                    int_poly_addmul(out[j], ca, cb)
+    return tuple(from_int_scaled(c, sa * sb) for c in out)
+
+
+def divide_exact(num, den) -> tuple[Poly, ...]:
+    """num / den for series of one order, den's y^0 term a nonzero Poly.
+
+    With den = d / sd over Z, out_k = (sd num_k - sum_j d_j out_{k-j}) / d_0,
+    the sum over Z on its terms' common denominator; each step divides in
+    Q[x] and must be remainder-free (``InexactDivision`` otherwise)."""
+    d, sd = to_int_scaled(den)
+    if not d[0]:
+        raise ZeroDivisionError("series division by y-multiple")
+    d0 = from_int_scaled(d[0], 1)
+    out: list[Poly] = []
+    for k, c in enumerate(num):
+        terms = [(d[j], out[k - j]) for j in range(1, k + 1) if d[j] and out[k - j]]
+        scale = lcm(c.den, *(o.den for _, o in terms))
+        acc = [v * sd * (scale // c.den) for v in c.num]
+        for dj, o in terms:
+            int_poly_addmul(acc, dj, o.num, -(scale // o.den))
+        out.append(from_int_scaled(acc, scale).exact_div(d0))
+    return tuple(out)
+
+
+def f_series(family: FamilyId, order: int, closed: bool) -> tuple[Poly, ...]:
+    """The family's direct or closed generating form expanded; the y^0 term
+    of its denominator need not be a unit, and any remainder aborts."""
+    return divide_exact(*gf_fraction(family, order, closed))
+
+
+def gf_form_equiv(family: FamilyId, order: int) -> tuple[bool, tuple[Poly, ...]]:
+    """(equal, residual) of the family's direct form num_a / den_a and its
+    closed form num_b / den_b, residual = num_a den_b - num_b den_a."""
     num_a, den_a = gf_fraction(family, order, False)
     num_b, den_b = gf_fraction(family, order, True)
-    residual = num_a * den_b - num_b * den_a
-    return residual.is_zero(), residual
+    residual = tuple(p - q for p, q in zip(mul(num_a, den_b), mul(num_b, den_a)))
+    return not any(residual), residual

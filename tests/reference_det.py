@@ -18,7 +18,8 @@ the bound, the walk the lazy ``factor.factor_smooth`` replaced.
 product on its own list and add it afterwards, the compositions
 ``poly.int_poly_addmul`` and ``hankel._int_poly_cross`` replaced.
 ``full_row_ladder`` is ``hankel.ladder`` stepping every entry of each row,
-the elimination the symmetric ladder replaced.
+the elimination the symmetric ladder replaced.  ``power`` is a ``Poly``
+to an int power by repeated products, for the oracles' written forms.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ from hankelab.poly import (
     int_poly_exact_div,
     to_int_scaled,
 )
+
+
+def power(p, e: int):
+    """p * p * ... * p, e factors (the ring's one for e = 0)."""
+    return prod([p] * e, start=0 * p + 1)
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> object:
@@ -170,7 +176,7 @@ def cofactor_adjugate(rows):
     """adj(A)_{ij} = (-1)^(i+j) det A with row j and column i deleted."""
     size = len(rows)
     if size == 1:
-        return [[rows[0][0] ** 0]]  # the ring's one
+        return [[power(rows[0][0], 0)]]
     return [
         [
             (-1) ** (i + j)

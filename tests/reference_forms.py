@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
+from reference_det import power
+
 from hankelab.hankel import quartet
 from hankelab.poly import Poly
 from hankelab.sequences import F21, F31, a_poly, conv_poly
@@ -77,13 +79,13 @@ def _fig4_coeffs(n: int) -> list[Poly]:
     threexm1 = _p(-1, 3)
     c4 = (
         2
-        * threexm1**2
-        * x3**3
+        * power(threexm1, 2)
+        * power(x3, 3)
         * _p(0, 1)
         * _p(-1, 8 * n * n + 20 * n + 11, 4 * (n + 2) * (2 * n + 1))
     )
     c3 = (
-        x3**2
+        power(x3, 2)
         * threexm1
         * _p(
             -15,
@@ -213,13 +215,13 @@ def _secondder(n: int) -> tuple:
         -4 * (17 * n + 31),
         16 * (n + 2),
     )
-    terms = (("d2H", _p(-1, 1) * _S31**2), ("H", h), ("K", k), ("N", pnqnrn_31(n)[0]))
+    terms = (("d2H", _p(-1, 1) * power(_S31, 2)), ("H", h), ("K", k), ("N", pnqnrn_31(n)[0]))
     return (_scaled(4 * (4 * n + 1), terms),)
 
 
 def _rhs(n: int) -> tuple:
     third = _third(pnqnrn_31(n))
-    return (third, _ode("de1", n, _p(-3, 1) * _p(-3, 2) ** 2 * _p(-3, 4) ** 2) + third)
+    return (third, _ode("de1", n, _p(-3, 1) * power(_p(-3, 2), 2) * power(_p(-3, 4), 2)) + third)
 
 
 def _21_first(n: int) -> tuple:
@@ -246,7 +248,7 @@ def _21_second(n: int) -> tuple:
         2 * n - 2 * n**3,
     )
     xx2 = _p(0, 1) * _p(-2, 1)
-    return ((("d2H", 2 * xx2**2 * _p(1, n)), ("dH", 2 * xx2 * dh), ("H", h), ("N", -_w21(n))),)
+    return ((("d2H", 2 * power(xx2, 2) * _p(1, n)), ("dH", 2 * xx2 * dh), ("H", h), ("N", -_w21(n))),)
 
 
 def _21_factored(n: int) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from reference_det import adjugate
+from reference_det import adjugate, power
 
 from hankelab.hankel import hankel_matrix
 from hankelab.lemmas import table1_rules
@@ -94,7 +94,7 @@ def fraction_identity_residual(iid: str, k: int) -> Poly:
         return (
             4 * (2 * k + 5) * _p(-1, 1) * a(k + 2)
             - (2 * k * _p(-81, 135, -72, 16) + 2 * _p(-117, 180, -92, 24)) * a(k + 1)
-            + (27 * k * _p(-3, 2) ** 3 + 54 * _p(-3, 2) * _p(3, -4, 2)) * a(k)
+            + (27 * k * power(_p(-3, 2), 3) + 54 * _p(-3, 2) * _p(3, -4, 2)) * a(k)
             + 8 * _p(-1, 1) * _p(3, -6, 2) * c(k + 1)
             + 2 * _p(81, -297, 324, -114, 8) * c(k)
             - 27 * _p(0, 1) * _p(-3, 2) * _p(9, -12, 2) * c(k - 1)
@@ -125,7 +125,7 @@ def fraction_identity_residual(iid: str, k: int) -> Poly:
         )
     if iid == "l2_30":
         return (
-            (4 * k * _p(-3, 2) ** 2 * _p(-3, 5) + 2 * _p(-3, 2) * _p(-3, 5) * _p(-11, 6))
+            (4 * k * power(_p(-3, 2), 2) * _p(-3, 5) + 2 * _p(-3, 2) * _p(-3, 5) * _p(-11, 6))
             * a(k + 2)
             - (81 * k * _p(-9, 27, -24, 8) + 18 * _p(-54, 153, -123, 37)) * a(k + 1)
             + (729 * k + 486) * _p(0, 0, 0, 1) * a(k)
@@ -157,15 +157,15 @@ def fraction_identity_residual(iid: str, k: int) -> Poly:
             _p(0, 1) * _p(-3, 1) * _p(-3, 7) * da
             - (4 * k + 14) * _p(-1, 1) * a(k + 1)
             + (27 * k * _p(-1, 1) + 3 * _p(-1, 1) * _p(3, 11)) * a(k)
-            - 6 * _p(-1, 1) ** 2 * c(k)
+            - 6 * power(_p(-1, 1), 2) * c(k)
             + 6 * _p(0, 0, 0, 1) * c(k - 1)
         )
     if iid == "l2_aex":
         return (
-            (4 * k + 18) * _p(-1, 1) ** 2 * _p(-1, 3) * a(k + 2)
+            (4 * k + 18) * power(_p(-1, 1), 2) * _p(-1, 3) * a(k + 2)
             + (k * _p(27, -135, 189, -113) - 4 * _p(-9, 39, -21, -19, 30)) * a(k + 1)
             + (216 * k * _p(0, 0, 0, 1) + 12 * _p(0, 0, 0, 1) * _p(15, -2, 7)) * a(k)
-            + 6 * _p(-1, 1) ** 3 * _p(-1, 3) * c(k + 1)
+            + 6 * power(_p(-1, 1), 3) * _p(-1, 3) * c(k + 1)
             - 6 * _p(0, 0, 1) * _p(-1, 1) * _p(9, -17, 10) * c(k)
             + 6 * _p(0, 0, 0, 0, 0, 1) * _p(-9, 7) * c(k - 1)
         )

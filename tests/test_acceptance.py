@@ -236,21 +236,21 @@ def test_criterion_9_structure_results():
 def test_criterion_10_generating_functions():
     bad = []
     for beta in (2, 3):
-        if not t_residual(beta, 25).is_zero():
+        if any(t_residual(beta, 25)):
             bad.append(("t-residual", beta))
     t3 = t_series(3, 3)
-    if [c.coefficient(0) for c in t3.coeffs] != [1, 1, 3, 12]:
+    if list(t3) != [1, 1, 3, 12]:
         bad.append(("t3 prefix",))
     t2 = t_series(2, 3)
-    if [c.coefficient(0) for c in t2.coeffs] != [1, 1, 2, 5]:
+    if list(t2) != [1, 1, 2, 5]:
         bad.append(("t2 prefix",))
     for fam in (F31, F21, F30, F3K2M, FAEX):
         ok, _res = gf_form_equiv(fam, 25)
         if not ok:
             bad.append(("equiv", fam.name))
         series = f_series(fam, 25, True)
-        for k in range(26):
-            if series.coefficient(k) != a_poly(fam, k):
+        for k, c in enumerate(series):
+            if c != a_poly(fam, k):
                 bad.append(("coeff", fam.name, k))
     acceptance_line("10", not bad, "generating functions: direct/closed to order 25")
     assert not bad, bad

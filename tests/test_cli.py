@@ -633,6 +633,11 @@ def test_usage_errors_exit_2(capsys):
         ("factor", "--family", "3,1", "--n", "20", "--bound", "200000000"),  # sieve too large
         ("series", "--t", "--beta", "0", "--order", "2"),
         ("series", "--f", "--family", "3,-2", "--order", "2"),
+        # an option the chosen series does not read
+        ("series", "--t", "--beta", "3", "--family", "3,1", "--order", "2"),
+        ("series", "--tau", "--beta", "3", "--order", "2"),
+        ("series", "--f", "--family", "3,1", "--beta", "2", "--order", "2"),
+        ("series", "--t", "--beta", "3", "--form", "closed", "--order", "2"),
         ("verify", "--check", "dodgson", "--family", "3,1", "--n", "0"),
     ):
         code, out, err = run(capsys, *argv)

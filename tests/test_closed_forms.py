@@ -34,7 +34,6 @@ from hankelab.closed_forms import (
 from hankelab.forms import term_sum, term_value
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.sequences import F21, F30, F31, F3K2M, FAEX
-from hankelab.series import SeriesYX
 
 
 def test_product_values_hand_checked():
@@ -242,9 +241,10 @@ def _degree_bound_lowered(monkeypatch):
 
 
 def _t_coeff_perturbed(monkeypatch):
+    """Coefficient 5 of t plus 1."""
     t = series.t_series
     monkeypatch.setattr(series, "t_series",
-                        lambda beta, order: t(beta, order) + SeriesYX(order, [0] * 5 + [1]))
+                        lambda beta, order: tuple(c + (k == 5) for k, c in enumerate(t(beta, order))))
     monkeypatch.setattr(series, "_gf_memo", {})
 
 
@@ -329,18 +329,13 @@ def _ladder_k3_off_by_one(monkeypatch):
 
 
 def _closed_den_perturbed(family, power):
-    """den + x y^power: y^1 reaches only Q2, y^2 the nullspace rows too."""
+    """The closed denominator's table plus the term x y^power: y^1 reaches
+    only Q2, y^2 the nullspace rows too."""
     def mutate(monkeypatch):
-        gf = series.gf_denominator
-
-        def perturbed(fam, order, closed):
-            den = gf(fam, order, closed)
-            if (fam, closed) == (family, True):
-                den = den + Poly.x() * SeriesYX.y(order).shift_y(power - 1)
-            return den
-
-        # gf_fraction and the weight solve read it there
-        monkeypatch.setattr(series, "gf_denominator", perturbed)
+        form = series.CLOSED_FORMS[family]
+        monkeypatch.setitem(series.CLOSED_FORMS, family,
+                            form._replace(den=(*form.den, ((0, 1), power, 0))))
+        monkeypatch.setattr(series, "_gf_memo", {})
         monkeypatch.setattr(identity_checks, "_weight_memo", {})
 
     return mutate
@@ -376,7 +371,17 @@ def _explicit_weight_perturbed(family):
 # Negative controls of the generating-function checks: a wrong a_3 must fail
 # `fcoeffs` for every family (for aex only since it expands the closed form:
 # its direct form is the literal sum of the a_k, so it equals any a_k), and a
-# perturbed closed denominator must fail `gfequiv`.
+# closed denominator with its first int plus 1 must fail `gfequiv` (that
+# int sits in a y^1 term of each of the three, hence the label "den-y1").
+
+
+def _closed_den_bumped(family):
+    def mutate(monkeypatch):
+        form = series.CLOSED_FORMS[family]
+        monkeypatch.setitem(series.CLOSED_FORMS, family, form._replace(den=_bumped(form.den)))
+        monkeypatch.setattr(series, "_gf_memo", {})
+
+    return mutate
 
 
 def _a3_perturbed(monkeypatch):
@@ -435,7 +440,7 @@ CONTROLS = [
     *(Control("weights", "explicit-weights", fam, "explicit", _explicit_weight_perturbed(fam),
               "finding") for fam in (F31, F21)),
     *(Control("series", "fcoeffs", fam, "a3", _a3_perturbed, "fail") for fam in GENERATING),
-    *(Control("series", "gfequiv", fam, "den-y1", _closed_den_perturbed(fam, 1), "fail")
+    *(Control("series", "gfequiv", fam, "den-y1", _closed_den_bumped(fam), "fail")
       for fam in (F30, F3K2M, FAEX)),
 ]
 
