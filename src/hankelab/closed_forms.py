@@ -33,8 +33,8 @@ from .sturm import strictly_interlace
 
 
 # A product formula: its outer term at n times the product of its inner
-# term at i = start..n, both hypergeometric terms (`forms.term_value`);
-# value(n) equals the family's H_n at x.
+# term at (n, i), i = start..n, both hypergeometric terms
+# (`forms.term_value`); value(n) equals the family's H_n at x.
 class ProductForm(namedtuple("ProductForm", "family x outer inner start", defaults=(1,))):
     __slots__ = ()
 
@@ -48,7 +48,7 @@ class ProductForm(namedtuple("ProductForm", "family x outer inner start", defaul
 # check id -> its form; the id names the family and the point:
 # p31at3half is H^{(3,1)}(3/2), and p32 and p30 are read at x = 0.
 _ONE = (1, 1, (), ())
-_SIGN_N = (-1, 1, 0, 0)  # (-1)^n
+_SIGN_N = (-1, 1, 0)  # (-1)^n
 PRODUCTS: dict[str, ProductForm] = {
     "p32": ProductForm(F32, Fraction(0), _ONE, (
         1, 2, (("!", 0, 6, 4), ("!", 0, 2, 1)), (("!", 0, 4, 2), ("!", 0, 4, 3)))),
@@ -62,7 +62,7 @@ PRODUCTS: dict[str, ProductForm] = {
     "p31at3quarter": ProductForm(F31, Fraction(3, 4), _ONE, (
         1, 2, (("!", 0, 2, -1), ("!", 0, 6, 1)), (("!", 0, 4, -1), ("!", 0, 4, 1)))),
     "p30at3": ProductForm(F30, Fraction(3), (
-        1, 2, (("!", 3, 0, 0), ("!", 3, 0, 2)), (("!", 1, 0, 0), ("!", 1, 0, 0))), (
+        1, 2, (("!", 3, 0), ("!", 3, 2)), (("!", 1, 0), ("!", 1, 0))), (
         3, 1, (("!", 0, 6, -5), ("!", 0, 2, 0), ("", 0, 2, -1)), (("!", 0, 4, 1), ("!", 0, 4, -1)))),
     "p30at3half": ProductForm(F30, Fraction(3, 2), _ONE, (
         27, 2, (("!", 0, 6, -5), ("", 0, 3, -1), ("", 0, 3, -2), ("!", 0, 2, -1)),
@@ -70,7 +70,7 @@ PRODUCTS: dict[str, ProductForm] = {
     "paexat3sevenths": ProductForm(FAEX, Fraction(3, 7), _ONE, (
         2, 7, (("!", 0, 6, 7), ("!", 0, 2, 1)), (("!", 0, 4, 5), ("!", 0, 4, 3))), 0),
     "p21at0": ProductForm(F21, Fraction(0), _ONE, _ONE),
-    "p21at2": ProductForm(F21, Fraction(2), (1, 1, (_SIGN_N, ("", 2, 0, 1)), ()), _ONE),
+    "p21at2": ProductForm(F21, Fraction(2), (1, 1, (_SIGN_N, ("", 2, 1)), ()), _ONE),
 }
 
 
@@ -171,12 +171,12 @@ def ode_residual_for_det(name: str, n: int) -> Poly:
 # For (2,1), (p, q) = (1, 2x - 2).
 THREE_TERM = {
     "threeterm31": (F31, (
-        ((4, 9, (("!", 4, 0, -3), ("!", 4, 0, -3), ("!", 4, 0, -1), ("!", 4, 0, -1)),
-          (("", 3, 0, -2), ("", 3, 0, -2), ("", 3, 0, -1), ("", 3, 0, -1),
-           ("!", 2, 0, -1), ("!", 2, 0, -1), ("!", 6, 0, -5), ("!", 6, 0, -5))),
+        ((4, 9, (("!", 4, -3), ("!", 4, -3), ("!", 4, -1), ("!", 4, -1)),
+          (("", 3, -2), ("", 3, -2), ("", 3, -1), ("", 3, -1),
+           ("!", 2, -1), ("!", 2, -1), ("!", 6, -5), ("!", 6, -5))),
          (((1,), (-2,), (1,)),)),
-        ((4, 3, (("", 1, 0, -1), ("!", 4, 0, -5), ("!", 4, 0, -1)),
-          (("", 3, 0, -2), ("", 3, 0, -1), ("", 4, 0, 1), ("!", 2, 0, -1), ("!", 6, 0, -5))),
+        ((4, 3, (("", 1, -1), ("!", 4, -5), ("!", 4, -1)),
+          (("", 3, -2), ("", 3, -1), ("", 4, 1), ("!", 2, -1), ("!", 6, -5))),
          (((57, 162, -324), (-138, -378, 756), (108, 288, -576), (-24, -64, 128)),)))),
     "threeterm21": (F21, ((_ONE, ()), (_ONE, (((-2,), (2,)),)))),
 }
@@ -218,7 +218,7 @@ def recursion_31at1(n: int) -> Fraction:
 CHEBYSHEV_U = (1, 1, ((2, 0, 1, 0), ("!", 1, 1, 1)), (("!", 0, 2, 1), ("!", 1, -1, 0)))
 JACOBI_HALF = (1, 1, (("!!", 2, 0, 1), ("!", 1, 1, 0)),
                ((2, 1, 0, 0), ("!", 1, 0, 0), ("!", 0, 1, 0), ("!", 1, -1, 0), ("!!", 0, 2, 1)))
-CHEBJAC_SCALE = (1, 1, ((-4, 1, 0, 0), ("!", 1, 0, 0), ("!", 1, 0, 0)), (("!", 2, 0, 0),))
+CHEBJAC_SCALE = (1, 1, ((-4, 1, 0), ("!", 1, 0), ("!", 1, 0)), (("!", 2, 0),))
 
 
 def chebyshev_jacobi_check(n: int) -> bool:

@@ -207,6 +207,8 @@ def cmd_verify(args) -> int:
     items = []
     for name in names:
         defn = REGISTRY[name]
+        if family is not None and all(item[1] is None for item in defn.items):
+            raise cli.UsageError(f"check {name!r} takes no --family")
         lo, hi = defn.default[1:]
         if args.n is not None:
             ns = _parse_range(args.n)

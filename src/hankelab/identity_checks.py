@@ -6,9 +6,11 @@ and squared-ratio recursions of H, each read off the family's ladder over
 Z at the point; their tables are keyed by the check ids ("r_x3").  The
 weight machinery reads the annihilating weights off the closed
 generating-function denominator that `series.gf_fraction` states, one code
-path for (3,1) and (2,1), and compares them with the
-explicit closed forms.  `identities.check_relation` imports this module on
-its first point relation, and the relation screen never does.
+path for (3,1) and (2,1), and compares them with the explicit closed
+forms: the (3,1) ones are terms and polynomial tables in (n, i, j)
+(`forms`), and the (2,1) ones code, whose binomials vanish below 0.
+`identities.check_relation` imports this module on its first point
+relation, and the relation screen never does.
 """
 
 from __future__ import annotations
@@ -16,16 +18,14 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, gcd, prod
 
 from . import series
-from .forms import term_value
+from .forms import index_poly, term_value
 from .hankel import INT, hankel_det_at, quartet, variant_det_at
 from .hankel_checks import gauss_jordan
 from .identities import _RELATIONS, _require_n, pnqnrn_21, pnqnrn_31
-from .poly import (
-    Poly, denominator_lcm, from_int_scaled, int_poly_hom_eval, lin_comb, to_int_scaled,
-)
+from .poly import Poly, denominator_lcm, from_int_scaled, lin_comb, to_int_scaled
 from .sequences import F21, F31, FamilyId, a_poly
 
 
@@ -37,9 +37,9 @@ from .sequences import F21, F31, FamilyId, a_poly
 # check id -> (family, x0, {name: multiplier}), asserting V(x0) = mult(n) *
 # H(x0) for each V named; r_crec asserts only its recursion.  A multiplier is a
 # hypergeometric term in n times a polynomial in n, one `forms` row.
-_N = ("", 1, 0, 0)
-_2N1 = ("", 2, 0, 1)
-_4N1, _4N3, _4N5 = ("", 4, 0, 1), ("", 4, 0, 3), ("", 4, 0, 5)
+_N = ("", 1, 0)
+_2N1 = ("", 2, 1)
+_4N1, _4N3, _4N5 = ("", 4, 1), ("", 4, 3), ("", 4, 5)
 _POINT_SPECS = {
     "r_crec": (F31, Fraction(3), {}),
     "r_x3": (F31, Fraction(3), {
@@ -68,10 +68,9 @@ _POINT_SPECS = {
 # special points of the (3,1) family, each ratio a hypergeometric term.
 _RATIO_DEN = (_4N1, _4N3, _4N3, _4N5)
 _RECURSION_RATIOS = {
-    "r_crec": (9, 4, (("", 3, 0, 4), ("", 3, 0, 5), ("", 6, 0, -1), ("", 6, 0, 1)), _RATIO_DEN),
-    "r_x3half": (9, 4, (("", 3, 0, 2), ("", 3, 0, 4), ("", 6, 0, 1), ("", 6, 0, 5)), _RATIO_DEN),
-    "r_x3quarter": (9, 4, (("", 3, 0, 1), ("", 3, 0, 2), ("", 6, 0, 5), ("", 6, 0, 7)),
-                    _RATIO_DEN),
+    "r_crec": (9, 4, (("", 3, 4), ("", 3, 5), ("", 6, -1), ("", 6, 1)), _RATIO_DEN),
+    "r_x3half": (9, 4, (("", 3, 2), ("", 3, 4), ("", 6, 1), ("", 6, 5)), _RATIO_DEN),
+    "r_x3quarter": (9, 4, (("", 3, 1), ("", 3, 2), ("", 6, 5), ("", 6, 7)), _RATIO_DEN),
 }
 # the checks of the point relations, asserted by `relation_point_ok`
 POINT_RELATIONS = tuple(_POINT_SPECS)
@@ -88,7 +87,7 @@ def relation_point_ok(rid: str, n: int) -> bool:
     fam, x0, mults = _POINT_SPECS[rid]
     h = hankel_det_at(fam, n, x0)
     for name, (term, poly) in mults.items():
-        mult = term_value(term, n) * int_poly_hom_eval(poly, n, 1)
+        mult = term_value(term, n) * index_poly(poly, n)
         if variant_det_at(fam, n, name, x0) != mult * h:
             return False
     if rid in _RECURSION_RATIOS:
@@ -218,7 +217,7 @@ def _solve_weights(family: FamilyId, n: int) -> WeightSolution:
         raise WeightError("top-three weights not proportional to (p_n, q_n, r_n)")
 
     # The parametric solution (C_0, C_1, C_2)(Q0) = alpha * q0_params at n.
-    c0, c1, c2 = (int_poly_hom_eval(row, n, 1) for row in form.q0_params)
+    c0, c1, c2 = (index_poly(row, n) for row in form.q0_params)
     alpha = q0[0] / c0
     if q0[1] != c1 * alpha:
         raise WeightError("C_1(Q0) parametric form mismatch")
@@ -271,140 +270,48 @@ def explicit_weights_21(n: int) -> list[Poly]:
     return out
 
 
-# The double factorial m!! is prod(range(m, 0, -2)); every m below is >= 3,
-# and every binomial top is >= 0, since 2i <= n + 2.
-def _u31(n: int, i: int, j: int) -> Fraction:
-    f = factorial
-    num = (
-        3
-        * 2 ** (i + 1)
-        * (4 * n + 3)
-        * (4 * n + 5)
-        * comb(n, 2 * i)
-        * comb(j + 2 * (n - i + 1) + 1, 2 * (n - i - j + 1) + 1)
-        * f(2 * n - i + 2)
-        * prod(range(4 * n - 2 * i + 5, 0, -2))
-        * prod(range(6 * n + 7, 0, -2))
-    )
-    den = (
-        (2 * i + 1)
-        * (3 * j + 1)
-        * (3 * j + 2)
-        * (2 * i - j - 2 * n - 3)
-        * (2 * i - j - 2 * n - 2)
-        * f(2 * n + 1)
-        * prod(range(4 * n + 5, 0, -2))
-        * prod(range(6 * n - 4 * i + 7, 0, -2))
-    )
-    return Fraction(num, den)
-
-
-def _v31(n: int, i: int, j: int) -> Fraction:
-    f = factorial
-    num = (
-        3
-        * 2 ** (i + 3)
-        * (2 * n - 2 * i - 2 * j + 5)
-        * (4 * n + 3)
-        * (4 * n + 5)
-        * comb(n + 1, 2 * i)
-        * comb(j + 2 * (n - i + 2) + 1, 2 * (n - i - j + 2) + 1)
-        * f(2 * n - i + 3)
-        * prod(range(4 * n - 2 * i + 5, 0, -2))
-        * prod(range(6 * n + 7, 0, -2))
-    )
-    den = (
-        (3 * j + 1)
-        * (3 * j + 2)
-        * (2 * i - j - 2 * n - 5)
-        * (2 * i - j - 2 * n - 4)
-        * (2 * i - j - 2 * n - 3)
-        * f(2 * n + 2)
-        * prod(range(4 * n + 5, 0, -2))
-        * prod(range(6 * n - 4 * i + 9, 0, -2))
-    )
-    return Fraction(num, den)
-
-
-def _abc31(n: int, i: int, j: int) -> Poly:
-    alpha = (
-        3
-        * (9 * j * (j + 1) + 2)
-        * (
-            12 * i * i
-            + 6 * (3 * j - 4 * n - 5) * i
-            + 6 * (n + 1) * (2 * n + 3)
-            - j * (18 * n + 19)
-        )
-    )
-    beta = -3 * (3 * j + 2) * (
-        24 * i**3
-        + 8 * (12 * j - 9 * n - 8) * i * i
-        + 2 * (36 * n * n - 96 * j * n + 64 * n + 9 * j * (5 * j - 11) + 23) * i
-        - 2 * (n + 1) * (2 * n + 3) * (6 * n + 1)
-        - j * j * (90 * n + 89)
-        + 3 * j * (32 * n * n + 66 * n + 33)
-    )
-    gamma = (
-        2
-        * (2 * i + 2 * j - 2 * n - 3)
-        * (i + j - n - 1)
-        * (
-            36 * i * i
-            + 6 * (9 * j - 12 * n - 5) * i
-            + 6 * n * (6 * n + 5)
-            - 3 * j * (18 * n + 13)
-            + 2
-        )
-    )
-    return Poly([alpha, beta, gamma])
-
-
-def _def31(n: int, i: int, j: int) -> Poly:
-    delta = (
-        3
-        * (9 * j * (j + 1) + 2)
-        * (
-            6 * i * i
-            + 3 * (3 * j - 4 * n - 7) * i
-            + 3 * (n + 2) * (2 * n + 3)
-            - j * (9 * n + 14)
-        )
-    )
-    eps = -3 * (3 * j + 2) * (
-        12 * i**3
-        + (48 * j - 36 * n - 50) * i * i
-        + (45 * j * j - 3 * (32 * n + 49) * j + 4 * (n + 1) * (9 * n + 16)) * i
-        - 2 * (n + 2) * (2 * n + 3) * (3 * n + 2)
-        - j * j * (45 * n + 67)
-        + 3 * j * (n * (16 * n + 49) + 37)
-    )
-    theta = (
-        2
-        * (2 * i + 2 * j - 2 * n - 3)
-        * (i + j - n - 2)
-        * (
-            18 * n * n
-            - 9 * (4 * i + 3 * j) * n
-            + 33 * n
-            - 33 * j
-            + 3 * i * (6 * i + 9 * j - 11)
-            + 13
-        )
-    )
-    return Poly([delta, eps, theta])
+# The conjectured (3,1) closed-form weights: w_j sums two parts (s, term,
+# coeffs), s = 1 and 2, over i = 0..min(n + s - j, (n + s - 1) // 2), of
+# the term in (n, i, j) times c_0 + c_1 x + c_2 x^2, each c_k the product
+# of its (n, i, j) tables (`forms.index_poly`).  The source writes each
+# term with the binomials C(n + s - 1, 2i) and C(2n - 2i + j + 2s + 1, 3j)
+# and with linear factors, and the table folds both into factorials.  Past
+# the caps, where those binomials vanish, the factorials would be of
+# negative numbers, which `term_value` refuses.
+_3J1_3J2 = (((6,),), ((27,),), ((27,),))  # 3(3j + 1)(3j + 2)
+_NEG_3J2 = (((-6,),), ((-9,),))           # -3(3j + 2)
+_2IJN3 = (((-6, -4), (4,)), ((4,),))      # 2(2i + 2j - 2n - 3)
+_WEIGHTS_31 = (
+    (1, (6, 1, ((2, 0, 1, 0, 0), ("!", 1, 0, 0, 0), ("!", 2, -2, 1, 1), ("!", 2, -1, 0, 2),
+                ("!!", 4, -2, 0, 5), ("!!", 6, 0, 0, 7)),
+         (("!", 0, 2, 0, 1), ("!", 1, -2, 0, 0), ("!", 2, -2, -2, 3), ("!", 0, 0, 3, 2),
+          ("!", 2, 0, 0, 1), ("!!", 4, 0, 0, 1), ("!!", 6, -4, 0, 7))), (
+        (_3J1_3J2, (((18, 30, 12), (-30, -24), (12,)), ((-19, -18), (18,)))),
+        (_NEG_3J2, (((-6, -46, -64, -24), (46, 128, 72), (-64, -72), (24,)),
+                    ((99, 198, 96), (-198, -192), (96,)), ((-89, -90), (90,)))),
+        (_2IJN3, (((-1, -1), (1,)), ((1,),)),
+         (((2, 30, 36), (-30, -72), (36,)), ((-39, -54), (54,)))))),
+    (2, (-24, 1, ((2, 0, 1, 0, 0), ("!", 1, 0, 0, 1), ("!", 2, -2, 1, 2), ("!", 2, -1, 0, 3),
+                  ("!!", 4, -2, 0, 5), ("!!", 6, 0, 0, 7)),
+         (("!", 0, 2, 0, 0), ("!", 1, -2, 0, 1), ("!", 2, -2, -2, 4), ("!", 0, 0, 3, 2),
+          ("!", 2, 0, 0, 2), ("!!", 4, 0, 0, 1), ("!!", 6, -4, 0, 9))), (
+        (_3J1_3J2, (((18, 21, 6), (-21, -12), (6,)), ((-14, -9), (9,)))),
+        (_NEG_3J2, (((-24, -64, -50, -12), (64, 100, 36), (-50, -36), (12,)),
+                    ((111, 147, 48), (-147, -96), (48,)), ((-67, -45), (45,)))),
+        (_2IJN3, (((-2, -1), (1,)), ((1,),)),
+         (((13, 33, 18), (-33, -36), (18,)), ((-33, -27), (27,)))))),
+)
 
 
 def explicit_weights_31(n: int) -> list[Poly]:
     """The conjectured (3,1) closed-form weights, all indices j = 0..n+2."""
     out = []
-    half_cap = n // 2 + 1
     for j in range(n + 3):
         pairs = []
-        for i in range(0, min(n + 1 - j, half_cap) + 1):
-            pairs.append((_u31(n, i, j), _abc31(n, i, j)))
-        for i in range(0, min(n + 2 - j, half_cap) + 1):
-            pairs.append((_v31(n, i, j), _def31(n, i, j)))
+        for s, term, coeffs in _WEIGHTS_31:
+            for i in range(min(n + s - j, (n + s - 1) // 2) + 1):
+                poly = Poly([prod(index_poly(t, n, i, j) for t in c) for c in coeffs])
+                pairs.append((term_value(term, n, i, j), poly))
         out.append(lin_comb(pairs))
     return out
 

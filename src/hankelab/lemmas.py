@@ -24,10 +24,10 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 
-from .forms import nx_poly
+from .forms import index_poly, nx_poly
 from .hankel import int_hankel, quartet
 from .hankel_checks import int_adjugate, leading_adjugates
-from .poly import Poly, from_int_scaled, int_poly_add_into, int_poly_hom_eval, lin_comb
+from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
 
 
@@ -204,7 +204,7 @@ def table1_rules(family: FamilyId, n: int) -> list[tuple[str, Callable[[int], Po
     symbols = dict(dH=q.H.derivative(), H=q.H, K=q.K, M=q.M, N=q.N,
                    a0H=a0 * q.H, a0K=a0 * q.K, a1H=a1 * q.H)
     return [(name, partial(_table1_x, family, kind, offset),
-             lin_comb((int_poly_hom_eval(row, n, 1), symbols[symbol]) for symbol, row in value))
+             lin_comb((index_poly(row, n), symbols[symbol]) for symbol, row in value))
             for name, kind, offset, value in TABLE1]
 
 

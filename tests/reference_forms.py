@@ -5,21 +5,21 @@ the symbolic relations, the third-identity anchor weights, the product
 formulas, the almost-product coefficients, the (3,1) three-term
 coefficients, the point multipliers, the squared-ratio recursions and
 the parametric (C_0, C_1, C_2)(Q0), Chebyshev U_n, Jacobi
-P_n^(1/2,-1/2), their scale, ap21at1's stated sign and the Table-1 trace
-rules were written as the functions and lambdas below, with Poly and
-Fraction arithmetic.  `test_forms.py` requires every table to equal its
-function here.
+P_n^(1/2,-1/2), their scale, ap21at1's stated sign, the Table-1 trace
+rules and the (3,1) closed-form weights were written as the functions
+and lambdas below, with Poly and Fraction arithmetic.  `test_forms.py`
+requires every table to equal its function here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from reference_det import power
 
 from hankelab.hankel import quartet
-from hankelab.poly import Poly
+from hankelab.poly import Poly, lin_comb
 from hankelab.sequences import F21, F31, a_poly, conv_poly
 
 
@@ -425,6 +425,151 @@ Q0_PARAMS = {
     ),
     F21: lambda n: (1, -2 * (n + 1), n * (2 * n + 1)),
 }
+
+
+# -- the (3,1) closed-form weights -------------------------------------------
+
+
+# The double factorial m!! is prod(range(m, 0, -2)); every m below is >= 3,
+# and every binomial top is >= 0, since 2i <= n + 2.
+def _u31(n: int, i: int, j: int) -> Fraction:
+    f = factorial
+    num = (
+        3
+        * 2 ** (i + 1)
+        * (4 * n + 3)
+        * (4 * n + 5)
+        * comb(n, 2 * i)
+        * comb(j + 2 * (n - i + 1) + 1, 2 * (n - i - j + 1) + 1)
+        * f(2 * n - i + 2)
+        * prod(range(4 * n - 2 * i + 5, 0, -2))
+        * prod(range(6 * n + 7, 0, -2))
+    )
+    den = (
+        (2 * i + 1)
+        * (3 * j + 1)
+        * (3 * j + 2)
+        * (2 * i - j - 2 * n - 3)
+        * (2 * i - j - 2 * n - 2)
+        * f(2 * n + 1)
+        * prod(range(4 * n + 5, 0, -2))
+        * prod(range(6 * n - 4 * i + 7, 0, -2))
+    )
+    return Fraction(num, den)
+
+
+def _v31(n: int, i: int, j: int) -> Fraction:
+    f = factorial
+    num = (
+        3
+        * 2 ** (i + 3)
+        * (2 * n - 2 * i - 2 * j + 5)
+        * (4 * n + 3)
+        * (4 * n + 5)
+        * comb(n + 1, 2 * i)
+        * comb(j + 2 * (n - i + 2) + 1, 2 * (n - i - j + 2) + 1)
+        * f(2 * n - i + 3)
+        * prod(range(4 * n - 2 * i + 5, 0, -2))
+        * prod(range(6 * n + 7, 0, -2))
+    )
+    den = (
+        (3 * j + 1)
+        * (3 * j + 2)
+        * (2 * i - j - 2 * n - 5)
+        * (2 * i - j - 2 * n - 4)
+        * (2 * i - j - 2 * n - 3)
+        * f(2 * n + 2)
+        * prod(range(4 * n + 5, 0, -2))
+        * prod(range(6 * n - 4 * i + 9, 0, -2))
+    )
+    return Fraction(num, den)
+
+
+def _abc31(n: int, i: int, j: int) -> Poly:
+    alpha = (
+        3
+        * (9 * j * (j + 1) + 2)
+        * (
+            12 * i * i
+            + 6 * (3 * j - 4 * n - 5) * i
+            + 6 * (n + 1) * (2 * n + 3)
+            - j * (18 * n + 19)
+        )
+    )
+    beta = -3 * (3 * j + 2) * (
+        24 * i**3
+        + 8 * (12 * j - 9 * n - 8) * i * i
+        + 2 * (36 * n * n - 96 * j * n + 64 * n + 9 * j * (5 * j - 11) + 23) * i
+        - 2 * (n + 1) * (2 * n + 3) * (6 * n + 1)
+        - j * j * (90 * n + 89)
+        + 3 * j * (32 * n * n + 66 * n + 33)
+    )
+    gamma = (
+        2
+        * (2 * i + 2 * j - 2 * n - 3)
+        * (i + j - n - 1)
+        * (
+            36 * i * i
+            + 6 * (9 * j - 12 * n - 5) * i
+            + 6 * n * (6 * n + 5)
+            - 3 * j * (18 * n + 13)
+            + 2
+        )
+    )
+    return Poly([alpha, beta, gamma])
+
+
+def _def31(n: int, i: int, j: int) -> Poly:
+    delta = (
+        3
+        * (9 * j * (j + 1) + 2)
+        * (
+            6 * i * i
+            + 3 * (3 * j - 4 * n - 7) * i
+            + 3 * (n + 2) * (2 * n + 3)
+            - j * (9 * n + 14)
+        )
+    )
+    eps = -3 * (3 * j + 2) * (
+        12 * i**3
+        + (48 * j - 36 * n - 50) * i * i
+        + (45 * j * j - 3 * (32 * n + 49) * j + 4 * (n + 1) * (9 * n + 16)) * i
+        - 2 * (n + 2) * (2 * n + 3) * (3 * n + 2)
+        - j * j * (45 * n + 67)
+        + 3 * j * (n * (16 * n + 49) + 37)
+    )
+    theta = (
+        2
+        * (2 * i + 2 * j - 2 * n - 3)
+        * (i + j - n - 2)
+        * (
+            18 * n * n
+            - 9 * (4 * i + 3 * j) * n
+            + 33 * n
+            - 33 * j
+            + 3 * i * (6 * i + 9 * j - 11)
+            + 13
+        )
+    )
+    return Poly([delta, eps, theta])
+
+def explicit_weights_31(n: int) -> list[Poly]:
+    """The conjectured (3,1) closed-form weights, all indices j = 0..n+2."""
+    out = []
+    half_cap = n // 2 + 1
+    for j in range(n + 3):
+        pairs = []
+        for i in range(0, min(n + 1 - j, half_cap) + 1):
+            pairs.append((_u31(n, i, j), _abc31(n, i, j)))
+        for i in range(0, min(n + 2 - j, half_cap) + 1):
+            pairs.append((_v31(n, i, j), _def31(n, i, j)))
+        out.append(lin_comb(pairs))
+    return out
+
+
+# the two parts of the sum, (term, polynomial in x), in the order of
+# `identity_checks._WEIGHTS_31`
+WEIGHT_PARTS_31 = ((_u31, _abc31), (_v31, _def31))
 
 
 # -- the Chebyshev/Jacobi forms of the (2,1) determinant ---------------------

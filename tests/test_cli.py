@@ -647,6 +647,20 @@ def test_usage_errors_exit_2(capsys):
     assert err == "error: check 'dodgson' needs n >= 1\n"
 
 
+def test_family_on_a_check_that_reads_none_is_a_usage_error(capsys):
+    # the family would be dropped, and the row would name none: a pass of
+    # something other than what was asked
+    for check, n in (("r_det01", "2"), ("p32", "2"), ("degree-random", "1"),
+                     ("dodgson,r_det01", "2")):
+        code, out, err = run(capsys, "verify", "--check", check, "--family", "2,1", "--n", n)
+        name = check.split(",")[-1]
+        assert (code, out, err) == (2, "", f"error: check {name!r} takes no --family\n"), check
+    # a family check runs the family it is given, as before
+    for check, n in (("dodgson", "2"), ("table1", "1")):
+        code, out, _ = run(capsys, "verify", "--check", check, "--family", "2,1", "--n", n)
+        assert code == 0 and out.startswith(f"PASS {check} family=2,1 n={n}"), (check, out)
+
+
 def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*_args):
         raise InexactDivision("tripwire")

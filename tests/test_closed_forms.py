@@ -368,6 +368,14 @@ def _explicit_weight_perturbed(family):
     return mutate
 
 
+def _weight_table_bumped(monkeypatch):
+    """The rational constant of the first (3,1) weight term made 7/6 of
+    itself: that part of every closed-form weight grows by 7/6, the other
+    does not, so no one scalar matches the nullspace weights."""
+    (s, term, coeffs), *rest = identity_checks._WEIGHTS_31
+    monkeypatch.setattr(identity_checks, "_WEIGHTS_31", ((s, _bumped(term), coeffs), *rest))
+
+
 # Negative controls of the generating-function checks: a wrong a_3 must fail
 # `fcoeffs` for every family (for aex only since it expands the closed form:
 # its direct form is the literal sum of the a_k, so it equals any a_k), and a
@@ -439,6 +447,7 @@ CONTROLS = [
       for fam in (F31, F21) for check in ("weights", "explicit-weights", "ciden")),
     *(Control("weights", "explicit-weights", fam, "explicit", _explicit_weight_perturbed(fam),
               "finding") for fam in (F31, F21)),
+    Control("weights", "explicit-weights", F31, "table", _weight_table_bumped, "finding"),
     *(Control("series", "fcoeffs", fam, "a3", _a3_perturbed, "fail") for fam in GENERATING),
     *(Control("series", "gfequiv", fam, "den-y1", _closed_den_bumped(fam), "fail")
       for fam in (F30, F3K2M, FAEX)),

@@ -1,26 +1,44 @@
-"""The n-dependent forms as data: the two evaluators, and every table
-against the function body it replaced (`reference_forms.py`).
+"""The n-dependent forms as data: the evaluators, the shape of every
+term, and every table against the function body it replaced
+(`reference_forms.py`).
 
 A table and its oracle must agree at every n = 0..40, and at every
 i = 0..n for a term in (n, i), or both must raise there: a factorial of
-a negative number raises in both.  Table 1 is compared rule for rule on
+a negative number raises in both.  The (3,1) closed-form weights, terms
+and polynomials in (n, i, j), agree with theirs at n = 0..24 on every
+(i, j) they sum.  Table 1 is compared rule for rule on
 the (3,1) and (2,1) quartets at n = 1..8.  The sequence-level identities of
 `lemmas.IDENTITIES` are compared with their Poly oracle term for term in
 `test_identities.test_identity_table_matches_the_poly_oracle`.
 """
 
 from fractions import Fraction
+from importlib import import_module
+from math import prod
+from pathlib import Path
 
 import pytest
 
 import reference_forms as ref
+from test_series import _bump, _paths
+import hankelab
 from hankelab import closed_forms, identities, identity_checks, lemmas
-from hankelab.forms import nx_poly, term_sum, term_value
+from hankelab.checks import run_check
+from hankelab.forms import index_poly, nx_poly, term_sum, term_value
 from hankelab.odes import ODES
-from hankelab.poly import Poly, int_poly_hom_eval
+from hankelab.poly import Poly
 from hankelab.sequences import F21, F31
 
 NS = range(41)
+
+
+def test_index_poly_reads_nested_rows_ascending_in_each_index():
+    # a row ascends in n, and each level around it in the next index
+    assert index_poly((1, 2, 3), 2) == 1 + 2 * 2 + 3 * 4
+    assert index_poly(((1, 2), (0, 3)), 2, 5) == 1 + 2 * 2 + 3 * 2 * 5
+    # 1 + i + (2 - n) j + 4 j^2 at (n, i, j) = (4, 3, 5)
+    assert index_poly((((1,), (1,)), ((2, -1),), ((4,),)), 4, 3, 5) == 1 + 3 - 2 * 5 + 4 * 25
+    assert index_poly((), 7) == 0
 
 
 def test_nx_poly_reads_rows_by_power_of_x_and_entries_by_power_of_n():
@@ -46,18 +64,27 @@ def test_term_value_reads_each_kind_of_factor():
     # 3/4 * (n + i) * (2n)! / (n + 2i + 1)!! * (-2)^i at n = 3, i = 2
     term = (3, 4, (("", 1, 1, 0), ("!", 2, 0, 0), (-2, 0, 1, 0)), (("!!", 1, 2, 1),))
     assert term_value(term, 3, 2) == Fraction(3 * 5 * 720 * 4, 4 * (8 * 6 * 4 * 2))
-    # without i, a factor that reads i is refused, not read at i = 0
-    with pytest.raises(ValueError, match="reads i"):
+    # (n + 2i - j)! 2^j / (j + 1) at (n, i, j) = (3, 1, 2), and 2n + 1 at n = 4
+    term3 = (1, 1, (("!", 1, 2, -1, 0), (2, 0, 0, 1, 0)), (("", 0, 0, 1, 1),))
+    assert term_value(term3, 3, 1, 2) == Fraction(6 * 4, 3)
+    assert term_value((1, 1, (("", 2, 1),), ()), 4) == 9
+    # a factor of another length than its indices is refused, not read
+    # with the missing indices at 0 or its extra coefficients dropped
+    with pytest.raises(ValueError, match="read at 2 indices, not 1"):
         term_value(term, 3)
-    with pytest.raises(ValueError, match="reads i"):
+    with pytest.raises(ValueError, match="read at 2 indices, not 1"):
         term_value((1, 1, (), (("!!", 1, 2, 1),)), 3)
-    assert term_value((1, 1, (("!!", 1, 0, 0),), ()), 0) == 1  # m!! = 1 for m <= 0
+    with pytest.raises(ValueError, match="read at 1 indices, not 2"):
+        term_value((1, 1, (("", 2, 1),), ()), 4, 0)
+    with pytest.raises(ValueError, match="read at 3 indices, not 2"):
+        term_value(term3, 3, 1)
+    assert term_value((1, 1, (("!!", 1, 0),), ()), 0) == 1  # m!! = 1 for m <= 0
     with pytest.raises(ValueError):
-        term_value((1, 1, (("!", 1, 0, -2),), ()), 1)
+        term_value((1, 1, (("!", 1, -2),), ()), 1)
     with pytest.raises(ValueError):
-        term_value((1, 1, ((2, 1, 0, -2),), ()), 1)
+        term_value((1, 1, ((2, 1, -2),), ()), 1)
     with pytest.raises(ZeroDivisionError):
-        term_value((1, 1, (), (("", 1, 0, -1),)), 1)
+        term_value((1, 1, (), (("", 1, -1),)), 1)
 
 
 def _agree(table, oracle):
@@ -84,7 +111,7 @@ def test_every_table_equals_its_oracle():
         weights = identity_checks._WEIGHT_FORMS[fam]
         for n in NS:
             assert weights.anchor(n) == anchor(n), (fam, n)
-            q0 = tuple(int_poly_hom_eval(row, n, 1) for row in weights.q0_params)
+            q0 = tuple(index_poly(row, n) for row in weights.q0_params)
             assert q0 == ref.Q0_PARAMS[fam](n), (fam, n)
     for pid, value in ref.PRODUCT_VALUES.items():
         for n in NS:
@@ -103,10 +130,119 @@ def test_every_table_equals_its_oracle():
         for name, mult in mults.items():
             term, poly = got[name]
             for n in NS:
-                assert term_value(term, n) * int_poly_hom_eval(poly, n, 1) == mult(n)
+                assert term_value(term, n) * index_poly(poly, n) == mult(n)
     for rid, ratio in ref.RECURSION_RATIOS.items():
         for n in NS:
             assert term_value(identity_checks._RECURSION_RATIOS[rid], n) == ratio(n), (rid, n)
+
+
+def _read_terms():
+    """(term, the number of indices its reader passes) for every term table
+    in src/: an outer term, a scale or ratio in n, an inner, almost-product
+    or Chebyshev/Jacobi term in (n, i), a (3,1) weight term in (n, i, j)."""
+    cf, ic = closed_forms, identity_checks
+    for form in (*cf.PRODUCTS.values(), cf.AP21AT1_SIGN):
+        yield form.outer, 1
+        yield form.inner, 2
+    yield from ((form.term, 2) for form in cf.ALMOST_PRODUCTS.values())
+    yield from ((term, 1) for _fam, pq in cf.THREE_TERM.values() for term, _poly in pq)
+    yield from ((cf.CHEBYSHEV_U, 2), (cf.JACOBI_HALF, 2), (cf.CHEBJAC_SCALE, 1))
+    yield from ((term, 1) for _fam, _x0, mults in ic._POINT_SPECS.values()
+                for term, _poly in mults.values())
+    yield from ((ratio, 1) for ratio in ic._RECURSION_RATIOS.values())
+    yield from ((term, 3) for _s, term, _coeffs in ic._WEIGHTS_31)
+
+
+def _is_term(obj) -> bool:
+    """(p, q, num, den): two ints, then two tuples of factors, each a kind
+    (str or int) and ints."""
+    return (type(obj) is tuple and len(obj) == 4
+            and all(type(v) is int for v in obj[:2])
+            and all(type(fs) is tuple and all(
+                type(f) is tuple and f and type(f[0]) in (str, int)
+                and all(type(v) is int for v in f[1:]) for f in fs) for fs in obj[2:]))
+
+
+def _terms_in(obj):
+    if _is_term(obj):
+        yield obj
+    elif isinstance(obj, (tuple, dict)):
+        for value in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _terms_in(value)
+
+
+def test_every_factor_has_one_coefficient_per_index_its_reader_passes():
+    read = list(_read_terms())
+    for term, width in read:
+        for factor in (*term[2], *term[3]):
+            assert len(factor) == width + 2, (term, factor)
+    # every term in a table of src/ is one of them: a new table must be
+    # read by a reader listed above, or this fails
+    listed = {id(term) for term, _width in read}
+    for path in sorted(Path(hankelab.__file__).parent.glob("[!_]*.py")):
+        module = import_module(f"hankelab.{path.stem}")
+        for name, value in vars(module).items():
+            if name.lstrip("_").isupper():
+                for term in _terms_in(value):
+                    assert id(term) in listed, (path.stem, name, term)
+    # the (3,1) weights' polynomials are (n, i, j) tables: ints at depth 3
+    for _s, _term, coeffs in identity_checks._WEIGHTS_31:
+        for table in (t for c in coeffs for t in c):
+            for j_row in table:
+                assert all(type(c) is int for i_row in j_row for c in i_row), table
+
+
+def _weight_31_parts():
+    """(s, table term, table coefficients, oracle term, oracle polynomial)."""
+    return [(*part, *oracle)
+            for part, oracle in zip(identity_checks._WEIGHTS_31, ref.WEIGHT_PARTS_31)]
+
+
+def test_the_31_weight_tables_equal_the_bodies_they_replaced():
+    # on every (i, j) the capped ranges of `explicit_weights_31` sum
+    for s, term, coeffs, body, poly in _weight_31_parts():
+        for n in range(25):
+            for j in range(n + 3):
+                for i in range(min(n + s - j, (n + s - 1) // 2) + 1):
+                    assert term_value(term, n, i, j) == body(n, i, j), (s, n, i, j)
+                    got = Poly([prod(index_poly(t, n, i, j) for t in c) for c in coeffs])
+                    assert got == poly(n, i, j), (s, n, i, j)
+
+
+def test_the_31_weight_caps_drop_only_zero_terms():
+    # the bodies were summed to i = n // 2 + 1; past (n + s - 1) // 2 the
+    # binomial C(n + s - 1, 2i) makes them 0
+    for s, _term, _coeffs, body, _poly in _weight_31_parts():
+        for n in range(1, 25):
+            for j in range(n + 3):
+                for i in range((n + s - 1) // 2 + 1, min(n + s - j, n // 2 + 1) + 1):
+                    assert body(n, i, j) == 0, (s, n, i, j)
+    # at n = 0 the old cap reached (i, j) = (1, 0), where u divides 0 by 0
+    with pytest.raises(ZeroDivisionError):
+        ref.WEIGHT_PARTS_31[0][0](0, 1, 0)
+
+
+def test_the_31_weights_equal_the_sum_they_replaced():
+    for n in range(2, 21):
+        assert identity_checks.explicit_weights(F31, n) == ref.explicit_weights_31(n), n
+
+
+def test_every_int_of_the_31_weight_tables_is_load_bearing(monkeypatch):
+    # each int of the terms, the polynomial tables and the caps' s, bumped
+    # by 1 in turn on a copy, must give explicit-weights a row that is not
+    # a pass for (3,1) at n = 2 or 3
+    table = identity_checks._WEIGHTS_31
+
+    def flagged():
+        return any(r.status != "pass" for r in run_check("explicit-weights", F31, [2, 3]))
+
+    assert not flagged()
+    survived = []
+    for path in _paths(table):
+        monkeypatch.setattr(identity_checks, "_WEIGHTS_31", _bump(table, path))
+        if not flagged():
+            survived.append(path)
+    assert len(list(_paths(table))) == 212 and survived == []
 
 
 def test_chebyshev_jacobi_tables_equal_their_oracles():

@@ -169,11 +169,12 @@ def test_gf_denominator_expands_no_closed_numerator(monkeypatch):
 
 
 def _paths(table):
-    """The index path of every int in a nested tuple."""
+    """The index path of every int in a nested tuple (a str in it is a
+    factor's kind, not bumped)."""
     for i, item in enumerate(table):
         if type(item) is int:
             yield (i,)
-        else:
+        elif type(item) is tuple:
             yield from ((i, *path) for path in _paths(item))
 
 
