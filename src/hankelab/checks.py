@@ -5,8 +5,12 @@ labels.  Each entry holds the check's test(family, n), its items
 (suite, family or None, lo, hi), the least n it runs at, a description, the
 fixed family label and point its rows name, and whether a mismatch is a
 finding.  A suite is every item the table tags with its name (`suite`),
-so a new suite is a new tag on some items.  The first acceptance item is
-what `verify` runs without --family or --n.  `run_check` builds every row:
+so a new suite is a new tag on some items.  The table names three:
+`acceptance`, the paper's ranges and the suite of the golden rows;
+`fast`, a smoke subset; and `deep`, the ranges past acceptance (products
+to n = 60, almost products to 30, ODEs and relations to 20, series to
+order 60).  The first acceptance item is what `verify` runs without
+--family or --n.  `run_check` builds every row:
 asserting checks emit pass/fail; the reported-not-asserted ones (the
 unproven fourth-order ODE, the conjectural explicit (3,1) weights) emit
 findings on mismatch; a test that raises is one fail row.
@@ -165,8 +169,8 @@ def _degree_random(_family, count):
     return bad == 0, f"{count} instances, {bad} violations"
 
 
-def _each(families, lo: int, hi: int):
-    return [("acceptance", f, lo, hi) for f in families]
+def _each(tag: str, families, lo: int, hi: int):
+    return [(tag, f, lo, hi) for f in families]
 
 
 def _build_registry() -> dict[str, CheckDef]:
@@ -186,15 +190,16 @@ def _build_registry() -> dict[str, CheckDef]:
         ("fig4", ("acceptance", None, 1, 8), ("fast", None, 1, 4)),
     ):
         spec = ODES[name]
-        add(name, _ode(name), items, description=f"ODE residual for {spec.family.name}",
-            label=spec.family.name, finding=not spec.proven)
+        add(name, _ode(name), [*items, ("deep", None, 2, 20)],
+            description=f"ODE residual for {spec.family.name}", label=spec.family.name,
+            finding=not spec.proven)
 
     for pid, form in PRODUCTS.items():
         hi = 20 if form.family == F21 else 10
         fast = [("fast", None, 0, 5)] if pid == "p31at3" else []
         add(pid, lambda _f, n, pid=pid: product_matches_determinant(pid, n),
-            [("acceptance", None, 0, hi), *fast], description="product formula vs determinant",
-            reads=(form.family,))
+            [("acceptance", None, 0, hi), ("deep", None, 0, 60), *fast],
+            description="product formula vs determinant", reads=(form.family,))
 
     # (check, the value the paper states for the form at n or None, its
     # items); the family and point come from the form the check evaluates,
@@ -216,8 +221,8 @@ def _build_registry() -> dict[str, CheckDef]:
             det = hankel_det(family, n) if x is None else hankel_det_at(family, n, x)
             return got == det and (want is None or got == want(n))
 
-        add(aid, test, items, description="almost-product formula", label=family.name,
-            x=None if x is None else str(x))
+        add(aid, test, [*items, ("deep", None, 0, 30)], description="almost-product formula",
+            label=family.name, x=None if x is None else str(x))
 
     for iid, (family, _terms) in IDENTITIES.items():
         fast = [("fast", None, 10, 10)] if iid == "l1_31" else []
@@ -227,45 +232,54 @@ def _build_registry() -> dict[str, CheckDef]:
     for rid in (*SYMBOLIC_RELATIONS, *POINT_RELATIONS):
         fast = [("fast", None, 2, 5)] if rid == "r_det01" else []
         add(rid, lambda _f, n, rid=rid: check_relation(rid, n),
-            [("acceptance", None, 2, 10), *fast], 2, "determinant-level relation",
-            reads=(relation_family(rid),))
+            [("acceptance", None, 2, 10), ("deep", None, 2, 20), *fast], 2,
+            "determinant-level relation", reads=(relation_family(rid),))
 
     pair = (F31, F21)
     add("dodgson", lambda f, n: dodgson_check(f, n),
-        [*_each(ALL_FAMILIES, 1, 10), ("fast", F31, 1, 5)], 1,
+        # deep: (3,1), the first family, to n = 20 and the other seven to n = 12
+        [*_each("acceptance", ALL_FAMILIES, 1, 10), ("deep", F31, 1, 20),
+         *_each("deep", ALL_FAMILIES[1:], 1, 12), ("fast", F31, 1, 5)], 1,
         "H_{n-1}H_{n+1} = H_nN_n - H_nM_n - K_n^2")
-    add("ef", lambda f, n: check_matrix_convolution_identities(f, n), _each(pair, 0, 6),
-        description="E/F convolution matrix identities")
-    add("table1", _table1, _each(pair, 1, 5), 1, "trace transformation rules")
+    add("ef", lambda f, n: check_matrix_convolution_identities(f, n),
+        _each("acceptance", pair, 0, 6), description="E/F convolution matrix identities")
+    add("table1", _table1, [*_each("acceptance", pair, 1, 5), *_each("deep", pair, 1, 8)], 1,
+        "trace transformation rules")
     add("weights", lambda f, n: (True, f"scale {weight_nullspace(f, n).scale}"),
-        [*_each(pair, 1, 12), ("fast", F21, 1, 5)], 1, "third-identity nullspace weights")
+        [*_each("acceptance", pair, 1, 12), ("fast", F21, 1, 5)], 1,
+        "third-identity nullspace weights")
     add("explicit-weights", lambda f, n: explicit_weights_match(f, n),
-        [("acceptance", F31, 2, 8), ("acceptance", F21, 1, 12)], 1,
+        [("acceptance", F31, 2, 8), ("acceptance", F21, 1, 12),
+         ("deep", F31, 2, 20), ("deep", F21, 1, 20)], 1,
         "closed-form weights vs nullspace", finding=True)
-    add("ciden", lambda f, n: ciden_check(f, n), _each(pair, 1, 10), 1,
+    add("ciden", lambda f, n: ciden_check(f, n), _each("acceptance", pair, 1, 10), 1,
         "Q2-coefficient determinant identity")
     for check, (family, _pq) in THREE_TERM.items():
         add(check, lambda _f, n, check=check: three_term_check(check, n),
-            [("acceptance", None, 2, 15 if family == F21 else 10)], 2, label=family.name)
+            [("acceptance", None, 2, 15 if family == F21 else 10), ("deep", None, 2, 20)], 2,
+            label=family.name)
     # the recursion is the (3,1) one at x = 1, so it gives H^{(3,1)}_n(1) too
     add("rec31at1",
         lambda _f, n: recursion_31at1(n) == product_eval("p32", n) == hankel_det_at(F31, n, 1),
-        [("acceptance", None, 0, 10)], description="(3,2) one-term recursion vs product",
-        label="3,2", reads=(F31,))
+        [("acceptance", None, 0, 10), ("deep", None, 0, 30)],
+        description="(3,2) one-term recursion vs product", label="3,2", reads=(F31,))
     # it compares the (2,1) determinant with the 2k+2-shift one
-    add("chebjac", lambda _f, n: chebyshev_jacobi_check(n), [("acceptance", None, 0, 12)],
+    add("chebjac", lambda _f, n: chebyshev_jacobi_check(n),
+        [("acceptance", None, 0, 12), ("deep", None, 0, 30)],
         description="Chebyshev/Jacobi forms of the (2,1) determinant", label="2,1",
         reads=(F21, FSHIFT22))
-    add("interlace", lambda _f, n: interlace_check(n), [("acceptance", None, 1, 8)], 1,
+    add("interlace", lambda _f, n: interlace_check(n),
+        [("acceptance", None, 1, 8), ("deep", None, 1, 30)], 1,
         "root interlacing for the (3,1) family", label="3,1")
     generating = (F31, F21, F30, F3K2M, FAEX)
-    add("gfequiv", _gfequiv, [*_each(generating, 25, 25), ("fast", F31, 10, 10)],
+    orders = [*_each("acceptance", generating, 25, 25), *_each("deep", generating, 60, 60)]
+    add("gfequiv", _gfequiv, [*orders, ("fast", F31, 10, 10)],
         description="direct vs closed generating form (n is order)")
-    add("fcoeffs", _fcoeffs, _each(generating, 25, 25),
-        description="series coefficients vs a_k (n is order)")
-    add("tseries", _tseries, [("acceptance", None, 25, 25), ("fast", None, 10, 10)],
+    add("fcoeffs", _fcoeffs, orders, description="series coefficients vs a_k (n is order)")
+    add("tseries", _tseries,
+        [("acceptance", None, 25, 25), ("deep", None, 60, 60), ("fast", None, 10, 10)],
         description="t-series defining-equation residual")
-    add("degree-hn", _degree_hn, _each(ALL_FAMILIES, 0, 12),
+    add("degree-hn", _degree_hn, _each("acceptance", ALL_FAMILIES, 0, 12),
         description="degree(H_n) bound")
     add("degree-random", _degree_random, [("acceptance", None, 200, 200)],
         description="random generalized-degree instances (n is count)")
@@ -308,11 +322,13 @@ def run_check(name: str, family: FamilyId | None, ns: Sequence[int]) -> list[Row
 
 def suite(name: str) -> list[tuple[str, FamilyId | None, int, int]]:
     """(check, family or None, lo, hi): every item the table tags `name`.
-    Raises ValueError for a name that no item carries."""
+    Raises ValueError for a name that no item carries, naming the suites
+    the table does carry."""
     items = [(check, *item) for check, defn in REGISTRY.items()
              for tag, *item in defn.items if tag == name]
     if not items:
-        raise ValueError(f"unknown suite {name!r}")
+        tags = sorted({item[0] for defn in REGISTRY.values() for item in defn.items})
+        raise ValueError(f"unknown suite {name!r} ({', '.join(tags)})")
     return items
 
 

@@ -24,10 +24,6 @@ class OdeSpec(namedtuple("OdeSpec", "name family table proven", defaults=(True,)
 
     __slots__ = ()
 
-    @property
-    def order(self) -> int:
-        return len(self.table) - 1
-
     def coeffs(self, n: int) -> list[Poly]:
         return [nx_poly(c, n) for c in self.table]
 

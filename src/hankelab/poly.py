@@ -53,10 +53,6 @@ class Poly:
         return _ONE
 
     @staticmethod
-    def x() -> "Poly":
-        return _X
-
-    @staticmethod
     def const(c) -> "Poly":
         return Poly([c])
 
@@ -414,4 +410,3 @@ def as_poly(value) -> Poly:
 
 _ZERO = _poly((), 1)
 _ONE = _poly((1,), 1)
-_X = _poly((0, 1), 1)

@@ -20,7 +20,7 @@ from hankelab.closed_forms import ALMOST_PRODUCTS, AP_POINTS, PRODUCTS
 from hankelab.hankel import hankel_det, hankel_det_at
 from hankelab.poly import InexactDivision, Poly
 from hankelab.report import fail_row, finding_row, ok_row
-from hankelab.sequences import F21, F30, F31, F32, FAEX, FSHIFT22
+from hankelab.sequences import F21, F30, F31, F32, F3K2M, FAEX, FSHIFT22, FSHIFT31
 
 
 def run(capsys, *argv):
@@ -348,6 +348,33 @@ def test_fast_suite_is_pinned():
     ])
 
 
+def test_deep_suite_is_pinned():
+    # the 67 items past acceptance; CI runs the suite and gates its rows
+    products = ("p32", "p30", "p31at3", "p31at3half", "p31at3quarter", "p30at3", "p30at3half",
+                "paexat3sevenths", "p21at0", "p21at2")
+    tables = ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4", "fig4",
+              "r_det01", "r_linear", "r_secondder", "r_rhs", "r_x3", "r_x3half", "r_x3quarter",
+              "r_crec", "r_21_first", "r_21_second", "r_21_factored", "r_21_third", "r_21_x0",
+              "r_21_x2", "threeterm31", "threeterm21")
+    almost = ("ap31", "ap31alt", "ap21", "ap31at0", "ap31at1", "ap21at0", "ap21at1", "rec31at1")
+    generating = (F31, F21, F30, F3K2M, FAEX)
+    assert Counter(checks.suite("deep")) == Counter([
+        *((name, None, 0, 60) for name in products),
+        *((name, None, 2, 20) for name in tables),
+        *((name, None, 0, 30) for name in almost),
+        ("explicit-weights", F31, 2, 20),
+        ("explicit-weights", F21, 1, 20),
+        *((name, fam, 60, 60) for name in ("gfequiv", "fcoeffs") for fam in generating),
+        ("tseries", None, 60, 60),
+        ("chebjac", None, 0, 30),
+        ("interlace", None, 1, 30),
+        ("dodgson", F31, 1, 20),
+        *(("dodgson", fam, 1, 12) for fam in (F21, F30, F32, F3K2M, FAEX, FSHIFT31, FSHIFT22)),
+        ("table1", F31, 1, 8),
+        ("table1", F21, 1, 8),
+    ])
+
+
 def test_a_suite_is_added_in_the_check_table_alone(capsys, monkeypatch, tmp_path):
     # a check whose only item names a new suite: the suite runs that item,
     # and `verify` defaults to it since the check has no acceptance item
@@ -365,7 +392,10 @@ def test_a_suite_is_added_in_the_check_table_alone(capsys, monkeypatch, tmp_path
     ]
     for command in ("sweep", "report"):
         code, out, err = run(capsys, command, "--suite", "nope", "--output", str(tmp_path))
-        assert (code, out, err) == (2, "", "error: unknown suite 'nope'\n")
+        # the message names every suite the table carries, the patched one too
+        assert (code, out, err) == (
+            2, "", "error: unknown suite 'nope' (acceptance, deep, fast, smoke)\n"
+        )
 
 
 def test_an_output_that_cannot_be_written_is_an_error(capsys, monkeypatch, tmp_path):
@@ -1042,7 +1072,7 @@ def test_record_classes_keep_equality_hash_and_validation():
     assert Row("p32") == Row("p32", None, None, None, "pass", "")
     with pytest.raises(AttributeError):
         row.status = "pass"
-    assert ODES["de1"].proven and not ODES["fig4"].proven and ODES["fig4"].order == 4
+    assert ODES["de1"].proven and not ODES["fig4"].proven and len(ODES["fig4"].table) - 1 == 4
 
 
 def test_sweep_and_report_look_up_the_acceptance_suite_when_run(

@@ -220,7 +220,7 @@ def _degree_raised(monkeypatch):
     """H_5 times x: degree 6 at n = 5."""
     h = checks.hankel_det
     monkeypatch.setattr(checks, "hankel_det",
-                        lambda fam, n: h(fam, n) * Poly.x() if n == 5 else h(fam, n))
+                        lambda fam, n: h(fam, n) * Poly([0, 1]) if n == 5 else h(fam, n))
 
 
 def _ode_c0_perturbed(name):
@@ -361,7 +361,7 @@ def _explicit_weight_perturbed(family):
 
         def explicit(n):
             first, *rest = form.explicit(n)
-            return [first + Poly.x(), *rest]
+            return [first + Poly([0, 1]), *rest]
 
         monkeypatch.setitem(identity_checks._WEIGHT_FORMS, family, form._replace(explicit=explicit))
 
