@@ -9,8 +9,8 @@ so a new suite is a new tag on some items.  The table names three:
 `acceptance`, the paper's ranges and the suite of the golden rows;
 `fast`, a smoke subset; and `deep`, the ranges past acceptance (products
 to n = 60, almost products to 30, ODEs and relations to 20, series to
-order 60).  The first acceptance item is what `verify` runs without
---family or --n.  `run_check` builds every row:
+order 60, sequence identities to k = 60).  The first acceptance item is
+what `verify` runs without --family or --n.  `run_check` builds every row:
 asserting checks emit pass/fail; the reported-not-asserted ones (the
 unproven fourth-order ODE, the conjectural explicit (3,1) weights) emit
 findings on mismatch; a test that raises is one fail row.
@@ -227,7 +227,7 @@ def _build_registry() -> dict[str, CheckDef]:
     for iid, (family, _terms) in IDENTITIES.items():
         fast = [("fast", None, 10, 10)] if iid == "l1_31" else []
         add(iid, lambda _f, k, iid=iid: _failing(check_identity(iid, k), "k", f"k <= {k}"),
-            [("acceptance", None, 30, 30), *fast],
+            [("acceptance", None, 30, 30), ("deep", None, 60, 60), *fast],
             description="sequence-level identity (n is k_max)", reads=(family,))
     for rid in (*SYMBOLIC_RELATIONS, *POINT_RELATIONS):
         fast = [("fast", None, 2, 5)] if rid == "r_det01" else []

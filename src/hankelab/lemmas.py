@@ -4,15 +4,24 @@ and the matrix-level ones built on them.
 The ten L1/L2 identities are one table, `IDENTITIES`, keyed by their
 check ids ("l1_31" .. "l2_aex"), of terms (table, kind, offset): the
 coefficient, a polynomial in (k, x) as an int table (`forms`), times
-a_{k+offset}, c_{k+offset} or a_k'.  Each residual, and
-each entry of the E/F matrix convolution identities, is one
-`poly.lin_comb` over Z.  The Table-1 trace rules Tr(A^{-1} X) H_n = value
-are a table too, `TABLE1`: per rule, the kind and offset of X and the
-value, polynomials in n (rows, as in `forms`) times H', H, K, M, N,
-a_0 H, a_0 K or a_1 H.  `table1_rules` reads it at n, and `trace_values` sums
-each rule as one `lin_comb` against the adjugate over Z[x] of [a_{i+j}],
-whose integer rows come from `hankel.int_hankel` and which is read off
-one Gauss-Jordan elimination per family.  The tables have a module of
+a_{k+offset}, c_{k+offset} or a_k'.  `check_identity` decides each
+residual by one exact integer, its value at X = 2^s: one pass per family
+packs den a_m(X) and den a_m'(X) (den clears the a_m's denominators) and
+forms den^2 c_m(X) = sum A_i A_{m-i} from them, and no c_m or residual is
+built as a polynomial.  s is sized from the operands' 1-norms, since
+||fg||_1 <= ||f||_1 ||g||_1, and at each k the residual's 1-norm bound B
+must satisfy 2B < 2^s: then its coefficients are all below 2^(s-1) in
+absolute value, and a nonzero integer polynomial with such coefficients
+does not vanish at 2^s (its lowest nonzero coefficient is not a multiple
+of 2^s).  The zero test is exact, not a sample.  Each entry of the E/F
+matrix convolution identities is one `poly.lin_comb` over Z.  The
+Table-1 trace rules Tr(A^{-1} X) H_n = value are a table too, `TABLE1`:
+per rule, the kind and offset of X and the value, polynomials in n (rows,
+as in `forms`) times H', H, K, M, N, a_0 H, a_0 K or a_1 H.
+`table1_rules` reads it at n, and `trace_values` sums each rule as one
+`lin_comb` against the adjugate over Z[x] of [a_{i+j}], whose integer
+rows come from `hankel.int_hankel` and which is read off one
+Gauss-Jordan elimination per family.  The tables have a module of
 their own: inside `identities.py` they raised the compile that peaks a
 sweep's resident size (a tuple display costs the parser far more memory
 than an int).
@@ -23,18 +32,26 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
-from .forms import index_poly, nx_poly
+from .forms import index_poly
 from .hankel import int_hankel, quartet
 from .hankel_checks import int_adjugate, leading_adjugates
-from .poly import Poly, from_int_scaled, int_poly_add_into, lin_comb
+from .poly import (
+    Poly,
+    from_int_scaled,
+    int_poly_add_into,
+    int_poly_hom_eval,
+    lin_comb,
+    to_int_scaled,
+)
 from .sequences import F21, F30, F31, F3K2M, FAEX, FamilyId, a_poly, conv_poly
 
 
 # check id -> (family, terms).  The residual at k is the sum over the terms
 # (table, kind, offset) of the coefficient, a polynomial in (k, x) written
-# as one table (`forms.nx_poly`: row j is A_j + k B_j), times a_{k+offset}
-# ("a"), c_{k+offset} ("c") or d_x a_k ("da", offset 0).
+# as one table (as in `forms`: row j, the coefficient of x^j, is A_j + k B_j),
+# times a_{k+offset} ("a"), c_{k+offset} ("c") or d_x a_k ("da", offset 0).
 IDENTITIES: dict[str, tuple[FamilyId, tuple]] = {
     "l1_31": (F31, (
         (((-27,), (63,), (-42,), (8,)), "da", 0),
@@ -105,16 +122,6 @@ IDENTITIES: dict[str, tuple[FamilyId, tuple]] = {
 }
 
 
-def identity_residual(iid: str, k: int) -> Poly:
-    """The identity's combination of a_{k-1..k+2}, c_{k-1..k+2} and d_x a_k,
-    summed over Z by one `lin_comb`."""
-    fam, terms = IDENTITIES[iid]
-    pairs = []
-    for table, kind, offset in terms:
-        pairs.append((nx_poly((table,), k), _seq(fam, kind, k + offset)))
-    return lin_comb(pairs)
-
-
 def _seq(family: FamilyId, kind: str, k: int) -> Poly:
     """a_k ("a"), c_k ("c") or d_x a_k ("da"), with a_k = 0 for k < 0."""
     if kind == "c":
@@ -125,11 +132,101 @@ def _seq(family: FamilyId, kind: str, k: int) -> Poly:
     return a.derivative() if kind == "da" else a
 
 
+# family -> (s, {kind: (values, 1-norm bounds)}): den^2 a_m, den^2 d_x a_m
+# and den^2 c_m at X = 2^s for m = 0..K ("a", "da", "c"), den the lcm of the
+# a_m's denominators.  One pass per family serves both of its identities; a
+# larger K packs the family anew.
+_packed: dict[FamilyId, tuple[int, dict]] = {}
+
+# Bits of X above the largest operand's 1-norm, left for the coefficients'
+# 1-norms and the sum over terms.  This only sizes s: each k checks its bound.
+_HEADROOM = 32
+
+
+def _slot(bound: int) -> int:
+    """The least s with 2 bound < 2^s."""
+    return (2 * bound).bit_length()
+
+
+def _is_zero_at(value: int, bound: int, s: int) -> bool:
+    """Whether a polynomial over Z of 1-norm at most ``bound`` is zero, read
+    from its ``value`` at 2^s.  Raises ``ArithmeticError`` unless
+    2 bound < 2^s: then every coefficient is below 2^(s-1) in absolute
+    value, and a nonzero such polynomial does not vanish at 2^s."""
+    if 2 * bound >= 1 << s:
+        raise ArithmeticError(f"a 1-norm bound of {bound} needs more than {s} bits")
+    return not value
+
+
+def _pack(family: FamilyId, k_max: int) -> tuple[int, dict]:
+    """The family's `_packed` sequences, to index k_max at least.
+
+    s is sized from the operands alone: ||den a_m||_1 and
+    ||den d_x a_m||_1 times den, and ||den^2 c_m||_1 <= sum over i of
+    ||den a_i||_1 ||den a_{m-i}||_1, since ||fg||_1 <= ||f||_1 ||g||_1."""
+    hit = _packed.get(family)
+    if hit is not None and len(hit[1]["a"][0]) > k_max:
+        return hit
+    nums, den = to_int_scaled([a_poly(family, m) for m in range(k_max + 1)])
+    dnums = [[i * c for i, c in enumerate(num)][1:] for num in nums]
+    na = [sum(map(abs, num)) for num in nums]
+    norms = {"a": [den * n for n in na],
+             "da": [den * sum(map(abs, d)) for d in dnums],
+             "c": [_self_conv(na, m) for m in range(k_max + 1)]}
+    s = _slot(max(map(max, norms.values())) << _HEADROOM)
+    x = 1 << s
+    a = [int_poly_hom_eval(num, x, 1) for num in nums]
+    values = {"a": [den * v for v in a],
+              "da": [den * int_poly_hom_eval(d, x, 1) for d in dnums],
+              "c": [_self_conv(a, m) for m in range(k_max + 1)]}
+    packed = _packed[family] = (s, {kind: (values[kind], norms[kind]) for kind in values})
+    return packed
+
+
+def _self_conv(v: list[int], m: int) -> int:
+    """The sum of v_i v_{m-i} over i = 0..m, as C-level integer products."""
+    h = (m + 1) // 2
+    acc = 2 * sum(map(mul, v[:h], v[m:m - h:-1]))
+    return acc if m & 1 else acc + v[m // 2] ** 2
+
+
 def check_identity(iid: str, k_max: int) -> list[int]:
-    """Indices k in 0..k_max where the identity FAILS (empty = all pass)."""
+    """Indices k in 0..k_max where the identity FAILS (empty = all pass).
+
+    The residual at k is one integer, den^2 times its value at X = 2^s:
+    the sum over the terms of the coefficient at (k, X) times the packed
+    a, c or d_x a at k + offset (`_pack`), which reach k_max plus the
+    table's largest offset.  k fails iff that integer is nonzero."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    return [k for k in range(k_max + 1) if not identity_residual(iid, k).is_zero()]
+    fam, terms = IDENTITIES[iid]
+    top = max(offset for _fam, ts in IDENTITIES.values() for _t, _kind, offset in ts)
+    s, seqs = _pack(fam, k_max + max(top, 0))
+    bad = []
+    for k in range(k_max + 1):
+        value = bound = 0
+        for table, kind, offset in terms:
+            v, norm = _packed_seq(seqs, kind, k + offset)
+            for j, row in enumerate(table):  # the coefficient of x^j times X^j v
+                c = index_poly(row, k)
+                value += (c * v) << (s * j)
+                bound += abs(c) * norm
+        if not _is_zero_at(value, bound, s):
+            bad.append(k)
+    return bad
+
+
+def _packed_seq(seqs: dict, kind: str, j: int) -> tuple[int, int]:
+    """(value, 1-norm bound) of the packed a_j ("a"), c_j ("c") or d_x a_j
+    ("da"), with a_j = 0 for j < 0 and c_{-1} = 0, as `_seq` reads them."""
+    if kind not in seqs:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    if j < 0:
+        if kind == "c" and j < -1:
+            raise ValueError(f"convolution index must be >= -1, got {j}")
+        return 0, 0
+    values, norms = seqs[kind]
+    return values[j], norms[j]
 
 
 # (family, shift, i, j) -> entry (i, j) of L A + A L^T, which does not

@@ -3,9 +3,11 @@
 Each is the Fraction-`Poly` form a check ran before its sums moved onto
 the integer kernel: ``fraction_a_poly`` builds a_k from one ``binom``
 per coefficient, ``fraction_identity_residual`` states the ten L1/L2
-identities as Poly expressions, ``e_matrix``, ``f_matrix`` and
-``mat_mul`` form E_n A and F_n A as Poly matrix products, and
-``fraction_trace_values`` sums the Table-1 traces over the Poly adjugate.
+identities as Poly expressions, ``table_identity_residual`` sums the
+terms of ``lemmas.IDENTITIES`` with Poly `+` and `*`, ``e_matrix``,
+``f_matrix`` and ``mat_mul`` form E_n A and F_n A as Poly matrix
+products, and ``fraction_trace_values`` sums the Table-1 traces over the
+Poly adjugate.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 from reference_det import adjugate, power
 
+from hankelab import lemmas
 from hankelab.hankel import hankel_matrix
 from hankelab.lemmas import table1_rules
 from hankelab.poly import Poly
@@ -170,6 +173,23 @@ def fraction_identity_residual(iid: str, k: int) -> Poly:
             + 6 * _p(0, 0, 0, 0, 0, 1) * _p(-9, 7) * c(k - 1)
         )
     raise ValueError(f"unknown identity {iid!r}")
+
+
+def table_identity_residual(iid: str, k: int) -> Poly:
+    """The residual of the identity's entry in ``lemmas.IDENTITIES`` at k,
+    summed term by term with Poly `+` and `*`: each coefficient read row by
+    row at k, times a_{k+offset}, c_{k+offset} or d_x a_{k+offset}."""
+    fam, terms = lemmas.IDENTITIES[iid]
+    total = Poly.zero()
+    for table, kind, offset in terms:
+        j = k + offset
+        if kind == "c":
+            seq = conv_poly(fam, j)
+        else:
+            seq = a_poly(fam, j) if j >= 0 else Poly.zero()
+            seq = seq.derivative() if kind == "da" else seq
+        total = total + Poly([sum(c * k**i for i, c in enumerate(row)) for row in table]) * seq
+    return total
 
 
 def e_matrix(family: FamilyId, n: int) -> list[list[Poly]]:

@@ -349,7 +349,7 @@ def test_fast_suite_is_pinned():
 
 
 def test_deep_suite_is_pinned():
-    # the 67 items past acceptance; CI runs the suite and gates its rows
+    # the 77 items past acceptance; CI runs the suite and gates its rows
     products = ("p32", "p30", "p31at3", "p31at3half", "p31at3quarter", "p30at3", "p30at3half",
                 "paexat3sevenths", "p21at0", "p21at2")
     tables = ("de1", "de2np1", "de2np2ak", "thme1", "thme2", "thme3", "thme4", "fig4",
@@ -357,6 +357,8 @@ def test_deep_suite_is_pinned():
               "r_crec", "r_21_first", "r_21_second", "r_21_factored", "r_21_third", "r_21_x0",
               "r_21_x2", "threeterm31", "threeterm21")
     almost = ("ap31", "ap31alt", "ap21", "ap31at0", "ap31at1", "ap21at0", "ap21at1", "rec31at1")
+    lemma_ids = ("l1_31", "l2_31", "l1_21", "l2_21", "l1_30", "l2_30", "l1_3k2m", "l2_3k2m",
+                 "l1_aex", "l2_aex")
     generating = (F31, F21, F30, F3K2M, FAEX)
     assert Counter(checks.suite("deep")) == Counter([
         *((name, None, 0, 60) for name in products),
@@ -366,6 +368,7 @@ def test_deep_suite_is_pinned():
         ("explicit-weights", F21, 1, 20),
         *((name, fam, 60, 60) for name in ("gfequiv", "fcoeffs") for fam in generating),
         ("tseries", None, 60, 60),
+        *((name, None, 60, 60) for name in lemma_ids),
         ("chebjac", None, 0, 30),
         ("interlace", None, 1, 30),
         ("dodgson", F31, 1, 20),
@@ -790,15 +793,16 @@ def test_pool_workers_are_forked_where_the_platform_offers_fork(capsys, monkeypa
 
 def test_checks_state_the_family_their_test_reads(monkeypatch):
     # each acceptance item that names no family, run alone at its least n
-    # with the a_k, convolution and ladder memos empty, builds the a_k of
-    # every family its check states and of no other
-    from hankelab import sequences
+    # with the a_k, convolution, packed-sequence and ladder memos empty,
+    # builds the a_k of every family its check states and of no other
+    from hankelab import lemmas, sequences
 
     for name, fam, lo, _hi in acceptance_suite():
         if fam is not None:
             continue
         for memo in ("_a_memo", "_conv_memo"):
             monkeypatch.setattr(sequences, memo, {})
+        monkeypatch.setattr(lemmas, "_packed", {})
         monkeypatch.setattr(hankel, "_ladders", {})
         rows = checks.run_check(name, None, [lo])
         assert rows and all(row.status == "pass" for row in rows), name

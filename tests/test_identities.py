@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from reference_det import adjugate, cofactor_adjugate, cramer_trace, fraction_nullspace
@@ -11,7 +11,9 @@ from reference_identities import (
     fraction_identity_residual,
     fraction_trace_values,
     mat_mul,
+    table_identity_residual,
 )
+from test_series import _bump, _paths
 
 import hankelab.identities as identities_mod
 import hankelab.identity_checks as identity_checks_mod
@@ -21,12 +23,11 @@ from hankelab.lemmas import (
     IDENTITIES,
     check_identity,
     check_matrix_convolution_identities,
-    identity_residual,
     table1_rules,
     trace_values,
 )
 from hankelab.jet import terms_at
-from hankelab.poly import Poly
+from hankelab.poly import Poly, int_poly_hom_eval
 from hankelab.hankel import hankel_det, hankel_matrix, int_hankel, quartet
 from hankelab.identities import (
     SYMBOLIC_RELATIONS,
@@ -59,8 +60,9 @@ from hankelab.series import gf_fraction, t_series
 
 def test_identity_boundary_uses_c_minus1():
     # at k = 0 the c_{k-1} term vanishes by the c_{-1} = 0 convention
-    assert identity_residual("l1_31", 0).is_zero()
-    assert identity_residual("l1_21", 0).is_zero()
+    assert fraction_identity_residual("l1_31", 0).is_zero()
+    assert fraction_identity_residual("l1_21", 0).is_zero()
+    assert check_identity("l1_31", 0) == check_identity("l1_21", 0) == []
 
 
 def test_identities_hold():
@@ -68,13 +70,17 @@ def test_identities_hold():
         assert check_identity(iid, 12) == [], iid
 
 
+def _failing_k(residual, iid, k_max):
+    return [k for k in range(k_max + 1) if not residual(iid, k).is_zero()]
+
+
 def test_identity_table_matches_the_poly_oracle(monkeypatch):
     # on the true sequences both residuals vanish; on seeded stand-ins for
     # a_k and c_k with rational coefficients neither does, and the table's
-    # integer sum must still equal the Poly expression term for term
+    # terms summed as Polys must still equal the written expression
     for iid in IDENTITIES:
         for k in range(31):
-            assert identity_residual(iid, k) == fraction_identity_residual(iid, k) == 0
+            assert table_identity_residual(iid, k) == fraction_identity_residual(iid, k) == 0
     rng = random.Random(1709)
     fake = {}
 
@@ -87,13 +93,113 @@ def test_identity_table_matches_the_poly_oracle(monkeypatch):
 
         return seq
 
-    for mod in (lemmas_mod, reference_identities):
-        monkeypatch.setattr(mod, "a_poly", stand_in("a"))
-        monkeypatch.setattr(mod, "conv_poly", stand_in("c"))
+    monkeypatch.setattr(reference_identities, "a_poly", stand_in("a"))
+    monkeypatch.setattr(reference_identities, "conv_poly", stand_in("c"))
     for iid in IDENTITIES:
         for k in range(41):
-            got = identity_residual(iid, k)
+            got = table_identity_residual(iid, k)
             assert got == fraction_identity_residual(iid, k) and got, (iid, k)
+
+
+def test_packed_identity_check_fails_exactly_where_the_oracle_does(monkeypatch):
+    # on the true sequences no k <= 40 fails; with one a_m perturbed by a
+    # seeded rational polynomial (c_k the convolution of the perturbed a),
+    # the packed evaluation fails at exactly the k whose Poly residual
+    # is nonzero, and no others
+    for iid in IDENTITIES:
+        assert check_identity(iid, 40) == _failing_k(fraction_identity_residual, iid, 40) == []
+    rng = random.Random(3607)
+    true_a, true_c = lemmas_mod.a_poly, reference_identities.conv_poly
+    for m0 in (0, 17, 38):
+        bump = Poly([Fraction(rng.randint(-99, 99), rng.randint(1, 6)) for _ in range(m0 + 2)])
+        convs = {}
+
+        def a(fam, i, m0=m0, bump=bump):
+            return true_a(fam, i) + bump if i == m0 else true_a(fam, i)
+
+        def c(fam, i):
+            if (fam, i) not in convs:
+                convs[fam, i] = (true_c(fam, i) if i < 0 else
+                                 sum((a(fam, m) * a(fam, i - m) for m in range(i + 1)),
+                                     Poly.zero()))
+            return convs[fam, i]
+
+        monkeypatch.setattr(lemmas_mod, "_packed", {})
+        monkeypatch.setattr(lemmas_mod, "a_poly", a)
+        monkeypatch.setattr(reference_identities, "a_poly", a)
+        monkeypatch.setattr(reference_identities, "conv_poly", c)
+        for iid in IDENTITIES:
+            got = check_identity(iid, 40)
+            assert got == _failing_k(fraction_identity_residual, iid, 40), (m0, iid)
+            assert got and got[0] >= m0 - 2, (m0, iid, got)
+
+
+def test_packed_sequences_and_their_bounds(monkeypatch):
+    # each packed value is den^2 a_m, den^2 d_x a_m or den^2 c_m at 2^s,
+    # den the lcm of the a_m's denominators, and each bound is at least
+    # that polynomial's 1-norm: the bounds are what s is sized from.  The
+    # a_m of the five families are integral, so a stand-in with
+    # denominators checks the den factors too
+    def with_dens(fam, m):
+        return a_poly(fam, m) + Poly([Fraction(1, m + 2), Fraction(-1, 3)])
+
+    for a in (a_poly, with_dens):
+        monkeypatch.setattr(lemmas_mod, "_packed", {})
+        monkeypatch.setattr(lemmas_mod, "a_poly", a)
+        polys = {"a": a, "da": lambda fam, m: a(fam, m).derivative(),
+                 "c": lambda fam, m: sum((a(fam, i) * a(fam, m - i) for i in range(m + 1)),
+                                         Poly.zero())}
+        for fam in {fam for fam, _terms in IDENTITIES.values()}:
+            s, seqs = lemmas_mod._pack(fam, 14)
+            den = lcm(*(a(fam, m).den for m in range(15)))
+            for kind, poly in polys.items():
+                values, bounds = seqs[kind]
+                for m in range(15):
+                    p = den**2 * poly(fam, m)
+                    assert values[m] == p(1 << s), (a, fam, kind, m)
+                    assert bounds[m] >= sum(map(abs, p.coeffs)), (a, fam, kind, m)
+
+
+def test_the_packed_zero_test_refuses_a_slot_its_bound_does_not_fit(monkeypatch):
+    # x - 2^s vanishes at X = 2^s, so its 1-norm 2^s + 1 must be refused
+    # there; the least slot sized from that bound tells it from 0, and the
+    # slot one bit short is refused too
+    for s in (1, 8, 64, 200):
+        f = [-(1 << s), 1]
+        bound = sum(map(abs, f))
+        assert int_poly_hom_eval(f, 1 << s, 1) == 0
+        with pytest.raises(ArithmeticError):
+            lemmas_mod._is_zero_at(0, bound, s)
+        t = lemmas_mod._slot(bound)
+        assert not lemmas_mod._is_zero_at(int_poly_hom_eval(f, 1 << t, 1), bound, t)
+        with pytest.raises(ArithmeticError):
+            lemmas_mod._is_zero_at(int_poly_hom_eval(f, 1 << (t - 1), 1), bound, t - 1)
+    # every k checks its own bound: with X too small for the operands, the
+    # check raises, and its row is a fail, where a false zero would pass
+    monkeypatch.setattr(lemmas_mod, "_packed", {})
+    monkeypatch.setattr(lemmas_mod, "_slot", lambda bound: 8)
+    with pytest.raises(ArithmeticError):
+        check_identity("l1_31", 5)
+    [row] = run_check("l1_31", None, [5])
+    assert row.status == "fail" and "ArithmeticError" in row.detail
+
+
+def test_every_int_of_the_identity_table_is_load_bearing(monkeypatch):
+    # each int of the coefficient tables and each offset, bumped by 1 in
+    # turn on a copy, must make some k <= 30 fail, and exactly the k where
+    # the bumped table's terms summed as Polys do not vanish; the packed
+    # sequences start cold, so an offset bumped to 3 must widen them
+    monkeypatch.setattr(lemmas_mod, "_packed", {})
+    mutants = [(iid, fam, _bump(terms, path))
+               for iid, (fam, terms) in IDENTITIES.items() for path in _paths(terms)]
+    assert len(mutants) == 299
+    wrong = []
+    for iid, fam, terms in mutants:
+        monkeypatch.setitem(IDENTITIES, iid, (fam, terms))
+        got = check_identity(iid, 30)
+        if not got or got != _failing_k(table_identity_residual, iid, 30):
+            wrong.append((iid, terms, got))
+    assert wrong == []
 
 
 def test_relation_det01_hand_expansion():
