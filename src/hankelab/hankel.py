@@ -1,15 +1,15 @@
 """Hankel matrices over Poly and their exact determinant machinery.
 
 All of it is fraction-free (Bareiss) elimination over an integral domain,
-Z[x], Z at a rational point or integer Taylor jets (``jet.py``), whose
-exact interior divisions raise on any remainder.  ``bareiss_steps`` is
-the one elimination of a single matrix, below the pivot for
-``det_bareiss`` and in full for Gauss-Jordan (``hankel_checks.py``); a
-column's pivot is the first unit at or below the next pivot row, else a
-nonzero non-unit (a jet), else none.  ``ladder`` eliminates [a_{i+j}],
-read unscaled from ``int_entries``, once for H_n, K_n, M_n and N_n at
-every n; a per-process cache grows it.  ``det_fraction_free`` and
-``hankel_matrix`` serve the degree-bound instances, tests and perfbench.
+Z[x] or Z at a rational point, whose exact interior divisions raise on
+any remainder.  ``bareiss_steps`` is the one elimination of a single
+matrix, below the pivot for ``det_bareiss`` and in full for Gauss-Jordan
+(``hankel_checks.py``); a column's pivot is the first nonzero entry at or
+below the next pivot row, else the column has none.  ``ladder``
+eliminates [a_{i+j}], read unscaled from ``int_entries``, once for H_n,
+K_n, M_n and N_n at every n; a per-process cache grows it.
+``det_fraction_free`` and ``hankel_matrix`` serve the degree-bound
+instances, tests and perfbench.
 """
 
 from __future__ import annotations
@@ -39,15 +39,13 @@ from .sequences import VARIANTS, FamilyId, a_poly
 # ---------------------------------------------------------------------------
 
 
-class Ring(namedtuple("Ring", "cross neg unit value", defaults=(None,))):
+class Ring(namedtuple("Ring", "cross neg")):
     """The operations Bareiss elimination needs from an integral domain.
 
     ``cross(p, r, l, u, d)`` is the fused step (p*r - l*u) / d, where d is
     None for 1; the division is exact in the ring, and an implementation
-    raises on a remainder.  ``unit(v)`` tells whether v can be a divisor.
-    A ring whose elements carry more than a value (the Taylor jets) also
-    gives ``value(v)``, the value part, a homomorphism onto Z; a ladder
-    keeps what is read only as a value in values, stepped over Z.
+    raises on a remainder.  ``neg(v)`` is -v.  An element's truth value
+    tells whether it is nonzero, so whether it can be a pivot.
     """
 
     __slots__ = ()
@@ -72,15 +70,15 @@ def _int_poly_cross(p, r, l, u, d) -> list[int]:
     return v if d is None else int_poly_exact_div(v, d)
 
 
-INT = Ring(_int_cross, operator.neg, bool)
-INT_POLY = Ring(_int_poly_cross, int_poly_neg, bool)
+INT = Ring(_int_cross, operator.neg)
+INT_POLY = Ring(_int_poly_cross, int_poly_neg)
 
 
 def int_entries(family: FamilyId, start: int, stop: int) -> list[list[int]]:
     """a_start .. a_{stop-1} as integer coefficient lists.
 
     Every family's a_k lies in Z[x] and has degree <= k, so a_k is itself
-    an entry over Z[x], and q^k a_k(p/q) and its 3-jet are integers.  The
+    an entry over Z[x], and q^k a_k(p/q) is an integer.  The
     eliminations of [a_{i+j}] read the a_k only through here, and an a_k
     with a denominator or a degree above k raises ``ValueError``.
     """
@@ -104,22 +102,19 @@ def bareiss_steps(m: list[list], ring: Ring, full: bool = False):
     """Fraction-free elimination of the rows ``m`` in place, one pivot at a
     time: yields (pivot columns, sign) after each pivot.
 
-    Column c's pivot is the first entry at or below the next pivot row that
-    the ring can divide by (``unit``), swapped up, flipping the sign; else a
-    nonzero non-unit there, kept (a jet vanishing at its point: the jet ring
-    raises if a later step divides by it); else the column has none.  The
+    Column c's pivot is the first nonzero entry at or below the next pivot
+    row, swapped up, flipping the sign; a column with none is skipped.  The
     step (p r - l u) / d, d the previous pivot, updates the rows below the
     pivot right of its column, or with ``full`` every other row (Gauss-Jordan)."""
-    cross, unit = ring.cross, ring.unit
+    cross = ring.cross
     pivots, sign, prev = [], 1, None
     width = len(m[0]) if m else 0
     for c in range(width):
         r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if unit(m[i][c])), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
-            if r == len(m) or not m[r][c]:
-                continue
-        elif pr != r:
+            continue
+        if pr != r:
             m[r], m[pr], sign = m[pr], m[r], -sign
         pivot_row, p = m[r], m[r][c]
         cols = range(width) if full else range(c + 1, width)
@@ -202,33 +197,22 @@ class Ladder(namedtuple("Ladder", "ring entries rows m")):
     on rows 0..k and columns 0..k-1, i, which is ``rows[k][i]``.  It is
     stored as that same object, never formed, and kept so that new
     columns can replay the steps.  ``m[n]`` is M_n (None at n = 0).
-    Rows end at the first pivot H_k the ring cannot divide by, at n = k.
-    Over a ring with value parts (jets), columns N+1 and N+2 and every M_n
-    hold only values: no step divides by them, as only columns 0..N become
-    pivots.  The lists grow in place as the ladder is extended, except
-    over such a ring, where `ladder` rebuilds it.
+    Rows end at the first pivot H_k that is zero, at n = k.  The lists grow
+    in place as the ladder is extended.
     """
 
     __slots__ = ()
 
     def det(self, n: int, variant: str) -> object:
         """The variant's determinant at n, read off the rows where they
-        reach n and otherwise eliminated on its own with row pivoting.
-        Over a ring with value parts, H is the full element and K, M and N
-        are values."""
-        value = self.ring.value
+        reach n and otherwise eliminated on its own with row pivoting."""
         if n >= len(self.rows):
             e = self.entries
             cols = _variant_columns(n, variant)
-            v = det_bareiss([[e[c + i] for c in cols] for i in range(n + 1)], self.ring)
-            return v if value is None or variant == "H" else value(v)
-        if variant == "H":
-            return self.rows[n][n]
+            return det_bareiss([[e[c + i] for c in cols] for i in range(n + 1)], self.ring)
         if variant == "M":
             return self.m[n]
-        col = n + (2 if variant == "N" else 1)  # K's or N's column
-        v = self.rows[n][col]
-        return v if value is None or col >= len(self.rows[0]) - 2 else value(v)
+        return self.rows[n][n + "HKN".index(variant)]
 
 
 def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
@@ -241,21 +225,13 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
     and by the symmetry of [e_{i+j}] (see `Ladder`) the lead of step k is
     ``rows[k][i]``, which row k already holds: about N^3/6 steps, not
     N^3/3.  M_n is one 2 x 2 Sylvester step on rows n-1 and n just before
-    row n's last step, over columns n and n+1.  Over a ring with value
-    parts, columns N+1 and N+2 start as the entries' values and
-    step over Z (`_int_cross`) with the values of their pivots and leads,
-    and every M_n steps on the values of its four entries: the value part
-    of a step is the step on value parts, and each divides only by a pivot
-    ``unit`` accepted; a larger N needs them in full, so it is rebuilt.
+    row n's last step, over columns n and n+1.
     """
-    value = ring.value
-    if lad is None or value is not None:
+    if lad is None:
         lad = Ladder(ring, [], [], [])
     e, rows = lad.entries, lad.rows
     e.extend(entries[len(e) :])
     width = (len(e) - 3) // 2 + 3
-    # columns from `full` on hold values
-    full = width if value is None else width - 2
     cross = ring.cross
     # piv[k + 1] is the pivot H_k of step k, and piv[k] the step's divisor
     piv = [None] + [row[k] for k, row in enumerate(rows)]
@@ -266,11 +242,9 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
                 v = cross(piv[k + 1], v, rows[k][i], rows[k][j], piv[k])
             row.append(v)
     for i in range(len(rows), width - 2):
-        if i and not ring.unit(piv[i]):
+        if i and not piv[i]:
             break
         row = e[i : i + width]
-        if full < width:
-            row[full:] = map(value, row[full:])
         m = None
         for k in range(i):
             up = rows[k]
@@ -278,20 +252,10 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
             # row[k], the entry this step would have formed
             p, d, lead = piv[k + 1], piv[k], up[i]
             row[k] = lead
-            if full < width:
-                p0, l0, d0 = value(p), value(lead), d if d is None else value(d)
             if k == i - 1:
-                if full == width:
-                    m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
-                else:  # M is read only as a value: step on value parts
-                    u, r = up[i + 1], row[i + 1]
-                    if i + 1 < full:  # column N+1 holds values already
-                        u, r = value(u), value(r)
-                    m = _int_cross(u, value(row[i]), r, value(up[i]), d0)
-            for j in range(i, full):
+                m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
+            for j in range(i, width):
                 row[j] = cross(p, row[j], lead, up[j], d)
-            for j in range(full, width):
-                row[j] = _int_cross(p0, row[j], l0, up[j], d0)
         rows.append(row)
         lad.m.append(m)
         piv.append(row[i])
@@ -299,19 +263,18 @@ def ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
 
 
 # (family, point or None, ring) -> ladder: entry k of the ladder is a_k over
-# Z[x], and q^k a_k(x0) or its integer jet at x0 = p/q.  Point ladders are
-# many and are mostly read at one n, so only the latest few are kept.
+# Z[x], and q^k a_k(x0) over Z at x0 = p/q.  Point ladders are many and are
+# mostly read at one n, so only the latest few are kept.
 _ladders: dict[tuple, Ladder] = {}
 _ladders_lock = allocate_lock()  # threading.Lock, without importing threading
 _POINT_LADDERS_KEPT = 4
 
 
 def cached_ladder(family: FamilyId, x0: Fraction | None, ring: Ring, n: int) -> Ladder:
-    """The family's ladder at x0 over the ring, grown to hold n, whose
-    entries are q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its determinant
-    on columns c_0..c_n is q^(n(n+1)/2 + sum c_j) times the one of
-    [a_{i+c_j}(x0)].  An extension expands only the a_k the ladder lacks,
-    and a jet ladder is then rebuilt from the entries it holds (`ladder`)."""
+    """The family's ladder at x0 over the ring, grown in place to hold n,
+    whose entries are q^k a_k(x0) (x0 None and q = 1 over Z[x]).  Its
+    determinant on columns c_0..c_n is q^(n(n+1)/2 + sum c_j) times the one
+    of [a_{i+c_j}(x0)].  An extension expands only the a_k the ladder lacks."""
     key = (family, x0, ring)
     count = 2 * n + 3
     with _ladders_lock:
@@ -325,10 +288,6 @@ def cached_ladder(family: FamilyId, x0: Fraction | None, ring: Ring, n: int) -> 
             p, q = x0.numerator, x0.denominator
             new = [int_poly_hom_eval(c, p, q) * q ** (k + 1 - len(c))
                    for k, c in enumerate(new, start)]
-        elif ring is not INT_POLY:
-            from .jet import int_jets
-
-            new = int_jets(new, x0, start)
         if lad is None and x0 is not None:
             points = [k for k in _ladders if k[1] is not None]
             if len(points) >= _POINT_LADDERS_KEPT:

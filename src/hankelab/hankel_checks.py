@@ -3,17 +3,17 @@ adjugates it gives, the Dodgson check's own eliminations, and the
 generalized degree-bound instances.
 
 All of them run ``hankel.bareiss_steps``, the one fraction-free
-elimination, whose pivot in each column is the first unit at or below the
-next pivot row (over Z and Z[x], the first nonzero entry), else none.
-``gauss_jordan`` is its run that updates the rows above the pivot too,
-for adjugates over Z[x] (those of every leading block from one
-elimination) and integer nullspaces; the Dodgson check reads its own H_j
-off the pivots of a run below the pivot.  The adjugates and the Dodgson
-check's eliminations take their rows [a_{i+j}] from ``hankel.int_entries``
-as they are; only the degree-bound instances, whose entries are rational,
-scale their rows to Z[x] (``hankel.det_fraction_free``).  None of this
-serves a determinant query or the point screen, so a process that runs
-only those does not compile it.
+elimination, whose pivot in each column is the first nonzero entry at or
+below the next pivot row, else none.  ``gauss_jordan`` is its run that
+updates the rows above the pivot too, for adjugates over Z[x] (those of
+every leading block from one elimination) and integer nullspaces; the
+Dodgson check reads its own H_j off the pivots of a run below the pivot.
+The adjugates and the Dodgson check's eliminations take their rows
+[a_{i+j}] from ``hankel.int_entries`` as they are; only the degree-bound
+instances, whose entries are rational, scale their rows to Z[x]
+(``hankel.det_fraction_free``).  None of this serves a determinant query
+or the point screen, so a process that runs only those does not compile
+it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Determinant-level relations: stated once, checked over Z[x] and screened
+"""Determinant-level relations: stated once, checked over Z[x] and read
 at rational points (the point relations and the third-identity weights
 are `identity_checks.py`; the sequence-level lemmas and the Table-1 trace
 rules are `lemmas.py`).
@@ -9,9 +9,8 @@ together at fixed n.  Each symbolic relation is stated once, in
 (symbol, coefficient), each coefficient a polynomial in (n, x) written as
 int tables (`forms`): the symbolic check sums them against the
 determinants over Z[x] (one `poly.lin_comb` per residual), and the point
-screen sums the same terms at x0 over Z, against integer-jet values, with
-one division per residual.  This module holds only what the screen runs,
-with the symbolic check beside it.
+screen reads those same residuals at x0.  This module holds only what the
+screen runs, with the symbolic check beside it.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .forms import nx_poly
-from .hankel import cached_ladder, quartet
-from .jet import JET, terms_at
+from .hankel import quartet
 from .odes import ODES
 from .poly import Poly, lin_comb
-from .sequences import F21, F31, FamilyId
+from .sequences import F21, F31
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +31,11 @@ from .sequences import F21, F31, FamilyId
 #
 # Every symbolic relation is linear in H, K, M, N, H' and H'' and is stated
 # once, as data: residuals, each a tuple of (symbol, coefficient) terms,
-# with _SYMBOLS naming the values in the order jet_quartet gives them.  A
+# with _SYMBOLS naming the values in the order `_combine` takes them.  A
 # coefficient is a polynomial in (n, x), a tuple of tables whose product
 # it is (`forms.nx_poly`), and `_relation_terms` reads it at n as a Poly.
-# `relation_residuals` sums coefficient times determinant over Z[x];
-# `relation_residuals_at` sums the coefficient's value at x0 times the jet
-# value over Z (`jet.terms_at`), which is the same residual at x0 times the
-# jets' common q-power, because every relation is homogeneous in the values.
+# `relation_residuals` sums coefficient times determinant over Z[x], and
+# `relation_residuals_at` reads those residuals at x0.
 
 
 _SYMBOLS = ("H", "K", "M", "N", "dH", "d2H")
@@ -165,55 +161,8 @@ def check_relation(rid: str, n: int) -> bool:
     return relation_point_ok(rid, n)
 
 
-def jet_quartet(family: FamilyId, n: int, x0) -> tuple:
-    """(H, K, M, N, d_xH, d_x^2 H) at x0 = p/q as integers, each times the
-    same power of q.
-
-    Read off the family's ladder over integer length-3 jets: each distinct
-    entry a_k is expanded at x0 = p/q once, times q^k, so a determinant on
-    columns c_0..c_n carries q^(n(n+1)/2 + sum c_j).  The ladder gives H
-    as a 3-jet and K, M and N as values: the relations read no derivative
-    of those three.  Each value is then lifted to the identical factor
-    q^((2n+2)(n+1)), which is harmless to the linear homogeneous relations
-    screened against these values.  Where a pivot of the ladder vanishes at
-    x0, each determinant is eliminated on its own with row pivoting, which
-    raises ``JetNotInvertible`` when a pivot it must divide by is not a
-    unit.
-    """
-    if n < 1:
-        raise ValueError("the jet quartet needs n >= 1: M_0 and N_0 are undefined")
-    x0 = Fraction(x0)
-    q = x0.denominator
-    lad = cached_ladder(family, x0, JET, n)
-    h, k, m, nn = (lad.det(n, name) for name in "HKMN")
-    # the columns of K sum to one more than H's, and M's and N's to two more
-    lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
-    values = (h[0] * q * q, k * q, m, nn, h[1] * q * q, 2 * h[2] * q * q)
-    return tuple(v * lift for v in values)
-
-
 def relation_residuals_at(rid: str, n: int, x0) -> list[Fraction]:
-    """Cheap screen: a symbolic relation's residuals evaluated at a rational x.
-
-    The same terms as `relation_residuals`, read at x0 against integer-jet
-    values of the determinants and of H's first two derivatives; no
-    symbolic determinant is formed, and each residual is one integer sum
-    (`jet.terms_at`) divided once.  Each residual comes out times the
-    jets' common x0-denominator power.
-    """
-    family, residuals = _relation_terms(rid, n)
-    x = Fraction(x0)
-    return terms_at(residuals, dict(zip(_SYMBOLS, _screen_quartet(family, n, x))), x)
-
-
-@lru_cache(maxsize=2)
-def _screen_quartet(family: FamilyId, n: int, x0: Fraction) -> tuple:
-    """`jet_quartet`, read once for all the relations of a family at (n, x0).
-
-    The screen asks for one family's relations in turn at the same point,
-    so two entries cover it.  The call goes through the module global, so
-    a wrapper bound to `jet_quartet` still sees each read.
-    """
-    return jet_quartet(family, n, x0)
-
-
+    """A symbolic relation's residuals at a rational x0: those of
+    `relation_residuals`, formed on the family's shared Z[x] ladder and
+    evaluated exactly, unscaled."""
+    return [r(x0) for r in relation_residuals(rid, n)]

@@ -41,7 +41,6 @@ from .poly import (
     Poly,
     from_int_scaled,
     int_poly_add_into,
-    int_poly_hom_eval,
     lin_comb,
     to_int_scaled,
 )
@@ -174,13 +173,18 @@ def _pack(family: FamilyId, k_max: int) -> tuple[int, dict]:
              "da": [den * sum(map(abs, d)) for d in dnums],
              "c": [_self_conv(na, m) for m in range(k_max + 1)]}
     s = _slot(max(map(max, norms.values())) << _HEADROOM)
-    x = 1 << s
-    a = [int_poly_hom_eval(num, x, 1) for num in nums]
+    a = [_at_power_of_two(num, s) for num in nums]
     values = {"a": [den * v for v in a],
-              "da": [den * int_poly_hom_eval(d, x, 1) for d in dnums],
+              "da": [den * _at_power_of_two(d, s) for d in dnums],
               "c": [_self_conv(a, m) for m in range(k_max + 1)]}
     packed = _packed[family] = (s, {kind: (values[kind], norms[kind]) for kind in values})
     return packed
+
+
+def _at_power_of_two(num: list[int], s: int) -> int:
+    """The integer polynomial ``num`` at X = 2^s, by shifts rather than
+    Horner's general products."""
+    return sum(c << (s * i) for i, c in enumerate(num))
 
 
 def _self_conv(v: list[int], m: int) -> int:

@@ -9,8 +9,8 @@ scaled to Z[x] first and the scales divided back out, and
 ``cramer_trace`` forms Tr(adj(A) X) as n determinants, one per replaced
 column, and ``fraction_nullspace`` is Gauss-Jordan over ``Fraction``:
 the last two are the computations ``hankel_checks.gauss_jordan`` replaced.
-``fraction_jet_quartet`` and ``fraction_screen`` are the relation screen
-over ``Fraction``, the computation ``jet.terms_at`` replaced,
+``poly_quartet_at`` and ``fraction_screen`` are the relation screen over
+``Fraction``, its determinants eliminated over ``POLY`` apart from the ladder,
 ``reconstruct`` multiplies a ``factor.FactorReport`` back out, and
 ``list_factor_smooth`` is trial division over the whole list of primes up to
 the bound, the walk the lazy ``factor.factor_smooth`` replaced.
@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import prod
 from typing import Sequence
 
 from hankelab import hankel, hankel_checks
 from hankelab.factor import FactorReport
+from hankelab.sequences import a_poly
 from hankelab.hankel import Ladder, Ring, det_fraction_free
-from hankelab.jet import JET
 from hankelab.poly import (
     from_int_scaled,
     int_poly_add_into,
@@ -107,21 +108,19 @@ def mul_sub_cross(p, r, l, u, d) -> list[int]:
     return v if d is None else int_poly_exact_div(v, d)
 
 
-POLY = Ring(_poly_cross, operator.neg, bool)
-RATIONAL = Ring(_rational_cross, operator.neg, bool)
+POLY = Ring(_poly_cross, operator.neg)
+RATIONAL = Ring(_rational_cross, operator.neg)
 
 
 def full_row_ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) -> Ladder:
     """``hankel.ladder`` with row i's step k run over columns k+1..N+2, so
     the lead of each step is formed by the row's earlier steps and nothing
     is read off another row: the elimination before the symmetric ladder."""
-    value, int_cross = ring.value, hankel._int_cross
-    if lad is None or value is not None:
+    if lad is None:
         lad = Ladder(ring, [], [], [])
     e, rows = lad.entries, lad.rows
     e.extend(entries[len(e) :])
     width = (len(e) - 3) // 2 + 3
-    full = width if value is None else width - 2
     cross = ring.cross
     piv = [None] + [row[k] for k, row in enumerate(rows)]
     for i, row in enumerate(rows):
@@ -131,26 +130,17 @@ def full_row_ladder(entries: Sequence, ring: Ring, lad: Ladder | None = None) ->
                 v = cross(piv[k + 1], v, row[k], rows[k][j], piv[k])
             row.append(v)
     for i in range(len(rows), width - 2):
-        if i and not ring.unit(piv[i]):
+        if i and not piv[i]:
             break
         row = e[i : i + width]
-        if full < width:
-            row[full:] = map(value, row[full:])
         m = None
         for k in range(i):
             up = rows[k]
             p, d, lead = piv[k + 1], piv[k], row[k]
-            if full < width:
-                p0, l0, d0 = value(p), value(lead), d if d is None else value(d)
             if k == i - 1:
-                if i + 1 < full:
-                    m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
-                else:
-                    m = int_cross(up[i + 1], value(row[i]), row[i + 1], value(up[i]), d0)
-            for j in range(k + 1, full):
+                m = cross(up[i + 1], row[i], row[i + 1], up[i], d)
+            for j in range(k + 1, width):
                 row[j] = cross(p, row[j], lead, up[j], d)
-            for j in range(full, width):
-                row[j] = int_cross(p0, row[j], l0, up[j], d0)
         rows.append(row)
         lad.m.append(m)
         piv.append(row[i])
@@ -231,17 +221,24 @@ def fraction_nullspace(rows, ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def fraction_jet_quartet(family, n: int, x0) -> tuple:
-    """(H, K, M, N, H', H'') at x0 as Fractions, each times q^((2n+2)(n+1)):
-    the family's jet-ladder values (H a 3-jet, K, M and N values) lifted
-    one by one."""
-    x0 = Fraction(x0)
-    q = x0.denominator
-    lad = hankel.cached_ladder(family, x0, JET, n)
-    h, k, m, nn = (lad.det(n, name) for name in "HKMN")
-    lift = q ** ((2 * n + 2) * (n + 1) - n * (n + 1) - 2)
-    values = (h[0] * q * q, k * q, m, nn, h[1] * q * q, 2 * h[2] * q * q)
-    return tuple(Fraction(v * lift) for v in values)
+@lru_cache(maxsize=None)
+def _poly_quartet(family, n: int) -> dict:
+    """H, K, M and N by name, each by ``det_bareiss`` over ``POLY`` on its
+    own columns of [a_{i+j}], the a_k as Polys."""
+    a = [a_poly(family, k) for k in range(2 * n + 3)]
+    return {
+        v: hankel.det_bareiss([[a[c + i] for c in hankel._variant_columns(n, v)]
+                               for i in range(n + 1)], POLY)
+        for v in "HKMN"
+    }
+
+
+def poly_quartet_at(family, n: int, x0, order: str = "HKMN") -> tuple:
+    """(H, K, M, N, H', H'') at x0 as Fractions, from ``_poly_quartet``: no
+    ladder and no integer scaling.  ``order`` names the determinants read
+    as H, K, M and N, and H' and H'' are the derivatives of the first."""
+    dets = [_poly_quartet(family, n)[v] for v in order]
+    return tuple(v(x0) for v in (*dets, dets[0].derivative(), dets[0].derivative(2)))
 
 
 def fraction_screen(residuals, values, x0) -> list[Fraction]:

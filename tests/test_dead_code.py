@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hankelab"
 ALLOWED = {
     ("hankel", "hankel_matrix"): "the Poly matrix [a_{i+j}]: only tests and perfbench read it",
     ("identities", "relation_residuals_at"): "the point screen's entry, driven by perfbench and tests",
+    ("jet", "JetNotInvertible"): "perfbench's point-screen workload imports it",
 }
 
 

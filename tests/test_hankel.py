@@ -42,7 +42,6 @@ from hankelab.hankel_checks import (
     general_degree_det,
     make_degree_instance,
 )
-from hankelab.jet import JET, JetNotInvertible, int_jets
 from hankelab.sequences import ALL_FAMILIES, F21, F31, FAEX, FamilyId, a_poly
 
 
@@ -205,8 +204,8 @@ def test_point_evaluation_consistency():
 
 
 def test_every_entry_is_an_integer_polynomial_of_degree_at_most_k():
-    # what lets the ladders' entries be a_k itself, and q^k a_k(p/q) or its
-    # integer jet at a point: every family's a_k and several more (beta,
+    # what lets the ladders' entries be a_k itself, and the integer
+    # q^k a_k(p/q) at a point: every family's a_k and several more (beta,
     # alpha) families' have denominator 1 and degree <= k
     more = [FamilyId("binom", b, a) for b, a in ((1, 0), (2, 0), (2, -3), (4, 1), (5, 7), (7, -2))]
     for fam in (*ALL_FAMILIES, *more):
@@ -232,7 +231,7 @@ def test_the_entry_tripwire_raises_on_every_ring(monkeypatch):
         monkeypatch.setattr(hankel_mod, "a_poly", seq)
         monkeypatch.setattr(hankel_mod, "_ladders", {})
         assert hankel_det(F31, 0) == Poly([1])
-        for x0, ring in ((None, INT_POLY), (Fraction(2, 3), INT), (Fraction(2, 3), JET)):
+        for x0, ring in ((None, INT_POLY), (Fraction(2, 3), INT)):
             with pytest.raises(ValueError, match="a_3 of 3,1 is not an integer polynomial"):
                 hankel_mod.cached_ladder(F31, x0, ring, 1)
         with pytest.raises(ValueError, match="a_3 of 3,1"):
@@ -243,16 +242,11 @@ def test_the_entry_tripwire_raises_on_every_ring(monkeypatch):
 
 
 def test_ladder_extension_matches_single_eliminations(monkeypatch):
-    # n asked out of order, so each cached ladder grows in place (a jet
-    # ladder is rebuilt) and is read below its top; every H/K/M/N equals
-    # det_bareiss on its single matrix, over jets H in full and K, M, N as
-    # the value part
-    from test_jet import POINTS, outcome
-
+    # n asked out of order, so each cached ladder grows in place and is read
+    # below its top; every H/K/M/N equals det_bareiss on its single matrix
     monkeypatch.setattr(hankel_mod, "_ladders", {})
     cases = [(None, INT_POLY)]
     cases += [(x0, INT) for x0 in (Fraction(0), Fraction(3, 7), Fraction(5, 2), Fraction(1, 2))]
-    cases += [(x0, JET) for x0 in POINTS]
     vanishing = ((F31, Fraction(5, 2)), (F21, Fraction(1, 2)))  # where H_1 is zero
     for fam in ALL_FAMILIES:
         a = [a_poly(fam, k) for k in range(19)]
@@ -264,21 +258,11 @@ def test_ladder_extension_matches_single_eliminations(monkeypatch):
                     if ring is INT_POLY:
                         want = det_fraction_free([[a[c + i] for c in cols] for i in range(n + 1)])
                         assert variant_det(fam, n, name) == want, (fam, n, name)
-                    elif ring is INT:
+                    else:
                         rows = [[a[c + i](x0) for c in cols] for i in range(n + 1)]
                         want = det_bareiss(rows, RATIONAL)
                         assert variant_det_at(fam, n, name, x0) == want, (fam, n, name, x0)
-                    else:
-                        jets = int_jets([f.num for f in a], x0)
-                        rows = [[jets[c + i] for c in cols] for i in range(n + 1)]
-                        want = outcome(lambda: det_bareiss(rows, JET))
-                        if name != "H" and want is not JetNotInvertible:
-                            want = want[0]
-                        got = outcome(
-                            lambda: hankel_mod.cached_ladder(fam, x0, JET, n).det(n, name)
-                        )
-                        assert got == want, (fam, n, name, x0)
-            if (fam, x0) in vanishing and ring is not INT_POLY:
+            if (fam, x0) in vanishing:
                 # the ladder holds n <= 1, and the larger n came from the
                 # single eliminations
                 assert len(hankel_mod._ladders[fam, x0, ring].rows) == 2
@@ -286,13 +270,12 @@ def test_ladder_extension_matches_single_eliminations(monkeypatch):
 
 def test_symmetric_ladder_matches_the_full_row_ladder():
     # every entry of every row, the leads read off earlier rows included,
-    # and every M_n (over jets, its value part) equal the full-row
-    # elimination's, for each family to N = 12 over Z[x], and over Z and
-    # jets at points where a leading pivot vanishes too; a ladder grown in
-    # place through smaller N ends equal
+    # and every M_n equal the full-row elimination's, for each family to
+    # N = 12 over Z[x], and over Z at points where a leading pivot vanishes
+    # too; a ladder grown in place through smaller N ends equal
     top = 12
     cases = [(None, INT_POLY)]
-    cases += [(x0, ring) for ring in (INT, JET) for x0 in (Fraction(3, 7), Fraction(-2), Fraction(5, 2), Fraction(1, 2))]
+    cases += [(x0, INT) for x0 in (Fraction(3, 7), Fraction(-2), Fraction(5, 2), Fraction(1, 2))]
     vanishing = ((F31, Fraction(5, 2)), (F21, Fraction(1, 2)))  # where H_1 is zero
     for fam in ALL_FAMILIES:
         for x0, ring in cases:
@@ -304,10 +287,125 @@ def test_symmetric_ladder_matches_the_full_row_ladder():
                     if n not in refs:
                         refs[n] = full_row_ladder(e[: 2 * n + 3], ring)
                     lad = hankel_mod.ladder(e[: 2 * n + 3], ring, lad)
-                    want_m = refs[n].m if ring is not JET else [
-                        m if m is None or type(m) is int else m[0] for m in refs[n].m]
-                    assert (lad.rows, lad.m) == (refs[n].rows, want_m), (fam, x0, ring, chain, n)
+                    assert (lad.rows, lad.m) == (refs[n].rows, refs[n].m), (fam, x0, ring, chain, n)
             assert len(refs[top].rows) == (2 if (fam, x0) in vanishing else top + 1), (fam, x0)
+
+
+# H_1 of (3,1) is 5 - 2x and H_1 of (2,1) is 1 - 2x: at 5/2 and 1/2 a
+# leading pivot of the ladder vanishes and the per-variant eliminations run.
+POINTS = [Fraction(0), Fraction(3, 7), Fraction(-2), Fraction(5, 2), Fraction(1, 2), Fraction(-11, 5), Fraction(7, 3)]
+
+
+def four_eliminations(entries, n):
+    """H, K, M, N over Z, each by its own pivoting elimination."""
+    return tuple(
+        det_bareiss([[entries[c + i] for c in _variant_columns(n, name)] for i in range(n + 1)], INT)
+        for name in VARIANTS
+    )
+
+
+def test_ladder_agrees_with_four_eliminations():
+    fallbacks = 0
+    for fam in ALL_FAMILIES:
+        for n in range(1, 7):
+            for x0 in POINTS:
+                e = hankel_mod.cached_ladder(fam, x0, INT, n).entries[: 2 * n + 3]
+                lad = hankel_mod.ladder(e, INT)
+                if len(lad.rows) <= n:
+                    fallbacks += 1
+                else:
+                    got = tuple(lad.det(n, name) for name in VARIANTS)
+                    assert got == four_eliminations(e, n), (fam, n, x0)
+    assert fallbacks >= 2 * 5  # (3,1) at 5/2 and (2,1) at 1/2, n = 2..6
+    for fam, x0 in ((F31, Fraction(5, 2)), (F21, Fraction(1, 2))):
+        e = hankel_mod.cached_ladder(fam, x0, INT, 2).entries[:7]
+        lad = hankel_mod.ladder(e, INT)
+        assert len(lad.rows) == 2  # stopped at H_1, which vanishes at x0
+        # n = 2 is read by the four eliminations, which pivot past H_1
+        assert tuple(lad.det(2, name) for name in VARIANTS) == four_eliminations(e, 2)
+        assert lad.det(2, "H") != 0
+
+
+def test_ladder_on_zero_heavy_entries():
+    # Random integers with many zeros: wherever the ladder reaches n, the
+    # four pivoting eliminations answer the same; where it stops short at a
+    # zero pivot, reading n is those four eliminations, and often nonzero.
+    rng = random.Random(83)
+    declined = nonzero = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        e = [rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(2 * n + 3)]
+        lad = hankel_mod.ladder(e, INT)
+        four = four_eliminations(e, n)
+        assert tuple(lad.det(n, name) for name in VARIANTS) == four, (n, e)
+        if len(lad.rows) <= n:
+            declined += 1
+            nonzero += any(four)
+    assert declined > 0 and nonzero > 0
+
+
+def counting(ring, counts):
+    """The ring with each step counted in counts[0]."""
+
+    def cross(*args):
+        counts[0] += 1
+        return ring.cross(*args)
+
+    return ring._replace(cross=cross)
+
+
+def ladder_steps(top):
+    """sum_{i <= N} i (N + 3 - i) + N: row i's step k runs over columns
+    i..N+2, its lead read off row k, and rows 1..N take one M step each."""
+    return sum(i * (top + 3 - i) for i in range(top + 1)) + top
+
+
+def full_row_steps(top):
+    """sum_{i <= N} sum_{k < i} (N + 2 - k) + N: the steps of
+    ``full_row_ladder``, whose row i's step k runs over columns k+1..N+2."""
+    return sum(top + 2 - k for i in range(top + 1) for k in range(i)) + top
+
+
+def test_ladder_step_counts():
+    x0 = Fraction(3, 7)
+    for top in (1, 4, 7, 10):
+        entries = {
+            INT_POLY: hankel_mod.int_entries(F31, 0, 2 * top + 3),
+            INT: hankel_mod.cached_ladder(F31, x0, INT, top).entries[: 2 * top + 3],
+        }
+        for ring, e in entries.items():
+            for build, steps in ((hankel_mod.ladder, ladder_steps), (full_row_ladder, full_row_steps)):
+                counts = [0]
+                lad = build(e, counting(ring, counts))
+                assert len(lad.rows) == top + 1
+                assert counts == [steps(top)], (ring, top, build)
+            # grown from a smaller ladder, it does the same steps
+            counts = [0]
+            hankel_mod.ladder(e, counting(ring, counts), hankel_mod.ladder(e[:5], counting(ring, counts)))
+            assert counts == [ladder_steps(top)], (ring, top)
+    assert (ladder_steps(7), ladder_steps(10)) == (147, 340)
+    assert (full_row_steps(7), full_row_steps(10)) == (203, 505)
+
+
+def test_a_growing_point_ladder_expands_only_its_new_entries(monkeypatch):
+    # growing (3,1) or aex at 7/5 through n = 1..12 evaluates each of its 27
+    # entries once, at its own q^k, and gives what a ladder built for each
+    # n alone gives
+    x0 = Fraction(7, 5)
+    calls = []
+    hom_eval = hankel_mod.int_poly_hom_eval
+    monkeypatch.setattr(hankel_mod, "int_poly_hom_eval",
+                        lambda *args: calls.append(args) or hom_eval(*args))
+    for fam in (F31, FAEX):
+        monkeypatch.setattr(hankel_mod, "_ladders", {})
+        calls.clear()
+        grown = [[variant_det_at(fam, n, v, x0) for v in VARIANTS] for n in range(1, 13)]
+        assert len(calls) == 27, fam
+        lad = hankel_mod.cached_ladder(fam, x0, INT, 12)
+        for n, values in enumerate(grown, 1):
+            monkeypatch.setattr(hankel_mod, "_ladders", {})
+            assert [variant_det_at(fam, n, v, x0) for v in VARIANTS] == values, (fam, n)
+        assert hankel_mod.cached_ladder(fam, x0, INT, 12) == lad, fam
 
 
 def test_dodgson_fails_where_the_ladder_is_wrong(monkeypatch):

@@ -15,7 +15,6 @@ from reference_identities import (
 )
 from test_series import _bump, _paths
 
-import hankelab.identities as identities_mod
 import hankelab.identity_checks as identity_checks_mod
 import hankelab.lemmas as lemmas_mod
 from hankelab.checks import run_check
@@ -26,13 +25,11 @@ from hankelab.lemmas import (
     table1_rules,
     trace_values,
 )
-from hankelab.jet import terms_at
 from hankelab.poly import Poly, int_poly_hom_eval
 from hankelab.hankel import hankel_det, hankel_matrix, int_hankel, quartet
 from hankelab.identities import (
     SYMBOLIC_RELATIONS,
     check_relation,
-    jet_quartet,
     pnqnrn_21,
     pnqnrn_31,
     relation_residuals,
@@ -240,27 +237,6 @@ def test_relation_screen_jets():
             assert all(v == 0 for v in vals), (rid, x0)
 
 
-def test_screen_reads_each_family_quartet_once_per_point(monkeypatch):
-    x0 = Fraction(97, 5)
-    want = {}
-    for rid in SYMBOLIC_RELATIONS:
-        family, terms = identities_mod._relation_terms(rid, 4)
-        values = dict(zip(identities_mod._SYMBOLS, jet_quartet(family, 4, x0)))
-        assert all(values.values()), rid
-        want[rid] = terms_at(terms, values, x0)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return jet_quartet(*args)
-
-    monkeypatch.setattr(identities_mod, "jet_quartet", counted)
-    identities_mod._screen_quartet.cache_clear()
-    got = {rid: relation_residuals_at(rid, 4, x0) for rid in SYMBOLIC_RELATIONS}
-    assert calls == [(F31, 4, x0), (F21, 4, x0)]
-    assert got == want
-
-
 def test_relation_entry_points_reject_the_same_input():
     # a point relation, and n = 0 where M_0 and N_0 are undefined
     for args in (("r_x3", 3), ("r_linear", 0), ("r_det01", -1)):
@@ -268,8 +244,6 @@ def test_relation_entry_points_reject_the_same_input():
             relation_residuals(*args)
         with pytest.raises(ValueError, match="point relation|needs n >= 1"):
             relation_residuals_at(*args, Fraction(7, 5))
-    with pytest.raises(ValueError, match="needs n >= 1"):
-        jet_quartet(F31, 0, Fraction(7, 5))
     # point relations too, before H_{n-1} or N_n is formed
     for args in (("r_crec", 0), ("r_x3", 0), ("r_linear", 0)):
         with pytest.raises(ValueError, match="needs n >= 1"):

@@ -3,22 +3,18 @@
 import random
 from fractions import Fraction
 
-from reference_det import fraction_jet_quartet, fraction_screen
+from reference_det import fraction_screen, poly_quartet_at
 
-from hankelab import hankel, identities
+from hankelab import identities
 from hankelab.closed_forms import product_eval
-from hankelab.hankel import hankel_det, hankel_det_at, quartet
+from hankelab.hankel import HankelQuartet, hankel_det, hankel_det_at
 from hankelab.identities import (
     _SYMBOLS,
     SYMBOLIC_RELATIONS,
-    _combine,
     _relation_terms,
-    jet_quartet,
     relation_residuals,
     relation_residuals_at,
 )
-from hankelab.jet import JetNotInvertible, terms_at
-from hankelab.poly import Poly
 from hankelab.sequences import F21, F31
 
 
@@ -61,100 +57,79 @@ def test_relation_screen_gives_every_symbolic_residual():
     for rid in SYMBOLIC_RELATIONS:
         for n in range(2, 11):
             want = len(relation_residuals(rid, n))
-            screened = 0
             for x0 in points:
-                try:
-                    vals = relation_residuals_at(rid, n, x0)
-                except JetNotInvertible:
-                    continue
+                vals = relation_residuals_at(rid, n, x0)
                 assert len(vals) == want and all(v == 0 for v in vals), (rid, n, x0)
-                screened += 1
-            assert screened, (rid, n)
 
 
-def test_screen_and_symbolic_residuals_agree_off_the_relation():
+def _read_as(monkeypatch, order):
+    """The screen's quartet with H, K, M, N read from the true ones in
+    ``order`` (a permutation of "HKMN"), so its relations do not hold."""
+    true_quartet = identities.quartet
+
+    def permuted(family, n):
+        q = true_quartet(family, n)
+        return HankelQuartet(family, n, *(getattr(q, v) for v in order))
+
+    monkeypatch.setattr(identities, "quartet", permuted)
+
+
+def test_screen_and_symbolic_residuals_agree_off_the_relation(monkeypatch):
     # H and K exchanged solve no relation, so a symbol or coefficient wired
-    # differently on one side shows as a mismatch rather than as 0 == 0; the
-    # swapped jet values go through the screen's integer sum, and they carry
-    # the common factor q^((2n+2)(n+1))
+    # differently on one side shows as a mismatch rather than as 0 == 0: the
+    # screen fed the exchanged quartet equals the fraction oracle fed the
+    # same exchange, its determinants eliminated apart from the ladder
     points = _screen_points(61, 4)
+    _read_as(monkeypatch, "KHMN")
     for rid in SYMBOLIC_RELATIONS:
         for n in range(2, 11):
             family, terms = _relation_terms(rid, n)
-            q = quartet(family, n)
-            dh = q.H.derivative()
-            symbolic = _combine(terms, (q.K, q.H, q.M, q.N, dh, dh.derivative()))
-            assert any(not r.is_zero() for r in symbolic), (rid, n)
+            off = 0
             for x0 in points:
-                try:
-                    h, k, m, nn, jdh, jd2h = jet_quartet(family, n, x0)
-                except JetNotInvertible:
-                    continue
-                scale = x0.denominator ** ((2 * n + 2) * (n + 1))
-                swapped = dict(zip(_SYMBOLS, (k, h, m, nn, jdh, jd2h)))
-                screen = terms_at(terms, swapped, x0)
-                assert screen == [r(x0) * scale for r in symbolic], (rid, n, x0)
+                want = fraction_screen(terms, poly_quartet_at(family, n, x0, "KHMN"), x0)
+                assert relation_residuals_at(rid, n, x0) == want, (rid, n, x0)
+                off += any(want)
+            assert off, (rid, n)
 
 
-def _screen_or_none(screen):
-    try:
-        return screen()
-    except JetNotInvertible:
-        return None
-
-
-def test_integer_screen_matches_the_fraction_oracle():
-    # residual for residual, on the relation and off it (the values of H, K,
-    # M and N rotated, so the sums are not 0 == 0, and each coefficient
+def test_integer_screen_matches_the_fraction_oracle(monkeypatch):
+    # residual for residual, on the relation and off it (the values of K, M
+    # and N rotated, so the sums are not 0 == 0, and each coefficient
     # divided by a different integer, since every stated one is in Z[x]), at
     # seeded points with negative x0 and q up to 11, plus the two points where
-    # the ladder stops short and the four eliminations pivot; both paths
-    # decline the same points
+    # the ladder over Z stops short (H_1 vanishes); the oracle's
+    # determinants are eliminated over Poly apart from the ladder
     rng = random.Random(1109)
     points = [(F31, Fraction(5, 2)), (F21, Fraction(1, 2)), (None, Fraction(-37, 11))]
     points += [(None, Fraction(rng.randint(-40, 20), rng.randint(1, 11))) for _ in range(3)]
+    cases = [(rid, n, x0) for fam, x0 in points for n in range(1, 13)
+             for rid in SYMBOLIC_RELATIONS if fam in (None, _relation_terms(rid, n)[0])]
+    for rid, n, x0 in cases:
+        family, terms = _relation_terms(rid, n)
+        want = fraction_screen(terms, poly_quartet_at(family, n, x0), x0)
+        assert relation_residuals_at(rid, n, x0) == want == [0] * len(terms), (rid, n, x0)
+    true_terms = identities._relation_terms
+
+    def divided(rid, n):
+        family, terms = true_terms(rid, n)
+        return family, [[(s, c * Fraction(1, 3 + i)) for i, (s, c) in enumerate(r)]
+                        for r in terms]
+
+    monkeypatch.setattr(identities, "_relation_terms", divided)
+    _read_as(monkeypatch, "HNKM")
     off_relation = 0
-    for fam, x0 in points:
-        for n in range(1, 13):
-            for rid in SYMBOLIC_RELATIONS:
-                family, terms = _relation_terms(rid, n)
-                if fam not in (None, family):
-                    continue
-                got = _screen_or_none(lambda: relation_residuals_at(rid, n, x0))
-                values = _screen_or_none(lambda: fraction_jet_quartet(family, n, x0))
-                want = None if values is None else fraction_screen(terms, values, x0)
-                assert got == want, (rid, n, x0)
-                if values is None:
-                    continue
-                h, k, m, nn, dh, d2h = jet_quartet(family, n, x0)
-                rotated = dict(zip(_SYMBOLS, (nn, h, k, m, dh, d2h)))
-                thirds = [[(s, c * Fraction(1, 3 + i)) for i, (s, c) in enumerate(r)] for r in terms]
-                off = fraction_screen(thirds, (values[3], *values[:3], *values[4:]), x0)
-                assert terms_at(thirds, rotated, x0) == off, (rid, n, x0)
-                off_relation += any(off)
-    assert off_relation > 300
-
-
-def test_both_screens_decline_where_a_pivot_is_not_a_unit(monkeypatch):
-    # a_k = q^k (x0^k + k (x - x0)), an integer polynomial at x0 = 7/5: the
-    # values at x0 are geometric, so every order-2 minor vanishes there but
-    # not its derivative, and the jet eliminations must divide by a
-    # non-unit; both paths raise
-    x0 = Fraction(7, 5)
-    fake = lambda family, k: Poly([7**k - 7 * k * 5**k // 5, k * 5**k])
-    monkeypatch.setattr(hankel, "a_poly", fake)
-    monkeypatch.setattr(hankel, "_ladders", {})
-    for rid in SYMBOLIC_RELATIONS:
-        family = _relation_terms(rid, 3)[0]
-        assert _screen_or_none(lambda: relation_residuals_at(rid, 3, x0)) is None, rid
-        assert _screen_or_none(lambda: fraction_jet_quartet(family, 3, x0)) is None, rid
+    for rid, n, x0 in cases:
+        family, thirds = divided(rid, n)
+        off = fraction_screen(thirds, poly_quartet_at(family, n, x0, "HNKM"), x0)
+        assert relation_residuals_at(rid, n, x0) == off, (rid, n, x0)
+        off_relation += any(off)
+    assert off_relation == len(cases)
 
 
 def test_the_screen_sees_a_perturbed_coefficient(monkeypatch):
     # negative control: the first coefficient of each relation moved by 1
     # (its symbol once more, times the constant table 1) leaves its first
-    # residual equal to that symbol's jet value, nonzero, at a point the
-    # screen accepts
+    # residual equal to that symbol's value at x0, nonzero
     x0 = Fraction(97, 5)
     for rid in SYMBOLIC_RELATIONS:
         family, ((first, *rest), *others) = identities._RELATIONS[rid]
@@ -167,7 +142,7 @@ def test_the_screen_sees_a_perturbed_coefficient(monkeypatch):
         finally:
             monkeypatch.undo()
             identities._relation_terms.cache_clear()
-        values = jet_quartet(family, 4, x0)
+        values = poly_quartet_at(family, 4, x0)
         assert got[0] == values[_SYMBOLS.index(symbol)] != 0, rid
         assert all(r == 0 for r in relation_residuals_at(rid, 4, x0)), rid
 
@@ -178,10 +153,7 @@ def test_relation_screen_small_n():
         for _ in range(2):
             x0 = _screen_point(rng)
             for rid in SYMBOLIC_RELATIONS:
-                try:
-                    vals = relation_residuals_at(rid, n, x0)
-                except JetNotInvertible:
-                    continue  # unlucky point; the full-range screen covers volume
+                vals = relation_residuals_at(rid, n, x0)
                 assert all(v == 0 for v in vals), (rid, n, x0)
 
 
@@ -189,13 +161,8 @@ def test_relation_screen_full_range():
     # five random rational points per n, n = 2..20, all eight relations
     rng = random.Random(61)
     for n in range(2, 21):
-        done = 0
-        while done < 5:
+        for _ in range(5):
             x0 = _screen_point(rng)
-            try:
-                for rid in SYMBOLIC_RELATIONS:
-                    vals = relation_residuals_at(rid, n, x0)
-                    assert all(v == 0 for v in vals), (rid, n, x0)
-            except JetNotInvertible:
-                continue
-            done += 1
+            for rid in SYMBOLIC_RELATIONS:
+                vals = relation_residuals_at(rid, n, x0)
+                assert all(v == 0 for v in vals), (rid, n, x0)

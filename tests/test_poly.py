@@ -175,7 +175,7 @@ def _recorded_crosses(rng, size):
 
     rows = [[_stripped(random_int_poly(rng, max_len=4, bits=20)) for _ in range(size)]
             for _ in range(size)]
-    det_bareiss(rows, Ring(record, INT_POLY.neg, INT_POLY.unit))
+    det_bareiss(rows, Ring(record, INT_POLY.neg))
     return calls
 
 
